@@ -30,7 +30,7 @@ from .errors import (
     NonpositiveJ0,
     RdBlowupError,
 )
-from .fields import make_field
+from .fields import FIELD_KINDS, make_field
 from .functionals import ENERGY_SAMPLE_COLUMNS, check_trace_monitors
 from .geometry import BALL, BOX, DomainSpec, build_mesh
 from .oracle import ode_reduce
@@ -84,6 +84,8 @@ class Experiment:
         nls = cfg["nonlinearity"]
         family = nls["family"]
         if family == "power_product":
+            if "a_exp" not in nls or "b_exp" not in nls:
+                raise ConfigError("power_product needs both a_exp and b_exp")
             self.nl = nl_mod.make_power_product(
                 nls.getfloat("c", 1.0), nls.getfloat("a_exp"), nls.getfloat("b_exp"))
         elif family == "gradient_homogeneous":
@@ -102,6 +104,9 @@ class Experiment:
 
         init = cfg["initial_data"] if cfg.has_section("initial_data") else {}
         self.init_kind = init.get("kind", "constant")
+        if self.init_kind not in FIELD_KINDS:
+            raise ConfigError(f"unknown initial_data kind {self.init_kind!r}; "
+                              f"expected one of {', '.join(FIELD_KINDS)}")
         self.c1 = float(init.get("c1", 1.0))
         self.c2 = float(init.get("c2", 1.0))
         self.init_params_u = {"c": self.c1,
@@ -135,6 +140,8 @@ class Experiment:
         self.abs_tol = float(sol.get("abs_tol", 1e-10))
         self.sup_threshold = float(sol.get("sup_threshold", 1e8))
         self.sample_stride = int(sol.get("sample_stride", 1))
+        if self.sample_stride < 1:
+            raise ConfigError(f"solver.sample_stride must be >= 1, got {self.sample_stride}")
 
         out = cfg["outputs"] if cfg.has_section("outputs") else {}
         self.out_dir = out.get("directory", "out")
@@ -155,15 +162,18 @@ class Experiment:
 
     def solver_config(self):
         g1, g2 = self.initial_fields()
-        return SolverConfig(
-            mesh=self.mesh, nl=self.nl, gamma1=self.gamma1, gamma2=self.gamma2,
-            g1=g1, g2=g2, t_end=self.t_end, dt_init=self.dt_init,
-            dt_min=self.dt_min, dt_max=self.dt_max, rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol, sup_threshold=self.sup_threshold,
-            sample_stride=self.sample_stride,
-            alpha=self.alpha if self.alpha is not None else 1.0,
-            p=self.p,
-        )
+        try:
+            return SolverConfig(
+                mesh=self.mesh, nl=self.nl, gamma1=self.gamma1, gamma2=self.gamma2,
+                g1=g1, g2=g2, t_end=self.t_end, dt_init=self.dt_init,
+                dt_min=self.dt_min, dt_max=self.dt_max, rel_tol=self.rel_tol,
+                abs_tol=self.abs_tol, sup_threshold=self.sup_threshold,
+                sample_stride=self.sample_stride,
+                alpha=self.alpha if self.alpha is not None else 1.0,
+                p=self.p,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"solver: {exc}") from exc
 
 
 def _as_jsonable(obj):
@@ -348,10 +358,10 @@ COMMANDS = {
 }
 
 
-def _run_one(command, config_path, out_dir, resolution):
+def _run_one(command, config_path, out_dir=None, resolution=None):
     try:
         exp = Experiment(config_path, resolution=resolution)
-        return COMMANDS[command](exp, Path(out_dir))
+        return COMMANDS[command](exp, Path(out_dir if out_dir is not None else exp.out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -379,15 +389,9 @@ def main(argv=None) -> int:
 
     jobs = []
     for cfg_path in args.config:
-        if args.out_dir is not None:
-            out = args.out_dir if len(args.config) == 1 else \
-                str(Path(args.out_dir) / Path(cfg_path).stem)
-        else:
-            try:
-                out = Experiment(cfg_path, resolution=args.resolution).out_dir
-            except ConfigError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+        out = args.out_dir
+        if out is not None and len(args.config) > 1:
+            out = str(Path(out) / Path(cfg_path).stem)
         jobs.append((args.command, cfg_path, out, args.resolution))
 
     if len(jobs) == 1 or args.jobs <= 1:

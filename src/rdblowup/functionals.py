@@ -3,8 +3,10 @@
 E(t) is the squared L2 energy of the pair, J(t) the potential-dominated
 functional whose sign drives the upper bound, and scriptE(t) the 2p-power
 energy used by the lower bound.  The gradient energy is the face-difference
-quadratic form compatible with the solver's Laplacian stencil, so the
-discrete integration-by-parts identities hold up to boundary closure error.
+quadratic form of the mesh's Neumann operator `Mesh.laplacian` (DIA storage;
+the solver adds the Robin diagonal `Mesh.robin_diagonal` to it): summation by
+parts gives grad energy = -cell_volume * u . (L_N u), so the discrete
+integration-by-parts identities hold up to boundary closure error.
 """
 
 from dataclasses import dataclass, field as dataclass_field

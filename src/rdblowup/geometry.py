@@ -1,4 +1,5 @@
-"""Domains, uniform cell-centered meshes, geometric constants and quadrature.
+"""Domains, uniform cell-centered meshes and their Laplacian, geometric
+constants and quadrature.
 
 Boxes are meshed with a uniform cell-centered grid; balls exist only as
 analytic domains (geometric constants and volume) and cannot be meshed.
@@ -6,9 +7,11 @@ The origin is always the centroid of the domain.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import pi, prod, sqrt
 
 import numpy as np
+from scipy.sparse import dia_array
 
 from .errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
 
@@ -83,6 +86,50 @@ class Mesh:
     @property
     def cell_volume(self) -> float:
         return prod(self.h)
+
+    @cached_property
+    def laplacian(self) -> dia_array:
+        """Neumann (2N+1)-point Laplacian of the cells, built on first use and kept.
+
+        Stored as DIA with offsets 0 and +-stride of each axis (+-1, +-n_z,
+        +-n_y*n_z in 3D).  A boundary cell's ghost mirrors it, so the main
+        diagonal counts only existing neighbours and entries that would
+        couple cells across a face are zero.  The Robin operator for
+        gamma is this matrix plus the diagonal `robin_diagonal(gamma)`.
+        """
+        shape, n = self.shape, self.n_cells
+        N = len(shape)
+        data = np.zeros((2 * N + 1, n))
+        offsets = [0]
+        main = data[0].reshape(shape)
+        for axis, (na, ha) in enumerate(zip(shape, self.h)):
+            stride = prod(shape[axis + 1:])
+            index = np.arange(na).reshape([na if b == axis else 1 for b in range(N)])
+            has_lo, has_hi = index >= 1, index <= na - 2
+            # DIA keys entries by column, data[k, j] = A[j - offsets[k], j]:
+            # A[i, i + stride] exists iff column j = i + stride has a low neighbour
+            k = 2 * axis + 1
+            data[k].reshape(shape)[...] = has_lo / ha**2
+            data[k + 1].reshape(shape)[...] = has_hi / ha**2
+            offsets += [stride, -stride]
+            main -= (has_lo.astype(float) + has_hi) / ha**2
+        return dia_array((data, offsets), shape=(n, n))
+
+    def robin_diagonal(self, gamma: float) -> np.ndarray:
+        """Diagonal that turns `laplacian` into the Robin Laplacian for gamma.
+
+        The ghost-cell closure ghost = g * cell, g = (2 - gamma h)/(2 + gamma h),
+        is second order at the face; relative to the Neumann mirror (g = 1)
+        it adds (g - 1)/h_a^2 on each boundary cell, once per face.
+        """
+        diag = np.zeros(self.shape)
+        for axis, ha in enumerate(self.h):
+            g = (2.0 - gamma * ha) / (2.0 + gamma * ha)
+            for side in (0, -1):
+                face = [slice(None)] * diag.ndim
+                face[axis] = side
+                diag[tuple(face)] += (g - 1.0) / ha**2
+        return diag.ravel()
 
     def to_grid(self, samples: np.ndarray) -> np.ndarray:
         return np.asarray(samples).reshape(self.shape)

@@ -227,6 +227,23 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             Experiment(str(path))
 
+    @pytest.mark.parametrize("command, edit", [
+        ("check", ("kind = constant", "kind = bogus")),
+        ("check", ("a_exp = 2\n", "")),
+        ("check", ("b_exp = 2\n", "")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\nsample_stride = 0")),
+        ("simulate", ("t_end = 1.0", "t_end = 0.0")),
+    ], ids=["unknown_initial_kind", "power_product_without_a_exp",
+            "power_product_without_b_exp", "sample_stride_zero", "t_end_zero"])
+    def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
+                                                         command, edit):
+        assert edit[0] in BLOWUP_BOX
+        cfg = write_config(tmp_path, BLOWUP_BOX.replace(*edit))
+        assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
 
 class TestResolutionOverride:
     def test_resolution_flag(self, tmp_path):
@@ -235,6 +252,25 @@ class TestResolutionOverride:
         code = main(["simulate", "--config", cfg, "--out-dir", str(out),
                      "--resolution", "4"])
         assert code == EXIT_OK
+
+
+class TestOutputDirectory:
+    def test_config_directory_used_and_config_parsed_once(self, tmp_path, monkeypatch):
+        import rdblowup.cli as cli
+
+        builds = []
+
+        class CountingExperiment(cli.Experiment):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "Experiment", CountingExperiment)
+        out = tmp_path / "from_config"
+        cfg = write_config(tmp_path, BLOWUP_BOX + f"\n[outputs]\ndirectory = {out}\n")
+        assert main(["check", "--config", cfg]) == EXIT_OK
+        assert (out / "report.json").exists()
+        assert len(builds) == 1
 
 
 class TestMultiConfig:

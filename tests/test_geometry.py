@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_geometry
+import rdblowup.geometry as geometry
+from conftest import brute_force_geometry, zero_reaction
 from rdblowup.errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
+from rdblowup.functionals import FieldPair, discrete_gradient_energy
 from rdblowup.geometry import (
     DomainSpec,
     boundary_integral,
@@ -12,6 +14,7 @@ from rdblowup.geometry import (
     geometry_constants,
     interior_integral,
 )
+from rdblowup.solver import SolverConfig, rhs, simulate
 
 
 class TestDomainSpec:
@@ -151,3 +154,85 @@ class TestQuadrature:
         rng = np.random.default_rng(7)
         f = rng.normal(size=mesh3d.n_cells)
         assert interior_integral(mesh3d, f) == interior_integral(mesh3d, f.copy())
+
+
+def ghost_cell_laplacian(mesh, gamma):
+    """Dense Robin Laplacian, column by column: pad each axis with ghost
+    cells g * (boundary cell), g = (2 - gamma h)/(2 + gamma h), and take
+    second differences."""
+    n = mesh.n_cells
+    cols = np.eye(n).reshape(mesh.shape + (n,))
+    out = np.zeros_like(cols)
+    for axis, ha in enumerate(mesh.h):
+        g = (2.0 - gamma * ha) / (2.0 + gamma * ha)
+        lo = g * np.take(cols, [0], axis=axis)
+        hi = g * np.take(cols, [-1], axis=axis)
+        padded = np.moveaxis(np.concatenate([lo, cols, hi], axis=axis), axis, 0)
+        second = padded[2:] - 2.0 * padded[1:-1] + padded[:-2]
+        out += np.moveaxis(second, 0, axis) / ha**2
+    return out.reshape(n, n)
+
+
+OPERATOR_MESHES = [
+    (DomainSpec("box", 2, half_extents=(1.0, 0.6)), (7, 5)),
+    (DomainSpec("box", 3, half_extents=(1.0, 0.7, 1.3)), (5, 6, 7)),
+]
+
+
+class TestLaplacianOperator:
+    @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0])
+    def test_matches_ghost_cell_reference(self, spec, cells, gamma):
+        mesh = build_mesh(spec, cells)
+        assert len(set(mesh.h)) == spec.dimension  # anisotropic spacing
+        ref = ghost_cell_laplacian(mesh, gamma)
+        got = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_stored_as_dia_with_one_diagonal_per_neighbour(self):
+        spec, cells = OPERATOR_MESHES[1]
+        lap = build_mesh(spec, cells).laplacian
+        assert lap.format == "dia"
+        assert sorted(lap.offsets) == [-42, -7, -1, 0, 1, 7, 42]
+
+    @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
+    @pytest.mark.parametrize("gamma", [0.0, 3.0])
+    def test_symmetric(self, spec, cells, gamma):
+        mesh = build_mesh(spec, cells)
+        A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+        assert np.array_equal(A, A.T)
+
+    @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
+    def test_constant_in_kernel_under_neumann(self, spec, cells):
+        mesh = build_mesh(spec, cells)
+        c = np.full(mesh.n_cells, 2.75)
+        assert np.all(mesh.robin_diagonal(0.0) == 0.0)
+        bound = 1e-12 * np.max(np.abs(c)) / min(mesh.h) ** 2
+        assert np.max(np.abs(mesh.laplacian @ c)) <= bound
+
+    @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
+    def test_summation_by_parts_matches_gradient_energy(self, spec, cells):
+        mesh = build_mesh(spec, cells)
+        x = mesh.cell_centers
+        u = np.exp(0.5 * x[:, 0]) * np.cos(x[:, 1]) + 0.3 * x[:, -1] ** 2
+        lhs = -mesh.cell_volume * float(u @ (mesh.laplacian @ u))
+        assert lhs == pytest.approx(discrete_gradient_energy(u, mesh), rel=1e-12)
+
+    def test_built_once_per_mesh(self, box3d, monkeypatch):
+        built = []
+        real = geometry.dia_array
+
+        def counting_dia_array(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "dia_array", counting_dia_array)
+        mesh = build_mesh(box3d, 6)
+        g = 1.0 + 0.1 * mesh.cell_centers[:, 0]
+        fields = FieldPair(u=g, v=g, t=0.0)
+        for gamma in (0.0, 0.5, 3.0):
+            rhs(fields, mesh, zero_reaction(), gamma, gamma)
+        simulate(SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=0.5, gamma2=3.0,
+                              g1=g, g2=g, t_end=1e-3))
+        assert len(built) == 1
+        assert mesh.laplacian is mesh.laplacian

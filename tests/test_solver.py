@@ -218,6 +218,27 @@ class TestSolverConfigValidation:
             SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
                          g1=g, g2=g, t_end=1.0, sup_threshold=5.0)
 
+    @pytest.mark.parametrize("which", ["g1", "g2"])
+    def test_initial_data_length_must_match_mesh(self, mesh2d, which):
+        data = {"g1": np.ones(mesh2d.n_cells), "g2": np.ones(mesh2d.n_cells)}
+        data[which] = np.ones(mesh2d.n_cells - 1)
+        with pytest.raises(ValueError, match="one value per cell"):
+            SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
+                         t_end=1.0, **data)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_t_end_must_be_positive(self, mesh2d, t_end):
+        g = np.ones(mesh2d.n_cells)
+        with pytest.raises(ValueError, match="t_end"):
+            SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
+                         g1=g, g2=g, t_end=t_end)
+
+    def test_sample_stride_at_least_one(self, mesh2d):
+        g = np.ones(mesh2d.n_cells)
+        with pytest.raises(ValueError, match="sample_stride"):
+            SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
+                         g1=g, g2=g, t_end=1.0, sample_stride=0)
+
 
 class TestEstimateBlowupTime:
     def test_synthetic_half_power(self):
