@@ -155,6 +155,18 @@ def lower_bound_blowup(scriptE0: float, K1: float, K2: float,
     return float(value), float(err)
 
 
+def _lower_bound_checks(nl: Nonlinearity, k1: float, k2: float, p: float,
+                        mode: str, check_box, samples_per_axis: int):
+    """The sampled growth hypotheses of one mode: (A2prime,) or (A2, A3)."""
+    if mode == MODE_A2PRIME:
+        return (check_A2prime(nl, k1, k2, p, box=check_box,
+                              samples_per_axis=samples_per_axis),)
+    if mode == MODE_A2A3:
+        return check_A2_A3(nl, k1, k2, p, box=check_box,
+                           samples_per_axis=samples_per_axis)
+    raise ValueError(f"unknown hypothesis mode {mode!r}")
+
+
 def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
                          k1: float, k2: float, mode: str = MODE_A2PRIME,
                          check_box=DEFAULT_BOX,
@@ -169,14 +181,7 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
     if spec.dimension != 3:
         raise DimensionNot3("the lower bound is stated for 3D domains only")
 
-    if mode == MODE_A2PRIME:
-        reports = (check_A2prime(nl, k1, k2, p, box=check_box,
-                                 samples_per_axis=samples_per_axis),)
-    elif mode == MODE_A2A3:
-        reports = check_A2_A3(nl, k1, k2, p, box=check_box,
-                              samples_per_axis=samples_per_axis)
-    else:
-        raise ValueError(f"unknown hypothesis mode {mode!r}")
+    reports = _lower_bound_checks(nl, k1, k2, p, mode, check_box, samples_per_axis)
     for rep in reports:
         if not rep.holds:
             raise HypothesisFailed(rep.hypothesis, witness=rep.witness, margin=rep.margin)

@@ -70,12 +70,8 @@ class Experiment:
         if kind == BOX:
             self.spec = DomainSpec(kind=BOX, dimension=dimension,
                                    half_extents=_floats(dom["half_extents"]))
-            cells = resolution if resolution else _ints(dom["cells_per_axis"])
-            if isinstance(cells, int):
-                cells = (cells,) * dimension
-            elif len(cells) == 1:
-                cells = cells * dimension
-            self.mesh = build_mesh(self.spec, cells)
+            cells = (resolution,) if resolution else _ints(dom["cells_per_axis"])
+            self.mesh = build_mesh(self.spec, cells[0] if len(cells) == 1 else cells)
         else:
             self.spec = DomainSpec(kind=BALL, dimension=dimension,
                                    radius=dom.getfloat("radius"))
@@ -126,10 +122,19 @@ class Experiment:
         self.k1 = float(hyp["k1"]) if "k1" in hyp else None
         self.k2 = float(hyp["k2"]) if "k2" in hyp else None
         self.mode = hyp.get("mode", bounds_mod.MODE_A2PRIME)
+        if self.mode not in (bounds_mod.MODE_A2PRIME, bounds_mod.MODE_A2A3):
+            raise ConfigError(f"unknown hypothesis mode {self.mode!r}; expected "
+                              f"{bounds_mod.MODE_A2PRIME} or {bounds_mod.MODE_A2A3}")
         lo = float(hyp.get("box_min", 1e-3))
         hi = float(hyp.get("box_max", 1e3))
+        if not 0 < lo <= hi < float("inf"):
+            raise ConfigError(f"hypothesis sample box [{lo:g}, {hi:g}] must satisfy "
+                              "0 < box_min <= box_max < inf")
         self.check_box = ((lo, hi), (lo, hi))
         self.check_samples = int(hyp.get("samples_per_axis", 64))
+        if self.check_samples < 1:
+            raise ConfigError(f"hypothesis.samples_per_axis must be >= 1, "
+                              f"got {self.check_samples}")
 
         sol = cfg["solver"] if cfg.has_section("solver") else {}
         self.t_end = float(sol.get("t_end", 1.0))
@@ -227,14 +232,8 @@ def cmd_check(exp: Experiment, out_dir: Path) -> int:
             reports.extend(nl_mod.check_H2_H3(exp.nl, g1, g2, exp.mesh,
                                               exp.gamma1, exp.gamma2))
     if exp.wants_lower():
-        if exp.mode == bounds_mod.MODE_A2PRIME:
-            reports.append(nl_mod.check_A2prime(
-                exp.nl, exp.k1, exp.k2, exp.p,
-                box=exp.check_box, samples_per_axis=exp.check_samples))
-        else:
-            reports.extend(nl_mod.check_A2_A3(
-                exp.nl, exp.k1, exp.k2, exp.p,
-                box=exp.check_box, samples_per_axis=exp.check_samples))
+        reports.extend(bounds_mod._lower_bound_checks(
+            exp.nl, exp.k1, exp.k2, exp.p, exp.mode, exp.check_box, exp.check_samples))
     if exp.nl_family == "absorption":
         prm = exp.nl.params
         reports_extra = nl_mod.classify_absorption(

@@ -2,11 +2,18 @@
 
 E(t) is the squared L2 energy of the pair, J(t) the potential-dominated
 functional whose sign drives the upper bound, and scriptE(t) the 2p-power
-energy used by the lower bound.  The gradient energy is the face-difference
-quadratic form of the mesh's Neumann operator `Mesh.laplacian` (DIA storage;
-the solver adds the Robin diagonal `Mesh.robin_diagonal` to it): summation by
-parts gives grad energy = -cell_volume * u . (L_N u), so the discrete
-integration-by-parts identities hold up to boundary closure error.
+energy used by the lower bound.  `energy_sample` is the one place where J,
+scriptE and the boundary and gradient terms are computed: `functional_J`
+returns its monitor row, which holds J together with the pieces it is built
+from, and `energy_scriptE` shares its scriptE formula.
+
+The gradient energy is the face-difference quadratic form of the mesh's
+Neumann operator `Mesh.laplacian` (DIA storage; the solver adds the Robin
+diagonal `Mesh.robin_diagonal` to it): summation by parts gives
+grad energy = -cell_volume * u . (L_N u), so the discrete integration-by-parts
+identities hold up to boundary closure error.  It is summed as squares of face
+differences, not as that product, so it is exactly zero on constants and
+never cancels at large u.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -71,29 +78,6 @@ class EnergySample:
         return out
 
 
-@dataclass(frozen=True)
-class JDecomposition:
-    """J and the five pieces it recombines from."""
-
-    J: float
-    alpha: float
-    bdry_u: float
-    bdry_v: float
-    grad_u_energy: float
-    grad_v_energy: float
-    intF: float
-    gamma1: float
-    gamma2: float
-
-    def recombined(self) -> float:
-        c = 2.0 * (1.0 + self.alpha)
-        return (
-            -c * (self.gamma1 * self.bdry_u + self.grad_u_energy)
-            - c * (self.gamma2 * self.bdry_v + self.grad_v_energy)
-            + 2.0 * c * self.intF
-        )
-
-
 def energy_E(fields: FieldPair, mesh: Mesh) -> float:
     """int (u^2 + v^2) dx."""
     return interior_integral(mesh, fields.u**2 + fields.v**2)
@@ -105,6 +89,10 @@ def energy_scriptE(fields: FieldPair, mesh: Mesh, p: float) -> float:
         raise NegativeField("scriptE requires fields flagged nonnegative")
     if p < 1:
         raise ValueError("p must be >= 1")
+    return _scriptE(fields, mesh, p)
+
+
+def _scriptE(fields: FieldPair, mesh: Mesh, p: float) -> float:
     u = np.maximum(fields.u, 0.0)
     v = np.maximum(fields.v, 0.0)
     return interior_integral(mesh, u ** (2.0 * p) + v ** (2.0 * p))
@@ -121,22 +109,11 @@ def discrete_gradient_energy(field_values, mesh: Mesh) -> float:
 
 
 def functional_J(fields: FieldPair, mesh: Mesh, nl, alpha: float,
-                 gamma1: float, gamma2: float) -> JDecomposition:
+                 gamma1: float, gamma2: float) -> EnergySample:
     """The functional J(t) = -2(1+alpha) * (boundary and gradient terms)
-    + 4(1+alpha) * int F, together with its pieces."""
+    + 4(1+alpha) * int F, as the monitor row that also holds its pieces."""
     nl.require_potential("functional_J")
-    bdry_u = boundary_integral(mesh, mesh.boundary_values(fields.u) ** 2)
-    bdry_v = boundary_integral(mesh, mesh.boundary_values(fields.v) ** 2)
-    grad_u = discrete_gradient_energy(fields.u, mesh)
-    grad_v = discrete_gradient_energy(fields.v, mesh)
-    intF = interior_integral(mesh, nl.F(fields.u, fields.v))
-    c = 2.0 * (1.0 + alpha)
-    J = -c * (gamma1 * bdry_u + grad_u) - c * (gamma2 * bdry_v + grad_v) + 2.0 * c * intF
-    return JDecomposition(
-        J=J, alpha=alpha, bdry_u=bdry_u, bdry_v=bdry_v,
-        grad_u_energy=grad_u, grad_v_energy=grad_v, intF=intF,
-        gamma1=gamma1, gamma2=gamma2,
-    )
+    return energy_sample(fields, mesh, nl, alpha, gamma1, gamma2)
 
 
 def energy_sample(fields: FieldPair, mesh: Mesh, nl=None, alpha: float = 1.0,
@@ -152,16 +129,11 @@ def energy_sample(fields: FieldPair, mesh: Mesh, nl=None, alpha: float = 1.0,
         intF = interior_integral(mesh, nl.F(fields.u, fields.v))
         c = 2.0 * (1.0 + alpha)
         J = -c * (gamma1 * bdry_u + grad_u) - c * (gamma2 * bdry_v + grad_v) + 2.0 * c * intF
-    scriptE = None
-    if p is not None:
-        u = np.maximum(fields.u, 0.0)
-        v = np.maximum(fields.v, 0.0)
-        scriptE = interior_integral(mesh, u ** (2.0 * p) + v ** (2.0 * p))
     return EnergySample(
         t=fields.t,
         E=energy_E(fields, mesh),
         J=J,
-        scriptE=scriptE,
+        scriptE=None if p is None else _scriptE(fields, mesh, p),
         grad_u_energy=grad_u,
         grad_v_energy=grad_v,
         bdry_u=bdry_u,

@@ -24,8 +24,8 @@ from .errors import (
     NegativeInitialData,
     NotGradientSystem,
 )
-from .functionals import discrete_gradient_energy
-from .geometry import Mesh, boundary_integral, interior_integral
+from .functionals import FieldPair, energy_sample
+from .geometry import Mesh
 
 # relative slack below which a sampled inequality is considered violated
 HOLD_TOL = 1e-9
@@ -248,7 +248,8 @@ def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: flo
     """Check the initial-data energy conditions with mesh quadrature.
 
     Each condition compares 2*int F(g1, g2) dx against
-    gamma_i * int_bdry g_i^2 ds + int |grad g_i|^2 dx.
+    gamma_i * int_bdry g_i^2 ds + int |grad g_i|^2 dx, all read off the
+    monitor row of the initial data.
     """
     nl.require_potential("check_H2_H3")
     g1 = np.asarray(g1, dtype=float).ravel()
@@ -258,11 +259,12 @@ def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: flo
     if np.max(g1) == 0 and np.max(g2) == 0:
         raise NegativeInitialData("initial data must not completely vanish")
 
-    lhs = 2.0 * interior_integral(mesh, nl.F(g1, g2))
+    row = energy_sample(FieldPair(u=g1, v=g2, t=0.0), mesh, nl,
+                        gamma1=gamma1, gamma2=gamma2)
+    lhs = 2.0 * row.intF
     reports = []
-    for name, g, gamma in (("H2", g1, gamma1), ("H3", g2, gamma2)):
-        bdry = boundary_integral(mesh, mesh.boundary_values(g) ** 2)
-        grad = discrete_gradient_energy(g, mesh)
+    for name, gamma, bdry, grad in (("H2", gamma1, row.bdry_u, row.grad_u_energy),
+                                    ("H3", gamma2, row.bdry_v, row.grad_v_energy)):
         rhs = gamma * bdry + grad
         desc = (f"2*intF={lhs:.12g} vs gamma*bdry+grad={rhs:.12g} "
                 f"(gamma={gamma:g}) on {mesh.cells_per_axis} mesh")

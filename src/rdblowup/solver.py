@@ -175,9 +175,8 @@ def simulate(config: SolverConfig) -> SolveTrace:
             clamp_count += int(np.sum(u < 0) + np.sum(v < 0))
         fields = FieldPair(u=u, v=v, t=t)
         samples.append(energy_sample(
-            fields, mesh, nl=nl if nl.has_potential else None,
-            alpha=config.alpha, gamma1=config.gamma1, gamma2=config.gamma2,
-            p=config.p, dt=dt_now,
+            fields, mesh, nl=nl, alpha=config.alpha, gamma1=config.gamma1,
+            gamma2=config.gamma2, p=config.p, dt=dt_now,
         ))
 
     record(dt)

@@ -233,8 +233,14 @@ class TestConfigErrors:
         ("check", ("b_exp = 2\n", "")),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nsample_stride = 0")),
         ("simulate", ("t_end = 1.0", "t_end = 0.0")),
+        ("check", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2\nmode = bogus")),
+        ("bounds", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2\nmode = bogus")),
+        ("check", ("alpha = 1.0", "alpha = 1.0\nsamples_per_axis = 0")),
+        ("check", ("alpha = 1.0", "alpha = 1.0\nbox_min = 0")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
-            "power_product_without_b_exp", "sample_stride_zero", "t_end_zero"])
+            "power_product_without_b_exp", "sample_stride_zero", "t_end_zero",
+            "check_unknown_mode", "bounds_unknown_mode", "samples_per_axis_zero",
+            "box_min_zero"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
         assert edit[0] in BLOWUP_BOX

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rdblowup.errors import NegativeField, NonFiniteField
+from rdblowup.errors import NegativeField, NonFiniteField, NotGradientSystem
 from rdblowup.functionals import (
     FieldPair,
     discrete_gradient_energy,
@@ -11,7 +11,7 @@ from rdblowup.functionals import (
     functional_J,
 )
 from rdblowup.geometry import build_mesh
-from rdblowup.nonlinearity import make_power_product
+from rdblowup.nonlinearity import check_H2_H3, make_absorption, make_power_product
 
 
 def constant_pair(mesh, cu, cv, t=0.0, nonneg=False):
@@ -133,8 +133,18 @@ class TestFunctionalJ:
         rng = np.random.default_rng(7)
         pair = FieldPair(u=rng.uniform(0.1, 2.0, mesh2d.n_cells),
                          v=rng.uniform(0.1, 2.0, mesh2d.n_cells), t=0.0)
-        dec = functional_J(pair, mesh2d, nl, 1.2, 0.5, 0.25)
-        assert dec.J == pytest.approx(dec.recombined(), rel=1e-12)
+        alpha, gamma1, gamma2 = 1.2, 0.5, 0.25
+        dec = functional_J(pair, mesh2d, nl, alpha, gamma1, gamma2)
+        # J = -2(1+alpha) [gamma1 bdry_u + grad_u + gamma2 bdry_v + grad_v]
+        #     + 4(1+alpha) intF, the formula stated in the README
+        recombined = (
+            -2.0 * (1.0 + alpha) * (gamma1 * dec.bdry_u + dec.grad_u_energy
+                                    + gamma2 * dec.bdry_v + dec.grad_v_energy)
+            + 4.0 * (1.0 + alpha) * dec.intF
+        )
+        assert dec.J == pytest.approx(recombined, rel=1e-12)
+        assert min(dec.bdry_u, dec.bdry_v, dec.grad_u_energy, dec.grad_v_energy,
+                   dec.intF) > 0
 
     def test_constant_neumann_closed_form(self, mesh3d):
         # J = 4(1+alpha) * F(c1,c2) * |Omega| exactly for constants
@@ -143,6 +153,16 @@ class TestFunctionalJ:
         dec = functional_J(constant_pair(mesh3d, c1, c2), mesh3d, nl, alpha, 0.0, 0.0)
         expected = 4.0 * (1.0 + alpha) * nl.F(c1, c2) * 8.0
         assert dec.J == pytest.approx(expected, rel=1e-12)
+
+    def test_absorption_has_no_J(self, mesh2d):
+        # energy_sample leaves J = None without a potential; functional_J and
+        # check_H2_H3 must refuse instead of passing that None on
+        nl = make_absorption(2.0, 2.0, 1.0, 1.0, 1.0, 1.0)
+        ones = np.ones(mesh2d.n_cells)
+        with pytest.raises(NotGradientSystem):
+            functional_J(constant_pair(mesh2d, 1, 1), mesh2d, nl, 1.0, 0.0, 0.0)
+        with pytest.raises(NotGradientSystem):
+            check_H2_H3(nl, ones, ones, mesh2d, 0.0, 0.0)
 
 
 class TestEnergySample:
@@ -155,3 +175,11 @@ class TestEnergySample:
         assert row[0] == 0.0  # t
         assert row[1] == pytest.approx(8.0)  # E
         assert row[9] == 1.0 and row[10] == 1.0  # sup norms
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_scriptE_matches_energy_scriptE(self, mesh3d, p):
+        rng = np.random.default_rng(8)
+        pair = FieldPair(u=rng.uniform(0.0, 2.0, mesh3d.n_cells),
+                         v=rng.uniform(0.0, 2.0, mesh3d.n_cells), t=0.0, nonneg=True)
+        s = energy_sample(pair, mesh3d, p=p)
+        assert s.scriptE == energy_scriptE(pair, mesh3d, p)
