@@ -14,6 +14,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -23,12 +24,14 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import nonlinearity as nl_mod
 from .errors import (
+    BadExponent,
     ConfigError,
     DimensionNot3,
     HypothesisFailed,
     NonpositiveE0,
     NonpositiveJ0,
     RdBlowupError,
+    ResolutionTooCoarse,
 )
 from .fields import FIELD_KINDS, make_field
 from .functionals import ENERGY_SAMPLE_COLUMNS, check_trace_monitors
@@ -60,7 +63,8 @@ class Experiment:
             raise ConfigError(f"cannot read config file {path}")
         try:
             self._build(parser, resolution)
-        except (KeyError, ValueError, configparser.Error) as exc:
+        except (KeyError, ValueError, configparser.Error, ResolutionTooCoarse,
+                BadExponent) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
     def _build(self, cfg, resolution):
@@ -70,7 +74,8 @@ class Experiment:
         if kind == BOX:
             self.spec = DomainSpec(kind=BOX, dimension=dimension,
                                    half_extents=_floats(dom["half_extents"]))
-            cells = (resolution,) if resolution else _ints(dom["cells_per_axis"])
+            cells = ((resolution,) if resolution is not None
+                     else _ints(dom["cells_per_axis"]))
             self.mesh = build_mesh(self.spec, cells[0] if len(cells) == 1 else cells)
         else:
             self.spec = DomainSpec(kind=BALL, dimension=dimension,
@@ -105,6 +110,9 @@ class Experiment:
                               f"expected one of {', '.join(FIELD_KINDS)}")
         self.c1 = float(init.get("c1", 1.0))
         self.c2 = float(init.get("c2", 1.0))
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+            raise ConfigError(f"initial_data c1 and c2 must be finite, "
+                              f"got {self.c1:g} and {self.c2:g}")
         self.init_params_u = {"c": self.c1,
                               "epsilon": float(init.get("epsilon", 0.0)),
                               "amplitude": float(init.get("amplitude", 0.0)),
@@ -115,6 +123,9 @@ class Experiment:
         robin = cfg["robin"] if cfg.has_section("robin") else {}
         self.gamma1 = float(robin.get("gamma1", 0.0))
         self.gamma2 = float(robin.get("gamma2", 0.0))
+        for name, gamma in (("gamma1", self.gamma1), ("gamma2", self.gamma2)):
+            if not 0 <= gamma < math.inf:
+                raise ConfigError(f"robin.{name} must be finite and >= 0, got {gamma:g}")
 
         hyp = cfg["hypothesis"] if cfg.has_section("hypothesis") else {}
         self.alpha = float(hyp["alpha"]) if "alpha" in hyp else None

@@ -3,16 +3,26 @@
 Space: the standard 5-point (2D) / 7-point (3D) Laplacian owned by the mesh,
 `Mesh.laplacian`, a Neumann operator stored as a scipy DIA matrix, plus the
 Robin diagonal `Mesh.robin_diagonal(gamma)`.  Together they close the Robin
-condition through ghost cells, ghost = cell * (2 - gamma*h)/(2 + gamma*h)
+condition through ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h)
 (second order at the face, Neumann reflection at gamma = 0).  Both `rhs` and
 `simulate` apply this one operator: one DIA matvec per component.
 
 Time: explicit embedded Bogacki-Shampine 3(2) pair with PI step control and
-an additional diffusion stability cap dt <= 0.4 * h^2 / (2N).  Blow-up is
-detected by a sup-norm threshold and the blow-up time extrapolated from a
-power-law fit of the trace tail.
+a diffusion stability cap dt <= 0.8 * 2.5127 / (4 sum_a h_a^-2).  BS3 advances
+its third-order solution, so on a linear mode y' = lam y it multiplies y by
+R(z) = 1 + z + z^2/2 + z^3/6, z = dt lam; R increases on the real axis and
+reaches -1 at z = -2.5127.  By Gershgorin, every eigenvalue of the Robin
+Laplacian lies in [-4 sum_a h_a^-2, 0] for any gamma >= 0: each boundary face
+removes 2/h_a^2 from its row's absolute sum and the Robin diagonal adds back
+(1 - g)/h_a^2 < 2/h_a^2, as g lies in (-1, 1].  The operator is symmetric,
+so at the cap every mode has R in [-0.344, 1] and none grows, whatever the
+data.  Reaction stiffness is left to the error controller.  Steps run in a
+`StepWork` of stage buffers allocated once per run.  Blow-up is detected by
+a sup-norm threshold and the blow-up time extrapolated from a power-law fit
+of the trace tail.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +43,10 @@ _SAFETY = 0.9
 _PI_KP = 0.4 / 3.0
 _PI_KI = 0.7 / 3.0
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
+
+# R(-2.5127) = -1 ends BS3's real stability interval (module docstring)
+_BS3_REAL_STABILITY = 2.5127
+_CAP_SAFETY = 0.8
 
 
 @dataclass
@@ -62,6 +76,10 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
+        for name in ("gamma1", "gamma2"):
+            gamma = getattr(self, name)
+            if not 0 <= gamma < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {gamma}")
         g1 = np.asarray(self.g1, dtype=float).ravel()
         g2 = np.asarray(self.g2, dtype=float).ravel()
         if g1.size != self.mesh.n_cells or g2.size != self.mesh.n_cells:
@@ -118,30 +136,93 @@ def rhs(fields: FieldPair, mesh: Mesh, nl: Nonlinearity,
     return out[:u.size], out[u.size:]
 
 
+class StepWork:
+    """Stage buffers of `step`, allocated once and reused on every step.
+
+    `simulate` owns one per run; after an accepted step it swaps its state
+    with `y_new` and its FSAL derivative with `k4`, so nothing is copied.
+    """
+
+    __slots__ = ("k2", "k3", "k4", "y_new", "stage", "term")
+
+    def __init__(self, size: int):
+        for name in self.__slots__:
+            setattr(self, name, np.empty(size))
+
+
+def _writing_into(rhs_new):
+    """Adapt rhs_new(y) -> array to the rhs_vec(y, out) form `step` calls."""
+    def rhs_vec(yy, out):
+        out[...] = rhs_new(yy)
+        return out
+    return rhs_vec
+
+
 def step(y: np.ndarray, dt: float, rhs_vec, rel_tol: float, abs_tol: float,
-         k1: Optional[np.ndarray] = None):
+         k1: Optional[np.ndarray] = None, work: Optional[StepWork] = None):
     """One Bogacki-Shampine 3(2) step.
 
     Returns (y_new, err_norm, k_last); err_norm is inf on overflow so the
     caller halves dt.  k_last is the FSAL derivative at y_new, reusable as
     k1 of the next accepted step.
+
+    Without `work`, rhs_vec(y) returns a new array, and y_new and k_last are
+    new arrays too.  With a `StepWork`, rhs_vec(y, out) writes into `out`,
+    and y_new and k_last are `work.y_new` and `work.k4`.  Every product and
+    sum is taken in the same order either way, so the bits agree.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if work is None:
+        work = StepWork(y.size)
+        rhs_vec = _writing_into(rhs_vec)
     if k1 is None:
-        k1 = rhs_vec(y)
-    k2 = rhs_vec(y + dt * 0.5 * k1)
-    k3 = rhs_vec(y + dt * 0.75 * k2)
-    y_new = y + dt * (2.0 / 9.0 * k1 + 1.0 / 3.0 * k2 + 4.0 / 9.0 * k3)
+        k1 = rhs_vec(y, np.empty(y.size))
+    k2, k3, k4, y_new, stage, term = (work.k2, work.k3, work.k4, work.y_new,
+                                      work.stage, work.term)
+    np.multiply(k1, dt * 0.5, out=stage)
+    stage += y
+    rhs_vec(stage, k2)
+    np.multiply(k2, dt * 0.75, out=stage)
+    stage += y
+    rhs_vec(stage, k3)
+    # y_new = y + dt * (2/9 k1 + 1/3 k2 + 4/9 k3)
+    np.multiply(k1, 2.0 / 9.0, out=y_new)
+    np.multiply(k2, 1.0 / 3.0, out=term)
+    y_new += term
+    np.multiply(k3, 4.0 / 9.0, out=term)
+    y_new += term
+    y_new *= dt
+    y_new += y
     if not np.all(np.isfinite(y_new)):
         return y, float("inf"), None
-    k4 = rhs_vec(y_new)
+    rhs_vec(y_new, k4)
     if not np.all(np.isfinite(k4)):
         return y, float("inf"), None
-    y_low = y + dt * (7.0 / 24.0 * k1 + 0.25 * k2 + 1.0 / 3.0 * k3 + 0.125 * k4)
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-    err = float(np.sqrt(np.mean(((y_new - y_low) / scale) ** 2)))
+    # y_low = y + dt * (7/24 k1 + 1/4 k2 + 1/3 k3 + 1/8 k4), in `stage`
+    np.multiply(k1, 7.0 / 24.0, out=stage)
+    for c, k in ((0.25, k2), (1.0 / 3.0, k3), (0.125, k4)):
+        np.multiply(k, c, out=term)
+        stage += term
+    stage *= dt
+    stage += y
+    # scale = abs_tol + rel_tol * max(|y|, |y_new|), in `term`; k3 is spent
+    np.abs(y, out=term)
+    np.abs(y_new, out=k3)
+    np.maximum(term, k3, out=term)
+    term *= rel_tol
+    term += abs_tol
+    np.subtract(y_new, stage, out=stage)
+    stage /= term
+    np.square(stage, out=stage)
+    err = float(np.sqrt(np.mean(stage)))
     return y_new, err, k4
+
+
+def _diffusion_cap(mesh: Mesh) -> float:
+    """Largest dt `simulate` takes: 0.8 of BS3's real stability interval over
+    the Gershgorin bound 4 sum_a h_a^-2 on the Robin Laplacian's spectrum."""
+    return _CAP_SAFETY * _BS3_REAL_STABILITY / (4.0 * sum(ha ** -2 for ha in mesh.h))
 
 
 def simulate(config: SolverConfig) -> SolveTrace:
@@ -154,13 +235,14 @@ def simulate(config: SolverConfig) -> SolveTrace:
     robin1 = mesh.robin_diagonal(config.gamma1)
     robin2 = mesh.robin_diagonal(config.gamma2)
 
-    def rhs_vec(yy):
+    def rhs_vec(yy, out):
         if not np.all(np.isfinite(yy)):
-            return np.full_like(yy, np.nan)
-        return _rhs_into(np.empty_like(yy), yy[:n], yy[n:], lap, robin1, robin2, nl)
+            out.fill(np.nan)
+            return out
+        return _rhs_into(out, yy[:n], yy[n:], lap, robin1, robin2, nl)
 
-    N = mesh.spec.dimension
-    dt_cap = 0.4 * min(mesh.h) ** 2 / (2.0 * N)
+    work = StepWork(y.size)
+    dt_cap = _diffusion_cap(mesh)
     t = 0.0
     dt = min(config.dt_init, dt_cap, config.dt_max)
     samples: list[EnergySample] = []
@@ -183,7 +265,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
     tail_t.append(t)
     tail_sup.append(initial_sup)
 
-    k1 = rhs_vec(y)
+    k1 = rhs_vec(y, np.empty(y.size))
     if not np.all(np.isfinite(k1)):
         raise NonFiniteField("initial right-hand side is not finite")
     err_prev = 1.0
@@ -193,7 +275,8 @@ def simulate(config: SolverConfig) -> SolveTrace:
 
     while t < config.t_end:
         dt = min(dt, dt_cap, config.dt_max, config.t_end - t)
-        y_new, err, k_last = step(y, dt, rhs_vec, config.rel_tol, config.abs_tol, k1=k1)
+        y_new, err, k_last = step(y, dt, rhs_vec, config.rel_tol, config.abs_tol,
+                                  k1=k1, work=work)
         if not np.isfinite(err) or err > 1.0:
             rejected += 1
             if np.isfinite(err):
@@ -205,8 +288,8 @@ def simulate(config: SolverConfig) -> SolveTrace:
                 break
             continue
         t += dt
-        y = y_new
-        k1 = k_last
+        y, work.y_new = y_new, y
+        k1, work.k4 = k_last, k1
         accepted += 1
         sup = float(np.max(np.abs(y)))
         tail_t.append(t)

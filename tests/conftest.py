@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests replay the same examples on every run and carry no time
+# limit per example, so a slow shared machine cannot make them flaky.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=40,
+                          database=None)
+settings.load_profile("tier1")
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES = []

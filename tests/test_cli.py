@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rdblowup.cli import (
     EXIT_CONFIG,
@@ -237,10 +242,21 @@ class TestConfigErrors:
         ("bounds", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2\nmode = bogus")),
         ("check", ("alpha = 1.0", "alpha = 1.0\nsamples_per_axis = 0")),
         ("check", ("alpha = 1.0", "alpha = 1.0\nbox_min = 0")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\n\n[robin]\ngamma1 = -16")),
+        ("check", ("t_end = 1.0", "t_end = 1.0\n\n[robin]\ngamma1 = -1")),
+        ("bounds", ("t_end = 1.0", "t_end = 1.0\n\n[robin]\ngamma1 = nan")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\n\n[robin]\ngamma1 = nan")),
+        ("check", ("t_end = 1.0", "t_end = 1.0\n\n[robin]\ngamma2 = inf")),
+        ("check", ("cells_per_axis = 8", "cells_per_axis = 2")),
+        ("check", ("a_exp = 2\n", "a_exp = 0.5\n")),
+        ("check", ("c1 = 1.0", "c1 = nan")),
+        ("simulate", ("c2 = 1.0", "c2 = inf")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
             "power_product_without_b_exp", "sample_stride_zero", "t_end_zero",
             "check_unknown_mode", "bounds_unknown_mode", "samples_per_axis_zero",
-            "box_min_zero"])
+            "box_min_zero", "simulate_gamma1_minus_16", "check_gamma1_minus_1",
+            "bounds_gamma1_nan", "simulate_gamma1_nan", "check_gamma2_inf",
+            "cells_per_axis_two", "a_exp_below_one", "c1_nan", "c2_inf"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
         assert edit[0] in BLOWUP_BOX
@@ -258,6 +274,34 @@ class TestResolutionOverride:
         code = main(["simulate", "--config", cfg, "--out-dir", str(out),
                      "--resolution", "4"])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_nonpositive_resolution_exits_two(self, tmp_path, resolution):
+        cfg = write_config(tmp_path, BLOWUP_BOX)
+        code = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out"),
+                     "--resolution", resolution])
+        assert code == EXIT_CONFIG
+
+
+# st.floats() draws nan, +-inf, negatives and subnormals; the bounded
+# branch keeps enough valid gammas in the mix to test both outcomes
+GAMMAS = st.one_of(st.floats(min_value=0.0, max_value=100.0), st.floats())
+
+
+class TestInvalidValuesProperty:
+    @given(gamma1=GAMMAS, gamma2=GAMMAS, cells=st.integers(-2, 6))
+    def test_check_exits_two_exactly_on_invalid_values(self, tmp_path_factory,
+                                                      gamma1, gamma2, cells):
+        text = (BLOWUP_BOX.replace("cells_per_axis = 8", f"cells_per_axis = {cells}")
+                + f"\n[robin]\ngamma1 = {gamma1!r}\ngamma2 = {gamma2!r}\n")
+        tmp = tmp_path_factory.mktemp("property")
+        cfg = write_config(tmp, text)
+        invalid = cells < 4 or not all(0 <= g < math.inf for g in (gamma1, gamma2))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("check", cfg, tmp / "out")
+        assert (code == EXIT_CONFIG) == invalid
+        assert "Traceback" not in err.getvalue()
 
 
 class TestOutputDirectory:

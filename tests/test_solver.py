@@ -14,6 +14,8 @@ from rdblowup.solver import (
     BlowupEstimate,
     SolverConfig,
     SolveTrace,
+    StepWork,
+    _diffusion_cap,
     estimate_blowup_time,
     rhs,
     simulate,
@@ -96,6 +98,113 @@ class TestStep:
         # a huge step on y' = -y must produce err > 1 so the driver rejects
         _, err, _ = step(np.array([1.0]), 50.0, lambda y: -y, 1e-8, 1e-10)
         assert err > 1.0
+
+
+def bs3_reference(y, dt, rhs_new, rel_tol, abs_tol, k1):
+    """The Bogacki-Shampine step as written before it had a workspace."""
+    k2 = rhs_new(y + dt * 0.5 * k1)
+    k3 = rhs_new(y + dt * 0.75 * k2)
+    y_new = y + dt * (2.0 / 9.0 * k1 + 1.0 / 3.0 * k2 + 4.0 / 9.0 * k3)
+    if not np.all(np.isfinite(y_new)):
+        return y, float("inf"), None
+    k4 = rhs_new(y_new)
+    if not np.all(np.isfinite(k4)):
+        return y, float("inf"), None
+    y_low = y + dt * (7.0 / 24.0 * k1 + 0.25 * k2 + 1.0 / 3.0 * k3 + 0.125 * k4)
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+    err = float(np.sqrt(np.mean(((y_new - y_low) / scale) ** 2)))
+    return y_new, err, k4
+
+
+def guarded_rhs(mesh, nl, gamma):
+    """rhs_vec(y, out) of the semidiscrete system, NaN on non-finite input."""
+    lap, robin, n = mesh.laplacian, mesh.robin_diagonal(gamma), mesh.n_cells
+
+    def rhs_vec(yy, out):
+        if not np.all(np.isfinite(yy)):
+            out.fill(np.nan)
+            return out
+        u, v = yy[:n], yy[n:]
+        out[:n] = robin * u + lap @ u + nl.f1(u, v)
+        out[n:] = robin * v + lap @ v + nl.f2(u, v)
+        return out
+
+    return rhs_vec
+
+
+class TestStepWorkspace:
+    @pytest.mark.parametrize("amplitude, dt", [(1.0, 2e-3), (1e100, 1.0)],
+                             ids=["accepted", "non_finite"])
+    def test_bit_identical_to_reference(self, mesh3d, amplitude, dt):
+        nl = make_power_product(1.0, 2.0, 2.0)
+        rhs_vec = guarded_rhs(mesh3d, nl, 0.5)
+        rng = np.random.default_rng(4)
+        y = amplitude * rng.uniform(0.5, 1.5, 2 * mesh3d.n_cells)
+        # dt makes the increment comparable to y, so a change in the order
+        # of any product or sum shows in the last bits of y_new
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = rhs_vec(y, np.empty_like(y))
+            ref = bs3_reference(y, dt, lambda yy: rhs_vec(yy, np.empty_like(yy)),
+                                1e-4, 1e-6, k1)
+            fresh = step(y, dt, lambda yy: rhs_vec(yy, np.empty_like(yy)),
+                         1e-4, 1e-6, k1=k1)
+            reused = step(y, dt, rhs_vec, 1e-4, 1e-6, k1=k1, work=StepWork(y.size))
+        if amplitude > 1.0:
+            assert ref[1] == float("inf")
+        else:
+            assert 0.0 < ref[1] <= 1.0
+        for got in (fresh, reused):
+            assert np.array_equal(got[0], ref[0])
+            assert got[1] == ref[1]
+            if ref[2] is None:
+                assert got[2] is None
+            else:
+                assert np.array_equal(got[2], ref[2])
+
+
+def checkerboard(mesh):
+    return np.where(np.indices(mesh.shape).sum(axis=0) % 2 == 0, 1.0, -1.0).ravel()
+
+
+ANISOTROPIC = [(DomainSpec("box", 2, half_extents=(1.0, 0.5)), (8, 6)),
+               (DomainSpec("box", 3, half_extents=(1.0, 0.5, 0.75)), (6, 8, 4))]
+
+
+class TestDiffusionCap:
+    @pytest.mark.parametrize("gamma", [0.0, 3.0])
+    @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
+    def test_highest_mode_never_grows_at_the_cap(self, spec, cells, gamma):
+        # checkerboard data excite the stiffest modes; tolerances this loose
+        # leave dt to the cap alone, which must then keep every step stable
+        mesh = build_mesh(spec, cells)
+        g = checkerboard(mesh)
+        cap = _diffusion_cap(mesh)
+        cfg = SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=gamma, gamma2=gamma,
+                           g1=g, g2=-g, t_end=200 * cap, rel_tol=1.0, abs_tol=1.0)
+        trace = simulate(cfg)
+        assert trace.outcome == OUTCOME_REACHED_T_END
+        assert trace.n_rejected == 0
+        dts = np.array([s.dt for s in trace.samples[1:]])
+        assert np.max(dts) <= cap
+        assert np.sum(dts == cap) > trace.n_steps // 2
+        E = np.array([s.E for s in trace.samples])
+        assert np.all(np.diff(E) <= 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 3.0])
+    @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
+    def test_cap_inside_bs3_stability_interval(self, spec, cells, gamma):
+        mesh = build_mesh(spec, cells)
+        bound = 4.0 * sum(ha ** -2 for ha in mesh.h)
+        A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+        lam = np.linalg.eigvalsh(A)
+        assert lam.min() >= -bound and lam.max() <= 1e-12 * bound
+
+        def R(z):
+            return 1.0 + z + z**2 / 2.0 + z**3 / 6.0
+
+        z = -_diffusion_cap(mesh) * bound
+        assert abs(R(z)) <= 0.35
+        assert np.all(np.abs(R(_diffusion_cap(mesh) * lam)) <= 1.0)
 
 
 class TestSimulateConservation:
@@ -232,6 +341,15 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match="t_end"):
             SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
                          g1=g, g2=g, t_end=t_end)
+
+    @pytest.mark.parametrize("gamma", [-1.0, -1e-300, float("nan"), float("inf")])
+    @pytest.mark.parametrize("which", ["gamma1", "gamma2"])
+    def test_gamma_must_be_finite_and_nonnegative(self, mesh2d, which, gamma):
+        g = np.ones(mesh2d.n_cells)
+        gammas = {"gamma1": 0.0, "gamma2": 0.0, which: gamma}
+        with pytest.raises(ValueError, match=which):
+            SolverConfig(mesh=mesh2d, nl=zero_reaction(), g1=g, g2=g, t_end=1.0,
+                         **gammas)
 
     def test_sample_stride_at_least_one(self, mesh2d):
         g = np.ones(mesh2d.n_cells)
