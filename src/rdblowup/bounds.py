@@ -30,6 +30,7 @@ from .nonlinearity import (
     check_A2prime,
     check_H1,
     check_H2_H3,
+    require_nonnegative_data,
 )
 
 MODE_A2A3 = "A2A3"
@@ -155,16 +156,22 @@ def lower_bound_blowup(scriptE0: float, K1: float, K2: float,
     return float(value), float(err)
 
 
+def require_mode(mode: str) -> str:
+    """The lower bound's hypothesis modes are A2prime and A2A3.  Returns mode."""
+    if mode not in (MODE_A2PRIME, MODE_A2A3):
+        raise ValueError(f"unknown hypothesis mode {mode!r}; "
+                         f"expected {MODE_A2PRIME} or {MODE_A2A3}")
+    return mode
+
+
 def _lower_bound_checks(nl: Nonlinearity, k1: float, k2: float, p: float,
                         mode: str, check_box, samples_per_axis: int):
     """The sampled growth hypotheses of one mode: (A2prime,) or (A2, A3)."""
-    if mode == MODE_A2PRIME:
+    if require_mode(mode) == MODE_A2PRIME:
         return (check_A2prime(nl, k1, k2, p, box=check_box,
                               samples_per_axis=samples_per_axis),)
-    if mode == MODE_A2A3:
-        return check_A2_A3(nl, k1, k2, p, box=check_box,
-                           samples_per_axis=samples_per_axis)
-    raise ValueError(f"unknown hypothesis mode {mode!r}")
+    return check_A2_A3(nl, k1, k2, p, box=check_box,
+                       samples_per_axis=samples_per_axis)
 
 
 def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
@@ -187,6 +194,7 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
             raise HypothesisFailed(rep.hypothesis, witness=rep.witness, margin=rep.margin)
 
     geo = geometry_constants(spec)
+    require_nonnegative_data(g1, g2)
     if isinstance(domain, Mesh):
         fields = FieldPair(u=g1, v=g2, t=0.0, nonneg=True)
         scriptE0 = energy_scriptE(fields, domain, p)
@@ -195,8 +203,6 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
         if spec.kind != BALL:
             raise ValueError("an unmeshed domain must be a ball")
         c1, c2 = float(g1), float(g2)
-        if min(c1, c2) < 0:
-            raise ValueError("constant data must be nonnegative")
         scriptE0 = (c1 ** (2.0 * p) + c2 ** (2.0 * p)) * spec.volume
         caveat = None
 

@@ -5,6 +5,11 @@ by INI-style config files (one experiment per file); outputs are a JSON
 report plus, for simulations, a CSV trace and a gnuplot-ready plot.dat.
 Reports contain no wall-clock content, so reruns are byte-identical.
 
+A config is checked in full before any command runs: `Experiment` builds the
+mesh, the nonlinearity, the initial data and, for a box, the `SolverConfig`,
+and the library code that builds each one checks its values, so a bad value
+exits 2 on every command.  A ball domain takes constant initial data only.
+
 Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
 2 config error, 3 numerical failure.
 """
@@ -28,14 +33,15 @@ from .errors import (
     ConfigError,
     DimensionNot3,
     HypothesisFailed,
+    NegativeInitialData,
     NonpositiveE0,
     NonpositiveJ0,
     RdBlowupError,
     ResolutionTooCoarse,
 )
-from .fields import FIELD_KINDS, make_field
+from .fields import make_field
 from .functionals import ENERGY_SAMPLE_COLUMNS, check_trace_monitors
-from .geometry import BALL, BOX, DomainSpec, build_mesh
+from .geometry import BOX, DomainSpec, build_mesh, require_gamma
 from .oracle import ode_reduce
 from .solver import OUTCOME_STEP_UNDERFLOW, SolverConfig, simulate
 
@@ -53,8 +59,20 @@ def _ints(text):
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+# [solver] keys read from a config and their types; SolverConfig holds the
+# defaults of every key but t_end
+_SOLVER_KEYS = {"t_end": float, "dt_init": float, "dt_min": float, "dt_max": float,
+                "rel_tol": float, "abs_tol": float, "sup_threshold": float,
+                "sample_stride": int}
+_OPTIONAL_SECTIONS = ("initial_data", "robin", "hypothesis", "solver", "outputs")
+
+
 class Experiment:
-    """Resolved experiment configuration."""
+    """A config parsed into the library objects it describes, each built once.
+
+    Building them checks every value with the library's own rules, before
+    any command runs; `__init__` turns the library's errors into ConfigError.
+    """
 
     def __init__(self, path: str, resolution=None):
         parser = configparser.ConfigParser()
@@ -68,128 +86,82 @@ class Experiment:
             raise ConfigError(f"{path}: {exc}") from exc
 
     def _build(self, cfg, resolution):
-        dom = cfg["domain"]
-        kind = dom.get("kind", BOX)
-        dimension = dom.getint("dimension")
-        if kind == BOX:
-            self.spec = DomainSpec(kind=BOX, dimension=dimension,
-                                   half_extents=_floats(dom["half_extents"]))
-            cells = ((resolution,) if resolution is not None
-                     else _ints(dom["cells_per_axis"]))
-            self.mesh = build_mesh(self.spec, cells[0] if len(cells) == 1 else cells)
-        else:
-            self.spec = DomainSpec(kind=BALL, dimension=dimension,
-                                   radius=dom.getfloat("radius"))
-            self.mesh = None
+        for name in _OPTIONAL_SECTIONS:
+            if not cfg.has_section(name):
+                cfg.add_section(name)
+        self.out_dir = cfg["outputs"].get("directory", "out")
 
         nls = cfg["nonlinearity"]
         family = nls["family"]
         if family == "power_product":
-            if "a_exp" not in nls or "b_exp" not in nls:
-                raise ConfigError("power_product needs both a_exp and b_exp")
             self.nl = nl_mod.make_power_product(
-                nls.getfloat("c", 1.0), nls.getfloat("a_exp"), nls.getfloat("b_exp"))
+                nls.getfloat("c", 1.0), float(nls["a_exp"]), float(nls["b_exp"]))
         elif family == "gradient_homogeneous":
-            shape_name = nls.get("h", "constant")
-            shape = nl_mod.SHAPE_CATALOG[shape_name](
+            shape = nl_mod.SHAPE_CATALOG[nls.get("h", "constant")](
                 {"m": nls.getfloat("h_m", 1.0), "value": nls.getfloat("h_value", 1.0)})
             self.nl = nl_mod.make_gradient_homogeneous(
-                nls.getfloat("c", 1.0), nls.getfloat("alpha"), shape)
+                nls.getfloat("c", 1.0), float(nls["alpha"]), shape)
         elif family == "absorption":
             self.nl = nl_mod.make_absorption(
-                nls.getfloat("p"), nls.getfloat("q"), nls.getfloat("r"),
-                nls.getfloat("s"), nls.getfloat("a"), nls.getfloat("b"))
+                *(float(nls[key]) for key in ("p", "q", "r", "s", "a", "b")))
         else:
             raise ConfigError(f"unknown nonlinearity family {family!r}")
-        self.nl_family = family
 
-        init = cfg["initial_data"] if cfg.has_section("initial_data") else {}
-        self.init_kind = init.get("kind", "constant")
-        if self.init_kind not in FIELD_KINDS:
-            raise ConfigError(f"unknown initial_data kind {self.init_kind!r}; "
-                              f"expected one of {', '.join(FIELD_KINDS)}")
-        self.c1 = float(init.get("c1", 1.0))
-        self.c2 = float(init.get("c2", 1.0))
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
-            raise ConfigError(f"initial_data c1 and c2 must be finite, "
-                              f"got {self.c1:g} and {self.c2:g}")
-        self.init_params_u = {"c": self.c1,
-                              "epsilon": float(init.get("epsilon", 0.0)),
-                              "amplitude": float(init.get("amplitude", 0.0)),
-                              "width": float(init.get("width", 1.0))}
-        self.init_params_v = {"c": self.c2, "epsilon": 0.0,
-                              "amplitude": 0.0, "width": 1.0}
+        robin = cfg["robin"]
+        self.gamma1 = require_gamma(robin.getfloat("gamma1", 0.0), "robin.gamma1")
+        self.gamma2 = require_gamma(robin.getfloat("gamma2", 0.0), "robin.gamma2")
 
-        robin = cfg["robin"] if cfg.has_section("robin") else {}
-        self.gamma1 = float(robin.get("gamma1", 0.0))
-        self.gamma2 = float(robin.get("gamma2", 0.0))
-        for name, gamma in (("gamma1", self.gamma1), ("gamma2", self.gamma2)):
-            if not 0 <= gamma < math.inf:
-                raise ConfigError(f"robin.{name} must be finite and >= 0, got {gamma:g}")
-
-        hyp = cfg["hypothesis"] if cfg.has_section("hypothesis") else {}
-        self.alpha = float(hyp["alpha"]) if "alpha" in hyp else None
-        self.p = float(hyp["p"]) if "p" in hyp else None
-        self.k1 = float(hyp["k1"]) if "k1" in hyp else None
-        self.k2 = float(hyp["k2"]) if "k2" in hyp else None
-        self.mode = hyp.get("mode", bounds_mod.MODE_A2PRIME)
-        if self.mode not in (bounds_mod.MODE_A2PRIME, bounds_mod.MODE_A2A3):
-            raise ConfigError(f"unknown hypothesis mode {self.mode!r}; expected "
-                              f"{bounds_mod.MODE_A2PRIME} or {bounds_mod.MODE_A2A3}")
-        lo = float(hyp.get("box_min", 1e-3))
-        hi = float(hyp.get("box_max", 1e3))
-        if not 0 < lo <= hi < float("inf"):
-            raise ConfigError(f"hypothesis sample box [{lo:g}, {hi:g}] must satisfy "
-                              "0 < box_min <= box_max < inf")
+        hyp = cfg["hypothesis"]
+        self.alpha, self.p, self.k1, self.k2 = (
+            hyp.getfloat(key) for key in ("alpha", "p", "k1", "k2"))
+        self.mode = bounds_mod.require_mode(hyp.get("mode", bounds_mod.MODE_A2PRIME))
+        (lo, hi), _ = nl_mod.DEFAULT_BOX
+        lo, hi = hyp.getfloat("box_min", lo), hyp.getfloat("box_max", hi)
         self.check_box = ((lo, hi), (lo, hi))
-        self.check_samples = int(hyp.get("samples_per_axis", 64))
-        if self.check_samples < 1:
-            raise ConfigError(f"hypothesis.samples_per_axis must be >= 1, "
-                              f"got {self.check_samples}")
+        self.check_samples = hyp.getint("samples_per_axis", nl_mod.DEFAULT_SAMPLES)
+        nl_mod.require_sample_box(self.check_box, self.check_samples)
 
-        sol = cfg["solver"] if cfg.has_section("solver") else {}
-        self.t_end = float(sol.get("t_end", 1.0))
-        self.dt_init = float(sol.get("dt_init", 1e-6))
-        self.dt_min = float(sol.get("dt_min", 1e-14))
-        self.dt_max = float(sol.get("dt_max", 0.1))
-        self.rel_tol = float(sol.get("rel_tol", 1e-8))
-        self.abs_tol = float(sol.get("abs_tol", 1e-10))
-        self.sup_threshold = float(sol.get("sup_threshold", 1e8))
-        self.sample_stride = int(sol.get("sample_stride", 1))
-        if self.sample_stride < 1:
-            raise ConfigError(f"solver.sample_stride must be >= 1, got {self.sample_stride}")
+        init = cfg["initial_data"]
+        self.init_kind = init.get("kind", "constant")
+        self.c1, self.c2 = init.getfloat("c1", 1.0), init.getfloat("c2", 1.0)
 
-        out = cfg["outputs"] if cfg.has_section("outputs") else {}
-        self.out_dir = out.get("directory", "out")
-
-    # --- derived pieces -------------------------------------------------
-    def initial_fields(self):
-        if self.mesh is None:
-            raise ConfigError("ball domains cannot be meshed; this command needs a box")
-        g1 = make_field(self.mesh, self.init_kind, self.init_params_u)
-        g2 = make_field(self.mesh, "constant", self.init_params_v)
-        return g1, g2
+        dom = cfg["domain"]
+        kind = dom.get("kind", BOX)
+        dimension = dom.getint("dimension")
+        if kind != BOX:
+            self.domain = DomainSpec(kind=kind, dimension=dimension,
+                                     radius=dom.getfloat("radius"))
+            if self.init_kind != "constant" or not (math.isfinite(self.c1)
+                                                    and math.isfinite(self.c2)):
+                raise ConfigError(f"a ball takes finite constant initial data only, got "
+                                  f"kind {self.init_kind!r}, c1 {self.c1:g}, c2 {self.c2:g}")
+            self.mesh = self.solver = None
+            self.g1, self.g2 = self.c1, self.c2
+            return
+        spec = DomainSpec(kind=BOX, dimension=dimension,
+                          half_extents=_floats(dom["half_extents"]))
+        cells = ((resolution,) if resolution is not None
+                 else _ints(dom["cells_per_axis"]))
+        self.mesh = self.domain = build_mesh(spec, cells[0] if len(cells) == 1 else cells)
+        g1 = make_field(self.mesh, self.init_kind,
+                        {"c": self.c1, "epsilon": init.getfloat("epsilon", 0.0),
+                         "amplitude": init.getfloat("amplitude", 0.0),
+                         "width": init.getfloat("width", 1.0)})
+        g2 = make_field(self.mesh, "constant", {"c": self.c2})
+        sol = cfg["solver"]
+        options = {key: conv(sol[key]) for key, conv in _SOLVER_KEYS.items() if key in sol}
+        options.setdefault("t_end", 1.0)
+        if self.alpha is not None:
+            options["alpha"] = self.alpha
+        self.solver = SolverConfig(mesh=self.mesh, nl=self.nl, gamma1=self.gamma1,
+                                   gamma2=self.gamma2, g1=g1, g2=g2, p=self.p, **options)
+        self.g1, self.g2 = self.solver.g1, self.solver.g2
 
     def wants_upper(self):
         return self.alpha is not None and self.nl.has_potential and self.mesh is not None
 
     def wants_lower(self):
         return self.p is not None and self.k1 is not None and self.k2 is not None
-
-    def solver_config(self):
-        g1, g2 = self.initial_fields()
-        try:
-            return SolverConfig(
-                mesh=self.mesh, nl=self.nl, gamma1=self.gamma1, gamma2=self.gamma2,
-                g1=g1, g2=g2, t_end=self.t_end, dt_init=self.dt_init,
-                dt_min=self.dt_min, dt_max=self.dt_max, rel_tol=self.rel_tol,
-                abs_tol=self.abs_tol, sup_threshold=self.sup_threshold,
-                sample_stride=self.sample_stride,
-                alpha=self.alpha if self.alpha is not None else 1.0,
-                p=self.p,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"solver: {exc}") from exc
 
 
 def _as_jsonable(obj):
@@ -234,30 +206,28 @@ def _write_trace(trace, out_dir: Path):
 # --- commands -----------------------------------------------------------
 
 def cmd_check(exp: Experiment, out_dir: Path) -> int:
-    reports = []
+    reports, errors = [], {}
     if exp.nl.has_potential and exp.alpha is not None:
         reports.append(nl_mod.check_H1(exp.nl, exp.alpha, box=exp.check_box,
                                        samples_per_axis=exp.check_samples))
         if exp.mesh is not None:
-            g1, g2 = exp.initial_fields()
-            reports.extend(nl_mod.check_H2_H3(exp.nl, g1, g2, exp.mesh,
-                                              exp.gamma1, exp.gamma2))
+            try:
+                reports.extend(nl_mod.check_H2_H3(exp.nl, exp.g1, exp.g2, exp.mesh,
+                                                  exp.gamma1, exp.gamma2))
+            except NegativeInitialData as exc:
+                errors["H2_H3"] = _error_block(exc)
     if exp.wants_lower():
         reports.extend(bounds_mod._lower_bound_checks(
             exp.nl, exp.k1, exp.k2, exp.p, exp.mode, exp.check_box, exp.check_samples))
-    if exp.nl_family == "absorption":
-        prm = exp.nl.params
-        reports_extra = nl_mod.classify_absorption(
-            prm["p"], prm["q"], prm["r"], prm["s"], prm["a"], prm["b"])
-    else:
-        reports_extra = None
 
     report = {"command": "check",
-              "hypotheses": {r.hypothesis: r for r in reports}}
-    if reports_extra is not None:
-        report["absorption_classification"] = reports_extra
+              "hypotheses": {r.hypothesis: r for r in reports}, **errors}
+    if exp.nl.family == "absorption":
+        prm = exp.nl.params
+        report["absorption_classification"] = nl_mod.classify_absorption(
+            prm["p"], prm["q"], prm["r"], prm["s"], prm["a"], prm["b"])
     _write_report(report, out_dir)
-    return EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED
+    return EXIT_OK if all(r.holds for r in reports) and not errors else EXIT_FAILED
 
 
 def _compute_bounds(exp: Experiment):
@@ -265,24 +235,20 @@ def _compute_bounds(exp: Experiment):
     ok = True
     if exp.wants_upper():
         try:
-            g1, g2 = exp.initial_fields()
             block["upper_bound"] = bounds_mod.upper_bound_blowup(
-                exp.nl, g1, g2, exp.mesh, exp.gamma1, exp.gamma2, exp.alpha,
+                exp.nl, exp.g1, exp.g2, exp.mesh, exp.gamma1, exp.gamma2, exp.alpha,
                 check_box=exp.check_box, samples_per_axis=exp.check_samples)
-        except (HypothesisFailed, NonpositiveJ0, NonpositiveE0, ConfigError) as exc:
+        except (HypothesisFailed, NegativeInitialData, NonpositiveJ0,
+                NonpositiveE0) as exc:
             block["upper_bound"] = _error_block(exc)
             ok = False
     if exp.wants_lower():
         try:
-            if exp.mesh is not None:
-                g1, g2 = exp.initial_fields()
-                domain = exp.mesh
-            else:
-                g1, g2, domain = exp.c1, exp.c2, exp.spec
             block["lower_bound"] = bounds_mod.lower_bound_pipeline(
-                exp.nl, g1, g2, domain, exp.p, exp.k1, exp.k2, mode=exp.mode,
+                exp.nl, exp.g1, exp.g2, exp.domain, exp.p, exp.k1, exp.k2, mode=exp.mode,
                 check_box=exp.check_box, samples_per_axis=exp.check_samples)
-        except (HypothesisFailed, DimensionNot3, NonpositiveE0) as exc:
+        except (HypothesisFailed, DimensionNot3, NegativeInitialData,
+                NonpositiveE0) as exc:
             block["lower_bound"] = _error_block(exc)
             ok = False
     return block, ok
@@ -314,9 +280,16 @@ def _simulation_block(exp: Experiment, trace):
     return block
 
 
-def cmd_simulate(exp: Experiment, out_dir: Path) -> int:
-    trace = simulate(exp.solver_config())
+def _simulate(exp: Experiment, out_dir: Path):
+    if exp.solver is None:
+        raise ConfigError("ball domains cannot be meshed; this command needs a box")
+    trace = simulate(exp.solver)
     _write_trace(trace, out_dir)
+    return trace
+
+
+def cmd_simulate(exp: Experiment, out_dir: Path) -> int:
+    trace = _simulate(exp, out_dir)
     report = {"command": "simulate", "simulation": _simulation_block(exp, trace)}
     _write_report(report, out_dir)
     if trace.outcome == OUTCOME_STEP_UNDERFLOW and trace.blowup_estimate is None:
@@ -326,18 +299,21 @@ def cmd_simulate(exp: Experiment, out_dir: Path) -> int:
 
 def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
     block, _ = _compute_bounds(exp)
-    trace = simulate(exp.solver_config())
-    _write_trace(trace, out_dir)
+    trace = _simulate(exp, out_dir)
     report = {"command": "sandwich", **block,
               "simulation": _simulation_block(exp, trace)}
 
     # ODE oracle applies exactly when the problem is spatially homogeneous
     if exp.gamma1 == 0 and exp.gamma2 == 0 and exp.init_kind == "constant":
-        oracle = ode_reduce(exp.nl, exp.c1, exp.c2, t_max=exp.t_end)
-        report["oracle"] = {
-            "method": oracle.method,
-            "blowup_time": oracle.blowup_time,
-        }
+        try:
+            oracle = ode_reduce(exp.nl, exp.c1, exp.c2, t_max=exp.solver.t_end)
+        except ValueError as exc:  # the oracle refuses negative data
+            report["oracle"] = _error_block(exc)
+        else:
+            report["oracle"] = {
+                "method": oracle.method,
+                "blowup_time": oracle.blowup_time,
+            }
 
     upper = block.get("upper_bound")
     lower = block.get("lower_bound")
@@ -407,7 +383,7 @@ def main(argv=None) -> int:
     if len(jobs) == 1 or args.jobs <= 1:
         codes = [_run_one(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             codes = list(pool.map(_run_one, *zip(*jobs)))
     return max(codes)
 

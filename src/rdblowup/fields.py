@@ -4,8 +4,6 @@ import numpy as np
 
 from .geometry import Mesh
 
-FIELD_KINDS = ("constant", "cosine", "gaussian")
-
 
 def constant_field(mesh: Mesh, c: float) -> np.ndarray:
     return np.full(mesh.n_cells, float(c))

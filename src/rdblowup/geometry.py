@@ -8,7 +8,7 @@ The origin is always the centroid of the domain.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import pi, prod, sqrt
+from math import inf, pi, prod, sqrt
 
 import numpy as np
 from scipy.sparse import dia_array
@@ -17,6 +17,13 @@ from .errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
 
 BOX = "box"
 BALL = "ball"
+
+
+def require_gamma(gamma: float, name: str = "gamma") -> float:
+    """The Robin rule: gamma must be finite and >= 0.  Returns gamma."""
+    if not 0 <= gamma < inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {gamma:g}")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,7 @@ class Mesh:
         is second order at the face; relative to the Neumann mirror (g = 1)
         it adds (g - 1)/h_a^2 on each boundary cell, once per face.
         """
+        require_gamma(gamma)
         diag = np.zeros(self.shape)
         for axis, ha in enumerate(self.h):
             g = (2.0 - gamma * ha) / (2.0 + gamma * ha)

@@ -25,7 +25,7 @@ from .errors import (
     NotGradientSystem,
 )
 from .functionals import FieldPair, energy_sample
-from .geometry import Mesh
+from .geometry import Mesh, require_gamma
 
 # relative slack below which a sampled inequality is considered violated
 HOLD_TOL = 1e-9
@@ -196,10 +196,18 @@ def make_absorption(p: float, q: float, r: float, s: float, a: float, b: float) 
     )
 
 
+def require_sample_box(box, samples_per_axis: int):
+    """The sampling rule: each side 0 < lo <= hi < inf, and at least one
+    sample per axis."""
+    if not all(0 < lo <= hi < np.inf for lo, hi in box):
+        raise ValueError(f"sample box {box} must satisfy 0 < lo <= hi < inf on each axis")
+    if samples_per_axis < 1:
+        raise ValueError(f"samples_per_axis must be >= 1, got {samples_per_axis}")
+
+
 def _log_grid(box, samples_per_axis):
+    require_sample_box(box, samples_per_axis)
     (ulo, uhi), (vlo, vhi) = box
-    if min(ulo, vlo) <= 0:
-        raise ValueError("sample box must lie in (0, inf)^2")
     uu = np.geomspace(ulo, uhi, samples_per_axis)
     vv = np.geomspace(vlo, vhi, samples_per_axis)
     U, V = np.meshgrid(uu, vv, indexing="ij")
@@ -244,6 +252,18 @@ def _energy_condition(name, lhs, rhs, description) -> HypothesisReport:
     )
 
 
+def require_nonnegative_data(g1, g2):
+    """The data rule of both bounds: g1, g2 >= 0 and not both identically
+    zero.  Takes per-cell arrays or constants; returns them as flat arrays."""
+    g1 = np.asarray(g1, dtype=float).ravel()
+    g2 = np.asarray(g2, dtype=float).ravel()
+    if np.min(g1) < 0 or np.min(g2) < 0:
+        raise NegativeInitialData("initial data must be nonnegative")
+    if np.max(g1) == 0 and np.max(g2) == 0:
+        raise NegativeInitialData("initial data must not completely vanish")
+    return g1, g2
+
+
 def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: float):
     """Check the initial-data energy conditions with mesh quadrature.
 
@@ -252,13 +272,9 @@ def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: flo
     monitor row of the initial data.
     """
     nl.require_potential("check_H2_H3")
-    g1 = np.asarray(g1, dtype=float).ravel()
-    g2 = np.asarray(g2, dtype=float).ravel()
-    if np.min(g1) < 0 or np.min(g2) < 0:
-        raise NegativeInitialData("initial data must be nonnegative")
-    if np.max(g1) == 0 and np.max(g2) == 0:
-        raise NegativeInitialData("initial data must not completely vanish")
-
+    require_gamma(gamma1, "gamma1")
+    require_gamma(gamma2, "gamma2")
+    g1, g2 = require_nonnegative_data(g1, g2)
     row = energy_sample(FieldPair(u=g1, v=g2, t=0.0), mesh, nl,
                         gamma1=gamma1, gamma2=gamma2)
     lhs = 2.0 * row.intF

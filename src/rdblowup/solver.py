@@ -22,7 +22,6 @@ a sup-norm threshold and the blow-up time extrapolated from a power-law fit
 of the trace tail.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, NonFiniteField
 from .functionals import EnergySample, FieldPair, energy_sample
-from .geometry import Mesh
+from .geometry import Mesh, require_gamma
 from .nonlinearity import Nonlinearity
 
 OUTCOME_REACHED_T_END = "reached_t_end"
@@ -76,15 +75,15 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
-        for name in ("gamma1", "gamma2"):
-            gamma = getattr(self, name)
-            if not 0 <= gamma < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {gamma}")
+        require_gamma(self.gamma1, "gamma1")
+        require_gamma(self.gamma2, "gamma2")
         g1 = np.asarray(self.g1, dtype=float).ravel()
         g2 = np.asarray(self.g2, dtype=float).ravel()
         if g1.size != self.mesh.n_cells or g2.size != self.mesh.n_cells:
             raise ValueError(f"g1 and g2 need one value per cell ({self.mesh.n_cells}), "
                              f"got {g1.size} and {g2.size}")
+        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+            raise ValueError("g1 and g2 must be finite")
         if self.sup_threshold <= max(np.max(np.abs(g1)), np.max(np.abs(g2))):
             raise ValueError("sup_threshold must exceed the initial sup-norms")
         self.g1, self.g2 = g1, g2
@@ -150,32 +149,18 @@ class StepWork:
             setattr(self, name, np.empty(size))
 
 
-def _writing_into(rhs_new):
-    """Adapt rhs_new(y) -> array to the rhs_vec(y, out) form `step` calls."""
-    def rhs_vec(yy, out):
-        out[...] = rhs_new(yy)
-        return out
-    return rhs_vec
-
-
 def step(y: np.ndarray, dt: float, rhs_vec, rel_tol: float, abs_tol: float,
-         k1: Optional[np.ndarray] = None, work: Optional[StepWork] = None):
-    """One Bogacki-Shampine 3(2) step.
+         work: StepWork, k1: Optional[np.ndarray] = None):
+    """One Bogacki-Shampine 3(2) step in the stage buffers of `work`.
 
-    Returns (y_new, err_norm, k_last); err_norm is inf on overflow so the
-    caller halves dt.  k_last is the FSAL derivative at y_new, reusable as
-    k1 of the next accepted step.
-
-    Without `work`, rhs_vec(y) returns a new array, and y_new and k_last are
-    new arrays too.  With a `StepWork`, rhs_vec(y, out) writes into `out`,
-    and y_new and k_last are `work.y_new` and `work.k4`.  Every product and
-    sum is taken in the same order either way, so the bits agree.
+    rhs_vec(y, out) writes the derivative at y into `out` and returns it.
+    Returns (y_new, err_norm, k_last), where y_new and k_last are `work.y_new`
+    and `work.k4`, so y must not be `work.y_new`.  err_norm is inf on overflow
+    so the caller halves dt.  k_last is the FSAL derivative at y_new,
+    reusable as k1 of the next accepted step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if work is None:
-        work = StepWork(y.size)
-        rhs_vec = _writing_into(rhs_vec)
     if k1 is None:
         k1 = rhs_vec(y, np.empty(y.size))
     k2, k3, k4, y_new, stage, term = (work.k2, work.k3, work.k4, work.y_new,
@@ -276,7 +261,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
     while t < config.t_end:
         dt = min(dt, dt_cap, config.dt_max, config.t_end - t)
         y_new, err, k_last = step(y, dt, rhs_vec, config.rel_tol, config.abs_tol,
-                                  k1=k1, work=work)
+                                  work, k1=k1)
         if not np.isfinite(err) or err > 1.0:
             rejected += 1
             if np.isfinite(err):

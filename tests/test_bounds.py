@@ -14,6 +14,7 @@ from rdblowup.bounds import (
 from rdblowup.errors import (
     DimensionNot3,
     HypothesisFailed,
+    NegativeInitialData,
     NonpositiveE0,
     NonpositiveJ0,
 )
@@ -67,6 +68,12 @@ class TestUpperBound:
         g1, g2 = constant_data(mesh2d, 0.0, 0.0)
         with pytest.raises(NonpositiveE0):
             upper_bound_blowup(nl, g1, g2, mesh2d, 0.0, 0.0, 1.0)
+
+    def test_negative_gamma_rejected(self, mesh3d):
+        nl = make_power_product(1.0, 2.0, 2.0)
+        g1, g2 = constant_data(mesh3d, 1.0, 1.0)
+        with pytest.raises(ValueError, match="gamma1"):
+            upper_bound_blowup(nl, g1, g2, mesh3d, -1.0, -1.0, 1.0)
 
     def test_two_algebraic_forms_agree(self, mesh3d):
         nl = make_power_product(0.5, 2.0, 2.0)
@@ -239,6 +246,19 @@ class TestLowerBoundPipeline:
         small = lower_bound_pipeline(nl, 1.0, 1.0, ball, p=2.0, k1=2.0, k2=2.0)
         big = lower_bound_pipeline(nl, 2.0, 2.0, ball, p=2.0, k1=2.0, k2=2.0)
         assert big.t_lower < small.t_lower
+
+    @pytest.mark.parametrize("c1, c2", [(-1.0, 1.0), (0.0, 0.0)],
+                             ids=["negative", "vanishing"])
+    @pytest.mark.parametrize("on_mesh", [False, True], ids=["ball", "box"])
+    def test_inadmissible_data_rejected(self, box3d, c1, c2, on_mesh):
+        nl = make_power_product(1.0, 2.0, 2.0)
+        if on_mesh:
+            mesh = build_mesh(box3d, 8)
+            args = (*constant_data(mesh, c1, c2), mesh)
+        else:
+            args = (c1, c2, DomainSpec("ball", 3, radius=1.0))
+        with pytest.raises(NegativeInitialData):
+            lower_bound_pipeline(nl, *args, p=2.0, k1=2.0, k2=2.0)
 
     def test_unknown_mode_rejected(self):
         nl = make_power_product(1.0, 2.0, 2.0)

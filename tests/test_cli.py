@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rdblowup.cli import (
@@ -216,6 +216,34 @@ class TestSandwich:
         assert report["sandwich"]["partial"] is True
 
 
+NEGATIVE_C1 = ("c1 = 1.0", "c1 = -1.0")
+VANISHING = ("c1 = 1.0\nc2 = 1.0", "c1 = 0.0\nc2 = 0.0")
+
+
+class TestInadmissibleData:
+    # negative or vanishing data fail the bounds' hypotheses: a report and
+    # exit 1 (a partial sandwich, which still simulates), not a numerical failure
+    @pytest.mark.parametrize("command, base, edit, expected, block", [
+        ("check", BLOWUP_BOX, NEGATIVE_C1, EXIT_FAILED, "H2_H3"),
+        ("bounds", BLOWUP_BOX, NEGATIVE_C1, EXIT_FAILED, "upper_bound"),
+        ("sandwich", BLOWUP_BOX, NEGATIVE_C1, EXIT_OK, "upper_bound"),
+        ("check", BLOWUP_BOX, VANISHING, EXIT_FAILED, "H2_H3"),
+        ("bounds", BALL_LOWER, NEGATIVE_C1, EXIT_FAILED, "lower_bound"),
+    ], ids=["check_negative", "bounds_negative", "sandwich_negative",
+            "check_vanishing", "bounds_ball_negative"])
+    def test_reported_as_hypothesis_failure(self, tmp_path, command, base, edit,
+                                            expected, block):
+        assert edit[0] in base
+        cfg = write_config(tmp_path, base.replace(*edit))
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == expected
+        report = load_report(out)
+        assert report[block]["error"]["type"] == "NegativeInitialData"
+        if command == "sandwich":
+            assert report["sandwich"]["partial"] is True
+            assert report["simulation"]["outcome"] == "blowup_detected"
+
+
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
         out = tmp_path / "out"
@@ -251,16 +279,31 @@ class TestConfigErrors:
         ("check", ("a_exp = 2\n", "a_exp = 0.5\n")),
         ("check", ("c1 = 1.0", "c1 = nan")),
         ("simulate", ("c2 = 1.0", "c2 = inf")),
+        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
+                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
+                   "kind = constant", "kind = gaussian\namplitude = 5\nwidth = 0.2")),
+        ("check", ("t_end = 1.0", "t_end = 0.0")),
+        ("check", ("t_end = 1.0", "t_end = 1.0\nsample_stride = 0")),
+        ("check", ("kind = constant", "kind = gaussian\namplitude = nan")),
+        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
+                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
+                   "c1 = 1.0", "c1 = nan")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
             "power_product_without_b_exp", "sample_stride_zero", "t_end_zero",
             "check_unknown_mode", "bounds_unknown_mode", "samples_per_axis_zero",
             "box_min_zero", "simulate_gamma1_minus_16", "check_gamma1_minus_1",
             "bounds_gamma1_nan", "simulate_gamma1_nan", "check_gamma2_inf",
-            "cells_per_axis_two", "a_exp_below_one", "c1_nan", "c2_inf"])
+            "cells_per_axis_two", "a_exp_below_one", "c1_nan", "c2_inf",
+            "ball_gaussian_data", "check_t_end_zero", "check_sample_stride_zero",
+            "gaussian_amplitude_nan", "ball_c1_nan"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
-        assert edit[0] in BLOWUP_BOX
-        cfg = write_config(tmp_path, BLOWUP_BOX.replace(*edit))
+        # edit holds (old, new) pairs, applied in turn
+        text = BLOWUP_BOX
+        for old, new in zip(edit[::2], edit[1::2]):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
         assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:")
@@ -284,19 +327,26 @@ class TestResolutionOverride:
 
 
 # st.floats() draws nan, +-inf, negatives and subnormals; the bounded
-# branch keeps enough valid gammas in the mix to test both outcomes
+# branches keep enough valid values in the mix to test both outcomes
 GAMMAS = st.one_of(st.floats(min_value=0.0, max_value=100.0), st.floats())
+T_ENDS = st.one_of(st.floats(min_value=1e-3, max_value=10.0), st.floats())
 
 
 class TestInvalidValuesProperty:
-    @given(gamma1=GAMMAS, gamma2=GAMMAS, cells=st.integers(-2, 6))
-    def test_check_exits_two_exactly_on_invalid_values(self, tmp_path_factory,
-                                                      gamma1, gamma2, cells):
+    # few draws break one value alone, so two such examples always run
+    @given(gamma1=GAMMAS, gamma2=GAMMAS, cells=st.integers(-2, 6), t_end=T_ENDS,
+           stride=st.integers(-1, 4))
+    @example(gamma1=0.0, gamma2=0.0, cells=4, t_end=math.nan, stride=1)
+    @example(gamma1=0.0, gamma2=0.0, cells=4, t_end=1.0, stride=-1)
+    def test_check_exits_two_exactly_on_invalid_values(self, tmp_path_factory, gamma1,
+                                                      gamma2, cells, t_end, stride):
         text = (BLOWUP_BOX.replace("cells_per_axis = 8", f"cells_per_axis = {cells}")
+                .replace("t_end = 1.0", f"t_end = {t_end!r}\nsample_stride = {stride}")
                 + f"\n[robin]\ngamma1 = {gamma1!r}\ngamma2 = {gamma2!r}\n")
         tmp = tmp_path_factory.mktemp("property")
         cfg = write_config(tmp, text)
-        invalid = cells < 4 or not all(0 <= g < math.inf for g in (gamma1, gamma2))
+        invalid = (cells < 4 or not t_end > 0 or stride < 1
+                   or not all(0 <= g < math.inf for g in (gamma1, gamma2)))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run("check", cfg, tmp / "out")
@@ -324,6 +374,32 @@ class TestOutputDirectory:
 
 
 class TestMultiConfig:
+    def test_jobs_capped_at_number_of_configs(self, tmp_path, monkeypatch):
+        import rdblowup.cli as cli
+
+        pools = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+        cfgs = [write_config(tmp_path, BLOWUP_BOX, "a.ini"),
+                write_config(tmp_path, BALL_LOWER, "b.ini")]
+        code = main(["bounds", "--config", *cfgs, "--out-dir", str(tmp_path / "out"),
+                     "--jobs", "64"])
+        assert code == EXIT_OK
+        assert pools == [2]
+
     def test_jobs_run_both_configs(self, tmp_path):
         cfg1 = write_config(tmp_path, BLOWUP_BOX, "a.ini")
         cfg2 = write_config(tmp_path, BALL_LOWER, "b.ini")

@@ -124,6 +124,17 @@ class TestCheckH1:
         slack = u * nl.f1(u, v) + v * nl.f2(u, v) - 2.0 * 2.6 * nl.F(u, v)
         assert slack < 0
 
+    @pytest.mark.parametrize("box, samples", [
+        (((1e-3, math.inf), (1e-3, 1e3)), 64),
+        (((1e-3, 1e3), (0.0, 1e3)), 64),
+        (((1e3, 1e-3), (1e-3, 1e3)), 64),
+        (((1e-3, 1e3), (1e-3, 1e3)), 0),
+    ], ids=["box_max_inf", "box_min_zero", "reversed", "no_samples"])
+    def test_rejects_bad_sample_box(self, box, samples):
+        with pytest.raises(ValueError):
+            check_H1(make_power_product(1.0, 2.0, 3.0), 1.5, box=box,
+                     samples_per_axis=samples)
+
     def test_homogeneous_family_is_equality_case(self):
         nl = make_gradient_homogeneous(0.7, 0.8, shape_power(1.5))
         rep = check_H1(nl, 0.8)
@@ -181,6 +192,12 @@ class TestCheckH2H3:
         zero = np.zeros(mesh2d.n_cells)
         with pytest.raises(NegativeInitialData):
             check_H2_H3(nl, zero, zero, mesh2d, 0.0, 0.0)
+
+    def test_nan_gamma_rejected(self, mesh2d):
+        nl = make_power_product(1.0, 2.0, 3.0)
+        g = np.ones(mesh2d.n_cells)
+        with pytest.raises(ValueError, match="gamma2"):
+            check_H2_H3(nl, g, g, mesh2d, 0.0, float("nan"))
 
 
 class TestCheckA2A3:

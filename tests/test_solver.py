@@ -69,34 +69,45 @@ class TestRhs:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 1.9)
 
+    def test_negative_gamma_rejected(self, mesh3d):
+        nl = make_power_product(1.0, 2.0, 2.0)
+        with pytest.raises(ValueError, match="gamma"):
+            rhs(constant_fields(mesh3d, 1.0, 1.0), mesh3d, nl, -16.0, 0.0)
+
+
+def decay(y, out):
+    """rhs_vec of y' = -y."""
+    return np.negative(y, out=out)
+
 
 class TestStep:
     def test_linear_decay_accuracy(self):
         # y' = -y from 1: many small accepted steps land near e^{-t}
-        rhs_vec = lambda y: -y
-        y = np.array([1.0])
+        y, work = np.array([1.0]), StepWork(1)
         t, dt = 0.0, 1e-3
         while t < 1.0:
             dt = min(dt, 1.0 - t)
-            y, err, _ = step(y, dt, rhs_vec, 1e-10, 1e-12)
+            y_new, err, _ = step(y, dt, decay, 1e-10, 1e-12, work)
+            y = y_new.copy()
             assert err <= 1.0
             t += dt
         assert y[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step(np.array([1.0]), 0.0, lambda y: -y, 1e-8, 1e-10)
+            step(np.array([1.0]), 0.0, decay, 1e-8, 1e-10, StepWork(1))
 
     def test_overflow_returns_inf_error(self):
-        rhs_vec = lambda y: y**10
+        def rhs_vec(y, out):
+            return np.power(y, 10, out=out)
         with np.errstate(over="ignore"):
-            y_new, err, k = step(np.array([1e30]), 1.0, rhs_vec, 1e-8, 1e-10)
+            y_new, err, k = step(np.array([1e30]), 1.0, rhs_vec, 1e-8, 1e-10, StepWork(1))
         assert err == float("inf") and k is None
         assert y_new[0] == 1e30  # untouched
 
     def test_large_step_reports_large_error(self):
         # a huge step on y' = -y must produce err > 1 so the driver rejects
-        _, err, _ = step(np.array([1.0]), 50.0, lambda y: -y, 1e-8, 1e-10)
+        _, err, _ = step(np.array([1.0]), 50.0, decay, 1e-8, 1e-10, StepWork(1))
         assert err > 1.0
 
 
@@ -146,20 +157,17 @@ class TestStepWorkspace:
             k1 = rhs_vec(y, np.empty_like(y))
             ref = bs3_reference(y, dt, lambda yy: rhs_vec(yy, np.empty_like(yy)),
                                 1e-4, 1e-6, k1)
-            fresh = step(y, dt, lambda yy: rhs_vec(yy, np.empty_like(yy)),
-                         1e-4, 1e-6, k1=k1)
-            reused = step(y, dt, rhs_vec, 1e-4, 1e-6, k1=k1, work=StepWork(y.size))
+            got = step(y, dt, rhs_vec, 1e-4, 1e-6, StepWork(y.size), k1=k1)
         if amplitude > 1.0:
             assert ref[1] == float("inf")
         else:
             assert 0.0 < ref[1] <= 1.0
-        for got in (fresh, reused):
-            assert np.array_equal(got[0], ref[0])
-            assert got[1] == ref[1]
-            if ref[2] is None:
-                assert got[2] is None
-            else:
-                assert np.array_equal(got[2], ref[2])
+        assert np.array_equal(got[0], ref[0])
+        assert got[1] == ref[1]
+        if ref[2] is None:
+            assert got[2] is None
+        else:
+            assert np.array_equal(got[2], ref[2])
 
 
 def checkerboard(mesh):
@@ -332,6 +340,14 @@ class TestSolverConfigValidation:
         data = {"g1": np.ones(mesh2d.n_cells), "g2": np.ones(mesh2d.n_cells)}
         data[which] = np.ones(mesh2d.n_cells - 1)
         with pytest.raises(ValueError, match="one value per cell"):
+            SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
+                         t_end=1.0, **data)
+
+    @pytest.mark.parametrize("which", ["g1", "g2"])
+    def test_initial_data_must_be_finite(self, mesh2d, which):
+        data = {"g1": np.ones(mesh2d.n_cells), "g2": np.ones(mesh2d.n_cells)}
+        data[which][3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
             SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
                          t_end=1.0, **data)
 
