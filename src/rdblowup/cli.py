@@ -8,7 +8,8 @@ Reports contain no wall-clock content, so reruns are byte-identical.
 A config is checked in full before any command runs: `Experiment` builds the
 mesh, the nonlinearity, the initial data and, for a box, the `SolverConfig`,
 and the library code that builds each one checks its values, so a bad value
-exits 2 on every command.  A ball domain takes constant initial data only.
+exits 2 on every command, as does a `[solver]` key it does not know.  A ball
+domain takes constant initial data only.
 
 Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
 2 config error, 3 numerical failure.
@@ -59,11 +60,10 @@ def _ints(text):
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-# [solver] keys read from a config and their types; SolverConfig holds the
+# the [solver] keys a config may set, all floats; SolverConfig holds the
 # defaults of every key but t_end
-_SOLVER_KEYS = {"t_end": float, "dt_init": float, "dt_min": float, "dt_max": float,
-                "rel_tol": float, "abs_tol": float, "sup_threshold": float,
-                "sample_stride": int}
+_SOLVER_KEYS = ("t_end", "dt_init", "dt_min", "dt_max", "rel_tol", "abs_tol",
+                "sup_threshold")
 _OPTIONAL_SECTIONS = ("initial_data", "robin", "hypothesis", "solver", "outputs")
 
 
@@ -90,6 +90,10 @@ class Experiment:
             if not cfg.has_section(name):
                 cfg.add_section(name)
         self.out_dir = cfg["outputs"].get("directory", "out")
+        sol = cfg["solver"]
+        unknown = sorted(set(sol) - set(_SOLVER_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown [solver] keys {unknown}; accepted: {list(_SOLVER_KEYS)}")
 
         nls = cfg["nonlinearity"]
         family = nls["family"]
@@ -148,8 +152,7 @@ class Experiment:
                          "amplitude": init.getfloat("amplitude", 0.0),
                          "width": init.getfloat("width", 1.0)})
         g2 = make_field(self.mesh, "constant", {"c": self.c2})
-        sol = cfg["solver"]
-        options = {key: conv(sol[key]) for key, conv in _SOLVER_KEYS.items() if key in sol}
+        options = {key: float(sol[key]) for key in _SOLVER_KEYS if key in sol}
         options.setdefault("t_end", 1.0)
         if self.alpha is not None:
             options["alpha"] = self.alpha
@@ -172,8 +175,8 @@ def _as_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_as_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and (obj != obj):  # NaN -> null for JSON
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):  # nan, +-inf -> null for JSON
         return None
     return obj
 

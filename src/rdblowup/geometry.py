@@ -79,7 +79,6 @@ class Mesh:
     h: tuple[float, ...]
     cell_centers: np.ndarray  # (n_cells, N)
     face_cells: np.ndarray  # (n_faces,) flat cell index of the adjacent cell
-    face_normals: np.ndarray  # (n_faces, N) outward unit normals
     face_areas: np.ndarray  # (n_faces,)
 
     @property
@@ -169,16 +168,13 @@ def build_mesh(spec: DomainSpec, cells_per_axis) -> Mesh:
     centers = np.stack([g.ravel() for g in grids], axis=-1)
 
     flat_index = np.arange(prod(cells_per_axis)).reshape(cells_per_axis)
-    face_cells, face_normals, face_areas = [], [], []
+    face_cells, face_areas = [], []
     cell_vol = prod(h)
     for axis in range(N):
         area = cell_vol / h[axis]
-        for side, sl in ((-1.0, 0), (1.0, -1)):
-            cells = np.take(flat_index, sl, axis=axis).ravel()
-            normal = np.zeros(N)
-            normal[axis] = side
+        for side in (0, -1):
+            cells = np.take(flat_index, side, axis=axis).ravel()
             face_cells.append(cells)
-            face_normals.append(np.tile(normal, (cells.size, 1)))
             face_areas.append(np.full(cells.size, area))
 
     return Mesh(
@@ -187,7 +183,6 @@ def build_mesh(spec: DomainSpec, cells_per_axis) -> Mesh:
         h=h,
         cell_centers=centers,
         face_cells=np.concatenate(face_cells),
-        face_normals=np.concatenate(face_normals),
         face_areas=np.concatenate(face_areas),
     )
 

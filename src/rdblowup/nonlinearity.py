@@ -298,8 +298,9 @@ def check_A2_A3(nl: Nonlinearity, k1: float, k2: float, p: float,
         ("A2", k1, U ** (p + 1.0), nl.f1),
         ("A3", k2, V ** (p + 1.0), nl.f2),
     ):
-        slack = k * bound - f(U, V)
-        scale = k * bound + np.abs(f(U, V)) + 1e-300
+        fuv = f(U, V)
+        slack = k * bound - fuv
+        scale = k * bound + np.abs(fuv) + 1e-300
         reports.append(_sampled_report(name, slack, scale, U, V, f"k={k:g}, " + desc))
     return tuple(reports)
 

@@ -9,7 +9,7 @@ here shares stepping or quadrature code with the main modules.
 
 from dataclasses import dataclass
 from math import atan, pi, sqrt
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -22,9 +22,7 @@ class OdeTrace:
     vs: np.ndarray
     blowup_time: Optional[tuple]  # (value, uncertainty) or None
     method: str
-
-    def interpolator(self):
-        return getattr(self, "_dense", None)
+    dense: Callable  # t -> (u, v), the integrator's dense output
 
 
 def _aitken(t0, t1, t2):
@@ -65,27 +63,22 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float,
 
     sol = solve_ivp(fun, (0.0, t_max), [u0, v0], method="DOP853",
                     rtol=1e-12, atol=1e-14, events=events, dense_output=True)
-    trace = OdeTrace(
-        ts=sol.t, us=sol.y[0], vs=sol.y[1],
-        blowup_time=None,
-        method=f"scipy DOP853 rtol=1e-12, level extrapolation cutoff={cutoff:g}",
-    )
-    object.__setattr__(trace, "_dense", sol.sol)
-
     crossing = [te[0] for te in sol.t_events if te.size > 0]
     # For very fast blow-up rates the integrator stalls before the top
     # level: the remaining time to blow-up drops below the floating-point
     # spacing of t (sol.status == -1).  Three crossings then already pin
     # the blow-up time.
     blew_up = len(crossing) == len(levels) or (sol.status == -1 and len(crossing) >= 3)
-    if not blew_up:
-        return trace  # no blow-up reached by t_max
-
-    est = _aitken(*crossing[-3:])
-    alt = _aitken(*crossing[-4:-1]) if len(crossing) >= 4 else crossing[-2]
-    uncertainty = abs(est - alt) + abs(est - crossing[-1])
-    object.__setattr__(trace, "blowup_time", (est, uncertainty))
-    return trace
+    blowup_time = None  # no blow-up reached by t_max
+    if blew_up:
+        est = _aitken(*crossing[-3:])
+        alt = _aitken(*crossing[-4:-1]) if len(crossing) >= 4 else crossing[-2]
+        blowup_time = (est, abs(est - alt) + abs(est - crossing[-1]))
+    return OdeTrace(
+        ts=sol.t, us=sol.y[0], vs=sol.y[1], blowup_time=blowup_time,
+        method=f"scipy DOP853 rtol=1e-12, level extrapolation cutoff={cutoff:g}",
+        dense=sol.sol,
+    )
 
 
 def brute_force_integral(fn, a: float, b: float, panels: int) -> float:

@@ -17,12 +17,15 @@ removes 2/h_a^2 from its row's absolute sum and the Robin diagonal adds back
 (1 - g)/h_a^2 < 2/h_a^2, as g lies in (-1, 1].  The operator is symmetric,
 so at the cap every mode has R in [-0.344, 1] and none grows, whatever the
 data.  Reaction stiffness is left to the error controller.  Steps run in a
-`StepWork` of stage buffers allocated once per run.  Blow-up is detected by
-a sup-norm threshold and the blow-up time extrapolated from a power-law fit
-of the trace tail.
+`StepWork` of stage buffers allocated once per run.
+
+Monitors: `simulate` writes one `EnergySample` row for the initial data and
+one per accepted step; the rows are its only per-step record.  Blow-up is
+detected by a sup-norm threshold, or by the step-underflow fallback, and the
+blow-up time extrapolated from a power-law fit of the rows' (t, sup) tail.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,7 +66,6 @@ class SolverConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     sup_threshold: float = 1e8
-    sample_stride: int = 1
     # monitor parameters (J needs alpha; scriptE needs p)
     alpha: float = 1.0
     p: Optional[float] = None
@@ -73,8 +75,6 @@ class SolverConfig:
             raise ValueError("need dt_min < dt_init <= dt_max")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
         require_gamma(self.gamma1, "gamma1")
         require_gamma(self.gamma2, "gamma2")
         g1 = np.asarray(self.g1, dtype=float).ravel()
@@ -97,18 +97,31 @@ class BlowupEstimate:
     method: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveTrace:
-    samples: list[EnergySample]
+    samples: list[EnergySample]  # the initial data's row, then one per accepted step
     outcome: str
     blowup_estimate: Optional[BlowupEstimate] = None
     u_crossed: bool = False
     v_crossed: bool = False
     clamp_count: int = 0
-    n_steps: int = 0
     n_rejected: int = 0
-    tail: tuple = field(default_factory=tuple)  # (times, sup-norms) of every step
     final_fields: Optional[FieldPair] = None
+
+    @property
+    def n_steps(self) -> int:
+        """Accepted steps."""
+        return len(self.samples) - 1
+
+    @property
+    def tail(self):
+        """(times, sup-norms) of every row, the series the blow-up fit reads."""
+        return _tail(self.samples)
+
+
+def _tail(samples):
+    return (np.array([s.t for s in samples]),
+            np.array([max(s.sup_u, s.sup_v) for s in samples]))
 
 
 def _rhs_into(out, u, v, lap, robin1, robin2, nl):
@@ -231,30 +244,28 @@ def simulate(config: SolverConfig) -> SolveTrace:
     t = 0.0
     dt = min(config.dt_init, dt_cap, config.dt_max)
     samples: list[EnergySample] = []
-    tail_t, tail_sup = [], []
     clamp_count = 0
-    initial_sup = float(np.max(np.abs(y)))
 
     def record(dt_now):
+        """Append the monitor row of the current state; return its sup-norm."""
         nonlocal clamp_count
         u, v = y[:n], y[n:]
         if config.p is not None:
             clamp_count += int(np.sum(u < 0) + np.sum(v < 0))
         fields = FieldPair(u=u, v=v, t=t)
-        samples.append(energy_sample(
+        row = energy_sample(
             fields, mesh, nl=nl, alpha=config.alpha, gamma1=config.gamma1,
             gamma2=config.gamma2, p=config.p, dt=dt_now,
-        ))
+        )
+        samples.append(row)
+        return max(row.sup_u, row.sup_v)
 
-    record(dt)
-    tail_t.append(t)
-    tail_sup.append(initial_sup)
+    initial_sup = record(dt)
 
     k1 = rhs_vec(y, np.empty(y.size))
     if not np.all(np.isfinite(k1)):
         raise NonFiniteField("initial right-hand side is not finite")
     err_prev = 1.0
-    accepted = 0
     rejected = 0
     outcome = OUTCOME_REACHED_T_END
 
@@ -275,12 +286,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         t += dt
         y, work.y_new = y_new, y
         k1, work.k4 = k_last, k1
-        accepted += 1
-        sup = float(np.max(np.abs(y)))
-        tail_t.append(t)
-        tail_sup.append(sup)
-        if accepted % config.sample_stride == 0:
-            record(dt)
+        sup = record(dt)
         # PI step-size controller
         fac = _SAFETY * max(err, 1e-12) ** (-_PI_KI) * max(err_prev, 1e-12) ** _PI_KP
         dt *= min(_FAC_MAX, max(_FAC_MIN, fac))
@@ -292,40 +298,30 @@ def simulate(config: SolverConfig) -> SolveTrace:
             outcome = OUTCOME_BLOWUP
             break
 
-    if not samples or samples[-1].t < t:
-        record(dt)
-
-    # A step-size collapse after the sup-norm has grown by orders of
-    # magnitude is itself caused by the blow-up: the remaining time to
-    # blow-up has dropped below floating-point resolution, so the fixed
-    # threshold may be unreachable.  Classify such runs as blow-up.
-    sup_now = float(np.max(np.abs(y)))
-    if (outcome == OUTCOME_STEP_UNDERFLOW
-            and sup_now >= max(1e3 * initial_sup, 1e3)):
+    last = samples[-1]
+    sup_now = max(last.sup_u, last.sup_v)
+    fallback_level = max(1e3 * initial_sup, 1e3)
+    estimate = None
+    if outcome == OUTCOME_BLOWUP:
+        estimate = estimate_blowup_time(*_tail(samples), initial_sup=initial_sup)
+    elif outcome == OUTCOME_STEP_UNDERFLOW and sup_now >= fallback_level:
+        # A step-size collapse after the sup-norm has grown by orders of
+        # magnitude is itself caused by the blow-up: the remaining time to
+        # blow-up has dropped below floating-point resolution, so the fixed
+        # threshold may be unreachable.  Classify such runs as blow-up.
         try:
-            estimate_blowup_time(np.asarray(tail_t), np.asarray(tail_sup),
-                                 initial_sup=initial_sup)
+            estimate = estimate_blowup_time(*_tail(samples), initial_sup=initial_sup)
             outcome = OUTCOME_BLOWUP
         except InsufficientSamples:
             pass
-
-    trace = SolveTrace(
-        samples=samples, outcome=outcome,
-        n_steps=accepted, n_rejected=rejected,
-        clamp_count=clamp_count,
-        tail=(np.asarray(tail_t), np.asarray(tail_sup)),
+    level = config.sup_threshold if sup_now >= config.sup_threshold else fallback_level
+    return SolveTrace(
+        samples=samples, outcome=outcome, blowup_estimate=estimate,
+        u_crossed=estimate is not None and last.sup_u >= level,
+        v_crossed=estimate is not None and last.sup_v >= level,
+        clamp_count=clamp_count, n_rejected=rejected,
         final_fields=FieldPair(u=y[:n], v=y[n:], t=t),
     )
-    if outcome == OUTCOME_BLOWUP:
-        level = (config.sup_threshold if sup_now >= config.sup_threshold
-                 else max(1e3 * initial_sup, 1e3))
-        u, v = y[:n], y[n:]
-        trace.u_crossed = bool(np.max(np.abs(u)) >= level)
-        trace.v_crossed = bool(np.max(np.abs(v)) >= level)
-        trace.blowup_estimate = estimate_blowup_time(
-            trace.tail[0], trace.tail[1], initial_sup=initial_sup
-        )
-    return trace
 
 
 def _fit_root(ts, ys):

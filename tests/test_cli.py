@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from rdblowup.cli import (
@@ -265,6 +265,7 @@ class TestConfigErrors:
         ("check", ("a_exp = 2\n", "")),
         ("check", ("b_exp = 2\n", "")),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nsample_stride = 0")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\nsup_treshold = 1e4")),
         ("simulate", ("t_end = 1.0", "t_end = 0.0")),
         ("check", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2\nmode = bogus")),
         ("bounds", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2\nmode = bogus")),
@@ -284,17 +285,23 @@ class TestConfigErrors:
                    "kind = constant", "kind = gaussian\namplitude = 5\nwidth = 0.2")),
         ("check", ("t_end = 1.0", "t_end = 0.0")),
         ("check", ("t_end = 1.0", "t_end = 1.0\nsample_stride = 0")),
+        ("check", ("t_end = 1.0", "t_end = 1.0\nreltol = 1e-6")),
+        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
+                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
+                   "t_end = 1.0", "t_end = 1.0\nreltol = 1e-6")),
         ("check", ("kind = constant", "kind = gaussian\namplitude = nan")),
         ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
                    "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
                    "c1 = 1.0", "c1 = nan")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
-            "power_product_without_b_exp", "sample_stride_zero", "t_end_zero",
+            "power_product_without_b_exp", "unknown_key_sample_stride",
+            "simulate_solver_key_typo", "t_end_zero",
             "check_unknown_mode", "bounds_unknown_mode", "samples_per_axis_zero",
             "box_min_zero", "simulate_gamma1_minus_16", "check_gamma1_minus_1",
             "bounds_gamma1_nan", "simulate_gamma1_nan", "check_gamma2_inf",
             "cells_per_axis_two", "a_exp_below_one", "c1_nan", "c2_inf",
-            "ball_gaussian_data", "check_t_end_zero", "check_sample_stride_zero",
+            "ball_gaussian_data", "check_t_end_zero", "check_unknown_key_sample_stride",
+            "check_solver_key_typo", "ball_solver_key_typo",
             "gaussian_amplitude_nan", "ball_c1_nan"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
@@ -326,27 +333,41 @@ class TestResolutionOverride:
         assert code == EXIT_CONFIG
 
 
-# st.floats() draws nan, +-inf, negatives and subnormals; the bounded
-# branches keep enough valid values in the mix to test both outcomes
-GAMMAS = st.one_of(st.floats(min_value=0.0, max_value=100.0), st.floats())
-T_ENDS = st.one_of(st.floats(min_value=1e-3, max_value=10.0), st.floats())
+# valid and invalid draws of each value the property test sets; the invalid
+# ones take nan, +-inf, negatives and subnormals
+GAMMA = (st.floats(min_value=0.0, allow_infinity=False),
+         st.one_of(st.floats(max_value=-math.ulp(0.0)), st.sampled_from([math.nan, math.inf])))
+VALUES = {
+    "gamma1": GAMMA,
+    "gamma2": GAMMA,
+    "cells": (st.integers(4, 6), st.integers(-2, 3)),
+    "t_end": (st.floats(min_value=0.0, exclude_min=True),
+              st.one_of(st.floats(max_value=0.0), st.just(math.nan))),
+}
+
+
+@st.composite
+def at_most_one_bad_value(draw):
+    """(name of the bad value or None, valid values with that one made bad)."""
+    bad = draw(st.sampled_from([None, *VALUES]))
+    values = {name: draw(VALUES[name][name == bad]) for name in VALUES}
+    return bad, values
 
 
 class TestInvalidValuesProperty:
-    # few draws break one value alone, so two such examples always run
-    @given(gamma1=GAMMAS, gamma2=GAMMAS, cells=st.integers(-2, 6), t_end=T_ENDS,
-           stride=st.integers(-1, 4))
-    @example(gamma1=0.0, gamma2=0.0, cells=4, t_end=math.nan, stride=1)
-    @example(gamma1=0.0, gamma2=0.0, cells=4, t_end=1.0, stride=-1)
-    def test_check_exits_two_exactly_on_invalid_values(self, tmp_path_factory, gamma1,
-                                                      gamma2, cells, t_end, stride):
+    # one bad value per example, so each value rule is tested on its own
+    @given(case=at_most_one_bad_value())
+    def test_check_exits_two_exactly_on_invalid_values(self, tmp_path_factory, case):
+        bad, values = case
+        gamma1, gamma2, cells, t_end = (values[k] for k in ("gamma1", "gamma2", "cells", "t_end"))
         text = (BLOWUP_BOX.replace("cells_per_axis = 8", f"cells_per_axis = {cells}")
-                .replace("t_end = 1.0", f"t_end = {t_end!r}\nsample_stride = {stride}")
+                .replace("t_end = 1.0", f"t_end = {t_end!r}")
                 + f"\n[robin]\ngamma1 = {gamma1!r}\ngamma2 = {gamma2!r}\n")
         tmp = tmp_path_factory.mktemp("property")
         cfg = write_config(tmp, text)
-        invalid = (cells < 4 or not t_end > 0 or stride < 1
+        invalid = (cells < 4 or not t_end > 0
                    or not all(0 <= g < math.inf for g in (gamma1, gamma2)))
+        assert invalid == (bad is not None)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run("check", cfg, tmp / "out")

@@ -53,7 +53,7 @@ class TestOdeReduce:
         # u(t) = (1 - 4t)^{-1/2} for F = u^2 v^2, u0 = v0 = 1
         nl = make_power_product(1.0, 2.0, 2.0)
         trace = ode_reduce(nl, 1.0, 1.0, t_max=1.0)
-        dense = trace.interpolator()
+        dense = trace.dense
         for t in (0.05, 0.1, 0.2, 0.24):
             u_exact = (1.0 - 4.0 * t) ** -0.5
             u_num = dense(t)[0]
@@ -103,7 +103,7 @@ class TestPdeAgainstOde:
                            rel_tol=1e-10, abs_tol=1e-12)
         trace = simulate(cfg)
         ode = ode_reduce(nl, 1.0, 1.0, t_max=1.0)
-        dense = ode.interpolator()
+        dense = ode.dense
         ts, sups = trace.tail
         checked = 0
         for t, sup in zip(ts, sups):

@@ -288,20 +288,44 @@ class TestManufacturedRobin:
         assert np.all(orders > 1.9)
 
 
+def assert_flat_blowup_from_rows(trace):
+    """Flat u^2 v^2 data blow up at t = 1/4 in both components, and the
+    fitted tail is the monitor rows' (t, max(sup_u, sup_v))."""
+    assert trace.outcome == OUTCOME_BLOWUP
+    assert trace.u_crossed and trace.v_crossed
+    assert trace.blowup_estimate.t == pytest.approx(0.25, abs=1e-3)
+    ts, sups = trace.tail
+    assert len(trace.samples) == trace.n_steps + 1
+    assert ts.tolist() == [s.t for s in trace.samples]
+    assert sups.tolist() == [max(s.sup_u, s.sup_v) for s in trace.samples]
+
+
 class TestSimulateBlowup:
     def test_quadratic_product_blowup_time(self, box2d):
         # g = 1, Neumann: spatially constant, u = v = (1 - 4t)^{-1/2}... with
-        # F = u^2 v^2 the reduction is u' = 2u^3, blow-up at t = 1/4
+        # F = u^2 v^2 the reduction is u' = 2u^3, blow-up at t = 1/4.  dt
+        # underflows long before the default threshold 1e8 is reached, so
+        # blow-up is found by the step-underflow fallback
         mesh = build_mesh(box2d, 8)
         g = np.full(mesh.n_cells, 1.0)
         cfg = SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
                            gamma1=0.0, gamma2=0.0, g1=g, g2=g, t_end=1.0)
         trace = simulate(cfg)
-        assert trace.outcome == OUTCOME_BLOWUP
-        assert trace.u_crossed and trace.v_crossed
-        est = trace.blowup_estimate
-        assert est is not None
-        assert est.t == pytest.approx(0.25, abs=1e-3)
+        last = trace.samples[-1]
+        assert max(last.sup_u, last.sup_v) < cfg.sup_threshold
+        assert_flat_blowup_from_rows(trace)
+
+    def test_threshold_detection(self, box2d):
+        mesh = build_mesh(box2d, 8)
+        g = np.full(mesh.n_cells, 1.0)
+        cfg = SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
+                           gamma1=0.0, gamma2=0.0, g1=g, g2=g, t_end=1.0,
+                           sup_threshold=1e4)
+        trace = simulate(cfg)
+        # the run stops at the first row whose sup reaches the threshold
+        sups = trace.tail[1]
+        assert sups[-2] < 1e4 <= sups[-1]
+        assert_flat_blowup_from_rows(trace)
 
     def test_blowup_estimate_bracketed_by_trace(self, box2d):
         mesh = build_mesh(box2d, 8)
@@ -366,12 +390,6 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match=which):
             SolverConfig(mesh=mesh2d, nl=zero_reaction(), g1=g, g2=g, t_end=1.0,
                          **gammas)
-
-    def test_sample_stride_at_least_one(self, mesh2d):
-        g = np.ones(mesh2d.n_cells)
-        with pytest.raises(ValueError, match="sample_stride"):
-            SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
-                         g1=g, g2=g, t_end=1.0, sample_stride=0)
 
 
 class TestEstimateBlowupTime:
