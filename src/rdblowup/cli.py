@@ -9,7 +9,8 @@ A config is checked in full before any command runs: `Experiment` builds the
 mesh, the nonlinearity, the initial data and, for a box, the `SolverConfig`,
 and the library code that builds each one checks its values, so a bad value
 exits 2 on every command, as does a `[solver]` key it does not know.  A ball
-domain takes constant initial data only.
+domain takes constant initial data only; its `[solver]` values, which no
+command uses, are checked by the rules `SolverConfig` applies.
 
 Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
 2 config error, 3 numerical failure.
@@ -44,7 +45,13 @@ from .fields import make_field
 from .functionals import ENERGY_SAMPLE_COLUMNS, check_trace_monitors
 from .geometry import BOX, DomainSpec, build_mesh, require_gamma
 from .oracle import ode_reduce
-from .solver import OUTCOME_STEP_UNDERFLOW, SolverConfig, simulate
+from .solver import (
+    OUTCOME_STEP_UNDERFLOW,
+    STEP_OPTIONS,
+    SolverConfig,
+    require_step_options,
+    simulate,
+)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -60,10 +67,6 @@ def _ints(text):
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-# the [solver] keys a config may set, all floats; SolverConfig holds the
-# defaults of every key but t_end
-_SOLVER_KEYS = ("t_end", "dt_init", "dt_min", "dt_max", "rel_tol", "abs_tol",
-                "sup_threshold")
 _OPTIONAL_SECTIONS = ("initial_data", "robin", "hypothesis", "solver", "outputs")
 
 
@@ -91,9 +94,13 @@ class Experiment:
                 cfg.add_section(name)
         self.out_dir = cfg["outputs"].get("directory", "out")
         sol = cfg["solver"]
-        unknown = sorted(set(sol) - set(_SOLVER_KEYS))
+        # the [solver] keys, all floats; SolverConfig holds the defaults of
+        # every key but t_end
+        unknown = sorted(set(sol) - set(STEP_OPTIONS))
         if unknown:
-            raise ConfigError(f"unknown [solver] keys {unknown}; accepted: {list(_SOLVER_KEYS)}")
+            raise ConfigError(f"unknown [solver] keys {unknown}; accepted: {list(STEP_OPTIONS)}")
+        options = {key: float(sol[key]) for key in STEP_OPTIONS if key in sol}
+        options.setdefault("t_end", 1.0)
 
         nls = cfg["nonlinearity"]
         family = nls["family"]
@@ -139,6 +146,7 @@ class Experiment:
                                                     and math.isfinite(self.c2)):
                 raise ConfigError(f"a ball takes finite constant initial data only, got "
                                   f"kind {self.init_kind!r}, c1 {self.c1:g}, c2 {self.c2:g}")
+            require_step_options(**options)
             self.mesh = self.solver = None
             self.g1, self.g2 = self.c1, self.c2
             return
@@ -152,8 +160,6 @@ class Experiment:
                          "amplitude": init.getfloat("amplitude", 0.0),
                          "width": init.getfloat("width", 1.0)})
         g2 = make_field(self.mesh, "constant", {"c": self.c2})
-        options = {key: float(sol[key]) for key in _SOLVER_KEYS if key in sol}
-        options.setdefault("t_end", 1.0)
         if self.alpha is not None:
             options["alpha"] = self.alpha
         self.solver = SolverConfig(mesh=self.mesh, nl=self.nl, gamma1=self.gamma1,
@@ -271,6 +277,7 @@ def _simulation_block(exp: Experiment, trace):
         "outcome": trace.outcome,
         "n_steps": trace.n_steps,
         "n_rejected": trace.n_rejected,
+        "steps_by_pair": trace.steps_by_pair,
         "clamp_count": trace.clamp_count,
         "u_crossed": trace.u_crossed,
         "v_crossed": trace.v_crossed,

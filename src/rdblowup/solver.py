@@ -7,17 +7,34 @@ condition through ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h)
 (second order at the face, Neumann reflection at gamma = 0).  Both `rhs` and
 `simulate` apply this one operator: one DIA matvec per component.
 
-Time: explicit embedded Bogacki-Shampine 3(2) pair with PI step control and
-a diffusion stability cap dt <= 0.8 * 2.5127 / (4 sum_a h_a^-2).  BS3 advances
-its third-order solution, so on a linear mode y' = lam y it multiplies y by
-R(z) = 1 + z + z^2/2 + z^3/6, z = dt lam; R increases on the real axis and
-reaches -1 at z = -2.5127.  By Gershgorin, every eigenvalue of the Robin
-Laplacian lies in [-4 sum_a h_a^-2, 0] for any gamma >= 0: each boundary face
-removes 2/h_a^2 from its row's absolute sum and the Robin diagonal adds back
-(1 - g)/h_a^2 < 2/h_a^2, as g lies in (-1, 1].  The operator is symmetric,
-so at the cap every mode has R in [-0.344, 1] and none grows, whatever the
-data.  Reaction stiffness is left to the error controller.  Steps run in a
-`StepWork` of stage buffers allocated once per run.
+Time: two explicit embedded Runge-Kutta pairs with first-same-as-last stages,
+Bogacki-Shampine 3(2) (BS3: 3 new rhs evaluations a step) and Dormand-Prince
+5(4) (DP5: 6), written as Butcher tableaux (`Pair`) that one `step` runs, in a
+`StepWork` of stage rows allocated once per run.  Each pair advances its
+higher-order solution; on a linear mode y' = lam y a step multiplies y by its
+stability polynomial R(z), z = dt lam, and |R| <= 1 on the real interval
+[-2.5127, 0] for BS3 (R = -1 at the end) and [-3.30657, 0] for DP5 (R = +1).
+By Gershgorin, every eigenvalue of the Robin Laplacian lies in
+[-4 sum_a h_a^-2, 0] for any gamma >= 0: each boundary face removes 2/h_a^2
+from its row's absolute sum and the Robin diagonal adds back
+(1 - g)/h_a^2 < 2/h_a^2, as g lies in (-1, 1].  So each pair's diffusion cap
+is dt <= 0.8 * interval / (4 sum_a h_a^-2).  The operator is symmetric, so at
+the cap every mode has R in [-0.344, 1] under BS3 and in [0.173, 1] under
+DP5, and none grows, whatever the data.  Reaction stiffness is left to the
+error controller, a PI controller with exponents 0.7/q and 0.4/q for a pair of
+order q (1/q after a rejection).
+
+Pair choice: DP5 takes every step whose size accuracy sets, which is where
+its higher order pays.  A step held at a cap is cheaper with BS3, which pays
+3 rhs evaluations per 2.5127 units of stability where DP5 pays 6 per 3.30657.
+So after an accepted DP5 step whose proposed dt reaches BS3's cap, its stages
+predict BS3's error estimate there: weights w on the seven stages match BS3's
+error weights on every tree of order <= 3, so dt sum_i w_i k_i is BS3's
+estimate up to O(dt^4), and that estimate scales as dt^3.  If the prediction
+at the cap is <= 0.9^3, BS3's controller would keep the cap, and the next step
+is BS3 at its cap.  BS3 stays while its own proposal stays at or above its
+cap; otherwise, or after any rejected BS3 step, DP5 takes over again.  The PI
+history restarts at each change of pair.
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  Blow-up is
@@ -25,7 +42,8 @@ detected by a sup-norm threshold, or by the step-underflow fallback, and the
 blow-up time extrapolated from a power-law fit of the rows' (t, sup) tail.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -42,13 +60,66 @@ OUTCOME_STEP_UNDERFLOW = "step_underflow"
 THETA_CANDIDATES = (0.5, 1.0, 1.5, 2.0)
 
 _SAFETY = 0.9
-_PI_KP = 0.4 / 3.0
-_PI_KI = 0.7 / 3.0
+# PI exponents over the order q of the pair (Gustafsson's 0.7/q, 0.4/q)
+_PI_KP = 0.4
+_PI_KI = 0.7
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
-
-# R(-2.5127) = -1 ends BS3's real stability interval (module docstring)
-_BS3_REAL_STABILITY = 2.5127
 _CAP_SAFETY = 0.8
+
+
+@dataclass(frozen=True, eq=False)
+class Pair:
+    """An explicit embedded Runge-Kutta pair whose last stage is first-same-as-last.
+
+    `a` is the strictly lower (s, s) stage matrix; its last row is the weight
+    vector b of the advanced solution, so the last stage is f(y_new).  `e` is
+    b - b_hat, so dt * sum_i e_i k_i estimates the error.  `order` is the
+    order q of the advanced solution and `real_stability` the length of its
+    real stability interval: |R(z)| <= 1 for z in [-real_stability, 0].
+    """
+
+    name: str
+    a: np.ndarray
+    e: np.ndarray
+    order: int
+    real_stability: float
+
+    @property
+    def stages(self) -> int:
+        return len(self.e)
+
+
+def _stage_matrix(rows):
+    a = np.zeros((len(rows) + 1, len(rows) + 1))
+    for i, row in enumerate(rows, start=1):
+        a[i, :i] = row
+    return a
+
+
+# Bogacki & Shampine (1989); R(-2.5127) = -1
+BS3 = Pair("bs3", _stage_matrix([[1 / 2], [0, 3 / 4], [2 / 9, 1 / 3, 4 / 9]]),
+           e=np.array([2 / 9 - 7 / 24, 1 / 3 - 1 / 4, 4 / 9 - 1 / 3, -1 / 8]),
+           order=3, real_stability=2.5127)
+# Dormand & Prince (1980); R(-3.30657) = +1
+DP5 = Pair("dp5", _stage_matrix([
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]]),
+    e=np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]),
+    order=5, real_stability=3.30657)
+PAIRS = (BS3, DP5)
+
+
+# Weights w on DP5's stages with BS3's error weights' elementary weights on
+# the trees of order <= 3: sum w = 0, sum w c = 0, sum w c^2/2 = -1/48 and
+# sum w Ac = -1/48, for DP5's nodes c.  So dt * sum_i w_i k_i equals BS3's
+# error estimate up to O(dt^4) without taking a BS3 step.  These are the
+# least-norm solution of the four conditions.
+_BS3_ERR_FROM_DP5 = np.array([-2941755 / 28429324, 0, 1681485 / 14214662, 2477655 / 28429324,
+                              829305 / 28429324, -338925 / 5168968, -338925 / 5168968])
 
 
 @dataclass
@@ -71,10 +142,7 @@ class SolverConfig:
     p: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.dt_min < self.dt_init <= self.dt_max):
-            raise ValueError("need dt_min < dt_init <= dt_max")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        require_step_options(**{name: getattr(self, name) for name in STEP_OPTIONS})
         require_gamma(self.gamma1, "gamma1")
         require_gamma(self.gamma2, "gamma2")
         g1 = np.asarray(self.g1, dtype=float).ravel()
@@ -87,6 +155,27 @@ class SolverConfig:
         if self.sup_threshold <= max(np.max(np.abs(g1)), np.max(np.abs(g2))):
             raise ValueError("sup_threshold must exceed the initial sup-norms")
         self.g1, self.g2 = g1, g2
+
+
+# the scalar options of SolverConfig, which `require_step_options` checks
+STEP_OPTIONS = ("t_end", "dt_init", "dt_min", "dt_max", "rel_tol", "abs_tol", "sup_threshold")
+
+
+def require_step_options(t_end: float, **options) -> None:
+    """Check SolverConfig's scalar options, raising ValueError; those not
+    given take SolverConfig's defaults."""
+    o = {f.name: f.default for f in fields(SolverConfig) if f.name in STEP_OPTIONS[1:]}
+    o.update(options)
+    if not (o["dt_min"] < o["dt_init"] <= o["dt_max"]):
+        raise ValueError("need dt_min < dt_init <= dt_max")
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
+    rel_tol, abs_tol = o["rel_tol"], o["abs_tol"]
+    if not (0 <= rel_tol < math.inf and 0 <= abs_tol < math.inf) or rel_tol == abs_tol == 0:
+        raise ValueError(f"rel_tol and abs_tol must be finite and >= 0, not both 0; "
+                         f"got {rel_tol:g} and {abs_tol:g}")
+    if not math.isfinite(o["sup_threshold"]):
+        raise ValueError(f"sup_threshold must be finite, got {o['sup_threshold']:g}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +194,19 @@ class SolveTrace:
     u_crossed: bool = False
     v_crossed: bool = False
     clamp_count: int = 0
-    n_rejected: int = 0
+    # {pair name: {"accepted": count, "rejected": count}}
+    steps_by_pair: dict = field(default_factory=dict)
     final_fields: Optional[FieldPair] = None
 
     @property
     def n_steps(self) -> int:
         """Accepted steps."""
         return len(self.samples) - 1
+
+    @property
+    def n_rejected(self) -> int:
+        """Rejected steps, of every pair."""
+        return sum(counts["rejected"] for counts in self.steps_by_pair.values())
 
     @property
     def tail(self):
@@ -149,78 +244,107 @@ def rhs(fields: FieldPair, mesh: Mesh, nl: Nonlinearity,
 
 
 class StepWork:
-    """Stage buffers of `step`, allocated once and reused on every step.
+    """Stage derivatives and states of `step`, allocated once per run.
 
-    `simulate` owns one per run; after an accepted step it swaps its state
-    with `y_new` and its FSAL derivative with `k4`, so nothing is copied.
+    `K` holds one row per stage of the largest pair.  A step reads k1 from
+    one end of `K`, writes its inner stages next to it and the FSAL
+    derivative f(y_new) at the other end.  `accept` then swaps which end is
+    k1, so f(y_new) becomes the next step's k1 without a copy, and swaps the
+    caller's state with `y_new`.  `row(i)` and `combine` read the rows in
+    stage order, whichever end is first.
     """
 
-    __slots__ = ("k2", "k3", "k4", "y_new", "stage", "term")
+    __slots__ = ("K", "flipped", "y_new", "err", "scale")
 
-    def __init__(self, size: int):
-        for name in self.__slots__:
-            setattr(self, name, np.empty(size))
+    def __init__(self, y: np.ndarray, rhs_vec):
+        """Allocate for states like `y` and evaluate k1 = f(y) in place."""
+        self.K = np.empty((max(pair.stages for pair in PAIRS), y.size))
+        self.flipped = False
+        self.y_new, self.err, self.scale = (np.empty(y.size) for _ in range(3))
+        rhs_vec(y, self.K[0])
+
+    def row(self, i: int) -> np.ndarray:
+        """The row of stage i; row(-1), the other end, holds f(y_new)."""
+        return self.K[-1 - i] if self.flipped else self.K[i]
+
+    def combine(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = sum_i weights[i] * stage i, over the first len(weights) stages."""
+        i = len(weights)
+        if self.flipped:
+            return np.dot(weights[::-1], self.K[len(self.K) - i:], out=out)
+        return np.dot(weights, self.K[:i], out=out)
+
+    def accept(self, y: np.ndarray) -> np.ndarray:
+        """Take the step just made from `y`: return its y_new and keep `y`
+        as the buffer of the next y_new."""
+        self.flipped = not self.flipped
+        y_new, self.y_new = self.y_new, y
+        return y_new
+
+
+def _err_norm(err: np.ndarray, y, y_new, rel_tol, abs_tol, work: StepWork) -> float:
+    """RMS of err / (abs_tol + rel_tol * max(|y|, |y_new|)); overwrites `err`."""
+    # -max(|y|, |y_new|) = min(-max(|y|, y_new), y_new), built in one buffer
+    scale = np.abs(y, out=work.scale)
+    np.maximum(scale, y_new, out=scale)
+    np.negative(scale, out=scale)
+    np.minimum(scale, y_new, out=scale)
+    scale *= -rel_tol
+    scale += abs_tol
+    err /= scale
+    return float(np.sqrt(np.dot(err, err) / err.size))
 
 
 def step(y: np.ndarray, dt: float, rhs_vec, rel_tol: float, abs_tol: float,
-         work: StepWork, k1: Optional[np.ndarray] = None):
-    """One Bogacki-Shampine 3(2) step in the stage buffers of `work`.
+         work: StepWork, pair: Pair = DP5):
+    """One step of `pair` from y, whose derivative `work.row(0)` holds.
 
     rhs_vec(y, out) writes the derivative at y into `out` and returns it.
-    Returns (y_new, err_norm, k_last), where y_new and k_last are `work.y_new`
-    and `work.k4`, so y must not be `work.y_new`.  err_norm is inf on overflow
-    so the caller halves dt.  k_last is the FSAL derivative at y_new,
-    reusable as k1 of the next accepted step.
+    Returns (y_new, err_norm, k_last), where y_new is `work.y_new` and k_last
+    the FSAL derivative f(y_new) in `work.row(-1)`, so y must not be
+    `work.y_new`.  err_norm is inf on overflow, with k_last None, so the
+    caller shrinks dt.  The stages stay in `work` until the next step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if k1 is None:
-        k1 = rhs_vec(y, np.empty(y.size))
-    k2, k3, k4, y_new, stage, term = (work.k2, work.k3, work.k4, work.y_new,
-                                      work.stage, work.term)
-    np.multiply(k1, dt * 0.5, out=stage)
-    stage += y
-    rhs_vec(stage, k2)
-    np.multiply(k2, dt * 0.75, out=stage)
-    stage += y
-    rhs_vec(stage, k3)
-    # y_new = y + dt * (2/9 k1 + 1/3 k2 + 4/9 k3)
-    np.multiply(k1, 2.0 / 9.0, out=y_new)
-    np.multiply(k2, 1.0 / 3.0, out=term)
-    y_new += term
-    np.multiply(k3, 4.0 / 9.0, out=term)
-    y_new += term
-    y_new *= dt
+    s, a, y_new, err = pair.stages, pair.a, work.y_new, work.err
+    # the inner stages' arguments are built in y_new, which is written last
+    for i in range(1, s - 1):
+        work.combine(a[i, :i] * dt, y_new)
+        y_new += y
+        rhs_vec(y_new, work.row(i))
+    work.combine(a[s - 1, :s - 1] * dt, y_new)
     y_new += y
     if not np.all(np.isfinite(y_new)):
         return y, float("inf"), None
-    rhs_vec(y_new, k4)
-    if not np.all(np.isfinite(k4)):
+    k_last = rhs_vec(y_new, work.row(-1))
+    if not np.all(np.isfinite(k_last)):
         return y, float("inf"), None
-    # y_low = y + dt * (7/24 k1 + 1/4 k2 + 1/3 k3 + 1/8 k4), in `stage`
-    np.multiply(k1, 7.0 / 24.0, out=stage)
-    for c, k in ((0.25, k2), (1.0 / 3.0, k3), (0.125, k4)):
-        np.multiply(k, c, out=term)
-        stage += term
-    stage *= dt
-    stage += y
-    # scale = abs_tol + rel_tol * max(|y|, |y_new|), in `term`; k3 is spent
-    np.abs(y, out=term)
-    np.abs(y_new, out=k3)
-    np.maximum(term, k3, out=term)
-    term *= rel_tol
-    term += abs_tol
-    np.subtract(y_new, stage, out=stage)
-    stage /= term
-    np.square(stage, out=stage)
-    err = float(np.sqrt(np.mean(stage)))
-    return y_new, err, k4
+    # y_new - y_low = dt * sum_i e_i k_i; f(y_new) is at the far end of the
+    # rows, apart from the others when the pair has fewer stages than rows
+    work.combine(pair.e[:-1] * dt, err)
+    err += np.multiply(k_last, pair.e[-1] * dt, out=work.scale)
+    return y_new, _err_norm(err, y, y_new, rel_tol, abs_tol, work), k_last
 
 
-def _diffusion_cap(mesh: Mesh) -> float:
-    """Largest dt `simulate` takes: 0.8 of BS3's real stability interval over
-    the Gershgorin bound 4 sum_a h_a^-2 on the Robin Laplacian's spectrum."""
-    return _CAP_SAFETY * _BS3_REAL_STABILITY / (4.0 * sum(ha ** -2 for ha in mesh.h))
+def _predicted_bs3_err(work: StepWork, y, y_new, dt: float, dt_bs3: float,
+                       rel_tol: float, abs_tol: float) -> float:
+    """BS3's error norm for a step of dt_bs3 from y, predicted from the
+    stages of the DP5 step of dt from y to y_new still held in `work`.
+
+    dt * sum_i w_i k_i is BS3's estimate at dt up to O(dt^4), and that
+    estimate is O(dt^3), so the norm is scaled by (dt_bs3 / dt)^3.
+    """
+    err = _err_norm(work.combine(_BS3_ERR_FROM_DP5 * dt, work.err), y, y_new,
+                    rel_tol, abs_tol, work)
+    return err * (dt_bs3 / dt) ** 3
+
+
+def _diffusion_cap(mesh: Mesh, pair: Pair = BS3) -> float:
+    """Largest dt `simulate` takes with `pair`: 0.8 of its real stability
+    interval over the Gershgorin bound 4 sum_a h_a^-2 on the Robin
+    Laplacian's spectrum."""
+    return _CAP_SAFETY * pair.real_stability / (4.0 * sum(ha ** -2 for ha in mesh.h))
 
 
 def simulate(config: SolverConfig) -> SolveTrace:
@@ -239,10 +363,14 @@ def simulate(config: SolverConfig) -> SolveTrace:
             return out
         return _rhs_into(out, yy[:n], yy[n:], lap, robin1, robin2, nl)
 
-    work = StepWork(y.size)
-    dt_cap = _diffusion_cap(mesh)
+    work = StepWork(y, rhs_vec)
+    if not np.all(np.isfinite(work.row(0))):
+        raise NonFiniteField("initial right-hand side is not finite")
+    caps = {pair: _diffusion_cap(mesh, pair) for pair in PAIRS}
+    steps_by_pair = {pair.name: {"accepted": 0, "rejected": 0} for pair in PAIRS}
     t = 0.0
-    dt = min(config.dt_init, dt_cap, config.dt_max)
+    pair = DP5
+    dt = min(config.dt_init, caps[pair], config.dt_max)
     samples: list[EnergySample] = []
     clamp_count = 0
 
@@ -261,36 +389,43 @@ def simulate(config: SolverConfig) -> SolveTrace:
         return max(row.sup_u, row.sup_v)
 
     initial_sup = record(dt)
-
-    k1 = rhs_vec(y, np.empty(y.size))
-    if not np.all(np.isfinite(k1)):
-        raise NonFiniteField("initial right-hand side is not finite")
     err_prev = 1.0
-    rejected = 0
     outcome = OUTCOME_REACHED_T_END
 
     while t < config.t_end:
-        dt = min(dt, dt_cap, config.dt_max, config.t_end - t)
-        y_new, err, k_last = step(y, dt, rhs_vec, config.rel_tol, config.abs_tol,
-                                  work, k1=k1)
+        dt = min(dt, caps[pair], config.dt_max, config.t_end - t)
+        y_new, err, _ = step(y, dt, rhs_vec, config.rel_tol, config.abs_tol, work, pair)
+        counts = steps_by_pair[pair.name]
         if not np.isfinite(err) or err > 1.0:
-            rejected += 1
+            counts["rejected"] += 1
             if np.isfinite(err):
-                dt *= max(0.1, _SAFETY * err ** (-1.0 / 3.0))
+                dt *= max(0.1, _SAFETY * err ** (-1.0 / pair.order))
             else:
                 dt *= 0.5
+            if pair is BS3:
+                pair, err_prev = DP5, 1.0
             if dt < config.dt_min:
                 outcome = OUTCOME_STEP_UNDERFLOW
                 break
             continue
-        t += dt
-        y, work.y_new = y_new, y
-        k1, work.k4 = k_last, k1
-        sup = record(dt)
+        counts["accepted"] += 1
         # PI step-size controller
-        fac = _SAFETY * max(err, 1e-12) ** (-_PI_KI) * max(err_prev, 1e-12) ** _PI_KP
-        dt *= min(_FAC_MAX, max(_FAC_MIN, fac))
+        fac = (_SAFETY * max(err, 1e-12) ** (-_PI_KI / pair.order)
+               * max(err_prev, 1e-12) ** (_PI_KP / pair.order))
+        dt_next = dt * min(_FAC_MAX, max(_FAC_MIN, fac))
         err_prev = max(err, 1e-12)
+        # a step held at BS3's cap is cheaper with BS3 when BS3 is accurate
+        # there (module docstring)
+        if pair is BS3 and dt_next < caps[BS3]:
+            pair, err_prev = DP5, 1.0
+        elif pair is DP5 and dt_next >= caps[BS3] and _predicted_bs3_err(
+                work, y, y_new, dt, caps[BS3], config.rel_tol,
+                config.abs_tol) <= _SAFETY ** 3:
+            pair, err_prev = BS3, 1.0
+        t += dt
+        y = work.accept(y)
+        sup = record(dt)
+        dt = dt_next
         if dt < config.dt_min:
             outcome = OUTCOME_STEP_UNDERFLOW
             break
@@ -319,7 +454,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         samples=samples, outcome=outcome, blowup_estimate=estimate,
         u_crossed=estimate is not None and last.sup_u >= level,
         v_crossed=estimate is not None and last.sup_v >= level,
-        clamp_count=clamp_count, n_rejected=rejected,
+        clamp_count=clamp_count, steps_by_pair=steps_by_pair,
         final_fields=FieldPair(u=y[:n], v=y[n:], t=t),
     )
 

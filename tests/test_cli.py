@@ -170,6 +170,10 @@ class TestSimulate:
         sim = report["simulation"]
         assert sim["outcome"] == "blowup_detected"
         assert sim["blowup_estimate"]["t"] == pytest.approx(0.25, abs=1e-3)
+        by_pair = sim["steps_by_pair"]
+        assert sorted(by_pair) == ["bs3", "dp5"]
+        assert sum(c["accepted"] for c in by_pair.values()) == sim["n_steps"]
+        assert sum(c["rejected"] for c in by_pair.values()) == sim["n_rejected"]
 
     def test_trace_csv_has_header_and_rows(self, tmp_path):
         cfg = write_config(tmp_path, BLOWUP_BOX)
@@ -293,6 +297,17 @@ class TestConfigErrors:
         ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
                    "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
                    "c1 = 1.0", "c1 = nan")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\nrel_tol = nan")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\nrel_tol = -1")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\nabs_tol = -1e-3")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\nrel_tol = 0\nabs_tol = 0")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\nsup_threshold = nan")),
+        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
+                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
+                   "t_end = 1.0", "t_end = -5")),
+        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
+                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
+                   "t_end = 1.0", "t_end = 1.0\nrel_tol = nan")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
             "power_product_without_b_exp", "unknown_key_sample_stride",
             "simulate_solver_key_typo", "t_end_zero",
@@ -302,7 +317,9 @@ class TestConfigErrors:
             "cells_per_axis_two", "a_exp_below_one", "c1_nan", "c2_inf",
             "ball_gaussian_data", "check_t_end_zero", "check_unknown_key_sample_stride",
             "check_solver_key_typo", "ball_solver_key_typo",
-            "gaussian_amplitude_nan", "ball_c1_nan"])
+            "gaussian_amplitude_nan", "ball_c1_nan", "rel_tol_nan", "rel_tol_negative",
+            "abs_tol_negative", "both_tolerances_zero", "sup_threshold_nan",
+            "ball_t_end_negative", "ball_rel_tol_nan"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
         # edit holds (old, new) pairs, applied in turn

@@ -9,13 +9,17 @@ from rdblowup.functionals import FieldPair, energy_E
 from rdblowup.geometry import DomainSpec, build_mesh, interior_integral
 from rdblowup.nonlinearity import make_power_product
 from rdblowup.solver import (
+    BS3,
+    DP5,
     OUTCOME_BLOWUP,
     OUTCOME_REACHED_T_END,
     BlowupEstimate,
     SolverConfig,
     SolveTrace,
     StepWork,
+    _BS3_ERR_FROM_DP5,
     _diffusion_cap,
+    _predicted_bs3_err,
     estimate_blowup_time,
     rhs,
     simulate,
@@ -83,48 +87,69 @@ def decay(y, out):
 class TestStep:
     def test_linear_decay_accuracy(self):
         # y' = -y from 1: many small accepted steps land near e^{-t}
-        y, work = np.array([1.0]), StepWork(1)
+        y = np.array([1.0])
+        work = StepWork(y, decay)
         t, dt = 0.0, 1e-3
         while t < 1.0:
             dt = min(dt, 1.0 - t)
-            y_new, err, _ = step(y, dt, decay, 1e-10, 1e-12, work)
-            y = y_new.copy()
+            _, err, _ = step(y, dt, decay, 1e-10, 1e-12, work)
             assert err <= 1.0
+            y = work.accept(y)
             t += dt
         assert y[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_rejects_nonpositive_dt(self):
+        y = np.array([1.0])
         with pytest.raises(ValueError):
-            step(np.array([1.0]), 0.0, decay, 1e-8, 1e-10, StepWork(1))
+            step(y, 0.0, decay, 1e-8, 1e-10, StepWork(y, decay))
 
     def test_overflow_returns_inf_error(self):
         def rhs_vec(y, out):
             return np.power(y, 10, out=out)
-        with np.errstate(over="ignore"):
-            y_new, err, k = step(np.array([1e30]), 1.0, rhs_vec, 1e-8, 1e-10, StepWork(1))
+        y = np.array([1e30])
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_new, err, k = step(y, 1.0, rhs_vec, 1e-8, 1e-10, StepWork(y, rhs_vec))
         assert err == float("inf") and k is None
         assert y_new[0] == 1e30  # untouched
 
     def test_large_step_reports_large_error(self):
         # a huge step on y' = -y must produce err > 1 so the driver rejects
-        _, err, _ = step(np.array([1.0]), 50.0, decay, 1e-8, 1e-10, StepWork(1))
+        y = np.array([1.0])
+        _, err, _ = step(y, 50.0, decay, 1e-8, 1e-10, StepWork(y, decay))
         assert err > 1.0
 
 
-def bs3_reference(y, dt, rhs_new, rel_tol, abs_tol, k1):
-    """The Bogacki-Shampine step as written before it had a workspace."""
-    k2 = rhs_new(y + dt * 0.5 * k1)
-    k3 = rhs_new(y + dt * 0.75 * k2)
-    y_new = y + dt * (2.0 / 9.0 * k1 + 1.0 / 3.0 * k2 + 4.0 / 9.0 * k3)
+# (stage rows, whose last row is b, and b_hat) as published: Bogacki &
+# Shampine (1989) and Dormand & Prince (1980)
+TABLEAUX = {
+    "bs3": ([[1 / 2], [0, 3 / 4], [2 / 9, 1 / 3, 4 / 9]],
+            [7 / 24, 1 / 4, 1 / 3, 1 / 8]),
+    "dp5": ([[1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+             [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+             [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+             [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]],
+            [5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200,
+             187 / 2100, 1 / 40]),
+}
+PAIR = {"bs3": BS3, "dp5": DP5}
+
+
+def reference_step(name, y, dt, rhs_new, rel_tol, abs_tol, k1):
+    """An embedded FSAL step written out stage by stage."""
+    rows, b_hat = TABLEAUX[name]
+    ks = [k1]
+    for row in rows[:-1]:
+        ks.append(rhs_new(y + dt * sum(c * k for c, k in zip(row, ks))))
+    y_new = y + dt * sum(c * k for c, k in zip(rows[-1], ks))
     if not np.all(np.isfinite(y_new)):
         return y, float("inf"), None
-    k4 = rhs_new(y_new)
-    if not np.all(np.isfinite(k4)):
+    ks.append(rhs_new(y_new))
+    if not np.all(np.isfinite(ks[-1])):
         return y, float("inf"), None
-    y_low = y + dt * (7.0 / 24.0 * k1 + 0.25 * k2 + 1.0 / 3.0 * k3 + 0.125 * k4)
+    y_low = y + dt * sum(c * k for c, k in zip(b_hat, ks))
     scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
     err = float(np.sqrt(np.mean(((y_new - y_low) / scale) ** 2)))
-    return y_new, err, k4
+    return y_new, err, ks[-1]
 
 
 def guarded_rhs(mesh, nl, gamma):
@@ -144,30 +169,86 @@ def guarded_rhs(mesh, nl, gamma):
 
 
 class TestStepWorkspace:
+    @pytest.mark.parametrize("before", [None, "bs3", "dp5"],
+                             ids=["fresh", "after_bs3", "after_dp5"])
     @pytest.mark.parametrize("amplitude, dt", [(1.0, 2e-3), (1e100, 1.0)],
                              ids=["accepted", "non_finite"])
-    def test_bit_identical_to_reference(self, mesh3d, amplitude, dt):
+    @pytest.mark.parametrize("name", ["bs3", "dp5"])
+    def test_matches_stage_by_stage_reference(self, mesh3d, name, amplitude, dt, before):
         nl = make_power_product(1.0, 2.0, 2.0)
         rhs_vec = guarded_rhs(mesh3d, nl, 0.5)
         rng = np.random.default_rng(4)
         y = amplitude * rng.uniform(0.5, 1.5, 2 * mesh3d.n_cells)
-        # dt makes the increment comparable to y, so a change in the order
-        # of any product or sum shows in the last bits of y_new
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs_vec(y, np.empty_like(y))
-            ref = bs3_reference(y, dt, lambda yy: rhs_vec(yy, np.empty_like(yy)),
-                                1e-4, 1e-6, k1)
-            got = step(y, dt, rhs_vec, 1e-4, 1e-6, StepWork(y.size), k1=k1)
+            work = StepWork(y, rhs_vec)
+            if before is not None:
+                # an accepted step of either pair moves k1 to the other end
+                # of the stage rows and leaves its own stages in the rest
+                step(y, 1e-3, rhs_vec, 1.0, 1.0, work, PAIR[before])
+                work.accept(y.copy())
+                rhs_vec(y, work.row(0))
+            ref = reference_step(name, y, dt, lambda yy: rhs_vec(yy, np.empty_like(yy)),
+                                 1e-4, 1e-6, work.row(0).copy())
+            got = step(y, dt, rhs_vec, 1e-4, 1e-6, work, PAIR[name])
         if amplitude > 1.0:
             assert ref[1] == float("inf")
-        else:
-            assert 0.0 < ref[1] <= 1.0
-        assert np.array_equal(got[0], ref[0])
-        assert got[1] == ref[1]
-        if ref[2] is None:
-            assert got[2] is None
-        else:
-            assert np.array_equal(got[2], ref[2])
+            assert got[0] is y and got[1] == float("inf") and got[2] is None
+            return
+        assert 0.0 < ref[1] <= 1.0
+        # relative to the max-norm: the Laplacian makes some entries of the
+        # FSAL row small differences of large ones
+        for got_row, ref_row in ((got[0], ref[0]), (got[2], ref[2])):
+            assert np.max(np.abs(got_row - ref_row)) <= 1e-14 * np.max(np.abs(ref_row))
+        assert got[1] == pytest.approx(ref[1], rel=1e-12)
+
+
+def integrate(pair, rhs_vec, y0, t_end, n_steps):
+    """Fixed steps of `pair` from y0; tolerances loose enough to be ignored."""
+    y = np.array([y0])
+    work = StepWork(y, rhs_vec)
+    for _ in range(n_steps):
+        step(y, t_end / n_steps, rhs_vec, 1e6, 1e6, work, pair)
+        y = work.accept(y)
+    return y[0]
+
+
+class TestPairs:
+    @pytest.mark.parametrize("rhs_vec, t_end, exact", [
+        (decay, 1.0, math.exp(-1.0)),
+        (lambda y, out: np.square(y, out=out), 0.5, 2.0),
+    ], ids=["linear", "quadratic"])
+    @pytest.mark.parametrize("name", ["bs3", "dp5"])
+    def test_observed_order(self, name, rhs_vec, t_end, exact):
+        # 4 and 8 steps from y = 1: on y' = y^2 one DP5 step errs by
+        # 2h^6/405 - 0.11h^7, so finer steps reach the cancellation of the two
+        pair = PAIR[name]
+        errs = [abs(integrate(pair, rhs_vec, 1.0, t_end, m) - exact) for m in (4, 8)]
+        assert math.log2(errs[0] / errs[1]) == pytest.approx(pair.order, abs=0.4)
+
+    def test_predictor_weights_meet_bs3_error_conditions(self):
+        # the elementary weights of the trees of order <= 3 (1, c, c^2/2, Ac)
+        # of BS3's error weights: 0, 0, -1/48, -1/48
+        rows, _ = TABLEAUX["dp5"]
+        A = np.zeros((7, 7))
+        for i, row in enumerate(rows, start=1):
+            A[i, :i] = row
+        c = A.sum(axis=1)
+        w = _BS3_ERR_FROM_DP5
+        got = [w.sum(), w @ c, w @ (c * c) / 2, w @ (A @ c)]
+        np.testing.assert_allclose(got, [0.0, 0.0, -1 / 48, -1 / 48], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rhs_vec", [
+        lambda y, out: np.multiply(y, -3.0, out=out),
+        lambda y, out: np.square(y, out=out),
+        lambda y, out: np.multiply(np.power(y, 3), 2.0, out=out),
+    ], ids=["minus_3y", "y_squared", "2y_cubed"])
+    def test_predicted_bs3_estimate_matches_bs3(self, rhs_vec):
+        y, h = np.array([1.0]), 1e-3
+        work = StepWork(y, rhs_vec)
+        y_new, _, _ = step(y, h, rhs_vec, 1.0, 0.0, work, DP5)
+        predicted = _predicted_bs3_err(work, y, y_new, h, h, 1.0, 0.0)
+        _, actual, _ = step(y, h, rhs_vec, 1.0, 0.0, StepWork(y, rhs_vec), BS3)
+        assert predicted == pytest.approx(actual, rel=2e-3)
 
 
 def checkerboard(mesh):
@@ -201,18 +282,77 @@ class TestDiffusionCap:
     @pytest.mark.parametrize("gamma", [0.0, 3.0])
     @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
     def test_cap_inside_bs3_stability_interval(self, spec, cells, gamma):
-        mesh = build_mesh(spec, cells)
-        bound = 4.0 * sum(ha ** -2 for ha in mesh.h)
-        A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
-        lam = np.linalg.eigvalsh(A)
-        assert lam.min() >= -bound and lam.max() <= 1e-12 * bound
+        lam, bound = robin_spectrum(spec, cells, gamma)
 
         def R(z):
             return 1.0 + z + z**2 / 2.0 + z**3 / 6.0
 
+        mesh = build_mesh(spec, cells)
         z = -_diffusion_cap(mesh) * bound
         assert abs(R(z)) <= 0.35
         assert np.all(np.abs(R(_diffusion_cap(mesh) * lam)) <= 1.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 3.0])
+    @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
+    def test_cap_inside_dp5_stability_interval(self, spec, cells, gamma):
+        lam, _ = robin_spectrum(spec, cells, gamma)
+
+        def R(z):
+            return (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0 + z**5 / 120.0
+                    + z**6 / 600.0)
+
+        r = R(_diffusion_cap(build_mesh(spec, cells), DP5) * lam)
+        assert np.all((0.173 <= r) & (r <= 1.0))
+
+
+def robin_spectrum(spec, cells, gamma):
+    """Eigenvalues of the Robin Laplacian, checked to lie in the Gershgorin
+    interval [-bound, 0], and that bound 4 sum_a h_a^-2."""
+    mesh = build_mesh(spec, cells)
+    bound = 4.0 * sum(ha ** -2 for ha in mesh.h)
+    A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+    lam = np.linalg.eigvalsh(A)
+    assert lam.min() >= -bound and lam.max() <= 1e-12 * bound
+    return lam, bound
+
+
+def robin_heat(dim, cells, lam=0.8, t_end=0.05):
+    """Heat flow of the Robin mode prod_a cos(lam x_a) on [-1, 1]^dim."""
+    mesh = build_mesh(DomainSpec("box", dim, half_extents=(1.0,) * dim), cells)
+    gamma = lam * math.tan(lam)
+    g = np.prod(np.cos(lam * mesh.cell_centers), axis=1)
+    return simulate(SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=gamma,
+                                 gamma2=gamma, g1=g, g2=g, t_end=t_end)), mesh
+
+
+class TestPairChoice:
+    def test_fine_robin_heat_steps_with_bs3_at_its_cap(self):
+        # 32^2 cells: BS3 is accurate at its cap, so it takes the cap-held steps
+        trace, mesh = robin_heat(2, 32)
+        assert trace.outcome == OUTCOME_REACHED_T_END
+        assert trace.n_rejected == 0
+        assert trace.steps_by_pair["bs3"]["accepted"] > trace.steps_by_pair["dp5"]["accepted"]
+        dts = np.array([s.dt for s in trace.samples[1:]])
+        assert np.sum(dts == _diffusion_cap(mesh, BS3)) > trace.n_steps // 2
+
+    def test_coarse_robin_heat_stays_on_dp5(self):
+        # 12^3 cells: BS3 would exceed its tolerance at its cap, so DP5 keeps
+        # the steps, held at its own cap
+        trace, mesh = robin_heat(3, 12)
+        assert trace.outcome == OUTCOME_REACHED_T_END
+        assert trace.steps_by_pair == {"bs3": {"accepted": 0, "rejected": 0},
+                                       "dp5": {"accepted": trace.n_steps, "rejected": 0}}
+        dts = np.array([s.dt for s in trace.samples[1:]])
+        assert np.max(dts) == _diffusion_cap(mesh, DP5)
+
+    def test_flat_blowup_uses_dp5_only(self, box2d):
+        mesh = build_mesh(box2d, 8)
+        g = np.full(mesh.n_cells, 1.0)
+        trace = simulate(SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
+                                      gamma1=0.0, gamma2=0.0, g1=g, g2=g, t_end=1.0))
+        assert trace.outcome == OUTCOME_BLOWUP
+        assert trace.steps_by_pair == {"bs3": {"accepted": 0, "rejected": 0},
+                                       "dp5": {"accepted": trace.n_steps, "rejected": 0}}
 
 
 class TestSimulateConservation:
@@ -381,6 +521,26 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match="t_end"):
             SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
                          g1=g, g2=g, t_end=t_end)
+
+    @pytest.mark.parametrize("options, match", [
+        ({"rel_tol": math.nan}, "rel_tol"), ({"rel_tol": -1.0}, "rel_tol"),
+        ({"abs_tol": -1e-3}, "abs_tol"), ({"abs_tol": math.inf}, "abs_tol"),
+        ({"rel_tol": 0.0, "abs_tol": 0.0}, "not both 0"),
+        ({"sup_threshold": math.nan}, "sup_threshold"),
+        ({"sup_threshold": math.inf}, "sup_threshold"),
+    ], ids=["rel_tol_nan", "rel_tol_negative", "abs_tol_negative", "abs_tol_inf",
+            "both_zero", "threshold_nan", "threshold_inf"])
+    def test_tolerances_and_threshold_must_be_usable(self, mesh2d, options, match):
+        g = np.ones(mesh2d.n_cells)
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
+                         g1=g, g2=g, t_end=1.0, **options)
+
+    def test_one_zero_tolerance_is_allowed(self, mesh2d):
+        g = np.ones(mesh2d.n_cells)
+        for options in ({"rel_tol": 0.0}, {"abs_tol": 0.0}):
+            SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
+                         g1=g, g2=g, t_end=1.0, **options)
 
     @pytest.mark.parametrize("gamma", [-1.0, -1e-300, float("nan"), float("inf")])
     @pytest.mark.parametrize("which", ["gamma1", "gamma2"])
