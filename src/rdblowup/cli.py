@@ -125,6 +125,8 @@ class Experiment:
         hyp = cfg["hypothesis"]
         self.alpha, self.p, self.k1, self.k2 = (
             hyp.getfloat(key) for key in ("alpha", "p", "k1", "k2"))
+        if self.alpha is not None:
+            nl_mod.require_alpha(self.alpha)
         self.mode = bounds_mod.require_mode(hyp.get("mode", bounds_mod.MODE_A2PRIME))
         (lo, hi), _ = nl_mod.DEFAULT_BOX
         lo, hi = hyp.getfloat("box_min", lo), hyp.getfloat("box_max", hi)

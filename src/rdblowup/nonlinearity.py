@@ -120,10 +120,11 @@ class HypothesisReport:
 
 def make_power_product(c: float, a_exp: float, b_exp: float) -> Nonlinearity:
     """F = c * u**a * v**b with partial-derivative reaction terms."""
-    if c <= 0:
-        raise BadExponent("coefficient c must be positive")
-    if a_exp < 1 or b_exp < 1:
-        raise BadExponent("exponents must be >= 1 for continuity at 0")
+    if not 0 < c < np.inf:
+        raise BadExponent(f"coefficient c must be finite and positive, got {c:g}")
+    if not (1 <= a_exp < np.inf and 1 <= b_exp < np.inf):
+        raise BadExponent(f"exponents must be finite and >= 1 for continuity at 0, "
+                          f"got {a_exp:g} and {b_exp:g}")
     a, b = float(a_exp), float(b_exp)
 
     def F(u, v):
@@ -145,8 +146,8 @@ def make_power_product(c: float, a_exp: float, b_exp: float) -> Nonlinearity:
 def make_gradient_homogeneous(c: float, alpha: float, h: ShapeFunction) -> Nonlinearity:
     """F = c * u**(2(1+alpha)) * h(v/u); the Euler identity
     u*f1 + v*f2 = 2(1+alpha)*F holds identically for this family."""
-    if alpha <= 0:
-        raise BadExponent("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise BadExponent(f"alpha must be finite and positive, got {alpha:g}")
     m = 2.0 * (1.0 + alpha)
 
     def _check_u(u):
@@ -178,10 +179,11 @@ def make_gradient_homogeneous(c: float, alpha: float, h: ShapeFunction) -> Nonli
 
 def make_absorption(p: float, q: float, r: float, s: float, a: float, b: float) -> Nonlinearity:
     """f1 = v**p - a*u**r, f2 = u**q - b*v**s; no potential exists."""
-    if min(p, q, r, s) < 1:
-        raise BadExponent("exponents must be >= 1")
-    if a <= 0 or b <= 0:
-        raise BadExponent("absorption coefficients must be positive")
+    if not all(1 <= e < np.inf for e in (p, q, r, s)):
+        raise BadExponent(f"exponents must be finite and >= 1, got {(p, q, r, s)}")
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise BadExponent(f"absorption coefficients must be finite and positive, "
+                          f"got {a:g} and {b:g}")
 
     def f1(u, v):
         return v**p - a * u**r
@@ -194,6 +196,12 @@ def make_absorption(p: float, q: float, r: float, s: float, a: float, b: float) 
         params={"p": p, "q": q, "r": r, "s": s, "a": a, "b": b},
         f1=f1, f2=f2, F=None,
     )
+
+
+def require_alpha(alpha: float):
+    """The rule for H1's alpha: finite and > 0."""
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha:g}")
 
 
 def require_sample_box(box, samples_per_axis: int):
@@ -232,6 +240,7 @@ def check_H1(nl: Nonlinearity, alpha: float, box=DEFAULT_BOX,
              samples_per_axis: int = DEFAULT_SAMPLES) -> HypothesisReport:
     """Sampled check of u*f1 + v*f2 >= 2(1+alpha)*F on the declared box."""
     nl.require_potential("check_H1")
+    require_alpha(alpha)
     U, V = _log_grid(box, samples_per_axis)
     lhs = U * nl.f1(U, V) + V * nl.f2(U, V)
     rhs = 2.0 * (1.0 + alpha) * nl.F(U, V)

@@ -10,7 +10,9 @@ condition through ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h)
 Time: two explicit embedded Runge-Kutta pairs with first-same-as-last stages,
 Bogacki-Shampine 3(2) (BS3: 3 new rhs evaluations a step) and Dormand-Prince
 5(4) (DP5: 6), written as Butcher tableaux (`Pair`) that one `step` runs, in a
-`StepWork` of stage rows allocated once per run.  Each pair advances its
+`StepWork` of stage rows allocated once per run and kept in stage order: row 0
+is always k1, and an s-stage pair writes f(y_new) into row s - 1, which
+`StepWork.accept` copies into row 0.  Each pair advances its
 higher-order solution; on a linear mode y' = lam y a step multiplies y by its
 stability polynomial R(z), z = dt lam, and |R| <= 1 on the real interval
 [-2.5127, 0] for BS3 (R = -1 at the end) and [-3.30657, 0] for DP5 (R = +1).
@@ -22,7 +24,8 @@ is dt <= 0.8 * interval / (4 sum_a h_a^-2).  The operator is symmetric, so at
 the cap every mode has R in [-0.344, 1] under BS3 and in [0.173, 1] under
 DP5, and none grows, whatever the data.  Reaction stiffness is left to the
 error controller, a PI controller with exponents 0.7/q and 0.4/q for a pair of
-order q (1/q after a rejection).
+order q (1/q after a rejection).  The first step tries dt = 1e-6; dt never
+exceeds 0.1, and a dt below 1e-14 ends the run as a step underflow.
 
 Pair choice: DP5 takes every step whose size accuracy sets, which is where
 its higher order pays.  A step held at a cap is cheaper with BS3, which pays
@@ -43,7 +46,7 @@ blow-up time extrapolated from a power-law fit of the rows' (t, sup) tail.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -65,6 +68,7 @@ _PI_KP = 0.4
 _PI_KI = 0.7
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
 _CAP_SAFETY = 0.8
+_DT_INIT, _DT_MIN, _DT_MAX = 1e-6, 1e-14, 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +135,6 @@ class SolverConfig:
     g1: np.ndarray
     g2: np.ndarray
     t_end: float
-    dt_init: float = 1e-6
-    dt_min: float = 1e-14
-    dt_max: float = 0.1
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     sup_threshold: float = 1e8
@@ -158,24 +159,21 @@ class SolverConfig:
 
 
 # the scalar options of SolverConfig, which `require_step_options` checks
-STEP_OPTIONS = ("t_end", "dt_init", "dt_min", "dt_max", "rel_tol", "abs_tol", "sup_threshold")
+STEP_OPTIONS = ("t_end", "rel_tol", "abs_tol", "sup_threshold")
 
 
-def require_step_options(t_end: float, **options) -> None:
-    """Check SolverConfig's scalar options, raising ValueError; those not
-    given take SolverConfig's defaults."""
-    o = {f.name: f.default for f in fields(SolverConfig) if f.name in STEP_OPTIONS[1:]}
-    o.update(options)
-    if not (o["dt_min"] < o["dt_init"] <= o["dt_max"]):
-        raise ValueError("need dt_min < dt_init <= dt_max")
+def require_step_options(t_end: float, rel_tol: Optional[float] = None,
+                         abs_tol: Optional[float] = None,
+                         sup_threshold: Optional[float] = None) -> None:
+    """Check the SolverConfig scalar options given, raising ValueError."""
     if not t_end > 0:
         raise ValueError("t_end must be positive")
-    rel_tol, abs_tol = o["rel_tol"], o["abs_tol"]
-    if not (0 <= rel_tol < math.inf and 0 <= abs_tol < math.inf) or rel_tol == abs_tol == 0:
+    tols = [tol for tol in (rel_tol, abs_tol) if tol is not None]
+    if not all(0 <= tol < math.inf for tol in tols) or rel_tol == abs_tol == 0:
         raise ValueError(f"rel_tol and abs_tol must be finite and >= 0, not both 0; "
-                         f"got {rel_tol:g} and {abs_tol:g}")
-    if not math.isfinite(o["sup_threshold"]):
-        raise ValueError(f"sup_threshold must be finite, got {o['sup_threshold']:g}")
+                         f"got {rel_tol} and {abs_tol}")
+    if sup_threshold is not None and not math.isfinite(sup_threshold):
+        raise ValueError(f"sup_threshold must be finite, got {sup_threshold:g}")
 
 
 @dataclass(frozen=True)
@@ -246,38 +244,29 @@ def rhs(fields: FieldPair, mesh: Mesh, nl: Nonlinearity,
 class StepWork:
     """Stage derivatives and states of `step`, allocated once per run.
 
-    `K` holds one row per stage of the largest pair.  A step reads k1 from
-    one end of `K`, writes its inner stages next to it and the FSAL
-    derivative f(y_new) at the other end.  `accept` then swaps which end is
-    k1, so f(y_new) becomes the next step's k1 without a copy, and swaps the
-    caller's state with `y_new`.  `row(i)` and `combine` read the rows in
-    stage order, whichever end is first.
+    `K` holds one row per stage of the largest pair, in stage order: `K[0]`
+    is k1, and a step of an s-stage pair writes stage i into `K[i]`, so its
+    FSAL derivative f(y_new) lands in `K[s - 1]`.  `accept` copies that row
+    into `K[0]` and swaps the caller's state with `y_new`.
     """
 
-    __slots__ = ("K", "flipped", "y_new", "err", "scale")
+    __slots__ = ("K", "last", "y_new", "err", "scale")
 
     def __init__(self, y: np.ndarray, rhs_vec):
         """Allocate for states like `y` and evaluate k1 = f(y) in place."""
         self.K = np.empty((max(pair.stages for pair in PAIRS), y.size))
-        self.flipped = False
+        self.last = 0  # the row of the last step's f(y_new)
         self.y_new, self.err, self.scale = (np.empty(y.size) for _ in range(3))
         rhs_vec(y, self.K[0])
 
-    def row(self, i: int) -> np.ndarray:
-        """The row of stage i; row(-1), the other end, holds f(y_new)."""
-        return self.K[-1 - i] if self.flipped else self.K[i]
-
     def combine(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = sum_i weights[i] * stage i, over the first len(weights) stages."""
-        i = len(weights)
-        if self.flipped:
-            return np.dot(weights[::-1], self.K[len(self.K) - i:], out=out)
-        return np.dot(weights, self.K[:i], out=out)
+        """out = sum_i weights[i] * K[i], over the first len(weights) stages."""
+        return np.dot(weights, self.K[:len(weights)], out=out)
 
     def accept(self, y: np.ndarray) -> np.ndarray:
-        """Take the step just made from `y`: return its y_new and keep `y`
-        as the buffer of the next y_new."""
-        self.flipped = not self.flipped
+        """Take the step just made from `y`: move its f(y_new) to `K[0]`,
+        return its y_new and keep `y` as the buffer of the next y_new."""
+        self.K[0] = self.K[self.last]
         y_new, self.y_new = self.y_new, y
         return y_new
 
@@ -297,13 +286,13 @@ def _err_norm(err: np.ndarray, y, y_new, rel_tol, abs_tol, work: StepWork) -> fl
 
 def step(y: np.ndarray, dt: float, rhs_vec, rel_tol: float, abs_tol: float,
          work: StepWork, pair: Pair = DP5):
-    """One step of `pair` from y, whose derivative `work.row(0)` holds.
+    """One step of `pair` from y, whose derivative `work.K[0]` holds.
 
     rhs_vec(y, out) writes the derivative at y into `out` and returns it.
     Returns (y_new, err_norm, k_last), where y_new is `work.y_new` and k_last
-    the FSAL derivative f(y_new) in `work.row(-1)`, so y must not be
-    `work.y_new`.  err_norm is inf on overflow, with k_last None, so the
-    caller shrinks dt.  The stages stay in `work` until the next step.
+    the FSAL derivative f(y_new) in `work.K[s - 1]` for an s-stage pair, so y
+    must not be `work.y_new`.  err_norm is inf on overflow, with k_last None,
+    so the caller shrinks dt.  The stages stay in `work` until the next step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -312,18 +301,17 @@ def step(y: np.ndarray, dt: float, rhs_vec, rel_tol: float, abs_tol: float,
     for i in range(1, s - 1):
         work.combine(a[i, :i] * dt, y_new)
         y_new += y
-        rhs_vec(y_new, work.row(i))
+        rhs_vec(y_new, work.K[i])
     work.combine(a[s - 1, :s - 1] * dt, y_new)
     y_new += y
     if not np.all(np.isfinite(y_new)):
         return y, float("inf"), None
-    k_last = rhs_vec(y_new, work.row(-1))
+    k_last = rhs_vec(y_new, work.K[s - 1])
     if not np.all(np.isfinite(k_last)):
         return y, float("inf"), None
-    # y_new - y_low = dt * sum_i e_i k_i; f(y_new) is at the far end of the
-    # rows, apart from the others when the pair has fewer stages than rows
-    work.combine(pair.e[:-1] * dt, err)
-    err += np.multiply(k_last, pair.e[-1] * dt, out=work.scale)
+    work.last = s - 1
+    # y_new - y_low = dt * sum_i e_i k_i
+    work.combine(pair.e * dt, err)
     return y_new, _err_norm(err, y, y_new, rel_tol, abs_tol, work), k_last
 
 
@@ -364,13 +352,13 @@ def simulate(config: SolverConfig) -> SolveTrace:
         return _rhs_into(out, yy[:n], yy[n:], lap, robin1, robin2, nl)
 
     work = StepWork(y, rhs_vec)
-    if not np.all(np.isfinite(work.row(0))):
+    if not np.all(np.isfinite(work.K[0])):
         raise NonFiniteField("initial right-hand side is not finite")
     caps = {pair: _diffusion_cap(mesh, pair) for pair in PAIRS}
     steps_by_pair = {pair.name: {"accepted": 0, "rejected": 0} for pair in PAIRS}
     t = 0.0
     pair = DP5
-    dt = min(config.dt_init, caps[pair], config.dt_max)
+    dt = min(_DT_INIT, caps[pair], _DT_MAX)
     samples: list[EnergySample] = []
     clamp_count = 0
 
@@ -393,7 +381,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
     outcome = OUTCOME_REACHED_T_END
 
     while t < config.t_end:
-        dt = min(dt, caps[pair], config.dt_max, config.t_end - t)
+        dt = min(dt, caps[pair], _DT_MAX, config.t_end - t)
         y_new, err, _ = step(y, dt, rhs_vec, config.rel_tol, config.abs_tol, work, pair)
         counts = steps_by_pair[pair.name]
         if not np.isfinite(err) or err > 1.0:
@@ -404,7 +392,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
                 dt *= 0.5
             if pair is BS3:
                 pair, err_prev = DP5, 1.0
-            if dt < config.dt_min:
+            if dt < _DT_MIN:
                 outcome = OUTCOME_STEP_UNDERFLOW
                 break
             continue
@@ -426,7 +414,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         y = work.accept(y)
         sup = record(dt)
         dt = dt_next
-        if dt < config.dt_min:
+        if dt < _DT_MIN:
             outcome = OUTCOME_STEP_UNDERFLOW
             break
         if sup >= config.sup_threshold:
@@ -459,15 +447,22 @@ def simulate(config: SolverConfig) -> SolveTrace:
     )
 
 
-def _fit_root(ts, ys):
-    """Least-squares line through (t, y); returns (root, r_squared)."""
+def _fit_line(ts, ys):
+    """Least-squares line y = a + b t; returns (a, b, r_squared)."""
     A = np.vstack([np.ones_like(ts), ts]).T
     (a, b), res, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    if b >= 0:
-        return None, -np.inf
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     ss_res = float(res[0]) if res.size else float(np.sum((ys - A @ [a, b]) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else -np.inf
+    return a, b, r2
+
+
+def _fit_root(ts, ys):
+    """Root of the least-squares line through (t, y) if it falls; returns
+    (root, r_squared), or (None, -inf)."""
+    a, b, r2 = _fit_line(ts, ys)
+    if b >= 0:
+        return None, -np.inf
     return float(-a / b), r2
 
 
@@ -476,8 +471,10 @@ def estimate_blowup_time(ts, sups, initial_sup: Optional[float] = None) -> Blowu
 
     For each rate candidate theta, sup ~ C*(t*-t)^(-theta) linearizes as
     sup^(-1/theta) against t; the best-fitting candidate's root gives the
-    estimate.  Uncertainty combines the spread of roots across candidates
-    with the shift from dropping the last sample.
+    estimate.  A tail that an exponential, log(sup) linear in t, fits at
+    least as well grows for all time and raises InsufficientSamples.
+    Uncertainty combines the spread of roots across candidates with the
+    shift from dropping the last sample.
     """
     ts = np.asarray(ts, dtype=float)
     sups = np.asarray(sups, dtype=float)
@@ -499,6 +496,8 @@ def estimate_blowup_time(ts, sups, initial_sup: Optional[float] = None) -> Blowu
     if not roots:
         raise InsufficientSamples("no decreasing power-law fit found")
     best = max(fits, key=fits.get)
+    if _fit_line(ts, np.log(sups))[2] >= fits[best]:
+        raise InsufficientSamples("the tail grows exponentially, not as a power law")
     t_last = float(ts[-1])
     estimate = max(roots[best], t_last)
 

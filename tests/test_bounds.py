@@ -75,6 +75,13 @@ class TestUpperBound:
         with pytest.raises(ValueError, match="gamma1"):
             upper_bound_blowup(nl, g1, g2, mesh3d, -1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, float("nan")])
+    def test_alpha_must_be_finite_and_positive(self, mesh3d, alpha):
+        nl = make_power_product(1.0, 2.0, 2.0)
+        g1, g2 = constant_data(mesh3d, 1.0, 1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            upper_bound_blowup(nl, g1, g2, mesh3d, 0.0, 0.0, alpha)
+
     def test_two_algebraic_forms_agree(self, mesh3d):
         nl = make_power_product(0.5, 2.0, 2.0)
         g1, g2 = constant_data(mesh3d, 1.5, 0.5)

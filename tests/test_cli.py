@@ -308,6 +308,23 @@ class TestConfigErrors:
         ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
                    "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
                    "t_end = 1.0", "t_end = 1.0\nrel_tol = nan")),
+        ("simulate", ("t_end = 1.0", "t_end = 1.0\ndt_init = 1e-6")),
+        ("check", ("t_end = 1.0", "t_end = 1.0\ndt_max = 0.1")),
+        ("bounds", ("alpha = 1.0", "alpha = 0")),
+        ("sandwich", ("alpha = 1.0", "alpha = 0")),
+        ("bounds", ("alpha = 1.0", "alpha = -0.5")),
+        ("check", ("alpha = 1.0", "alpha = nan")),
+        ("bounds", ("alpha = 1.0", "alpha = inf")),
+        ("check", ("c = 1.0", "c = nan")),
+        ("check", ("c = 1.0", "c = inf")),
+        ("check", ("a_exp = 2\n", "a_exp = nan\n")),
+        ("check", ("b_exp = 2\n", "b_exp = inf\n")),
+        ("check", ("family = power_product\nc = 1.0\na_exp = 2\nb_exp = 2",
+                   "family = gradient_homogeneous\nalpha = nan")),
+        ("check", ("family = power_product\nc = 1.0\na_exp = 2\nb_exp = 2",
+                   "family = absorption\np = 3\nq = 3\nr = 2\ns = 2\na = nan\nb = 1")),
+        ("check", ("family = power_product\nc = 1.0\na_exp = 2\nb_exp = 2",
+                   "family = absorption\np = 3\nq = 3\nr = inf\ns = 2\na = 1\nb = 1")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
             "power_product_without_b_exp", "unknown_key_sample_stride",
             "simulate_solver_key_typo", "t_end_zero",
@@ -319,7 +336,11 @@ class TestConfigErrors:
             "check_solver_key_typo", "ball_solver_key_typo",
             "gaussian_amplitude_nan", "ball_c1_nan", "rel_tol_nan", "rel_tol_negative",
             "abs_tol_negative", "both_tolerances_zero", "sup_threshold_nan",
-            "ball_t_end_negative", "ball_rel_tol_nan"])
+            "ball_t_end_negative", "ball_rel_tol_nan", "unknown_key_dt_init",
+            "check_unknown_key_dt_max", "bounds_alpha_zero", "sandwich_alpha_zero",
+            "bounds_alpha_negative", "check_alpha_nan", "bounds_alpha_inf", "c_nan", "c_inf",
+            "a_exp_nan", "b_exp_inf", "gradient_homogeneous_alpha_nan", "absorption_a_nan",
+            "absorption_r_inf"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
         # edit holds (old, new) pairs, applied in turn
@@ -354,12 +375,19 @@ class TestResolutionOverride:
 # ones take nan, +-inf, negatives and subnormals
 GAMMA = (st.floats(min_value=0.0, allow_infinity=False),
          st.one_of(st.floats(max_value=-math.ulp(0.0)), st.sampled_from([math.nan, math.inf])))
+POSITIVE = (st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])))
 VALUES = {
     "gamma1": GAMMA,
     "gamma2": GAMMA,
     "cells": (st.integers(4, 6), st.integers(-2, 3)),
     "t_end": (st.floats(min_value=0.0, exclude_min=True),
               st.one_of(st.floats(max_value=0.0), st.just(math.nan))),
+    "alpha": POSITIVE,
+    "c": POSITIVE,
+    "a_exp": (st.floats(min_value=1.0, allow_infinity=False),
+              st.one_of(st.floats(max_value=1.0, exclude_max=True),
+                        st.sampled_from([math.nan, math.inf]))),
 }
 
 
@@ -376,14 +404,20 @@ class TestInvalidValuesProperty:
     @given(case=at_most_one_bad_value())
     def test_check_exits_two_exactly_on_invalid_values(self, tmp_path_factory, case):
         bad, values = case
-        gamma1, gamma2, cells, t_end = (values[k] for k in ("gamma1", "gamma2", "cells", "t_end"))
+        gamma1, gamma2, cells, t_end, alpha, c, a_exp = (
+            values[k] for k in ("gamma1", "gamma2", "cells", "t_end", "alpha", "c", "a_exp"))
         text = (BLOWUP_BOX.replace("cells_per_axis = 8", f"cells_per_axis = {cells}")
                 .replace("t_end = 1.0", f"t_end = {t_end!r}")
+                .replace("alpha = 1.0", f"alpha = {alpha!r}")
+                .replace("c = 1.0", f"c = {c!r}")
+                .replace("a_exp = 2", f"a_exp = {a_exp!r}")
                 + f"\n[robin]\ngamma1 = {gamma1!r}\ngamma2 = {gamma2!r}\n")
         tmp = tmp_path_factory.mktemp("property")
         cfg = write_config(tmp, text)
         invalid = (cells < 4 or not t_end > 0
-                   or not all(0 <= g < math.inf for g in (gamma1, gamma2)))
+                   or not all(0 <= g < math.inf for g in (gamma1, gamma2))
+                   or not (0 < alpha < math.inf and 0 < c < math.inf)
+                   or not 1 <= a_exp < math.inf)
         assert invalid == (bad is not None)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

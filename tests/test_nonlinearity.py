@@ -46,6 +46,14 @@ class TestPowerProduct:
         with pytest.raises(BadExponent):
             make_power_product(0.5, 4.0, 0.0)
 
+    @pytest.mark.parametrize("c, a, b", [
+        (math.nan, 2.0, 2.0), (math.inf, 2.0, 2.0), (1.0, math.nan, 2.0),
+        (1.0, 2.0, math.inf), (1.0, 2.0, math.nan),
+    ], ids=["c_nan", "c_inf", "a_nan", "b_inf", "b_nan"])
+    def test_non_finite_parameter_rejected(self, c, a, b):
+        with pytest.raises(BadExponent):
+            make_power_product(c, a, b)
+
     def test_gradient_consistency(self):
         nl = make_power_product(1.3, 2.0, 3.0)
         rng = np.random.default_rng(1)
@@ -89,6 +97,11 @@ class TestGradientHomogeneous:
         with pytest.raises(EvalAtZeroU):
             nl.F(0.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(BadExponent):
+            make_gradient_homogeneous(1.0, alpha, shape_constant())
+
 
 class TestAbsorption:
     def test_values(self):
@@ -100,6 +113,14 @@ class TestAbsorption:
         nl = make_absorption(2, 1, 1, 1, 1.0, 1.0)
         assert nl.f1(1.0, 2.0) == pytest.approx(3.0)
         assert nl.f2(1.0, 2.0) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("params", [
+        (3, 3, math.nan, 3, 0.01, 0.01), (3, math.inf, 3, 3, 0.01, 0.01),
+        (3, 3, 3, 3, math.nan, 0.01), (3, 3, 3, 3, 0.01, math.inf),
+    ], ids=["r_nan", "q_inf", "a_nan", "b_inf"])
+    def test_non_finite_parameter_rejected(self, params):
+        with pytest.raises(BadExponent):
+            make_absorption(*params)
 
     def test_has_no_potential(self):
         nl = make_absorption(3, 3, 3, 3, 0.01, 0.01)
@@ -123,6 +144,11 @@ class TestCheckH1:
         u, v = rep.witness
         slack = u * nl.f1(u, v) + v * nl.f2(u, v) - 2.0 * 2.6 * nl.F(u, v)
         assert slack < 0
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            check_H1(make_power_product(1.0, 2.0, 3.0), alpha)
 
     @pytest.mark.parametrize("box, samples", [
         (((1e-3, math.inf), (1e-3, 1e3)), 64),

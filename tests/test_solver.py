@@ -7,7 +7,7 @@ from conftest import linear_decay, zero_reaction
 from rdblowup.errors import InsufficientSamples
 from rdblowup.functionals import FieldPair, energy_E
 from rdblowup.geometry import DomainSpec, build_mesh, interior_integral
-from rdblowup.nonlinearity import make_power_product
+from rdblowup.nonlinearity import Nonlinearity, make_power_product
 from rdblowup.solver import (
     BS3,
     DP5,
@@ -182,13 +182,13 @@ class TestStepWorkspace:
         with np.errstate(over="ignore", invalid="ignore"):
             work = StepWork(y, rhs_vec)
             if before is not None:
-                # an accepted step of either pair moves k1 to the other end
-                # of the stage rows and leaves its own stages in the rest
+                # an accepted step of either pair copies its f(y_new) into
+                # K[0] and leaves its own stages in the other rows
                 step(y, 1e-3, rhs_vec, 1.0, 1.0, work, PAIR[before])
                 work.accept(y.copy())
-                rhs_vec(y, work.row(0))
+                rhs_vec(y, work.K[0])
             ref = reference_step(name, y, dt, lambda yy: rhs_vec(yy, np.empty_like(yy)),
-                                 1e-4, 1e-6, work.row(0).copy())
+                                 1e-4, 1e-6, work.K[0].copy())
             got = step(y, dt, rhs_vec, 1e-4, 1e-6, work, PAIR[name])
         if amplitude > 1.0:
             assert ref[1] == float("inf")
@@ -200,6 +200,23 @@ class TestStepWorkspace:
         for got_row, ref_row in ((got[0], ref[0]), (got[2], ref[2])):
             assert np.max(np.abs(got_row - ref_row)) <= 1e-14 * np.max(np.abs(ref_row))
         assert got[1] == pytest.approx(ref[1], rel=1e-12)
+
+    @pytest.mark.parametrize("name, row", [("bs3", 3), ("dp5", 6)])
+    def test_accept_moves_fsal_row_to_k1(self, mesh3d, name, row):
+        # a step writes f(y_new) into row s - 1 and `accept` copies it into
+        # K[0], the next step's k1, bit for bit
+        rhs_vec = guarded_rhs(mesh3d, make_power_product(1.0, 2.0, 2.0), 0.5)
+        y = np.random.default_rng(5).uniform(0.5, 1.5, 2 * mesh3d.n_cells)
+        work = StepWork(y, rhs_vec)
+        y_new, err, k_last = step(y, 2e-3, rhs_vec, 1e-4, 1e-6, work, PAIR[name])
+        assert err <= 1.0
+        assert PAIR[name].stages - 1 == row
+        assert np.shares_memory(k_last, work.K[row])
+        f_new = rhs_vec(y_new.copy(), np.empty_like(y))
+        assert np.array_equal(work.K[row], f_new)
+        y = work.accept(y)
+        assert y is y_new
+        assert np.array_equal(work.K[0], f_new)
 
 
 def integrate(pair, rhs_vec, y0, t_end, n_steps):
@@ -476,6 +493,19 @@ class TestSimulateBlowup:
         t_last = trace.tail[0][-1]
         assert trace.blowup_estimate.t >= t_last
 
+    def test_exponential_growth_is_not_blowup(self, box2d):
+        # u' = 50u, v' = 50v exist for all time; their sup crosses 1e6 near
+        # t = 0.28, where a power law fits the tail with r^2 0.92 and the
+        # exponential with 1.00, so no blow-up time may be extrapolated
+        mesh = build_mesh(box2d, 6)
+        nl = Nonlinearity(family="custom", params={},
+                          f1=lambda u, v: 50.0 * u, f2=lambda u, v: 50.0 * v)
+        cfg = SolverConfig(mesh=mesh, nl=nl, gamma1=0.0, gamma2=0.5,
+                           g1=np.full(mesh.n_cells, 1.0), g2=np.full(mesh.n_cells, 0.5),
+                           t_end=1.0, sup_threshold=1e6)
+        with pytest.raises(InsufficientSamples, match="exponentially"):
+            simulate(cfg)
+
     def test_no_blowup_for_decay(self, box2d):
         mesh = build_mesh(box2d, 8)
         g = np.full(mesh.n_cells, 1.0)
@@ -487,12 +517,6 @@ class TestSimulateBlowup:
 
 
 class TestSolverConfigValidation:
-    def test_dt_ordering(self, mesh2d):
-        g = np.ones(mesh2d.n_cells)
-        with pytest.raises(ValueError):
-            SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
-                         g1=g, g2=g, t_end=1.0, dt_init=1.0, dt_max=0.1)
-
     def test_threshold_above_initial_sup(self, mesh2d):
         g = np.full(mesh2d.n_cells, 10.0)
         with pytest.raises(ValueError):
@@ -573,6 +597,11 @@ class TestEstimateBlowupTime:
         sups = (0.1 - ts) ** -1.0
         est = estimate_blowup_time(ts, sups)
         assert est.uncertainty < 1e-3
+
+    def test_exponential_tail_rejected(self):
+        ts = np.linspace(0.0, 0.3, 400)
+        with pytest.raises(InsufficientSamples, match="exponentially"):
+            estimate_blowup_time(ts, np.exp(50.0 * ts))
 
     def test_insufficient_samples(self):
         ts = np.linspace(0.0, 1.0, 5)
