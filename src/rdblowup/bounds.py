@@ -1,13 +1,15 @@
 """Upper and lower bounds on the blow-up time.
 
-The upper bound comes from the energy pair (E, J): with M = J(0)/E(0)^(1+alpha)
-positive, blow-up occurs no later than 1/(alpha*M*E(0)^alpha).  The lower
-bound integrates d(xi)/(K1*xi^(3/2) + K2*xi^3) from scriptE(0) to infinity,
-with K1, K2 built from the geometric constants rho, d and the admissible
-beta constants.
+The upper bound reads E(0) and J(0) off the monitor row of the initial data:
+with J(0) > 0, blow-up occurs no later than t_upper = E(0)/(alpha*J(0)), and
+M = J(0)/E(0)^(1+alpha) is reported beside it.  The lower bound integrates
+d(xi)/(K1*xi^(3/2) + K2*xi^3) from scriptE(0) to infinity, with K1, K2 built
+from the geometric constants rho, d and the admissible beta constants.  A
+bound that does not apply to its input raises a `BoundRefused` error.
 """
 
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from typing import Optional
 
 import numpy as np
@@ -19,17 +21,17 @@ from .errors import (
     NonpositiveE0,
     NonpositiveJ0,
 )
-from .functionals import FieldPair, energy_E, energy_scriptE, functional_J
+from .functionals import FieldPair, energy_E, energy_scriptE, require_growth_constants
 from .geometry import BALL, DomainSpec, GeometryConstants, Mesh, geometry_constants
 from .nonlinearity import (
     DEFAULT_BOX,
     DEFAULT_SAMPLES,
     HypothesisReport,
     Nonlinearity,
+    _initial_data_row,
     check_A2_A3,
     check_A2prime,
     check_H1,
-    check_H2_H3,
     require_nonnegative_data,
 )
 
@@ -72,35 +74,40 @@ class LowerBoundResult:
     smooth_boundary_caveat: Optional[str] = None
 
 
+def _require_hold(reports):
+    """The reports, if each holds; else HypothesisFailed for the first that fails."""
+    for rep in reports:
+        if not rep.holds:
+            raise HypothesisFailed(rep.hypothesis, witness=rep.witness, margin=rep.margin)
+    return reports
+
+
 def upper_bound_blowup(nl: Nonlinearity, g1, g2, mesh: Mesh,
                        gamma1: float, gamma2: float, alpha: float,
                        check_box=DEFAULT_BOX,
                        samples_per_axis: int = DEFAULT_SAMPLES) -> UpperBoundResult:
-    """Verify the gradient-system hypotheses on the given data and compute
-    the upper bound in both algebraic forms."""
-    fields = FieldPair(u=g1, v=g2, t=0.0)
-    E0 = energy_E(fields, mesh)
-    if E0 <= 0:
-        raise NonpositiveE0("initial energy vanishes")
+    """Verify H1-H3 on the given data and compute t_upper = E0/(alpha*J0).
 
+    Refusals come in a fixed order: E0 <= 0 (decided on the raw data, as the
+    data rule must admit the data before the row evaluates F), H1's errors,
+    the Robin and data rules, the first of H1-H3 to fail, then J0 <= 0.
+    """
+    if energy_E(FieldPair(u=g1, v=g2, t=0.0), mesh) <= 0:
+        raise NonpositiveE0("initial energy vanishes")
     rep1 = check_H1(nl, alpha, box=check_box, samples_per_axis=samples_per_axis)
-    rep2, rep3 = check_H2_H3(nl, g1, g2, mesh, gamma1, gamma2)
-    reports = (rep1, rep2, rep3)
-    for rep in reports:
-        if not rep.holds:
-            raise HypothesisFailed(rep.hypothesis, witness=rep.witness, margin=rep.margin)
-    J0 = functional_J(fields, mesh, nl, alpha, gamma1, gamma2).J
+    row, (rep2, rep3) = _initial_data_row(nl, g1, g2, mesh, gamma1, gamma2, alpha)
+    reports = _require_hold((rep1, rep2, rep3))
+    E0, J0 = row.E, row.J
     if J0 <= 0:
         raise NonpositiveJ0(
             f"J(0) = {J0:g} <= 0: the blow-up argument needs a positive M"
         )
-    M = J0 / E0 ** (1.0 + alpha)
-    t_form_M = 1.0 / (alpha * M * E0**alpha)
-    t_form_J = E0 / (alpha * J0)
-    if abs(t_form_M - t_form_J) > 1e-12 * abs(t_form_J):
-        raise ArithmeticError("upper-bound algebraic forms disagree")
+    # in decimal, whose exponent range holds E0^(1+alpha) wherever M is a
+    # float, and in which 1 + alpha is exact
+    ctx = Context(traps=[])
+    M = float(ctx.divide(Decimal(J0), ctx.power(Decimal(E0), ctx.add(1, Decimal(alpha)))))
     return UpperBoundResult(
-        alpha=alpha, E0=E0, J0=J0, M=M, t_upper=t_form_J,
+        alpha=alpha, E0=E0, J0=J0, M=M, t_upper=E0 / (alpha * J0),
         hypothesis_reports=reports,
     )
 
@@ -109,8 +116,9 @@ def select_betas(p: float, k1: float, k2: float, geo: GeometryConstants):
     """Largest admissible (beta1, beta2): each solves its admissibility
     inequality at equality, which maximizes the lower bound since K2
     scales like beta**-3."""
-    if p < 1 or min(k1, k2) <= 0 or geo.rho <= 0:
-        raise ValueError("need p >= 1, k_i > 0, rho > 0")
+    require_growth_constants(p, k1=k1, k2=k2)
+    if geo.rho <= 0:
+        raise ValueError(f"need rho > 0, got {geo.rho:g}")
     geom = (geo.d / geo.rho + 1.0) ** 1.5
     betas = tuple(
         2.0**1.5 * (2.0 * p - 1.0) / (3.0**0.25 * p * p * ki * geom)
@@ -128,8 +136,9 @@ def beta_admissibility_residual(p: float, k: float, geo: GeometryConstants,
 
 def compute_K(p: float, k: float, geo: GeometryConstants, beta: float):
     """K1 = 3^(3/4) * p * k * rho^(-3/2) and the matching K2."""
-    if min(p, k, beta, geo.rho) <= 0:
-        raise ValueError("inputs must be positive")
+    require_growth_constants(p, k=k)
+    if min(beta, geo.rho) <= 0:
+        raise ValueError("beta and rho must be positive")
     K1 = 3.0**0.75 * p * k * geo.rho**-1.5
     K2 = (p * k / (2.0**0.5 * 3.0**0.75)) * (geo.d / geo.rho + 1.0) ** 1.5 * beta**-3.0
     return K1, K2
@@ -188,10 +197,8 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
     if spec.dimension != 3:
         raise DimensionNot3("the lower bound is stated for 3D domains only")
 
-    reports = _lower_bound_checks(nl, k1, k2, p, mode, check_box, samples_per_axis)
-    for rep in reports:
-        if not rep.holds:
-            raise HypothesisFailed(rep.hypothesis, witness=rep.witness, margin=rep.margin)
+    reports = _require_hold(
+        _lower_bound_checks(nl, k1, k2, p, mode, check_box, samples_per_axis))
 
     geo = geometry_constants(spec)
     require_nonnegative_data(g1, g2)

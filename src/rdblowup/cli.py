@@ -2,8 +2,9 @@
 
 Commands: check | bounds | simulate | sandwich.  Experiments are described
 by INI-style config files (one experiment per file); outputs are a JSON
-report plus, for simulations, a CSV trace and a gnuplot-ready plot.dat.
-Reports contain no wall-clock content, so reruns are byte-identical.
+report plus, for simulations, a CSV trace (gnuplot reads it with
+`set datafile separator comma`).  Reports contain no wall-clock content, so
+reruns are byte-identical.
 
 A config is checked in full before any command runs: `Experiment` builds the
 mesh, the nonlinearity, the initial data and, for a box, the `SolverConfig`,
@@ -32,17 +33,14 @@ from . import bounds as bounds_mod
 from . import nonlinearity as nl_mod
 from .errors import (
     BadExponent,
+    BoundRefused,
     ConfigError,
-    DimensionNot3,
-    HypothesisFailed,
     NegativeInitialData,
-    NonpositiveE0,
-    NonpositiveJ0,
     RdBlowupError,
     ResolutionTooCoarse,
 )
 from .fields import make_field
-from .functionals import ENERGY_SAMPLE_COLUMNS, check_trace_monitors
+from .functionals import EnergySample, check_trace_monitors, require_growth_constants
 from .geometry import BOX, DomainSpec, build_mesh, require_gamma
 from .oracle import ode_reduce
 from .solver import (
@@ -127,6 +125,7 @@ class Experiment:
             hyp.getfloat(key) for key in ("alpha", "p", "k1", "k2"))
         if self.alpha is not None:
             nl_mod.require_alpha(self.alpha)
+        require_growth_constants(self.p, k1=self.k1, k2=self.k2)
         self.mode = bounds_mod.require_mode(hyp.get("mode", bounds_mod.MODE_A2PRIME))
         (lo, hi), _ = nl_mod.DEFAULT_BOX
         lo, hi = hyp.getfloat("box_min", lo), hyp.getfloat("box_max", hi)
@@ -203,15 +202,10 @@ def _write_report(report, out_dir: Path):
 
 def _write_trace(trace, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [s.row() for s in trace.samples]
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ENERGY_SAMPLE_COLUMNS)
-        writer.writerows(rows)
-    with open(out_dir / "plot.dat", "w") as fh:
-        fh.write("# " + " ".join(ENERGY_SAMPLE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        writer.writerow(f.name for f in dataclasses.fields(EnergySample))
+        writer.writerows(s.row() for s in trace.samples)
 
 
 # --- commands -----------------------------------------------------------
@@ -242,25 +236,22 @@ def cmd_check(exp: Experiment, out_dir: Path) -> int:
 
 
 def _compute_bounds(exp: Experiment):
-    block = {}
-    ok = True
+    """Each requested bound, or the error block of its refusal; ok is False after one."""
+    calls = {}
     if exp.wants_upper():
-        try:
-            block["upper_bound"] = bounds_mod.upper_bound_blowup(
-                exp.nl, exp.g1, exp.g2, exp.mesh, exp.gamma1, exp.gamma2, exp.alpha,
-                check_box=exp.check_box, samples_per_axis=exp.check_samples)
-        except (HypothesisFailed, NegativeInitialData, NonpositiveJ0,
-                NonpositiveE0) as exc:
-            block["upper_bound"] = _error_block(exc)
-            ok = False
+        calls["upper_bound"] = lambda: bounds_mod.upper_bound_blowup(
+            exp.nl, exp.g1, exp.g2, exp.mesh, exp.gamma1, exp.gamma2, exp.alpha,
+            check_box=exp.check_box, samples_per_axis=exp.check_samples)
     if exp.wants_lower():
+        calls["lower_bound"] = lambda: bounds_mod.lower_bound_pipeline(
+            exp.nl, exp.g1, exp.g2, exp.domain, exp.p, exp.k1, exp.k2, mode=exp.mode,
+            check_box=exp.check_box, samples_per_axis=exp.check_samples)
+    block, ok = {}, True
+    for key, call in calls.items():
         try:
-            block["lower_bound"] = bounds_mod.lower_bound_pipeline(
-                exp.nl, exp.g1, exp.g2, exp.domain, exp.p, exp.k1, exp.k2, mode=exp.mode,
-                check_box=exp.check_box, samples_per_axis=exp.check_samples)
-        except (HypothesisFailed, DimensionNot3, NegativeInitialData,
-                NonpositiveE0) as exc:
-            block["lower_bound"] = _error_block(exc)
+            block[key] = call()
+        except BoundRefused as exc:
+            block[key] = _error_block(exc)
             ok = False
     return block, ok
 

@@ -5,6 +5,11 @@ class RdBlowupError(Exception):
     """Base class for all package-specific errors."""
 
 
+class BoundRefused(RdBlowupError):
+    """A bound does not apply to this input: the report names the reason in
+    place of the bound, and the run goes on."""
+
+
 # geometry
 class BallMeshUnsupported(RdBlowupError):
     """Ball domains are analytic-only; they cannot be meshed."""
@@ -31,7 +36,7 @@ class NotGradientSystem(RdBlowupError):
     """Operation requires a nonlinearity with a potential F."""
 
 
-class NegativeInitialData(RdBlowupError):
+class NegativeInitialData(BoundRefused):
     """Initial data must be nonnegative and not identically zero."""
 
 
@@ -41,7 +46,7 @@ class NegativeField(RdBlowupError):
 
 
 # bounds
-class HypothesisFailed(RdBlowupError):
+class HypothesisFailed(BoundRefused):
     """A required hypothesis check did not hold on the declared box."""
 
     def __init__(self, which, witness=None, margin=None):
@@ -51,15 +56,15 @@ class HypothesisFailed(RdBlowupError):
         super().__init__(f"hypothesis {which} failed (witness={witness}, margin={margin})")
 
 
-class NonpositiveJ0(RdBlowupError):
+class NonpositiveJ0(BoundRefused):
     """J(0) <= 0: the upper-bound argument does not apply."""
 
 
-class NonpositiveE0(RdBlowupError):
+class NonpositiveE0(BoundRefused):
     """Initial energy must be positive."""
 
 
-class DimensionNot3(RdBlowupError):
+class DimensionNot3(BoundRefused):
     """The lower bound is only available in three dimensions."""
 
 

@@ -16,7 +16,7 @@ differences, not as that product, so it is exactly zero on constants and
 never cancels at large u.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 from typing import Optional
 
 import numpy as np
@@ -26,11 +26,15 @@ from .geometry import Mesh, boundary_integral, interior_integral
 
 NONNEG_TOL = 1e-12
 
-# CSV column order for trace files
-ENERGY_SAMPLE_COLUMNS = (
-    "t", "E", "J", "scriptE", "grad_u_energy", "grad_v_energy",
-    "bdry_u", "bdry_v", "intF", "sup_u", "sup_v", "dt",
-)
+
+def require_growth_constants(p=None, **k):
+    """The rule of the lower bound's constants (here, below every caller):
+    p finite and >= 1, each named k finite and > 0; None is a value not given."""
+    if p is not None and not 1 <= p < np.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p:g}")
+    for name, value in k.items():
+        if value is not None and not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value:g}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,8 @@ class FieldPair:
 
 @dataclass(frozen=True)
 class EnergySample:
-    """One monitor row along a trajectory (the CSV trace schema)."""
+    """One monitor row along a trajectory; its fields, in order, are the
+    columns of the CSV trace."""
 
     t: float
     E: float
@@ -71,11 +76,8 @@ class EnergySample:
     dt: float = dataclass_field(default=float("nan"))
 
     def row(self):
-        out = []
-        for name in ENERGY_SAMPLE_COLUMNS:
-            val = getattr(self, name)
-            out.append(float("nan") if val is None else float(val))
-        return out
+        values = (getattr(self, f.name) for f in dataclass_fields(self))
+        return [float("nan") if val is None else float(val) for val in values]
 
 
 def energy_E(fields: FieldPair, mesh: Mesh) -> float:
@@ -87,8 +89,7 @@ def energy_scriptE(fields: FieldPair, mesh: Mesh, p: float) -> float:
     """int (u^{2p} + v^{2p}) dx; requires the nonnegativity flag."""
     if not fields.nonneg:
         raise NegativeField("scriptE requires fields flagged nonnegative")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    require_growth_constants(p)
     return _scriptE(fields, mesh, p)
 
 

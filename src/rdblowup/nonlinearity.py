@@ -10,7 +10,8 @@ Three built-in families are provided:
 Hypothesis checks are sampling-based: the conditions are global in (u, v),
 so each checker evaluates the relevant slack on a log-uniform grid over a
 declared box and reports the worst point.  A report never proves a
-hypothesis; it states the box that was sampled.
+hypothesis; it states the box that was sampled.  H2 and H3 are judged off
+the initial data's monitor row, which the upper bound reads too.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .errors import (
     NegativeInitialData,
     NotGradientSystem,
 )
-from .functionals import FieldPair, energy_sample
+from .functionals import FieldPair, energy_sample, require_growth_constants
 from .geometry import Mesh, require_gamma
 
 # relative slack below which a sampled inequality is considered violated
@@ -52,6 +53,8 @@ class ShapeFunction:
 
 
 def shape_power(m: float) -> ShapeFunction:
+    if not np.isfinite(m):
+        raise BadExponent(f"shape exponent m must be finite, got {m:g}")
     return ShapeFunction(
         name=f"w^{m:g}",
         value=lambda w: w**m,
@@ -60,6 +63,8 @@ def shape_power(m: float) -> ShapeFunction:
 
 
 def shape_constant(value: float = 1.0) -> ShapeFunction:
+    if not np.isfinite(value):
+        raise BadExponent(f"shape value must be finite, got {value:g}")
     return ShapeFunction(
         name=f"constant {value:g}",
         value=lambda w: np.full_like(np.asarray(w, dtype=float), value),
@@ -118,10 +123,14 @@ class HypothesisReport:
     description: str
 
 
+def _require_coefficient(value: float, name: str = "c"):
+    if not 0 < value < np.inf:
+        raise BadExponent(f"coefficient {name} must be finite and positive, got {value:g}")
+
+
 def make_power_product(c: float, a_exp: float, b_exp: float) -> Nonlinearity:
     """F = c * u**a * v**b with partial-derivative reaction terms."""
-    if not 0 < c < np.inf:
-        raise BadExponent(f"coefficient c must be finite and positive, got {c:g}")
+    _require_coefficient(c)
     if not (1 <= a_exp < np.inf and 1 <= b_exp < np.inf):
         raise BadExponent(f"exponents must be finite and >= 1 for continuity at 0, "
                           f"got {a_exp:g} and {b_exp:g}")
@@ -148,6 +157,7 @@ def make_gradient_homogeneous(c: float, alpha: float, h: ShapeFunction) -> Nonli
     u*f1 + v*f2 = 2(1+alpha)*F holds identically for this family."""
     if not 0 < alpha < np.inf:
         raise BadExponent(f"alpha must be finite and positive, got {alpha:g}")
+    _require_coefficient(c)
     m = 2.0 * (1.0 + alpha)
 
     def _check_u(u):
@@ -181,9 +191,8 @@ def make_absorption(p: float, q: float, r: float, s: float, a: float, b: float) 
     """f1 = v**p - a*u**r, f2 = u**q - b*v**s; no potential exists."""
     if not all(1 <= e < np.inf for e in (p, q, r, s)):
         raise BadExponent(f"exponents must be finite and >= 1, got {(p, q, r, s)}")
-    if not (0 < a < np.inf and 0 < b < np.inf):
-        raise BadExponent(f"absorption coefficients must be finite and positive, "
-                          f"got {a:g} and {b:g}")
+    _require_coefficient(a, "a")
+    _require_coefficient(b, "b")
 
     def f1(u, v):
         return v**p - a * u**r
@@ -216,24 +225,20 @@ def require_sample_box(box, samples_per_axis: int):
 def _log_grid(box, samples_per_axis):
     require_sample_box(box, samples_per_axis)
     (ulo, uhi), (vlo, vhi) = box
-    uu = np.geomspace(ulo, uhi, samples_per_axis)
-    vv = np.geomspace(vlo, vhi, samples_per_axis)
-    U, V = np.meshgrid(uu, vv, indexing="ij")
-    return U, V
+    return np.meshgrid(np.geomspace(ulo, uhi, samples_per_axis),
+                       np.geomspace(vlo, vhi, samples_per_axis), indexing="ij")
 
 
-def _sampled_report(name, slack, scale, U, V, description) -> HypothesisReport:
-    rel = slack / scale
+def _report(name, slack, scale, witnesses, description) -> HypothesisReport:
+    """The verdict rule: margin = min(slack/scale), holding iff >= -HOLD_TOL;
+    on failure the witness takes each of `witnesses` at the worst sample."""
+    rel = np.ravel(slack / (scale + 1e-300))
     idx = int(np.argmin(rel))
-    margin = float(rel.ravel()[idx])
+    margin = float(rel[idx])
     holds = margin >= -HOLD_TOL
-    witness = None
-    if not holds:
-        witness = (float(U.ravel()[idx]), float(V.ravel()[idx]))
-    return HypothesisReport(
-        hypothesis=name, holds=holds, margin=margin,
-        witness=witness, description=description,
-    )
+    witness = None if holds else tuple(float(np.ravel(w)[idx]) for w in witnesses)
+    return HypothesisReport(hypothesis=name, holds=holds, margin=margin,
+                            witness=witness, description=description)
 
 
 def check_H1(nl: Nonlinearity, alpha: float, box=DEFAULT_BOX,
@@ -244,21 +249,10 @@ def check_H1(nl: Nonlinearity, alpha: float, box=DEFAULT_BOX,
     U, V = _log_grid(box, samples_per_axis)
     lhs = U * nl.f1(U, V) + V * nl.f2(U, V)
     rhs = 2.0 * (1.0 + alpha) * nl.F(U, V)
-    scale = np.abs(U * nl.f1(U, V)) + np.abs(V * nl.f2(U, V)) + np.abs(rhs) + 1e-300
+    scale = np.abs(U * nl.f1(U, V)) + np.abs(V * nl.f2(U, V)) + np.abs(rhs)
     desc = (f"slack of u*f1+v*f2 - 2(1+alpha)*F at alpha={alpha:g} on "
             f"log-uniform box {box}, {samples_per_axis}^2 samples")
-    return _sampled_report("H1", lhs - rhs, scale, U, V, desc)
-
-
-def _energy_condition(name, lhs, rhs, description) -> HypothesisReport:
-    scale = abs(lhs) + abs(rhs) + 1e-300
-    margin = (lhs - rhs) / scale
-    holds = margin >= -HOLD_TOL
-    witness = None if holds else (lhs, rhs)
-    return HypothesisReport(
-        hypothesis=name, holds=holds, margin=margin,
-        witness=witness, description=description,
-    )
+    return _report("H1", lhs - rhs, scale, (U, V), desc)
 
 
 def require_nonnegative_data(g1, g2):
@@ -273,19 +267,15 @@ def require_nonnegative_data(g1, g2):
     return g1, g2
 
 
-def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: float):
-    """Check the initial-data energy conditions with mesh quadrature.
-
-    Each condition compares 2*int F(g1, g2) dx against
-    gamma_i * int_bdry g_i^2 ds + int |grad g_i|^2 dx, all read off the
-    monitor row of the initial data.
-    """
+def _initial_data_row(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float,
+                     gamma2: float, alpha: float = 1.0):
+    """The initial data's monitor row, built once its rules hold, and H2, H3
+    judged off it: 2*int F(g1, g2) against gamma_i*int_bdry g_i^2 + int |grad g_i|^2."""
     nl.require_potential("check_H2_H3")
     require_gamma(gamma1, "gamma1")
     require_gamma(gamma2, "gamma2")
     g1, g2 = require_nonnegative_data(g1, g2)
-    row = energy_sample(FieldPair(u=g1, v=g2, t=0.0), mesh, nl,
-                        gamma1=gamma1, gamma2=gamma2)
+    row = energy_sample(FieldPair(u=g1, v=g2, t=0.0), mesh, nl, alpha, gamma1, gamma2)
     lhs = 2.0 * row.intF
     reports = []
     for name, gamma, bdry, grad in (("H2", gamma1, row.bdry_u, row.grad_u_energy),
@@ -293,24 +283,28 @@ def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: flo
         rhs = gamma * bdry + grad
         desc = (f"2*intF={lhs:.12g} vs gamma*bdry+grad={rhs:.12g} "
                 f"(gamma={gamma:g}) on {mesh.cells_per_axis} mesh")
-        reports.append(_energy_condition(name, lhs, rhs, desc))
-    return tuple(reports)
+        reports.append(_report(name, lhs - rhs, abs(lhs) + abs(rhs), (lhs, rhs), desc))
+    return row, tuple(reports)
+
+
+def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: float):
+    """Check the initial-data energy conditions H2 and H3 with mesh quadrature."""
+    return _initial_data_row(nl, g1, g2, mesh, gamma1, gamma2)[1]
 
 
 def check_A2_A3(nl: Nonlinearity, k1: float, k2: float, p: float,
                 box=DEFAULT_BOX, samples_per_axis: int = DEFAULT_SAMPLES):
     """Sampled check of f1 <= k1*u**(p+1) and f2 <= k2*v**(p+1)."""
+    require_growth_constants(p, k1=k1, k2=k2)
     U, V = _log_grid(box, samples_per_axis)
     desc = (f"p={p:g} on log-uniform box {box}, {samples_per_axis}^2 samples")
     reports = []
-    for name, k, bound, f in (
-        ("A2", k1, U ** (p + 1.0), nl.f1),
-        ("A3", k2, V ** (p + 1.0), nl.f2),
-    ):
+    for name, k, bound, f in (("A2", k1, U ** (p + 1.0), nl.f1),
+                              ("A3", k2, V ** (p + 1.0), nl.f2)):
         fuv = f(U, V)
         slack = k * bound - fuv
-        scale = k * bound + np.abs(fuv) + 1e-300
-        reports.append(_sampled_report(name, slack, scale, U, V, f"k={k:g}, " + desc))
+        scale = k * bound + np.abs(fuv)
+        reports.append(_report(name, slack, scale, (U, V), f"k={k:g}, " + desc))
     return tuple(reports)
 
 
@@ -319,16 +313,17 @@ def check_A2prime(nl: Nonlinearity, k1: float, k2: float, p: float,
     """Sampled check of u**(2p-1)*f1 + v**(2p-1)*f2 <= k1*u**(3p) + k2*v**(3p),
     with the diagonal u = v added to the sample set (worst line for the
     built-in polynomial families)."""
+    require_growth_constants(p, k1=k1, k2=k2)
     U, V = _log_grid(box, samples_per_axis)
     diag = np.geomspace(box[0][0], box[0][1], samples_per_axis * 4)
     U = np.concatenate([U.ravel(), diag])
     V = np.concatenate([V.ravel(), diag])
     lhs = U ** (2.0 * p - 1.0) * nl.f1(U, V) + V ** (2.0 * p - 1.0) * nl.f2(U, V)
     rhs = k1 * U ** (3.0 * p) + k2 * V ** (3.0 * p)
-    scale = np.abs(lhs) + np.abs(rhs) + 1e-300
+    scale = np.abs(lhs) + np.abs(rhs)
     desc = (f"k1={k1:g}, k2={k2:g}, p={p:g} on log-uniform box {box} "
             f"({samples_per_axis}^2 samples plus diagonal)")
-    return _sampled_report("A2prime", rhs - lhs, scale, U, V, desc)
+    return _report("A2prime", rhs - lhs, scale, (U, V), desc)
 
 
 def classify_absorption(p: float, q: float, r: float, s: float,

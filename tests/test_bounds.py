@@ -19,7 +19,7 @@ from rdblowup.errors import (
     NonpositiveJ0,
 )
 from rdblowup.geometry import DomainSpec, GeometryConstants, build_mesh, geometry_constants
-from rdblowup.nonlinearity import make_absorption, make_power_product
+from rdblowup.nonlinearity import check_A2prime, make_absorption, make_power_product
 from rdblowup.oracle import brute_force_integral
 
 
@@ -98,6 +98,17 @@ class TestUpperBound:
                                 g1, g2, mesh3d, 0.0, 0.0, 1.0)
         assert r2.t_upper == pytest.approx(r1.t_upper / 2.0, rel=1e-12)
 
+    def test_large_data_small_coefficient_does_not_overflow(self, box3d):
+        # F = 1e-100 u^2 v^2, flat c0 = 1e80 on [-1,1]^3: E0 = 1.6e161, so
+        # E0^2 leaves float range, but t_upper = 1/(4 c c0^2) = 2.5e-61 and
+        # M = 2c/|Omega| = 2.5e-101 do not
+        mesh = build_mesh(box3d, 16)
+        g1, g2 = constant_data(mesh, 1e80, 1e80)
+        res = upper_bound_blowup(make_power_product(1e-100, 2.0, 2.0),
+                                 g1, g2, mesh, 0.0, 0.0, 1.0)
+        assert res.t_upper == pytest.approx(2.5e-61, rel=1e-12)
+        assert res.M == pytest.approx(2.5e-101, rel=1e-12)
+
 
 class TestBetaSelection:
     def test_unit_ball_frozen_value(self):
@@ -140,6 +151,17 @@ class TestBetaSelection:
             select_betas(0.5, 1.0, 1.0, geo)
         with pytest.raises(ValueError):
             select_betas(2.0, 0.0, 1.0, geo)
+
+    @pytest.mark.parametrize("p, k", [(np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan),
+                                      (2.0, np.inf), (2.0, -1.0)])
+    def test_growth_constant_rule_shared(self, p, k):
+        # select_betas, compute_K and the A2' check apply one rule for p and k
+        geo = GeometryConstants(rho=1.0, d=1.0)
+        nl = make_power_product(1.0, 2.0, 2.0)
+        for call in (lambda: select_betas(p, k, 1.0, geo), lambda: compute_K(p, k, geo, 0.5),
+                     lambda: check_A2prime(nl, k, 1.0, p)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
 
 
 class TestComputeK:

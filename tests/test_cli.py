@@ -165,7 +165,7 @@ class TestSimulate:
         assert run("simulate", cfg, out) == EXIT_OK
         assert (out / "report.json").exists()
         assert (out / "trace.csv").exists()
-        assert (out / "plot.dat").exists()
+        assert not (out / "plot.dat").exists()  # trace.csv is the only trace file
         report = load_report(out)
         sim = report["simulation"]
         assert sim["outcome"] == "blowup_detected"
@@ -221,6 +221,11 @@ class TestSandwich:
 
 
 NEGATIVE_C1 = ("c1 = 1.0", "c1 = -1.0")
+# (old, new) edits of BLOWUP_BOX: the same box in 3D, and the
+# gradient_homogeneous family F = c u^4 h(v/u) (alpha 1, h constant by default)
+BOX_3D = ("dimension = 2", "dimension = 3", "half_extents = 1 1", "half_extents = 1 1 1")
+GRADIENT_HOMOGENEOUS = ("family = power_product", "family = gradient_homogeneous",
+                        "a_exp = 2\nb_exp = 2", "alpha = 1")
 VANISHING = ("c1 = 1.0\nc2 = 1.0", "c1 = 0.0\nc2 = 0.0")
 
 
@@ -325,6 +330,20 @@ class TestConfigErrors:
                    "family = absorption\np = 3\nq = 3\nr = 2\ns = 2\na = nan\nb = 1")),
         ("check", ("family = power_product\nc = 1.0\na_exp = 2\nb_exp = 2",
                    "family = absorption\np = 3\nq = 3\nr = inf\ns = 2\na = 1\nb = 1")),
+        ("bounds", (*BOX_3D, "alpha = 1.0", "alpha = 1.0\np = 0.5\nk1 = 1e6\nk2 = 1e6")),
+        ("check", (*BOX_3D, "alpha = 1.0", "alpha = 1.0\np = 0.5\nk1 = 1e6\nk2 = 1e6")),
+        ("check", ("alpha = 1.0", "alpha = 1.0\np = nan\nk1 = 2\nk2 = 2")),
+        ("check", ("alpha = 1.0", "alpha = 1.0\np = inf\nk1 = 2\nk2 = 2")),
+        ("check", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = nan\nk2 = 2")),
+        ("check", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = inf\nk2 = 2")),
+        ("check", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = -1\nk2 = 2")),
+        ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = nan")),
+        ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = inf")),
+        ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = -1")),
+        ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = constant\nh_value = nan")),
+        ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = constant\nh_value = inf")),
+        ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = power\nh_m = nan")),
+        ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = power\nh_m = inf")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
             "power_product_without_b_exp", "unknown_key_sample_stride",
             "simulate_solver_key_typo", "t_end_zero",
@@ -340,7 +359,10 @@ class TestConfigErrors:
             "check_unknown_key_dt_max", "bounds_alpha_zero", "sandwich_alpha_zero",
             "bounds_alpha_negative", "check_alpha_nan", "bounds_alpha_inf", "c_nan", "c_inf",
             "a_exp_nan", "b_exp_inf", "gradient_homogeneous_alpha_nan", "absorption_a_nan",
-            "absorption_r_inf"])
+            "absorption_r_inf", "bounds_p_half", "check_p_half", "p_nan", "p_inf", "k1_nan",
+            "k1_inf", "k1_negative", "gradient_homogeneous_c_nan",
+            "gradient_homogeneous_c_inf", "gradient_homogeneous_c_negative", "h_value_nan",
+            "h_value_inf", "h_m_nan", "h_m_inf"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
         # edit holds (old, new) pairs, applied in turn

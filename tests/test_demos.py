@@ -1,5 +1,6 @@
-"""Smoke tests of `demos/`: every script runs, and every config runs each
-command to its documented exit code."""
+"""Smoke tests of `demos/`: every script runs, every config runs each
+command to its documented exit code, and a rerun of `sandwich` writes the
+same bytes."""
 
 import json
 import os
@@ -40,3 +41,13 @@ def test_config_exits_as_documented(config, command, tmp_path):
     assert report["command"] == command
     if expected == EXIT_FAILED:
         assert report["upper_bound"]["error"]["type"] == "NonpositiveJ0"
+
+
+@pytest.mark.parametrize("config", sorted((DEMOS / "configs").glob("*.ini")),
+                         ids=lambda path: path.stem)
+def test_sandwich_rerun_is_byte_identical(config, tmp_path):
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["sandwich", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+    for name in ("report.json", "trace.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -74,6 +74,12 @@ class TestScriptE:
         with pytest.raises(NegativeField):
             energy_scriptE(pair, mesh2d, 2.0)
 
+    @pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
+    def test_p_must_be_finite_and_at_least_one(self, mesh2d, p):
+        pair = constant_pair(mesh2d, 1, 1, nonneg=True)
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            energy_scriptE(pair, mesh2d, p)
+
     def test_quartic_profile_converges(self, box2d):
         # int (1+x1^2)^4 dx over [-1,1]^2 = 2 * int_{-1}^{1} (1+x^2)^4 dx
         # = 2 * (2 + 8/3 + 12/5 + 8/7 + 2/9) = 2 * 2656/315 = 5312/315

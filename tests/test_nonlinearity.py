@@ -102,6 +102,18 @@ class TestGradientHomogeneous:
         with pytest.raises(BadExponent):
             make_gradient_homogeneous(1.0, alpha, shape_constant())
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_coefficient_must_be_finite_and_positive(self, c):
+        with pytest.raises(BadExponent):
+            make_gradient_homogeneous(c, 1.0, shape_constant())
+
+    @pytest.mark.parametrize("shape, value", [(shape_power, math.nan), (shape_power, math.inf),
+                                              (shape_constant, math.nan),
+                                              (shape_constant, -math.inf)])
+    def test_shape_parameter_must_be_finite(self, shape, value):
+        with pytest.raises(BadExponent):
+            shape(value)
+
 
 class TestAbsorption:
     def test_values(self):
