@@ -112,36 +112,37 @@ def upper_bound_blowup(nl: Nonlinearity, g1, g2, mesh: Mesh,
     )
 
 
+def _domain_factor(geo: GeometryConstants) -> float:
+    """(d/rho + 1)^(3/2), the domain's factor in beta's admissibility and in K2."""
+    if geo.rho <= 0:
+        raise ValueError(f"need rho > 0, got {geo.rho:g}")
+    return (geo.d / geo.rho + 1.0) ** 1.5
+
+
 def select_betas(p: float, k1: float, k2: float, geo: GeometryConstants):
     """Largest admissible (beta1, beta2): each solves its admissibility
     inequality at equality, which maximizes the lower bound since K2
     scales like beta**-3."""
     require_growth_constants(p, k1=k1, k2=k2)
-    if geo.rho <= 0:
-        raise ValueError(f"need rho > 0, got {geo.rho:g}")
-    geom = (geo.d / geo.rho + 1.0) ** 1.5
-    betas = tuple(
-        2.0**1.5 * (2.0 * p - 1.0) / (3.0**0.25 * p * p * ki * geom)
-        for ki in (k1, k2)
-    )
-    return betas
+    geom = _domain_factor(geo)
+    return tuple(2.0**1.5 * (2.0 * p - 1.0) / (3.0**0.25 * p * p * ki * geom)
+                 for ki in (k1, k2))
 
 
 def beta_admissibility_residual(p: float, k: float, geo: GeometryConstants,
                                 beta: float) -> float:
     """Value of the admissibility expression; admissible iff <= 0."""
-    geom = (geo.d / geo.rho + 1.0) ** 1.5
-    return -2.0 * (2.0 * p - 1.0) / p + 3.0**0.25 * p * k / 2.0**0.5 * geom * beta
+    return -2.0 * (2.0 * p - 1.0) / p + 3.0**0.25 * p * k / 2.0**0.5 * _domain_factor(geo) * beta
 
 
 def compute_K(p: float, k: float, geo: GeometryConstants, beta: float):
     """K1 = 3^(3/4) * p * k * rho^(-3/2) and the matching K2."""
     require_growth_constants(p, k=k)
-    if min(beta, geo.rho) <= 0:
-        raise ValueError("beta and rho must be positive")
-    K1 = 3.0**0.75 * p * k * geo.rho**-1.5
-    K2 = (p * k / (2.0**0.5 * 3.0**0.75)) * (geo.d / geo.rho + 1.0) ** 1.5 * beta**-3.0
-    return K1, K2
+    if beta <= 0:
+        raise ValueError(f"need beta > 0, got {beta:g}")
+    # K2 first: its factor checks rho > 0, which K1's rho^(-3/2) needs
+    K2 = (p * k / (2.0**0.5 * 3.0**0.75)) * _domain_factor(geo) * beta**-3.0
+    return 3.0**0.75 * p * k * geo.rho**-1.5, K2
 
 
 def lower_bound_blowup(scriptE0: float, K1: float, K2: float,

@@ -295,9 +295,7 @@ def cmd_simulate(exp: Experiment, out_dir: Path) -> int:
     trace = _simulate(exp, out_dir)
     report = {"command": "simulate", "simulation": _simulation_block(exp, trace)}
     _write_report(report, out_dir)
-    if trace.outcome == OUTCOME_STEP_UNDERFLOW and trace.blowup_estimate is None:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if trace.outcome == OUTCOME_STEP_UNDERFLOW else EXIT_OK
 
 
 def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:

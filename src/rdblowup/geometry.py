@@ -196,21 +196,28 @@ def geometry_constants(spec: DomainSpec) -> GeometryConstants:
     return GeometryConstants(rho=rho, d=d)
 
 
+def _finite_total(samples, total, what: str) -> float:
+    """A quadrature's `total` as a float; NonFiniteSample if it or a sample is not finite."""
+    if not np.all(np.isfinite(samples)):
+        raise NonFiniteSample(f"{what} integrand has non-finite samples")
+    if not np.isfinite(total):
+        raise NonFiniteSample(f"{what} integral overflows")
+    return float(total)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def interior_integral(mesh: Mesh, samples) -> float:
     """Midpoint-rule integral over the domain; exact for per-cell constants."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size != mesh.n_cells:
         raise ValueError("one sample per cell required")
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteSample("interior integrand has non-finite samples")
-    return float(np.sum(samples) * mesh.cell_volume)
+    return _finite_total(samples, np.sum(samples) * mesh.cell_volume, "interior")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def boundary_integral(mesh: Mesh, boundary_samples) -> float:
     """Face-midpoint integral over the boundary of the box."""
     samples = np.asarray(boundary_samples, dtype=float).ravel()
     if samples.size != mesh.face_cells.size:
         raise ValueError("one sample per boundary face required")
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteSample("boundary integrand has non-finite samples")
-    return float(np.sum(samples * mesh.face_areas))
+    return _finite_total(samples, np.sum(samples * mesh.face_areas), "boundary")

@@ -10,8 +10,11 @@ Three built-in families are provided:
 Hypothesis checks are sampling-based: the conditions are global in (u, v),
 so each checker evaluates the relevant slack on a log-uniform grid over a
 declared box and reports the worst point.  A report never proves a
-hypothesis; it states the box that was sampled.  H2 and H3 are judged off
-the initial data's monitor row, which the upper bound reads too.
+hypothesis; it states the box that was sampled.  A sample whose slack or
+scale overflows is left out of the margin, and the description counts it; a
+check with no finite sample raises NonFiniteSample, a numerical failure
+(exit code 3).  H2 and H3 are judged off the initial data's monitor row,
+which the upper bound reads too.
 """
 
 from dataclasses import dataclass
@@ -23,6 +26,7 @@ from .errors import (
     BadExponent,
     EvalAtZeroU,
     NegativeInitialData,
+    NonFiniteSample,
     NotGradientSystem,
 )
 from .functionals import FieldPair, energy_sample, require_growth_constants
@@ -230,17 +234,24 @@ def _log_grid(box, samples_per_axis):
 
 
 def _report(name, slack, scale, witnesses, description) -> HypothesisReport:
-    """The verdict rule: margin = min(slack/scale), holding iff >= -HOLD_TOL;
-    on failure the witness takes each of `witnesses` at the worst sample."""
-    rel = np.ravel(slack / (scale + 1e-300))
-    idx = int(np.argmin(rel))
-    margin = float(rel[idx])
+    """The verdict rule: margin = min(slack/scale) where both are finite, holding
+    iff >= -HOLD_TOL; on failure the witness takes `witnesses` at the worst sample."""
+    slack, scale = np.ravel(slack), np.ravel(scale)
+    finite = np.flatnonzero(np.isfinite(slack) & np.isfinite(scale))
+    if finite.size == 0:
+        raise NonFiniteSample(f"{name}: no sample has a finite slack and scale")
+    if finite.size < slack.size:
+        description += f"; {slack.size - finite.size} non-finite samples left out"
+    rel = slack[finite] / (scale[finite] + 1e-300)
+    worst = int(np.argmin(rel))
+    margin = float(rel[worst])
     holds = margin >= -HOLD_TOL
-    witness = None if holds else tuple(float(np.ravel(w)[idx]) for w in witnesses)
+    witness = None if holds else tuple(float(np.ravel(w)[finite[worst]]) for w in witnesses)
     return HypothesisReport(hypothesis=name, holds=holds, margin=margin,
                             witness=witness, description=description)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_H1(nl: Nonlinearity, alpha: float, box=DEFAULT_BOX,
              samples_per_axis: int = DEFAULT_SAMPLES) -> HypothesisReport:
     """Sampled check of u*f1 + v*f2 >= 2(1+alpha)*F on the declared box."""
@@ -292,6 +303,7 @@ def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: flo
     return _initial_data_row(nl, g1, g2, mesh, gamma1, gamma2)[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_A2_A3(nl: Nonlinearity, k1: float, k2: float, p: float,
                 box=DEFAULT_BOX, samples_per_axis: int = DEFAULT_SAMPLES):
     """Sampled check of f1 <= k1*u**(p+1) and f2 <= k2*v**(p+1)."""
@@ -308,6 +320,7 @@ def check_A2_A3(nl: Nonlinearity, k1: float, k2: float, p: float,
     return tuple(reports)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_A2prime(nl: Nonlinearity, k1: float, k2: float, p: float,
                   box=DEFAULT_BOX, samples_per_axis: int = DEFAULT_SAMPLES) -> HypothesisReport:
     """Sampled check of u**(2p-1)*f1 + v**(2p-1)*f2 <= k1*u**(3p) + k2*v**(3p),

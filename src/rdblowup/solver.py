@@ -12,32 +12,34 @@ Bogacki-Shampine 3(2) (BS3: 3 new rhs evaluations a step) and Dormand-Prince
 5(4) (DP5: 6), written as Butcher tableaux (`Pair`) that one `step` runs, in a
 `StepWork` of stage rows allocated once per run and kept in stage order: row 0
 is always k1, and an s-stage pair writes f(y_new) into row s - 1, which
-`StepWork.accept` copies into row 0.  Each pair advances its
-higher-order solution; on a linear mode y' = lam y a step multiplies y by its
-stability polynomial R(z), z = dt lam, and |R| <= 1 on the real interval
-[-2.5127, 0] for BS3 (R = -1 at the end) and [-3.30657, 0] for DP5 (R = +1).
-By Gershgorin, every eigenvalue of the Robin Laplacian lies in
-[-4 sum_a h_a^-2, 0] for any gamma >= 0: each boundary face removes 2/h_a^2
-from its row's absolute sum and the Robin diagonal adds back
-(1 - g)/h_a^2 < 2/h_a^2, as g lies in (-1, 1].  So each pair's diffusion cap
-is dt <= 0.8 * interval / (4 sum_a h_a^-2).  The operator is symmetric, so at
-the cap every mode has R in [-0.344, 1] under BS3 and in [0.173, 1] under
-DP5, and none grows, whatever the data.  Reaction stiffness is left to the
-error controller, a PI controller with exponents 0.7/q and 0.4/q for a pair of
-order q (1/q after a rejection).  The first step tries dt = 1e-6; dt never
-exceeds 0.1, and a dt below 1e-14 ends the run as a step underflow.
+`StepWork.accept` copies into row 0.  Each pair advances its higher-order
+solution; on a linear mode y' = lam y a step multiplies y by its stability
+polynomial R(z), z = dt lam, and |R| <= 1 on the real interval [-2.5127, 0]
+for BS3 (R = -1 at the end) and [-3.30657, 0] for DP5 (R = +1).  By
+Gershgorin, every eigenvalue of the Robin Laplacian lies in [-4 sum_a h_a^-2,
+0] for any gamma >= 0: each boundary face removes 2/h_a^2 from its row's
+absolute sum and the Robin diagonal adds back (1 - g)/h_a^2 < 2/h_a^2, as g
+lies in (-1, 1].  So each pair's diffusion cap is dt <= 0.8 * interval /
+(4 sum_a h_a^-2).  The operator is symmetric, so at the cap every mode has R
+in [-0.344, 1] under BS3 and in [0.173, 1] under DP5, and none grows, whatever
+the data.  Reaction stiffness is left to the error controller.
 
-Pair choice: DP5 takes every step whose size accuracy sets, which is where
-its higher order pays.  A step held at a cap is cheaper with BS3, which pays
-3 rhs evaluations per 2.5127 units of stability where DP5 pays 6 per 3.30657.
-So after an accepted DP5 step whose proposed dt reaches BS3's cap, its stages
-predict BS3's error estimate there: weights w on the seven stages match BS3's
-error weights on every tree of order <= 3, so dt sum_i w_i k_i is BS3's
-estimate up to O(dt^4), and that estimate scales as dt^3.  If the prediction
-at the cap is <= 0.9^3, BS3's controller would keep the cap, and the next step
-is BS3 at its cap.  BS3 stays while its own proposal stays at or above its
-cap; otherwise, or after any rejected BS3 step, DP5 takes over again.  The PI
-history restarts at each change of pair.
+Each trial step goes through one sequence.  Its dt, 1e-6 at first, is clamped
+to the pair's cap, to 0.1 and to t_end; it is accepted iff its error norm is
+<= 1 (inf and NaN reject) and counted once, under its pair.  One place
+proposes the next dt: a PI controller with exponents 0.7/q and 0.4/q for a
+pair of order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt after a
+finite rejection, dt/2 after a non-finite one.  One rule picks the next pair:
+BS3 iff the step was accepted, its proposal reaches BS3's cap, and it was a
+BS3 step or DP5's stages predict BS3's error estimate at the cap to be
+<= 0.9^3, where BS3's controller would keep the cap.  The PI history restarts
+only where the pair changes.  An accepted step writes its monitor row; then
+the run ends as a step underflow if the proposal is below 1e-14, else as
+blow-up if the sup-norm reached the threshold.  DP5's order pays where
+accuracy sets dt; at a cap BS3 is cheaper, at 3 rhs evaluations per 2.5127
+units of stability against DP5's 6 per 3.30657.  The prediction: weights w on
+DP5's stages match BS3's error weights on every tree of order <= 3, so
+dt sum_i w_i k_i is BS3's O(dt^3) estimate up to O(dt^4).
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  Blow-up is
@@ -271,15 +273,8 @@ class StepWork:
         return y_new
 
 
-def _err_norm(err: np.ndarray, y, y_new, rel_tol, abs_tol, work: StepWork) -> float:
-    """RMS of err / (abs_tol + rel_tol * max(|y|, |y_new|)); overwrites `err`."""
-    # -max(|y|, |y_new|) = min(-max(|y|, y_new), y_new), built in one buffer
-    scale = np.abs(y, out=work.scale)
-    np.maximum(scale, y_new, out=scale)
-    np.negative(scale, out=scale)
-    np.minimum(scale, y_new, out=scale)
-    scale *= -rel_tol
-    scale += abs_tol
+def _err_norm(err: np.ndarray, scale: np.ndarray) -> float:
+    """RMS of err / scale; overwrites `err`."""
     err /= scale
     return float(np.sqrt(np.dot(err, err) / err.size))
 
@@ -292,7 +287,8 @@ def step(y: np.ndarray, dt: float, rhs_vec, rel_tol: float, abs_tol: float,
     Returns (y_new, err_norm, k_last), where y_new is `work.y_new` and k_last
     the FSAL derivative f(y_new) in `work.K[s - 1]` for an s-stage pair, so y
     must not be `work.y_new`.  err_norm is inf on overflow, with k_last None,
-    so the caller shrinks dt.  The stages stay in `work` until the next step.
+    so the caller shrinks dt.  The stages and the error scale
+    abs_tol + rel_tol * max(|y|, |y_new|) stay in `work` until the next step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -310,22 +306,32 @@ def step(y: np.ndarray, dt: float, rhs_vec, rel_tol: float, abs_tol: float,
     if not np.all(np.isfinite(k_last)):
         return y, float("inf"), None
     work.last = s - 1
+    # -max(|y|, |y_new|) = min(-max(|y|, y_new), y_new), built in one buffer
+    scale = np.abs(y, out=work.scale)
+    np.maximum(scale, y_new, out=scale)
+    np.negative(scale, out=scale)
+    np.minimum(scale, y_new, out=scale)
+    scale *= -rel_tol
+    scale += abs_tol
     # y_new - y_low = dt * sum_i e_i k_i
-    work.combine(pair.e * dt, err)
-    return y_new, _err_norm(err, y, y_new, rel_tol, abs_tol, work), k_last
+    return y_new, _err_norm(work.combine(pair.e * dt, err), scale), k_last
 
 
-def _predicted_bs3_err(work: StepWork, y, y_new, dt: float, dt_bs3: float,
-                       rel_tol: float, abs_tol: float) -> float:
-    """BS3's error norm for a step of dt_bs3 from y, predicted from the
-    stages of the DP5 step of dt from y to y_new still held in `work`.
-
-    dt * sum_i w_i k_i is BS3's estimate at dt up to O(dt^4), and that
-    estimate is O(dt^3), so the norm is scaled by (dt_bs3 / dt)^3.
-    """
-    err = _err_norm(work.combine(_BS3_ERR_FROM_DP5 * dt, work.err), y, y_new,
-                    rel_tol, abs_tol, work)
+def _predicted_bs3_err(work: StepWork, dt: float, dt_bs3: float) -> float:
+    """BS3's error norm for a step of dt_bs3, predicted from the stages and
+    error scale of the DP5 step of dt left in `work`: scaled by (dt_bs3/dt)^3,
+    as BS3's estimate is O(dt^3)."""
+    err = _err_norm(work.combine(_BS3_ERR_FROM_DP5 * dt, work.err), work.scale)
     return err * (dt_bs3 / dt) ** 3
+
+
+def _proposed_dt(dt: float, err: float, err_prev: float, order: int) -> float:
+    """The next trial dt (module docstring); err_prev: the last accepted err."""
+    if err <= 1.0:
+        fac = (_SAFETY * max(err, 1e-12) ** (-_PI_KI / order)
+               * max(err_prev, 1e-12) ** (_PI_KP / order))
+        return dt * min(_FAC_MAX, max(_FAC_MIN, fac))
+    return dt * (max(0.1, _SAFETY * err ** (-1.0 / order)) if math.isfinite(err) else 0.5)
 
 
 def _diffusion_cap(mesh: Mesh, pair: Pair = BS3) -> float:
@@ -342,8 +348,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
     y = np.concatenate([config.g1, config.g2])
 
     lap = mesh.laplacian
-    robin1 = mesh.robin_diagonal(config.gamma1)
-    robin2 = mesh.robin_diagonal(config.gamma2)
+    robin1, robin2 = mesh.robin_diagonal(config.gamma1), mesh.robin_diagonal(config.gamma2)
 
     def rhs_vec(yy, out):
         if not np.all(np.isfinite(yy)):
@@ -356,9 +361,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         raise NonFiniteField("initial right-hand side is not finite")
     caps = {pair: _diffusion_cap(mesh, pair) for pair in PAIRS}
     steps_by_pair = {pair.name: {"accepted": 0, "rejected": 0} for pair in PAIRS}
-    t = 0.0
-    pair = DP5
-    dt = min(_DT_INIT, caps[pair], _DT_MAX)
+    t, dt, pair, err_prev = 0.0, _DT_INIT, DP5, 1.0
     samples: list[EnergySample] = []
     clamp_count = 0
 
@@ -368,51 +371,31 @@ def simulate(config: SolverConfig) -> SolveTrace:
         u, v = y[:n], y[n:]
         if config.p is not None:
             clamp_count += int(np.sum(u < 0) + np.sum(v < 0))
-        fields = FieldPair(u=u, v=v, t=t)
-        row = energy_sample(
-            fields, mesh, nl=nl, alpha=config.alpha, gamma1=config.gamma1,
-            gamma2=config.gamma2, p=config.p, dt=dt_now,
-        )
+        row = energy_sample(FieldPair(u=u, v=v, t=t), mesh, nl=nl, alpha=config.alpha,
+                            gamma1=config.gamma1, gamma2=config.gamma2, p=config.p, dt=dt_now)
         samples.append(row)
         return max(row.sup_u, row.sup_v)
 
-    initial_sup = record(dt)
-    err_prev = 1.0
+    # the initial row carries the first trial dt, clamped but not to t_end
+    sup = initial_sup = record(min(dt, caps[pair], _DT_MAX))
     outcome = OUTCOME_REACHED_T_END
 
     while t < config.t_end:
         dt = min(dt, caps[pair], _DT_MAX, config.t_end - t)
-        y_new, err, _ = step(y, dt, rhs_vec, config.rel_tol, config.abs_tol, work, pair)
-        counts = steps_by_pair[pair.name]
-        if not np.isfinite(err) or err > 1.0:
-            counts["rejected"] += 1
-            if np.isfinite(err):
-                dt *= max(0.1, _SAFETY * err ** (-1.0 / pair.order))
-            else:
-                dt *= 0.5
-            if pair is BS3:
-                pair, err_prev = DP5, 1.0
-            if dt < _DT_MIN:
-                outcome = OUTCOME_STEP_UNDERFLOW
-                break
-            continue
-        counts["accepted"] += 1
-        # PI step-size controller
-        fac = (_SAFETY * max(err, 1e-12) ** (-_PI_KI / pair.order)
-               * max(err_prev, 1e-12) ** (_PI_KP / pair.order))
-        dt_next = dt * min(_FAC_MAX, max(_FAC_MIN, fac))
-        err_prev = max(err, 1e-12)
-        # a step held at BS3's cap is cheaper with BS3 when BS3 is accurate
-        # there (module docstring)
-        if pair is BS3 and dt_next < caps[BS3]:
-            pair, err_prev = DP5, 1.0
-        elif pair is DP5 and dt_next >= caps[BS3] and _predicted_bs3_err(
-                work, y, y_new, dt, caps[BS3], config.rel_tol,
-                config.abs_tol) <= _SAFETY ** 3:
-            pair, err_prev = BS3, 1.0
-        t += dt
-        y = work.accept(y)
-        sup = record(dt)
+        _, err, _ = step(y, dt, rhs_vec, config.rel_tol, config.abs_tol, work, pair)
+        accepted = err <= 1.0  # inf and NaN reject
+        steps_by_pair[pair.name]["accepted" if accepted else "rejected"] += 1
+        dt_next = _proposed_dt(dt, err, err_prev, pair.order)
+        # the pair rule (module docstring), read off this step's stages before `accept`
+        next_pair = BS3 if accepted and dt_next >= caps[BS3] and (
+            pair is BS3 or _predicted_bs3_err(work, dt, caps[BS3]) <= _SAFETY ** 3) else DP5
+        if accepted:
+            err_prev = max(err, 1e-12)
+            t += dt
+            y = work.accept(y)
+            sup = record(dt)
+        if next_pair is not pair:
+            pair, err_prev = next_pair, 1.0
         dt = dt_next
         if dt < _DT_MIN:
             outcome = OUTCOME_STEP_UNDERFLOW
@@ -421,27 +404,23 @@ def simulate(config: SolverConfig) -> SolveTrace:
             outcome = OUTCOME_BLOWUP
             break
 
-    last = samples[-1]
-    sup_now = max(last.sup_u, last.sup_v)
     fallback_level = max(1e3 * initial_sup, 1e3)
     estimate = None
-    if outcome == OUTCOME_BLOWUP:
-        estimate = estimate_blowup_time(*_tail(samples), initial_sup=initial_sup)
-    elif outcome == OUTCOME_STEP_UNDERFLOW and sup_now >= fallback_level:
-        # A step-size collapse after the sup-norm has grown by orders of
-        # magnitude is itself caused by the blow-up: the remaining time to
-        # blow-up has dropped below floating-point resolution, so the fixed
-        # threshold may be unreachable.  Classify such runs as blow-up.
+    # dt collapsing after the sup-norm grew by orders of magnitude is caused by
+    # blow-up nearer than float resolution, where the threshold may be out of reach
+    if outcome == OUTCOME_BLOWUP or (outcome == OUTCOME_STEP_UNDERFLOW and sup >= fallback_level):
         try:
             estimate = estimate_blowup_time(*_tail(samples), initial_sup=initial_sup)
-            outcome = OUTCOME_BLOWUP
         except InsufficientSamples:
-            pass
-    level = config.sup_threshold if sup_now >= config.sup_threshold else fallback_level
+            if outcome == OUTCOME_BLOWUP:
+                raise
+        else:
+            outcome = OUTCOME_BLOWUP
+    level = config.sup_threshold if sup >= config.sup_threshold else fallback_level
     return SolveTrace(
         samples=samples, outcome=outcome, blowup_estimate=estimate,
-        u_crossed=estimate is not None and last.sup_u >= level,
-        v_crossed=estimate is not None and last.sup_v >= level,
+        u_crossed=estimate is not None and samples[-1].sup_u >= level,
+        v_crossed=estimate is not None and samples[-1].sup_v >= level,
         clamp_count=clamp_count, steps_by_pair=steps_by_pair,
         final_fields=FieldPair(u=y[:n], v=y[n:], t=t),
     )

@@ -132,6 +132,16 @@ class TestQuadrature:
         with pytest.raises(NonFiniteSample):
             interior_integral(mesh2d, bad)
 
+    @pytest.mark.parametrize("integral, count", [
+        (interior_integral, lambda mesh: mesh.n_cells),
+        (boundary_integral, lambda mesh: mesh.face_cells.size),
+    ], ids=["interior", "boundary"])
+    def test_overflowing_sum_rejected(self, integral, count):
+        # every sample is finite; their sum is not
+        mesh = build_mesh(DomainSpec("box", 3, half_extents=(0.5, 0.5, 0.5)), 4)
+        with pytest.raises(NonFiniteSample, match="overflows"):
+            integral(mesh, np.full(count(mesh), 1e308))
+
     def test_interior_order_two(self, box2d):
         # int x1^2 over [-1,1]^2 = 4/3; Richardson slope from three meshes
         errs = []

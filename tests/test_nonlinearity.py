@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from rdblowup.errors import BadExponent, EvalAtZeroU, NegativeInitialData, NotGradientSystem
+from rdblowup.errors import (
+    BadExponent,
+    EvalAtZeroU,
+    NegativeInitialData,
+    NonFiniteSample,
+    NotGradientSystem,
+)
 from rdblowup.geometry import DomainSpec, build_mesh
 from rdblowup.nonlinearity import (
     ALL_GLOBAL_BOUNDED,
     BLOWUP_EXISTS,
+    HOLD_TOL,
     THRESHOLD_BLOWUP_SMALL_AB,
     THRESHOLD_GLOBAL,
     THRESHOLD_GLOBAL_BOUNDED,
@@ -173,6 +180,28 @@ class TestCheckH1:
             check_H1(make_power_product(1.0, 2.0, 3.0), 1.5, box=box,
                      samples_per_axis=samples)
 
+    def test_overflowing_samples_left_out_of_a_holding_verdict(self):
+        # u^2 v^2 meets H1 at alpha = 1 with equality for every c; at c = 1e300
+        # the samples near u = v = 1e3 overflow to inf - inf
+        rep = check_H1(make_power_product(1e300, 2.0, 2.0), 1.0)
+        assert rep.holds
+        assert abs(rep.margin) <= HOLD_TOL
+        assert "non-finite samples left out" in rep.description
+
+    def test_overflowing_samples_left_out_of_a_failing_verdict(self):
+        # 2(1 + alpha) F overflows wherever F >= 9; where it does not, it
+        # dwarfs u f1 + v f2, so the slack is -1 of the scale
+        rep = check_H1(make_power_product(1.0, 2.0, 2.0), 1e307)
+        assert not rep.holds
+        assert rep.margin == -1.0
+        u, v = rep.witness
+        assert 2.0 * (1.0 + 1e307) * u**2 * v**2 < np.inf
+
+    def test_no_finite_sample_is_a_numerical_failure(self):
+        with pytest.raises(NonFiniteSample):
+            check_H1(make_power_product(1.0, 2.0, 2.0), 1.0,
+                     box=((1e200, 1e300), (1e200, 1e300)), samples_per_axis=4)
+
     def test_homogeneous_family_is_equality_case(self):
         nl = make_gradient_homogeneous(0.7, 0.8, shape_power(1.5))
         rep = check_H1(nl, 0.8)
@@ -287,6 +316,16 @@ class TestCheckA2prime:
         nl = make_power_product(1.0, 2.0, 2.0)
         rep = check_A2prime(nl, 2.0, 2.0, 2.0)
         assert rep.holds
+
+    def test_overflowing_samples_left_out(self):
+        # (u^6 + v^6 - 2u^4v^2 - 2u^2v^4) / (u^6 + v^6 + 2u^4v^2 + 2u^2v^4) at
+        # c = k1 = k2 = 1e300 is least, -1/3, on the diagonal u = v, which
+        # overflows above u ~ 17
+        rep = check_A2prime(make_power_product(1e300, 2.0, 2.0), 1e300, 1e300, 2.0)
+        assert not rep.holds
+        assert rep.margin == pytest.approx(-1.0 / 3.0, rel=1e-14)
+        u, v = rep.witness
+        assert u == v < 17.0
 
     def test_u2v3_violates(self):
         nl = make_power_product(1.0, 2.0, 3.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import linear_decay, zero_reaction
+import rdblowup.solver
 from rdblowup.errors import InsufficientSamples
 from rdblowup.functionals import FieldPair, energy_E
 from rdblowup.geometry import DomainSpec, build_mesh, interior_integral
@@ -262,8 +263,8 @@ class TestPairs:
     def test_predicted_bs3_estimate_matches_bs3(self, rhs_vec):
         y, h = np.array([1.0]), 1e-3
         work = StepWork(y, rhs_vec)
-        y_new, _, _ = step(y, h, rhs_vec, 1.0, 0.0, work, DP5)
-        predicted = _predicted_bs3_err(work, y, y_new, h, h, 1.0, 0.0)
+        step(y, h, rhs_vec, 1.0, 0.0, work, DP5)
+        predicted = _predicted_bs3_err(work, h, h)
         _, actual, _ = step(y, h, rhs_vec, 1.0, 0.0, StepWork(y, rhs_vec), BS3)
         assert predicted == pytest.approx(actual, rel=2e-3)
 
@@ -370,6 +371,34 @@ class TestPairChoice:
         assert trace.outcome == OUTCOME_BLOWUP
         assert trace.steps_by_pair == {"bs3": {"accepted": 0, "rejected": 0},
                                        "dp5": {"accepted": trace.n_steps, "rejected": 0}}
+
+
+class TestStepAccounting:
+    @pytest.mark.parametrize("run", ["robin_heat", "blowup_to_underflow"])
+    def test_every_trial_step_is_counted_once(self, monkeypatch, box2d, run):
+        # the Robin heat run steps with both pairs; the blow-up run, whose
+        # threshold lies beyond overflow, rejects steps until dt underflows
+        calls = {pair.name: 0 for pair in (BS3, DP5)}
+
+        def counted_step(*args):
+            calls[args[-1].name] += 1
+            return step(*args)
+
+        monkeypatch.setattr(rdblowup.solver, "step", counted_step)
+        if run == "robin_heat":
+            trace, _ = robin_heat(2, 32)
+            assert all(calls.values())
+        else:
+            mesh = build_mesh(box2d, 8)
+            g = 3.0 * np.prod(np.cos(0.7 * mesh.cell_centers), axis=1)
+            trace = simulate(SolverConfig(
+                mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0), gamma1=1.0,
+                gamma2=0.5, g1=g, g2=g, t_end=1.0, sup_threshold=1e300))
+            assert trace.n_rejected > 0
+            assert trace.samples[-1].sup_u < 1e300
+        assert {name: sum(counts.values()) for name, counts in
+                trace.steps_by_pair.items()} == calls
+        assert sum(c["accepted"] for c in trace.steps_by_pair.values()) == trace.n_steps
 
 
 class TestSimulateConservation:
