@@ -24,8 +24,6 @@ from .errors import (
 from .functionals import FieldPair, energy_E, energy_scriptE, require_growth_constants
 from .geometry import BALL, DomainSpec, GeometryConstants, Mesh, geometry_constants
 from .nonlinearity import (
-    DEFAULT_BOX,
-    DEFAULT_SAMPLES,
     HypothesisReport,
     Nonlinearity,
     _initial_data_row,
@@ -83,9 +81,7 @@ def _require_hold(reports):
 
 
 def upper_bound_blowup(nl: Nonlinearity, g1, g2, mesh: Mesh,
-                       gamma1: float, gamma2: float, alpha: float,
-                       check_box=DEFAULT_BOX,
-                       samples_per_axis: int = DEFAULT_SAMPLES) -> UpperBoundResult:
+                       gamma1: float, gamma2: float, alpha: float) -> UpperBoundResult:
     """Verify H1-H3 on the given data and compute t_upper = E0/(alpha*J0).
 
     Refusals come in a fixed order: E0 <= 0 (decided on the raw data, as the
@@ -94,7 +90,7 @@ def upper_bound_blowup(nl: Nonlinearity, g1, g2, mesh: Mesh,
     """
     if energy_E(FieldPair(u=g1, v=g2, t=0.0), mesh) <= 0:
         raise NonpositiveE0("initial energy vanishes")
-    rep1 = check_H1(nl, alpha, box=check_box, samples_per_axis=samples_per_axis)
+    rep1 = check_H1(nl, alpha)
     row, (rep2, rep3) = _initial_data_row(nl, g1, g2, mesh, gamma1, gamma2, alpha)
     reports = _require_hold((rep1, rep2, rep3))
     E0, J0 = row.E, row.J
@@ -174,20 +170,15 @@ def require_mode(mode: str) -> str:
     return mode
 
 
-def _lower_bound_checks(nl: Nonlinearity, k1: float, k2: float, p: float,
-                        mode: str, check_box, samples_per_axis: int):
+def _lower_bound_checks(nl: Nonlinearity, k1: float, k2: float, p: float, mode: str):
     """The sampled growth hypotheses of one mode: (A2prime,) or (A2, A3)."""
     if require_mode(mode) == MODE_A2PRIME:
-        return (check_A2prime(nl, k1, k2, p, box=check_box,
-                              samples_per_axis=samples_per_axis),)
-    return check_A2_A3(nl, k1, k2, p, box=check_box,
-                       samples_per_axis=samples_per_axis)
+        return (check_A2prime(nl, k1, k2, p),)
+    return check_A2_A3(nl, k1, k2, p)
 
 
 def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
-                         k1: float, k2: float, mode: str = MODE_A2PRIME,
-                         check_box=DEFAULT_BOX,
-                         samples_per_axis: int = DEFAULT_SAMPLES) -> LowerBoundResult:
+                         k1: float, k2: float, mode: str = MODE_A2PRIME) -> LowerBoundResult:
     """Compose the geometric constants, beta selection, K constants,
     scriptE(0) and the bound integral into a LowerBoundResult.
 
@@ -198,8 +189,7 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
     if spec.dimension != 3:
         raise DimensionNot3("the lower bound is stated for 3D domains only")
 
-    reports = _require_hold(
-        _lower_bound_checks(nl, k1, k2, p, mode, check_box, samples_per_axis))
+    reports = _require_hold(_lower_bound_checks(nl, k1, k2, p, mode))
 
     geo = geometry_constants(spec)
     require_nonnegative_data(g1, g2)

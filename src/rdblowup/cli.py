@@ -9,9 +9,17 @@ reruns are byte-identical.
 A config is checked in full before any command runs: `Experiment` builds the
 mesh, the nonlinearity, the initial data and, for a box, the `SolverConfig`,
 and the library code that builds each one checks its values, so a bad value
-exits 2 on every command, as does a `[solver]` key it does not know.  A ball
-domain takes constant initial data only; its `[solver]` values, which no
-command uses, are checked by the rules `SolverConfig` applies.
+exits 2 on every command.  So does any key the build does not read, in any
+section; the message names the file and each such key.  The keys: [domain]
+kind (box, ball), dimension, a box's half_extents and cells_per_axis, a
+ball's radius; [nonlinearity] family and its keys (power_product: c, a_exp,
+b_exp; gradient_homogeneous: c, alpha, h, h_m, h_value; absorption: p, q, r,
+s, a, b); [initial_data] kind (constant, gaussian), c1, c2 and, for a box,
+amplitude and width (a gaussian's width finite and > 0); [robin] gamma1,
+gamma2; [hypothesis] alpha, p, k1, k2 (k1 and k2 together, and with p),
+mode; [solver] t_end, rel_tol, abs_tol, sup_threshold; [outputs] directory.
+A ball domain takes constant initial data only; its `[solver]` values, which
+no command uses, are checked by the rules `SolverConfig` applies.
 
 Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
 2 config error, 3 numerical failure.
@@ -68,15 +76,29 @@ def _ints(text):
 _OPTIONAL_SECTIONS = ("initial_data", "robin", "hypothesis", "solver", "outputs")
 
 
+class _RecordingParser(configparser.ConfigParser):
+    """A ConfigParser that records each (section, key) looked up through it."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up = set()
+
+    def get(self, section, option, **kwargs):
+        self.looked_up.add((section, option))
+        return super().get(section, option, **kwargs)
+
+
 class Experiment:
     """A config parsed into the library objects it describes, each built once.
 
     Building them checks every value with the library's own rules, before
     any command runs; `__init__` turns the library's errors into ConfigError.
+    The keys the build reads are the config's schema: any other key in the
+    file, in any section, is a ConfigError too.
     """
 
     def __init__(self, path: str, resolution=None):
-        parser = configparser.ConfigParser()
+        parser = _RecordingParser()
         read = parser.read(path)
         if not read:
             raise ConfigError(f"cannot read config file {path}")
@@ -85,18 +107,19 @@ class Experiment:
         except (KeyError, ValueError, configparser.Error, ResolutionTooCoarse,
                 BadExponent) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        unread = [f"[{name}] {key}" for name in parser.sections() for key in parser[name]
+                  if (name, key) not in parser.looked_up]
+        if unread:
+            raise ConfigError(f"{path}: no command reads {', '.join(unread)}")
 
     def _build(self, cfg, resolution):
         for name in _OPTIONAL_SECTIONS:
             if not cfg.has_section(name):
                 cfg.add_section(name)
         self.out_dir = cfg["outputs"].get("directory", "out")
-        sol = cfg["solver"]
         # the [solver] keys, all floats; SolverConfig holds the defaults of
         # every key but t_end
-        unknown = sorted(set(sol) - set(STEP_OPTIONS))
-        if unknown:
-            raise ConfigError(f"unknown [solver] keys {unknown}; accepted: {list(STEP_OPTIONS)}")
+        sol = cfg["solver"]
         options = {key: float(sol[key]) for key in STEP_OPTIONS if key in sol}
         options.setdefault("t_end", 1.0)
 
@@ -126,12 +149,9 @@ class Experiment:
         if self.alpha is not None:
             nl_mod.require_alpha(self.alpha)
         require_growth_constants(self.p, k1=self.k1, k2=self.k2)
+        if (self.k1 is None) != (self.k2 is None) or (self.k1 is not None and self.p is None):
+            raise ValueError("[hypothesis] k1 and k2 come together, and with p")
         self.mode = bounds_mod.require_mode(hyp.get("mode", bounds_mod.MODE_A2PRIME))
-        (lo, hi), _ = nl_mod.DEFAULT_BOX
-        lo, hi = hyp.getfloat("box_min", lo), hyp.getfloat("box_max", hi)
-        self.check_box = ((lo, hi), (lo, hi))
-        self.check_samples = hyp.getint("samples_per_axis", nl_mod.DEFAULT_SAMPLES)
-        nl_mod.require_sample_box(self.check_box, self.check_samples)
 
         init = cfg["initial_data"]
         self.init_kind = init.get("kind", "constant")
@@ -153,12 +173,12 @@ class Experiment:
             return
         spec = DomainSpec(kind=BOX, dimension=dimension,
                           half_extents=_floats(dom["half_extents"]))
+        dom.get("cells_per_axis")  # counted as read where --resolution overrides it
         cells = ((resolution,) if resolution is not None
                  else _ints(dom["cells_per_axis"]))
         self.mesh = self.domain = build_mesh(spec, cells[0] if len(cells) == 1 else cells)
         g1 = make_field(self.mesh, self.init_kind,
-                        {"c": self.c1, "epsilon": init.getfloat("epsilon", 0.0),
-                         "amplitude": init.getfloat("amplitude", 0.0),
+                        {"c": self.c1, "amplitude": init.getfloat("amplitude", 0.0),
                          "width": init.getfloat("width", 1.0)})
         g2 = make_field(self.mesh, "constant", {"c": self.c2})
         if self.alpha is not None:
@@ -171,7 +191,7 @@ class Experiment:
         return self.alpha is not None and self.nl.has_potential and self.mesh is not None
 
     def wants_lower(self):
-        return self.p is not None and self.k1 is not None and self.k2 is not None
+        return self.k1 is not None
 
 
 def _as_jsonable(obj):
@@ -213,8 +233,7 @@ def _write_trace(trace, out_dir: Path):
 def cmd_check(exp: Experiment, out_dir: Path) -> int:
     reports, errors = [], {}
     if exp.nl.has_potential and exp.alpha is not None:
-        reports.append(nl_mod.check_H1(exp.nl, exp.alpha, box=exp.check_box,
-                                       samples_per_axis=exp.check_samples))
+        reports.append(nl_mod.check_H1(exp.nl, exp.alpha))
         if exp.mesh is not None:
             try:
                 reports.extend(nl_mod.check_H2_H3(exp.nl, exp.g1, exp.g2, exp.mesh,
@@ -222,8 +241,7 @@ def cmd_check(exp: Experiment, out_dir: Path) -> int:
             except NegativeInitialData as exc:
                 errors["H2_H3"] = _error_block(exc)
     if exp.wants_lower():
-        reports.extend(bounds_mod._lower_bound_checks(
-            exp.nl, exp.k1, exp.k2, exp.p, exp.mode, exp.check_box, exp.check_samples))
+        reports.extend(bounds_mod._lower_bound_checks(exp.nl, exp.k1, exp.k2, exp.p, exp.mode))
 
     report = {"command": "check",
               "hypotheses": {r.hypothesis: r for r in reports}, **errors}
@@ -240,12 +258,10 @@ def _compute_bounds(exp: Experiment):
     calls = {}
     if exp.wants_upper():
         calls["upper_bound"] = lambda: bounds_mod.upper_bound_blowup(
-            exp.nl, exp.g1, exp.g2, exp.mesh, exp.gamma1, exp.gamma2, exp.alpha,
-            check_box=exp.check_box, samples_per_axis=exp.check_samples)
+            exp.nl, exp.g1, exp.g2, exp.mesh, exp.gamma1, exp.gamma2, exp.alpha)
     if exp.wants_lower():
         calls["lower_bound"] = lambda: bounds_mod.lower_bound_pipeline(
-            exp.nl, exp.g1, exp.g2, exp.domain, exp.p, exp.k1, exp.k2, mode=exp.mode,
-            check_box=exp.check_box, samples_per_axis=exp.check_samples)
+            exp.nl, exp.g1, exp.g2, exp.domain, exp.p, exp.k1, exp.k2, mode=exp.mode)
     block, ok = {}, True
     for key, call in calls.items():
         try:

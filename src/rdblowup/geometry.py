@@ -196,12 +196,11 @@ def geometry_constants(spec: DomainSpec) -> GeometryConstants:
     return GeometryConstants(rho=rho, d=d)
 
 
-def _finite_total(samples, total, what: str) -> float:
-    """A quadrature's `total` as a float; NonFiniteSample if it or a sample is not finite."""
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteSample(f"{what} integrand has non-finite samples")
+def _finite_total(total, what: str) -> float:
+    """A quadrature's `total` as a float; NonFiniteSample if it is not finite,
+    which is the case iff a sample is inf or NaN or the sum overflows."""
     if not np.isfinite(total):
-        raise NonFiniteSample(f"{what} integral overflows")
+        raise NonFiniteSample(f"{what} integral has a non-finite sample or overflows")
     return float(total)
 
 
@@ -211,7 +210,7 @@ def interior_integral(mesh: Mesh, samples) -> float:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size != mesh.n_cells:
         raise ValueError("one sample per cell required")
-    return _finite_total(samples, np.sum(samples) * mesh.cell_volume, "interior")
+    return _finite_total(np.sum(samples) * mesh.cell_volume, "interior")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -220,4 +219,4 @@ def boundary_integral(mesh: Mesh, boundary_samples) -> float:
     samples = np.asarray(boundary_samples, dtype=float).ravel()
     if samples.size != mesh.face_cells.size:
         raise ValueError("one sample per boundary face required")
-    return _finite_total(samples, np.sum(samples * mesh.face_areas), "boundary")
+    return _finite_total(np.sum(samples * mesh.face_areas), "boundary")

@@ -217,17 +217,13 @@ def require_alpha(alpha: float):
         raise ValueError(f"alpha must be finite and > 0, got {alpha:g}")
 
 
-def require_sample_box(box, samples_per_axis: int):
-    """The sampling rule: each side 0 < lo <= hi < inf, and at least one
-    sample per axis."""
+def _log_grid(box, samples_per_axis):
+    """The sampling grid; the rule: each side 0 < lo <= hi < inf, and at least
+    one sample per axis."""
     if not all(0 < lo <= hi < np.inf for lo, hi in box):
         raise ValueError(f"sample box {box} must satisfy 0 < lo <= hi < inf on each axis")
     if samples_per_axis < 1:
         raise ValueError(f"samples_per_axis must be >= 1, got {samples_per_axis}")
-
-
-def _log_grid(box, samples_per_axis):
-    require_sample_box(box, samples_per_axis)
     (ulo, uhi), (vlo, vhi) = box
     return np.meshgrid(np.geomspace(ulo, uhi, samples_per_axis),
                        np.geomspace(vlo, vhi, samples_per_axis), indexing="ij")

@@ -344,11 +344,23 @@ class TestConfigErrors:
         ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = constant\nh_value = inf")),
         ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = power\nh_m = nan")),
         ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = power\nh_m = inf")),
+        ("check", ("cells_per_axis = 8", "cells_per_axis = 8\nradius = 1")),
+        ("check", ("b_exp = 2", "b_exp = 2\nh_m = 2")),
+        ("check", ("kind = constant", "kind = gaussian\namplitud = 5")),
+        ("bounds", ("t_end = 1.0", "t_end = 1.0\n\n[robin]\ngama1 = 1.0")),
+        ("check", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2\nmod = A2A3")),
+        ("check", ("t_end = 1.0", "t_end = 1.0\n\n[outputs]\ndir = elsewhere")),
+        ("check", ("[solver]", "[Solver]")),
+        ("bounds", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2")),
+        ("bounds", ("alpha = 1.0", "alpha = 1.0\nk1 = 2\nk2 = 2")),
+        ("check", ("kind = constant", "kind = gaussian\namplitude = 5\nwidth = 0")),
+        ("check", ("kind = constant", "kind = gaussian\namplitude = 5\nwidth = inf")),
+        ("check", ("kind = constant", "kind = cosine\nepsilon = 0.1")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
             "power_product_without_b_exp", "unknown_key_sample_stride",
             "simulate_solver_key_typo", "t_end_zero",
-            "check_unknown_mode", "bounds_unknown_mode", "samples_per_axis_zero",
-            "box_min_zero", "simulate_gamma1_minus_16", "check_gamma1_minus_1",
+            "check_unknown_mode", "bounds_unknown_mode", "unknown_key_samples_per_axis",
+            "unknown_key_box_min", "simulate_gamma1_minus_16", "check_gamma1_minus_1",
             "bounds_gamma1_nan", "simulate_gamma1_nan", "check_gamma2_inf",
             "cells_per_axis_two", "a_exp_below_one", "c1_nan", "c2_inf",
             "ball_gaussian_data", "check_t_end_zero", "check_unknown_key_sample_stride",
@@ -362,7 +374,11 @@ class TestConfigErrors:
             "absorption_r_inf", "bounds_p_half", "check_p_half", "p_nan", "p_inf", "k1_nan",
             "k1_inf", "k1_negative", "gradient_homogeneous_c_nan",
             "gradient_homogeneous_c_inf", "gradient_homogeneous_c_negative", "h_value_nan",
-            "h_value_inf", "h_m_nan", "h_m_inf"])
+            "h_value_inf", "h_m_nan", "h_m_inf", "unknown_key_radius_on_box",
+            "unknown_key_h_m_on_power_product", "unknown_key_amplitud", "unknown_key_gama1",
+            "unknown_key_mod", "unknown_key_outputs_dir", "misspelled_section_solver",
+            "k1_without_k2", "k1_k2_without_p", "gaussian_width_zero", "gaussian_width_inf",
+            "cosine_kind"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
         # edit holds (old, new) pairs, applied in turn
@@ -375,6 +391,15 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+
+    def test_unread_keys_named_with_the_file(self, tmp_path, capsys):
+        text = BLOWUP_BOX.replace("[solver]", "[Solver]") + "\n[robin]\ngama1 = 1.0\n"
+        cfg = write_config(tmp_path, text)
+        assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert cfg in err
+        assert "[robin] gama1" in err and "[Solver] t_end" in err
 
 
 class TestResolutionOverride:
