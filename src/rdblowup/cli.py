@@ -10,14 +10,15 @@ A config is checked in full before any command runs: `Experiment` builds the
 mesh, the nonlinearity, the initial data and, for a box, the `SolverConfig`,
 and the library code that builds each one checks its values, so a bad value
 exits 2 on every command.  So does any key the build does not read, in any
-section; the message names the file and each such key.  The keys: [domain]
-kind (box, ball), dimension, a box's half_extents and cells_per_axis, a
-ball's radius; [nonlinearity] family and its keys (power_product: c, a_exp,
-b_exp; gradient_homogeneous: c, alpha, h, h_m, h_value; absorption: p, q, r,
-s, a, b); [initial_data] kind (constant, gaussian), c1, c2 and, for a box,
-amplitude and width (a gaussian's width finite and > 0); [robin] gamma1,
-gamma2; [hypothesis] alpha, p, k1, k2 (k1 and k2 together, and with p),
-mode; [solver] t_end, rel_tol, abs_tol, sup_threshold; [outputs] directory.
+section; the message names each such key.  Every config error names its
+file.  The keys: [domain] kind (box, ball), dimension, a box's half_extents
+and cells_per_axis, a ball's radius; [nonlinearity] family and its keys
+(power_product: c, a_exp, b_exp; gradient_homogeneous: c, alpha, h, h_m,
+h_value; absorption: p, q, r, s, a, b); [initial_data] kind (constant,
+gaussian), c1, c2 and, for a gaussian on a box, amplitude and width (the
+width finite and > 0); [robin] gamma1, gamma2; [hypothesis] alpha, p, k1, k2
+(k1 and k2 together, and with p), mode; [solver] t_end, rel_tol, abs_tol,
+sup_threshold; [outputs] directory.
 A ball domain takes constant initial data only; its `[solver]` values, which
 no command uses, are checked by the rules `SolverConfig` applies.
 
@@ -101,16 +102,16 @@ class Experiment:
         parser = _RecordingParser()
         read = parser.read(path)
         if not read:
-            raise ConfigError(f"cannot read config file {path}")
+            raise ConfigError("cannot read the file")
         try:
             self._build(parser, resolution)
         except (KeyError, ValueError, configparser.Error, ResolutionTooCoarse,
                 BadExponent) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
         unread = [f"[{name}] {key}" for name in parser.sections() for key in parser[name]
                   if (name, key) not in parser.looked_up]
         if unread:
-            raise ConfigError(f"{path}: no command reads {', '.join(unread)}")
+            raise ConfigError(f"no command reads {', '.join(unread)}")
 
     def _build(self, cfg, resolution):
         for name in _OPTIONAL_SECTIONS:
@@ -177,9 +178,11 @@ class Experiment:
         cells = ((resolution,) if resolution is not None
                  else _ints(dom["cells_per_axis"]))
         self.mesh = self.domain = build_mesh(spec, cells[0] if len(cells) == 1 else cells)
-        g1 = make_field(self.mesh, self.init_kind,
-                        {"c": self.c1, "amplitude": init.getfloat("amplitude", 0.0),
-                         "width": init.getfloat("width", 1.0)})
+        params = {"c": self.c1}
+        if self.init_kind == "gaussian":
+            params.update(amplitude=init.getfloat("amplitude", 0.0),
+                          width=init.getfloat("width", 1.0))
+        g1 = make_field(self.mesh, self.init_kind, params)
         g2 = make_field(self.mesh, "constant", {"c": self.c2})
         if self.alpha is not None:
             options["alpha"] = self.alpha
@@ -366,7 +369,7 @@ def _run_one(command, config_path, out_dir=None, resolution=None):
         exp = Experiment(config_path, resolution=resolution)
         return COMMANDS[command](exp, Path(out_dir if out_dir is not None else exp.out_dir))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {config_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RdBlowupError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -25,4 +25,4 @@ def make_field(mesh: Mesh, kind: str, params: dict) -> np.ndarray:
     if kind == "gaussian":
         return gaussian_bump_field(mesh, params["c"], params["amplitude"],
                                    params["width"])
-    raise KeyError(f"unknown initial-data kind {kind!r}")
+    raise ValueError(f"unknown initial-data kind {kind!r}")

@@ -1,5 +1,5 @@
-"""Domains, uniform cell-centered meshes and their Laplacian, geometric
-constants and quadrature.
+"""Domains, uniform cell-centered meshes with their Laplacian and its
+eigenbasis, geometric constants and quadrature.
 
 Boxes are meshed with a uniform cell-centered grid; balls exist only as
 analytic domains (geometric constants and volume) and cannot be meshed.
@@ -11,6 +11,7 @@ from functools import cached_property
 from math import inf, pi, prod, sqrt
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import dia_array
 
 from .errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
@@ -24,6 +25,11 @@ def require_gamma(gamma: float, name: str = "gamma") -> float:
     if not 0 <= gamma < inf:
         raise ValueError(f"{name} must be finite and >= 0, got {gamma:g}")
     return gamma
+
+
+def _ghost_factor(gamma: float, ha: float) -> float:
+    """g of the Robin ghost-cell closure ghost = g * cell along an axis of spacing ha."""
+    return (2.0 - gamma * ha) / (2.0 + gamma * ha)
 
 
 @dataclass(frozen=True)
@@ -131,12 +137,36 @@ class Mesh:
         require_gamma(gamma)
         diag = np.zeros(self.shape)
         for axis, ha in enumerate(self.h):
-            g = (2.0 - gamma * ha) / (2.0 + gamma * ha)
+            g = _ghost_factor(gamma, ha)
             for side in (0, -1):
                 face = [slice(None)] * diag.ndim
                 face[axis] = side
                 diag[tuple(face)] += (g - 1.0) / ha**2
         return diag.ravel()
+
+    def robin_modes(self, gamma: float) -> "RobinModes":
+        """Eigenpairs of the Robin Laplacian for gamma, axis by axis.
+
+        `laplacian + diag(robin_diagonal(gamma))` is the Kronecker sum of one
+        symmetric tridiagonal per axis: off-diagonal 1/h_a^2, interior
+        diagonal -2/h_a^2, end rows (g - 2)/h_a^2.  So its eigenvectors are
+        Kronecker products of the axes' eigenvectors and its eigenvalues the
+        sums of theirs (fast diagonalisation, Lynch, Rice & Thomas 1964).
+        Built anew on each call, as one mesh serves many gammas.
+        """
+        require_gamma(gamma)
+        values, vectors = [], []
+        grid = np.zeros(self.shape)
+        for axis, (na, ha) in enumerate(zip(self.shape, self.h)):
+            diag = np.full(na, -2.0 / ha**2)
+            diag[[0, -1]] = (_ghost_factor(gamma, ha) - 2.0) / ha**2
+            lam, q = eigh_tridiagonal(diag, np.full(na - 1, 1.0 / ha**2))
+            # the matrix is negative semidefinite; a zero mode may round above 0
+            np.minimum(lam, 0.0, out=lam)
+            grid += lam.reshape([na if b == axis else 1 for b in range(len(self.shape))])
+            values.append(lam)
+            vectors.append(q)
+        return RobinModes(values=tuple(values), vectors=tuple(vectors), grid=grid.ravel())
 
     def to_grid(self, samples: np.ndarray) -> np.ndarray:
         return np.asarray(samples).reshape(self.shape)
@@ -144,6 +174,47 @@ class Mesh:
     def boundary_values(self, samples: np.ndarray) -> np.ndarray:
         """Per-face values taken from the adjacent cell (face reconstruction)."""
         return np.asarray(samples).ravel()[self.face_cells]
+
+
+@dataclass(frozen=True, eq=False)
+class RobinModes:
+    """The Robin Laplacian A = Q diag(grid) Q^T of a mesh, from `Mesh.robin_modes`.
+
+    `values[a]` are the eigenvalues of axis a's tridiagonal and the columns
+    of `vectors[a]` its orthonormal eigenvectors; Q is the Kronecker product
+    of the `vectors`, and `grid` holds the eigenvalue of each mode, the sum
+    of its axes' values, flat in C order like the cells.  `to_modes` and
+    `from_modes` apply Q^T and Q with one matrix product per axis.
+    """
+
+    values: tuple[np.ndarray, ...]
+    vectors: tuple[np.ndarray, ...]
+    grid: np.ndarray
+
+    def to_modes(self, src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """out = Q^T src; `scratch` holds one field, and neither it nor `out` may be `src`."""
+        return self._apply([q.T for q in self.vectors], src, out, scratch)
+
+    def from_modes(self, src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """out = Q src, with the buffers of `to_modes`."""
+        return self._apply(self.vectors, src, out, scratch)
+
+    def _apply(self, mats, src, out, scratch):
+        """Apply mats[a] along each axis a, alternating between `out` and
+        `scratch` so that the last axis writes `out`."""
+        shape = tuple(len(m) for m in mats)
+        buffers = (out, scratch) if len(mats) % 2 else (scratch, out)
+        x = src
+        for axis, m in enumerate(mats):
+            dst, na = buffers[axis % 2], shape[axis]
+            if axis == len(mats) - 1:
+                # the rows of x times m^T: one matrix product, not one per row
+                np.matmul(x.reshape(-1, na), m.T, out=dst.reshape(-1, na))
+            else:
+                view = (prod(shape[:axis]), na, -1)
+                np.matmul(m, x.reshape(view), out=dst.reshape(view))
+            x = dst
+        return out
 
 
 def build_mesh(spec: DomainSpec, cells_per_axis) -> Mesh:

@@ -5,41 +5,57 @@ Space: the standard 5-point (2D) / 7-point (3D) Laplacian owned by the mesh,
 Robin diagonal `Mesh.robin_diagonal(gamma)`.  Together they close the Robin
 condition through ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h)
 (second order at the face, Neumann reflection at gamma = 0).  Both `rhs` and
-`simulate` apply this one operator: one DIA matvec per component.
+`simulate` apply this one operator A: one DIA matvec per component.
 
-Time: two explicit embedded Runge-Kutta pairs with first-same-as-last stages,
-Bogacki-Shampine 3(2) (BS3: 3 new rhs evaluations a step) and Dormand-Prince
-5(4) (DP5: 6), written as Butcher tableaux (`Pair`) that one `step` runs, in a
-`StepWork` of stage rows allocated once per run and kept in stage order: row 0
-is always k1, and an s-stage pair writes f(y_new) into row s - 1, which
-`StepWork.accept` copies into row 0.  Each pair advances its higher-order
-solution; on a linear mode y' = lam y a step multiplies y by its stability
-polynomial R(z), z = dt lam, and |R| <= 1 on the real interval [-2.5127, 0]
-for BS3 (R = -1 at the end) and [-3.30657, 0] for DP5 (R = +1).  By
-Gershgorin, every eigenvalue of the Robin Laplacian lies in [-4 sum_a h_a^-2,
-0] for any gamma >= 0: each boundary face removes 2/h_a^2 from its row's
-absolute sum and the Robin diagonal adds back (1 - g)/h_a^2 < 2/h_a^2, as g
-lies in (-1, 1].  So each pair's diffusion cap is dt <= 0.8 * interval /
-(4 sum_a h_a^-2).  The operator is symmetric, so at the cap every mode has R
-in [-0.344, 1] under BS3 and in [0.173, 1] under DP5, and none grows, whatever
-the data.  Reaction stiffness is left to the error controller.
+The eigenbasis: A is the Kronecker sum of one symmetric tridiagonal per
+axis, so `Mesh.robin_modes(gamma)` diagonalises it axis by axis, A = Q
+diag(Lambda) Q^T, with Q the Kronecker product of the axes' orthogonal
+eigenvectors and Lambda the sums of their eigenvalues (fast
+diagonalisation); Q and Q^T cost one small matrix product per axis.  By
+Gershgorin, Lambda lies in [-4 sum_a h_a^-2, 0] for any gamma >= 0: each
+boundary face removes 2/h_a^2 from its row's absolute sum and the Robin
+diagonal adds back (1 - g)/h_a^2 < 2/h_a^2, as g lies in (-1, 1].
+`simulate` builds the modes of each component once per run.
+
+Time: y' = A y + N(y), N = (f1, f2), is stepped by two embedded Runge-Kutta
+pairs with first-same-as-last stages, written as Butcher tableaux (`Pair`)
+that one `step` runs, in a `StepWork` of stage rows allocated once per run.
+Dormand-Prince 5(4) (DP5) is explicit: 6 new evaluations of A y + N(y) a
+step.  On a mode y' = lam y it multiplies y by its stability polynomial
+R(z), z = dt lam, with |R| <= 1 on [-3.30657, 0] (R = +1 at the end), so
+its diffusion cap is dt <= 0.8 * 3.30657 / (4 sum_a h_a^-2); A is symmetric,
+so at the cap every mode has R in [0.173, 1] and none grows, whatever the
+data.  Bogacki-Shampine 3(2) runs in integrating-factor (Lawson) form
+(`lawson_bs3`): w = e^{-tA} y obeys w' = e^{-tA} N(e^{tA} w), which has no
+linear part, and BS3's own tableau steps w.  In the eigenbasis (hats) the
+stages of a step from y are at
+  Y^_i = e^{c_i dt Lambda} y^ + dt sum_j a_ij e^{(c_i - c_j) dt Lambda} N^_j,
+N^_j = Q^T N(Q Y^_j), and the error estimate is Q dt sum_j e_j
+e^{(1 - c_j) dt Lambda} N^_j.  Only N is evaluated in physical space: 3 new
+reaction evaluations and 8 transforms a step, first-same-as-last in N^.
+BS3's nodes c never decrease and Lambda <= 0, so every exponential lies in
+(0, 1]: nothing overflows, A y is integrated exactly and no mode grows,
+whatever dt.  So this pair has no cap; its error estimate alone bounds its
+steps.  Reaction stiffness is left to the error controller.
 
 Each trial step goes through one sequence.  Its dt, 1e-6 at first, is clamped
-to the pair's cap, to 0.1 and to t_end; it is accepted iff its error norm is
-<= 1 (inf and NaN reject) and counted once, under its pair.  One place
-proposes the next dt: a PI controller with exponents 0.7/q and 0.4/q for a
-pair of order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt after a
-finite rejection, dt/2 after a non-finite one.  One rule picks the next pair:
-BS3 iff the step was accepted, its proposal reaches BS3's cap, and it was a
-BS3 step or DP5's stages predict BS3's error estimate at the cap to be
-<= 0.9^3, where BS3's controller would keep the cap.  The PI history restarts
-only where the pair changes.  An accepted step writes its monitor row; then
-the run ends as a step underflow if the proposal is below 1e-14, else as
-blow-up if the sup-norm reached the threshold.  DP5's order pays where
-accuracy sets dt; at a cap BS3 is cheaper, at 3 rhs evaluations per 2.5127
-units of stability against DP5's 6 per 3.30657.  The prediction: weights w on
-DP5's stages match BS3's error weights on every tree of order <= 3, so
-dt sum_i w_i k_i is BS3's O(dt^3) estimate up to O(dt^4).
+to 0.1, to t_end and, for DP5, to DP5's cap; it is accepted iff its error
+norm is <= 1 (inf and NaN reject) and counted once, under its pair.  One
+place proposes the next dt: a PI controller with exponents 0.7/q and 0.4/q
+for a pair of order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt after
+a finite rejection, dt/2 after a non-finite one.  One rule picks the next
+pair: `lawson_bs3` iff the step was accepted, its proposal reaches DP5's
+cap, and it was a `lawson_bs3` step or DP5's stages predict BS3's error
+estimate at DP5's cap to be <= 0.9^3, where BS3's controller would not
+shrink the step.  Where the pair changes, the PI history restarts and the
+new pair's first stage is evaluated at the current state.  An accepted step
+writes its monitor row; then the run ends as a step underflow if the
+proposal is below 1e-14, else as blow-up if the sup-norm reached the
+threshold.  So DP5's order pays where accuracy sets dt below its cap, and
+the Lawson pair takes the steps DP5's cap would hold.  The prediction:
+weights w on DP5's stages match BS3's error weights on every tree of order
+<= 3, so dt sum_i w_i k_i is explicit BS3's O(dt^3) estimate, the Lawson
+pair's at A = 0, up to O(dt^4).
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  Blow-up is
@@ -75,24 +91,36 @@ _DT_INIT, _DT_MIN, _DT_MAX = 1e-6, 1e-14, 0.1
 
 @dataclass(frozen=True, eq=False)
 class Pair:
-    """An explicit embedded Runge-Kutta pair whose last stage is first-same-as-last.
+    """An embedded Runge-Kutta pair whose last stage is first-same-as-last.
 
     `a` is the strictly lower (s, s) stage matrix; its last row is the weight
-    vector b of the advanced solution, so the last stage is f(y_new).  `e` is
-    b - b_hat, so dt * sum_i e_i k_i estimates the error.  `order` is the
-    order q of the advanced solution and `real_stability` the length of its
-    real stability interval: |R(z)| <= 1 for z in [-real_stability, 0].
+    vector b of the advanced solution, so the last stage is at y_new.  `e` is
+    b - b_hat, the weights of the error estimate.  `order` is the order q of
+    the advanced solution.  An explicit pair's stages are derivatives of
+    y' = f(y); a `lawson` pair's are the reaction N of y' = A y + N(y) in the
+    eigenbasis of A, and its step integrates A y exactly (module docstring).
     """
 
     name: str
     a: np.ndarray
     e: np.ndarray
     order: int
-    real_stability: float
+    lawson: bool = False
 
     @property
     def stages(self) -> int:
         return len(self.e)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """c, the stage times as fractions of the step."""
+        return self.a.sum(axis=1)
+
+    @property
+    def rows(self) -> int:
+        """Rows of `StepWork.K` a step uses: the stages, and for a Lawson pair
+        also the state, a copy of the first stage and an exponential."""
+        return self.stages + 3 if self.lawson else self.stages
 
 
 def _stage_matrix(rows):
@@ -102,11 +130,11 @@ def _stage_matrix(rows):
     return a
 
 
-# Bogacki & Shampine (1989); R(-2.5127) = -1
-BS3 = Pair("bs3", _stage_matrix([[1 / 2], [0, 3 / 4], [2 / 9, 1 / 3, 4 / 9]]),
-           e=np.array([2 / 9 - 7 / 24, 1 / 3 - 1 / 4, 4 / 9 - 1 / 3, -1 / 8]),
-           order=3, real_stability=2.5127)
-# Dormand & Prince (1980); R(-3.30657) = +1
+# Bogacki & Shampine (1989), nodes 0, 1/2, 3/4, 1, in integrating-factor form
+LAWSON_BS3 = Pair("lawson_bs3", _stage_matrix([[1 / 2], [0, 3 / 4], [2 / 9, 1 / 3, 4 / 9]]),
+                  e=np.array([2 / 9 - 7 / 24, 1 / 3 - 1 / 4, 4 / 9 - 1 / 3, -1 / 8]),
+                  order=3, lawson=True)
+# Dormand & Prince (1980)
 DP5 = Pair("dp5", _stage_matrix([
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -115,8 +143,10 @@ DP5 = Pair("dp5", _stage_matrix([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]]),
     e=np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]),
-    order=5, real_stability=3.30657)
-PAIRS = (BS3, DP5)
+    order=5)
+PAIRS = (LAWSON_BS3, DP5)
+# DP5's real stability interval [-3.30657, 0]: its stability polynomial R has R(-3.30657) = +1
+_DP5_REAL_STABILITY = 3.30657
 
 
 # Weights w on DP5's stages with BS3's error weights' elementary weights on
@@ -244,33 +274,71 @@ def rhs(fields: FieldPair, mesh: Mesh, nl: Nonlinearity,
 
 
 class StepWork:
-    """Stage derivatives and states of `step`, allocated once per run.
+    """Stage rows and states of `step`, allocated once per run.
 
-    `K` holds one row per stage of the largest pair, in stage order: `K[0]`
-    is k1, and a step of an s-stage pair writes stage i into `K[i]`, so its
-    FSAL derivative f(y_new) lands in `K[s - 1]`.  `accept` copies that row
-    into `K[0]` and swaps the caller's state with `y_new`.
+    `K` has the rows of the widest pair.  An explicit s-stage pair writes
+    stage i into `K[i]`, so `K[0]` is k1 = f(y) and its FSAL row f(y_new)
+    lands in `K[s - 1]`.  A Lawson pair keeps N^(y), the reaction at y in the
+    eigenbasis of A, in `K[0]`; `_lawson_stages` names its other rows, and
+    its FSAL row N^(y_new) lands in `K[s + 1]`.  `accept` copies the FSAL
+    row into `K[0]` and swaps the caller's state with `y_new`.  `modes`
+    holds the `RobinModes` of each component, which a Lawson pair needs,
+    and `scratch` one component's transform buffer.
     """
 
-    __slots__ = ("K", "last", "y_new", "err", "scale")
+    __slots__ = ("K", "last", "y_new", "err", "scale", "modes", "scratch")
 
-    def __init__(self, y: np.ndarray, rhs_vec):
-        """Allocate for states like `y` and evaluate k1 = f(y) in place."""
-        self.K = np.empty((max(pair.stages for pair in PAIRS), y.size))
-        self.last = 0  # the row of the last step's f(y_new)
+    def __init__(self, y: np.ndarray, stage_fn, modes=(), pair: Pair = DP5):
+        """Allocate for states like `y` and evaluate `pair`'s first stage at y
+        into `K[0]` (`restart`)."""
+        self.K = np.empty((max(p.rows for p in PAIRS), y.size))
+        self.last = 0  # the row of the last step's FSAL stage
         self.y_new, self.err, self.scale = (np.empty(y.size) for _ in range(3))
-        rhs_vec(y, self.K[0])
+        self.modes = tuple(modes)
+        self.scratch = np.empty(y.size // len(self.modes)) if self.modes else None
+        self.restart(y, stage_fn, pair)
 
-    def combine(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = sum_i weights[i] * K[i], over the first len(weights) stages."""
-        return np.dot(weights, self.K[:len(weights)], out=out)
+    def restart(self, y: np.ndarray, stage_fn, pair: Pair) -> None:
+        """K[0] = the first stage of `pair` at y: stage_fn(y) for an explicit
+        pair, its transform to the eigenbasis for a Lawson pair."""
+        if pair.lawson:
+            self.to_modes(stage_fn(y, self.err), self.K[0])
+        else:
+            stage_fn(y, self.K[0])
+
+    def combine(self, weights: np.ndarray, out: np.ndarray, first: int = 0) -> np.ndarray:
+        """out = sum_i weights[i] * K[first + i]."""
+        return np.dot(weights, self.K[first:first + len(weights)], out=out)
 
     def accept(self, y: np.ndarray) -> np.ndarray:
-        """Take the step just made from `y`: move its f(y_new) to `K[0]`,
+        """Take the step just made from `y`: move its FSAL row to `K[0]`,
         return its y_new and keep `y` as the buffer of the next y_new."""
         self.K[0] = self.K[self.last]
         y_new, self.y_new = self.y_new, y
         return y_new
+
+    def to_modes(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = Q^T src, component by component."""
+        for modes, block_src, block_out in self._blocks(src, out):
+            modes.to_modes(block_src, block_out, self.scratch)
+        return out
+
+    def from_modes(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = Q src, component by component."""
+        for modes, block_src, block_out in self._blocks(src, out):
+            modes.from_modes(block_src, block_out, self.scratch)
+        return out
+
+    def decay(self, tau: float, out: np.ndarray) -> np.ndarray:
+        """out = e^{tau Lambda}, the exponential of A over a time tau in its eigenbasis."""
+        for modes, _, block_out in self._blocks(out, out):
+            np.multiply(modes.grid, tau, out=block_out)
+        return np.exp(out, out=out)
+
+    def _blocks(self, src, out):
+        n = self.scratch.size
+        return ((modes, src[k * n:(k + 1) * n], out[k * n:(k + 1) * n])
+                for k, modes in enumerate(self.modes))
 
 
 def _err_norm(err: np.ndarray, scale: np.ndarray) -> float:
@@ -279,20 +347,39 @@ def _err_norm(err: np.ndarray, scale: np.ndarray) -> float:
     return float(np.sqrt(np.dot(err, err) / err.size))
 
 
-def step(y: np.ndarray, dt: float, rhs_vec, rel_tol: float, abs_tol: float,
+def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
          work: StepWork, pair: Pair = DP5):
-    """One step of `pair` from y, whose derivative `work.K[0]` holds.
+    """One step of `pair` from y, whose first stage `work.K[0]` holds.
 
-    rhs_vec(y, out) writes the derivative at y into `out` and returns it.
-    Returns (y_new, err_norm, k_last), where y_new is `work.y_new` and k_last
-    the FSAL derivative f(y_new) in `work.K[s - 1]` for an s-stage pair, so y
-    must not be `work.y_new`.  err_norm is inf on overflow, with k_last None,
-    so the caller shrinks dt.  The stages and the error scale
+    stage_fn(y, out) writes the stage function at y into `out` and returns
+    it: the derivative f(y) for an explicit pair, the reaction N(y) for a
+    Lawson pair.  Returns (y_new, err_norm, k_last), where y_new is
+    `work.y_new` and k_last the FSAL row `work.K[work.last]`, so y must not
+    be `work.y_new`.  err_norm is inf on overflow, with k_last None, so the
+    caller shrinks dt.  The stages and the error scale
     abs_tol + rel_tol * max(|y|, |y_new|) stay in `work` until the next step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    s, a, y_new, err = pair.stages, pair.a, work.y_new, work.err
+    stages = _lawson_stages if pair.lawson else _explicit_stages
+    y_new = stages(y, dt, stage_fn, work, pair)
+    if y_new is None:
+        return y, float("inf"), None
+    # -max(|y|, |y_new|) = min(-max(|y|, y_new), y_new), built in one buffer
+    scale = np.abs(y, out=work.scale)
+    np.maximum(scale, y_new, out=scale)
+    np.negative(scale, out=scale)
+    np.minimum(scale, y_new, out=scale)
+    scale *= -rel_tol
+    scale += abs_tol
+    return y_new, _err_norm(work.err, scale), work.K[work.last]
+
+
+def _explicit_stages(y, dt, rhs_vec, work, pair):
+    """The stages of an explicit pair from y: y_new in `work.y_new` and its
+    error estimate dt * sum_i e_i k_i in `work.err`; None if y_new or
+    f(y_new) is not finite."""
+    s, a, y_new = pair.stages, pair.a, work.y_new
     # the inner stages' arguments are built in y_new, which is written last
     for i in range(1, s - 1):
         work.combine(a[i, :i] * dt, y_new)
@@ -301,20 +388,47 @@ def step(y: np.ndarray, dt: float, rhs_vec, rel_tol: float, abs_tol: float,
     work.combine(a[s - 1, :s - 1] * dt, y_new)
     y_new += y
     if not np.all(np.isfinite(y_new)):
-        return y, float("inf"), None
-    k_last = rhs_vec(y_new, work.K[s - 1])
-    if not np.all(np.isfinite(k_last)):
-        return y, float("inf"), None
+        return None
+    if not np.all(np.isfinite(rhs_vec(y_new, work.K[s - 1]))):
+        return None
     work.last = s - 1
-    # -max(|y|, |y_new|) = min(-max(|y|, y_new), y_new), built in one buffer
-    scale = np.abs(y, out=work.scale)
-    np.maximum(scale, y_new, out=scale)
-    np.negative(scale, out=scale)
-    np.minimum(scale, y_new, out=scale)
-    scale *= -rel_tol
-    scale += abs_tol
-    # y_new - y_low = dt * sum_i e_i k_i
-    return y_new, _err_norm(work.combine(pair.e * dt, err), scale), k_last
+    work.combine(pair.e * dt, work.err)
+    return y_new
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _lawson_stages(y, dt, reaction, work, pair):
+    """The stages of a Lawson pair from y (module docstring): y_new in
+    `work.y_new` and its error estimate in `work.err`; None if y_new or
+    N(y_new) is not finite.
+
+    Rows: K[1] holds y^ and K[2 + j] stage j's N^_j (K[2] a copy of K[0]),
+    each multiplied by e^{(c_i - c_{i-1}) dt Lambda} on the way to node c_i.
+    So at c_i they hold e^{c_i dt Lambda} y^ and e^{(c_i - c_j) dt Lambda} N^_j,
+    and stage i's argument is their sum with weights 1 and dt a_ij.  The
+    last node is 1, where the rows also give the error estimate.  K[s + 2]
+    holds the exponential, and `work.err` each stage's argument and then its N.
+    """
+    s, a, c, K = pair.stages, pair.a, pair.nodes, work.K
+    y_new, buffer, decay = work.y_new, work.err, K[s + 2]
+    work.to_modes(y, K[1])
+    K[2] = K[0]
+    tau = None  # the time of the exponential in `decay`
+    for i in range(1, s):
+        if (c[i] - c[i - 1]) * dt != tau:
+            tau = (c[i] - c[i - 1]) * dt
+            work.decay(tau, decay)
+        K[1:i + 2] *= decay
+        work.combine(np.concatenate(([1.0], a[i, :i] * dt)), buffer, first=1)
+        work.from_modes(buffer, y_new)
+        reaction(y_new, buffer)
+        if i == s - 1 and not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(buffer))):
+            return None
+        work.to_modes(buffer, K[i + 2])
+    work.last = s + 1
+    # the error estimate is built in `scale`, which `step` writes afterwards
+    work.from_modes(work.combine(pair.e * dt, work.scale, first=2), work.err)
+    return y_new
 
 
 def _predicted_bs3_err(work: StepWork, dt: float, dt_bs3: float) -> float:
@@ -334,11 +448,11 @@ def _proposed_dt(dt: float, err: float, err_prev: float, order: int) -> float:
     return dt * (max(0.1, _SAFETY * err ** (-1.0 / order)) if math.isfinite(err) else 0.5)
 
 
-def _diffusion_cap(mesh: Mesh, pair: Pair = BS3) -> float:
-    """Largest dt `simulate` takes with `pair`: 0.8 of its real stability
+def _diffusion_cap(mesh: Mesh) -> float:
+    """Largest dt `simulate` takes with DP5: 0.8 of its real stability
     interval over the Gershgorin bound 4 sum_a h_a^-2 on the Robin
     Laplacian's spectrum."""
-    return _CAP_SAFETY * pair.real_stability / (4.0 * sum(ha ** -2 for ha in mesh.h))
+    return _CAP_SAFETY * _DP5_REAL_STABILITY / (4.0 * sum(ha ** -2 for ha in mesh.h))
 
 
 def simulate(config: SolverConfig) -> SolveTrace:
@@ -356,10 +470,21 @@ def simulate(config: SolverConfig) -> SolveTrace:
             return out
         return _rhs_into(out, yy[:n], yy[n:], lap, robin1, robin2, nl)
 
-    work = StepWork(y, rhs_vec)
+    def reaction_vec(yy, out):
+        if not np.all(np.isfinite(yy)):
+            out.fill(np.nan)
+            return out
+        out[:n] = nl.f1(yy[:n], yy[n:])
+        out[n:] = nl.f2(yy[:n], yy[n:])
+        return out
+
+    modes1 = mesh.robin_modes(config.gamma1)
+    modes2 = modes1 if config.gamma2 == config.gamma1 else mesh.robin_modes(config.gamma2)
+    stage_fns = {LAWSON_BS3: reaction_vec, DP5: rhs_vec}
+    work = StepWork(y, rhs_vec, (modes1, modes2))
     if not np.all(np.isfinite(work.K[0])):
         raise NonFiniteField("initial right-hand side is not finite")
-    caps = {pair: _diffusion_cap(mesh, pair) for pair in PAIRS}
+    caps = {LAWSON_BS3: math.inf, DP5: _diffusion_cap(mesh)}
     steps_by_pair = {pair.name: {"accepted": 0, "rejected": 0} for pair in PAIRS}
     t, dt, pair, err_prev = 0.0, _DT_INIT, DP5, 1.0
     samples: list[EnergySample] = []
@@ -382,13 +507,13 @@ def simulate(config: SolverConfig) -> SolveTrace:
 
     while t < config.t_end:
         dt = min(dt, caps[pair], _DT_MAX, config.t_end - t)
-        _, err, _ = step(y, dt, rhs_vec, config.rel_tol, config.abs_tol, work, pair)
+        _, err, _ = step(y, dt, stage_fns[pair], config.rel_tol, config.abs_tol, work, pair)
         accepted = err <= 1.0  # inf and NaN reject
         steps_by_pair[pair.name]["accepted" if accepted else "rejected"] += 1
         dt_next = _proposed_dt(dt, err, err_prev, pair.order)
         # the pair rule (module docstring), read off this step's stages before `accept`
-        next_pair = BS3 if accepted and dt_next >= caps[BS3] and (
-            pair is BS3 or _predicted_bs3_err(work, dt, caps[BS3]) <= _SAFETY ** 3) else DP5
+        next_pair = LAWSON_BS3 if accepted and dt_next >= caps[DP5] and (
+            pair is LAWSON_BS3 or _predicted_bs3_err(work, dt, caps[DP5]) <= _SAFETY ** 3) else DP5
         if accepted:
             err_prev = max(err, 1e-12)
             t += dt
@@ -396,6 +521,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
             sup = record(dt)
         if next_pair is not pair:
             pair, err_prev = next_pair, 1.0
+            work.restart(y, stage_fns[pair], pair)
         dt = dt_next
         if dt < _DT_MIN:
             outcome = OUTCOME_STEP_UNDERFLOW

@@ -171,7 +171,7 @@ class TestSimulate:
         assert sim["outcome"] == "blowup_detected"
         assert sim["blowup_estimate"]["t"] == pytest.approx(0.25, abs=1e-3)
         by_pair = sim["steps_by_pair"]
-        assert sorted(by_pair) == ["bs3", "dp5"]
+        assert sorted(by_pair) == ["dp5", "lawson_bs3"]
         assert sum(c["accepted"] for c in by_pair.values()) == sim["n_steps"]
         assert sum(c["rejected"] for c in by_pair.values()) == sim["n_rejected"]
 
@@ -356,6 +356,7 @@ class TestConfigErrors:
         ("check", ("kind = constant", "kind = gaussian\namplitude = 5\nwidth = 0")),
         ("check", ("kind = constant", "kind = gaussian\namplitude = 5\nwidth = inf")),
         ("check", ("kind = constant", "kind = cosine\nepsilon = 0.1")),
+        ("check", ("kind = constant", "kind = constant\namplitude = 5\nwidth = 0")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
             "power_product_without_b_exp", "unknown_key_sample_stride",
             "simulate_solver_key_typo", "t_end_zero",
@@ -378,7 +379,7 @@ class TestConfigErrors:
             "unknown_key_h_m_on_power_product", "unknown_key_amplitud", "unknown_key_gama1",
             "unknown_key_mod", "unknown_key_outputs_dir", "misspelled_section_solver",
             "k1_without_k2", "k1_k2_without_p", "gaussian_width_zero", "gaussian_width_inf",
-            "cosine_kind"])
+            "cosine_kind", "unknown_keys_amplitude_width_on_constant"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
         # edit holds (old, new) pairs, applied in turn
@@ -400,6 +401,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert cfg in err
         assert "[robin] gama1" in err and "[Solver] t_end" in err
+
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("check", BLOWUP_BOX.replace("family = power_product", "family = power_sum"),
+         "unknown nonlinearity family 'power_sum'"),
+        ("check", BLOWUP_BOX.replace("kind = constant", "kind = cosine"),
+         "unknown initial-data kind 'cosine'"),
+        ("check", BLOWUP_BOX.replace("kind = constant", "kind = constant\namplitude = 5\nwidth = 0"),
+         "no command reads [initial_data] amplitude, [initial_data] width"),
+        ("bounds", BLOWUP_BOX.replace("alpha = 1.0", ""), "config requests no bound"),
+        ("simulate", BALL_LOWER, "ball domains cannot be meshed"),
+    ], ids=["unknown_family", "unknown_kind", "unread_gaussian_keys", "no_bound",
+            "simulate_ball"])
+    def test_every_config_error_names_the_file(self, tmp_path, capsys, command, text,
+                                               message):
+        cfg = write_config(tmp_path, text)
+        assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
 
 
 class TestResolutionOverride:

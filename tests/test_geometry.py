@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -261,3 +262,39 @@ class TestLaplacianOperator:
                               g1=g, g2=g, t_end=1e-3))
         assert len(built) == 1
         assert mesh.laplacian is mesh.laplacian
+
+
+def kronecker_modes(modes):
+    """Dense Q, the Kronecker product of the axes' eigenvector matrices."""
+    return reduce(np.kron, modes.vectors)
+
+
+class TestRobinModes:
+    @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0])
+    def test_reproduce_the_robin_laplacian(self, spec, cells, gamma):
+        mesh = build_mesh(spec, cells)
+        modes = mesh.robin_modes(gamma)
+        A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+        Q = kronecker_modes(modes)
+        assert np.max(np.abs(Q @ np.diag(modes.grid) @ Q.T - A)) <= 1e-12 * np.max(np.abs(A))
+        for q, lam, na in zip(modes.vectors, modes.values, mesh.shape):
+            assert q.shape == (na, na) and np.all(lam <= 0.0)
+            assert np.max(np.abs(q.T @ q - np.eye(na))) <= 1e-13
+
+    @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
+    def test_transforms_apply_q_and_its_transpose(self, spec, cells):
+        mesh = build_mesh(spec, cells)
+        modes = mesh.robin_modes(0.5)
+        Q = kronecker_modes(modes)
+        x = np.random.default_rng(6).normal(size=mesh.n_cells)
+        out, scratch = np.empty_like(x), np.empty_like(x)
+        assert np.max(np.abs(modes.to_modes(x, out, scratch) - Q.T @ x)) <= 1e-14 * np.max(np.abs(x))
+        back = modes.from_modes(out.copy(), out, scratch)
+        assert back is out
+        assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x))
+
+    def test_built_on_each_call(self, box3d):
+        # one mesh serves a new gamma on every run, so nothing is kept per gamma
+        mesh = build_mesh(box3d, 4)
+        assert mesh.robin_modes(0.5) is not mesh.robin_modes(0.5)

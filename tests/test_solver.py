@@ -1,17 +1,19 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import linear_decay, zero_reaction
 import rdblowup.solver
 from rdblowup.errors import InsufficientSamples
 from rdblowup.functionals import FieldPair, energy_E
-from rdblowup.geometry import DomainSpec, build_mesh, interior_integral
+from rdblowup.geometry import DomainSpec, RobinModes, build_mesh, interior_integral
 from rdblowup.nonlinearity import Nonlinearity, make_power_product
 from rdblowup.solver import (
-    BS3,
     DP5,
+    LAWSON_BS3,
     OUTCOME_BLOWUP,
     OUTCOME_REACHED_T_END,
     BlowupEstimate,
@@ -132,7 +134,7 @@ TABLEAUX = {
             [5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200,
              187 / 2100, 1 / 40]),
 }
-PAIR = {"bs3": BS3, "dp5": DP5}
+PAIR = {"lawson_bs3": LAWSON_BS3, "dp5": DP5}
 
 
 def reference_step(name, y, dt, rhs_new, rel_tol, abs_tol, k1):
@@ -153,81 +155,133 @@ def reference_step(name, y, dt, rhs_new, rel_tol, abs_tol, k1):
     return y_new, err, ks[-1]
 
 
-def guarded_rhs(mesh, nl, gamma):
-    """rhs_vec(y, out) of the semidiscrete system, NaN on non-finite input."""
+def guarded(mesh, nl, gamma, linear=True):
+    """The stage function (y, out) of the semidiscrete system with both
+    Robin coefficients gamma: A y + N(y), or N(y) alone if not `linear`;
+    NaN on non-finite input."""
     lap, robin, n = mesh.laplacian, mesh.robin_diagonal(gamma), mesh.n_cells
 
-    def rhs_vec(yy, out):
+    def stage_fn(yy, out):
         if not np.all(np.isfinite(yy)):
             out.fill(np.nan)
             return out
         u, v = yy[:n], yy[n:]
-        out[:n] = robin * u + lap @ u + nl.f1(u, v)
-        out[n:] = robin * v + lap @ v + nl.f2(u, v)
+        out[:n] = nl.f1(u, v)
+        out[n:] = nl.f2(u, v)
+        if linear:
+            out[:n] += robin * u + lap @ u
+            out[n:] += robin * v + lap @ v
         return out
 
-    return rhs_vec
+    return stage_fn
+
+
+def lawson_reference_step(mesh, gamma, y, dt, reaction, rel_tol, abs_tol):
+    """A Lawson BS3 step written out stage by stage in physical space, with
+    dense matrix exponentials of the Robin Laplacian A."""
+    rows, b_hat = TABLEAUX["bs3"]
+    a = [[], *rows]
+    c = [sum(row) for row in a]
+    e = [b - bh for b, bh in zip([*rows[-1], 0.0], b_hat)]
+    A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+    n = mesh.n_cells
+
+    @lru_cache(maxsize=None)
+    def expm(tau):
+        return scipy.linalg.expm(tau * A)
+
+    def propagate(tau, x):
+        return np.concatenate([expm(tau) @ x[:n], expm(tau) @ x[n:]])
+
+    ns = [reaction(y)]
+    for i in range(1, 4):
+        arg = propagate(c[i] * dt, y) + dt * sum(
+            a[i][j] * propagate((c[i] - c[j]) * dt, ns[j]) for j in range(i))
+        ns.append(reaction(arg))
+    if not (np.all(np.isfinite(arg)) and np.all(np.isfinite(ns[-1]))):
+        return y, float("inf"), None
+    est = dt * sum(e[j] * propagate((1.0 - c[j]) * dt, ns[j]) for j in range(4))
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(arg))
+    return arg, float(np.sqrt(np.mean((est / scale) ** 2))), ns[-1]
 
 
 class TestStepWorkspace:
-    @pytest.mark.parametrize("before", [None, "bs3", "dp5"],
-                             ids=["fresh", "after_bs3", "after_dp5"])
+    @pytest.mark.parametrize("before", [None, "lawson_bs3", "dp5"],
+                             ids=["fresh", "after_lawson_bs3", "after_dp5"])
     @pytest.mark.parametrize("amplitude, dt", [(1.0, 2e-3), (1e100, 1.0)],
                              ids=["accepted", "non_finite"])
-    @pytest.mark.parametrize("name", ["bs3", "dp5"])
+    @pytest.mark.parametrize("name", ["lawson_bs3", "dp5"])
     def test_matches_stage_by_stage_reference(self, mesh3d, name, amplitude, dt, before):
         nl = make_power_product(1.0, 2.0, 2.0)
-        rhs_vec = guarded_rhs(mesh3d, nl, 0.5)
+        fns = {"dp5": guarded(mesh3d, nl, 0.5), "lawson_bs3": guarded(mesh3d, nl, 0.5, False)}
+        modes = mesh3d.robin_modes(0.5)
         rng = np.random.default_rng(4)
         y = amplitude * rng.uniform(0.5, 1.5, 2 * mesh3d.n_cells)
         with np.errstate(over="ignore", invalid="ignore"):
-            work = StepWork(y, rhs_vec)
+            work = StepWork(y, fns["dp5"], (modes, modes))
             if before is not None:
-                # an accepted step of either pair copies its f(y_new) into
+                # an accepted step of either pair copies its FSAL row into
                 # K[0] and leaves its own stages in the other rows
-                step(y, 1e-3, rhs_vec, 1.0, 1.0, work, PAIR[before])
+                work.restart(y, fns[before], PAIR[before])
+                step(y, 1e-3, fns[before], 1.0, 1.0, work, PAIR[before])
                 work.accept(y.copy())
-                rhs_vec(y, work.K[0])
-            ref = reference_step(name, y, dt, lambda yy: rhs_vec(yy, np.empty_like(yy)),
-                                 1e-4, 1e-6, work.K[0].copy())
-            got = step(y, dt, rhs_vec, 1e-4, 1e-6, work, PAIR[name])
+            work.restart(y, fns[name], PAIR[name])
+            fn = fns[name]
+            if name == "dp5":
+                ref = reference_step(name, y, dt, lambda yy: fn(yy, np.empty_like(yy)),
+                                     1e-4, 1e-6, work.K[0].copy())
+            else:
+                ref = lawson_reference_step(mesh3d, 0.5, y, dt,
+                                            lambda yy: fn(yy, np.empty_like(yy)), 1e-4, 1e-6)
+            got = step(y, dt, fn, 1e-4, 1e-6, work, PAIR[name])
         if amplitude > 1.0:
             assert ref[1] == float("inf")
             assert got[0] is y and got[1] == float("inf") and got[2] is None
             return
         assert 0.0 < ref[1] <= 1.0
+        k_last = got[2] if name == "dp5" else work.from_modes(got[2], np.empty_like(y))
         # relative to the max-norm: the Laplacian makes some entries of the
         # FSAL row small differences of large ones
-        for got_row, ref_row in ((got[0], ref[0]), (got[2], ref[2])):
+        for got_row, ref_row in ((got[0], ref[0]), (k_last, ref[2])):
             assert np.max(np.abs(got_row - ref_row)) <= 1e-14 * np.max(np.abs(ref_row))
         assert got[1] == pytest.approx(ref[1], rel=1e-12)
 
-    @pytest.mark.parametrize("name, row", [("bs3", 3), ("dp5", 6)])
+    @pytest.mark.parametrize("name, row", [("lawson_bs3", 5), ("dp5", 6)])
     def test_accept_moves_fsal_row_to_k1(self, mesh3d, name, row):
-        # a step writes f(y_new) into row s - 1 and `accept` copies it into
-        # K[0], the next step's k1, bit for bit
-        rhs_vec = guarded_rhs(mesh3d, make_power_product(1.0, 2.0, 2.0), 0.5)
+        # a step writes its FSAL row, f(y_new) for DP5 and N(y_new) in the
+        # eigenbasis for the Lawson pair, and `accept` copies it into K[0],
+        # the next step's first stage, bit for bit
+        nl = make_power_product(1.0, 2.0, 2.0)
+        fn = guarded(mesh3d, nl, 0.5, linear=name == "dp5")
+        modes = mesh3d.robin_modes(0.5)
         y = np.random.default_rng(5).uniform(0.5, 1.5, 2 * mesh3d.n_cells)
-        work = StepWork(y, rhs_vec)
-        y_new, err, k_last = step(y, 2e-3, rhs_vec, 1e-4, 1e-6, work, PAIR[name])
+        work = StepWork(y, fn, (modes, modes), PAIR[name])
+        y_new, err, k_last = step(y, 2e-3, fn, 1e-4, 1e-6, work, PAIR[name])
         assert err <= 1.0
-        assert PAIR[name].stages - 1 == row
+        assert work.last == row
         assert np.shares_memory(k_last, work.K[row])
-        f_new = rhs_vec(y_new.copy(), np.empty_like(y))
+        f_new = fn(y_new.copy(), np.empty_like(y))
+        if PAIR[name].lawson:
+            f_new = work.to_modes(f_new, np.empty_like(y))
         assert np.array_equal(work.K[row], f_new)
         y = work.accept(y)
         assert y is y_new
         assert np.array_equal(work.K[0], f_new)
 
 
-def integrate(pair, rhs_vec, y0, t_end, n_steps):
+# A = 0 on a single unknown: every exponential of the Lawson pair is 1,
+# so it steps as explicit BS3
+NO_DIFFUSION = RobinModes(values=(np.zeros(1),), vectors=(np.eye(1),), grid=np.zeros(1))
+
+
+def integrate(pair, stage_fn, y0, t_end, n_steps, modes=(NO_DIFFUSION,)):
     """Fixed steps of `pair` from y0; tolerances loose enough to be ignored."""
-    y = np.array([y0])
-    work = StepWork(y, rhs_vec)
+    y = np.array(y0, dtype=float, ndmin=1)
+    work = StepWork(y, stage_fn, modes, pair)
     for _ in range(n_steps):
-        step(y, t_end / n_steps, rhs_vec, 1e6, 1e6, work, pair)
+        step(y, t_end / n_steps, stage_fn, 1e6, 1e6, work, pair)
         y = work.accept(y)
-    return y[0]
+    return y
 
 
 class TestPairs:
@@ -235,13 +289,29 @@ class TestPairs:
         (decay, 1.0, math.exp(-1.0)),
         (lambda y, out: np.square(y, out=out), 0.5, 2.0),
     ], ids=["linear", "quadratic"])
-    @pytest.mark.parametrize("name", ["bs3", "dp5"])
+    @pytest.mark.parametrize("name", ["lawson_bs3", "dp5"])
     def test_observed_order(self, name, rhs_vec, t_end, exact):
         # 4 and 8 steps from y = 1: on y' = y^2 one DP5 step errs by
         # 2h^6/405 - 0.11h^7, so finer steps reach the cancellation of the two
         pair = PAIR[name]
-        errs = [abs(integrate(pair, rhs_vec, 1.0, t_end, m) - exact) for m in (4, 8)]
+        errs = [abs(integrate(pair, rhs_vec, 1.0, t_end, m)[0] - exact) for m in (4, 8)]
         assert math.log2(errs[0] / errs[1]) == pytest.approx(pair.order, abs=0.4)
+
+    def test_lawson_order_on_a_robin_system(self):
+        # y' = A y + N(y) with A the Robin Laplacian and a nonlinear N, against
+        # 512 steps: the Lawson pair keeps its order 3 with the diffusion in
+        # it.  Much coarser steps, dt |lambda| >> 1 on the stiff modes, show
+        # the stiff order reduction of Lawson methods at Robin walls (about 2)
+        mesh = build_mesh(ANISOTROPIC[0][0], ANISOTROPIC[0][1])
+        nl = Nonlinearity(family="custom", params={}, f1=lambda u, v: -u * v,
+                          f2=lambda u, v: 0.5 * u * u, F=None)
+        reaction, modes = guarded(mesh, nl, 1.0, linear=False), mesh.robin_modes(1.0)
+        x = mesh.cell_centers
+        y0 = np.concatenate([1.0 + 0.5 * np.cos(x[:, 0]), 1.0 + x[:, 1] ** 2])
+        ref, *got = (integrate(LAWSON_BS3, reaction, y0, 0.5, m, (modes, modes))
+                     for m in (512, 32, 64))
+        errs = [np.max(np.abs(y - ref)) for y in got]
+        assert math.log2(errs[0] / errs[1]) == pytest.approx(3.0, abs=0.4)
 
     def test_predictor_weights_meet_bs3_error_conditions(self):
         # the elementary weights of the trees of order <= 3 (1, c, c^2/2, Ac)
@@ -265,7 +335,8 @@ class TestPairs:
         work = StepWork(y, rhs_vec)
         step(y, h, rhs_vec, 1.0, 0.0, work, DP5)
         predicted = _predicted_bs3_err(work, h, h)
-        _, actual, _ = step(y, h, rhs_vec, 1.0, 0.0, StepWork(y, rhs_vec), BS3)
+        work = StepWork(y, rhs_vec, (NO_DIFFUSION,), LAWSON_BS3)
+        _, actual, _ = step(y, h, rhs_vec, 1.0, 0.0, work, LAWSON_BS3)
         assert predicted == pytest.approx(actual, rel=2e-3)
 
 
@@ -280,9 +351,10 @@ ANISOTROPIC = [(DomainSpec("box", 2, half_extents=(1.0, 0.5)), (8, 6)),
 class TestDiffusionCap:
     @pytest.mark.parametrize("gamma", [0.0, 3.0])
     @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
-    def test_highest_mode_never_grows_at_the_cap(self, spec, cells, gamma):
-        # checkerboard data excite the stiffest modes; tolerances this loose
-        # leave dt to the cap alone, which must then keep every step stable
+    def test_lawson_steps_past_the_cap_never_grow(self, spec, cells, gamma):
+        # checkerboard data excite the stiffest modes, and tolerances this
+        # loose let the Lawson pair step far past DP5's cap, where its
+        # exponentials of A, all in (0, 1], must keep every step stable
         mesh = build_mesh(spec, cells)
         g = checkerboard(mesh)
         cap = _diffusion_cap(mesh)
@@ -292,23 +364,10 @@ class TestDiffusionCap:
         assert trace.outcome == OUTCOME_REACHED_T_END
         assert trace.n_rejected == 0
         dts = np.array([s.dt for s in trace.samples[1:]])
-        assert np.max(dts) <= cap
-        assert np.sum(dts == cap) > trace.n_steps // 2
+        # DP5 never steps past its cap, so these are Lawson steps
+        assert np.max(dts) > 5 * cap
         E = np.array([s.E for s in trace.samples])
         assert np.all(np.diff(E) <= 0.0)
-
-    @pytest.mark.parametrize("gamma", [0.0, 3.0])
-    @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
-    def test_cap_inside_bs3_stability_interval(self, spec, cells, gamma):
-        lam, bound = robin_spectrum(spec, cells, gamma)
-
-        def R(z):
-            return 1.0 + z + z**2 / 2.0 + z**3 / 6.0
-
-        mesh = build_mesh(spec, cells)
-        z = -_diffusion_cap(mesh) * bound
-        assert abs(R(z)) <= 0.35
-        assert np.all(np.abs(R(_diffusion_cap(mesh) * lam)) <= 1.0)
 
     @pytest.mark.parametrize("gamma", [0.0, 3.0])
     @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
@@ -319,7 +378,7 @@ class TestDiffusionCap:
             return (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0 + z**5 / 120.0
                     + z**6 / 600.0)
 
-        r = R(_diffusion_cap(build_mesh(spec, cells), DP5) * lam)
+        r = R(_diffusion_cap(build_mesh(spec, cells)) * lam)
         assert np.all((0.173 <= r) & (r <= 1.0))
 
 
@@ -344,24 +403,27 @@ def robin_heat(dim, cells, lam=0.8, t_end=0.05):
 
 
 class TestPairChoice:
-    def test_fine_robin_heat_steps_with_bs3_at_its_cap(self):
-        # 32^2 cells: BS3 is accurate at its cap, so it takes the cap-held steps
+    def test_fine_robin_heat_steps_past_the_cap_with_lawson_bs3(self):
+        # 32^2 cells: BS3's error is predicted small at DP5's cap, so once DP5
+        # reaches it the Lawson pair takes the steps, each past the cap
         trace, mesh = robin_heat(2, 32)
         assert trace.outcome == OUTCOME_REACHED_T_END
         assert trace.n_rejected == 0
-        assert trace.steps_by_pair["bs3"]["accepted"] > trace.steps_by_pair["dp5"]["accepted"]
+        lawson = trace.steps_by_pair["lawson_bs3"]["accepted"]
         dts = np.array([s.dt for s in trace.samples[1:]])
-        assert np.sum(dts == _diffusion_cap(mesh, BS3)) > trace.n_steps // 2
+        assert lawson > 0
+        assert np.sum(dts > _diffusion_cap(mesh)) == lawson
+        assert trace.n_steps < 20
 
     def test_coarse_robin_heat_stays_on_dp5(self):
-        # 12^3 cells: BS3 would exceed its tolerance at its cap, so DP5 keeps
-        # the steps, held at its own cap
+        # 12^3 cells: BS3's error is predicted above its tolerance at DP5's
+        # cap, so DP5 keeps the steps, held at its cap
         trace, mesh = robin_heat(3, 12)
         assert trace.outcome == OUTCOME_REACHED_T_END
-        assert trace.steps_by_pair == {"bs3": {"accepted": 0, "rejected": 0},
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 0},
                                        "dp5": {"accepted": trace.n_steps, "rejected": 0}}
         dts = np.array([s.dt for s in trace.samples[1:]])
-        assert np.max(dts) == _diffusion_cap(mesh, DP5)
+        assert np.max(dts) == _diffusion_cap(mesh)
 
     def test_flat_blowup_uses_dp5_only(self, box2d):
         mesh = build_mesh(box2d, 8)
@@ -369,7 +431,7 @@ class TestPairChoice:
         trace = simulate(SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
                                       gamma1=0.0, gamma2=0.0, g1=g, g2=g, t_end=1.0))
         assert trace.outcome == OUTCOME_BLOWUP
-        assert trace.steps_by_pair == {"bs3": {"accepted": 0, "rejected": 0},
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 0},
                                        "dp5": {"accepted": trace.n_steps, "rejected": 0}}
 
 
@@ -378,7 +440,7 @@ class TestStepAccounting:
     def test_every_trial_step_is_counted_once(self, monkeypatch, box2d, run):
         # the Robin heat run steps with both pairs; the blow-up run, whose
         # threshold lies beyond overflow, rejects steps until dt underflows
-        calls = {pair.name: 0 for pair in (BS3, DP5)}
+        calls = {pair.name: 0 for pair in (LAWSON_BS3, DP5)}
 
         def counted_step(*args):
             calls[args[-1].name] += 1
@@ -399,6 +461,24 @@ class TestStepAccounting:
         assert {name: sum(counts.values()) for name, counts in
                 trace.steps_by_pair.items()} == calls
         assert sum(c["accepted"] for c in trace.steps_by_pair.values()) == trace.n_steps
+
+
+class TestLawsonPair:
+    @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
+    def test_zero_reaction_run_matches_the_matrix_exponential(self, spec, cells):
+        # with N = 0 the Lawson steps apply e^{dt A} exactly and only DP5's
+        # steps before them err; gamma1 != gamma2 gives each field its modes
+        mesh = build_mesh(spec, cells)
+        x = mesh.cell_centers
+        g1, g2 = np.cos(0.8 * x[:, 0]) + 0.5 * x[:, 1], 1.0 + 0.3 * np.sin(x[:, 0])
+        trace = simulate(SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=0.5, gamma2=3.0,
+                                      g1=g1, g2=g2, t_end=1.0, rel_tol=1e-6, abs_tol=1e-6))
+        assert trace.steps_by_pair["lawson_bs3"]["accepted"] > 0
+        final = trace.final_fields
+        for got, g, gamma in ((final.u, g1, 0.5), (final.v, g2, 3.0)):
+            A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+            exact = scipy.linalg.expm(final.t * A) @ g
+            assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(g))
 
 
 class TestSimulateConservation:
