@@ -49,13 +49,14 @@ class DomainSpec:
         if self.kind == BOX:
             if self.half_extents is None or len(self.half_extents) != self.dimension:
                 raise ValueError("box needs one half-extent per axis")
-            if any(L <= 0 for L in self.half_extents):
-                raise ValueError("half-extents must be positive")
+            if not all(0 < L < inf for L in self.half_extents):
+                raise ValueError(f"half-extents must be positive and finite, "
+                                 f"got {self.half_extents}")
         else:
             if self.dimension != 3:
                 raise ValueError("ball domains are supported in dimension 3 only")
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("ball needs a positive radius")
+            if self.radius is None or not 0 < self.radius < inf:
+                raise ValueError(f"ball needs a positive finite radius, got {self.radius}")
 
     @property
     def volume(self) -> float:
@@ -231,6 +232,9 @@ def build_mesh(spec: DomainSpec, cells_per_axis) -> Mesh:
 
     N = spec.dimension
     h = tuple(2.0 * L / n for L, n in zip(spec.half_extents, cells_per_axis))
+    cell_vol = prod(h)
+    if not all(0 < x < inf for x in (*h, cell_vol)):
+        raise ValueError(f"cell widths {h} and cell volume {cell_vol} must be positive and finite")
     axes = [
         np.linspace(-L + ha / 2.0, L - ha / 2.0, n)
         for L, ha, n in zip(spec.half_extents, h, cells_per_axis)
@@ -240,7 +244,6 @@ def build_mesh(spec: DomainSpec, cells_per_axis) -> Mesh:
 
     flat_index = np.arange(prod(cells_per_axis)).reshape(cells_per_axis)
     face_cells, face_areas = [], []
-    cell_vol = prod(h)
     for axis in range(N):
         area = cell_vol / h[axis]
         for side in (0, -1):

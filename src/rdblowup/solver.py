@@ -44,18 +44,16 @@ norm is <= 1 (inf and NaN reject) and counted once, under its pair.  One
 place proposes the next dt: a PI controller with exponents 0.7/q and 0.4/q
 for a pair of order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt after
 a finite rejection, dt/2 after a non-finite one.  One rule picks the next
-pair: `lawson_bs3` iff the step was accepted, its proposal reaches DP5's
-cap, and it was a `lawson_bs3` step or DP5's stages predict BS3's error
-estimate at DP5's cap to be <= 0.9^3, where BS3's controller would not
-shrink the step.  Where the pair changes, the PI history restarts and the
-new pair's first stage is evaluated at the current state.  An accepted step
-writes its monitor row; then the run ends as a step underflow if the
-proposal is below 1e-14, else as blow-up if the sup-norm reached the
-threshold.  So DP5's order pays where accuracy sets dt below its cap, and
-the Lawson pair takes the steps DP5's cap would hold.  The prediction:
-weights w on DP5's stages match BS3's error weights on every tree of order
-<= 3, so dt sum_i w_i k_i is explicit BS3's O(dt^3) estimate, the Lawson
-pair's at A = 0, up to O(dt^4).
+pair: `lawson_bs3` iff the proposal reaches DP5's cap and no `lawson_bs3`
+step of the run has been rejected.  A rejected `lawson_bs3` step is retried
+by DP5 at the same dt, not at the proposal, which DP5's clamp holds at its
+cap, and DP5 keeps the rest of the run.  Where the pair changes, the PI
+history restarts and the new pair's first stage is evaluated at the current
+state.  An accepted step writes its monitor row; then the run ends as a
+step underflow if the proposal is below 1e-14, else as blow-up if the
+sup-norm reached the threshold.  So DP5's order pays where accuracy sets dt
+below its cap, and the Lawson pair takes the steps DP5's cap would hold,
+until one of them is rejected.
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  Blow-up is
@@ -147,15 +145,6 @@ DP5 = Pair("dp5", _stage_matrix([
 PAIRS = (LAWSON_BS3, DP5)
 # DP5's real stability interval [-3.30657, 0]: its stability polynomial R has R(-3.30657) = +1
 _DP5_REAL_STABILITY = 3.30657
-
-
-# Weights w on DP5's stages with BS3's error weights' elementary weights on
-# the trees of order <= 3: sum w = 0, sum w c = 0, sum w c^2/2 = -1/48 and
-# sum w Ac = -1/48, for DP5's nodes c.  So dt * sum_i w_i k_i equals BS3's
-# error estimate up to O(dt^4) without taking a BS3 step.  These are the
-# least-norm solution of the four conditions.
-_BS3_ERR_FROM_DP5 = np.array([-2941755 / 28429324, 0, 1681485 / 14214662, 2477655 / 28429324,
-                              829305 / 28429324, -338925 / 5168968, -338925 / 5168968])
 
 
 @dataclass
@@ -356,8 +345,7 @@ def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     Lawson pair.  Returns (y_new, err_norm, k_last), where y_new is
     `work.y_new` and k_last the FSAL row `work.K[work.last]`, so y must not
     be `work.y_new`.  err_norm is inf on overflow, with k_last None, so the
-    caller shrinks dt.  The stages and the error scale
-    abs_tol + rel_tol * max(|y|, |y_new|) stay in `work` until the next step.
+    caller shrinks dt.  The error scale is abs_tol + rel_tol * max(|y|, |y_new|).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -431,14 +419,6 @@ def _lawson_stages(y, dt, reaction, work, pair):
     return y_new
 
 
-def _predicted_bs3_err(work: StepWork, dt: float, dt_bs3: float) -> float:
-    """BS3's error norm for a step of dt_bs3, predicted from the stages and
-    error scale of the DP5 step of dt left in `work`: scaled by (dt_bs3/dt)^3,
-    as BS3's estimate is O(dt^3)."""
-    err = _err_norm(work.combine(_BS3_ERR_FROM_DP5 * dt, work.err), work.scale)
-    return err * (dt_bs3 / dt) ** 3
-
-
 def _proposed_dt(dt: float, err: float, err_prev: float, order: int) -> float:
     """The next trial dt (module docstring); err_prev: the last accepted err."""
     if err <= 1.0:
@@ -487,6 +467,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
     caps = {LAWSON_BS3: math.inf, DP5: _diffusion_cap(mesh)}
     steps_by_pair = {pair.name: {"accepted": 0, "rejected": 0} for pair in PAIRS}
     t, dt, pair, err_prev = 0.0, _DT_INIT, DP5, 1.0
+    lawson_rejected = False
     samples: list[EnergySample] = []
     clamp_count = 0
 
@@ -511,9 +492,11 @@ def simulate(config: SolverConfig) -> SolveTrace:
         accepted = err <= 1.0  # inf and NaN reject
         steps_by_pair[pair.name]["accepted" if accepted else "rejected"] += 1
         dt_next = _proposed_dt(dt, err, err_prev, pair.order)
-        # the pair rule (module docstring), read off this step's stages before `accept`
-        next_pair = LAWSON_BS3 if accepted and dt_next >= caps[DP5] and (
-            pair is LAWSON_BS3 or _predicted_bs3_err(work, dt, caps[DP5]) <= _SAFETY ** 3) else DP5
+        if pair is LAWSON_BS3 and not accepted:
+            # DP5 retries the step at this dt and keeps the rest of the run
+            dt_next, lawson_rejected = dt, True
+        # the pair rule (module docstring)
+        next_pair = LAWSON_BS3 if dt_next >= caps[DP5] and not lawson_rejected else DP5
         if accepted:
             err_prev = max(err, 1e-12)
             t += dt

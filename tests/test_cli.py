@@ -221,9 +221,11 @@ class TestSandwich:
 
 
 NEGATIVE_C1 = ("c1 = 1.0", "c1 = -1.0")
-# (old, new) edits of BLOWUP_BOX: the same box in 3D, and the
+# (old, new) edits of BLOWUP_BOX: the same box in 3D, the unit ball, and the
 # gradient_homogeneous family F = c u^4 h(v/u) (alpha 1, h constant by default)
 BOX_3D = ("dimension = 2", "dimension = 3", "half_extents = 1 1", "half_extents = 1 1 1")
+BALL = ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1", "dimension = 2", "dimension = 3",
+        "kind = box", "kind = ball")
 GRADIENT_HOMOGENEOUS = ("family = power_product", "family = gradient_homogeneous",
                         "a_exp = 2\nb_exp = 2", "alpha = 1")
 VANISHING = ("c1 = 1.0\nc2 = 1.0", "c1 = 0.0\nc2 = 0.0")
@@ -289,30 +291,20 @@ class TestConfigErrors:
         ("check", ("a_exp = 2\n", "a_exp = 0.5\n")),
         ("check", ("c1 = 1.0", "c1 = nan")),
         ("simulate", ("c2 = 1.0", "c2 = inf")),
-        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
-                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
-                   "kind = constant", "kind = gaussian\namplitude = 5\nwidth = 0.2")),
+        ("check", (*BALL, "kind = constant", "kind = gaussian\namplitude = 5\nwidth = 0.2")),
         ("check", ("t_end = 1.0", "t_end = 0.0")),
         ("check", ("t_end = 1.0", "t_end = 1.0\nsample_stride = 0")),
         ("check", ("t_end = 1.0", "t_end = 1.0\nreltol = 1e-6")),
-        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
-                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
-                   "t_end = 1.0", "t_end = 1.0\nreltol = 1e-6")),
+        ("check", (*BALL, "t_end = 1.0", "t_end = 1.0\nreltol = 1e-6")),
         ("check", ("kind = constant", "kind = gaussian\namplitude = nan")),
-        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
-                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
-                   "c1 = 1.0", "c1 = nan")),
+        ("check", (*BALL, "c1 = 1.0", "c1 = nan")),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nrel_tol = nan")),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nrel_tol = -1")),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nabs_tol = -1e-3")),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nrel_tol = 0\nabs_tol = 0")),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nsup_threshold = nan")),
-        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
-                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
-                   "t_end = 1.0", "t_end = -5")),
-        ("check", ("half_extents = 1 1\ncells_per_axis = 8", "radius = 1",
-                   "dimension = 2", "dimension = 3", "kind = box", "kind = ball",
-                   "t_end = 1.0", "t_end = 1.0\nrel_tol = nan")),
+        ("check", (*BALL, "t_end = 1.0", "t_end = -5")),
+        ("check", (*BALL, "t_end = 1.0", "t_end = 1.0\nrel_tol = nan")),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\ndt_init = 1e-6")),
         ("check", ("t_end = 1.0", "t_end = 1.0\ndt_max = 0.1")),
         ("bounds", ("alpha = 1.0", "alpha = 0")),
@@ -357,6 +349,12 @@ class TestConfigErrors:
         ("check", ("kind = constant", "kind = gaussian\namplitude = 5\nwidth = inf")),
         ("check", ("kind = constant", "kind = cosine\nepsilon = 0.1")),
         ("check", ("kind = constant", "kind = constant\namplitude = 5\nwidth = 0")),
+        ("simulate", ("half_extents = 1 1", "half_extents = inf 1")),
+        ("check", ("half_extents = 1 1", "half_extents = nan 1")),
+        ("bounds", (*BALL, "alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2",
+                    "radius = 1", "radius = nan")),
+        ("bounds", (*BALL, "alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2",
+                    "radius = 1", "radius = inf")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
             "power_product_without_b_exp", "unknown_key_sample_stride",
             "simulate_solver_key_typo", "t_end_zero",
@@ -379,7 +377,8 @@ class TestConfigErrors:
             "unknown_key_h_m_on_power_product", "unknown_key_amplitud", "unknown_key_gama1",
             "unknown_key_mod", "unknown_key_outputs_dir", "misspelled_section_solver",
             "k1_without_k2", "k1_k2_without_p", "gaussian_width_zero", "gaussian_width_inf",
-            "cosine_kind", "unknown_keys_amplitude_width_on_constant"])
+            "cosine_kind", "unknown_keys_amplitude_width_on_constant", "half_extents_inf",
+            "half_extents_nan", "ball_radius_nan", "ball_radius_inf"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
         # edit holds (old, new) pairs, applied in turn
@@ -447,6 +446,9 @@ VALUES = {
     "gamma1": GAMMA,
     "gamma2": GAMMA,
     "cells": (st.integers(4, 6), st.integers(-2, 3)),
+    # valid half-extents give 4-6 cells a float width and volume, which
+    # build_mesh requires (tests/test_geometry.py)
+    "half_extent": (st.floats(min_value=1e-300, max_value=1e300), POSITIVE[1]),
     "t_end": (st.floats(min_value=0.0, exclude_min=True),
               st.one_of(st.floats(max_value=0.0), st.just(math.nan))),
     "alpha": POSITIVE,
@@ -470,9 +472,11 @@ class TestInvalidValuesProperty:
     @given(case=at_most_one_bad_value())
     def test_check_exits_two_exactly_on_invalid_values(self, tmp_path_factory, case):
         bad, values = case
-        gamma1, gamma2, cells, t_end, alpha, c, a_exp = (
-            values[k] for k in ("gamma1", "gamma2", "cells", "t_end", "alpha", "c", "a_exp"))
+        gamma1, gamma2, cells, half_extent, t_end, alpha, c, a_exp = (
+            values[k] for k in ("gamma1", "gamma2", "cells", "half_extent", "t_end", "alpha",
+                                "c", "a_exp"))
         text = (BLOWUP_BOX.replace("cells_per_axis = 8", f"cells_per_axis = {cells}")
+                .replace("half_extents = 1 1", f"half_extents = {half_extent!r} 1")
                 .replace("t_end = 1.0", f"t_end = {t_end!r}")
                 .replace("alpha = 1.0", f"alpha = {alpha!r}")
                 .replace("c = 1.0", f"c = {c!r}")
@@ -480,7 +484,7 @@ class TestInvalidValuesProperty:
                 + f"\n[robin]\ngamma1 = {gamma1!r}\ngamma2 = {gamma2!r}\n")
         tmp = tmp_path_factory.mktemp("property")
         cfg = write_config(tmp, text)
-        invalid = (cells < 4 or not t_end > 0
+        invalid = (cells < 4 or not 0 < half_extent < math.inf or not t_end > 0
                    or not all(0 <= g < math.inf for g in (gamma1, gamma2))
                    or not (0 < alpha < math.inf and 0 < c < math.inf)
                    or not 1 <= a_exp < math.inf)

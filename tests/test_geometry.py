@@ -41,6 +41,13 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec("box", 2, half_extents=(1.0, 0.0))
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf])
+    def test_rejects_non_finite_sizes(self, size):
+        with pytest.raises(ValueError):
+            DomainSpec("box", 2, half_extents=(size, 1.0))
+        with pytest.raises(ValueError):
+            DomainSpec("ball", 3, radius=size)
+
     def test_ball_requires_3d(self):
         with pytest.raises(ValueError):
             DomainSpec("ball", 2, radius=1.0)
@@ -52,6 +59,11 @@ class TestDomainSpec:
 
 
 class TestBuildMesh:
+    @pytest.mark.parametrize("L", [1.7e308, 5e-324], ids=["overflow", "underflow"])
+    def test_refuses_cells_outside_float_range(self, L):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_mesh(DomainSpec("box", 2, half_extents=(L, 1.0)), 8)
+
     def test_counts_2d(self, box2d):
         mesh = build_mesh(box2d, 4)
         assert mesh.n_cells == 16

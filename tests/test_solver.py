@@ -20,9 +20,7 @@ from rdblowup.solver import (
     SolverConfig,
     SolveTrace,
     StepWork,
-    _BS3_ERR_FROM_DP5,
     _diffusion_cap,
-    _predicted_bs3_err,
     estimate_blowup_time,
     rhs,
     simulate,
@@ -313,32 +311,6 @@ class TestPairs:
         errs = [np.max(np.abs(y - ref)) for y in got]
         assert math.log2(errs[0] / errs[1]) == pytest.approx(3.0, abs=0.4)
 
-    def test_predictor_weights_meet_bs3_error_conditions(self):
-        # the elementary weights of the trees of order <= 3 (1, c, c^2/2, Ac)
-        # of BS3's error weights: 0, 0, -1/48, -1/48
-        rows, _ = TABLEAUX["dp5"]
-        A = np.zeros((7, 7))
-        for i, row in enumerate(rows, start=1):
-            A[i, :i] = row
-        c = A.sum(axis=1)
-        w = _BS3_ERR_FROM_DP5
-        got = [w.sum(), w @ c, w @ (c * c) / 2, w @ (A @ c)]
-        np.testing.assert_allclose(got, [0.0, 0.0, -1 / 48, -1 / 48], rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("rhs_vec", [
-        lambda y, out: np.multiply(y, -3.0, out=out),
-        lambda y, out: np.square(y, out=out),
-        lambda y, out: np.multiply(np.power(y, 3), 2.0, out=out),
-    ], ids=["minus_3y", "y_squared", "2y_cubed"])
-    def test_predicted_bs3_estimate_matches_bs3(self, rhs_vec):
-        y, h = np.array([1.0]), 1e-3
-        work = StepWork(y, rhs_vec)
-        step(y, h, rhs_vec, 1.0, 0.0, work, DP5)
-        predicted = _predicted_bs3_err(work, h, h)
-        work = StepWork(y, rhs_vec, (NO_DIFFUSION,), LAWSON_BS3)
-        _, actual, _ = step(y, h, rhs_vec, 1.0, 0.0, work, LAWSON_BS3)
-        assert predicted == pytest.approx(actual, rel=2e-3)
-
 
 def checkerboard(mesh):
     return np.where(np.indices(mesh.shape).sum(axis=0) % 2 == 0, 1.0, -1.0).ravel()
@@ -402,10 +374,19 @@ def robin_heat(dim, cells, lam=0.8, t_end=0.05):
                                  gamma2=gamma, g1=g, g2=g, t_end=t_end)), mesh
 
 
+def flat_blowup_3d():
+    """Criterion 1's run: F = u^2 v^2 from unit data under Neumann walls on
+    16^3 cells of [-1, 1]^3, blowing up at t = 1/4."""
+    mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0,) * 3), 16)
+    g = np.full(mesh.n_cells, 1.0)
+    return simulate(SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
+                                 gamma1=0.0, gamma2=0.0, g1=g, g2=g, t_end=1.0)), mesh
+
+
 class TestPairChoice:
     def test_fine_robin_heat_steps_past_the_cap_with_lawson_bs3(self):
-        # 32^2 cells: BS3's error is predicted small at DP5's cap, so once DP5
-        # reaches it the Lawson pair takes the steps, each past the cap
+        # 32^2 cells: once DP5's proposal reaches its cap, the Lawson pair
+        # takes the steps, each past the cap
         trace, mesh = robin_heat(2, 32)
         assert trace.outcome == OUTCOME_REACHED_T_END
         assert trace.n_rejected == 0
@@ -415,15 +396,36 @@ class TestPairChoice:
         assert np.sum(dts > _diffusion_cap(mesh)) == lawson
         assert trace.n_steps < 20
 
-    def test_coarse_robin_heat_stays_on_dp5(self):
-        # 12^3 cells: BS3's error is predicted above its tolerance at DP5's
-        # cap, so DP5 keeps the steps, held at its cap
+    def test_coarse_robin_heat_steps_past_the_cap_with_lawson_bs3(self):
+        # 12^3 cells: once DP5's proposal reaches its cap, the Lawson pair
+        # takes the steps; DP5 alone took 19 here, the last 3 held by the cap
+        # or by t_end
         trace, mesh = robin_heat(3, 12)
         assert trace.outcome == OUTCOME_REACHED_T_END
-        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 0},
-                                       "dp5": {"accepted": trace.n_steps, "rejected": 0}}
+        assert trace.n_rejected == 0
+        lawson = trace.steps_by_pair["lawson_bs3"]["accepted"]
         dts = np.array([s.dt for s in trace.samples[1:]])
-        assert np.max(dts) == _diffusion_cap(mesh)
+        assert lawson > 0
+        assert np.sum(dts > _diffusion_cap(mesh)) == lawson
+        assert trace.n_steps < 19
+
+    def test_rejected_lawson_step_is_retried_by_dp5_at_its_cap(self, monkeypatch):
+        # DP5 reaches its cap early in this blow-up run; the Lawson pair's
+        # one trial there is rejected, and DP5 retries the step and keeps the run
+        trials = []
+
+        def logged_step(y, dt, *args):
+            trials.append((args[-1].name, dt))
+            return step(y, dt, *args)
+
+        monkeypatch.setattr(rdblowup.solver, "step", logged_step)
+        trace, mesh = flat_blowup_3d()
+        assert trace.outcome == OUTCOME_BLOWUP
+        assert trace.steps_by_pair["lawson_bs3"] == {"accepted": 0, "rejected": 1}
+        names = [name for name, _ in trials]
+        k = names.index("lawson_bs3")
+        assert trials[k + 1] == ("dp5", _diffusion_cap(mesh))
+        assert "lawson_bs3" not in names[k + 1:]
 
     def test_flat_blowup_uses_dp5_only(self, box2d):
         mesh = build_mesh(box2d, 8)
@@ -436,10 +438,11 @@ class TestPairChoice:
 
 
 class TestStepAccounting:
-    @pytest.mark.parametrize("run", ["robin_heat", "blowup_to_underflow"])
+    @pytest.mark.parametrize("run", ["robin_heat", "blowup_to_underflow", "flat_blowup_3d"])
     def test_every_trial_step_is_counted_once(self, monkeypatch, box2d, run):
         # the Robin heat run steps with both pairs; the blow-up run, whose
-        # threshold lies beyond overflow, rejects steps until dt underflows
+        # threshold lies beyond overflow, rejects steps until dt underflows;
+        # the flat 3D blow-up rejects one Lawson step
         calls = {pair.name: 0 for pair in (LAWSON_BS3, DP5)}
 
         def counted_step(*args):
@@ -450,6 +453,9 @@ class TestStepAccounting:
         if run == "robin_heat":
             trace, _ = robin_heat(2, 32)
             assert all(calls.values())
+        elif run == "flat_blowup_3d":
+            trace, _ = flat_blowup_3d()
+            assert trace.steps_by_pair["lawson_bs3"]["rejected"] == 1
         else:
             mesh = build_mesh(box2d, 8)
             g = 3.0 * np.prod(np.cos(0.7 * mesh.cell_centers), axis=1)
