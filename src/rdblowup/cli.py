@@ -66,12 +66,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _floats(text):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def _ints(text):
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _numbers(text, kind):
+    return tuple(kind(tok) for tok in text.replace(",", " ").split())
 
 
 _OPTIONAL_SECTIONS = ("initial_data", "robin", "hypothesis", "solver", "outputs")
@@ -173,10 +169,10 @@ class Experiment:
             self.g1, self.g2 = self.c1, self.c2
             return
         spec = DomainSpec(kind=BOX, dimension=dimension,
-                          half_extents=_floats(dom["half_extents"]))
+                          half_extents=_numbers(dom["half_extents"], float))
         dom.get("cells_per_axis")  # counted as read where --resolution overrides it
         cells = ((resolution,) if resolution is not None
-                 else _ints(dom["cells_per_axis"]))
+                 else _numbers(dom["cells_per_axis"], int))
         self.mesh = self.domain = build_mesh(spec, cells[0] if len(cells) == 1 else cells)
         params = {"c": self.c1}
         if self.init_kind == "gaussian":
@@ -305,6 +301,10 @@ def _simulation_block(exp: Experiment, trace):
 def _simulate(exp: Experiment, out_dir: Path):
     if exp.solver is None:
         raise ConfigError("ball domains cannot be meshed; this command needs a box")
+    try:
+        exp.mesh.inverse_h2  # the Laplacian's rule, which only a simulation needs
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     trace = simulate(exp.solver)
     _write_trace(trace, out_dir)
     return trace

@@ -101,6 +101,19 @@ class Mesh:
         return prod(self.h)
 
     @cached_property
+    def inverse_h2(self) -> tuple[float, ...]:
+        """h_a^-2 of each axis, which the Laplacian, its Robin diagonal and its
+        modes read: ValueError unless each is a normal float and the bound
+        4 sum_a h_a^-2 on the spectrum is finite.  Quadrature needs neither."""
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            weights = 1.0 / np.square(self.h)
+            bound = 4.0 * weights.sum()
+        if not (np.all(weights >= np.finfo(float).tiny) and np.isfinite(bound)):
+            raise ValueError(f"cell widths {self.h} put the Laplacian's weights h^-2 "
+                             f"outside the normal floats")
+        return tuple(weights.tolist())
+
+    @cached_property
     def laplacian(self) -> dia_array:
         """Neumann (2N+1)-point Laplacian of the cells, built on first use and kept.
 
@@ -115,17 +128,17 @@ class Mesh:
         data = np.zeros((2 * N + 1, n))
         offsets = [0]
         main = data[0].reshape(shape)
-        for axis, (na, ha) in enumerate(zip(shape, self.h)):
+        for axis, (na, wa) in enumerate(zip(shape, self.inverse_h2)):
             stride = prod(shape[axis + 1:])
             index = np.arange(na).reshape([na if b == axis else 1 for b in range(N)])
             has_lo, has_hi = index >= 1, index <= na - 2
             # DIA keys entries by column, data[k, j] = A[j - offsets[k], j]:
             # A[i, i + stride] exists iff column j = i + stride has a low neighbour
             k = 2 * axis + 1
-            data[k].reshape(shape)[...] = has_lo / ha**2
-            data[k + 1].reshape(shape)[...] = has_hi / ha**2
+            data[k].reshape(shape)[...] = has_lo * wa
+            data[k + 1].reshape(shape)[...] = has_hi * wa
             offsets += [stride, -stride]
-            main -= (has_lo.astype(float) + has_hi) / ha**2
+            main -= (has_lo.astype(float) + has_hi) * wa
         return dia_array((data, offsets), shape=(n, n))
 
     def robin_diagonal(self, gamma: float) -> np.ndarray:
@@ -137,12 +150,12 @@ class Mesh:
         """
         require_gamma(gamma)
         diag = np.zeros(self.shape)
-        for axis, ha in enumerate(self.h):
+        for axis, (ha, wa) in enumerate(zip(self.h, self.inverse_h2)):
             g = _ghost_factor(gamma, ha)
             for side in (0, -1):
                 face = [slice(None)] * diag.ndim
                 face[axis] = side
-                diag[tuple(face)] += (g - 1.0) / ha**2
+                diag[tuple(face)] += (g - 1.0) * wa
         return diag.ravel()
 
     def robin_modes(self, gamma: float) -> "RobinModes":
@@ -158,10 +171,10 @@ class Mesh:
         require_gamma(gamma)
         values, vectors = [], []
         grid = np.zeros(self.shape)
-        for axis, (na, ha) in enumerate(zip(self.shape, self.h)):
-            diag = np.full(na, -2.0 / ha**2)
-            diag[[0, -1]] = (_ghost_factor(gamma, ha) - 2.0) / ha**2
-            lam, q = eigh_tridiagonal(diag, np.full(na - 1, 1.0 / ha**2))
+        for axis, (na, ha, wa) in enumerate(zip(self.shape, self.h, self.inverse_h2)):
+            diag = np.full(na, -2.0 * wa)
+            diag[[0, -1]] = (_ghost_factor(gamma, ha) - 2.0) * wa
+            lam, q = eigh_tridiagonal(diag, np.full(na - 1, wa))
             # the matrix is negative semidefinite; a zero mode may round above 0
             np.minimum(lam, 0.0, out=lam)
             grid += lam.reshape([na if b == axis else 1 for b in range(len(self.shape))])

@@ -38,22 +38,21 @@ BS3's nodes c never decrease and Lambda <= 0, so every exponential lies in
 whatever dt.  So this pair has no cap; its error estimate alone bounds its
 steps.  Reaction stiffness is left to the error controller.
 
-Each trial step goes through one sequence.  Its dt, 1e-6 at first, is clamped
-to 0.1, to t_end and, for DP5, to DP5's cap; it is accepted iff its error
-norm is <= 1 (inf and NaN reject) and counted once, under its pair.  One
-place proposes the next dt: a PI controller with exponents 0.7/q and 0.4/q
-for a pair of order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt after
-a finite rejection, dt/2 after a non-finite one.  One rule picks the next
-pair: `lawson_bs3` iff the proposal reaches DP5's cap and no `lawson_bs3`
-step of the run has been rejected.  A rejected `lawson_bs3` step is retried
-by DP5 at the same dt, not at the proposal, which DP5's clamp holds at its
-cap, and DP5 keeps the rest of the run.  Where the pair changes, the PI
-history restarts and the new pair's first stage is evaluated at the current
-state.  An accepted step writes its monitor row; then the run ends as a
-step underflow if the proposal is below 1e-14, else as blow-up if the
-sup-norm reached the threshold.  So DP5's order pays where accuracy sets dt
-below its cap, and the Lawson pair takes the steps DP5's cap would hold,
-until one of them is rejected.
+Each trial step goes through one sequence.  Its dt, DP5's cap at first, is
+clamped to 0.1, to t_end and, for DP5, to DP5's cap; it is accepted iff its
+error norm is <= 1 (inf and NaN reject) and counted once, under its pair.
+One place proposes the next dt: a PI controller with exponents 0.7/q and
+0.4/q for a pair of order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt
+after a finite rejection, dt/2 after a non-finite one.  One rule picks the
+pair of each trial: `lawson_bs3` iff the proposal reaches DP5's cap and no
+`lawson_bs3` step of the run has been rejected, so every run starts on it.
+A rejected `lawson_bs3` step is retried by DP5 at the same dt, which DP5's
+clamp holds at its cap, and DP5 keeps the rest of the run.  Where the pair
+changes, the PI history restarts and the new pair's first stage is evaluated
+at the current state.  An accepted step writes its monitor row; then the run
+ends as a step underflow if the proposal is below 1e-14, else as blow-up if
+the sup-norm reached the threshold.  So the Lawson pair takes the steps DP5's
+cap would hold, until one is rejected, and DP5's order pays below its cap.
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  Blow-up is
@@ -84,7 +83,7 @@ _PI_KP = 0.4
 _PI_KI = 0.7
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
 _CAP_SAFETY = 0.8
-_DT_INIT, _DT_MIN, _DT_MAX = 1e-6, 1e-14, 0.1
+_DT_MIN, _DT_MAX = 1e-14, 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,15 +276,13 @@ class StepWork:
 
     __slots__ = ("K", "last", "y_new", "err", "scale", "modes", "scratch")
 
-    def __init__(self, y: np.ndarray, stage_fn, modes=(), pair: Pair = DP5):
-        """Allocate for states like `y` and evaluate `pair`'s first stage at y
-        into `K[0]` (`restart`)."""
+    def __init__(self, y: np.ndarray, modes=()):
+        """Allocate for states like `y`."""
         self.K = np.empty((max(p.rows for p in PAIRS), y.size))
         self.last = 0  # the row of the last step's FSAL stage
         self.y_new, self.err, self.scale = (np.empty(y.size) for _ in range(3))
         self.modes = tuple(modes)
         self.scratch = np.empty(y.size // len(self.modes)) if self.modes else None
-        self.restart(y, stage_fn, pair)
 
     def restart(self, y: np.ndarray, stage_fn, pair: Pair) -> None:
         """K[0] = the first stage of `pair` at y: stage_fn(y) for an explicit
@@ -432,7 +429,7 @@ def _diffusion_cap(mesh: Mesh) -> float:
     """Largest dt `simulate` takes with DP5: 0.8 of its real stability
     interval over the Gershgorin bound 4 sum_a h_a^-2 on the Robin
     Laplacian's spectrum."""
-    return _CAP_SAFETY * _DP5_REAL_STABILITY / (4.0 * sum(ha ** -2 for ha in mesh.h))
+    return _CAP_SAFETY * _DP5_REAL_STABILITY / (4.0 * sum(mesh.inverse_h2))
 
 
 def simulate(config: SolverConfig) -> SolveTrace:
@@ -461,13 +458,12 @@ def simulate(config: SolverConfig) -> SolveTrace:
     modes1 = mesh.robin_modes(config.gamma1)
     modes2 = modes1 if config.gamma2 == config.gamma1 else mesh.robin_modes(config.gamma2)
     stage_fns = {LAWSON_BS3: reaction_vec, DP5: rhs_vec}
-    work = StepWork(y, rhs_vec, (modes1, modes2))
-    if not np.all(np.isfinite(work.K[0])):
-        raise NonFiniteField("initial right-hand side is not finite")
     caps = {LAWSON_BS3: math.inf, DP5: _diffusion_cap(mesh)}
-    steps_by_pair = {pair.name: {"accepted": 0, "rejected": 0} for pair in PAIRS}
-    t, dt, pair, err_prev = 0.0, _DT_INIT, DP5, 1.0
-    lawson_rejected = False
+    work = StepWork(y, (modes1, modes2))
+    if not np.all(np.isfinite(rhs_vec(y, work.y_new))):
+        raise NonFiniteField("initial right-hand side is not finite")
+    steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
+    t, dt, pair, err_prev, lawson_rejected = 0.0, caps[DP5], None, 1.0, False
     samples: list[EnergySample] = []
     clamp_count = 0
 
@@ -483,10 +479,15 @@ def simulate(config: SolverConfig) -> SolveTrace:
         return max(row.sup_u, row.sup_v)
 
     # the initial row carries the first trial dt, clamped but not to t_end
-    sup = initial_sup = record(min(dt, caps[pair], _DT_MAX))
+    sup = initial_sup = record(min(dt, _DT_MAX))
     outcome = OUTCOME_REACHED_T_END
 
     while t < config.t_end:
+        # the pair rule (module docstring); a new pair restarts the PI history
+        next_pair = LAWSON_BS3 if dt >= caps[DP5] and not lawson_rejected else DP5
+        if next_pair is not pair:
+            pair, err_prev = next_pair, 1.0
+            work.restart(y, stage_fns[pair], pair)
         dt = min(dt, caps[pair], _DT_MAX, config.t_end - t)
         _, err, _ = step(y, dt, stage_fns[pair], config.rel_tol, config.abs_tol, work, pair)
         accepted = err <= 1.0  # inf and NaN reject
@@ -495,16 +496,11 @@ def simulate(config: SolverConfig) -> SolveTrace:
         if pair is LAWSON_BS3 and not accepted:
             # DP5 retries the step at this dt and keeps the rest of the run
             dt_next, lawson_rejected = dt, True
-        # the pair rule (module docstring)
-        next_pair = LAWSON_BS3 if dt_next >= caps[DP5] and not lawson_rejected else DP5
         if accepted:
             err_prev = max(err, 1e-12)
             t += dt
             y = work.accept(y)
             sup = record(dt)
-        if next_pair is not pair:
-            pair, err_prev = next_pair, 1.0
-            work.restart(y, stage_fns[pair], pair)
         dt = dt_next
         if dt < _DT_MIN:
             outcome = OUTCOME_STEP_UNDERFLOW

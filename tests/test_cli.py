@@ -350,6 +350,10 @@ class TestConfigErrors:
         ("check", ("kind = constant", "kind = cosine\nepsilon = 0.1")),
         ("check", ("kind = constant", "kind = constant\namplitude = 5\nwidth = 0")),
         ("simulate", ("half_extents = 1 1", "half_extents = inf 1")),
+        ("simulate", ("half_extents = 1 1", "half_extents = 1e250 1")),
+        ("sandwich", ("half_extents = 1 1", "half_extents = 1e250 1")),
+        ("simulate", ("half_extents = 1 1", "half_extents = 1e-300 1")),
+        ("sandwich", ("half_extents = 1 1", "half_extents = 1e-300 1")),
         ("check", ("half_extents = 1 1", "half_extents = nan 1")),
         ("bounds", (*BALL, "alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2",
                     "radius = 1", "radius = nan")),
@@ -378,6 +382,8 @@ class TestConfigErrors:
             "unknown_key_mod", "unknown_key_outputs_dir", "misspelled_section_solver",
             "k1_without_k2", "k1_k2_without_p", "gaussian_width_zero", "gaussian_width_inf",
             "cosine_kind", "unknown_keys_amplitude_width_on_constant", "half_extents_inf",
+            "simulate_half_extents_1e250", "sandwich_half_extents_1e250",
+            "simulate_half_extents_1e-300", "sandwich_half_extents_1e-300",
             "half_extents_nan", "ball_radius_nan", "ball_radius_inf"])
     def test_rejected_config_exits_two_without_traceback(self, tmp_path, capsys,
                                                          command, edit):
@@ -411,13 +417,23 @@ class TestConfigErrors:
          "no command reads [initial_data] amplitude, [initial_data] width"),
         ("bounds", BLOWUP_BOX.replace("alpha = 1.0", ""), "config requests no bound"),
         ("simulate", BALL_LOWER, "ball domains cannot be meshed"),
+        ("sandwich", BLOWUP_BOX.replace("half_extents = 1 1", "half_extents = 1e250 1"),
+         "cell widths (2.5e+249, 0.25) put the Laplacian's weights h^-2 outside"),
     ], ids=["unknown_family", "unknown_kind", "unread_gaussian_keys", "no_bound",
-            "simulate_ball"])
+            "simulate_ball", "sandwich_half_extents_1e250"])
     def test_every_config_error_names_the_file(self, tmp_path, capsys, command, text,
                                                message):
         cfg = write_config(tmp_path, text)
         assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
+
+    @pytest.mark.parametrize("half_extent", ["1e250", "1e-300"])
+    @pytest.mark.parametrize("command", ["check", "bounds"])
+    def test_laplacian_rule_binds_only_simulations(self, tmp_path, command, half_extent):
+        # check and bounds never apply the Laplacian, whose weights h^-2
+        # these cell widths put out of range
+        text = BLOWUP_BOX.replace("half_extents = 1 1", f"half_extents = {half_extent} 1")
+        assert run(command, write_config(tmp_path, text), tmp_path / "out") == EXIT_OK
 
 
 class TestResolutionOverride:

@@ -15,7 +15,7 @@ from rdblowup.geometry import (
     geometry_constants,
     interior_integral,
 )
-from rdblowup.solver import SolverConfig, rhs, simulate
+from rdblowup.solver import SolverConfig, _diffusion_cap, rhs, simulate
 
 
 def outward_normals(mesh):
@@ -274,6 +274,17 @@ class TestLaplacianOperator:
                               g1=g, g2=g, t_end=1e-3))
         assert len(built) == 1
         assert mesh.laplacian is mesh.laplacian
+
+    @pytest.mark.parametrize("L", [1e155, 1e250, 1e-300],
+                             ids=["square_overflows", "weight_underflows", "weight_overflows"])
+    def test_refuses_weights_outside_the_normal_floats(self, L):
+        # such a mesh still serves quadrature; what applies h^-2 refuses it
+        mesh = build_mesh(DomainSpec("box", 2, half_extents=(L, 1.0)), 8)
+        assert interior_integral(mesh, np.ones(mesh.n_cells)) > 0
+        for build in (lambda: mesh.laplacian, lambda: mesh.robin_diagonal(1.0),
+                      lambda: mesh.robin_modes(1.0), lambda: _diffusion_cap(mesh)):
+            with pytest.raises(ValueError, match=r"weights h\^-2 outside the normal floats"):
+                build()
 
 
 def kronecker_modes(modes):

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from conftest import linear_decay, zero_reaction
 import rdblowup.solver
-from rdblowup.errors import InsufficientSamples
+from rdblowup.errors import InsufficientSamples, NonFiniteField
 from rdblowup.functionals import FieldPair, energy_E
 from rdblowup.geometry import DomainSpec, RobinModes, build_mesh, interior_integral
 from rdblowup.nonlinearity import Nonlinearity, make_power_product
@@ -85,11 +85,18 @@ def decay(y, out):
     return np.negative(y, out=out)
 
 
+def started(y, stage_fn, modes=(), pair=DP5):
+    """A `StepWork` for states like y, holding `pair`'s first stage at y."""
+    work = StepWork(y, modes)
+    work.restart(y, stage_fn, pair)
+    return work
+
+
 class TestStep:
     def test_linear_decay_accuracy(self):
         # y' = -y from 1: many small accepted steps land near e^{-t}
         y = np.array([1.0])
-        work = StepWork(y, decay)
+        work = started(y, decay)
         t, dt = 0.0, 1e-3
         while t < 1.0:
             dt = min(dt, 1.0 - t)
@@ -102,21 +109,21 @@ class TestStep:
     def test_rejects_nonpositive_dt(self):
         y = np.array([1.0])
         with pytest.raises(ValueError):
-            step(y, 0.0, decay, 1e-8, 1e-10, StepWork(y, decay))
+            step(y, 0.0, decay, 1e-8, 1e-10, started(y, decay))
 
     def test_overflow_returns_inf_error(self):
         def rhs_vec(y, out):
             return np.power(y, 10, out=out)
         y = np.array([1e30])
         with np.errstate(over="ignore", invalid="ignore"):
-            y_new, err, k = step(y, 1.0, rhs_vec, 1e-8, 1e-10, StepWork(y, rhs_vec))
+            y_new, err, k = step(y, 1.0, rhs_vec, 1e-8, 1e-10, started(y, rhs_vec))
         assert err == float("inf") and k is None
         assert y_new[0] == 1e30  # untouched
 
     def test_large_step_reports_large_error(self):
         # a huge step on y' = -y must produce err > 1 so the driver rejects
         y = np.array([1.0])
-        _, err, _ = step(y, 50.0, decay, 1e-8, 1e-10, StepWork(y, decay))
+        _, err, _ = step(y, 50.0, decay, 1e-8, 1e-10, started(y, decay))
         assert err > 1.0
 
 
@@ -216,7 +223,7 @@ class TestStepWorkspace:
         rng = np.random.default_rng(4)
         y = amplitude * rng.uniform(0.5, 1.5, 2 * mesh3d.n_cells)
         with np.errstate(over="ignore", invalid="ignore"):
-            work = StepWork(y, fns["dp5"], (modes, modes))
+            work = started(y, fns["dp5"], (modes, modes))
             if before is not None:
                 # an accepted step of either pair copies its FSAL row into
                 # K[0] and leaves its own stages in the other rows
@@ -253,7 +260,7 @@ class TestStepWorkspace:
         fn = guarded(mesh3d, nl, 0.5, linear=name == "dp5")
         modes = mesh3d.robin_modes(0.5)
         y = np.random.default_rng(5).uniform(0.5, 1.5, 2 * mesh3d.n_cells)
-        work = StepWork(y, fn, (modes, modes), PAIR[name])
+        work = started(y, fn, (modes, modes), PAIR[name])
         y_new, err, k_last = step(y, 2e-3, fn, 1e-4, 1e-6, work, PAIR[name])
         assert err <= 1.0
         assert work.last == row
@@ -275,7 +282,7 @@ NO_DIFFUSION = RobinModes(values=(np.zeros(1),), vectors=(np.eye(1),), grid=np.z
 def integrate(pair, stage_fn, y0, t_end, n_steps, modes=(NO_DIFFUSION,)):
     """Fixed steps of `pair` from y0; tolerances loose enough to be ignored."""
     y = np.array(y0, dtype=float, ndmin=1)
-    work = StepWork(y, stage_fn, modes, pair)
+    work = started(y, stage_fn, modes, pair)
     for _ in range(n_steps):
         step(y, t_end / n_steps, stage_fn, 1e6, 1e6, work, pair)
         y = work.accept(y)
@@ -385,33 +392,30 @@ def flat_blowup_3d():
 
 class TestPairChoice:
     def test_fine_robin_heat_steps_past_the_cap_with_lawson_bs3(self):
-        # 32^2 cells: once DP5's proposal reaches its cap, the Lawson pair
-        # takes the steps, each past the cap
+        # 32^2 cells: the run starts at DP5's cap on the Lawson pair, whose
+        # later steps all pass the cap
         trace, mesh = robin_heat(2, 32)
         assert trace.outcome == OUTCOME_REACHED_T_END
-        assert trace.n_rejected == 0
-        lawson = trace.steps_by_pair["lawson_bs3"]["accepted"]
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 4, "rejected": 0},
+                                       "dp5": {"accepted": 0, "rejected": 0}}
         dts = np.array([s.dt for s in trace.samples[1:]])
-        assert lawson > 0
-        assert np.sum(dts > _diffusion_cap(mesh)) == lawson
-        assert trace.n_steps < 20
+        assert dts[0] == _diffusion_cap(mesh)
+        assert np.all(dts[1:] > _diffusion_cap(mesh))
 
     def test_coarse_robin_heat_steps_past_the_cap_with_lawson_bs3(self):
-        # 12^3 cells: once DP5's proposal reaches its cap, the Lawson pair
-        # takes the steps; DP5 alone took 19 here, the last 3 held by the cap
-        # or by t_end
+        # 12^3 cells: DP5 alone took 19 steps here, the last 3 held by the
+        # cap or by t_end; the Lawson pair takes 3 from the cap
         trace, mesh = robin_heat(3, 12)
         assert trace.outcome == OUTCOME_REACHED_T_END
-        assert trace.n_rejected == 0
-        lawson = trace.steps_by_pair["lawson_bs3"]["accepted"]
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 3, "rejected": 0},
+                                       "dp5": {"accepted": 0, "rejected": 0}}
         dts = np.array([s.dt for s in trace.samples[1:]])
-        assert lawson > 0
-        assert np.sum(dts > _diffusion_cap(mesh)) == lawson
-        assert trace.n_steps < 19
+        assert dts[0] == _diffusion_cap(mesh)
+        assert np.all(dts[1:] > _diffusion_cap(mesh))
 
     def test_rejected_lawson_step_is_retried_by_dp5_at_its_cap(self, monkeypatch):
-        # DP5 reaches its cap early in this blow-up run; the Lawson pair's
-        # one trial there is rejected, and DP5 retries the step and keeps the run
+        # this blow-up run starts on the Lawson pair at DP5's cap; that one
+        # trial is rejected, and DP5 retries the step and keeps the run
         trials = []
 
         def logged_step(y, dt, *args):
@@ -423,26 +427,38 @@ class TestPairChoice:
         assert trace.outcome == OUTCOME_BLOWUP
         assert trace.steps_by_pair["lawson_bs3"] == {"accepted": 0, "rejected": 1}
         names = [name for name, _ in trials]
-        k = names.index("lawson_bs3")
-        assert trials[k + 1] == ("dp5", _diffusion_cap(mesh))
-        assert "lawson_bs3" not in names[k + 1:]
+        assert names[0] == "lawson_bs3"
+        assert trials[1] == ("dp5", _diffusion_cap(mesh))
+        assert "lawson_bs3" not in names[1:]
 
-    def test_flat_blowup_uses_dp5_only(self, box2d):
+    def test_flat_blowup_rejects_one_lawson_trial_at_the_start(self, monkeypatch, box2d):
+        # the run's first trial, the Lawson pair's at DP5's cap, is rejected;
+        # DP5 retries it at its cap and takes every step
+        trials = []
+
+        def logged_step(y, dt, *args):
+            trials.append((args[-1].name, dt))
+            return step(y, dt, *args)
+
+        monkeypatch.setattr(rdblowup.solver, "step", logged_step)
         mesh = build_mesh(box2d, 8)
         g = np.full(mesh.n_cells, 1.0)
         trace = simulate(SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
                                       gamma1=0.0, gamma2=0.0, g1=g, g2=g, t_end=1.0))
         assert trace.outcome == OUTCOME_BLOWUP
-        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 0},
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
                                        "dp5": {"accepted": trace.n_steps, "rejected": 0}}
+        cap = _diffusion_cap(mesh)
+        assert trials[:2] == [("lawson_bs3", cap), ("dp5", cap)]
+        assert [name for name, _ in trials[1:]] == ["dp5"] * trace.n_steps
 
 
 class TestStepAccounting:
     @pytest.mark.parametrize("run", ["robin_heat", "blowup_to_underflow", "flat_blowup_3d"])
     def test_every_trial_step_is_counted_once(self, monkeypatch, box2d, run):
-        # the Robin heat run steps with both pairs; the blow-up run, whose
-        # threshold lies beyond overflow, rejects steps until dt underflows;
-        # the flat 3D blow-up rejects one Lawson step
+        # the Robin heat run steps with the Lawson pair only; the blow-up
+        # run, whose threshold lies beyond overflow, rejects steps until dt
+        # underflows; the flat 3D blow-up rejects one Lawson step
         calls = {pair.name: 0 for pair in (LAWSON_BS3, DP5)}
 
         def counted_step(*args):
@@ -452,7 +468,7 @@ class TestStepAccounting:
         monkeypatch.setattr(rdblowup.solver, "step", counted_step)
         if run == "robin_heat":
             trace, _ = robin_heat(2, 32)
-            assert all(calls.values())
+            assert calls == {"lawson_bs3": 4, "dp5": 0}
         elif run == "flat_blowup_3d":
             trace, _ = flat_blowup_3d()
             assert trace.steps_by_pair["lawson_bs3"]["rejected"] == 1
@@ -472,19 +488,20 @@ class TestStepAccounting:
 class TestLawsonPair:
     @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
     def test_zero_reaction_run_matches_the_matrix_exponential(self, spec, cells):
-        # with N = 0 the Lawson steps apply e^{dt A} exactly and only DP5's
-        # steps before them err; gamma1 != gamma2 gives each field its modes
+        # with N = 0 the Lawson steps apply e^{dt A} exactly, and the run
+        # takes no other; gamma1 != gamma2 gives each field its modes
         mesh = build_mesh(spec, cells)
         x = mesh.cell_centers
         g1, g2 = np.cos(0.8 * x[:, 0]) + 0.5 * x[:, 1], 1.0 + 0.3 * np.sin(x[:, 0])
         trace = simulate(SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=0.5, gamma2=3.0,
                                       g1=g1, g2=g2, t_end=1.0, rel_tol=1e-6, abs_tol=1e-6))
         assert trace.steps_by_pair["lawson_bs3"]["accepted"] > 0
+        assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
         final = trace.final_fields
         for got, g, gamma in ((final.u, g1, 0.5), (final.v, g2, 3.0)):
             A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
             exact = scipy.linalg.expm(final.t * A) @ g
-            assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(g))
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(g))
 
 
 class TestSimulateConservation:
@@ -629,6 +646,17 @@ class TestSimulateBlowup:
         trace = simulate(cfg)
         assert trace.outcome == OUTCOME_REACHED_T_END
         assert trace.blowup_estimate is None
+
+    def test_non_finite_initial_right_hand_side_raises(self, box2d):
+        # the data and the threshold are finite, but F = u^2 v^2 from 1e200
+        # makes N(g), and so A g + N(g), overflow before any step
+        mesh = build_mesh(box2d, 8)
+        g = np.full(mesh.n_cells, 1e200)
+        cfg = SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0), gamma1=0.0,
+                           gamma2=0.0, g1=g, g2=g, t_end=1.0, sup_threshold=1e300)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteField, match="initial right-hand side"):
+            simulate(cfg)
 
 
 class TestSolverConfigValidation:
