@@ -19,8 +19,8 @@ gaussian), c1, c2 and, for a gaussian on a box, amplitude and width (the
 width finite and > 0); [robin] gamma1, gamma2; [hypothesis] alpha, p, k1, k2
 (k1 and k2 together, and with p), mode; [solver] t_end, rel_tol, abs_tol,
 sup_threshold; [outputs] directory.
-A ball domain takes constant initial data only; its `[solver]` values, which
-no command uses, are checked by the rules `SolverConfig` applies.
+A ball domain takes constant initial data only and reads no `[solver]` key,
+as no command simulates on it: a ball config that sets one exits 2.
 
 Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
 2 config error, 3 numerical failure.
@@ -52,13 +52,7 @@ from .fields import make_field
 from .functionals import EnergySample, check_trace_monitors, require_growth_constants
 from .geometry import BOX, DomainSpec, build_mesh, require_gamma
 from .oracle import ode_reduce
-from .solver import (
-    OUTCOME_STEP_UNDERFLOW,
-    STEP_OPTIONS,
-    SolverConfig,
-    require_step_options,
-    simulate,
-)
+from .solver import OUTCOME_STEP_UNDERFLOW, SolverConfig, simulate
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -71,6 +65,9 @@ def _numbers(text, kind):
 
 
 _OPTIONAL_SECTIONS = ("initial_data", "robin", "hypothesis", "solver", "outputs")
+# the SolverConfig options that [solver] sets, all floats; SolverConfig holds
+# the default of each but t_end
+_SOLVER_KEYS = ("t_end", "rel_tol", "abs_tol", "sup_threshold")
 
 
 class _RecordingParser(configparser.ConfigParser):
@@ -114,11 +111,6 @@ class Experiment:
             if not cfg.has_section(name):
                 cfg.add_section(name)
         self.out_dir = cfg["outputs"].get("directory", "out")
-        # the [solver] keys, all floats; SolverConfig holds the defaults of
-        # every key but t_end
-        sol = cfg["solver"]
-        options = {key: float(sol[key]) for key in STEP_OPTIONS if key in sol}
-        options.setdefault("t_end", 1.0)
 
         nls = cfg["nonlinearity"]
         family = nls["family"]
@@ -164,7 +156,6 @@ class Experiment:
                                                     and math.isfinite(self.c2)):
                 raise ConfigError(f"a ball takes finite constant initial data only, got "
                                   f"kind {self.init_kind!r}, c1 {self.c1:g}, c2 {self.c2:g}")
-            require_step_options(**options)
             self.mesh = self.solver = None
             self.g1, self.g2 = self.c1, self.c2
             return
@@ -180,6 +171,9 @@ class Experiment:
                           width=init.getfloat("width", 1.0))
         g1 = make_field(self.mesh, self.init_kind, params)
         g2 = make_field(self.mesh, "constant", {"c": self.c2})
+        sol = cfg["solver"]
+        options = {key: float(sol[key]) for key in _SOLVER_KEYS if key in sol}
+        options.setdefault("t_end", 1.0)
         if self.alpha is not None:
             options["alpha"] = self.alpha
         self.solver = SolverConfig(mesh=self.mesh, nl=self.nl, gamma1=self.gamma1,

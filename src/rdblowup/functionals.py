@@ -8,8 +8,8 @@ returns its monitor row, which holds J together with the pieces it is built
 from, and `energy_scriptE` shares its scriptE formula.
 
 The gradient energy is the face-difference quadratic form of the mesh's
-Neumann operator `Mesh.laplacian` (DIA storage; the solver adds the Robin
-diagonal `Mesh.robin_diagonal` to it): summation by parts gives
+Neumann operator `Mesh.laplacian` (DIA storage; `Mesh.robin_operator` adds
+the Robin diagonal to it): summation by parts gives
 grad energy = -cell_volume * u . (L_N u), so the discrete integration-by-parts
 identities hold up to boundary closure error.  It is summed as squares of face
 differences, not as that product, so it is exactly zero on constants and

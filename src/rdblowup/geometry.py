@@ -1,5 +1,5 @@
-"""Domains, uniform cell-centered meshes with their Laplacian and its
-eigenbasis, geometric constants and quadrature.
+"""Domains, uniform cell-centered meshes with their Neumann Laplacian and
+the Robin operator of the (u, v) state, geometric constants and quadrature.
 
 Boxes are meshed with a uniform cell-centered grid; balls exist only as
 analytic domains (geometric constants and volume) and cannot be meshed.
@@ -28,8 +28,10 @@ def require_gamma(gamma: float, name: str = "gamma") -> float:
 
 
 def _ghost_factor(gamma: float, ha: float) -> float:
-    """g of the Robin ghost-cell closure ghost = g * cell along an axis of spacing ha."""
-    return (2.0 - gamma * ha) / (2.0 + gamma * ha)
+    """g of the Robin ghost-cell closure ghost = g * cell along an axis of
+    spacing ha; its limit -1 where gamma * ha overflows."""
+    gh = gamma * ha
+    return -1.0 if gh == inf else (2.0 - gh) / (2.0 + gh)
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,8 @@ class Mesh:
         Stored as DIA with offsets 0 and +-stride of each axis (+-1, +-n_z,
         +-n_y*n_z in 3D).  A boundary cell's ghost mirrors it, so the main
         diagonal counts only existing neighbours and entries that would
-        couple cells across a face are zero.  The Robin operator for
-        gamma is this matrix plus the diagonal `robin_diagonal(gamma)`.
+        couple cells across a face are zero.  `robin_operator` adds the
+        Robin diagonal of each field to it.
         """
         shape, n = self.shape, self.n_cells
         N = len(shape)
@@ -141,46 +143,20 @@ class Mesh:
             main -= (has_lo.astype(float) + has_hi) * wa
         return dia_array((data, offsets), shape=(n, n))
 
-    def robin_diagonal(self, gamma: float) -> np.ndarray:
-        """Diagonal that turns `laplacian` into the Robin Laplacian for gamma.
-
-        The ghost-cell closure ghost = g * cell, g = (2 - gamma h)/(2 + gamma h),
-        is second order at the face; relative to the Neumann mirror (g = 1)
-        it adds (g - 1)/h_a^2 on each boundary cell, once per face.
-        """
-        require_gamma(gamma)
-        diag = np.zeros(self.shape)
+    def robin_operator(self, gamma1: float, gamma2: float) -> "RobinOperator":
+        """The Robin Laplacian of y = [u; v], u's walls with gamma1 and v's
+        with gamma2, built anew on each call: one mesh serves many gammas.
+        The ghost-cell closure ghost = g * cell, second order at the face,
+        adds (g - 1)/h_a^2 to the Neumann mirror's (g = 1) `laplacian` on
+        each boundary cell, once per face."""
+        gammas = (require_gamma(gamma1, "gamma1"), require_gamma(gamma2, "gamma2"))
+        diagonal = np.zeros((2, *self.shape))
         for axis, (ha, wa) in enumerate(zip(self.h, self.inverse_h2)):
-            g = _ghost_factor(gamma, ha)
-            for side in (0, -1):
-                face = [slice(None)] * diag.ndim
-                face[axis] = side
-                diag[tuple(face)] += (g - 1.0) * wa
-        return diag.ravel()
-
-    def robin_modes(self, gamma: float) -> "RobinModes":
-        """Eigenpairs of the Robin Laplacian for gamma, axis by axis.
-
-        `laplacian + diag(robin_diagonal(gamma))` is the Kronecker sum of one
-        symmetric tridiagonal per axis: off-diagonal 1/h_a^2, interior
-        diagonal -2/h_a^2, end rows (g - 2)/h_a^2.  So its eigenvectors are
-        Kronecker products of the axes' eigenvectors and its eigenvalues the
-        sums of theirs (fast diagonalisation, Lynch, Rice & Thomas 1964).
-        Built anew on each call, as one mesh serves many gammas.
-        """
-        require_gamma(gamma)
-        values, vectors = [], []
-        grid = np.zeros(self.shape)
-        for axis, (na, ha, wa) in enumerate(zip(self.shape, self.h, self.inverse_h2)):
-            diag = np.full(na, -2.0 * wa)
-            diag[[0, -1]] = (_ghost_factor(gamma, ha) - 2.0) * wa
-            lam, q = eigh_tridiagonal(diag, np.full(na - 1, wa))
-            # the matrix is negative semidefinite; a zero mode may round above 0
-            np.minimum(lam, 0.0, out=lam)
-            grid += lam.reshape([na if b == axis else 1 for b in range(len(self.shape))])
-            values.append(lam)
-            vectors.append(q)
-        return RobinModes(values=tuple(values), vectors=tuple(vectors), grid=grid.ravel())
+            added = np.reshape([(_ghost_factor(gamma, ha) - 1.0) * wa for gamma in gammas],
+                               (2,) + (1,) * (len(self.shape) - 1))
+            for side in (0, -1):  # each field's boundary cells on that face
+                diagonal[(slice(None),) * (axis + 1) + (side,)] += added
+        return RobinOperator(self, gammas, diagonal.ravel())
 
     def to_grid(self, samples: np.ndarray) -> np.ndarray:
         return np.asarray(samples).reshape(self.shape)
@@ -191,42 +167,77 @@ class Mesh:
 
 
 @dataclass(frozen=True, eq=False)
-class RobinModes:
-    """The Robin Laplacian A = Q diag(grid) Q^T of a mesh, from `Mesh.robin_modes`.
+class RobinOperator:
+    """A = laplacian + diag(diagonal) on y = [u; v], from `Mesh.robin_operator`.
 
-    `values[a]` are the eigenvalues of axis a's tridiagonal and the columns
-    of `vectors[a]` its orthonormal eigenvectors; Q is the Kronecker product
-    of the `vectors`, and `grid` holds the eigenvalue of each mode, the sum
-    of its axes' values, flat in C order like the cells.  `to_modes` and
-    `from_modes` apply Q^T and Q with one matrix product per axis.
+    Each field's block is the Kronecker sum of one symmetric tridiagonal per
+    axis: off-diagonal 1/h_a^2, interior diagonal -2/h_a^2, end rows
+    (g - 2)/h_a^2.  So A = Q diag(grid) Q^T, each field's Q the Kronecker
+    product of its axes' eigenvectors and `grid` the sums of their eigenvalues
+    (fast diagonalisation, Lynch, Rice & Thomas 1964), built on first use.
     """
 
-    values: tuple[np.ndarray, ...]
-    vectors: tuple[np.ndarray, ...]
-    grid: np.ndarray
+    mesh: Mesh
+    gammas: tuple[float, float]
+    diagonal: np.ndarray  # (2 n_cells,)
 
-    def to_modes(self, src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """out = Q^T src; `scratch` holds one field, and neither it nor `out` may be `src`."""
-        return self._apply([q.T for q in self.vectors], src, out, scratch)
+    @cached_property
+    def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per axis, the eigenvalues (2, n_a) and the orthonormal eigenvectors,
+        as columns, (2, n_a, n_a) of both fields' tridiagonals."""
+        pairs = []
+        for na, ha, wa in zip(self.mesh.shape, self.mesh.h, self.mesh.inverse_h2):
+            diag = np.full(na, -2.0 * wa)
+            fields = []
+            for gamma in self.gammas:
+                diag[[0, -1]] = (_ghost_factor(gamma, ha) - 2.0) * wa
+                fields.append(eigh_tridiagonal(diag, np.full(na - 1, wa)))
+            lam, q = (np.stack(parts) for parts in zip(*fields))
+            # the matrix is negative semidefinite; a zero mode may round above 0
+            pairs.append((np.minimum(lam, 0.0, out=lam), q))
+        return tuple(pairs)
 
-    def from_modes(self, src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """out = Q src, with the buffers of `to_modes`."""
-        return self._apply(self.vectors, src, out, scratch)
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Lambda, the eigenvalue of each mode, the sum of its axes' values; flat like y."""
+        values = [lam for lam, _ in self.eigenpairs]
+        grid = np.zeros((len(values[0]), *(lam.shape[1] for lam in values)))
+        for axis, lam in enumerate(values):
+            grid += lam.reshape(len(lam), *(-1 if b == axis else 1 for b in range(len(values))))
+        return grid.ravel()
 
-    def _apply(self, mats, src, out, scratch):
-        """Apply mats[a] along each axis a, alternating between `out` and
-        `scratch` so that the last axis writes `out`."""
-        shape = tuple(len(m) for m in mats)
-        buffers = (out, scratch) if len(mats) % 2 else (scratch, out)
+    @cached_property
+    def _scratch(self) -> np.ndarray:  # one state, the transforms' second buffer
+        return np.empty_like(self.grid)
+
+    def decay(self, tau: float, out: np.ndarray) -> np.ndarray:
+        """out = e^{tau Lambda}, the exponential of A over a time tau in its eigenbasis."""
+        return np.exp(np.multiply(self.grid, tau, out=out), out=out)
+
+    def to_modes(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = Q^T src; `out` must not be `src`."""
+        return self._apply([q.transpose(0, 2, 1) for _, q in self.eigenpairs], src, out)
+
+    def from_modes(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = Q src; `out` must not be `src`."""
+        return self._apply([q for _, q in self.eigenpairs], src, out)
+
+    def _apply(self, mats, src, out):
+        """Apply mats[a], one matrix per field, along each axis a of both
+        fields, alternating between `out` and the scratch buffer so that the
+        last axis writes `out`."""
+        fields, shape = len(mats[0]), tuple(m.shape[-1] for m in mats)
+        buffers = (out, self._scratch) if len(mats) % 2 else (self._scratch, out)
         x = src
         for axis, m in enumerate(mats):
             dst, na = buffers[axis % 2], shape[axis]
             if axis == len(mats) - 1:
-                # the rows of x times m^T: one matrix product, not one per row
-                np.matmul(x.reshape(-1, na), m.T, out=dst.reshape(-1, na))
+                # the rows of x times m^T: one matrix product per field, not one per row
+                view = (fields, -1, na)
+                np.matmul(x.reshape(view), m.transpose(0, 2, 1), out=dst.reshape(view))
             else:
-                view = (prod(shape[:axis]), na, -1)
-                np.matmul(m, x.reshape(view), out=dst.reshape(view))
+                view = (fields, prod(shape[:axis]), na, -1)
+                np.matmul(m[:, None], x.reshape(view), out=dst.reshape(view))
             x = dst
         return out
 

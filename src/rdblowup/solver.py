@@ -1,21 +1,21 @@
 """Method-of-lines simulation of the reaction-diffusion system.
 
-Space: the standard 5-point (2D) / 7-point (3D) Laplacian owned by the mesh,
-`Mesh.laplacian`, a Neumann operator stored as a scipy DIA matrix, plus the
-Robin diagonal `Mesh.robin_diagonal(gamma)`.  Together they close the Robin
+Space: one operator A on the stacked state y = [u; v],
+`Mesh.robin_operator(gamma1, gamma2)`: the mesh's Neumann 5-point (2D) /
+7-point (3D) Laplacian `Mesh.laplacian`, a scipy DIA matrix, in each field's
+block, plus the Robin diagonal of both fields, which closes the Robin
 condition through ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h)
-(second order at the face, Neumann reflection at gamma = 0).  Both `rhs` and
-`simulate` apply this one operator A: one DIA matvec per component.
+(second order at the face, Neumann reflection at gamma = 0).  `rhs` and
+`simulate` apply it as a product with the diagonal and a matvec per field.
 
-The eigenbasis: A is the Kronecker sum of one symmetric tridiagonal per
-axis, so `Mesh.robin_modes(gamma)` diagonalises it axis by axis, A = Q
-diag(Lambda) Q^T, with Q the Kronecker product of the axes' orthogonal
-eigenvectors and Lambda the sums of their eigenvalues (fast
-diagonalisation); Q and Q^T cost one small matrix product per axis.  By
-Gershgorin, Lambda lies in [-4 sum_a h_a^-2, 0] for any gamma >= 0: each
-boundary face removes 2/h_a^2 from its row's absolute sum and the Robin
-diagonal adds back (1 - g)/h_a^2 < 2/h_a^2, as g lies in (-1, 1].
-`simulate` builds the modes of each component once per run.
+The eigenbasis: each field's block is the Kronecker sum of one symmetric
+tridiagonal per axis, so the operator diagonalises it, A = Q diag(Lambda) Q^T,
+with Q the Kronecker product of the axes' orthogonal eigenvectors and Lambda
+the sums of their eigenvalues (fast diagonalisation); Q and Q^T cost one
+small matrix product per axis.  By Gershgorin, Lambda lies in
+[-4 sum_a h_a^-2, 0] for any gamma >= 0: each boundary face removes 2/h_a^2
+from its row's absolute sum and the Robin diagonal adds back
+(1 - g)/h_a^2 <= 2/h_a^2, as g lies in [-1, 1].
 
 Time: y' = A y + N(y), N = (f1, f2), is stepped by two embedded Runge-Kutta
 pairs with first-same-as-last stages, written as Butcher tableaux (`Pair`)
@@ -46,6 +46,7 @@ One place proposes the next dt: a PI controller with exponents 0.7/q and
 after a finite rejection, dt/2 after a non-finite one.  One rule picks the
 pair of each trial: `lawson_bs3` iff the proposal reaches DP5's cap and no
 `lawson_bs3` step of the run has been rejected, so every run starts on it.
+Its first stage N(g) is evaluated once, and A g + N(g) checked finite first.
 A rejected `lawson_bs3` step is retried by DP5 at the same dt, which DP5's
 clamp holds at its cap, and DP5 keeps the rest of the run.  Where the pair
 changes, the PI history restarts and the new pair's first stage is evaluated
@@ -163,7 +164,14 @@ class SolverConfig:
     p: Optional[float] = None
 
     def __post_init__(self):
-        require_step_options(**{name: getattr(self, name) for name in STEP_OPTIONS})
+        if not self.t_end > 0:
+            raise ValueError("t_end must be positive")
+        if (not all(0 <= tol < math.inf for tol in (self.rel_tol, self.abs_tol))
+                or self.rel_tol == self.abs_tol == 0):
+            raise ValueError(f"rel_tol and abs_tol must be finite and >= 0, not both 0; "
+                             f"got {self.rel_tol} and {self.abs_tol}")
+        if not math.isfinite(self.sup_threshold):
+            raise ValueError(f"sup_threshold must be finite, got {self.sup_threshold:g}")
         require_gamma(self.gamma1, "gamma1")
         require_gamma(self.gamma2, "gamma2")
         g1 = np.asarray(self.g1, dtype=float).ravel()
@@ -176,24 +184,6 @@ class SolverConfig:
         if self.sup_threshold <= max(np.max(np.abs(g1)), np.max(np.abs(g2))):
             raise ValueError("sup_threshold must exceed the initial sup-norms")
         self.g1, self.g2 = g1, g2
-
-
-# the scalar options of SolverConfig, which `require_step_options` checks
-STEP_OPTIONS = ("t_end", "rel_tol", "abs_tol", "sup_threshold")
-
-
-def require_step_options(t_end: float, rel_tol: Optional[float] = None,
-                         abs_tol: Optional[float] = None,
-                         sup_threshold: Optional[float] = None) -> None:
-    """Check the SolverConfig scalar options given, raising ValueError."""
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    tols = [tol for tol in (rel_tol, abs_tol) if tol is not None]
-    if not all(0 <= tol < math.inf for tol in tols) or rel_tol == abs_tol == 0:
-        raise ValueError(f"rel_tol and abs_tol must be finite and >= 0, not both 0; "
-                         f"got {rel_tol} and {abs_tol}")
-    if sup_threshold is not None and not math.isfinite(sup_threshold):
-        raise ValueError(f"sup_threshold must be finite, got {sup_threshold:g}")
 
 
 @dataclass(frozen=True)
@@ -237,14 +227,13 @@ def _tail(samples):
             np.array([max(s.sup_u, s.sup_v) for s in samples]))
 
 
-def _rhs_into(out, u, v, lap, robin1, robin2, nl):
-    """Write (u_t, v_t) into the two halves of `out` and return it."""
-    n = u.size
-    ut, vt = out[:n], out[n:]
-    np.multiply(robin1, u, out=ut)
+def _rhs_into(out, u, v, lap, nl):
+    """Complete A y + N(y), the time derivative of y = [u; v], in `out`, which
+    holds the Robin diagonal times y: add each field's Neumann Laplacian and
+    reaction.  Returns out."""
+    ut, vt = out[:u.size], out[u.size:]
     ut += lap @ u
     ut += nl.f1(u, v)
-    np.multiply(robin2, v, out=vt)
     vt += lap @ v
     vt += nl.f2(u, v)
     return out
@@ -256,9 +245,12 @@ def rhs(fields: FieldPair, mesh: Mesh, nl: Nonlinearity,
     u, v = fields.u, fields.v
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise NonFiniteField("rhs called with non-finite fields")
-    out = _rhs_into(np.empty(2 * u.size), u, v, mesh.laplacian,
-                    mesh.robin_diagonal(gamma1), mesh.robin_diagonal(gamma2), nl)
-    return out[:u.size], out[u.size:]
+    # the operator serves this call only, so its diagonal takes the result
+    out, n = mesh.robin_operator(gamma1, gamma2).diagonal, u.size
+    np.multiply(out[:n], u, out=out[:n])
+    np.multiply(out[n:], v, out=out[n:])
+    _rhs_into(out, u, v, mesh.laplacian, nl)
+    return out[:n], out[n:]
 
 
 class StepWork:
@@ -269,26 +261,24 @@ class StepWork:
     lands in `K[s - 1]`.  A Lawson pair keeps N^(y), the reaction at y in the
     eigenbasis of A, in `K[0]`; `_lawson_stages` names its other rows, and
     its FSAL row N^(y_new) lands in `K[s + 1]`.  `accept` copies the FSAL
-    row into `K[0]` and swaps the caller's state with `y_new`.  `modes`
-    holds the `RobinModes` of each component, which a Lawson pair needs,
-    and `scratch` one component's transform buffer.
+    row into `K[0]` and swaps the caller's state with `y_new`.  `op` is the
+    `RobinOperator` whose eigenbasis a Lawson pair steps in.
     """
 
-    __slots__ = ("K", "last", "y_new", "err", "scale", "modes", "scratch")
+    __slots__ = ("K", "last", "y_new", "err", "scale", "op")
 
-    def __init__(self, y: np.ndarray, modes=()):
+    def __init__(self, y: np.ndarray, op=None):
         """Allocate for states like `y`."""
         self.K = np.empty((max(p.rows for p in PAIRS), y.size))
         self.last = 0  # the row of the last step's FSAL stage
         self.y_new, self.err, self.scale = (np.empty(y.size) for _ in range(3))
-        self.modes = tuple(modes)
-        self.scratch = np.empty(y.size // len(self.modes)) if self.modes else None
+        self.op = op
 
     def restart(self, y: np.ndarray, stage_fn, pair: Pair) -> None:
         """K[0] = the first stage of `pair` at y: stage_fn(y) for an explicit
         pair, its transform to the eigenbasis for a Lawson pair."""
         if pair.lawson:
-            self.to_modes(stage_fn(y, self.err), self.K[0])
+            self.op.to_modes(stage_fn(y, self.err), self.K[0])
         else:
             stage_fn(y, self.K[0])
 
@@ -302,29 +292,6 @@ class StepWork:
         self.K[0] = self.K[self.last]
         y_new, self.y_new = self.y_new, y
         return y_new
-
-    def to_modes(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = Q^T src, component by component."""
-        for modes, block_src, block_out in self._blocks(src, out):
-            modes.to_modes(block_src, block_out, self.scratch)
-        return out
-
-    def from_modes(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = Q src, component by component."""
-        for modes, block_src, block_out in self._blocks(src, out):
-            modes.from_modes(block_src, block_out, self.scratch)
-        return out
-
-    def decay(self, tau: float, out: np.ndarray) -> np.ndarray:
-        """out = e^{tau Lambda}, the exponential of A over a time tau in its eigenbasis."""
-        for modes, _, block_out in self._blocks(out, out):
-            np.multiply(modes.grid, tau, out=block_out)
-        return np.exp(out, out=out)
-
-    def _blocks(self, src, out):
-        n = self.scratch.size
-        return ((modes, src[k * n:(k + 1) * n], out[k * n:(k + 1) * n])
-                for k, modes in enumerate(self.modes))
 
 
 def _err_norm(err: np.ndarray, scale: np.ndarray) -> float:
@@ -394,25 +361,25 @@ def _lawson_stages(y, dt, reaction, work, pair):
     last node is 1, where the rows also give the error estimate.  K[s + 2]
     holds the exponential, and `work.err` each stage's argument and then its N.
     """
-    s, a, c, K = pair.stages, pair.a, pair.nodes, work.K
+    s, a, c, K, op = pair.stages, pair.a, pair.nodes, work.K, work.op
     y_new, buffer, decay = work.y_new, work.err, K[s + 2]
-    work.to_modes(y, K[1])
+    op.to_modes(y, K[1])
     K[2] = K[0]
     tau = None  # the time of the exponential in `decay`
     for i in range(1, s):
         if (c[i] - c[i - 1]) * dt != tau:
             tau = (c[i] - c[i - 1]) * dt
-            work.decay(tau, decay)
+            op.decay(tau, decay)
         K[1:i + 2] *= decay
         work.combine(np.concatenate(([1.0], a[i, :i] * dt)), buffer, first=1)
-        work.from_modes(buffer, y_new)
+        op.from_modes(buffer, y_new)
         reaction(y_new, buffer)
         if i == s - 1 and not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(buffer))):
             return None
-        work.to_modes(buffer, K[i + 2])
+        op.to_modes(buffer, K[i + 2])
     work.last = s + 1
     # the error estimate is built in `scale`, which `step` writes afterwards
-    work.from_modes(work.combine(pair.e * dt, work.scale, first=2), work.err)
+    op.from_modes(work.combine(pair.e * dt, work.scale, first=2), work.err)
     return y_new
 
 
@@ -438,14 +405,15 @@ def simulate(config: SolverConfig) -> SolveTrace:
     n = mesh.n_cells
     y = np.concatenate([config.g1, config.g2])
 
-    lap = mesh.laplacian
-    robin1, robin2 = mesh.robin_diagonal(config.gamma1), mesh.robin_diagonal(config.gamma2)
+    lap, op = mesh.laplacian, mesh.robin_operator(config.gamma1, config.gamma2)
+    diagonal = op.diagonal
 
     def rhs_vec(yy, out):
         if not np.all(np.isfinite(yy)):
             out.fill(np.nan)
             return out
-        return _rhs_into(out, yy[:n], yy[n:], lap, robin1, robin2, nl)
+        np.multiply(diagonal, yy, out=out)
+        return _rhs_into(out, yy[:n], yy[n:], lap, nl)
 
     def reaction_vec(yy, out):
         if not np.all(np.isfinite(yy)):
@@ -455,15 +423,20 @@ def simulate(config: SolverConfig) -> SolveTrace:
         out[n:] = nl.f2(yy[:n], yy[n:])
         return out
 
-    modes1 = mesh.robin_modes(config.gamma1)
-    modes2 = modes1 if config.gamma2 == config.gamma1 else mesh.robin_modes(config.gamma2)
     stage_fns = {LAWSON_BS3: reaction_vec, DP5: rhs_vec}
     caps = {LAWSON_BS3: math.inf, DP5: _diffusion_cap(mesh)}
-    work = StepWork(y, (modes1, modes2))
-    if not np.all(np.isfinite(rhs_vec(y, work.y_new))):
+    work = StepWork(y, op)
+    # every run starts on the Lawson pair, whose first stage is N(g) in the
+    # eigenbasis; A g + N(g) is checked before N(g) reaches a transform
+    reaction = reaction_vec(y, work.err)
+    full = np.multiply(diagonal, y, out=work.y_new)
+    full[:n] += lap @ y[:n]
+    full[n:] += lap @ y[n:]
+    if not np.all(np.isfinite(np.add(full, reaction, out=full))):
         raise NonFiniteField("initial right-hand side is not finite")
+    op.to_modes(reaction, work.K[0])
     steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
-    t, dt, pair, err_prev, lawson_rejected = 0.0, caps[DP5], None, 1.0, False
+    t, dt, pair, err_prev, lawson_rejected = 0.0, caps[DP5], LAWSON_BS3, 1.0, False
     samples: list[EnergySample] = []
     clamp_count = 0
 

@@ -22,6 +22,14 @@ from rdblowup.geometry import DomainSpec, build_mesh
 from rdblowup.nonlinearity import Nonlinearity
 
 
+def dense_robin_operator(mesh, gamma1, gamma2) -> np.ndarray:
+    """A of the stacked state y = [u; v] as a dense (2n, 2n) matrix, from
+    `Mesh.robin_operator`: the Neumann Laplacian in each field's diagonal
+    block plus the Robin diagonal."""
+    blocks = np.kron(np.eye(2), mesh.laplacian.toarray())
+    return blocks + np.diag(mesh.robin_operator(gamma1, gamma2).diagonal)
+
+
 def zero_reaction() -> Nonlinearity:
     """Pure heat flow: f1 = f2 = 0."""
     return Nonlinearity(family="custom", params={},

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rdblowup.cli import (
     EXIT_CONFIG,
     EXIT_FAILED,
+    EXIT_NUMERICAL,
     EXIT_OK,
     Experiment,
     main,
@@ -193,6 +194,19 @@ class TestSimulate:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+class TestRobinCoefficientPastFloatRange:
+    # gamma * h_a overflows along the wide axis: the ghost factor takes its
+    # limit -1, so the simulation runs, while H2's samples of gamma u^2 on
+    # the boundary are not finite
+    @pytest.mark.parametrize("command, expected", [
+        ("simulate", EXIT_OK), ("check", EXIT_NUMERICAL), ("sandwich", EXIT_NUMERICAL)])
+    def test_exit_codes(self, tmp_path, capsys, command, expected):
+        text = BLOWUP_BOX.replace("half_extents = 1 1", "half_extents = 1e150 1") \
+            + "\n[robin]\ngamma1 = 1e200\ngamma2 = 1e200\n"
+        assert run(command, write_config(tmp_path, text), tmp_path / "out") == expected
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestSandwich:
     def test_full_sandwich_with_oracle(self, tmp_path):
         # Neumann walls and constant data: the oracle applies, and the
@@ -305,6 +319,7 @@ class TestConfigErrors:
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nsup_threshold = nan")),
         ("check", (*BALL, "t_end = 1.0", "t_end = -5")),
         ("check", (*BALL, "t_end = 1.0", "t_end = 1.0\nrel_tol = nan")),
+        ("check", BALL),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\ndt_init = 1e-6")),
         ("check", ("t_end = 1.0", "t_end = 1.0\ndt_max = 0.1")),
         ("bounds", ("alpha = 1.0", "alpha = 0")),
@@ -367,10 +382,11 @@ class TestConfigErrors:
             "bounds_gamma1_nan", "simulate_gamma1_nan", "check_gamma2_inf",
             "cells_per_axis_two", "a_exp_below_one", "c1_nan", "c2_inf",
             "ball_gaussian_data", "check_t_end_zero", "check_unknown_key_sample_stride",
-            "check_solver_key_typo", "ball_solver_key_typo",
+            "check_solver_key_typo", "unknown_key_reltol_on_ball",
             "gaussian_amplitude_nan", "ball_c1_nan", "rel_tol_nan", "rel_tol_negative",
             "abs_tol_negative", "both_tolerances_zero", "sup_threshold_nan",
-            "ball_t_end_negative", "ball_rel_tol_nan", "unknown_key_dt_init",
+            "unknown_key_t_end_negative_on_ball", "unknown_key_rel_tol_nan_on_ball",
+            "unknown_key_t_end_on_ball", "unknown_key_dt_init",
             "check_unknown_key_dt_max", "bounds_alpha_zero", "sandwich_alpha_zero",
             "bounds_alpha_negative", "check_alpha_nan", "bounds_alpha_inf", "c_nan", "c_inf",
             "a_exp_nan", "b_exp_inf", "gradient_homogeneous_alpha_nan", "absorption_a_nan",
@@ -417,10 +433,11 @@ class TestConfigErrors:
          "no command reads [initial_data] amplitude, [initial_data] width"),
         ("bounds", BLOWUP_BOX.replace("alpha = 1.0", ""), "config requests no bound"),
         ("simulate", BALL_LOWER, "ball domains cannot be meshed"),
+        ("bounds", BALL_LOWER + "\n[solver]\nt_end = 1.0\n", "no command reads [solver] t_end"),
         ("sandwich", BLOWUP_BOX.replace("half_extents = 1 1", "half_extents = 1e250 1"),
          "cell widths (2.5e+249, 0.25) put the Laplacian's weights h^-2 outside"),
     ], ids=["unknown_family", "unknown_kind", "unread_gaussian_keys", "no_bound",
-            "simulate_ball", "sandwich_half_extents_1e250"])
+            "simulate_ball", "solver_key_on_ball", "sandwich_half_extents_1e250"])
     def test_every_config_error_names_the_file(self, tmp_path, capsys, command, text,
                                                message):
         cfg = write_config(tmp_path, text)

@@ -24,8 +24,9 @@ EXPECTED = {("robin_drain", "bounds"): EXIT_FAILED}
 def test_script_exits_zero_and_writes_nothing(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=300)
+    # the RuntimeWarning rule of the test run, carried into the subprocess
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert list(tmp_path.iterdir()) == []
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import rdblowup.geometry as geometry
-from conftest import brute_force_geometry, zero_reaction
+from conftest import brute_force_geometry, dense_robin_operator, zero_reaction
 from rdblowup.errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
 from rdblowup.functionals import FieldPair, discrete_gradient_energy
 from rdblowup.geometry import (
     DomainSpec,
+    RobinOperator,
     boundary_integral,
     build_mesh,
     geometry_constants,
@@ -215,16 +216,22 @@ OPERATOR_MESHES = [
     (DomainSpec("box", 2, half_extents=(1.0, 0.6)), (7, 5)),
     (DomainSpec("box", 3, half_extents=(1.0, 0.7, 1.3)), (5, 6, 7)),
 ]
+# (gamma1, gamma2) pairs with gamma1 != gamma2, each gamma on each field
+GAMMA_PAIRS = [(0.0, 0.5), (0.5, 3.0), (3.0, 0.0)]
 
 
 class TestLaplacianOperator:
     @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0])
-    def test_matches_ghost_cell_reference(self, spec, cells, gamma):
+    @pytest.mark.parametrize("gamma1, gamma2", GAMMA_PAIRS)
+    def test_matches_ghost_cell_reference(self, spec, cells, gamma1, gamma2):
+        # each field's block is its own ghost-cell Laplacian; the fields do
+        # not couple
         mesh = build_mesh(spec, cells)
         assert len(set(mesh.h)) == spec.dimension  # anisotropic spacing
-        ref = ghost_cell_laplacian(mesh, gamma)
-        got = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+        n = mesh.n_cells
+        ref = np.zeros((2 * n, 2 * n))
+        ref[:n, :n], ref[n:, n:] = ghost_cell_laplacian(mesh, gamma1), ghost_cell_laplacian(mesh, gamma2)
+        got = dense_robin_operator(mesh, gamma1, gamma2)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_stored_as_dia_with_one_diagonal_per_neighbour(self):
@@ -234,17 +241,16 @@ class TestLaplacianOperator:
         assert sorted(lap.offsets) == [-42, -7, -1, 0, 1, 7, 42]
 
     @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
-    @pytest.mark.parametrize("gamma", [0.0, 3.0])
-    def test_symmetric(self, spec, cells, gamma):
-        mesh = build_mesh(spec, cells)
-        A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+    @pytest.mark.parametrize("gamma1, gamma2", [(0.0, 3.0), (3.0, 3.0)])
+    def test_symmetric(self, spec, cells, gamma1, gamma2):
+        A = dense_robin_operator(build_mesh(spec, cells), gamma1, gamma2)
         assert np.array_equal(A, A.T)
 
     @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
     def test_constant_in_kernel_under_neumann(self, spec, cells):
         mesh = build_mesh(spec, cells)
         c = np.full(mesh.n_cells, 2.75)
-        assert np.all(mesh.robin_diagonal(0.0) == 0.0)
+        assert np.all(mesh.robin_operator(0.0, 0.0).diagonal == 0.0)
         bound = 1e-12 * np.max(np.abs(c)) / min(mesh.h) ** 2
         assert np.max(np.abs(mesh.laplacian @ c)) <= bound
 
@@ -281,43 +287,73 @@ class TestLaplacianOperator:
         # such a mesh still serves quadrature; what applies h^-2 refuses it
         mesh = build_mesh(DomainSpec("box", 2, half_extents=(L, 1.0)), 8)
         assert interior_integral(mesh, np.ones(mesh.n_cells)) > 0
-        for build in (lambda: mesh.laplacian, lambda: mesh.robin_diagonal(1.0),
-                      lambda: mesh.robin_modes(1.0), lambda: _diffusion_cap(mesh)):
+        for build in (lambda: mesh.laplacian, lambda: mesh.robin_operator(1.0, 2.0),
+                      lambda: RobinOperator(mesh, (1.0, 2.0), None).eigenpairs,
+                      lambda: _diffusion_cap(mesh)):
             with pytest.raises(ValueError, match=r"weights h\^-2 outside the normal floats"):
                 build()
 
 
-def kronecker_modes(modes):
-    """Dense Q, the Kronecker product of the axes' eigenvector matrices."""
-    return reduce(np.kron, modes.vectors)
+    def test_ghost_factor_overflow_takes_the_limit(self):
+        # gamma * h overflows: g is the limit -1 of (2 - gamma h)/(2 + gamma h),
+        # not NaN, and the end rows (g - 2)/h^2 stay finite
+        assert geometry._ghost_factor(1e200, 2.5e149) == -1.0
+        assert geometry._ghost_factor(1e200, 1e100) == (2.0 - 1e300) / (2.0 + 1e300)
+        mesh = build_mesh(DomainSpec("box", 2, half_extents=(1e150, 1.0)), 8)
+        op = mesh.robin_operator(1e200, 1e200)
+        assert np.all(np.isfinite(op.diagonal)) and np.all(np.isfinite(op.grid))
+
+
+def kronecker_modes(op, field):
+    """Dense Q of one field, the Kronecker product of its axes' eigenvectors."""
+    return reduce(np.kron, [q[field] for _, q in op.eigenpairs])
 
 
 class TestRobinModes:
     @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0])
-    def test_reproduce_the_robin_laplacian(self, spec, cells, gamma):
+    @pytest.mark.parametrize("gamma1, gamma2", GAMMA_PAIRS)
+    def test_reproduce_the_robin_laplacian(self, spec, cells, gamma1, gamma2):
         mesh = build_mesh(spec, cells)
-        modes = mesh.robin_modes(gamma)
-        A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
-        Q = kronecker_modes(modes)
-        assert np.max(np.abs(Q @ np.diag(modes.grid) @ Q.T - A)) <= 1e-12 * np.max(np.abs(A))
-        for q, lam, na in zip(modes.vectors, modes.values, mesh.shape):
-            assert q.shape == (na, na) and np.all(lam <= 0.0)
-            assert np.max(np.abs(q.T @ q - np.eye(na))) <= 1e-13
+        op, n = mesh.robin_operator(gamma1, gamma2), mesh.n_cells
+        A = dense_robin_operator(mesh, gamma1, gamma2)
+        for field in (0, 1):
+            block = A[field * n:(field + 1) * n, field * n:(field + 1) * n]
+            Q, grid = kronecker_modes(op, field), op.grid[field * n:(field + 1) * n]
+            assert np.max(np.abs(Q @ np.diag(grid) @ Q.T - block)) <= 1e-12 * np.max(np.abs(block))
+        for (lam, q), na in zip(op.eigenpairs, mesh.shape):
+            assert q.shape == (2, na, na) and lam.shape == (2, na) and np.all(lam <= 0.0)
+            for qk in q:
+                assert np.max(np.abs(qk.T @ qk - np.eye(na))) <= 1e-13
 
     @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
-    def test_transforms_apply_q_and_its_transpose(self, spec, cells):
+    @pytest.mark.parametrize("gamma1, gamma2", GAMMA_PAIRS)
+    def test_transforms_apply_q_and_its_transpose(self, spec, cells, gamma1, gamma2):
         mesh = build_mesh(spec, cells)
-        modes = mesh.robin_modes(0.5)
-        Q = kronecker_modes(modes)
-        x = np.random.default_rng(6).normal(size=mesh.n_cells)
-        out, scratch = np.empty_like(x), np.empty_like(x)
-        assert np.max(np.abs(modes.to_modes(x, out, scratch) - Q.T @ x)) <= 1e-14 * np.max(np.abs(x))
-        back = modes.from_modes(out.copy(), out, scratch)
+        op, n = mesh.robin_operator(gamma1, gamma2), mesh.n_cells
+        Q = np.zeros((2 * n, 2 * n))
+        Q[:n, :n], Q[n:, n:] = kronecker_modes(op, 0), kronecker_modes(op, 1)
+        x = np.random.default_rng(6).normal(size=2 * n)
+        out = np.empty_like(x)
+        assert np.max(np.abs(op.to_modes(x, out) - Q.T @ x)) <= 1e-14 * np.max(np.abs(x))
+        back = op.from_modes(out.copy(), out)
         assert back is out
         assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x))
+        assert np.max(np.abs(op.from_modes(x, out) - Q @ x)) <= 1e-14 * np.max(np.abs(x))
 
     def test_built_on_each_call(self, box3d):
-        # one mesh serves a new gamma on every run, so nothing is kept per gamma
+        # one mesh serves new gammas on every run, so nothing is kept per gamma
         mesh = build_mesh(box3d, 4)
-        assert mesh.robin_modes(0.5) is not mesh.robin_modes(0.5)
+        assert mesh.robin_operator(0.5, 0.5) is not mesh.robin_operator(0.5, 0.5)
+
+    def test_eigenpairs_built_on_first_use(self, box3d, monkeypatch):
+        # rhs applies the diagonal only; simulate's Lawson steps need the modes
+        calls = []
+        real = geometry.eigh_tridiagonal
+        monkeypatch.setattr(geometry, "eigh_tridiagonal",
+                            lambda *args: calls.append(1) or real(*args))
+        mesh = build_mesh(box3d, 4)
+        g = 1.0 + 0.1 * mesh.cell_centers[:, 0]
+        rhs(FieldPair(u=g, v=g, t=0.0), mesh, zero_reaction(), 0.5, 3.0)
+        assert calls == []
+        op = mesh.robin_operator(0.5, 3.0)
+        assert op.eigenpairs is op.eigenpairs and len(calls) == 6

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import linear_decay, zero_reaction
+from conftest import dense_robin_operator, linear_decay, zero_reaction
 import rdblowup.solver
 from rdblowup.errors import InsufficientSamples, NonFiniteField
 from rdblowup.functionals import FieldPair, energy_E
-from rdblowup.geometry import DomainSpec, RobinModes, build_mesh, interior_integral
+from rdblowup.geometry import DomainSpec, RobinOperator, build_mesh, interior_integral
 from rdblowup.nonlinearity import Nonlinearity, make_power_product
 from rdblowup.solver import (
     DP5,
@@ -85,9 +85,9 @@ def decay(y, out):
     return np.negative(y, out=out)
 
 
-def started(y, stage_fn, modes=(), pair=DP5):
+def started(y, stage_fn, op=None, pair=DP5):
     """A `StepWork` for states like y, holding `pair`'s first stage at y."""
-    work = StepWork(y, modes)
+    work = StepWork(y, op)
     work.restart(y, stage_fn, pair)
     return work
 
@@ -164,7 +164,8 @@ def guarded(mesh, nl, gamma, linear=True):
     """The stage function (y, out) of the semidiscrete system with both
     Robin coefficients gamma: A y + N(y), or N(y) alone if not `linear`;
     NaN on non-finite input."""
-    lap, robin, n = mesh.laplacian, mesh.robin_diagonal(gamma), mesh.n_cells
+    lap, n = mesh.laplacian, mesh.n_cells
+    diagonal = mesh.robin_operator(gamma, gamma).diagonal
 
     def stage_fn(yy, out):
         if not np.all(np.isfinite(yy)):
@@ -174,8 +175,9 @@ def guarded(mesh, nl, gamma, linear=True):
         out[:n] = nl.f1(u, v)
         out[n:] = nl.f2(u, v)
         if linear:
-            out[:n] += robin * u + lap @ u
-            out[n:] += robin * v + lap @ v
+            out += diagonal * yy
+            out[:n] += lap @ u
+            out[n:] += lap @ v
         return out
 
     return stage_fn
@@ -188,8 +190,8 @@ def lawson_reference_step(mesh, gamma, y, dt, reaction, rel_tol, abs_tol):
     a = [[], *rows]
     c = [sum(row) for row in a]
     e = [b - bh for b, bh in zip([*rows[-1], 0.0], b_hat)]
-    A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
     n = mesh.n_cells
+    A = dense_robin_operator(mesh, gamma, gamma)[:n, :n]
 
     @lru_cache(maxsize=None)
     def expm(tau):
@@ -219,11 +221,11 @@ class TestStepWorkspace:
     def test_matches_stage_by_stage_reference(self, mesh3d, name, amplitude, dt, before):
         nl = make_power_product(1.0, 2.0, 2.0)
         fns = {"dp5": guarded(mesh3d, nl, 0.5), "lawson_bs3": guarded(mesh3d, nl, 0.5, False)}
-        modes = mesh3d.robin_modes(0.5)
+        op = mesh3d.robin_operator(0.5, 0.5)
         rng = np.random.default_rng(4)
         y = amplitude * rng.uniform(0.5, 1.5, 2 * mesh3d.n_cells)
         with np.errstate(over="ignore", invalid="ignore"):
-            work = started(y, fns["dp5"], (modes, modes))
+            work = started(y, fns["dp5"], op)
             if before is not None:
                 # an accepted step of either pair copies its FSAL row into
                 # K[0] and leaves its own stages in the other rows
@@ -244,7 +246,7 @@ class TestStepWorkspace:
             assert got[0] is y and got[1] == float("inf") and got[2] is None
             return
         assert 0.0 < ref[1] <= 1.0
-        k_last = got[2] if name == "dp5" else work.from_modes(got[2], np.empty_like(y))
+        k_last = got[2] if name == "dp5" else op.from_modes(got[2], np.empty_like(y))
         # relative to the max-norm: the Laplacian makes some entries of the
         # FSAL row small differences of large ones
         for got_row, ref_row in ((got[0], ref[0]), (k_last, ref[2])):
@@ -258,31 +260,36 @@ class TestStepWorkspace:
         # the next step's first stage, bit for bit
         nl = make_power_product(1.0, 2.0, 2.0)
         fn = guarded(mesh3d, nl, 0.5, linear=name == "dp5")
-        modes = mesh3d.robin_modes(0.5)
+        op = mesh3d.robin_operator(0.5, 0.5)
         y = np.random.default_rng(5).uniform(0.5, 1.5, 2 * mesh3d.n_cells)
-        work = started(y, fn, (modes, modes), PAIR[name])
+        work = started(y, fn, op, PAIR[name])
         y_new, err, k_last = step(y, 2e-3, fn, 1e-4, 1e-6, work, PAIR[name])
         assert err <= 1.0
         assert work.last == row
         assert np.shares_memory(k_last, work.K[row])
         f_new = fn(y_new.copy(), np.empty_like(y))
         if PAIR[name].lawson:
-            f_new = work.to_modes(f_new, np.empty_like(y))
+            f_new = op.to_modes(f_new, np.empty_like(y))
         assert np.array_equal(work.K[row], f_new)
         y = work.accept(y)
         assert y is y_new
         assert np.array_equal(work.K[0], f_new)
 
 
-# A = 0 on a single unknown: every exponential of the Lawson pair is 1,
-# so it steps as explicit BS3
-NO_DIFFUSION = RobinModes(values=(np.zeros(1),), vectors=(np.eye(1),), grid=np.zeros(1))
+class NoDiffusion(RobinOperator):
+    """A = 0 on a single unknown, one field on one axis of one cell: every
+    exponential of the Lawson pair is 1, so it steps as explicit BS3."""
+
+    eigenpairs = ((np.zeros((1, 1)), np.eye(1)[None]),)
 
 
-def integrate(pair, stage_fn, y0, t_end, n_steps, modes=(NO_DIFFUSION,)):
+NO_DIFFUSION = NoDiffusion(mesh=None, gammas=(0.0,), diagonal=np.zeros(1))
+
+
+def integrate(pair, stage_fn, y0, t_end, n_steps, op=NO_DIFFUSION):
     """Fixed steps of `pair` from y0; tolerances loose enough to be ignored."""
     y = np.array(y0, dtype=float, ndmin=1)
-    work = started(y, stage_fn, modes, pair)
+    work = started(y, stage_fn, op, pair)
     for _ in range(n_steps):
         step(y, t_end / n_steps, stage_fn, 1e6, 1e6, work, pair)
         y = work.accept(y)
@@ -310,10 +317,10 @@ class TestPairs:
         mesh = build_mesh(ANISOTROPIC[0][0], ANISOTROPIC[0][1])
         nl = Nonlinearity(family="custom", params={}, f1=lambda u, v: -u * v,
                           f2=lambda u, v: 0.5 * u * u, F=None)
-        reaction, modes = guarded(mesh, nl, 1.0, linear=False), mesh.robin_modes(1.0)
+        reaction, op = guarded(mesh, nl, 1.0, linear=False), mesh.robin_operator(1.0, 1.0)
         x = mesh.cell_centers
         y0 = np.concatenate([1.0 + 0.5 * np.cos(x[:, 0]), 1.0 + x[:, 1] ** 2])
-        ref, *got = (integrate(LAWSON_BS3, reaction, y0, 0.5, m, (modes, modes))
+        ref, *got = (integrate(LAWSON_BS3, reaction, y0, 0.5, m, op)
                      for m in (512, 32, 64))
         errs = [np.max(np.abs(y - ref)) for y in got]
         assert math.log2(errs[0] / errs[1]) == pytest.approx(3.0, abs=0.4)
@@ -366,7 +373,7 @@ def robin_spectrum(spec, cells, gamma):
     interval [-bound, 0], and that bound 4 sum_a h_a^-2."""
     mesh = build_mesh(spec, cells)
     bound = 4.0 * sum(ha ** -2 for ha in mesh.h)
-    A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
+    A = dense_robin_operator(mesh, gamma, gamma)[:mesh.n_cells, :mesh.n_cells]
     lam = np.linalg.eigvalsh(A)
     assert lam.min() >= -bound and lam.max() <= 1e-12 * bound
     return lam, bound
@@ -498,10 +505,11 @@ class TestLawsonPair:
         assert trace.steps_by_pair["lawson_bs3"]["accepted"] > 0
         assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
         final = trace.final_fields
-        for got, g, gamma in ((final.u, g1, 0.5), (final.v, g2, 3.0)):
-            A = mesh.laplacian.toarray() + np.diag(mesh.robin_diagonal(gamma))
-            exact = scipy.linalg.expm(final.t * A) @ g
-            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(g))
+        exact = (scipy.linalg.expm(final.t * dense_robin_operator(mesh, 0.5, 3.0))
+                 @ np.concatenate([g1, g2]))
+        n = mesh.n_cells
+        for got, g, want in ((final.u, g1, exact[:n]), (final.v, g2, exact[n:])):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
 
 
 class TestSimulateConservation:
@@ -646,6 +654,26 @@ class TestSimulateBlowup:
         trace = simulate(cfg)
         assert trace.outcome == OUTCOME_REACHED_T_END
         assert trace.blowup_estimate is None
+
+    def test_reaction_evaluated_once_before_the_first_step(self, monkeypatch, box2d):
+        # N(g) serves both the check of A g + N(g) and the Lawson pair's
+        # first stage, so each reaction runs once at t = 0
+        calls = []
+        nl = Nonlinearity(family="custom", params={},
+                          f1=lambda u, v: calls.append("f1") or -u,
+                          f2=lambda u, v: calls.append("f2") or -v)
+        at_each_step = []
+
+        def logged_step(*args):
+            at_each_step.append(list(calls))
+            return step(*args)
+
+        monkeypatch.setattr(rdblowup.solver, "step", logged_step)
+        mesh = build_mesh(box2d, 8)
+        g = np.full(mesh.n_cells, 1.0)
+        simulate(SolverConfig(mesh=mesh, nl=nl, gamma1=0.5, gamma2=1.0,
+                              g1=g, g2=g, t_end=1e-3))
+        assert at_each_step[0] == ["f1", "f2"]
 
     def test_non_finite_initial_right_hand_side_raises(self, box2d):
         # the data and the threshold are finite, but F = u^2 v^2 from 1e200
