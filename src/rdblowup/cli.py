@@ -318,16 +318,15 @@ def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
               "simulation": _simulation_block(exp, trace)}
 
     # ODE oracle applies exactly when the problem is spatially homogeneous
+    oracle_time = None  # (t, uncertainty) where the oracle finds blow-up
     if exp.gamma1 == 0 and exp.gamma2 == 0 and exp.init_kind == "constant":
         try:
             oracle = ode_reduce(exp.nl, exp.c1, exp.c2, t_max=exp.solver.t_end)
         except ValueError as exc:  # the oracle refuses negative data
             report["oracle"] = _error_block(exc)
         else:
-            report["oracle"] = {
-                "method": oracle.method,
-                "blowup_time": oracle.blowup_time,
-            }
+            oracle_time = oracle.blowup_time
+            report["oracle"] = {"method": oracle.method, "blowup_time": oracle_time}
 
     upper = block.get("upper_bound")
     lower = block.get("lower_bound")
@@ -344,6 +343,9 @@ def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
             code = EXIT_FAILED
         if t_lower is not None and est.t < t_lower - tol:
             verdict["lower_violated"] = True
+            code = EXIT_FAILED
+        if oracle_time is not None and abs(est.t - oracle_time[0]) > tol + oracle_time[1]:
+            verdict["oracle_violated"] = True
             code = EXIT_FAILED
     report["sandwich"] = verdict
     _write_report(report, out_dir)

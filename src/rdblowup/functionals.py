@@ -16,6 +16,7 @@ differences, not as that product, so it is exactly zero on constants and
 never cancels at large u.
 """
 
+import math
 from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 from typing import Optional
 
@@ -151,6 +152,7 @@ class MonitorReport:
     """Discrete surrogate checks of the trajectory inequalities."""
 
     n_checked: int
+    nonfinite_rows: int
     j_monotone_violations: int
     growth_inequality_violations: int
     worst_j_decrease: float
@@ -163,9 +165,12 @@ def check_trace_monitors(samples, alpha: float, rel_tol: float = 1e-3,
 
     Derivatives use centered differences on the sample times (first and last
     samples skipped); the growth inequality is only evaluated at samples
-    where J > 0 and both sup-norms are below sup_cap.
+    where J > 0 and both sup-norms are below sup_cap.  A row whose E or J is
+    not finite is counted in `nonfinite_rows`, and no sample whose
+    differences read it is checked.
     """
     rows = [s for s in samples if s.J is not None]
+    finite = [math.isfinite(s.E) and math.isfinite(s.J) for s in rows]
     n_checked = 0
     j_viol = 0
     growth_viol = 0
@@ -173,7 +178,7 @@ def check_trace_monitors(samples, alpha: float, rel_tol: float = 1e-3,
     worst_res = 0.0
     for k in range(1, len(rows) - 1):
         prev, cur, nxt = rows[k - 1], rows[k], rows[k + 1]
-        if max(cur.sup_u, cur.sup_v) >= sup_cap:
+        if not all(finite[k - 1:k + 2]) or max(cur.sup_u, cur.sup_v) >= sup_cap:
             continue
         n_checked += 1
         # J nondecreasing step-to-step (relative tolerance)
@@ -195,6 +200,7 @@ def check_trace_monitors(samples, alpha: float, rel_tol: float = 1e-3,
             growth_viol += 1
     return MonitorReport(
         n_checked=n_checked,
+        nonfinite_rows=finite.count(False),
         j_monotone_violations=j_viol,
         growth_inequality_violations=growth_viol,
         worst_j_decrease=worst_dec,

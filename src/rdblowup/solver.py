@@ -38,22 +38,32 @@ BS3's nodes c never decrease and Lambda <= 0, so every exponential lies in
 whatever dt.  So this pair has no cap; its error estimate alone bounds its
 steps.  Reaction stiffness is left to the error controller.
 
-Each trial step goes through one sequence.  Its dt, DP5's cap at first, is
-clamped to 0.1, to t_end and, for DP5, to DP5's cap; it is accepted iff its
-error norm is <= 1 (inf and NaN reject) and counted once, under its pair.
-One place proposes the next dt: a PI controller with exponents 0.7/q and
-0.4/q for a pair of order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt
-after a finite rejection, dt/2 after a non-finite one.  One rule picks the
-pair of each trial: `lawson_bs3` iff the proposal reaches DP5's cap and no
-`lawson_bs3` step of the run has been rejected, so every run starts on it.
-Its first stage N(g) is evaluated once, and A g + N(g) checked finite first.
-A rejected `lawson_bs3` step is retried by DP5 at the same dt, which DP5's
-clamp holds at its cap, and DP5 keeps the rest of the run.  Where the pair
-changes, the PI history restarts and the new pair's first stage is evaluated
-at the current state.  An accepted step writes its monitor row; then the run
-ends as a step underflow if the proposal is below 1e-14, else as blow-up if
-the sup-norm reached the threshold.  So the Lawson pair takes the steps DP5's
-cap would hold, until one is rejected, and DP5's order pays below its cap.
+The first trial dt is Hairer, Norsett & Wanner's starting step (Solving
+ODEs I, II.4) on the reaction alone, as the Lawson pair integrates A y
+exactly: with sc = abs_tol + rel_tol |g| and the RMS norms d0 of g / sc and
+d1 of N(g) / sc (a cell with sc = 0 counts as 0 in both), it is t_end if
+d1 = 0, else min(100 h0, (0.01 / d1)^(1/4)), q = 3 the Lawson pair's order,
+with h0 = 0.01 d0 / d1, or 1e-6 if d0 or d1 is below 1e-5, and no less than
+1e-14.  N(g) is evaluated once: A g + N(g) is checked finite, then serves as
+DP5's first stage, and N(g) as the Lawson pair's.
+
+Each trial step goes through one sequence.  Its dt is clamped to 0.1, to
+t_end and, for DP5, to DP5's cap; it is accepted iff its error norm is <= 1
+(inf and NaN reject) and counted once, under its pair.  One place proposes
+the next dt: a PI controller with exponents 0.7/q and 0.4/q for a pair of
+order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt after a finite
+rejection, dt/2 after a non-finite one.  One rule picks the pair of each
+trial, the first included: `lawson_bs3` iff the trial dt reaches DP5's cap
+and no `lawson_bs3` step of the run has been rejected.  So where N(g) = 0 a
+run starts on it at min(0.1, t_end), and a run whose reaction sets a first
+dt below the cap starts on DP5.  A rejected `lawson_bs3` step is retried by
+DP5 at the same dt, which DP5's clamp holds at its cap, and DP5 keeps the
+rest of the run.  Where the pair changes, the PI history restarts and the
+new pair's first stage is evaluated at the current state.  An accepted step
+writes its monitor row; then the run ends as a step underflow if the
+proposal is below 1e-14, else as blow-up if the sup-norm reached the
+threshold.  So the Lawson pair takes the steps DP5's cap would hold, until
+one is rejected, and DP5's order pays below its cap.
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  Blow-up is
@@ -294,10 +304,8 @@ class StepWork:
         return y_new
 
 
-def _err_norm(err: np.ndarray, scale: np.ndarray) -> float:
-    """RMS of err / scale; overwrites `err`."""
-    err /= scale
-    return float(np.sqrt(np.dot(err, err) / err.size))
+def _rms(x: np.ndarray) -> float:
+    return float(np.sqrt(np.dot(x, x) / x.size))
 
 
 def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
@@ -324,7 +332,8 @@ def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     np.minimum(scale, y_new, out=scale)
     scale *= -rel_tol
     scale += abs_tol
-    return y_new, _err_norm(work.err, scale), work.K[work.last]
+    work.err /= scale
+    return y_new, _rms(work.err), work.K[work.last]
 
 
 def _explicit_stages(y, dt, rhs_vec, work, pair):
@@ -392,6 +401,25 @@ def _proposed_dt(dt: float, err: float, err_prev: float, order: int) -> float:
     return dt * (max(0.1, _SAFETY * err ** (-1.0 / order)) if math.isfinite(err) else 0.5)
 
 
+def _starting_dt(y, reaction, config: SolverConfig, scale: np.ndarray,
+                 ratio: np.ndarray) -> float:
+    """The first trial dt (module docstring), from the RMS norms d0 of y and
+    d1 of N(y) in the units of sc = abs_tol + rel_tol |y|; builds sc in
+    `scale` and each ratio in `ratio`."""
+    np.abs(y, out=scale)
+    scale *= config.rel_tol
+    scale += config.abs_tol
+    if config.abs_tol == 0:
+        scale[scale == 0] = math.inf  # a cell with no scale counts as 0 in both norms
+    with np.errstate(over="ignore"):
+        d0, d1 = (_rms(np.divide(x, scale, out=ratio)) for x in (y, reaction))
+    if d1 == 0:
+        return config.t_end
+    h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6
+    dt = min(100 * h0, (0.01 / d1) ** (1 / (LAWSON_BS3.order + 1)))
+    return dt if dt >= _DT_MIN else _DT_MIN  # also where an overflow made d1 inf
+
+
 def _diffusion_cap(mesh: Mesh) -> float:
     """Largest dt `simulate` takes with DP5: 0.8 of its real stability
     interval over the Gershgorin bound 4 sum_a h_a^-2 on the Robin
@@ -425,18 +453,28 @@ def simulate(config: SolverConfig) -> SolveTrace:
 
     stage_fns = {LAWSON_BS3: reaction_vec, DP5: rhs_vec}
     caps = {LAWSON_BS3: math.inf, DP5: _diffusion_cap(mesh)}
+    lawson_rejected = False
+
+    def pair_for(dt_trial):
+        """The pair rule (module docstring)."""
+        return LAWSON_BS3 if dt_trial >= caps[DP5] and not lawson_rejected else DP5
+
     work = StepWork(y, op)
-    # every run starts on the Lawson pair, whose first stage is N(g) in the
-    # eigenbasis; A g + N(g) is checked before N(g) reaches a transform
+    # N(g) serves the check of A g + N(g), the starting-step rule and the
+    # first stage of either pair: A g + N(g) for DP5, N(g) in the eigenbasis
+    # for the Lawson pair
     reaction = reaction_vec(y, work.err)
-    full = np.multiply(diagonal, y, out=work.y_new)
+    full = np.multiply(diagonal, y, out=work.K[0])
     full[:n] += lap @ y[:n]
     full[n:] += lap @ y[n:]
     if not np.all(np.isfinite(np.add(full, reaction, out=full))):
         raise NonFiniteField("initial right-hand side is not finite")
-    op.to_modes(reaction, work.K[0])
+    dt = _starting_dt(y, reaction, config, work.scale, work.y_new)
+    pair = pair_for(dt)
+    if pair.lawson:
+        op.to_modes(reaction, work.K[0])
     steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
-    t, dt, pair, err_prev, lawson_rejected = 0.0, caps[DP5], LAWSON_BS3, 1.0, False
+    t, err_prev = 0.0, 1.0
     samples: list[EnergySample] = []
     clamp_count = 0
 
@@ -456,8 +494,8 @@ def simulate(config: SolverConfig) -> SolveTrace:
     outcome = OUTCOME_REACHED_T_END
 
     while t < config.t_end:
-        # the pair rule (module docstring); a new pair restarts the PI history
-        next_pair = LAWSON_BS3 if dt >= caps[DP5] and not lawson_rejected else DP5
+        # a new pair restarts the PI history
+        next_pair = pair_for(dt)
         if next_pair is not pair:
             pair, err_prev = next_pair, 1.0
             work.restart(y, stage_fns[pair], pair)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,9 @@ from rdblowup.cli import (
     Experiment,
     main,
 )
+import rdblowup.cli
 from rdblowup.errors import ConfigError
+from rdblowup.solver import simulate
 
 BLOWUP_BOX = """\
 [domain]
@@ -206,6 +209,18 @@ class TestRobinCoefficientPastFloatRange:
         assert run(command, write_config(tmp_path, text), tmp_path / "out") == expected
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_monitors_count_nonfinite_rows_and_check_none(self, tmp_path):
+        # gamma times the boundary integral overflows, so J is -inf on every
+        # row: no row may be counted as J-monotone
+        text = BLOWUP_BOX.replace("half_extents = 1 1", "half_extents = 1e150 1") \
+            + "\n[robin]\ngamma1 = 1e200\ngamma2 = 1e200\n"
+        out = tmp_path / "out"
+        assert run("simulate", write_config(tmp_path, text), out) == EXIT_OK
+        monitors = load_report(out)["simulation"]["monitors"]
+        assert monitors["nonfinite_rows"] == 114
+        assert monitors["n_checked"] == 0
+        assert len((out / "trace.csv").read_text().splitlines()) == 1 + 114
+
 
 class TestSandwich:
     def test_full_sandwich_with_oracle(self, tmp_path):
@@ -225,6 +240,27 @@ class TestSandwich:
         assert est == pytest.approx(0.25, abs=1e-3)
         assert report["lower_bound"]["t_lower"] < est <= \
             report["upper_bound"]["t_upper"] + 1e-3
+
+    @pytest.mark.parametrize("shift, expected", [(-1e-2, EXIT_FAILED), (-5e-4, EXIT_OK)])
+    def test_estimate_compared_with_the_oracle(self, tmp_path, monkeypatch, shift, expected):
+        # flat data under Neumann walls: the oracle's blow-up time 1/4 is
+        # exact, and an estimate shifted past the verdict's tol of 1e-3 (plus
+        # the oracle's uncertainty) from it fails the sandwich
+        def shifted(config):
+            trace = simulate(config)
+            est = trace.blowup_estimate
+            return dataclasses.replace(
+                trace, blowup_estimate=dataclasses.replace(est, t=est.t + shift))
+
+        monkeypatch.setattr(rdblowup.cli, "simulate", shifted)
+        out = tmp_path / "out"
+        assert run("sandwich", write_config(tmp_path, BLOWUP_BOX), out) == expected
+        report = load_report(out)
+        assert report["oracle"]["blowup_time"][0] == pytest.approx(0.25, abs=1e-9)
+        assert report["simulation"]["blowup_estimate"]["t"] == pytest.approx(0.25 + shift,
+                                                                             abs=1e-8)
+        assert report["sandwich"].get("oracle_violated", False) == (expected == EXIT_FAILED)
+        assert "upper_violated" not in report["sandwich"]
 
     def test_partial_sandwich_without_lower_params(self, tmp_path):
         cfg = write_config(tmp_path, BLOWUP_BOX)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -16,6 +17,7 @@ from rdblowup.solver import (
     LAWSON_BS3,
     OUTCOME_BLOWUP,
     OUTCOME_REACHED_T_END,
+    OUTCOME_STEP_UNDERFLOW,
     BlowupEstimate,
     SolverConfig,
     SolveTrace,
@@ -397,67 +399,156 @@ def flat_blowup_3d():
                                  gamma1=0.0, gamma2=0.0, g1=g, g2=g, t_end=1.0)), mesh
 
 
+def logged_trials(monkeypatch):
+    """The (pair name, dt) of every trial step `simulate` makes from now on."""
+    trials = []
+
+    def logged_step(y, dt, *args):
+        trials.append((args[-1].name, dt))
+        return step(y, dt, *args)
+
+    monkeypatch.setattr(rdblowup.solver, "step", logged_step)
+    return trials
+
+
+def hnw_first_dt(g, reaction, rel_tol=1e-8, abs_tol=1e-10, order=3):
+    """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4) on the
+    reaction alone, for the Lawson pair's order 3; cells whose scale is 0
+    count as 0 in both norms."""
+    sc = abs_tol + rel_tol * np.abs(g)
+    live = sc > 0
+    d0, d1 = (math.sqrt(np.sum((x[live] / sc[live]) ** 2) / x.size) for x in (g, reaction))
+    h0 = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
+    return min(100 * h0, (0.01 / d1) ** (1 / (order + 1)))
+
+
+def flat_product_dt(cu, cv, **tolerances):
+    """hnw_first_dt on flat (u, v) = (cu, cv) for F = u^2 v^2, whose
+    N = (2 u v^2, 2 u^2 v) is flat too."""
+    g = np.array([cu, cv])
+    return hnw_first_dt(g, np.array([2 * cu * cv ** 2, 2 * cu ** 2 * cv]), **tolerances)
+
+
 class TestPairChoice:
     def test_fine_robin_heat_steps_past_the_cap_with_lawson_bs3(self):
-        # 32^2 cells: the run starts at DP5's cap on the Lawson pair, whose
-        # later steps all pass the cap
+        # 32^2 cells: N = 0, so the run starts at t_end = 0.05, 39 times
+        # DP5's cap, where the Lawson pair takes the whole run in one step
         trace, mesh = robin_heat(2, 32)
         assert trace.outcome == OUTCOME_REACHED_T_END
-        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 4, "rejected": 0},
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 1, "rejected": 0},
                                        "dp5": {"accepted": 0, "rejected": 0}}
-        dts = np.array([s.dt for s in trace.samples[1:]])
-        assert dts[0] == _diffusion_cap(mesh)
-        assert np.all(dts[1:] > _diffusion_cap(mesh))
+        assert [s.dt for s in trace.samples] == [0.05, 0.05]
+        assert 0.05 > 38 * _diffusion_cap(mesh)
 
     def test_coarse_robin_heat_steps_past_the_cap_with_lawson_bs3(self):
         # 12^3 cells: DP5 alone took 19 steps here, the last 3 held by the
-        # cap or by t_end; the Lawson pair takes 3 from the cap
+        # cap or by t_end; the Lawson pair takes 1 step of t_end, 8 caps
         trace, mesh = robin_heat(3, 12)
         assert trace.outcome == OUTCOME_REACHED_T_END
-        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 3, "rejected": 0},
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 1, "rejected": 0},
                                        "dp5": {"accepted": 0, "rejected": 0}}
-        dts = np.array([s.dt for s in trace.samples[1:]])
-        assert dts[0] == _diffusion_cap(mesh)
-        assert np.all(dts[1:] > _diffusion_cap(mesh))
+        assert [s.dt for s in trace.samples] == [0.05, 0.05]
+        assert 0.05 > 8 * _diffusion_cap(mesh)
 
     def test_rejected_lawson_step_is_retried_by_dp5_at_its_cap(self, monkeypatch):
-        # this blow-up run starts on the Lawson pair at DP5's cap; that one
-        # trial is rejected, and DP5 retries the step and keeps the run
-        trials = []
-
-        def logged_step(y, dt, *args):
-            trials.append((args[-1].name, dt))
-            return step(y, dt, *args)
-
-        monkeypatch.setattr(rdblowup.solver, "step", logged_step)
+        # this blow-up run starts on DP5 below its cap; the first proposal
+        # reaches the cap, where the one Lawson trial is rejected, and DP5
+        # retries that step at its cap and keeps the run
+        trials = logged_trials(monkeypatch)
         trace, mesh = flat_blowup_3d()
         assert trace.outcome == OUTCOME_BLOWUP
-        assert trace.steps_by_pair["lawson_bs3"] == {"accepted": 0, "rejected": 1}
-        names = [name for name, _ in trials]
-        assert names[0] == "lawson_bs3"
-        assert trials[1] == ("dp5", _diffusion_cap(mesh))
-        assert "lawson_bs3" not in names[1:]
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
+                                       "dp5": {"accepted": 354, "rejected": 0}}
+        cap = _diffusion_cap(mesh)
+        assert trials[0] == ("dp5", pytest.approx(flat_product_dt(1.0, 1.0), rel=1e-14, abs=0))
+        assert trials[1][0] == "lawson_bs3" and trials[1][1] >= cap
+        assert trials[2] == ("dp5", cap)
+        assert [name for name, _ in trials] == ["dp5", "lawson_bs3"] + ["dp5"] * 353
 
-    def test_flat_blowup_rejects_one_lawson_trial_at_the_start(self, monkeypatch, box2d):
-        # the run's first trial, the Lawson pair's at DP5's cap, is rejected;
-        # DP5 retries it at its cap and takes every step
-        trials = []
-
-        def logged_step(y, dt, *args):
-            trials.append((args[-1].name, dt))
-            return step(y, dt, *args)
-
-        monkeypatch.setattr(rdblowup.solver, "step", logged_step)
+    def test_flat_blowup_takes_every_step_with_dp5(self, monkeypatch, box2d):
+        # on 8^2 cells DP5's cap is 7.8 times the first dt, and accuracy
+        # holds every later proposal below it, so no Lawson step is tried
+        trials = logged_trials(monkeypatch)
         mesh = build_mesh(box2d, 8)
         g = np.full(mesh.n_cells, 1.0)
         trace = simulate(SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
                                       gamma1=0.0, gamma2=0.0, g1=g, g2=g, t_end=1.0))
         assert trace.outcome == OUTCOME_BLOWUP
-        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
-                                       "dp5": {"accepted": trace.n_steps, "rejected": 0}}
-        cap = _diffusion_cap(mesh)
-        assert trials[:2] == [("lawson_bs3", cap), ("dp5", cap)]
-        assert [name for name, _ in trials[1:]] == ["dp5"] * trace.n_steps
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 0},
+                                       "dp5": {"accepted": 318, "rejected": 0}}
+        assert trials[0] == ("dp5", pytest.approx(flat_product_dt(1.0, 1.0), rel=1e-14, abs=0))
+        assert [name for name, _ in trials] == ["dp5"] * 318
+        assert max(dt for _, dt in trials) < _diffusion_cap(mesh)
+
+
+class TestStartingStep:
+    @pytest.mark.parametrize("cu, cv, tolerances", [
+        (1.0, 2.0, {}),                                  # the fourth root binds
+        (1.0, 0.5, {"rel_tol": 1e-3, "abs_tol": 0.0}),   # so it does at abs_tol 0
+        (1.0, 60.0, {}),                                 # 100 h0 binds
+        (1e-3, 1e-3, {"rel_tol": 0.0, "abs_tol": 1.0}),  # d1 < 1e-5: h0 = 1e-6
+    ])
+    def test_first_dt_on_flat_data_is_the_hnw_rule(self, monkeypatch, box2d,
+                                                   cu, cv, tolerances):
+        trials = logged_trials(monkeypatch)
+        mesh = build_mesh(box2d, 8)
+        trace = simulate(SolverConfig(
+            mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0), gamma1=0.0, gamma2=0.0,
+            g1=np.full(mesh.n_cells, cu), g2=np.full(mesh.n_cells, cv), t_end=1e-4,
+            **tolerances))
+        want = flat_product_dt(cu, cv, **tolerances)
+        # the initial row keeps the first dt; the first trial clamps it to t_end
+        assert trials[0][1] == pytest.approx(min(want, 1e-4), rel=1e-14, abs=0)
+        assert trace.samples[0].dt == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("dim, cells", [(3, 12), (2, 32)])
+    @pytest.mark.parametrize("t_end", [0.05, 0.1])
+    def test_zero_reaction_at_the_data_takes_one_lawson_step(self, dim, cells, t_end):
+        # F = u^2 v^2 from v = 0: N(g) = 0, and v = 0 stays, so N vanishes
+        # on the whole run; its one step is min(0.1, t_end) = t_end
+        mesh = build_mesh(DomainSpec("box", dim, half_extents=(1.0,) * dim), cells)
+        g = np.prod(np.cos(0.8 * mesh.cell_centers), axis=1)
+        trace = simulate(SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
+                                      gamma1=0.5, gamma2=0.5, g1=g,
+                                      g2=np.zeros(mesh.n_cells), t_end=t_end))
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 1, "rejected": 0},
+                                       "dp5": {"accepted": 0, "rejected": 0}}
+        assert [s.dt for s in trace.samples] == [t_end, t_end]
+        assert trace.final_fields.t == t_end
+
+    def test_overflowing_norm_starts_at_the_underflow_bound(self, box2d):
+        # N(g) / sc = 1e160 overflows d1's sum of squares, so the rule gives
+        # dt = 0; the first trial is at 1e-14 instead, and its overflow ends
+        # the run as a step underflow, not as an error of a zero dt
+        mesh = build_mesh(box2d, 8)
+        g = np.full(mesh.n_cells, 1e80)
+        nl = Nonlinearity(family="custom", params={},
+                          f1=lambda u, v: u ** 3, f2=lambda u, v: v ** 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = simulate(SolverConfig(mesh=mesh, nl=nl, gamma1=0.0, gamma2=0.0, g1=g,
+                                          g2=g, t_end=1.0, sup_threshold=1e300))
+        assert trace.outcome == OUTCOME_STEP_UNDERFLOW
+        assert trace.samples[0].dt == 1e-14
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 0},
+                                       "dp5": {"accepted": 0, "rejected": 1}}
+
+    def test_zero_scale_cell_raises_no_warning(self, box2d):
+        # abs_tol = 0 gives the zero cell a scale of 0, which the rule must
+        # not divide by; that cell counts as 0 in both norms
+        mesh = build_mesh(box2d, 8)
+        g1 = np.full(mesh.n_cells, 1.0)
+        g1[0] = 0.0
+        g2 = np.full(mesh.n_cells, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = simulate(SolverConfig(
+                mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0), gamma1=0.0, gamma2=0.0,
+                g1=g1, g2=g2, t_end=1e-3, rel_tol=1e-6, abs_tol=0.0))
+        assert trace.outcome == OUTCOME_REACHED_T_END
+        g = np.concatenate([g1, g2])
+        reaction = np.concatenate([2 * g1 * g2 ** 2, 2 * g1 ** 2 * g2])
+        assert trace.samples[0].dt == pytest.approx(
+            hnw_first_dt(g, reaction, rel_tol=1e-6, abs_tol=0.0), rel=1e-14, abs=0)
 
 
 class TestStepAccounting:
@@ -475,7 +566,7 @@ class TestStepAccounting:
         monkeypatch.setattr(rdblowup.solver, "step", counted_step)
         if run == "robin_heat":
             trace, _ = robin_heat(2, 32)
-            assert calls == {"lawson_bs3": 4, "dp5": 0}
+            assert calls == {"lawson_bs3": 1, "dp5": 0}
         elif run == "flat_blowup_3d":
             trace, _ = flat_blowup_3d()
             assert trace.steps_by_pair["lawson_bs3"]["rejected"] == 1
