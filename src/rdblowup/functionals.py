@@ -5,15 +5,33 @@ functional whose sign drives the upper bound, and scriptE(t) the 2p-power
 energy used by the lower bound.  `energy_sample` is the one place where J,
 scriptE and the boundary and gradient terms are computed: `functional_J`
 returns its monitor row, which holds J together with the pieces it is built
-from, and `energy_scriptE` shares its scriptE formula.
+from.
 
-The gradient energy is the face-difference quadratic form of the mesh's
-Neumann operator `Mesh.laplacian` (DIA storage; `Mesh.robin_operator` adds
-the Robin diagonal to it): summation by parts gives
-grad energy = -cell_volume * u . (L_N u), so the discrete integration-by-parts
-identities hold up to boundary closure error.  It is summed as squares of face
-differences, not as that product, so it is exactly zero on constants and
-never cancels at large u.
+Each term is a kernel on the stacked state y = [u; v] that takes a few
+passes over all of y and loops over no field; `energy_E`, `energy_scriptE`
+and `discrete_gradient_energy` call the row's kernels, so each formula is
+written once.  A pair made by `FieldPair.of_state`, as `simulate` makes its
+rows, hands its y to them without a copy.
+
+- Gradient energy: for each axis a of stride s, the differences
+  y[s:] - y[:-s] in one buffer.  Read as rows of n_a s cells, with one
+  field per n cells, each row's first (n_a - 1) s entries are the pairs
+  that share a face; the rest pair cells on opposite walls, or across the
+  u/v seam, and are not summed.  The squares of the kept pairs are summed
+  per field in one pass and scaled by cell_volume / h_a^2.  This is the
+  face-difference quadratic form of the mesh's Neumann operator
+  `Mesh.laplacian` (`Mesh.robin_operator` adds the Robin diagonal to it):
+  summation by parts gives grad energy = -cell_volume * u . (L_N u), so the
+  discrete integration-by-parts identities hold up to boundary closure
+  error.  It is summed as squares of differences, not as that product, so
+  it is exactly zero on constants and never cancels at large u.
+- Boundary terms: one take of `Mesh.face_cells` from both fields, each
+  face's value that of its cell, squared, times the face areas.
+- E, scriptE and the sup-norms: one reduction each over y.
+
+The integrals keep the rule of `interior_integral` and
+`boundary_integral`: NonFiniteSample iff a sample is not finite or the sum
+overflows.
 """
 
 import math
@@ -23,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NegativeField, NonFiniteField
-from .geometry import Mesh, boundary_integral, interior_integral
+from .geometry import Mesh, _finite_total, interior_integral
 
 NONNEG_TOL = 1e-12
 
@@ -40,12 +58,26 @@ def require_growth_constants(p=None, **k):
 
 @dataclass(frozen=True)
 class FieldPair:
-    """Discrete solution pair on the mesh cells at one time."""
+    """Discrete solution pair on the mesh cells at one time.
+
+    `state` is, for a pair made by `of_state`, the stacked state y = [u; v]
+    whose halves are u and v, which the kernels read without a copy; None
+    otherwise."""
 
     u: np.ndarray
     v: np.ndarray
     t: float
     nonneg: bool = False
+    state: Optional[np.ndarray] = dataclass_field(default=None, init=False, repr=False,
+                                                  compare=False)
+
+    @classmethod
+    def of_state(cls, y: np.ndarray, t: float) -> "FieldPair":
+        """The pair of views of y = [u; v]'s halves, which shares y."""
+        n = y.size // 2
+        pair = cls(u=y[:n], v=y[n:], t=t)
+        object.__setattr__(pair, "state", y)
+        return pair
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).ravel()
@@ -83,7 +115,7 @@ class EnergySample:
 
 def energy_E(fields: FieldPair, mesh: Mesh) -> float:
     """int (u^2 + v^2) dx."""
-    return interior_integral(mesh, fields.u**2 + fields.v**2)
+    return _squared_integral(_stacked(fields), mesh)
 
 
 def energy_scriptE(fields: FieldPair, mesh: Mesh, p: float) -> float:
@@ -91,23 +123,57 @@ def energy_scriptE(fields: FieldPair, mesh: Mesh, p: float) -> float:
     if not fields.nonneg:
         raise NegativeField("scriptE requires fields flagged nonnegative")
     require_growth_constants(p)
-    return _scriptE(fields, mesh, p)
-
-
-def _scriptE(fields: FieldPair, mesh: Mesh, p: float) -> float:
-    u = np.maximum(fields.u, 0.0)
-    v = np.maximum(fields.v, 0.0)
-    return interior_integral(mesh, u ** (2.0 * p) + v ** (2.0 * p))
+    return _power_integral(_stacked(fields), mesh, p)
 
 
 def discrete_gradient_energy(field_values, mesh: Mesh) -> float:
     """int |grad u|^2 dx via two-point differences on interior faces."""
-    grid = mesh.to_grid(np.asarray(field_values, dtype=float))
-    total = 0.0
-    for axis, ha in enumerate(mesh.h):
-        diffs = np.diff(grid, axis=axis) / ha
-        total += float(np.sum(diffs**2)) * mesh.cell_volume
-    return total
+    return _gradient_energies(np.asarray(field_values, dtype=float).ravel(), mesh).item()
+
+
+def _stacked(fields: FieldPair) -> np.ndarray:
+    """y = [u; v], which the kernels only read."""
+    return fields.state if fields.state is not None else np.concatenate([fields.u, fields.v])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _squared_integral(y: np.ndarray, mesh: Mesh) -> float:
+    """int of the sum of y's fields squared."""
+    return _finite_total(np.dot(y, y) * mesh.cell_volume, "interior")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _power_integral(y: np.ndarray, mesh: Mesh, p: float) -> float:
+    """int of the sum of y's fields to the power 2p, each clamped at 0, as
+    the squares of the p-th powers: a single power, the square for p = 2."""
+    powers = np.maximum(y, 0.0)
+    np.power(powers, p, out=powers)
+    return _finite_total(np.dot(powers, powers) * mesh.cell_volume, "interior")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gradient_energies(y: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """int |grad|^2 dx of each field of y, one or more fields of n cells
+    stacked (module docstring)."""
+    fields = y.size // mesh.n_cells
+    diffs = np.empty(y.size)
+    energies = np.zeros(fields)
+    for axis, (na, ha) in enumerate(zip(mesh.shape, mesh.h)):
+        stride = math.prod(mesh.shape[axis + 1:])
+        np.subtract(y[stride:], y[:-stride], out=diffs[:-stride])
+        # the pairs that share a face, by field; the buffer's unwritten tail is not read
+        faces = diffs.reshape(fields, -1, na * stride)[:, :, :-stride]
+        # divided before scaled, so that a zero sum stays 0 on any mesh
+        energies += np.einsum("ibj,ibj->i", faces, faces) / ha / ha * mesh.cell_volume
+    return energies
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _boundary_energies(y: np.ndarray, mesh: Mesh) -> list[float]:
+    """int_bdry u^2 ds and int_bdry v^2 ds of y = [u; v]."""
+    values = np.take(y.reshape(2, -1), mesh.face_cells, axis=1)
+    np.square(values, out=values)
+    return [_finite_total(total, "boundary") for total in values @ mesh.face_areas]
 
 
 def functional_J(fields: FieldPair, mesh: Mesh, nl, alpha: float,
@@ -122,27 +188,30 @@ def energy_sample(fields: FieldPair, mesh: Mesh, nl=None, alpha: float = 1.0,
                   gamma1: float = 0.0, gamma2: float = 0.0,
                   p: Optional[float] = None, dt: float = float("nan")) -> EnergySample:
     """Assemble the full monitor row for one state."""
-    bdry_u = boundary_integral(mesh, mesh.boundary_values(fields.u) ** 2)
-    bdry_v = boundary_integral(mesh, mesh.boundary_values(fields.v) ** 2)
-    grad_u = discrete_gradient_energy(fields.u, mesh)
-    grad_v = discrete_gradient_energy(fields.v, mesh)
+    y = _stacked(fields)
+    bdry_u, bdry_v = _boundary_energies(y, mesh)
+    grad_u, grad_v = _gradient_energies(y, mesh).tolist()
     J = intF = None
     if nl is not None and nl.has_potential:
         intF = interior_integral(mesh, nl.F(fields.u, fields.v))
         c = 2.0 * (1.0 + alpha)
         J = -c * (gamma1 * bdry_u + grad_u) - c * (gamma2 * bdry_v + grad_v) + 2.0 * c * intF
+    E = _squared_integral(y, mesh)
+    scriptE = None if p is None else _power_integral(y, mesh, p)
+    y2 = y.reshape(2, -1)
+    sup_u, sup_v = np.maximum(y2.max(axis=1), -y2.min(axis=1)).tolist()
     return EnergySample(
         t=fields.t,
-        E=energy_E(fields, mesh),
+        E=E,
         J=J,
-        scriptE=None if p is None else _scriptE(fields, mesh, p),
+        scriptE=scriptE,
         grad_u_energy=grad_u,
         grad_v_energy=grad_v,
         bdry_u=bdry_u,
         bdry_v=bdry_v,
         intF=intF,
-        sup_u=float(np.max(np.abs(fields.u))),
-        sup_v=float(np.max(np.abs(fields.v))),
+        sup_u=sup_u,
+        sup_v=sup_v,
         dt=dt,
     )
 

@@ -123,7 +123,8 @@ class Mesh:
         +-n_y*n_z in 3D).  A boundary cell's ghost mirrors it, so the main
         diagonal counts only existing neighbours and entries that would
         couple cells across a face are zero.  `robin_operator` adds the
-        Robin diagonal of each field to it.
+        Robin diagonal of each field to it, and `RobinOperator.matrix` tiles
+        its data for the stacked state.
         """
         shape, n = self.shape, self.n_cells
         N = len(shape)
@@ -158,17 +159,11 @@ class Mesh:
                 diagonal[(slice(None),) * (axis + 1) + (side,)] += added
         return RobinOperator(self, gammas, diagonal.ravel())
 
-    def to_grid(self, samples: np.ndarray) -> np.ndarray:
-        return np.asarray(samples).reshape(self.shape)
-
-    def boundary_values(self, samples: np.ndarray) -> np.ndarray:
-        """Per-face values taken from the adjacent cell (face reconstruction)."""
-        return np.asarray(samples).ravel()[self.face_cells]
-
 
 @dataclass(frozen=True, eq=False)
 class RobinOperator:
-    """A = laplacian + diag(diagonal) on y = [u; v], from `Mesh.robin_operator`.
+    """A = laplacian + diag(diagonal) on y = [u; v], from `Mesh.robin_operator`;
+    `matrix` holds it as one DIA matrix of the stacked state.
 
     Each field's block is the Kronecker sum of one symmetric tridiagonal per
     axis: off-diagonal 1/h_a^2, interior diagonal -2/h_a^2, end rows
@@ -180,6 +175,18 @@ class RobinOperator:
     mesh: Mesh
     gammas: tuple[float, float]
     diagonal: np.ndarray  # (2 n_cells,)
+
+    @cached_property
+    def matrix(self) -> dia_array:
+        """A as one (2n, 2n) DIA matrix, built on first use: the Laplacian's
+        data tiled for both fields, with the Robin diagonal on the main row,
+        under the Laplacian's offsets.  Its entries that would couple cells
+        across a face are zero, so the last u cell and the first v cell do
+        not couple either."""
+        lap, n = self.mesh.laplacian, self.mesh.n_cells
+        data = np.tile(lap.data, 2)
+        data[0] += self.diagonal  # the Laplacian's first row holds offset 0
+        return dia_array((data, lap.offsets), shape=(2 * n, 2 * n))
 
     @cached_property
     def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -6,7 +6,9 @@ Space: one operator A on the stacked state y = [u; v],
 block, plus the Robin diagonal of both fields, which closes the Robin
 condition through ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h)
 (second order at the face, Neumann reflection at gamma = 0).  `rhs` and
-`simulate` apply it as a product with the diagonal and a matvec per field.
+DP5's stages apply it as one product with `RobinOperator.matrix`, a
+(2n, 2n) DIA matrix of both fields, built on first use; a run on the Lawson
+pair alone never builds it, nor the Laplacian.
 
 The eigenbasis: each field's block is the Kronecker sum of one symmetric
 tridiagonal per axis, so the operator diagonalises it, A = Q diag(Lambda) Q^T,
@@ -44,11 +46,13 @@ exactly: with sc = abs_tol + rel_tol |g| and the RMS norms d0 of g / sc and
 d1 of N(g) / sc (a cell with sc = 0 counts as 0 in both), it is t_end if
 d1 = 0, else min(100 h0, (0.01 / d1)^(1/4)), q = 3 the Lawson pair's order,
 with h0 = 0.01 d0 / d1, or 1e-6 if d0 or d1 is below 1e-5, and no less than
-1e-14.  N(g) is evaluated once: A g + N(g) is checked finite, then serves as
-DP5's first stage, and N(g) as the Lawson pair's.
+1e-14.  N(g) is evaluated once and checked finite; it is the Lawson pair's
+first stage, and A g + N(g), checked finite too, DP5's.  A run that starts
+on the Lawson pair never forms A g.
 
-Each trial step goes through one sequence.  Its dt is clamped to 0.1, to
-t_end and, for DP5, to DP5's cap; it is accepted iff its error norm is <= 1
+Each trial step goes through one sequence.  Its dt is clamped to 0.1 and,
+for DP5, to DP5's cap, and a step that would end within 1e-14 of t_end, or
+past it, ends at t_end; it is accepted iff its error norm is <= 1
 (inf and NaN reject) and counted once, under its pair.  One place proposes
 the next dt: a PI controller with exponents 0.7/q and 0.4/q for a pair of
 order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt after a finite
@@ -61,9 +65,10 @@ DP5 at the same dt, which DP5's clamp holds at its cap, and DP5 keeps the
 rest of the run.  Where the pair changes, the PI history restarts and the
 new pair's first stage is evaluated at the current state.  An accepted step
 writes its monitor row; then the run ends as a step underflow if the
-proposal is below 1e-14, else as blow-up if the sup-norm reached the
-threshold.  So the Lawson pair takes the steps DP5's cap would hold, until
-one is rejected, and DP5's order pays below its cap.
+proposal is below 1e-14 before t_end, else as blow-up if the sup-norm
+reached the threshold.  A run that reaches t_end stops there exactly.  So
+the Lawson pair takes the steps DP5's cap would hold, until one is
+rejected, and DP5's order pays below its cap.
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  Blow-up is
@@ -79,7 +84,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, NonFiniteField
 from .functionals import EnergySample, FieldPair, energy_sample
-from .geometry import Mesh, require_gamma
+from .geometry import Mesh, RobinOperator, require_gamma
 from .nonlinearity import Nonlinearity
 
 OUTCOME_REACHED_T_END = "reached_t_end"
@@ -237,16 +242,20 @@ def _tail(samples):
             np.array([max(s.sup_u, s.sup_v) for s in samples]))
 
 
-def _rhs_into(out, u, v, lap, nl):
-    """Complete A y + N(y), the time derivative of y = [u; v], in `out`, which
-    holds the Robin diagonal times y: add each field's Neumann Laplacian and
-    reaction.  Returns out."""
-    ut, vt = out[:u.size], out[u.size:]
-    ut += lap @ u
-    ut += nl.f1(u, v)
-    vt += lap @ v
-    vt += nl.f2(u, v)
+def _reaction_into(nl: Nonlinearity, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """N(y) = (f1, f2) of the stacked state y = [u; v] into `out`; returns out."""
+    n = y.size // 2
+    u, v = y[:n], y[n:]
+    out[:n] = nl.f1(u, v)
+    out[n:] = nl.f2(u, v)
     return out
+
+
+def _derivative_into(op: RobinOperator, nl: Nonlinearity, y: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """A y + N(y), the time derivative of y = [u; v], into `out`: one product
+    with `op.matrix` for both fields; returns out."""
+    return np.add(op.matrix @ y, _reaction_into(nl, y, out), out=out)
 
 
 def rhs(fields: FieldPair, mesh: Mesh, nl: Nonlinearity,
@@ -255,12 +264,9 @@ def rhs(fields: FieldPair, mesh: Mesh, nl: Nonlinearity,
     u, v = fields.u, fields.v
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise NonFiniteField("rhs called with non-finite fields")
-    # the operator serves this call only, so its diagonal takes the result
-    out, n = mesh.robin_operator(gamma1, gamma2).diagonal, u.size
-    np.multiply(out[:n], u, out=out[:n])
-    np.multiply(out[n:], v, out=out[n:])
-    _rhs_into(out, u, v, mesh.laplacian, nl)
-    return out[:n], out[n:]
+    op, y = mesh.robin_operator(gamma1, gamma2), np.concatenate([u, v])
+    out = _derivative_into(op, nl, y, np.empty_like(y))
+    return out[:u.size], out[u.size:]
 
 
 class StepWork:
@@ -317,7 +323,8 @@ def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     Lawson pair.  Returns (y_new, err_norm, k_last), where y_new is
     `work.y_new` and k_last the FSAL row `work.K[work.last]`, so y must not
     be `work.y_new`.  err_norm is inf on overflow, with k_last None, so the
-    caller shrinks dt.  The error scale is abs_tol + rel_tol * max(|y|, |y_new|).
+    caller shrinks dt.  The error scale is abs_tol + rel_tol * max(|y|, |y_new|);
+    a cell where it is 0 (abs_tol = 0, y = y_new = 0) counts as 0 in the norm.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -332,14 +339,18 @@ def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     np.minimum(scale, y_new, out=scale)
     scale *= -rel_tol
     scale += abs_tol
+    if abs_tol == 0:
+        scale[scale == 0] = math.inf  # a cell where y and y_new are 0 counts as 0
     work.err /= scale
     return y_new, _rms(work.err), work.K[work.last]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _explicit_stages(y, dt, rhs_vec, work, pair):
     """The stages of an explicit pair from y: y_new in `work.y_new` and its
     error estimate dt * sum_i e_i k_i in `work.err`; None if y_new or
-    f(y_new) is not finite."""
+    f(y_new) is not finite.  As in `_lawson_stages`, overflow is silenced:
+    a stage that overflows carries inf or NaN on to y_new or f(y_new)."""
     s, a, y_new = pair.stages, pair.a, work.y_new
     # the inner stages' arguments are built in y_new, which is written last
     for i in range(1, s - 1):
@@ -433,25 +444,18 @@ def simulate(config: SolverConfig) -> SolveTrace:
     n = mesh.n_cells
     y = np.concatenate([config.g1, config.g2])
 
-    lap, op = mesh.laplacian, mesh.robin_operator(config.gamma1, config.gamma2)
-    diagonal = op.diagonal
+    op = mesh.robin_operator(config.gamma1, config.gamma2)
 
-    def rhs_vec(yy, out):
-        if not np.all(np.isfinite(yy)):
-            out.fill(np.nan)
-            return out
-        np.multiply(diagonal, yy, out=out)
-        return _rhs_into(out, yy[:n], yy[n:], lap, nl)
+    def derivative(yy, out):
+        return _derivative_into(op, nl, yy, out)
 
     def reaction_vec(yy, out):
         if not np.all(np.isfinite(yy)):
             out.fill(np.nan)
             return out
-        out[:n] = nl.f1(yy[:n], yy[n:])
-        out[n:] = nl.f2(yy[:n], yy[n:])
-        return out
+        return _reaction_into(nl, yy, out)
 
-    stage_fns = {LAWSON_BS3: reaction_vec, DP5: rhs_vec}
+    stage_fns = {LAWSON_BS3: reaction_vec, DP5: derivative}
     caps = {LAWSON_BS3: math.inf, DP5: _diffusion_cap(mesh)}
     lawson_rejected = False
 
@@ -460,19 +464,18 @@ def simulate(config: SolverConfig) -> SolveTrace:
         return LAWSON_BS3 if dt_trial >= caps[DP5] and not lawson_rejected else DP5
 
     work = StepWork(y, op)
-    # N(g) serves the check of A g + N(g), the starting-step rule and the
-    # first stage of either pair: A g + N(g) for DP5, N(g) in the eigenbasis
-    # for the Lawson pair
+    # N(g) serves the starting-step rule and the first stage of either pair:
+    # A g + N(g) for DP5, N(g) in the eigenbasis for the Lawson pair, whose
+    # steps never form A g; each first stage is checked finite
     reaction = reaction_vec(y, work.err)
-    full = np.multiply(diagonal, y, out=work.K[0])
-    full[:n] += lap @ y[:n]
-    full[n:] += lap @ y[n:]
-    if not np.all(np.isfinite(np.add(full, reaction, out=full))):
+    if not np.all(np.isfinite(reaction)):
         raise NonFiniteField("initial right-hand side is not finite")
     dt = _starting_dt(y, reaction, config, work.scale, work.y_new)
     pair = pair_for(dt)
     if pair.lawson:
         op.to_modes(reaction, work.K[0])
+    elif not np.all(np.isfinite(np.add(op.matrix @ y, reaction, out=work.K[0]))):
+        raise NonFiniteField("initial right-hand side is not finite")
     steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
     t, err_prev = 0.0, 1.0
     samples: list[EnergySample] = []
@@ -481,10 +484,9 @@ def simulate(config: SolverConfig) -> SolveTrace:
     def record(dt_now):
         """Append the monitor row of the current state; return its sup-norm."""
         nonlocal clamp_count
-        u, v = y[:n], y[n:]
         if config.p is not None:
-            clamp_count += int(np.sum(u < 0) + np.sum(v < 0))
-        row = energy_sample(FieldPair(u=u, v=v, t=t), mesh, nl=nl, alpha=config.alpha,
+            clamp_count += np.count_nonzero(y < 0)
+        row = energy_sample(FieldPair.of_state(y, t), mesh, nl=nl, alpha=config.alpha,
                             gamma1=config.gamma1, gamma2=config.gamma2, p=config.p, dt=dt_now)
         samples.append(row)
         return max(row.sup_u, row.sup_v)
@@ -499,7 +501,11 @@ def simulate(config: SolverConfig) -> SolveTrace:
         if next_pair is not pair:
             pair, err_prev = next_pair, 1.0
             work.restart(y, stage_fns[pair], pair)
-        dt = min(dt, caps[pair], _DT_MAX, config.t_end - t)
+        dt = min(dt, caps[pair], _DT_MAX)
+        # a step that would leave less than _DT_MIN before t_end ends there
+        last = dt >= config.t_end - t - _DT_MIN
+        if last:
+            dt = config.t_end - t
         _, err, _ = step(y, dt, stage_fns[pair], config.rel_tol, config.abs_tol, work, pair)
         accepted = err <= 1.0  # inf and NaN reject
         steps_by_pair[pair.name]["accepted" if accepted else "rejected"] += 1
@@ -509,11 +515,11 @@ def simulate(config: SolverConfig) -> SolveTrace:
             dt_next, lawson_rejected = dt, True
         if accepted:
             err_prev = max(err, 1e-12)
-            t += dt
+            t = config.t_end if last else t + dt
             y = work.accept(y)
             sup = record(dt)
         dt = dt_next
-        if dt < _DT_MIN:
+        if dt < _DT_MIN and t < config.t_end:
             outcome = OUTCOME_STEP_UNDERFLOW
             break
         if sup >= config.sup_threshold:

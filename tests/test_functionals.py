@@ -10,8 +10,9 @@ from rdblowup.functionals import (
     energy_scriptE,
     functional_J,
 )
-from rdblowup.geometry import build_mesh
+from rdblowup.geometry import DomainSpec, build_mesh
 from rdblowup.nonlinearity import check_H2_H3, make_absorption, make_power_product
+from rdblowup.solver import SolverConfig, simulate
 
 
 def constant_pair(mesh, cu, cv, t=0.0, nonneg=False):
@@ -189,3 +190,79 @@ class TestEnergySample:
                          v=rng.uniform(0.0, 2.0, mesh3d.n_cells), t=0.0, nonneg=True)
         s = energy_sample(pair, mesh3d, p=p)
         assert s.scriptE == energy_scriptE(pair, mesh3d, p)
+
+
+# non-cubic meshes with unequal half-extents, where a wrong stride, a pair
+# across a wall or across the u/v seam would show
+ROW_MESHES = [(DomainSpec("box", 2, half_extents=(1.0, 0.6)), (5, 7)),
+              (DomainSpec("box", 3, half_extents=(1.0, 0.6, 1.3)), (5, 7, 9))]
+
+
+def per_field_row(u, v, mesh, nl, alpha, gamma1, gamma2, p):
+    """The monitor row's terms by their per-field definitions: face
+    differences by np.diff on each field's grid, face values by
+    `face_cells`, and midpoint sums."""
+    def grad(w):
+        grid = w.reshape(mesh.shape)
+        return mesh.cell_volume * sum(np.sum((np.diff(grid, axis=axis) / h) ** 2)
+                                      for axis, h in enumerate(mesh.h))
+
+    def bdry(w):
+        return np.sum(w[mesh.face_cells] ** 2 * mesh.face_areas)
+
+    def midpoint(samples):
+        return np.sum(samples) * mesh.cell_volume
+
+    row = {"grad_u_energy": grad(u), "grad_v_energy": grad(v), "bdry_u": bdry(u),
+           "bdry_v": bdry(v), "E": midpoint(u ** 2 + v ** 2),
+           "scriptE": midpoint(np.maximum(u, 0) ** (2 * p) + np.maximum(v, 0) ** (2 * p)),
+           "intF": midpoint(nl.F(u, v)), "sup_u": np.max(np.abs(u)), "sup_v": np.max(np.abs(v))}
+    c = 2.0 * (1.0 + alpha)
+    row["J"] = (-c * (gamma1 * row["bdry_u"] + row["grad_u_energy"]
+                      + gamma2 * row["bdry_v"] + row["grad_v_energy"]) + 2.0 * c * row["intF"])
+    return row
+
+
+class TestStackedRowKernels:
+    @pytest.mark.parametrize("spec, cells", ROW_MESHES, ids=["2d", "3d"])
+    @pytest.mark.parametrize("low", [-0.5, 0.0], ids=["mixed_sign", "nonnegative"])
+    def test_match_the_per_field_definitions(self, spec, cells, low):
+        mesh = build_mesh(spec, cells)
+        nl = make_power_product(1.0, 2.0, 3.0)
+        u, v = np.random.default_rng(11).uniform(low, 2.0, (2, mesh.n_cells))
+        pair = FieldPair(u=u, v=v, t=0.3, nonneg=low == 0.0)
+        row = energy_sample(pair, mesh, nl, alpha=1.2, gamma1=0.5, gamma2=3.0, p=1.5, dt=0.01)
+        ref = per_field_row(u, v, mesh, nl, 1.2, 0.5, 3.0, 1.5)
+        for name, value in ref.items():
+            assert getattr(row, name) == pytest.approx(value, rel=1e-13, abs=0), name
+        assert (row.t, row.dt) == (0.3, 0.01)
+        assert discrete_gradient_energy(u, mesh) == pytest.approx(ref["grad_u_energy"],
+                                                                  rel=1e-13, abs=0)
+        assert energy_E(pair, mesh) == row.E
+        if pair.nonneg:
+            assert energy_scriptE(pair, mesh, 1.5) == row.scriptE
+
+    @pytest.mark.parametrize("spec, cells", ROW_MESHES, ids=["2d", "3d"])
+    def test_constants_have_exactly_zero_gradient_energy(self, spec, cells):
+        mesh = build_mesh(spec, cells)
+        row = energy_sample(constant_pair(mesh, 2.75, 1e-3), mesh)
+        assert row.grad_u_energy == row.grad_v_energy == 0.0
+        # differences of equal values are 0 however large the values
+        assert discrete_gradient_energy(np.full(mesh.n_cells, 1e150), mesh) == 0.0
+
+    def test_the_solver_row_is_the_field_pair_row(self):
+        # simulate reads its rows off the stacked state in place; the same
+        # state handed over as a FieldPair of copies gives the same row, bit
+        # for bit
+        spec, cells = ROW_MESHES[1]
+        mesh = build_mesh(spec, cells)
+        nl = make_power_product(1.0, 2.0, 3.0)
+        x = mesh.cell_centers
+        g1, g2 = 1.0 + 0.5 * np.cos(x[:, 0]), 1.0 + 0.3 * x[:, 1] ** 2
+        cfg = SolverConfig(mesh=mesh, nl=nl, gamma1=0.5, gamma2=3.0, g1=g1, g2=g2,
+                           t_end=0.01, alpha=1.2, p=1.5)
+        trace = simulate(cfg)
+        final, last = trace.final_fields, trace.samples[-1]
+        pair = FieldPair(u=final.u.copy(), v=final.v.copy(), t=final.t)
+        assert trace.n_steps > 1
+        assert energy_sample(pair, mesh, nl, 1.2, 0.5, 3.0, p=1.5, dt=last.dt) == last

@@ -234,6 +234,18 @@ class TestLaplacianOperator:
         got = dense_robin_operator(mesh, gamma1, gamma2)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
+    @pytest.mark.parametrize("gamma1, gamma2", GAMMA_PAIRS)
+    def test_stacked_matrix_is_the_dense_operator(self, spec, cells, gamma1, gamma2):
+        # one DIA matrix of both fields under the Laplacian's offsets; the
+        # zeros of the Laplacian's data keep the u/v seam uncoupled
+        mesh = build_mesh(spec, cells)
+        op, n = mesh.robin_operator(gamma1, gamma2), mesh.n_cells
+        assert op.matrix.format == "dia" and op.matrix.shape == (2 * n, 2 * n)
+        assert sorted(op.matrix.offsets) == sorted(mesh.laplacian.offsets)
+        assert np.array_equal(op.matrix.toarray(), dense_robin_operator(mesh, gamma1, gamma2))
+        assert op.matrix is op.matrix
+
     def test_stored_as_dia_with_one_diagonal_per_neighbour(self):
         spec, cells = OPERATOR_MESHES[1]
         lap = build_mesh(spec, cells).laplacian
@@ -263,22 +275,29 @@ class TestLaplacianOperator:
         assert lhs == pytest.approx(discrete_gradient_energy(u, mesh), rel=1e-12)
 
     def test_built_once_per_mesh(self, box3d, monkeypatch):
+        # the Laplacian, (n, n), is built once per mesh; the operator matrix
+        # of the stacked state, (2n, 2n), once per operator that applies it:
+        # each rhs call and the run, whose t_end below DP5's cap starts it on DP5
         built = []
         real = geometry.dia_array
 
         def counting_dia_array(*args, **kwargs):
-            built.append(1)
+            built.append(kwargs["shape"])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "dia_array", counting_dia_array)
         mesh = build_mesh(box3d, 6)
+        n = mesh.n_cells
         g = 1.0 + 0.1 * mesh.cell_centers[:, 0]
         fields = FieldPair(u=g, v=g, t=0.0)
         for gamma in (0.0, 0.5, 3.0):
             rhs(fields, mesh, zero_reaction(), gamma, gamma)
-        simulate(SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=0.5, gamma2=3.0,
-                              g1=g, g2=g, t_end=1e-3))
-        assert len(built) == 1
+        trace = simulate(SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=0.5, gamma2=3.0,
+                                      g1=g, g2=g, t_end=1e-3))
+        assert trace.steps_by_pair["dp5"]["accepted"] > 0
+        assert built.count((n, n)) == 1
+        assert built.count((2 * n, 2 * n)) == 4
+        assert len(built) == 5
         assert mesh.laplacian is mesh.laplacian
 
     @pytest.mark.parametrize("L", [1e155, 1e250, 1e-300],

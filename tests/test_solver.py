@@ -10,7 +10,7 @@ from conftest import dense_robin_operator, linear_decay, zero_reaction
 import rdblowup.solver
 from rdblowup.errors import InsufficientSamples, NonFiniteField
 from rdblowup.functionals import FieldPair, energy_E
-from rdblowup.geometry import DomainSpec, RobinOperator, build_mesh, interior_integral
+from rdblowup.geometry import DomainSpec, Mesh, RobinOperator, build_mesh, interior_integral
 from rdblowup.nonlinearity import Nonlinearity, make_power_product
 from rdblowup.solver import (
     DP5,
@@ -80,6 +80,24 @@ class TestRhs:
         nl = make_power_product(1.0, 2.0, 2.0)
         with pytest.raises(ValueError, match="gamma"):
             rhs(constant_fields(mesh3d, 1.0, 1.0), mesh3d, nl, -16.0, 0.0)
+
+    @pytest.mark.parametrize("spec, cells", [
+        (DomainSpec("box", 2, half_extents=(1.0, 0.6)), (5, 7)),
+        (DomainSpec("box", 3, half_extents=(1.0, 0.6, 1.3)), (5, 7, 9))], ids=["2d", "3d"])
+    def test_matches_the_dense_operator_and_the_dp5_stage(self, spec, cells):
+        # one stacked product for both fields: rhs agrees with the dense
+        # kron(I2, L) + diag reference, and bit for bit with DP5's stage
+        # function, A y + N(y) with `op.matrix`
+        mesh = build_mesh(spec, cells)
+        n, nl = mesh.n_cells, make_power_product(1.0, 2.0, 3.0)
+        y = np.random.default_rng(9).uniform(0.5, 1.5, 2 * n)
+        ut, vt = rhs(FieldPair(u=y[:n], v=y[n:], t=0.0), mesh, nl, 0.5, 3.0)
+        got = np.concatenate([ut, vt])
+        reaction = np.concatenate([nl.f1(y[:n], y[n:]), nl.f2(y[:n], y[n:])])
+        ref = dense_robin_operator(mesh, 0.5, 3.0) @ y + reaction
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        stage = mesh.robin_operator(0.5, 3.0).matrix @ y + reaction
+        assert np.array_equal(got, stage)
 
 
 def decay(y, out):
@@ -551,6 +569,51 @@ class TestStartingStep:
             hnw_first_dt(g, reaction, rel_tol=1e-6, abs_tol=0.0), rel=1e-14, abs=0)
 
 
+class TestStepEdgeCases:
+    def test_overflowing_dp5_stages_raise_no_warning(self, box2d):
+        # from flat 1e60, F = u^2 v^2 starts at the 1e-14 floor, and DP5's
+        # inner stages overflow to inf and NaN; the step is rejected as
+        # non-finite, and its halved dt ends the run, without a warning
+        mesh = build_mesh(box2d, 8)
+        g = np.full(mesh.n_cells, 1e60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = simulate(SolverConfig(
+                mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0), gamma1=0.0, gamma2=0.0,
+                g1=g, g2=g, t_end=1.0, sup_threshold=1e300))
+        assert trace.outcome == OUTCOME_STEP_UNDERFLOW
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 0},
+                                       "dp5": {"accepted": 0, "rejected": 1}}
+
+    @pytest.mark.parametrize("t_end, pair, steps", [(1.0, "lawson_bs3", 10), (0.01, "dp5", 1)])
+    def test_zero_scale_cells_count_as_zero_error(self, box2d, t_end, pair, steps):
+        # abs_tol = 0 and u = 0 where F = u^2 v^2: u stays 0 exactly, so its
+        # cells have error scale 0 and must count as 0, not as 0/0.  t_end 1
+        # takes ten Lawson steps of 0.1, whose sum falls 1.1e-16 short of 1:
+        # the tenth ends at t_end, with no sliver step and no underflow after
+        # it; t_end 0.01 (below DP5's cap) takes one DP5 step
+        mesh = build_mesh(box2d, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = simulate(SolverConfig(
+                mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0), gamma1=0.0, gamma2=0.0,
+                g1=np.zeros(mesh.n_cells), g2=np.ones(mesh.n_cells), t_end=t_end,
+                rel_tol=1e-6, abs_tol=0.0))
+        assert trace.outcome == OUTCOME_REACHED_T_END
+        assert trace.final_fields.t == trace.samples[-1].t == t_end
+        assert trace.n_rejected == 0
+        assert trace.steps_by_pair[pair]["accepted"] == trace.n_steps == steps
+        assert np.all(trace.final_fields.u == 0.0)
+
+    def test_a_run_at_t_end_is_no_underflow(self, monkeypatch):
+        # whatever dt is proposed after the step that reaches t_end, the run
+        # has reached it
+        monkeypatch.setattr(rdblowup.solver, "_proposed_dt", lambda *args: 1e-15)
+        trace, _ = robin_heat(2, 8)
+        assert trace.outcome == OUTCOME_REACHED_T_END
+        assert trace.n_steps == 1 and trace.final_fields.t == 0.05
+
+
 class TestStepAccounting:
     @pytest.mark.parametrize("run", ["robin_heat", "blowup_to_underflow", "flat_blowup_3d"])
     def test_every_trial_step_is_counted_once(self, monkeypatch, box2d, run):
@@ -584,6 +647,24 @@ class TestStepAccounting:
 
 
 class TestLawsonPair:
+    def test_lawson_run_never_builds_the_stacked_matrix(self, monkeypatch):
+        # a Robin heat run on 12^3 cells takes Lawson steps only, which apply
+        # A through its modes; the (2n, 2n) matrix DP5 steps with stays
+        # unbuilt, and so does the Laplacian it is built from
+        ops = []
+        real = Mesh.robin_operator
+
+        def kept(mesh, gamma1, gamma2):
+            ops.append(real(mesh, gamma1, gamma2))
+            return ops[-1]
+
+        monkeypatch.setattr(Mesh, "robin_operator", kept)
+        trace, mesh = robin_heat(3, 12)
+        assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
+        assert len(ops) == 1
+        assert "eigenpairs" in vars(ops[0]) and "matrix" not in vars(ops[0])
+        assert "laplacian" not in vars(mesh)
+
     @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
     def test_zero_reaction_run_matches_the_matrix_exponential(self, spec, cells):
         # with N = 0 the Lawson steps apply e^{dt A} exactly, and the run
@@ -775,6 +856,17 @@ class TestSimulateBlowup:
                            gamma2=0.0, g1=g, g2=g, t_end=1.0, sup_threshold=1e300)
         with np.errstate(over="ignore"), \
                 pytest.raises(NonFiniteField, match="initial right-hand side"):
+            simulate(cfg)
+
+
+    def test_non_finite_first_dp5_stage_raises(self, box2d):
+        # N(g) = -g is finite and sets a first dt below DP5's cap, but A g of
+        # a 1e307 checkerboard overflows, so DP5's first stage is not finite
+        mesh = build_mesh(box2d, 8)
+        g = 1e307 * checkerboard(mesh)
+        cfg = SolverConfig(mesh=mesh, nl=linear_decay(), gamma1=0.0, gamma2=0.0, g1=g,
+                           g2=g, t_end=1.0, sup_threshold=1e308)
+        with pytest.raises(NonFiniteField, match="initial right-hand side"):
             simulate(cfg)
 
 
