@@ -6,6 +6,8 @@ M = J(0)/E(0)^(1+alpha) is reported beside it.  The lower bound integrates
 d(xi)/(K1*xi^(3/2) + K2*xi^3) from scriptE(0) to infinity, with K1, K2 built
 from the geometric constants rho, d and the admissible beta constants.  A
 bound that does not apply to its input raises a `BoundRefused` error.
+The quadrature, `scipy.integrate.quad`, is imported by `lower_bound_blowup`
+when it runs, so the upper bound alone never loads scipy.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,6 @@ from decimal import Context, Decimal
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DimensionNot3,
@@ -153,6 +154,7 @@ def lower_bound_blowup(scriptE0: float, K1: float, K2: float,
         raise NonpositiveE0("scriptE(0) must be positive")
     if K1 <= 0 or K2 < 0:
         raise ValueError("need K1 > 0 and K2 >= 0")
+    from scipy.integrate import quad
 
     def integrand(w):
         return 2.0 * w**3 / (K1 * w**3 + K2)

@@ -4,6 +4,10 @@ the Robin operator of the (u, v) state, geometric constants and quadrature.
 Boxes are meshed with a uniform cell-centered grid; balls exist only as
 analytic domains (geometric constants and volume) and cannot be meshed.
 The origin is always the centroid of the domain.
+
+Importing this module loads numpy alone: the operator's DIA matrices import
+`scipy.sparse` when first built, and its eigenpairs need numpy only, so a
+run that never builds a DIA matrix never loads scipy.
 """
 
 from dataclasses import dataclass
@@ -11,8 +15,6 @@ from functools import cached_property
 from math import inf, pi, prod, sqrt
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import dia_array
 
 from .errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
 
@@ -116,7 +118,7 @@ class Mesh:
         return tuple(weights.tolist())
 
     @cached_property
-    def laplacian(self) -> dia_array:
+    def laplacian(self) -> "scipy.sparse.dia_array":
         """Neumann (2N+1)-point Laplacian of the cells, built on first use and kept.
 
         Stored as DIA with offsets 0 and +-stride of each axis (+-1, +-n_z,
@@ -126,6 +128,8 @@ class Mesh:
         Robin diagonal of each field to it, and `RobinOperator.matrix` tiles
         its data for the stacked state.
         """
+        from scipy.sparse import dia_array
+
         shape, n = self.shape, self.n_cells
         N = len(shape)
         data = np.zeros((2 * N + 1, n))
@@ -177,12 +181,14 @@ class RobinOperator:
     diagonal: np.ndarray  # (2 n_cells,)
 
     @cached_property
-    def matrix(self) -> dia_array:
+    def matrix(self) -> "scipy.sparse.dia_array":
         """A as one (2n, 2n) DIA matrix, built on first use: the Laplacian's
         data tiled for both fields, with the Robin diagonal on the main row,
         under the Laplacian's offsets.  Its entries that would couple cells
         across a face are zero, so the last u cell and the first v cell do
         not couple either."""
+        from scipy.sparse import dia_array
+
         lap, n = self.mesh.laplacian, self.mesh.n_cells
         data = np.tile(lap.data, 2)
         data[0] += self.diagonal  # the Laplacian's first row holds offset 0
@@ -191,18 +197,23 @@ class RobinOperator:
     @cached_property
     def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per axis, the eigenvalues (2, n_a) and the orthonormal eigenvectors,
-        as columns, (2, n_a, n_a) of both fields' tridiagonals."""
-        pairs = []
+        as columns, (2, n_a, n_a) of both fields' tridiagonals, from
+        `np.linalg.eigh` of each dense n_a x n_a tridiagonal.  The tridiagonal
+        depends on the axis through (n_a, h_a) alone, so axes alike in both
+        share one pair of arrays: a cube solves one per field."""
+        by_axis = {}
         for na, ha, wa in zip(self.mesh.shape, self.mesh.h, self.mesh.inverse_h2):
-            diag = np.full(na, -2.0 * wa)
+            if (na, ha) in by_axis:
+                continue
+            tri = wa * (np.eye(na, k=1) + np.eye(na, k=-1) - 2.0 * np.eye(na))
             fields = []
             for gamma in self.gammas:
-                diag[[0, -1]] = (_ghost_factor(gamma, ha) - 2.0) * wa
-                fields.append(eigh_tridiagonal(diag, np.full(na - 1, wa)))
+                tri[[0, -1], [0, -1]] = (_ghost_factor(gamma, ha) - 2.0) * wa
+                fields.append(np.linalg.eigh(tri))
             lam, q = (np.stack(parts) for parts in zip(*fields))
             # the matrix is negative semidefinite; a zero mode may round above 0
-            pairs.append((np.minimum(lam, 0.0, out=lam), q))
-        return tuple(pairs)
+            by_axis[na, ha] = (np.minimum(lam, 0.0, out=lam), q)
+        return tuple(by_axis[axis] for axis in zip(self.mesh.shape, self.mesh.h))
 
     @cached_property
     def grid(self) -> np.ndarray:

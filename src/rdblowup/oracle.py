@@ -5,6 +5,8 @@ exactly to the planar ODE u' = f1(u, v), v' = f2(u, v); integrating that
 ODE to high accuracy gives reference trajectories and blow-up times.  The
 quadrature oracle is a deliberately dumb composite trapezoid rule.  Nothing
 here shares stepping or quadrature code with the main modules.
+`ode_reduce` imports its integrator, `scipy.integrate.solve_ivp`, when it
+runs, so importing this module loads numpy alone.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,6 @@ from math import atan, pi, sqrt
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,7 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float,
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial values must be nonnegative")
+    from scipy.integrate import solve_ivp
 
     def fun(t, y):
         return [float(nl.f1(y[0], y[1])), float(nl.f2(y[0], y[1]))]

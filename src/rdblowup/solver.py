@@ -2,13 +2,13 @@
 
 Space: one operator A on the stacked state y = [u; v],
 `Mesh.robin_operator(gamma1, gamma2)`: the mesh's Neumann 5-point (2D) /
-7-point (3D) Laplacian `Mesh.laplacian`, a scipy DIA matrix, in each field's
-block, plus the Robin diagonal of both fields, which closes the Robin
+7-point (3D) Laplacian `Mesh.laplacian`, a `scipy.sparse` DIA matrix, in each
+field's block, plus the Robin diagonal of both fields, which closes the Robin
 condition through ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h)
 (second order at the face, Neumann reflection at gamma = 0).  `rhs` and
 DP5's stages apply it as one product with `RobinOperator.matrix`, a
 (2n, 2n) DIA matrix of both fields, built on first use; a run on the Lawson
-pair alone never builds it, nor the Laplacian.
+pair alone never builds it, nor the Laplacian, and so never loads scipy.
 
 The eigenbasis: each field's block is the Kronecker sum of one symmetric
 tridiagonal per axis, so the operator diagonalises it, A = Q diag(Lambda) Q^T,

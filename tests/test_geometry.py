@@ -218,6 +218,8 @@ OPERATOR_MESHES = [
 ]
 # (gamma1, gamma2) pairs with gamma1 != gamma2, each gamma on each field
 GAMMA_PAIRS = [(0.0, 0.5), (0.5, 3.0), (3.0, 0.0)]
+# 6x6x9 cells on it have h = 1/3 on every axis: axes 0 and 1 are alike, axis 2 is not
+SHARED_AXES_BOX = DomainSpec("box", 3, half_extents=(1.0, 1.0, 1.5))
 
 
 class TestLaplacianOperator:
@@ -278,14 +280,17 @@ class TestLaplacianOperator:
         # the Laplacian, (n, n), is built once per mesh; the operator matrix
         # of the stacked state, (2n, 2n), once per operator that applies it:
         # each rhs call and the run, whose t_end below DP5's cap starts it on DP5
+        import scipy.sparse
+
         built = []
-        real = geometry.dia_array
+        real = scipy.sparse.dia_array
 
         def counting_dia_array(*args, **kwargs):
             built.append(kwargs["shape"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "dia_array", counting_dia_array)
+        # geometry imports dia_array from scipy.sparse when it builds a matrix
+        monkeypatch.setattr(scipy.sparse, "dia_array", counting_dia_array)
         mesh = build_mesh(box3d, 6)
         n = mesh.n_cells
         g = 1.0 + 0.1 * mesh.cell_centers[:, 0]
@@ -365,14 +370,46 @@ class TestRobinModes:
         assert mesh.robin_operator(0.5, 0.5) is not mesh.robin_operator(0.5, 0.5)
 
     def test_eigenpairs_built_on_first_use(self, box3d, monkeypatch):
-        # rhs applies the diagonal only; simulate's Lawson steps need the modes
+        # rhs applies the diagonal only; simulate's Lawson steps need the
+        # modes: one eigh per field and distinct (n_a, h_a), so a cube makes
+        # 2 calls and a 6x6x9 box with h = 1/3 on every axis makes 4
         calls = []
-        real = geometry.eigh_tridiagonal
-        monkeypatch.setattr(geometry, "eigh_tridiagonal",
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
                             lambda *args: calls.append(1) or real(*args))
         mesh = build_mesh(box3d, 4)
         g = 1.0 + 0.1 * mesh.cell_centers[:, 0]
         rhs(FieldPair(u=g, v=g, t=0.0), mesh, zero_reaction(), 0.5, 3.0)
         assert calls == []
         op = mesh.robin_operator(0.5, 3.0)
-        assert op.eigenpairs is op.eigenpairs and len(calls) == 6
+        assert op.eigenpairs is op.eigenpairs and len(calls) == 2
+        box = build_mesh(SHARED_AXES_BOX, (6, 6, 9))
+        assert box.h == (1 / 3,) * 3
+        box.robin_operator(0.5, 3.0).eigenpairs
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("na", [4, 5, 16, 40])
+    @pytest.mark.parametrize("gamma1, gamma2", [(0.0, 1e6), (0.5, 0.0), (5.0, 0.5), (1e6, 5.0)])
+    def test_eigenpairs_match_the_dense_tridiagonal(self, na, gamma1, gamma2):
+        # against each axis's tridiagonal written out densely, on an axis of
+        # na cells and one of 4 with another spacing
+        mesh = build_mesh(DomainSpec("box", 2, half_extents=(1.0, 0.6)), (na, 4))
+        op = mesh.robin_operator(gamma1, gamma2)
+        for (lam, q), n, h in zip(op.eigenpairs, mesh.shape, mesh.h):
+            for field, gamma in enumerate((gamma1, gamma2)):
+                g = (2.0 - gamma * h) / (2.0 + gamma * h)
+                A = (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)) / h**2
+                A[0, 0] = A[-1, -1] = (g - 2.0) / h**2
+                Q, Lam = q[field], lam[field]
+                scale = np.max(np.abs(Lam))
+                assert np.max(np.abs(A @ Q - Q * Lam)) <= 1e-13 * scale
+                assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-13
+        y = np.random.default_rng(na).normal(size=2 * mesh.n_cells)
+        back = op.from_modes(op.to_modes(y, np.empty_like(y)), np.empty_like(y))
+        assert np.max(np.abs(back - y)) <= 1e-13 * np.max(np.abs(y))
+
+    def test_alike_axes_share_their_eigenpairs(self):
+        op = build_mesh(SHARED_AXES_BOX, (6, 6, 9)).robin_operator(0.5, 3.0)
+        (lam0, q0), (lam1, q1), (lam2, q2) = op.eigenpairs
+        assert lam1 is lam0 and q1 is q0
+        assert lam2 is not lam0 and q2 is not q0 and q2.shape == (2, 9, 9)

@@ -1,12 +1,20 @@
 """Source checks: the solver and the modules it builds on never call scipy's
-integrators, so the ODE oracle, which does, stays independent of them."""
+integrators, so the ODE oracle, which does, stays independent of them.
+
+Import budget: no module imports scipy at module level, so importing the
+package loads numpy alone, and each scipy submodule loads only on the code
+path that uses it, checked in fresh interpreters."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rdblowup"
+SANDWICH_CONFIG = SRC.parent.parent / "demos" / "configs" / "sandwich_box3d.ini"
 INTEGRATORS = {"solve_ivp", "odeint"}
 
 
@@ -51,3 +59,91 @@ def test_every_form_is_found(source):
 def test_the_oracle_is_found():
     # the oracle's own use of solve_ivp, the import and the call
     assert len(integrator_uses(ast.parse((SRC / "oracle.py").read_text()))) == 2
+
+
+def module_level_scipy_imports(tree):
+    """(line, module) of each scipy import outside a function body."""
+    found, pending = [], list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found.append((node.lineno, node.module))
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_imports_no_scipy_at_module_level(module):
+    assert module_level_scipy_imports(ast.parse((SRC / module).read_text())) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import scipy.sparse", 1),
+    ("from scipy.integrate import quad", 1),
+    ("class C:\n    from scipy import linalg", 1),
+    ("if True:\n    import scipy", 1),
+    ("def f():\n    from scipy.integrate import quad", 0),
+    ("class C:\n    def f(self):\n        import scipy.sparse", 0),
+])
+def test_every_module_level_form_is_found(source, found):
+    assert len(module_level_scipy_imports(ast.parse(source))) == found
+
+
+def scipy_modules_after(code, tmp_path):
+    """The scipy modules loaded once `code` has run in a fresh interpreter
+    with the package on its path."""
+    script = (f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\n{code}\n"
+              "import json\nprint(json.dumps(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy')))")
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_scipy(tmp_path):
+    assert scipy_modules_after("import rdblowup, rdblowup.cli", tmp_path) == []
+
+
+def test_lawson_only_simulate_loads_no_scipy(tmp_path):
+    # F = 0 and a Robin heat mode: every step is a Lawson step, which needs
+    # the eigenpairs and no DIA matrix
+    code = """
+import math
+import numpy as np
+from rdblowup import DomainSpec, Nonlinearity, SolverConfig, build_mesh, simulate
+mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0, 1.0, 1.0)), 8)
+zero = Nonlinearity(family="custom", params={}, f1=lambda u, v: 0.0 * u,
+                    f2=lambda u, v: 0.0 * v, F=None)
+lam = 0.8
+g = np.prod(np.cos(lam * mesh.cell_centers), axis=1)
+trace = simulate(SolverConfig(mesh=mesh, nl=zero, gamma1=lam * math.tan(lam),
+                              gamma2=lam * math.tan(lam), g1=g, g2=g, t_end=0.05))
+assert trace.steps_by_pair["lawson_bs3"]["accepted"] > 0
+assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
+"""
+    assert scipy_modules_after(code, tmp_path) == []
+
+
+def test_check_command_loads_no_scipy(tmp_path):
+    code = (f"from rdblowup import cli\n"
+            f"assert cli.main(['check', '--config', {str(SANDWICH_CONFIG)!r}, "
+            f"'--out-dir', 'out']) == 0")
+    assert scipy_modules_after(code, tmp_path) == []
+
+
+def test_dp5_blowup_run_loads_sparse_and_no_integrator(tmp_path):
+    # the flat blow-up steps on DP5, which applies the operator's DIA matrix
+    code = (f"from rdblowup import cli\n"
+            f"assert cli.main(['simulate', '--config', {str(SANDWICH_CONFIG)!r}, "
+            f"'--resolution', '8', '--out-dir', 'out']) == 0")
+    loaded = scipy_modules_after(code, tmp_path)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["simulation"]["steps_by_pair"]["dp5"]["accepted"] > 0
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]]
