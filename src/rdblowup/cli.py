@@ -33,7 +33,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +398,7 @@ def main(argv=None) -> int:
     if len(jobs) == 1 or args.jobs <= 1:
         codes = [_run_one(*job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # other runs skip multiprocessing
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             codes = list(pool.map(_run_one, *zip(*jobs)))
     return max(codes)

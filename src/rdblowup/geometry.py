@@ -124,9 +124,8 @@ class Mesh:
         Stored as DIA with offsets 0 and +-stride of each axis (+-1, +-n_z,
         +-n_y*n_z in 3D).  A boundary cell's ghost mirrors it, so the main
         diagonal counts only existing neighbours and entries that would
-        couple cells across a face are zero.  `robin_operator` adds the
-        Robin diagonal of each field to it, and `RobinOperator.matrix` tiles
-        its data for the stacked state.
+        couple cells across a face are zero.  `RobinOperator.matrix` tiles
+        its data for the stacked state and adds each field's Robin diagonal.
         """
         from scipy.sparse import dia_array
 
@@ -150,18 +149,10 @@ class Mesh:
 
     def robin_operator(self, gamma1: float, gamma2: float) -> "RobinOperator":
         """The Robin Laplacian of y = [u; v], u's walls with gamma1 and v's
-        with gamma2, built anew on each call: one mesh serves many gammas.
-        The ghost-cell closure ghost = g * cell, second order at the face,
-        adds (g - 1)/h_a^2 to the Neumann mirror's (g = 1) `laplacian` on
-        each boundary cell, once per face."""
+        with gamma2, built anew on each call: one mesh serves many gammas."""
         gammas = (require_gamma(gamma1, "gamma1"), require_gamma(gamma2, "gamma2"))
-        diagonal = np.zeros((2, *self.shape))
-        for axis, (ha, wa) in enumerate(zip(self.h, self.inverse_h2)):
-            added = np.reshape([(_ghost_factor(gamma, ha) - 1.0) * wa for gamma in gammas],
-                               (2,) + (1,) * (len(self.shape) - 1))
-            for side in (0, -1):  # each field's boundary cells on that face
-                diagonal[(slice(None),) * (axis + 1) + (side,)] += added
-        return RobinOperator(self, gammas, diagonal.ravel())
+        self.inverse_h2  # ValueError for a mesh whose h^-2 the operator cannot apply
+        return RobinOperator(self, gammas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,14 +162,25 @@ class RobinOperator:
 
     Each field's block is the Kronecker sum of one symmetric tridiagonal per
     axis: off-diagonal 1/h_a^2, interior diagonal -2/h_a^2, end rows
-    (g - 2)/h_a^2.  So A = Q diag(grid) Q^T, each field's Q the Kronecker
-    product of its axes' eigenvectors and `grid` the sums of their eigenvalues
-    (fast diagonalisation, Lynch, Rice & Thomas 1964), built on first use.
+    (g - 2)/h_a^2.  So A = Q diag(Lambda) Q^T, each field's Q the Kronecker
+    product of its axes' eigenvectors and Lambda the sums of their eigenvalues
+    (fast diagonalisation, Lynch, Rice & Thomas 1964).  Each array is built on
+    first use by its reader: a Lawson run builds the eigenpairs and one scratch state.
     """
 
     mesh: Mesh
     gammas: tuple[float, float]
-    diagonal: np.ndarray  # (2 n_cells,)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The Robin diagonal, flat like y, that `matrix` adds to the Laplacian's:
+        the ghost-cell closure ghost = g * cell, second order at the face, adds
+        (g - 1)/h_a^2 to the Neumann mirror's (g = 1) on a boundary cell, per face."""
+        diagonal = np.zeros((2, *self.mesh.shape))
+        for axis, (ha, wa) in enumerate(zip(self.mesh.h, self.mesh.inverse_h2)):
+            for field, gamma in enumerate(self.gammas):  # its cells on both faces of the axis
+                diagonal[field].swapaxes(0, axis)[[0, -1]] += (_ghost_factor(gamma, ha) - 1.0) * wa
+        return diagonal.ravel()
 
     @cached_property
     def matrix(self) -> "scipy.sparse.dia_array":
@@ -197,40 +199,38 @@ class RobinOperator:
     @cached_property
     def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per axis, the eigenvalues (2, n_a) and the orthonormal eigenvectors,
-        as columns, (2, n_a, n_a) of both fields' tridiagonals, from
-        `np.linalg.eigh` of each dense n_a x n_a tridiagonal.  The tridiagonal
-        depends on the axis through (n_a, h_a) alone, so axes alike in both
-        share one pair of arrays: a cube solves one per field."""
+        as columns, (2, n_a, n_a) of both fields' tridiagonals, from one
+        batched `np.linalg.eigh` of the dense n_a x n_a tridiagonals.  The
+        tridiagonal depends on the axis through (n_a, h_a) alone, so axes
+        alike in both share one pair of arrays: a cube makes one call."""
         by_axis = {}
         for na, ha, wa in zip(self.mesh.shape, self.mesh.h, self.mesh.inverse_h2):
             if (na, ha) in by_axis:
                 continue
-            tri = wa * (np.eye(na, k=1) + np.eye(na, k=-1) - 2.0 * np.eye(na))
-            fields = []
-            for gamma in self.gammas:
-                tri[[0, -1], [0, -1]] = (_ghost_factor(gamma, ha) - 2.0) * wa
-                fields.append(np.linalg.eigh(tri))
-            lam, q = (np.stack(parts) for parts in zip(*fields))
+            ends = [[(_ghost_factor(gamma, ha) - 2.0) * wa] for gamma in self.gammas]
+            tri = np.tile(wa * (np.eye(na, k=1) + np.eye(na, k=-1) - 2.0 * np.eye(na)), (2, 1, 1))
+            tri[:, [0, -1], [0, -1]] = ends
+            lam, q = np.linalg.eigh(tri)
             # the matrix is negative semidefinite; a zero mode may round above 0
             by_axis[na, ha] = (np.minimum(lam, 0.0, out=lam), q)
         return tuple(by_axis[axis] for axis in zip(self.mesh.shape, self.mesh.h))
 
-    @cached_property
-    def grid(self) -> np.ndarray:
-        """Lambda, the eigenvalue of each mode, the sum of its axes' values; flat like y."""
-        values = [lam for lam, _ in self.eigenpairs]
-        grid = np.zeros((len(values[0]), *(lam.shape[1] for lam in values)))
-        for axis, lam in enumerate(values):
-            grid += lam.reshape(len(lam), *(-1 if b == axis else 1 for b in range(len(values))))
-        return grid.ravel()
+    @property
+    def _modes_shape(self) -> tuple[int, ...]:  # (fields, n_0, ..., n_N-1), from `eigenpairs`
+        return (len(self.eigenpairs[0][0]), *(lam.shape[1] for lam, _ in self.eigenpairs))
 
     @cached_property
     def _scratch(self) -> np.ndarray:  # one state, the transforms' second buffer
-        return np.empty_like(self.grid)
+        return np.empty(prod(self._modes_shape))
 
     def decay(self, tau: float, out: np.ndarray) -> np.ndarray:
-        """out = e^{tau Lambda}, the exponential of A over a time tau in its eigenbasis."""
-        return np.exp(np.multiply(self.grid, tau, out=out), out=out)
+        """out = e^{tau Lambda}, the exponential of A over a time tau in its
+        eigenbasis, Lambda summed in `out` from its axes' values, axis by axis."""
+        grid = out.reshape(self._modes_shape)  # a view of `out`, one contiguous state
+        grid.fill(0.0)
+        for axis, (lam, _) in enumerate(self.eigenpairs):
+            grid += lam.reshape(len(lam), *(-1 if b == axis else 1 for b in range(grid.ndim - 1)))
+        return np.exp(np.multiply(out, tau, out=out), out=out)
 
     def to_modes(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = Q^T src; `out` must not be `src`."""

@@ -22,12 +22,31 @@ from rdblowup.geometry import DomainSpec, build_mesh
 from rdblowup.nonlinearity import Nonlinearity
 
 
+def ghost_cell_laplacian(mesh, gamma):
+    """Dense Robin Laplacian, column by column: pad each axis with ghost
+    cells g * (boundary cell), g = (2 - gamma h)/(2 + gamma h), and take
+    second differences."""
+    n = mesh.n_cells
+    cols = np.eye(n).reshape(mesh.shape + (n,))
+    out = np.zeros_like(cols)
+    for axis, ha in enumerate(mesh.h):
+        g = (2.0 - gamma * ha) / (2.0 + gamma * ha)
+        lo = g * np.take(cols, [0], axis=axis)
+        hi = g * np.take(cols, [-1], axis=axis)
+        padded = np.moveaxis(np.concatenate([lo, cols, hi], axis=axis), axis, 0)
+        second = padded[2:] - 2.0 * padded[1:-1] + padded[:-2]
+        out += np.moveaxis(second, 0, axis) / ha**2
+    return out.reshape(n, n)
+
+
 def dense_robin_operator(mesh, gamma1, gamma2) -> np.ndarray:
-    """A of the stacked state y = [u; v] as a dense (2n, 2n) matrix, from
-    `Mesh.robin_operator`: the Neumann Laplacian in each field's diagonal
-    block plus the Robin diagonal."""
-    blocks = np.kron(np.eye(2), mesh.laplacian.toarray())
-    return blocks + np.diag(mesh.robin_operator(gamma1, gamma2).diagonal)
+    """A of the stacked state y = [u; v] as a dense (2n, 2n) matrix, from the
+    ghost-cell assembly alone: each field's Robin Laplacian in its diagonal
+    block, and no coupling between the fields."""
+    n = mesh.n_cells
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, :n], A[n:, n:] = ghost_cell_laplacian(mesh, gamma1), ghost_cell_laplacian(mesh, gamma2)
+    return A
 
 
 def zero_reaction() -> Nonlinearity:

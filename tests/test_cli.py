@@ -586,7 +586,7 @@ class TestOutputDirectory:
 
 class TestMultiConfig:
     def test_jobs_capped_at_number_of_configs(self, tmp_path, monkeypatch):
-        import rdblowup.cli as cli
+        import concurrent.futures
 
         pools = []
 
@@ -603,7 +603,8 @@ class TestMultiConfig:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+        # main imports the pool class when it runs configs in parallel
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
         cfgs = [write_config(tmp_path, BLOWUP_BOX, "a.ini"),
                 write_config(tmp_path, BALL_LOWER, "b.ini")]
         code = main(["bounds", "--config", *cfgs, "--out-dir", str(tmp_path / "out"),

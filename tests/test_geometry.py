@@ -195,23 +195,6 @@ class TestQuadrature:
         assert interior_integral(mesh3d, f) == interior_integral(mesh3d, f.copy())
 
 
-def ghost_cell_laplacian(mesh, gamma):
-    """Dense Robin Laplacian, column by column: pad each axis with ghost
-    cells g * (boundary cell), g = (2 - gamma h)/(2 + gamma h), and take
-    second differences."""
-    n = mesh.n_cells
-    cols = np.eye(n).reshape(mesh.shape + (n,))
-    out = np.zeros_like(cols)
-    for axis, ha in enumerate(mesh.h):
-        g = (2.0 - gamma * ha) / (2.0 + gamma * ha)
-        lo = g * np.take(cols, [0], axis=axis)
-        hi = g * np.take(cols, [-1], axis=axis)
-        padded = np.moveaxis(np.concatenate([lo, cols, hi], axis=axis), axis, 0)
-        second = padded[2:] - 2.0 * padded[1:-1] + padded[:-2]
-        out += np.moveaxis(second, 0, axis) / ha**2
-    return out.reshape(n, n)
-
-
 OPERATOR_MESHES = [
     (DomainSpec("box", 2, half_extents=(1.0, 0.6)), (7, 5)),
     (DomainSpec("box", 3, half_extents=(1.0, 0.7, 1.3)), (5, 6, 7)),
@@ -230,22 +213,22 @@ class TestLaplacianOperator:
         # not couple
         mesh = build_mesh(spec, cells)
         assert len(set(mesh.h)) == spec.dimension  # anisotropic spacing
-        n = mesh.n_cells
-        ref = np.zeros((2 * n, 2 * n))
-        ref[:n, :n], ref[n:, n:] = ghost_cell_laplacian(mesh, gamma1), ghost_cell_laplacian(mesh, gamma2)
-        got = dense_robin_operator(mesh, gamma1, gamma2)
+        ref = dense_robin_operator(mesh, gamma1, gamma2)
+        got = mesh.robin_operator(gamma1, gamma2).matrix.toarray()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
     @pytest.mark.parametrize("gamma1, gamma2", GAMMA_PAIRS)
     def test_stacked_matrix_is_the_dense_operator(self, spec, cells, gamma1, gamma2):
-        # one DIA matrix of both fields under the Laplacian's offsets; the
-        # zeros of the Laplacian's data keep the u/v seam uncoupled
+        # one DIA matrix of both fields under the Laplacian's offsets, equal
+        # to the Neumann Laplacian in each field's block plus the Robin
+        # diagonal; the zeros of the Laplacian's data keep the u/v seam uncoupled
         mesh = build_mesh(spec, cells)
         op, n = mesh.robin_operator(gamma1, gamma2), mesh.n_cells
         assert op.matrix.format == "dia" and op.matrix.shape == (2 * n, 2 * n)
         assert sorted(op.matrix.offsets) == sorted(mesh.laplacian.offsets)
-        assert np.array_equal(op.matrix.toarray(), dense_robin_operator(mesh, gamma1, gamma2))
+        blocks = np.kron(np.eye(2), mesh.laplacian.toarray()) + np.diag(op.diagonal)
+        assert np.array_equal(op.matrix.toarray(), blocks)
         assert op.matrix is op.matrix
 
     def test_stored_as_dia_with_one_diagonal_per_neighbour(self):
@@ -257,7 +240,7 @@ class TestLaplacianOperator:
     @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
     @pytest.mark.parametrize("gamma1, gamma2", [(0.0, 3.0), (3.0, 3.0)])
     def test_symmetric(self, spec, cells, gamma1, gamma2):
-        A = dense_robin_operator(build_mesh(spec, cells), gamma1, gamma2)
+        A = build_mesh(spec, cells).robin_operator(gamma1, gamma2).matrix.toarray()
         assert np.array_equal(A, A.T)
 
     @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
@@ -312,7 +295,7 @@ class TestLaplacianOperator:
         mesh = build_mesh(DomainSpec("box", 2, half_extents=(L, 1.0)), 8)
         assert interior_integral(mesh, np.ones(mesh.n_cells)) > 0
         for build in (lambda: mesh.laplacian, lambda: mesh.robin_operator(1.0, 2.0),
-                      lambda: RobinOperator(mesh, (1.0, 2.0), None).eigenpairs,
+                      lambda: RobinOperator(mesh, (1.0, 2.0)).eigenpairs,
                       lambda: _diffusion_cap(mesh)):
             with pytest.raises(ValueError, match=r"weights h\^-2 outside the normal floats"):
                 build()
@@ -325,12 +308,22 @@ class TestLaplacianOperator:
         assert geometry._ghost_factor(1e200, 1e100) == (2.0 - 1e300) / (2.0 + 1e300)
         mesh = build_mesh(DomainSpec("box", 2, half_extents=(1e150, 1.0)), 8)
         op = mesh.robin_operator(1e200, 1e200)
-        assert np.all(np.isfinite(op.diagonal)) and np.all(np.isfinite(op.grid))
+        assert np.all(np.isfinite(op.diagonal)) and np.all(np.isfinite(eigenvalue_grid(op)))
 
 
 def kronecker_modes(op, field):
     """Dense Q of one field, the Kronecker product of its axes' eigenvectors."""
     return reduce(np.kron, [q[field] for _, q in op.eigenpairs])
+
+
+def eigenvalue_grid(op):
+    """Lambda, the eigenvalue of each mode, flat like y: the sum of its axes'
+    eigenvalues, added axis by axis to zeros."""
+    values = [lam for lam, _ in op.eigenpairs]
+    grid = np.zeros((2, *(lam.shape[1] for lam in values)))
+    for axis, lam in enumerate(values):
+        grid += lam.reshape(2, *(-1 if b == axis else 1 for b in range(len(values))))
+    return grid.ravel()
 
 
 class TestRobinModes:
@@ -342,7 +335,7 @@ class TestRobinModes:
         A = dense_robin_operator(mesh, gamma1, gamma2)
         for field in (0, 1):
             block = A[field * n:(field + 1) * n, field * n:(field + 1) * n]
-            Q, grid = kronecker_modes(op, field), op.grid[field * n:(field + 1) * n]
+            Q, grid = kronecker_modes(op, field), eigenvalue_grid(op)[field * n:(field + 1) * n]
             assert np.max(np.abs(Q @ np.diag(grid) @ Q.T - block)) <= 1e-12 * np.max(np.abs(block))
         for (lam, q), na in zip(op.eigenpairs, mesh.shape):
             assert q.shape == (2, na, na) and lam.shape == (2, na) and np.all(lam <= 0.0)
@@ -364,6 +357,19 @@ class TestRobinModes:
         assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x))
         assert np.max(np.abs(op.from_modes(x, out) - Q @ x)) <= 1e-14 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("spec, cells", OPERATOR_MESHES)
+    @pytest.mark.parametrize("gamma1, gamma2", GAMMA_PAIRS)
+    def test_decay_is_the_exponential_of_the_eigenvalues(self, spec, cells, gamma1, gamma2):
+        # bit for bit, Lambda summed here; at tau = 50 the stiffest modes
+        # underflow to 0 and the slowest do not
+        mesh = build_mesh(spec, cells)
+        op = mesh.robin_operator(gamma1, gamma2)
+        grid, out = eigenvalue_grid(op), np.empty(2 * mesh.n_cells)
+        for tau in (1e-3, 0.37, 50.0):
+            assert op.decay(tau, out) is out
+            assert np.array_equal(out, np.exp(tau * grid))
+        assert np.any(out == 0.0) and np.any(out > 0.0)
+
     def test_built_on_each_call(self, box3d):
         # one mesh serves new gammas on every run, so nothing is kept per gamma
         mesh = build_mesh(box3d, 4)
@@ -371,8 +377,8 @@ class TestRobinModes:
 
     def test_eigenpairs_built_on_first_use(self, box3d, monkeypatch):
         # rhs applies the diagonal only; simulate's Lawson steps need the
-        # modes: one eigh per field and distinct (n_a, h_a), so a cube makes
-        # 2 calls and a 6x6x9 box with h = 1/3 on every axis makes 4
+        # modes: one eigh of both fields per distinct (n_a, h_a), so a cube
+        # makes 1 call and a 6x6x9 box with h = 1/3 on every axis makes 2
         calls = []
         real = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
@@ -382,11 +388,11 @@ class TestRobinModes:
         rhs(FieldPair(u=g, v=g, t=0.0), mesh, zero_reaction(), 0.5, 3.0)
         assert calls == []
         op = mesh.robin_operator(0.5, 3.0)
-        assert op.eigenpairs is op.eigenpairs and len(calls) == 2
+        assert op.eigenpairs is op.eigenpairs and len(calls) == 1
         box = build_mesh(SHARED_AXES_BOX, (6, 6, 9))
         assert box.h == (1 / 3,) * 3
         box.robin_operator(0.5, 3.0).eigenpairs
-        assert len(calls) == 6
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("na", [4, 5, 16, 40])
     @pytest.mark.parametrize("gamma1, gamma2", [(0.0, 1e6), (0.5, 0.0), (5.0, 0.5), (1e6, 5.0)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -184,8 +185,7 @@ def guarded(mesh, nl, gamma, linear=True):
     """The stage function (y, out) of the semidiscrete system with both
     Robin coefficients gamma: A y + N(y), or N(y) alone if not `linear`;
     NaN on non-finite input."""
-    lap, n = mesh.laplacian, mesh.n_cells
-    diagonal = mesh.robin_operator(gamma, gamma).diagonal
+    A, n = dense_robin_operator(mesh, gamma, gamma), mesh.n_cells
 
     def stage_fn(yy, out):
         if not np.all(np.isfinite(yy)):
@@ -195,9 +195,7 @@ def guarded(mesh, nl, gamma, linear=True):
         out[:n] = nl.f1(u, v)
         out[n:] = nl.f2(u, v)
         if linear:
-            out += diagonal * yy
-            out[:n] += lap @ u
-            out[n:] += lap @ v
+            out += A @ yy
         return out
 
     return stage_fn
@@ -303,7 +301,7 @@ class NoDiffusion(RobinOperator):
     eigenpairs = ((np.zeros((1, 1)), np.eye(1)[None]),)
 
 
-NO_DIFFUSION = NoDiffusion(mesh=None, gammas=(0.0,), diagonal=np.zeros(1))
+NO_DIFFUSION = NoDiffusion(mesh=None, gammas=(0.0,))
 
 
 def integrate(pair, stage_fn, y0, t_end, n_steps, op=NO_DIFFUSION):
@@ -399,13 +397,19 @@ def robin_spectrum(spec, cells, gamma):
     return lam, bound
 
 
-def robin_heat(dim, cells, lam=0.8, t_end=0.05):
+def robin_heat_config(dim, cells, lam=0.8, t_end=0.05):
     """Heat flow of the Robin mode prod_a cos(lam x_a) on [-1, 1]^dim."""
     mesh = build_mesh(DomainSpec("box", dim, half_extents=(1.0,) * dim), cells)
     gamma = lam * math.tan(lam)
     g = np.prod(np.cos(lam * mesh.cell_centers), axis=1)
-    return simulate(SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=gamma,
-                                 gamma2=gamma, g1=g, g2=g, t_end=t_end)), mesh
+    return SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=gamma, gamma2=gamma,
+                        g1=g, g2=g, t_end=t_end)
+
+
+def robin_heat(dim, cells, **kwargs):
+    """`simulate` of `robin_heat_config`, and its mesh."""
+    config = robin_heat_config(dim, cells, **kwargs)
+    return simulate(config), config.mesh
 
 
 def flat_blowup_3d():
@@ -650,7 +654,9 @@ class TestLawsonPair:
     def test_lawson_run_never_builds_the_stacked_matrix(self, monkeypatch):
         # a Robin heat run on 12^3 cells takes Lawson steps only, which apply
         # A through its modes; the (2n, 2n) matrix DP5 steps with stays
-        # unbuilt, and so does the Laplacian it is built from
+        # unbuilt, and so do the Laplacian and the Robin diagonal it is
+        # built from.  The operator keeps its eigenpairs and the transforms'
+        # scratch state, and no array of Lambda
         ops = []
         real = Mesh.robin_operator
 
@@ -663,7 +669,24 @@ class TestLawsonPair:
         assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
         assert len(ops) == 1
         assert "eigenpairs" in vars(ops[0]) and "matrix" not in vars(ops[0])
+        assert set(vars(ops[0])) == {"mesh", "gammas", "eigenpairs", "_scratch"}
         assert "laplacian" not in vars(mesh)
+
+    def test_one_lawson_step_peaks_within_13_5_states(self):
+        # a Robin heat run on 24^3 cells with F = 0 takes one Lawson step.
+        # Its traced peak, in states of 2n floats, holds the stage rows and
+        # the run's other buffers, about 13; an array of Lambda or the Robin
+        # diagonal, one state each, would take it to about 15
+        config = robin_heat_config(3, 24)
+        tracemalloc.start()
+        try:
+            trace = simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 1, "rejected": 0},
+                                       "dp5": {"accepted": 0, "rejected": 0}}
+        assert peak <= 13.5 * 2 * config.mesh.n_cells * 8
 
     @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
     def test_zero_reaction_run_matches_the_matrix_exponential(self, spec, cells):

@@ -94,20 +94,31 @@ def test_every_module_level_form_is_found(source, found):
     assert len(module_level_scipy_imports(ast.parse(source))) == found
 
 
-def scipy_modules_after(code, tmp_path):
-    """The scipy modules loaded once `code` has run in a fresh interpreter
-    with the package on its path."""
+def modules_after(code, tmp_path):
+    """The modules loaded once `code` has run in a fresh interpreter with the
+    package on its path."""
     script = (f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\n{code}\n"
-              "import json\nprint(json.dumps(sorted(m for m in sys.modules "
-              "if m.split('.')[0] == 'scipy')))")
+              "import json\nprint(json.dumps(sorted(sys.modules)))")
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def scipy_modules_after(code, tmp_path):
+    """The scipy modules of `modules_after`."""
+    return [m for m in modules_after(code, tmp_path) if m.split(".")[0] == "scipy"]
+
+
 def test_importing_the_package_loads_no_scipy(tmp_path):
     assert scipy_modules_after("import rdblowup, rdblowup.cli", tmp_path) == []
+
+
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
+    # only --jobs with several configs imports concurrent.futures, and with
+    # it multiprocessing
+    loaded = modules_after("import rdblowup, rdblowup.cli", tmp_path)
+    assert "multiprocessing" not in loaded and "concurrent.futures" not in loaded
 
 
 def test_lawson_only_simulate_loads_no_scipy(tmp_path):
