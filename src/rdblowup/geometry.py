@@ -5,6 +5,15 @@ Boxes are meshed with a uniform cell-centered grid; balls exist only as
 analytic domains (geometric constants and volume) and cannot be meshed.
 The origin is always the centroid of the domain.
 
+A box's cell centres are antisymmetric bit for bit on each axis,
+x_i = -x_{n-1-i}, so data even in a coordinate are equal to their mirror
+image.  `Mesh.fold` meshes the part of a box where x_a >= 0 on some axes,
+each with an even cell count: half the cells on each folded axis, whose
+low face is a mirror plane (ghost = cell, g = 1).  Its face lists hold the
+Robin faces only, and `cell_volume` and `face_areas` carry the multiplicity
+2^k of k folded axes, so each quadrature of a state even in those axes
+gives the value on the whole box.
+
 Importing this module loads numpy alone: the operator's DIA matrices import
 `scipy.sparse` when first built, and its eigenpairs need numpy only, so a
 run that never builds a DIA matrix never loads scipy.
@@ -79,10 +88,12 @@ class GeometryConstants:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform cell-centered grid over a box domain.
+    """Uniform cell-centered grid over a box domain, or over the part of it
+    where x_a >= 0 for each a in `mirror_axes` (`fold`).
 
     Boundary faces are enumerated axis by axis, low side then high side,
     cells in C order; this fixed ordering keeps quadrature deterministic.
+    A folded axis's low face is a mirror plane, not a boundary face.
     """
 
     spec: DomainSpec
@@ -90,7 +101,8 @@ class Mesh:
     h: tuple[float, ...]
     cell_centers: np.ndarray  # (n_cells, N)
     face_cells: np.ndarray  # (n_faces,) flat cell index of the adjacent cell
-    face_areas: np.ndarray  # (n_faces,)
+    face_areas: np.ndarray  # (n_faces,) times the multiplicity 2^len(mirror_axes)
+    mirror_axes: tuple[int, ...] = ()
 
     @property
     def n_cells(self) -> int:
@@ -102,7 +114,31 @@ class Mesh:
 
     @property
     def cell_volume(self) -> float:
-        return prod(self.h)
+        """The quadrature weight of a cell: its volume times the multiplicity
+        2^len(mirror_axes), the copies of it in the box, so that
+        n_cells * cell_volume is the box's volume."""
+        return prod(self.h) * 2 ** len(self.mirror_axes)
+
+    def fold(self, axes: tuple[int, ...]) -> "Mesh":
+        """The mesh of the part of this box mesh where x_a >= 0 for each a in
+        `axes`, each with an even cell count: the same cells, centres and h,
+        and on each folded axis the half at x_a > 0 with a mirror plane for
+        its low face.  The fold built last is kept on this mesh."""
+        axes = tuple(axes)
+        if self.mirror_axes or any(self.shape[a] % 2 for a in axes):
+            raise ValueError(f"cannot fold axes {axes} of a mesh of {self.shape} cells "
+                             f"with mirror axes {self.mirror_axes}: a fold takes a box "
+                             f"mesh and even cell counts")
+        kept = self.__dict__.get("_fold")
+        if kept is None or kept.mirror_axes != axes:
+            kept = self.__dict__["_fold"] = _box_mesh(self.spec, self.shape, self.h, axes)
+        return kept
+
+    def face_ghosts(self, axis: int, gamma: float) -> tuple[float, float]:
+        """g of the ghost-cell closure ghost = g * cell at the low and high
+        face of an axis: 1 at a mirror plane, the Robin closure at a wall."""
+        g = _ghost_factor(gamma, self.h[axis])
+        return (1.0 if axis in self.mirror_axes else g), g
 
     @cached_property
     def inverse_h2(self) -> tuple[float, ...]:
@@ -149,10 +185,23 @@ class Mesh:
 
     def robin_operator(self, gamma1: float, gamma2: float) -> "RobinOperator":
         """The Robin Laplacian of y = [u; v], u's walls with gamma1 and v's
-        with gamma2, built anew on each call: one mesh serves many gammas."""
+        with gamma2.  The operator built last is kept, with the arrays it
+        has built, and returned again for the same mesh and gammas; any
+        other operator replaces it, so one is kept however many gammas and
+        meshes are served.  It is kept in this module, not on the mesh: an
+        operator references its mesh, and a mesh that held it would make a
+        cycle that outlives the last reference to either.  `simulate` builds
+        its own operator, whose arrays go with its run."""
+        global _last_operator
         gammas = (require_gamma(gamma1, "gamma1"), require_gamma(gamma2, "gamma2"))
         self.inverse_h2  # ValueError for a mesh whose h^-2 the operator cannot apply
-        return RobinOperator(self, gammas)
+        op = _last_operator
+        if op is None or op.mesh is not self or op.gammas != gammas:
+            op = _last_operator = RobinOperator(self, gammas)
+        return op
+
+
+_last_operator = None  # the operator `Mesh.robin_operator` built last
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +211,10 @@ class RobinOperator:
 
     Each field's block is the Kronecker sum of one symmetric tridiagonal per
     axis: off-diagonal 1/h_a^2, interior diagonal -2/h_a^2, end rows
-    (g - 2)/h_a^2.  So A = Q diag(Lambda) Q^T, each field's Q the Kronecker
-    product of its axes' eigenvectors and Lambda the sums of their eigenvalues
-    (fast diagonalisation, Lynch, Rice & Thomas 1964).  Each array is built on
+    (g - 2)/h_a^2 with the g of their face (`Mesh.face_ghosts`).  So
+    A = Q diag(Lambda) Q^T, each field's Q the Kronecker product of its
+    axes' eigenvectors and Lambda the sums of their eigenvalues (fast
+    diagonalisation, Lynch, Rice & Thomas 1964).  Each array is built on
     first use by its reader: a Lawson run builds the eigenpairs and one scratch state.
     """
 
@@ -175,11 +225,13 @@ class RobinOperator:
     def diagonal(self) -> np.ndarray:
         """The Robin diagonal, flat like y, that `matrix` adds to the Laplacian's:
         the ghost-cell closure ghost = g * cell, second order at the face, adds
-        (g - 1)/h_a^2 to the Neumann mirror's (g = 1) on a boundary cell, per face."""
+        (g - 1)/h_a^2 to the Neumann mirror's (g = 1) on a boundary cell, per
+        face; 0 at a mirror plane."""
         diagonal = np.zeros((2, *self.mesh.shape))
-        for axis, (ha, wa) in enumerate(zip(self.mesh.h, self.mesh.inverse_h2)):
+        for axis, wa in enumerate(self.mesh.inverse_h2):
             for field, gamma in enumerate(self.gammas):  # its cells on both faces of the axis
-                diagonal[field].swapaxes(0, axis)[[0, -1]] += (_ghost_factor(gamma, ha) - 1.0) * wa
+                for side, g in zip((0, -1), self.mesh.face_ghosts(axis, gamma)):
+                    diagonal[field].swapaxes(0, axis)[side] += (g - 1.0) * wa
         return diagonal.ravel()
 
     @cached_property
@@ -201,19 +253,23 @@ class RobinOperator:
         """Per axis, the eigenvalues (2, n_a) and the orthonormal eigenvectors,
         as columns, (2, n_a, n_a) of both fields' tridiagonals, from one
         batched `np.linalg.eigh` of the dense n_a x n_a tridiagonals.  The
-        tridiagonal depends on the axis through (n_a, h_a) alone, so axes
-        alike in both share one pair of arrays: a cube makes one call."""
-        by_axis = {}
-        for na, ha, wa in zip(self.mesh.shape, self.mesh.h, self.mesh.inverse_h2):
-            if (na, ha) in by_axis:
+        tridiagonal depends on the axis through (n_a, h_a) and whether its
+        low face is a mirror alone, so axes alike in all three share one pair
+        of arrays: a cube makes one call."""
+        mesh, by_axis = self.mesh, {}
+        keys = [(na, ha, axis in mesh.mirror_axes)
+                for axis, (na, ha) in enumerate(zip(mesh.shape, mesh.h))]
+        for axis, (key, wa) in enumerate(zip(keys, mesh.inverse_h2)):
+            if key in by_axis:
                 continue
-            ends = [[(_ghost_factor(gamma, ha) - 2.0) * wa] for gamma in self.gammas]
+            na = key[0]
+            ends = (np.array([mesh.face_ghosts(axis, gamma) for gamma in self.gammas]) - 2.0) * wa
             tri = np.tile(wa * (np.eye(na, k=1) + np.eye(na, k=-1) - 2.0 * np.eye(na)), (2, 1, 1))
             tri[:, [0, -1], [0, -1]] = ends
             lam, q = np.linalg.eigh(tri)
             # the matrix is negative semidefinite; a zero mode may round above 0
-            by_axis[na, ha] = (np.minimum(lam, 0.0, out=lam), q)
-        return tuple(by_axis[axis] for axis in zip(self.mesh.shape, self.mesh.h))
+            by_axis[key] = (np.minimum(lam, 0.0, out=lam), q)
+        return tuple(by_axis[key] for key in keys)
 
     @property
     def _modes_shape(self) -> tuple[int, ...]:  # (fields, n_0, ..., n_N-1), from `eigenpairs`
@@ -272,23 +328,30 @@ def build_mesh(spec: DomainSpec, cells_per_axis) -> Mesh:
     if any(n < 4 for n in cells_per_axis):
         raise ResolutionTooCoarse("need at least 4 cells per axis")
 
-    N = spec.dimension
     h = tuple(2.0 * L / n for L, n in zip(spec.half_extents, cells_per_axis))
     cell_vol = prod(h)
     if not all(0 < x < inf for x in (*h, cell_vol)):
         raise ValueError(f"cell widths {h} and cell volume {cell_vol} must be positive and finite")
-    axes = [
-        np.linspace(-L + ha / 2.0, L - ha / 2.0, n)
-        for L, ha, n in zip(spec.half_extents, h, cells_per_axis)
-    ]
+    return _box_mesh(spec, cells_per_axis, h, ())
+
+
+def _box_mesh(spec: DomainSpec, box_cells, h, mirror_axes) -> Mesh:
+    """The mesh of a box of `box_cells` cells of widths h, folded on
+    `mirror_axes` (`Mesh.fold`).  An axis of n cells has its centres at
+    (i - (n - 1)/2) h_a, i = 0..n-1, each product rounded once, so they are
+    antisymmetric bit for bit and a fold keeps the box's centres at x_a > 0."""
+    cells_per_axis = tuple(n // 2 if a in mirror_axes else n for a, n in enumerate(box_cells))
+    axes = [(np.arange(n) + (0.5 if a in mirror_axes else -(n - 1) / 2)) * ha
+            for a, (n, ha) in enumerate(zip(cells_per_axis, h))]
     grids = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=-1)
 
     flat_index = np.arange(prod(cells_per_axis)).reshape(cells_per_axis)
+    weight = prod(h) * 2 ** len(mirror_axes)  # `Mesh.cell_volume`
     face_cells, face_areas = [], []
-    for axis in range(N):
-        area = cell_vol / h[axis]
-        for side in (0, -1):
+    for axis in range(len(h)):
+        area = weight / h[axis]
+        for side in (0, -1)[axis in mirror_axes:]:  # a mirror plane is no face
             cells = np.take(flat_index, side, axis=axis).ravel()
             face_cells.append(cells)
             face_areas.append(np.full(cells.size, area))
@@ -300,6 +363,7 @@ def build_mesh(spec: DomainSpec, cells_per_axis) -> Mesh:
         cell_centers=centers,
         face_cells=np.concatenate(face_cells),
         face_areas=np.concatenate(face_areas),
+        mirror_axes=mirror_axes,
     )
 
 

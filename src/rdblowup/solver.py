@@ -70,6 +70,22 @@ reached the threshold.  A run that reaches t_end stops there exactly.  So
 the Lawson pair takes the steps DP5's cap would hold, until one is
 rejected, and DP5's order pays below its cap.
 
+The fold: the solution is even along an axis whenever the data are, as N
+acts cell by cell and A, with one gamma per field on every face, commutes
+with the mirror.  So `simulate` folds each axis with
+an even cell count along which g1 and g2 both equal their mirror images
+(the box's centres are antisymmetric bit for bit, so data even in a
+coordinate are), and steps only the cells at x_a > 0 on `Mesh.fold`, 1/2^k
+of the cells for k folded axes; `SolveTrace.mirror_axes` names them.  On
+a state even in those axes every operation above is the same, cell for
+cell: the fold's low face is a mirror, whose ghost is the cell, as the
+box's neighbour across the plane is; the RMS norms and sup-norms over the
+fold equal those over the box; and the fold's quadrature weights carry
+the multiplicity 2^k, so the monitor rows are the box's.  Only rounding
+differs.  `clamp_count` counts each cell 2^k times, and `final_fields` is
+mirrored back to the box.  Other axes, and every axis of odd data or of an
+odd cell count, keep the box's cells and arithmetic.
+
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  Blow-up is
 detected by a sup-norm threshold, or by the step-underflow fallback, and the
@@ -220,6 +236,7 @@ class SolveTrace:
     # {pair name: {"accepted": count, "rejected": count}}
     steps_by_pair: dict = field(default_factory=dict)
     final_fields: Optional[FieldPair] = None
+    mirror_axes: tuple[int, ...] = ()  # the axes the run folded (module docstring)
 
     @property
     def n_steps(self) -> int:
@@ -438,13 +455,36 @@ def _diffusion_cap(mesh: Mesh) -> float:
     return _CAP_SAFETY * _DP5_REAL_STABILITY / (4.0 * sum(mesh.inverse_h2))
 
 
+def _mirror_axes(mesh: Mesh, *fields: np.ndarray) -> tuple[int, ...]:
+    """The axes of `mesh` with an even cell count along which each field
+    equals its mirror image: the axes `simulate` folds."""
+    grids = [f.reshape(mesh.shape) for f in fields]
+    return tuple(axis for axis, na in enumerate(mesh.shape)
+                 if na % 2 == 0 and all(np.array_equal(g, np.flip(g, axis)) for g in grids))
+
+
+def _unfold(values: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """A field on the fold `mesh`, mirrored back to every cell of the box."""
+    grid = values.reshape(mesh.shape)
+    for axis in mesh.mirror_axes:
+        grid = np.concatenate([np.flip(grid, axis), grid], axis=axis)
+    return grid.ravel()
+
+
 def simulate(config: SolverConfig) -> SolveTrace:
     """Advance the system until t_end, blow-up threshold, or step underflow."""
-    mesh, nl = config.mesh, config.nl
-    n = mesh.n_cells
-    y = np.concatenate([config.g1, config.g2])
+    nl, axes = config.nl, _mirror_axes(config.mesh, config.g1, config.g2)
+    mesh = config.mesh.fold(axes) if axes else config.mesh
+    n, copies = mesh.n_cells, config.mesh.n_cells // mesh.n_cells
+    # the fold's cells: the upper half of each folded axis
+    index = tuple(slice(na, None) if axis in axes else slice(None)
+                  for axis, na in enumerate(mesh.shape))
+    y = np.concatenate([g.reshape(config.mesh.shape)[index].ravel()
+                        for g in (config.g1, config.g2)])
 
-    op = mesh.robin_operator(config.gamma1, config.gamma2)
+    # the run's own operator, not the one `Mesh.robin_operator` keeps, so
+    # that a run leaves none of its arrays behind
+    op = RobinOperator(mesh, (config.gamma1, config.gamma2))
 
     def derivative(yy, out):
         return _derivative_into(op, nl, yy, out)
@@ -485,7 +525,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         """Append the monitor row of the current state; return its sup-norm."""
         nonlocal clamp_count
         if config.p is not None:
-            clamp_count += np.count_nonzero(y < 0)
+            clamp_count += np.count_nonzero(y < 0) * copies
         row = energy_sample(FieldPair.of_state(y, t), mesh, nl=nl, alpha=config.alpha,
                             gamma1=config.gamma1, gamma2=config.gamma2, p=config.p, dt=dt_now)
         samples.append(row)
@@ -544,7 +584,8 @@ def simulate(config: SolverConfig) -> SolveTrace:
         u_crossed=estimate is not None and samples[-1].sup_u >= level,
         v_crossed=estimate is not None and samples[-1].sup_v >= level,
         clamp_count=clamp_count, steps_by_pair=steps_by_pair,
-        final_fields=FieldPair(u=y[:n], v=y[n:], t=t),
+        final_fields=FieldPair(u=_unfold(y[:n], mesh), v=_unfold(y[n:], mesh), t=t),
+        mirror_axes=axes,
     )
 
 

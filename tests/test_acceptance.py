@@ -250,3 +250,18 @@ def test_criterion_8_quadrature_geometry_oracles():
     record(8, ok,
            f"geometry constants worst diff {worst_geo:.1e} (10 boxes), "
            f"integral worst diff {worst_int:.1e} (20 triples)")
+
+
+def test_gaussian_bump_folds_onto_the_octant():
+    # the gamma = 0 bump, F = u^2 v^2 on [-1, 1]^3 at 16^3 cells from
+    # u0 = 0.5 + 3 e^{-4|x|^2}, v0 = 0.5 + 1.5 e^{-4|x|^2}: even data on an
+    # even mesh fold all three axes; t_est is that of the full mesh
+    mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0, 1.0, 1.0)), 16)
+    bump = np.exp(-4.0 * np.sum(mesh.cell_centers ** 2, axis=1))
+    trace = simulate(SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
+                                  gamma1=0.0, gamma2=0.0, g1=0.5 + 3.0 * bump,
+                                  g2=0.5 + 1.5 * bump, t_end=1.0))
+    assert trace.mirror_axes == (0, 1, 2)
+    assert trace.outcome == OUTCOME_BLOWUP
+    assert abs(trace.blowup_estimate.t - 0.4491873) <= 1e-6
+    assert trace.final_fields.u.shape == (mesh.n_cells,)

@@ -197,6 +197,17 @@ class TestSimulate:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+    def test_report_names_the_folded_axes(self, tmp_path):
+        # flat data fold each axis with an even cell count; 7 cells fold none
+        cfg = write_config(tmp_path, BLOWUP_BOX.replace("cells_per_axis = 8",
+                                                        "cells_per_axis = 8 7"))
+        for argv, axes in (([], [0]), (["--resolution", "8"], [0, 1]),
+                           (["--resolution", "7"], [])):
+            out = tmp_path / f"out{len(axes)}"
+            assert main(["simulate", "--config", cfg, "--out-dir", str(out), *argv]) == EXIT_OK
+            assert load_report(out)["simulation"]["mirror_axes"] == axes
+
+
 class TestRobinCoefficientPastFloatRange:
     # gamma * h_a overflows along the wide axis: the ghost factor takes its
     # limit -1, so the simulation runs, while H2's samples of gamma u^2 on

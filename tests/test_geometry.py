@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -92,6 +93,23 @@ class TestBuildMesh:
         assert normals.shape == (mesh.face_cells.size, 3)
         x_nu = np.sum(mesh.cell_centers[mesh.face_cells] * normals, axis=1)
         assert np.all(x_nu > 0)
+
+    @pytest.mark.parametrize("L", [1.0, 0.5, 1.3, 0.777])
+    def test_cell_centres_are_antisymmetric(self, L):
+        # x_i = -x_{n-1-i} exactly on every axis, so even data equal their
+        # mirror image.  In ulps u of the largest centre, they lie within
+        # 1.5 u of the exact centres (2i + 1 - n) L / n, and within 3 u of
+        # np.linspace's, which lie up to 2.8 u from the exact centres
+        for n in range(4, 65):
+            mesh = build_mesh(DomainSpec("box", 2, half_extents=(L, 1.0)), (n, 4))
+            x = mesh.cell_centers[::4, 0]
+            assert np.array_equal(x, -x[::-1])
+            ha = 2.0 * L / n
+            u = np.spacing(L - ha / 2.0)
+            exact = [Fraction(L) * Fraction(2 * i + 1 - n, n) for i in range(n)]
+            assert max(abs(Fraction(xi) - e) for xi, e in zip(x.tolist(), exact)) <= 1.5 * u
+            old = np.linspace(-L + ha / 2.0, L - ha / 2.0, n)
+            assert np.max(np.abs(x - old)) <= 3.0 * u
 
     def test_cell_volumes_sum_to_domain_volume(self, box3d):
         mesh = build_mesh(box3d, 5)
@@ -262,7 +280,8 @@ class TestLaplacianOperator:
     def test_built_once_per_mesh(self, box3d, monkeypatch):
         # the Laplacian, (n, n), is built once per mesh; the operator matrix
         # of the stacked state, (2n, 2n), once per operator that applies it:
-        # each rhs call and the run, whose t_end below DP5's cap starts it on DP5
+        # each rhs call and the run, whose t_end below DP5's cap starts it on
+        # DP5.  The data are odd in no axis, so the run keeps the full mesh
         import scipy.sparse
 
         built = []
@@ -276,7 +295,7 @@ class TestLaplacianOperator:
         monkeypatch.setattr(scipy.sparse, "dia_array", counting_dia_array)
         mesh = build_mesh(box3d, 6)
         n = mesh.n_cells
-        g = 1.0 + 0.1 * mesh.cell_centers[:, 0]
+        g = 1.0 + 0.1 * mesh.cell_centers @ [1.0, 2.0, 3.0]
         fields = FieldPair(u=g, v=g, t=0.0)
         for gamma in (0.0, 0.5, 3.0):
             rhs(fields, mesh, zero_reaction(), gamma, gamma)
@@ -370,10 +389,30 @@ class TestRobinModes:
             assert np.array_equal(out, np.exp(tau * grid))
         assert np.any(out == 0.0) and np.any(out > 0.0)
 
-    def test_built_on_each_call(self, box3d):
-        # one mesh serves new gammas on every run, so nothing is kept per gamma
+    def test_kept_for_the_same_gammas(self, box3d, monkeypatch):
+        # repeated rhs calls apply one operator, whose stacked matrix is built
+        # once; new gammas replace it, so one operator is kept however many
+        # gammas a mesh serves
+        import scipy.sparse
+
+        built = []
+        real = scipy.sparse.dia_array
+        monkeypatch.setattr(scipy.sparse, "dia_array",
+                            lambda *args, **kwargs: built.append(kwargs["shape"])
+                            or real(*args, **kwargs))
         mesh = build_mesh(box3d, 4)
-        assert mesh.robin_operator(0.5, 0.5) is not mesh.robin_operator(0.5, 0.5)
+        n, g = mesh.n_cells, 1.0 + 0.1 * mesh.cell_centers[:, 0]
+        fields = FieldPair(u=g, v=g, t=0.0)
+        for _ in range(3):
+            rhs(fields, mesh, zero_reaction(), 0.5, 3.0)
+        assert built.count((2 * n, 2 * n)) == 1
+        op = mesh.robin_operator(0.5, 3.0)
+        assert mesh.robin_operator(0.5, 3.0) is op
+        rhs(fields, mesh, zero_reaction(), 3.0, 0.5)
+        assert built.count((2 * n, 2 * n)) == 2
+        assert mesh.robin_operator(3.0, 0.5) is not op
+        assert mesh.robin_operator(0.5, 3.0) is not op  # replaced, not kept beside
+        assert build_mesh(box3d, 4).robin_operator(0.5, 3.0).mesh is not mesh
 
     def test_eigenpairs_built_on_first_use(self, box3d, monkeypatch):
         # rhs applies the diagonal only; simulate's Lawson steps need the
@@ -419,3 +458,72 @@ class TestRobinModes:
         (lam0, q0), (lam1, q1), (lam2, q2) = op.eigenpairs
         assert lam1 is lam0 and q1 is q0
         assert lam2 is not lam0 and q2 is not q0 and q2.shape == (2, 9, 9)
+
+
+FOLD_GAMMAS = [0.0, 0.5, 5.0]
+
+
+def mirror_restrict(mesh, fold, y):
+    """The cells of the stacked state y on `mesh` that its fold keeps."""
+    index = tuple(slice(m, None) if m != n else slice(None)
+                  for n, m in zip(mesh.shape, fold.shape))
+    return np.concatenate([f.reshape(mesh.shape)[index].ravel() for f in y.reshape(2, -1)])
+
+
+class TestFold:
+    def test_orthant_of_the_box(self):
+        # half the cells on each folded axis, the box's own centres at x_a > 0,
+        # Robin faces only, and the multiplicity in both quadrature weights
+        mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0, 0.75, 0.5)), (8, 6, 5))
+        fold = mesh.fold((0, 1))
+        assert fold.shape == (4, 3, 5) and fold.mirror_axes == (0, 1) and fold.h == mesh.h
+        assert fold.n_cells * fold.cell_volume == mesh.n_cells * mesh.cell_volume
+        keep = np.all(mesh.cell_centers[:, :2] > 0.0, axis=1)
+        assert np.array_equal(fold.cell_centers, mesh.cell_centers[keep])
+        # faces: the high side of axes 0 and 1, then both sides of axis 2
+        x = fold.cell_centers[fold.face_cells]
+        sides = np.split(x, np.cumsum([3 * 5, 4 * 5, 4 * 3]))
+        assert [len(side) for side in sides] == [15, 20, 12, 12]
+        for side, (axis, end) in zip(sides, [(0, max), (1, max), (2, min), (2, max)]):
+            assert np.all(side[:, axis] == end(mesh.cell_centers[:, axis]))
+        assert np.all(fold.face_areas[:15] == 4 * mesh.face_areas[0])
+        assert np.isclose(np.sum(fold.face_areas), np.sum(mesh.face_areas), rtol=1e-15)
+        assert mesh.fold((0, 1)) is fold
+        for bad in ((2,), (0, 2)):
+            with pytest.raises(ValueError, match="cannot fold"):
+                mesh.fold(bad)
+        with pytest.raises(ValueError, match="cannot fold"):
+            fold.fold((0,))
+
+    @pytest.mark.parametrize("gamma", FOLD_GAMMAS)
+    @pytest.mark.parametrize("na", [4, 6, 16])
+    def test_eigenvalues_are_the_even_modes(self, na, gamma):
+        # the orthant's tridiagonal, a mirror at its low end, has the
+        # eigenvalues of the full axis's modes that are even about its middle
+        mesh = build_mesh(DomainSpec("box", 2, half_extents=(1.0, 0.6)), (na, 4))
+        (lam, q), _ = mesh.robin_operator(gamma, 0.5).eigenpairs
+        (lam_half, q_half), _ = mesh.fold((0,)).robin_operator(gamma, 0.5).eigenpairs
+        assert lam_half.shape == (2, na // 2)
+        for field in (0, 1):
+            even = np.max(np.abs(q[field] - q[field][::-1]), axis=0) <= 1e-12
+            assert even.sum() == na // 2
+            expected = lam[field][even]
+            assert np.max(np.abs(lam_half[field] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("gamma1, gamma2", [(0.0, 0.5), (5.0, 0.0), (0.5, 5.0)])
+    def test_operator_is_the_restricted_box_operator(self, gamma1, gamma2):
+        # on a state even in the folded axes, the orthant's A, by its DIA
+        # matrix and through its eigenbasis, gives the box's A y on its cells
+        mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0, 0.75, 0.5)), (8, 6, 5))
+        fold = mesh.fold((0, 1))
+        x = mesh.cell_centers
+        y = np.concatenate([np.cos(x[:, 0]) * np.exp(x[:, 1] ** 2) + x[:, 2],
+                            1.0 + x[:, 0] ** 2 * x[:, 1] ** 2 - x[:, 2] ** 3])
+        full, half = mesh.robin_operator(gamma1, gamma2), fold.robin_operator(gamma1, gamma2)
+        expected = mirror_restrict(mesh, fold, full.matrix @ y)
+        y_half = mirror_restrict(mesh, fold, y)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(half.matrix @ y_half - expected)) <= 1e-13 * scale
+        modes = half.to_modes(y_half, np.empty_like(y_half)) * eigenvalue_grid(half)
+        assert np.max(np.abs(half.from_modes(modes, np.empty_like(y_half)) - expected)) \
+            <= 1e-13 * scale

@@ -11,7 +11,7 @@ from conftest import dense_robin_operator, linear_decay, zero_reaction
 import rdblowup.solver
 from rdblowup.errors import InsufficientSamples, NonFiniteField
 from rdblowup.functionals import FieldPair, energy_E
-from rdblowup.geometry import DomainSpec, Mesh, RobinOperator, build_mesh, interior_integral
+from rdblowup.geometry import DomainSpec, RobinOperator, build_mesh, interior_integral
 from rdblowup.nonlinearity import Nonlinearity, make_power_product
 from rdblowup.solver import (
     DP5,
@@ -656,21 +656,22 @@ class TestLawsonPair:
         # A through its modes; the (2n, 2n) matrix DP5 steps with stays
         # unbuilt, and so do the Laplacian and the Robin diagonal it is
         # built from.  The operator keeps its eigenpairs and the transforms'
-        # scratch state, and no array of Lambda
+        # scratch state, and no array of Lambda.  The run builds its own
+        # operator, on the fold of the mesh, as its data are even
         ops = []
-        real = Mesh.robin_operator
+        real = rdblowup.solver.RobinOperator
 
-        def kept(mesh, gamma1, gamma2):
-            ops.append(real(mesh, gamma1, gamma2))
+        def kept(mesh, gammas):
+            ops.append(real(mesh, gammas))
             return ops[-1]
 
-        monkeypatch.setattr(Mesh, "robin_operator", kept)
+        monkeypatch.setattr(rdblowup.solver, "RobinOperator", kept)
         trace, mesh = robin_heat(3, 12)
         assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
-        assert len(ops) == 1
+        assert len(ops) == 1 and trace.mirror_axes == (0, 1, 2)
         assert "eigenpairs" in vars(ops[0]) and "matrix" not in vars(ops[0])
         assert set(vars(ops[0])) == {"mesh", "gammas", "eigenpairs", "_scratch"}
-        assert "laplacian" not in vars(mesh)
+        assert "laplacian" not in vars(mesh) and "laplacian" not in vars(ops[0].mesh)
 
     def test_one_lawson_step_peaks_within_13_5_states(self):
         # a Robin heat run on 24^3 cells with F = 0 takes one Lawson step.
@@ -705,6 +706,93 @@ class TestLawsonPair:
         n = mesh.n_cells
         for got, g, want in ((final.u, g1, exact[:n]), (final.v, g2, exact[n:])):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
+
+
+def fold_runs(spec, cells, nl, gammas, g1, g2, **options):
+    """`simulate` from (g1, g2), which it folds, and from the same data with
+    g1 one ulp larger in the first cell, which keeps the full mesh."""
+    mesh = build_mesh(spec, cells)
+    nudged = g1.copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    return [simulate(SolverConfig(mesh=mesh, nl=nl, gamma1=gammas[0], gamma2=gammas[1],
+                                  g1=data, g2=g2, **options)) for data in (g1, nudged)]
+
+
+def gaussian_bump(mesh, amplitude):
+    """u0 = 0.5 + A e^{-4|x|^2} and v0 = 0.5 + (A/2) e^{-4|x|^2}."""
+    bump = np.exp(-4.0 * np.sum(mesh.cell_centers ** 2, axis=1))
+    return 0.5 + amplitude * bump, 0.5 + amplitude / 2.0 * bump
+
+
+class TestFold:
+    BOX = DomainSpec("box", 3, half_extents=(1.0, 0.75, 0.5))
+
+    def test_cap_bound_run_matches_the_full_mesh(self):
+        # a rejected Lawson trial, then DP5 steps held at its cap but the
+        # last: the fold takes the same steps, and every row and the final
+        # fields, mirrored back to the box, agree to rounding
+        mesh = build_mesh(self.BOX, (8, 6, 4))
+        g1, g2 = gaussian_bump(mesh, 3.0)
+        folded, full = fold_runs(self.BOX, (8, 6, 4), make_power_product(1.0, 2.0, 2.0),
+                                 (0.5, 3.0), g1, g2, t_end=0.2, rel_tol=1e-4, p=2.0)
+        assert folded.mirror_axes == (0, 1, 2) and full.mirror_axes == ()
+        assert folded.steps_by_pair == full.steps_by_pair == {
+            "lawson_bs3": {"accepted": 0, "rejected": 1}, "dp5": {"accepted": 15, "rejected": 0}}
+        assert folded.outcome == full.outcome == "reached_t_end"
+        rows = np.array([s.row() for s in folded.samples])
+        ref = np.array([s.row() for s in full.samples])
+        assert np.all(ref[1:-1, -1] == _diffusion_cap(mesh)) and not np.any(np.isnan(ref))
+        assert np.all(np.abs(rows - ref) <= 1e-12 * np.abs(ref))
+        for got, want in ((folded.final_fields.u, full.final_fields.u),
+                          (folded.final_fields.v, full.final_fields.v)):
+            assert got.shape == want.shape == (mesh.n_cells,)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_blowup_run_matches_the_full_mesh(self):
+        # error-controlled steps carry rounding into dt: the steps and t_est
+        # agree, the rows to 1e-9 before the sup-norm passes 10x its start
+        spec = DomainSpec("box", 3, half_extents=(1.0,) * 3)
+        g1, g2 = gaussian_bump(build_mesh(spec, 8), 3.0)
+        folded, full = fold_runs(spec, 8, make_power_product(1.0, 2.0, 2.0), (0.0, 0.0),
+                                 g1, g2, t_end=1.0, p=2.0)
+        assert folded.mirror_axes == (0, 1, 2) and full.mirror_axes == ()
+        assert folded.steps_by_pair == full.steps_by_pair
+        assert folded.outcome == full.outcome == "blowup_detected"
+        t_folded, t_full = folded.blowup_estimate.t, full.blowup_estimate.t
+        assert abs(t_folded - t_full) <= 1e-12 * t_full
+        rows = np.array([s.row() for s in folded.samples])
+        ref = np.array([s.row() for s in full.samples])
+        early = np.maximum(ref[:, 9], ref[:, 10]) < 10.0 * max(ref[0, 9], ref[0, 10])
+        assert 10 < early.sum() < len(ref)
+        assert np.all(np.abs(rows[early] - ref[early]) <= 1e-9 * np.abs(ref[early]))
+
+    def test_clamp_count_counts_the_box_cells(self):
+        # negative data in 2 of the 8 octants: each cell of the fold counts 8 times
+        spec = DomainSpec("box", 3, half_extents=(1.0,) * 3)
+        mesh = build_mesh(spec, 6)
+        g = np.where(mesh.cell_centers[:, 0] ** 2 < 0.2, -0.1, 1.0)
+        folded, full = fold_runs(spec, 6, linear_decay(), (0.5, 0.5), g, g,
+                                 t_end=1e-3, p=2.0)
+        assert folded.mirror_axes == (0, 1, 2)
+        assert folded.clamp_count == full.clamp_count > 0
+
+    @pytest.mark.parametrize("cells, data, axes", [
+        ((8, 6, 4), "even", (0, 1, 2)),
+        ((7, 6, 5), "even", (1,)),
+        ((5, 5, 5), "even", ()),
+        ((8, 6, 4), "odd_in_x", (1, 2)),
+        ((8, 6, 4), "skew", ()),
+    ])
+    def test_folds_even_axes_with_even_counts(self, cells, data, axes):
+        mesh = build_mesh(self.BOX, cells)
+        x = mesh.cell_centers
+        g = {"even": 1.0 + np.cos(x[:, 0]) * x[:, 1] ** 2 * np.exp(-x[:, 2] ** 2),
+             "odd_in_x": 1.0 + 0.1 * x[:, 0] * np.cos(x[:, 1]) * np.exp(-x[:, 2] ** 2),
+             "skew": 1.0 + 0.1 * x @ [1.0, 2.0, 3.0]}[data]
+        trace = simulate(SolverConfig(mesh=mesh, nl=linear_decay(), gamma1=0.5, gamma2=0.0,
+                                      g1=g, g2=np.ones(mesh.n_cells), t_end=1e-3))
+        assert trace.mirror_axes == axes
+        assert trace.final_fields.u.shape == (mesh.n_cells,)
 
 
 class TestSimulateConservation:
