@@ -5,14 +5,14 @@ Boxes are meshed with a uniform cell-centered grid; balls exist only as
 analytic domains (geometric constants and volume) and cannot be meshed.
 The origin is always the centroid of the domain.
 
-A box's cell centres are antisymmetric bit for bit on each axis,
-x_i = -x_{n-1-i}, so data even in a coordinate are equal to their mirror
-image.  `Mesh.fold` meshes the part of a box where x_a >= 0 on some axes,
-each with an even cell count: half the cells on each folded axis, whose
-low face is a mirror plane (ghost = cell, g = 1).  Its face lists hold the
-Robin faces only, and `cell_volume` and `face_areas` carry the multiplicity
-2^k of k folded axes, so each quadrature of a state even in those axes
-gives the value on the whole box.
+A box's cell centres are antisymmetric bit for bit on each axis with an
+even cell count, x_i = -x_{n-1-i}, so data even in that coordinate are
+equal to their mirror image.  `Mesh.fold` meshes the part of a box where
+x_a >= 0 on some axes, each with an even cell count: half the cells on
+each folded axis, whose low face is a mirror plane (ghost = cell, g = 1).
+Its face lists hold the Robin faces only, and `cell_volume` and
+`face_areas` carry the multiplicity 2^k of k folded axes, so each
+quadrature of a state even in those axes gives the value on the whole box.
 
 Importing this module loads numpy alone: the operator's DIA matrices import
 `scipy.sparse` when first built, and its eigenpairs need numpy only, so a
@@ -185,23 +185,10 @@ class Mesh:
 
     def robin_operator(self, gamma1: float, gamma2: float) -> "RobinOperator":
         """The Robin Laplacian of y = [u; v], u's walls with gamma1 and v's
-        with gamma2.  The operator built last is kept, with the arrays it
-        has built, and returned again for the same mesh and gammas; any
-        other operator replaces it, so one is kept however many gammas and
-        meshes are served.  It is kept in this module, not on the mesh: an
-        operator references its mesh, and a mesh that held it would make a
-        cycle that outlives the last reference to either.  `simulate` builds
-        its own operator, whose arrays go with its run."""
-        global _last_operator
+        with gamma2, built anew on each call: one mesh serves many gammas."""
         gammas = (require_gamma(gamma1, "gamma1"), require_gamma(gamma2, "gamma2"))
         self.inverse_h2  # ValueError for a mesh whose h^-2 the operator cannot apply
-        op = _last_operator
-        if op is None or op.mesh is not self or op.gammas != gammas:
-            op = _last_operator = RobinOperator(self, gammas)
-        return op
-
-
-_last_operator = None  # the operator `Mesh.robin_operator` built last
+        return RobinOperator(self, gammas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,12 +324,10 @@ def build_mesh(spec: DomainSpec, cells_per_axis) -> Mesh:
 
 def _box_mesh(spec: DomainSpec, box_cells, h, mirror_axes) -> Mesh:
     """The mesh of a box of `box_cells` cells of widths h, folded on
-    `mirror_axes` (`Mesh.fold`).  An axis of n cells has its centres at
-    (i - (n - 1)/2) h_a, i = 0..n-1, each product rounded once, so they are
-    antisymmetric bit for bit and a fold keeps the box's centres at x_a > 0."""
+    `mirror_axes` (`Mesh.fold`), whose centres are the box's at x_a > 0."""
     cells_per_axis = tuple(n // 2 if a in mirror_axes else n for a, n in enumerate(box_cells))
-    axes = [(np.arange(n) + (0.5 if a in mirror_axes else -(n - 1) / 2)) * ha
-            for a, (n, ha) in enumerate(zip(cells_per_axis, h))]
+    axes = [_axis_centres(L, ha, n)[n // 2:] if a in mirror_axes else _axis_centres(L, ha, n)
+            for a, (L, ha, n) in enumerate(zip(spec.half_extents, h, box_cells))]
     grids = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -365,6 +350,16 @@ def _box_mesh(spec: DomainSpec, box_cells, h, mirror_axes) -> Mesh:
         face_areas=np.concatenate(face_areas),
         mirror_axes=mirror_axes,
     )
+
+
+def _axis_centres(L: float, ha: float, n: int) -> np.ndarray:
+    """The n cell centres of an axis of [-L, L]: `np.linspace`'s, with the
+    upper half mirrored onto the lower at an even n, so that x_i = -x_{n-1-i}
+    bit for bit.  An odd n, which no fold halves, keeps linspace's centres."""
+    x = np.linspace(-L + ha / 2.0, L - ha / 2.0, n)
+    if n % 2 == 0:
+        x[:n // 2] = -x[::-1][:n // 2]
+    return x
 
 
 def geometry_constants(spec: DomainSpec) -> GeometryConstants:

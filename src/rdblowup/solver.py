@@ -482,9 +482,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
     y = np.concatenate([g.reshape(config.mesh.shape)[index].ravel()
                         for g in (config.g1, config.g2)])
 
-    # the run's own operator, not the one `Mesh.robin_operator` keeps, so
-    # that a run leaves none of its arrays behind
-    op = RobinOperator(mesh, (config.gamma1, config.gamma2))
+    op = mesh.robin_operator(config.gamma1, config.gamma2)
 
     def derivative(yy, out):
         return _derivative_into(op, nl, yy, out)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from conftest import dense_robin_operator, linear_decay, zero_reaction
 import rdblowup.solver
 from rdblowup.errors import InsufficientSamples, NonFiniteField
 from rdblowup.functionals import FieldPair, energy_E
-from rdblowup.geometry import DomainSpec, RobinOperator, build_mesh, interior_integral
+from rdblowup.geometry import DomainSpec, Mesh, RobinOperator, build_mesh, interior_integral
 from rdblowup.nonlinearity import Nonlinearity, make_power_product
 from rdblowup.solver import (
     DP5,
@@ -656,20 +657,25 @@ class TestLawsonPair:
         # A through its modes; the (2n, 2n) matrix DP5 steps with stays
         # unbuilt, and so do the Laplacian and the Robin diagonal it is
         # built from.  The operator keeps its eigenpairs and the transforms'
-        # scratch state, and no array of Lambda.  The run builds its own
-        # operator, on the fold of the mesh, as its data are even
-        ops = []
-        real = rdblowup.solver.RobinOperator
-
-        def kept(mesh, gammas):
-            ops.append(real(mesh, gammas))
-            return ops[-1]
-
-        monkeypatch.setattr(rdblowup.solver, "RobinOperator", kept)
-        trace, mesh = robin_heat(3, 12)
+        # scratch state, and no array of Lambda.  The data are nudged off
+        # their mirror images, so the run keeps the full mesh
+        ops = lawson_operators(monkeypatch)
+        trace = simulate(on_the_box(robin_heat_config(3, 12)))
+        assert trace.mirror_axes == ()
         assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
-        assert len(ops) == 1 and trace.mirror_axes == (0, 1, 2)
+        assert len(ops) == 1
         assert "eigenpairs" in vars(ops[0]) and "matrix" not in vars(ops[0])
+        assert set(vars(ops[0])) == {"mesh", "gammas", "eigenpairs", "_scratch"}
+        assert "laplacian" not in vars(ops[0].mesh)
+
+    def test_folded_lawson_run_never_builds_the_stacked_matrix(self, monkeypatch):
+        # the same run from even data steps on the fold of the mesh, whose
+        # operator builds no more than the box's
+        ops = lawson_operators(monkeypatch)
+        trace, mesh = robin_heat(3, 12)
+        assert trace.mirror_axes == (0, 1, 2)
+        assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
+        assert len(ops) == 1 and ops[0].mesh.mirror_axes == (0, 1, 2)
         assert set(vars(ops[0])) == {"mesh", "gammas", "eigenpairs", "_scratch"}
         assert "laplacian" not in vars(mesh) and "laplacian" not in vars(ops[0].mesh)
 
@@ -677,17 +683,27 @@ class TestLawsonPair:
         # a Robin heat run on 24^3 cells with F = 0 takes one Lawson step.
         # Its traced peak, in states of 2n floats, holds the stage rows and
         # the run's other buffers, about 13; an array of Lambda or the Robin
-        # diagonal, one state each, would take it to about 15
-        config = robin_heat_config(3, 24)
-        tracemalloc.start()
-        try:
-            trace = simulate(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # diagonal, one state each, would take it to about 15.  The data
+        # are nudged off their mirror images, so the run keeps the full mesh
+        config = on_the_box(robin_heat_config(3, 24))
+        trace, peak = traced_peak(config)
+        assert trace.mirror_axes == ()
         assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 1, "rejected": 0},
                                        "dp5": {"accepted": 0, "rejected": 0}}
         assert peak <= 13.5 * 2 * config.mesh.n_cells * 8
+
+    def test_one_folded_lawson_step_peaks_within_24_5_fold_states(self):
+        # the same step from even data on 40^3 cells, folded onto 20^3.  In
+        # states of the fold, the peak holds the fold's mesh, the run's
+        # buffers and the final fields mirrored back to the box, 8 fold
+        # states alone: about 23.8.  An array of Lambda or the Robin
+        # diagonal, one fold state each, would take it past 24.5
+        config = robin_heat_config(3, 40)
+        trace, peak = traced_peak(config)
+        assert trace.mirror_axes == (0, 1, 2)
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 1, "rejected": 0},
+                                       "dp5": {"accepted": 0, "rejected": 0}}
+        assert peak <= 24.5 * 2 * (config.mesh.n_cells // 8) * 8
 
     @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
     def test_zero_reaction_run_matches_the_matrix_exponential(self, spec, cells):
@@ -708,14 +724,43 @@ class TestLawsonPair:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
 
 
+def on_the_box(config):
+    """`config` with g1 one ulp larger in its first cell: no axis of the
+    data equals its mirror image, so `simulate` keeps the full mesh."""
+    g1 = config.g1.copy()
+    g1[0] = np.nextafter(g1[0], np.inf)
+    return dataclasses.replace(config, g1=g1)
+
+
+def lawson_operators(monkeypatch):
+    """The operators `Mesh.robin_operator` builds from now on."""
+    ops = []
+    real = Mesh.robin_operator
+
+    def kept(mesh, gamma1, gamma2):
+        ops.append(real(mesh, gamma1, gamma2))
+        return ops[-1]
+
+    monkeypatch.setattr(Mesh, "robin_operator", kept)
+    return ops
+
+
+def traced_peak(config):
+    """`simulate(config)` and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        trace = simulate(config)
+        return trace, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def fold_runs(spec, cells, nl, gammas, g1, g2, **options):
-    """`simulate` from (g1, g2), which it folds, and from the same data with
-    g1 one ulp larger in the first cell, which keeps the full mesh."""
-    mesh = build_mesh(spec, cells)
-    nudged = g1.copy()
-    nudged[0] = np.nextafter(nudged[0], np.inf)
-    return [simulate(SolverConfig(mesh=mesh, nl=nl, gamma1=gammas[0], gamma2=gammas[1],
-                                  g1=data, g2=g2, **options)) for data in (g1, nudged)]
+    """`simulate` from (g1, g2), which it folds, and `on_the_box` of the
+    same config, which keeps the full mesh."""
+    config = SolverConfig(mesh=build_mesh(spec, cells), nl=nl, gamma1=gammas[0],
+                          gamma2=gammas[1], g1=g1, g2=g2, **options)
+    return simulate(config), simulate(on_the_box(config))
 
 
 def gaussian_bump(mesh, amplitude):
