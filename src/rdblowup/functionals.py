@@ -2,32 +2,36 @@
 
 E(t) is the squared L2 energy of the pair, J(t) the potential-dominated
 functional whose sign drives the upper bound, and scriptE(t) the 2p-power
-energy used by the lower bound.  `energy_sample` is the one place where J,
-scriptE and the boundary and gradient terms are computed: `functional_J`
+energy used by the lower bound.  `energy_rows` is the one place where J,
+scriptE and the boundary and gradient terms are computed, for k states at
+once: `energy_sample` is that kernel on one state, and `functional_J`
 returns its monitor row, which holds J together with the pieces it is built
 from.
 
-Each term is a kernel on the stacked state y = [u; v] that takes a few
-passes over all of y and loops over no field; `energy_E`, `energy_scriptE`
-and `discrete_gradient_energy` call the row's kernels, so each formula is
-written once.  A pair made by `FieldPair.of_state`, as `simulate` makes its
-rows, hands its y to them without a copy.
+Each term is a kernel on a block of stacked states, one y = [u; v] per row,
+that takes a few passes over the whole block and loops over no state or
+field; `energy_E`, `energy_scriptE` and `discrete_gradient_energy` call the
+row's kernels, so each formula is written once.  Each state's figures are
+those of the kernel on that state alone, bit for bit: every reduction runs
+over one state or field at a time, the dot products as one BLAS dot per
+state.
 
 - Gradient energy: for each axis a of stride s, the differences
-  y[s:] - y[:-s] in one buffer.  Read as rows of n_a s cells, with one
-  field per n cells, each row's first (n_a - 1) s entries are the pairs
-  that share a face; the rest pair cells on opposite walls, or across the
-  u/v seam, and are not summed.  The squares of the kept pairs are summed
-  per field in one pass and scaled by cell_volume / h_a^2.  This is the
-  face-difference quadratic form of the mesh's Neumann operator
-  `Mesh.laplacian` (`Mesh.robin_operator` adds the Robin diagonal to it):
-  summation by parts gives grad energy = -cell_volume * u . (L_N u), so the
-  discrete integration-by-parts identities hold up to boundary closure
-  error.  It is summed as squares of differences, not as that product, so
-  it is exactly zero on constants and never cancels at large u.
-- Boundary terms: one take of `Mesh.face_cells` from both fields, each
+  y[s:] - y[:-s] of the flattened block in one buffer.  Read as rows of
+  n_a s cells, with one field per n cells, each row's first (n_a - 1) s
+  entries are the pairs that share a face; the rest pair cells on opposite
+  walls, or across a u/v or state seam, and are not summed.  The squares of
+  the kept pairs are summed per field in one pass and scaled by
+  cell_volume / h_a^2.  This is the face-difference quadratic form of the
+  mesh's Neumann operator `Mesh.laplacian` (`Mesh.robin_operator` adds the
+  Robin diagonal to it): summation by parts gives
+  grad energy = -cell_volume * u . (L_N u), so the discrete
+  integration-by-parts identities hold up to boundary closure error.  It is
+  summed as squares of differences, not as that product, so it is exactly
+  zero on constants and never cancels at large u.
+- Boundary terms: one take of `Mesh.face_cells` from every field, each
   face's value that of its cell, squared, times the face areas.
-- E, scriptE and the sup-norms: one reduction each over y.
+- E, scriptE and the sup-norms: one reduction each per state.
 
 The integrals keep the rule of `interior_integral` and
 `boundary_integral`: NonFiniteSample iff a sample is not finite or the sum
@@ -41,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NegativeField, NonFiniteField
-from .geometry import Mesh, _finite_total, interior_integral
+from .geometry import Mesh, _finite_total
 
 NONNEG_TOL = 1e-12
 
@@ -58,26 +62,12 @@ def require_growth_constants(p=None, **k):
 
 @dataclass(frozen=True)
 class FieldPair:
-    """Discrete solution pair on the mesh cells at one time.
-
-    `state` is, for a pair made by `of_state`, the stacked state y = [u; v]
-    whose halves are u and v, which the kernels read without a copy; None
-    otherwise."""
+    """Discrete solution pair on the mesh cells at one time."""
 
     u: np.ndarray
     v: np.ndarray
     t: float
     nonneg: bool = False
-    state: Optional[np.ndarray] = dataclass_field(default=None, init=False, repr=False,
-                                                  compare=False)
-
-    @classmethod
-    def of_state(cls, y: np.ndarray, t: float) -> "FieldPair":
-        """The pair of views of y = [u; v]'s halves, which shares y."""
-        n = y.size // 2
-        pair = cls(u=y[:n], v=y[n:], t=t)
-        object.__setattr__(pair, "state", y)
-        return pair
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).ravel()
@@ -115,7 +105,7 @@ class EnergySample:
 
 def energy_E(fields: FieldPair, mesh: Mesh) -> float:
     """int (u^2 + v^2) dx."""
-    return _squared_integral(_stacked(fields), mesh)
+    return _finite_total(_squared_integrals(_stacked(fields)[None], mesh)[0], "interior")
 
 
 def energy_scriptE(fields: FieldPair, mesh: Mesh, p: float) -> float:
@@ -123,7 +113,7 @@ def energy_scriptE(fields: FieldPair, mesh: Mesh, p: float) -> float:
     if not fields.nonneg:
         raise NegativeField("scriptE requires fields flagged nonnegative")
     require_growth_constants(p)
-    return _power_integral(_stacked(fields), mesh, p)
+    return _finite_total(_power_integrals(_stacked(fields)[None], mesh, p)[0], "interior")
 
 
 def discrete_gradient_energy(field_values, mesh: Mesh) -> float:
@@ -132,23 +122,30 @@ def discrete_gradient_energy(field_values, mesh: Mesh) -> float:
 
 
 def _stacked(fields: FieldPair) -> np.ndarray:
-    """y = [u; v], which the kernels only read."""
-    return fields.state if fields.state is not None else np.concatenate([fields.u, fields.v])
+    """y = [u; v]."""
+    return np.concatenate([fields.u, fields.v])
+
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """The dot product of each row of the (k, m) block x with itself, each
+    the BLAS dot of that row alone."""
+    return np.matmul(x[:, None, :], x[:, :, None]).ravel()
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _squared_integral(y: np.ndarray, mesh: Mesh) -> float:
-    """int of the sum of y's fields squared."""
-    return _finite_total(np.dot(y, y) * mesh.cell_volume, "interior")
+def _squared_integrals(states: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """int of the sum of each state's fields squared, unchecked."""
+    return _row_dots(states) * mesh.cell_volume
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _power_integral(y: np.ndarray, mesh: Mesh, p: float) -> float:
-    """int of the sum of y's fields to the power 2p, each clamped at 0, as
-    the squares of the p-th powers: a single power, the square for p = 2."""
-    powers = np.maximum(y, 0.0)
+def _power_integrals(states: np.ndarray, mesh: Mesh, p: float) -> np.ndarray:
+    """int of the sum of each state's fields to the power 2p, each clamped at
+    0, as the squares of the p-th powers: a single power, the square for
+    p = 2; unchecked."""
+    powers = np.maximum(states, 0.0)
     np.power(powers, p, out=powers)
-    return _finite_total(np.dot(powers, powers) * mesh.cell_volume, "interior")
+    return _row_dots(powers) * mesh.cell_volume
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -169,11 +166,11 @@ def _gradient_energies(y: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _boundary_energies(y: np.ndarray, mesh: Mesh) -> list[float]:
-    """int_bdry u^2 ds and int_bdry v^2 ds of y = [u; v]."""
-    values = np.take(y.reshape(2, -1), mesh.face_cells, axis=1)
+def _boundary_energies(states: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """(k, 2): int_bdry u^2 ds and int_bdry v^2 ds of each state, unchecked."""
+    values = np.take(states.reshape(len(states), 2, -1), mesh.face_cells, axis=2)
     np.square(values, out=values)
-    return [_finite_total(total, "boundary") for total in values @ mesh.face_areas]
+    return values @ mesh.face_areas
 
 
 def functional_J(fields: FieldPair, mesh: Mesh, nl, alpha: float,
@@ -187,33 +184,50 @@ def functional_J(fields: FieldPair, mesh: Mesh, nl, alpha: float,
 def energy_sample(fields: FieldPair, mesh: Mesh, nl=None, alpha: float = 1.0,
                   gamma1: float = 0.0, gamma2: float = 0.0,
                   p: Optional[float] = None, dt: float = float("nan")) -> EnergySample:
-    """Assemble the full monitor row for one state."""
-    y = _stacked(fields)
-    bdry_u, bdry_v = _boundary_energies(y, mesh)
-    grad_u, grad_v = _gradient_energies(y, mesh).tolist()
+    """Assemble the full monitor row for one state: `energy_rows` on it."""
+    return energy_rows(_stacked(fields)[None], [fields.t], [dt], mesh, nl, alpha,
+                       gamma1, gamma2, p)[0]
+
+
+def energy_rows(states: np.ndarray, ts, dts, mesh: Mesh, nl=None, alpha: float = 1.0,
+                gamma1: float = 0.0, gamma2: float = 0.0,
+                p: Optional[float] = None) -> list[EnergySample]:
+    """The monitor rows of k states, the rows of the (k, 2n) block `states`,
+    each y = [u; v], at the times `ts` and with the steps `dts`.
+
+    NonFiniteSample, as `energy_sample` raises it, for the first state with
+    a non-finite integral."""
+    k = len(states)
+    fields = states.reshape(k, 2, -1)
+    bdry = _boundary_energies(states, mesh)
+    grad = _gradient_energies(states.ravel(), mesh).reshape(k, 2)
     J = intF = None
     if nl is not None and nl.has_potential:
-        intF = interior_integral(mesh, nl.F(fields.u, fields.v))
-        c = 2.0 * (1.0 + alpha)
-        J = -c * (gamma1 * bdry_u + grad_u) - c * (gamma2 * bdry_v + grad_v) + 2.0 * c * intF
-    E = _squared_integral(y, mesh)
-    scriptE = None if p is None else _power_integral(y, mesh, p)
-    y2 = y.reshape(2, -1)
-    sup_u, sup_v = np.maximum(y2.max(axis=1), -y2.min(axis=1)).tolist()
-    return EnergySample(
-        t=fields.t,
-        E=E,
-        J=J,
-        scriptE=scriptE,
-        grad_u_energy=grad_u,
-        grad_v_energy=grad_v,
-        bdry_u=bdry_u,
-        bdry_v=bdry_v,
-        intF=intF,
-        sup_u=sup_u,
-        sup_v=sup_v,
-        dt=dt,
-    )
+        values = np.asarray(nl.F(fields[:, 0], fields[:, 1]), dtype=float).reshape(k, -1)
+        if values.shape[1] != mesh.n_cells:
+            raise ValueError("one sample per cell required")
+        with np.errstate(over="ignore", invalid="ignore"):
+            intF = values.sum(axis=1) * mesh.cell_volume
+            c = 2.0 * (1.0 + alpha)
+            J = (-c * (gamma1 * bdry[:, 0] + grad[:, 0]) - c * (gamma2 * bdry[:, 1] + grad[:, 1])
+                 + 2.0 * c * intF)
+    E = _squared_integrals(states, mesh)
+    scriptE = None if p is None else _power_integrals(states, mesh, p)
+    # the checks of `boundary_integral` and `interior_integral`, in the row's order
+    checked = [("boundary", bdry[:, 0]), ("boundary", bdry[:, 1]), ("interior", intF),
+               ("interior", E), ("interior", scriptE)]
+    checked = [(what, totals) for what, totals in checked if totals is not None]
+    finite = np.logical_and.reduce([np.isfinite(totals) for _, totals in checked])
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        for what, totals in checked:
+            _finite_total(totals[bad], what)
+    sups = np.maximum(fields.max(axis=2), -fields.min(axis=2))
+    columns = [ts, E, J, scriptE, grad[:, 0], grad[:, 1], bdry[:, 0], bdry[:, 1], intF,
+               sups[:, 0], sups[:, 1], dts]
+    columns = [[None] * k if col is None else np.asarray(col, dtype=float).tolist()
+               for col in columns]
+    return [EnergySample(*row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)

@@ -2,28 +2,42 @@
 
 With Neumann boundaries and spatially constant data the PDE system reduces
 exactly to the planar ODE u' = f1(u, v), v' = f2(u, v); integrating that
-ODE to high accuracy gives reference trajectories and blow-up times.  The
-quadrature oracle is a deliberately dumb composite trapezoid rule.  Nothing
-here shares stepping or quadrature code with the main modules.
-`ode_reduce` imports its integrator, `scipy.integrate.solve_ivp`, when it
-runs, so importing this module loads numpy alone.
+ODE to high accuracy gives reference trajectories and blow-up times.  It is
+integrated in the Sundman time s, dt/ds = 1/R with R = 1 + |f| / (1 + |y|)
+(Euclidean norms of f = (f1, f2) and y = (u, v)), as in Berger & Kohn (CPAM
+1988) and Stuart & Floater (EJAM 1990): near blow-up |f| outgrows |y|, so
+y grows exponentially in s and dt/ds decays exponentially, and the steps
+in s stay large where steps in t would shrink to nothing.  The quadrature
+oracle is a deliberately dumb composite trapezoid rule.  Nothing here
+shares stepping or quadrature code with the main modules.  `ode_reduce`
+imports its integrator, `scipy.integrate.solve_ivp`, when it runs, so
+importing this module loads numpy alone.
 """
 
 from dataclasses import dataclass
-from math import atan, pi, sqrt
-from typing import Callable, Optional
+from math import atan, hypot, inf, pi, sqrt
+from typing import Optional
 
 import numpy as np
+
+# DOP853's tolerances in the Sundman time.  The blow-up time's uncertainty
+# includes _TIME_ERROR of it, ten times the relative tolerance: the largest
+# error seen against the quadrature references of power_product blow-up
+# times is 1.1e-13 relative
+_RTOL, _ATOL = 1e-13, 1e-15
+_TIME_ERROR = 10 * _RTOL
 
 
 @dataclass(frozen=True)
 class OdeTrace:
+    """The integrator's knots (ts, us, vs), from t = 0 to t_max or to the
+    top level, and the blow-up time."""
+
     ts: np.ndarray
     us: np.ndarray
     vs: np.ndarray
     blowup_time: Optional[tuple]  # (value, uncertainty) or None
     method: str
-    dense: Callable  # t -> (u, v), the integrator's dense output
 
 
 def _aitken(t0, t1, t2):
@@ -39,16 +53,27 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float,
     """Integrate the spatially homogeneous reduction and extract the
     blow-up time by geometric extrapolation of level-crossing times.
 
-    Crossing times of max(u, v) at geometric levels up to 1/cutoff converge
-    geometrically to the blow-up time; the last three are extrapolated and
-    the uncertainty taken from halving the cutoff (one level earlier).
+    The state is z = (u, v, t), advanced in the Sundman time s (module
+    docstring) by dz/ds = (f1, f2, 1) / R until t reaches t_max or max(u, v)
+    the top level 1/cutoff.  Crossing times of max(u, v) at geometric levels
+    up to 1/cutoff converge geometrically to the blow-up time; the last
+    three are extrapolated.  The uncertainty adds the shift from halving the
+    cutoff (one level earlier), the distance to the last crossing and the
+    integrator's error allowance `_TIME_ERROR` of the estimate.
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial values must be nonnegative")
     from scipy.integrate import solve_ivp
 
-    def fun(t, y):
-        return [float(nl.f1(y[0], y[1])), float(nl.f2(y[0], y[1]))]
+    f1, f2 = nl.f1, nl.f2
+
+    def fun(s, z):
+        # numpy scalars in the reaction, so that a zero division or a
+        # negative base gives inf or NaN, not an exception
+        u, v = z[0], z[1]
+        du, dv = float(f1(u, v)), float(f2(u, v))
+        r = 1.0 + hypot(du, dv) / (1.0 + hypot(u, v))
+        return [du / r, dv / r, 1.0 / r]
 
     start = max(u0, v0, 1.0)
     top = 1.0 / cutoff
@@ -57,29 +82,29 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float,
 
     events = []
     for lev in levels:
-        def ev(t, y, lev=lev):
-            return max(y[0], y[1]) - lev
+        def ev(s, z, lev=lev):
+            return max(z[0], z[1]) - lev
         ev.terminal = lev == levels[-1]
         ev.direction = 1.0
         events.append(ev)
 
-    sol = solve_ivp(fun, (0.0, t_max), [u0, v0], method="DOP853",
-                    rtol=1e-12, atol=1e-14, events=events, dense_output=True)
-    crossing = [te[0] for te in sol.t_events if te.size > 0]
-    # For very fast blow-up rates the integrator stalls before the top
-    # level: the remaining time to blow-up drops below the floating-point
-    # spacing of t (sol.status == -1).  Three crossings then already pin
-    # the blow-up time.
-    blew_up = len(crossing) == len(levels) or (sol.status == -1 and len(crossing) >= 3)
+    def reached_t_max(s, z):
+        return z[2] - t_max
+    reached_t_max.terminal = True
+    events.append(reached_t_max)
+
+    sol = solve_ivp(fun, (0.0, inf), [u0, v0, 0.0], method="DOP853",
+                    rtol=_RTOL, atol=_ATOL, events=events)
+    crossing = [float(z[0, 2]) for z in sol.y_events[:-1] if z.shape[0] > 0]
     blowup_time = None  # no blow-up reached by t_max
-    if blew_up:
+    if len(crossing) == len(levels):
         est = _aitken(*crossing[-3:])
-        alt = _aitken(*crossing[-4:-1]) if len(crossing) >= 4 else crossing[-2]
-        blowup_time = (est, abs(est - alt) + abs(est - crossing[-1]))
+        alt = _aitken(*crossing[-4:-1])
+        blowup_time = (est, abs(est - alt) + abs(est - crossing[-1]) + _TIME_ERROR * est)
     return OdeTrace(
-        ts=sol.t, us=sol.y[0], vs=sol.y[1], blowup_time=blowup_time,
-        method=f"scipy DOP853 rtol=1e-12, level extrapolation cutoff={cutoff:g}",
-        dense=sol.sol,
+        ts=sol.y[2], us=sol.y[0], vs=sol.y[1], blowup_time=blowup_time,
+        method=f"scipy DOP853 in Sundman time rtol={_RTOL:g}, "
+               f"level extrapolation cutoff={cutoff:g}",
     )
 
 

@@ -87,7 +87,15 @@ mirrored back to the box.  Other axes, and every axis of odd data or of an
 odd cell count, keep the box's cells and arithmetic.
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
-one per accepted step; the rows are its only per-step record.  Blow-up is
+one per accepted step; the rows are its only per-step record.  It keeps
+each such state's (t, dt) and a copy of it in a block of `_ROW_BLOCK_BYTES`
+and writes the block's rows with one `energy_rows` call when the block
+fills and when the run ends, so a row costs a copy and a share of that
+call; the step loop takes the sup-norm, max(y) and -min(y), from the state
+itself.  A state too large for a block of two is written on its own, with
+no copy.  The kernel reduces each state alone, so the rows are the ones
+`energy_sample` gives each state, bit for bit; a row whose integral is not
+finite raises NonFiniteSample when its block is written.  Blow-up is
 detected by a sup-norm threshold, or by the step-underflow fallback, and the
 blow-up time extrapolated from a power-law fit of the rows' (t, sup) tail.
 """
@@ -99,7 +107,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientSamples, NonFiniteField
-from .functionals import EnergySample, FieldPair, energy_sample
+from .functionals import EnergySample, FieldPair, energy_rows
 from .geometry import Mesh, RobinOperator, require_gamma
 from .nonlinearity import Nonlinearity
 
@@ -116,6 +124,8 @@ _PI_KI = 0.7
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
 _CAP_SAFETY = 0.8
 _DT_MIN, _DT_MAX = 1e-14, 0.1
+# the bytes of the states a run keeps for one `energy_rows` call
+_ROW_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,6 +481,51 @@ def _unfold(values: np.ndarray, mesh: Mesh) -> np.ndarray:
     return grid.ravel()
 
 
+class _MonitorRows:
+    """The monitor rows of a run (module docstring): `record` keeps each
+    state's (t, dt) and a copy of it in a block of `_ROW_BLOCK_BYTES`, and
+    `flush` writes the block's rows with one `energy_rows` call.  A state
+    too large for a block of two is written on its own, from the state."""
+
+    def __init__(self, config: SolverConfig, mesh: Mesh, size: int):
+        capacity = _ROW_BLOCK_BYTES // (8 * size)
+        self.block = np.empty((capacity, size)) if capacity >= 2 else None
+        self.kept, self.times, self.dts = 0, [], []
+        self.config, self.mesh = config, mesh
+        self.samples: list[EnergySample] = []
+        self.negative = 0  # cells < 0 over the rows, when scriptE is monitored
+
+    def record(self, y: np.ndarray, t: float, dt: float) -> float:
+        """Keep the row of the state y at t, reached by a step dt; return its
+        sup-norm."""
+        self.times.append(t)
+        self.dts.append(dt)
+        if self.block is None:
+            self._write(y[None])
+            return max(self.samples[-1].sup_u, self.samples[-1].sup_v)
+        self.block[self.kept] = y
+        self.kept += 1
+        if self.kept == len(self.block):
+            self.flush()
+        return float(max(y.max(), -y.min()))
+
+    def flush(self) -> list[EnergySample]:
+        """Write the kept states' rows; return every row so far."""
+        if self.kept:
+            self._write(self.block[:self.kept])
+            self.kept = 0
+        return self.samples
+
+    def _write(self, states):
+        config = self.config
+        if config.p is not None:
+            self.negative += np.count_nonzero(states < 0)
+        self.samples += energy_rows(states, self.times, self.dts, self.mesh, nl=config.nl,
+                                    alpha=config.alpha, gamma1=config.gamma1,
+                                    gamma2=config.gamma2, p=config.p)
+        self.times, self.dts = [], []
+
+
 def simulate(config: SolverConfig) -> SolveTrace:
     """Advance the system until t_end, blow-up threshold, or step underflow."""
     nl, axes = config.nl, _mirror_axes(config.mesh, config.g1, config.g2)
@@ -516,21 +571,9 @@ def simulate(config: SolverConfig) -> SolveTrace:
         raise NonFiniteField("initial right-hand side is not finite")
     steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
     t, err_prev = 0.0, 1.0
-    samples: list[EnergySample] = []
-    clamp_count = 0
-
-    def record(dt_now):
-        """Append the monitor row of the current state; return its sup-norm."""
-        nonlocal clamp_count
-        if config.p is not None:
-            clamp_count += np.count_nonzero(y < 0) * copies
-        row = energy_sample(FieldPair.of_state(y, t), mesh, nl=nl, alpha=config.alpha,
-                            gamma1=config.gamma1, gamma2=config.gamma2, p=config.p, dt=dt_now)
-        samples.append(row)
-        return max(row.sup_u, row.sup_v)
-
+    rows = _MonitorRows(config, mesh, y.size)
     # the initial row carries the first trial dt, clamped but not to t_end
-    sup = initial_sup = record(min(dt, _DT_MAX))
+    sup = initial_sup = rows.record(y, t, min(dt, _DT_MAX))
     outcome = OUTCOME_REACHED_T_END
 
     while t < config.t_end:
@@ -555,7 +598,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
             err_prev = max(err, 1e-12)
             t = config.t_end if last else t + dt
             y = work.accept(y)
-            sup = record(dt)
+            sup = rows.record(y, t, dt)
         dt = dt_next
         if dt < _DT_MIN and t < config.t_end:
             outcome = OUTCOME_STEP_UNDERFLOW
@@ -564,6 +607,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
             outcome = OUTCOME_BLOWUP
             break
 
+    samples = rows.flush()
     fallback_level = max(1e3 * initial_sup, 1e3)
     estimate = None
     # dt collapsing after the sup-norm grew by orders of magnitude is caused by
@@ -581,7 +625,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         samples=samples, outcome=outcome, blowup_estimate=estimate,
         u_crossed=estimate is not None and samples[-1].sup_u >= level,
         v_crossed=estimate is not None and samples[-1].sup_v >= level,
-        clamp_count=clamp_count, steps_by_pair=steps_by_pair,
+        clamp_count=rows.negative * copies, steps_by_pair=steps_by_pair,
         final_fields=FieldPair(u=_unfold(y[:n], mesh), v=_unfold(y[n:], mesh), t=t),
         mirror_axes=axes,
     )

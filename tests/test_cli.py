@@ -273,6 +273,18 @@ class TestSandwich:
         assert report["sandwich"].get("oracle_violated", False) == (expected == EXIT_FAILED)
         assert "upper_violated" not in report["sandwich"]
 
+    def test_oracle_finds_the_fast_blowup_of_u4v4(self, tmp_path):
+        # F = u^4 v^4 from (1, 1): u' = 4 u^7, so u^-6 = 1 - 24 t and the
+        # oracle's blow-up time is 1/24
+        text = BLOWUP_BOX.replace("a_exp = 2\nb_exp = 2", "a_exp = 4\nb_exp = 4")
+        out = tmp_path / "out"
+        code = main(["sandwich", "--config", write_config(tmp_path, text),
+                     "--out-dir", str(out), "--resolution", "8"])
+        assert code == EXIT_OK
+        t, unc = load_report(out)["oracle"]["blowup_time"]
+        assert t == pytest.approx(1 / 24, rel=2e-13)
+        assert abs(t - 1 / 24) <= unc
+
     def test_partial_sandwich_without_lower_params(self, tmp_path):
         cfg = write_config(tmp_path, BLOWUP_BOX)
         out = tmp_path / "out"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from rdblowup.errors import NegativeField, NonFiniteField, NotGradientSystem
+from rdblowup.errors import NegativeField, NonFiniteField, NonFiniteSample, NotGradientSystem
 from rdblowup.functionals import (
     FieldPair,
     discrete_gradient_energy,
     energy_E,
+    energy_rows,
     energy_sample,
     energy_scriptE,
     functional_J,
@@ -250,8 +251,32 @@ class TestStackedRowKernels:
         # differences of equal values are 0 however large the values
         assert discrete_gradient_energy(np.full(mesh.n_cells, 1e150), mesh) == 0.0
 
+    @pytest.mark.parametrize("spec, cells", ROW_MESHES, ids=["2d", "3d"])
+    def test_a_block_of_states_gives_each_state_s_row(self, spec, cells):
+        # the kernel reduces one state at a time, so a state's row is the
+        # same bit for bit whatever block it is written in
+        mesh = build_mesh(spec, cells)
+        nl = make_power_product(1.0, 2.0, 3.0)
+        states = np.random.default_rng(5).uniform(-0.5, 2.0, (6, 2 * mesh.n_cells))
+        ts, dts = [0.1 * k for k in range(6)], [0.01 * k for k in range(6)]
+        rows = energy_rows(states, ts, dts, mesh, nl, 1.2, 0.5, 3.0, p=1.5)
+        assert rows[2:4] == energy_rows(states[2:4], ts[2:4], dts[2:4], mesh, nl, 1.2,
+                                        0.5, 3.0, p=1.5)
+        for y, t, dt, row in zip(states, ts, dts, rows):
+            pair = FieldPair(u=y[:mesh.n_cells].copy(), v=y[mesh.n_cells:].copy(), t=t)
+            assert energy_sample(pair, mesh, nl, 1.2, 0.5, 3.0, p=1.5, dt=dt) == row
+
+    def test_the_first_non_finite_state_raises(self):
+        spec, cells = ROW_MESHES[0]
+        mesh = build_mesh(spec, cells)
+        states = np.ones((3, 2 * mesh.n_cells))
+        states[1, 0] = np.inf  # a corner cell: the boundary integral is not finite
+        states[2, 3] = np.nan
+        with pytest.raises(NonFiniteSample, match="boundary"):
+            energy_rows(states, [0.0] * 3, [0.1] * 3, mesh)
+
     def test_the_solver_row_is_the_field_pair_row(self):
-        # simulate reads its rows off the stacked state in place; the same
+        # simulate writes its rows from blocks of kept states; the last
         # state handed over as a FieldPair of copies gives the same row, bit
         # for bit
         spec, cells = ROW_MESHES[1]

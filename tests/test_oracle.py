@@ -50,14 +50,29 @@ class TestOdeReduce:
         assert t_star == pytest.approx(u2v3_equal_unit_blowup(), abs=1e-6)
 
     def test_trajectory_matches_closed_form(self):
-        # u(t) = (1 - 4t)^{-1/2} for F = u^2 v^2, u0 = v0 = 1
+        # u(t) = (1 - 4t)^{-1/2} for F = u^2 v^2, u0 = v0 = 1, at the
+        # oracle's own knots up to t = 0.24
         nl = make_power_product(1.0, 2.0, 2.0)
         trace = ode_reduce(nl, 1.0, 1.0, t_max=1.0)
-        dense = trace.dense
-        for t in (0.05, 0.1, 0.2, 0.24):
-            u_exact = (1.0 - 4.0 * t) ** -0.5
-            u_num = dense(t)[0]
-            assert u_num == pytest.approx(u_exact, rel=1e-8)
+        early = trace.ts <= 0.24
+        assert np.count_nonzero(early) >= 10
+        for u in (trace.us, trace.vs):
+            assert u[early] == pytest.approx(closed_form_u(trace.ts[early]), rel=1e-8)
+
+    def test_takes_at_most_150_steps_to_the_top_level(self):
+        # the Sundman time keeps the steps large up to u = 1e6
+        nl = make_power_product(1.0, 2.0, 2.0)
+        trace = ode_reduce(nl, 1.0, 1.0, t_max=1.0)
+        assert trace.blowup_time is not None
+        assert len(trace.ts) - 1 <= 150
+        assert max(trace.us[-1], trace.vs[-1]) == pytest.approx(1e6, rel=1e-9)
+
+    def test_stops_at_t_max_before_blowup(self):
+        nl = make_power_product(1.0, 2.0, 2.0)
+        trace = ode_reduce(nl, 1.0, 1.0, t_max=0.2)
+        assert trace.blowup_time is None
+        assert trace.ts[-1] == pytest.approx(0.2, rel=1e-14)
+        assert trace.us[-1] == pytest.approx(closed_form_u(0.2), rel=1e-10)
 
     def test_potential_nondecreasing_along_trajectory(self):
         # F is a Lyapunov-type quantity here: dF/dt = f1^2 + f2^2 >= 0
@@ -77,6 +92,68 @@ class TestOdeReduce:
             ode_reduce(nl, -1.0, 1.0, t_max=1.0)
 
 
+# Blow-up times of F = u^a v^b from (1, 1) and from (0.8, 1.2): rows
+# (a, b, t*(1, 1), t*(0.8, 1.2)), from `quadrature_blowup_time` with mpmath
+# at 30 digits, rounded to 17
+POWER_PRODUCT_BLOWUP = [
+    (2, 2, 0.25, 0.25341569256760274),
+    (2, 3, 0.1295802486328968, 0.121978293794635),
+    (2, 4, 0.076713204860013673, 0.065155513137425231),
+    (2, 5, 0.049661987114431674, 0.037250980256569293),
+    (3, 2, 0.1295802486328968, 0.14565206262513348),
+    (3, 3, 0.083333333333333333, 0.086805555555555554),
+    (3, 4, 0.056244700993506389, 0.053189980588473692),
+    (3, 5, 0.039650012874083552, 0.033451840856989908),
+    (4, 2, 0.076713204860013673, 0.099446079959728047),
+    (4, 3, 0.056244700993506389, 0.066844864275947949),
+    (4, 4, 0.041666666666666667, 0.044847442168676275),
+    (4, 5, 0.031427566747278288, 0.030251405968477274),
+    (5, 2, 0.049661987114431674, 0.076304914814217397),
+    (5, 3, 0.039650012874083552, 0.055088176564163979),
+    (5, 4, 0.031427566747278288, 0.039275731374831134),
+    (5, 5, 0.025, 0.027880256558641974),
+]
+DATA = ((1.0, 1.0), (0.8, 1.2))
+POWER_PRODUCT_CASES = [(a, b, u0, v0, times[i]) for a, b, *times in POWER_PRODUCT_BLOWUP
+                       for i, (u0, v0) in enumerate(DATA)]
+CASE_IDS = [f"u{a}v{b}-{u0:g},{v0:g}" for a, b, u0, v0, _ in POWER_PRODUCT_CASES]
+
+
+def closed_form_u(t):
+    """u = v of F = u^2 v^2 from (1, 1): (1 - 4t)^{-1/2}."""
+    return (1.0 - 4.0 * np.asarray(t)) ** -0.5
+
+
+def quadrature_blowup_time(mp, a, b, u0, v0):
+    """t* of F = u^a v^b from (u0, v0) by mpmath quadrature: b u^2 - a v^2
+    is conserved, so v is a function of u and t* = int_u0^inf du / f1(u, v)."""
+    u0, v0 = mp.mpf(u0), mp.mpf(v0)
+    K = b * u0**2 - a * v0**2
+
+    def dt_du(u):
+        return 1 / (a * u ** (a - 1) * mp.sqrt((b * u**2 - K) / a) ** b)
+
+    return mp.quad(dt_du, [u0, 2 * u0, 10 * u0, mp.inf])
+
+
+class TestPowerProductBlowup:
+    @pytest.mark.parametrize("a, b, u0, v0, t_star", POWER_PRODUCT_CASES, ids=CASE_IDS)
+    def test_blowup_time_within_2e_13_and_its_uncertainty(self, a, b, u0, v0, t_star):
+        trace = ode_reduce(make_power_product(1.0, float(a), float(b)), u0, v0, t_max=1.0)
+        assert trace.blowup_time is not None
+        t, unc = trace.blowup_time
+        error = abs(t - t_star)
+        assert error <= 2e-13 * t_star
+        assert error <= unc
+
+    def test_references_are_the_quadrature(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for a, b, u0, v0, t_star in POWER_PRODUCT_CASES:
+                ref = float(quadrature_blowup_time(mpmath, a, b, u0, v0))
+                assert ref == pytest.approx(t_star, rel=4e-16, abs=0)
+
+
 class TestBruteForceIntegral:
     def test_polynomial(self):
         val = brute_force_integral(lambda x: x**2, 0.0, 1.0, 100000)
@@ -93,23 +170,16 @@ class TestBruteForceIntegral:
 
 class TestPdeAgainstOde:
     def test_constant_data_neumann_tracks_ode(self, box2d):
-        # with Neumann walls and flat data the PDE is exactly the ODE;
-        # compare sup-norm histories while the solution is still moderate
+        # with Neumann walls and flat data the PDE is exactly the ODE, whose
+        # solution from (1, 1) is `closed_form_u`; compare the sup-norm
+        # history with it while the solution is still moderate
         nl = make_power_product(1.0, 2.0, 2.0)
         mesh = build_mesh(box2d, 8)
         g = np.full(mesh.n_cells, 1.0)
         cfg = SolverConfig(mesh=mesh, nl=nl, gamma1=0.0, gamma2=0.0,
                            g1=g, g2=g, t_end=1.0,
                            rel_tol=1e-10, abs_tol=1e-12)
-        trace = simulate(cfg)
-        ode = ode_reduce(nl, 1.0, 1.0, t_max=1.0)
-        dense = ode.dense
-        ts, sups = trace.tail
-        checked = 0
-        for t, sup in zip(ts, sups):
-            if sup >= 1e2 or t > ode.ts[-1]:
-                break
-            u_ref = float(dense(t)[0])
-            assert sup == pytest.approx(u_ref, rel=1e-6)
-            checked += 1
-        assert checked > 50
+        ts, sups = simulate(cfg).tail
+        moderate = np.cumprod(sups < 1e2).astype(bool)
+        assert np.count_nonzero(moderate) >= 50
+        assert sups[moderate] == pytest.approx(closed_form_u(ts[moderate]), rel=1e-6)

@@ -504,6 +504,41 @@ class TestPairChoice:
         assert max(dt for _, dt in trials) < _diffusion_cap(mesh)
 
 
+class TestMonitorRows:
+    def test_flat_run_writes_its_rows_in_blocks(self, monkeypatch):
+        # criterion 1's run folds onto 8^3 cells, whose states fit many to
+        # a block: the row kernel runs at most once per 8 steps, and every
+        # accepted state still has its row, in order
+        calls = row_kernel_calls(monkeypatch)
+        trace, _ = flat_blowup_3d()
+        assert trace.n_steps > 300
+        assert len(calls) <= trace.n_steps / 8
+        assert sum(calls) == len(trace.samples) == trace.n_steps + 1
+        ts = [s.t for s in trace.samples]
+        assert ts[0] == 0.0 and all(np.diff(ts) > 0)
+
+    def test_a_state_larger_than_a_block_is_written_on_its_own(self, monkeypatch):
+        # 24^3 cells on the box: one state is 221 kB
+        calls = row_kernel_calls(monkeypatch)
+        trace = simulate(on_the_box(robin_heat_config(3, 24)))
+        assert trace.mirror_axes == ()
+        assert calls == [1] * len(trace.samples) == [1, 1]
+
+
+def row_kernel_calls(monkeypatch):
+    """The number of states of each `energy_rows` call `simulate` makes
+    from now on."""
+    calls = []
+    real = rdblowup.solver.energy_rows
+
+    def counted(states, *args, **kwargs):
+        calls.append(len(states))
+        return real(states, *args, **kwargs)
+
+    monkeypatch.setattr(rdblowup.solver, "energy_rows", counted)
+    return calls
+
+
 class TestStartingStep:
     @pytest.mark.parametrize("cu, cv, tolerances", [
         (1.0, 2.0, {}),                                  # the fourth root binds
