@@ -63,6 +63,8 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float,
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial values must be nonnegative")
+    if not 0 < t_max < inf:  # the terminal event needs t to reach t_max
+        raise ValueError(f"t_max must be finite and positive, got {t_max:g}")
     from scipy.integrate import solve_ivp
 
     f1, f2 = nl.f1, nl.f2

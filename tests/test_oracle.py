@@ -91,6 +91,11 @@ class TestOdeReduce:
         with pytest.raises(ValueError):
             ode_reduce(nl, -1.0, 1.0, t_max=1.0)
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf])
+    def test_rejects_a_t_max_it_cannot_stop_at(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            ode_reduce(linear_decay(), 1.0, 1.0, t_max=t_max)
+
 
 # Blow-up times of F = u^a v^b from (1, 1) and from (0.8, 1.2): rows
 # (a, b, t*(1, 1), t*(0.8, 1.2)), from `quadrature_blowup_time` with mpmath
