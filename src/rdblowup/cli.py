@@ -23,7 +23,7 @@ A ball domain takes constant initial data only and reads no `[solver]` key,
 as no command simulates on it: a ball config that sets one exits 2.
 
 Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
-2 config error, 3 numerical failure.
+2 config error, 3 numerical failure (a step underflow included).
 """
 
 import argparse
@@ -335,7 +335,9 @@ def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
     est = trace.blowup_estimate
 
     verdict = {"partial": t_upper is None or t_lower is None or est is None}
-    code = EXIT_OK
+    # a step underflow has no estimate to compare: a numerical failure, as
+    # for `simulate`, with the report still written
+    code = EXIT_NUMERICAL if trace.outcome == OUTCOME_STEP_UNDERFLOW else EXIT_OK
     if est is not None:
         tol = max(1e-3, 2.0 * est.uncertainty)
         if t_upper is not None and est.t > t_upper + tol:

@@ -72,19 +72,25 @@ rejected, and DP5's order pays below its cap.
 
 The fold: the solution is even along an axis whenever the data are, as N
 acts cell by cell and A, with one gamma per field on every face, commutes
-with the mirror.  So `simulate` folds each axis with
-an even cell count along which g1 and g2 both equal their mirror images
-(the box's centres are antisymmetric bit for bit, so data even in a
-coordinate are), and steps only the cells at x_a > 0 on `Mesh.fold`, 1/2^k
-of the cells for k folded axes; `SolveTrace.mirror_axes` names them.  On
-a state even in those axes every operation above is the same, cell for
+with the mirror.  So `simulate` folds each axis with an even cell count
+along which g1 and g2 both equal their mirror images to rounding: each
+cell within 4 eps of its field's sup-norm of its mirror cell, and
+negative iff that cell is (`_mirror_axes`).  The box's centres are
+antisymmetric bit for bit, so data even in a coordinate are even bit for
+bit; data built on a caller's own grid, off antisymmetric by an ulp of
+the half-extent, are even to a few eps, while one product with A breaks
+the evenness of bit-even data by hundreds of eps of |A y|.  The run steps
+only the cells at x_a > 0 on `Mesh.fold`, 1/2^k of the cells for k
+folded axes, from the upper half of the data, so it symmetrises them by
+at most the tolerance; `SolveTrace.mirror_axes` names the folded axes.
+On a state even in those axes every operation above is the same, cell for
 cell: the fold's low face is a mirror, whose ghost is the cell, as the
 box's neighbour across the plane is; the RMS norms and sup-norms over the
 fold equal those over the box; and the fold's quadrature weights carry
 the multiplicity 2^k, so the monitor rows are the box's.  Only rounding
 differs.  `clamp_count` counts each cell 2^k times, and `final_fields` is
-mirrored back to the box.  Other axes, and every axis of odd data or of an
-odd cell count, keep the box's cells and arithmetic.
+mirrored back to the box.  Other axes, and every axis of data not even to
+rounding or of an odd cell count, keep the box's cells and arithmetic.
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  It keeps
@@ -126,6 +132,9 @@ _CAP_SAFETY = 0.8
 _DT_MIN, _DT_MAX = 1e-14, 0.1
 # the bytes of the states a run keeps for one `energy_rows` call
 _ROW_BLOCK_BYTES = 1 << 17
+# how far a field may be from its mirror image on a folded axis, in eps of
+# its sup-norm: the rounding of data built on a grid other than the mesh's
+_MIRROR_EPS = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,10 +476,29 @@ def _diffusion_cap(mesh: Mesh) -> float:
 
 def _mirror_axes(mesh: Mesh, *fields: np.ndarray) -> tuple[int, ...]:
     """The axes of `mesh` with an even cell count along which each field
-    equals its mirror image: the axes `simulate` folds."""
-    grids = [f.reshape(mesh.shape) for f in fields]
+    equals its mirror image to rounding: the axes `simulate` folds.  Along
+    such an axis each cell of the upper half is within `_MIRROR_EPS` eps of
+    the field's sup-norm of its mirror cell, and is negative iff its mirror
+    cell is, so the fold's `clamp_count` reads the box's.  The fold steps the upper half,
+    so it symmetrises the data by at most that tolerance."""
+    grids = []
+    for f in fields:
+        low, high = f.min(), f.max()
+        # the grid, its tolerance and whether it has a negative cell
+        grids.append((f.reshape(mesh.shape), _MIRROR_EPS * np.finfo(float).eps * max(high, -low),
+                      low < 0))
+
+    def even(axis, half, g, tol, signed):
+        upper = g[(slice(None),) * axis + (slice(half, None),)]
+        mirror = np.flip(g[(slice(None),) * axis + (slice(None, half),)], axis)
+        # only cells of one sign are subtracted, which cannot overflow
+        if signed and not np.array_equal(upper < 0, mirror < 0):
+            return False
+        diff = upper - mirror
+        return max(diff.max(), -diff.min()) <= tol
+
     return tuple(axis for axis, na in enumerate(mesh.shape)
-                 if na % 2 == 0 and all(np.array_equal(g, np.flip(g, axis)) for g in grids))
+                 if na % 2 == 0 and all(even(axis, na // 2, *grid) for grid in grids))
 
 
 def _unfold(values: np.ndarray, mesh: Mesh) -> np.ndarray:

@@ -275,13 +275,17 @@ class TestSandwich:
 
     def test_oracle_finds_the_fast_blowup_of_u4v4(self, tmp_path):
         # F = u^4 v^4 from (1, 1): u' = 4 u^7, so u^-6 = 1 - 24 t and the
-        # oracle's blow-up time is 1/24
+        # oracle's blow-up time is 1/24.  The simulation's steps underflow
+        # before the sup-norm reaches the fallback's level: exit 3, as
+        # `simulate` exits, with the report written
         text = BLOWUP_BOX.replace("a_exp = 2\nb_exp = 2", "a_exp = 4\nb_exp = 4")
         out = tmp_path / "out"
         code = main(["sandwich", "--config", write_config(tmp_path, text),
                      "--out-dir", str(out), "--resolution", "8"])
-        assert code == EXIT_OK
-        t, unc = load_report(out)["oracle"]["blowup_time"]
+        assert code == EXIT_NUMERICAL
+        report = load_report(out)
+        assert report["simulation"]["outcome"] == "step_underflow"
+        t, unc = report["oracle"]["blowup_time"]
         assert t == pytest.approx(1 / 24, rel=2e-13)
         assert abs(t - 1 / 24) <= unc
 

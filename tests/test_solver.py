@@ -760,10 +760,11 @@ class TestLawsonPair:
 
 
 def on_the_box(config):
-    """`config` with g1 one ulp larger in its first cell: no axis of the
-    data equals its mirror image, so `simulate` keeps the full mesh."""
+    """`config` with g1 larger in its first cell by 64 ulps of max|g1|,
+    past the fold's tolerance of 4 eps of it: no axis of the data equals
+    its mirror image to rounding, so `simulate` keeps the full mesh."""
     g1 = config.g1.copy()
-    g1[0] = np.nextafter(g1[0], np.inf)
+    g1[0] += 64 * np.spacing(np.max(np.abs(g1)))
     return dataclasses.replace(config, g1=g1)
 
 
@@ -862,17 +863,75 @@ class TestFold:
         ((5, 5, 5), "even", ()),
         ((8, 6, 4), "odd_in_x", (1, 2)),
         ((8, 6, 4), "skew", ()),
+        ((8, 6, 4), "zero", (0, 1, 2)),
     ])
     def test_folds_even_axes_with_even_counts(self, cells, data, axes):
         mesh = build_mesh(self.BOX, cells)
         x = mesh.cell_centers
         g = {"even": 1.0 + np.cos(x[:, 0]) * x[:, 1] ** 2 * np.exp(-x[:, 2] ** 2),
              "odd_in_x": 1.0 + 0.1 * x[:, 0] * np.cos(x[:, 1]) * np.exp(-x[:, 2] ** 2),
-             "skew": 1.0 + 0.1 * x @ [1.0, 2.0, 3.0]}[data]
+             "skew": 1.0 + 0.1 * x @ [1.0, 2.0, 3.0],
+             "zero": np.zeros(mesh.n_cells)}[data]
         trace = simulate(SolverConfig(mesh=mesh, nl=linear_decay(), gamma1=0.5, gamma2=0.0,
                                       g1=g, g2=np.ones(mesh.n_cells), t_end=1e-3))
         assert trace.mirror_axes == axes
         assert trace.final_fields.u.shape == (mesh.n_cells,)
+
+    @pytest.mark.parametrize("change", ["by_1e-13_of_the_sup_norm", "sign_of_a_near_zero_cell"])
+    def test_data_off_their_mirror_images_past_rounding_keep_the_box(self, change):
+        # even data changed in one corner cell: by 1e-13 of max|g|, past the
+        # fold's tolerance, or, with 1e-20 in the 8 corners, to -1e-20, well
+        # within it, where the box's clamp_count would count one cell and
+        # the fold's 8
+        mesh = build_mesh(self.BOX, (8, 6, 4))
+        x = mesh.cell_centers
+        g = 1.0 + np.cos(x[:, 0]) * x[:, 1] ** 2 * np.exp(-x[:, 2] ** 2)
+        if change == "by_1e-13_of_the_sup_norm":
+            g[0] += 1e-13 * np.max(np.abs(g))
+        else:
+            g[np.all(np.abs(x) == np.abs(x[0]), axis=1)] = 1e-20
+            g[0] = -1e-20
+        trace = simulate(SolverConfig(mesh=mesh, nl=linear_decay(), gamma1=0.5, gamma2=0.0,
+                                      g1=g, g2=np.ones(mesh.n_cells), t_end=1e-3, p=2.0))
+        assert trace.mirror_axes == ()
+
+    def test_data_on_linspace_centres_fold(self):
+        # a bump on np.linspace's centres, which are off antisymmetric at
+        # 24 cells, is even to about 2 eps of its sup-norm, not bit for
+        # bit: it folds, and takes the steps of the same data on the box
+        spec = DomainSpec("box", 3, half_extents=(1.0,) * 3)
+        bump = np.exp(-4.0 * np.sum(centres_on(np.linspace(-1.0 + 1 / 24, 1.0 - 1 / 24, 24)) ** 2,
+                                    axis=1))
+        g1, g2 = 0.5 + 8.0 * bump, 0.5 + 4.0 * bump
+        assert not bitwise_even_along_any_axis(g1, (24, 24, 24))
+        folded, full = fold_runs(spec, 24, make_power_product(1.0, 2.0, 2.0), (0.0, 0.0),
+                                 g1, g2, t_end=1.0)
+        assert folded.mirror_axes == (0, 1, 2) and full.mirror_axes == ()
+        assert folded.steps_by_pair == full.steps_by_pair
+        assert folded.outcome == full.outcome == "blowup_detected"
+        t_folded, t_full = folded.blowup_estimate.t, full.blowup_estimate.t
+        assert abs(t_folded - t_full) <= 1e-12 * t_full
+
+    def test_robin_heat_modes_on_their_own_grid_fold(self):
+        # Robin modes on the centres -1 + (2/n)(i + 1/2), not antisymmetric
+        # bit for bit at 40 cells, fold onto 20^3 and take one Lawson step
+        config = robin_heat_config(3, 40)
+        g = np.prod(np.cos(0.8 * centres_on(-1.0 + (2.0 / 40) * (np.arange(40) + 0.5))), axis=1)
+        assert not bitwise_even_along_any_axis(g, (40, 40, 40))
+        trace = simulate(dataclasses.replace(config, g1=g, g2=g))
+        assert trace.mirror_axes == (0, 1, 2)
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 1, "rejected": 0},
+                                       "dp5": {"accepted": 0, "rejected": 0}}
+
+
+def centres_on(axis):
+    """The centres, C order, of the cube grid with `axis` on each axis."""
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def bitwise_even_along_any_axis(g, shape):
+    grid = g.reshape(shape)
+    return any(np.array_equal(grid, np.flip(grid, axis)) for axis in range(len(shape)))
 
 
 class TestSimulateConservation:
