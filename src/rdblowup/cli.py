@@ -283,6 +283,7 @@ def _simulation_block(exp: Experiment, trace):
         "u_crossed": trace.u_crossed,
         "v_crossed": trace.v_crossed,
         "mirror_axes": trace.mirror_axes,
+        "collapsed_axes": trace.collapsed_axes,
     }
     if trace.blowup_estimate is not None:
         block["blowup_estimate"] = trace.blowup_estimate

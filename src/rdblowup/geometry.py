@@ -10,9 +10,13 @@ even cell count, x_i = -x_{n-1-i}, so data even in that coordinate are
 equal to their mirror image.  `Mesh.fold` meshes the part of a box where
 x_a >= 0 on some axes, each with an even cell count: half the cells on
 each folded axis, whose low face is a mirror plane (ghost = cell, g = 1).
-Its face lists hold the Robin faces only, and `cell_volume` and
-`face_areas` carry the multiplicity 2^k of k folded axes, so each
-quadrature of a state even in those axes gives the value on the whole box.
+It also collapses axes: a collapsed axis is one cell wide, of the box's
+h_a, with both of the box's faces on that cell.  The reduced mesh's
+`cell_volume` carries the multiplicity of its cells, 2 per folded axis
+and n_a per collapsed one, and each face area that of the axes other
+than a collapsed face's own; a folded axis lists its high face alone.
+So each quadrature of a state even in the folded axes and constant along
+the collapsed ones gives the value on the whole box.
 
 Importing this module loads numpy alone: the operator's DIA matrices import
 `scipy.sparse` when first built, and its eigenpairs need numpy only, so a
@@ -88,8 +92,9 @@ class GeometryConstants:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform cell-centered grid over a box domain, or over the part of it
-    where x_a >= 0 for each a in `mirror_axes` (`fold`).
+    """Uniform cell-centered grid over a box domain of `box_shape` cells, or
+    over the part of it where x_a >= 0 for each a in `mirror_axes`, one cell
+    wide along each axis in `collapsed_axes` (`fold`).
 
     Boundary faces are enumerated axis by axis, low side then high side,
     cells in C order; this fixed ordering keeps quadrature deterministic.
@@ -98,11 +103,13 @@ class Mesh:
 
     spec: DomainSpec
     cells_per_axis: tuple[int, ...]
+    box_shape: tuple[int, ...]  # the box's cell counts, which `fold` reduces
     h: tuple[float, ...]
     cell_centers: np.ndarray  # (n_cells, N)
     face_cells: np.ndarray  # (n_faces,) flat cell index of the adjacent cell
-    face_areas: np.ndarray  # (n_faces,) times the multiplicity 2^len(mirror_axes)
+    face_areas: np.ndarray  # (n_faces,) times the other axes' multiplicity (module docstring)
     mirror_axes: tuple[int, ...] = ()
+    collapsed_axes: tuple[int, ...] = ()
 
     @property
     def n_cells(self) -> int:
@@ -114,25 +121,36 @@ class Mesh:
 
     @property
     def cell_volume(self) -> float:
-        """The quadrature weight of a cell: its volume times the multiplicity
-        2^len(mirror_axes), the copies of it in the box, so that
-        n_cells * cell_volume is the box's volume."""
-        return prod(self.h) * 2 ** len(self.mirror_axes)
+        """The quadrature weight of a cell: its volume times its multiplicity,
+        the box cells it stands for (2^k on k folded axes times n_a on each
+        collapsed axis), so that n_cells * cell_volume is the box's volume."""
+        return prod(self.h) * (prod(self.box_shape) // self.n_cells)
 
-    def fold(self, axes: tuple[int, ...]) -> "Mesh":
+    def fold(self, axes: tuple[int, ...] = (), collapsed: tuple[int, ...] = ()) -> "Mesh":
         """The mesh of the part of this box mesh where x_a >= 0 for each a in
-        `axes`, each with an even cell count: the same cells, centres and h,
-        and on each folded axis the half at x_a > 0 with a mirror plane for
-        its low face.  The fold built last is kept on this mesh."""
-        axes = tuple(axes)
-        if self.mirror_axes or any(self.shape[a] % 2 for a in axes):
-            raise ValueError(f"cannot fold axes {axes} of a mesh of {self.shape} cells "
-                             f"with mirror axes {self.mirror_axes}: a fold takes a box "
-                             f"mesh and even cell counts")
+        `axes`, each with an even cell count, and one cell wide along each
+        axis in `collapsed`: the same h, on each folded axis the half at
+        x_a > 0 with a mirror plane for its low face, and on each collapsed
+        axis one cell, the box's last, with both walls.  The mesh built last
+        is kept on this mesh."""
+        axes, collapsed = tuple(axes), tuple(collapsed)
+        if (self.shape != self.box_shape or any(self.shape[a] % 2 for a in axes)
+                or set(axes) & set(collapsed)):
+            raise ValueError(f"cannot fold axes {axes} and collapse axes {collapsed} of a "
+                             f"mesh of {self.shape} cells with mirror axes {self.mirror_axes}: "
+                             f"a fold takes a box mesh, even cell counts and other axes than "
+                             f"a collapse")
         kept = self.__dict__.get("_fold")
-        if kept is None or kept.mirror_axes != axes:
-            kept = self.__dict__["_fold"] = _box_mesh(self.spec, self.shape, self.h, axes)
+        if kept is None or (kept.mirror_axes, kept.collapsed_axes) != (axes, collapsed):
+            kept = self.__dict__["_fold"] = _box_mesh(self.spec, self.shape, self.h, axes,
+                                                      collapsed)
         return kept
+
+    @property
+    def box_index(self) -> tuple[slice, ...]:
+        """The box cells this mesh keeps, as an index of the box's grid: the
+        last n_a of each axis, all of them on a box mesh."""
+        return tuple(slice(n - m, None) for n, m in zip(self.box_shape, self.shape))
 
     def face_ghosts(self, axis: int, gamma: float) -> tuple[float, float]:
         """g of the ghost-cell closure ghost = g * cell at the low and high
@@ -157,28 +175,31 @@ class Mesh:
     def laplacian(self) -> "scipy.sparse.dia_array":
         """Neumann (2N+1)-point Laplacian of the cells, built on first use and kept.
 
-        Stored as DIA with offsets 0 and +-stride of each axis (+-1, +-n_z,
-        +-n_y*n_z in 3D).  A boundary cell's ghost mirrors it, so the main
-        diagonal counts only existing neighbours and entries that would
-        couple cells across a face are zero.  `RobinOperator.matrix` tiles
-        its data for the stacked state and adds each field's Robin diagonal.
+        Stored as DIA with offsets 0 and +-stride of each axis of more than
+        one cell (+-1, +-n_z, +-n_y*n_z in 3D); a one-cell axis has no
+        neighbour pairs, and its strides may equal another axis's.  A
+        boundary cell's ghost mirrors it, so the main diagonal counts only
+        existing neighbours and entries that would couple cells across a
+        face are zero.  `RobinOperator.matrix` tiles its data for the
+        stacked state and adds each field's Robin diagonal.
         """
         from scipy.sparse import dia_array
 
         shape, n = self.shape, self.n_cells
         N = len(shape)
-        data = np.zeros((2 * N + 1, n))
+        axes = [axis for axis in range(N) if shape[axis] > 1]
+        data = np.zeros((2 * len(axes) + 1, n))
         offsets = [0]
         main = data[0].reshape(shape)
-        for axis, (na, wa) in enumerate(zip(shape, self.inverse_h2)):
+        for k, axis in enumerate(axes):
+            na, wa = shape[axis], self.inverse_h2[axis]
             stride = prod(shape[axis + 1:])
             index = np.arange(na).reshape([na if b == axis else 1 for b in range(N)])
             has_lo, has_hi = index >= 1, index <= na - 2
             # DIA keys entries by column, data[k, j] = A[j - offsets[k], j]:
             # A[i, i + stride] exists iff column j = i + stride has a low neighbour
-            k = 2 * axis + 1
-            data[k].reshape(shape)[...] = has_lo * wa
-            data[k + 1].reshape(shape)[...] = has_hi * wa
+            data[2 * k + 1].reshape(shape)[...] = has_lo * wa
+            data[2 * k + 2].reshape(shape)[...] = has_hi * wa
             offsets += [stride, -stride]
             main -= (has_lo.astype(float) + has_hi) * wa
         return dia_array((data, offsets), shape=(n, n))
@@ -239,7 +260,9 @@ class RobinOperator:
     def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per axis, the eigenvalues (2, n_a) and the orthonormal eigenvectors,
         as columns, (2, n_a, n_a) of both fields' tridiagonals, from one
-        batched `np.linalg.eigh` of the dense n_a x n_a tridiagonals.  The
+        batched `np.linalg.eigh` of the dense n_a x n_a tridiagonals.  A
+        one-cell axis's "tridiagonal" is its cell's row, (g_lo + g_hi - 2)/h_a^2
+        with both faces' ghosts: exactly 0 between two Neumann walls.  The
         tridiagonal depends on the axis through (n_a, h_a) and whether its
         low face is a mirror alone, so axes alike in all three share one pair
         of arrays: a cube makes one call."""
@@ -250,9 +273,12 @@ class RobinOperator:
             if key in by_axis:
                 continue
             na = key[0]
-            ends = (np.array([mesh.face_ghosts(axis, gamma) for gamma in self.gammas]) - 2.0) * wa
+            ghosts = np.array([mesh.face_ghosts(axis, gamma) for gamma in self.gammas])
             tri = np.tile(wa * (np.eye(na, k=1) + np.eye(na, k=-1) - 2.0 * np.eye(na)), (2, 1, 1))
-            tri[:, [0, -1], [0, -1]] = ends
+            if na == 1:
+                tri[:, 0, 0] = (ghosts.sum(axis=1) - 2.0) * wa
+            else:
+                tri[:, [0, -1], [0, -1]] = (ghosts - 2.0) * wa
             lam, q = np.linalg.eigh(tri)
             # the matrix is negative semidefinite; a zero mode may round above 0
             by_axis[key] = (np.minimum(lam, 0.0, out=lam), q)
@@ -319,23 +345,27 @@ def build_mesh(spec: DomainSpec, cells_per_axis) -> Mesh:
     cell_vol = prod(h)
     if not all(0 < x < inf for x in (*h, cell_vol)):
         raise ValueError(f"cell widths {h} and cell volume {cell_vol} must be positive and finite")
-    return _box_mesh(spec, cells_per_axis, h, ())
+    return _box_mesh(spec, cells_per_axis, h, (), ())
 
 
-def _box_mesh(spec: DomainSpec, box_cells, h, mirror_axes) -> Mesh:
+def _box_mesh(spec: DomainSpec, box_cells, h, mirror_axes, collapsed_axes) -> Mesh:
     """The mesh of a box of `box_cells` cells of widths h, folded on
-    `mirror_axes` (`Mesh.fold`), whose centres are the box's at x_a > 0."""
-    cells_per_axis = tuple(n // 2 if a in mirror_axes else n for a, n in enumerate(box_cells))
-    axes = [_axis_centres(L, ha, n)[n // 2:] if a in mirror_axes else _axis_centres(L, ha, n)
-            for a, (L, ha, n) in enumerate(zip(spec.half_extents, h, box_cells))]
+    `mirror_axes` and collapsed along `collapsed_axes` (`Mesh.fold`): the
+    box's centres at x_a > 0 on a folded axis, its last on a collapsed one."""
+    cells_per_axis = tuple(n // 2 if a in mirror_axes else 1 if a in collapsed_axes else n
+                           for a, n in enumerate(box_cells))
+    axes = [_axis_centres(L, ha, n)[n - m:]
+            for L, ha, n, m in zip(spec.half_extents, h, box_cells, cells_per_axis)]
     grids = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=-1)
 
     flat_index = np.arange(prod(cells_per_axis)).reshape(cells_per_axis)
-    weight = prod(h) * 2 ** len(mirror_axes)  # `Mesh.cell_volume`
+    copies = prod(box_cells) // prod(cells_per_axis)  # `Mesh.cell_volume`'s multiplicity
     face_cells, face_areas = [], []
     for axis in range(len(h)):
-        area = weight / h[axis]
+        # a collapsed axis's faces lie on its one cell, of whose n_a copies in
+        # the box one touches each face
+        area = prod(h) * (copies // box_cells[axis] if axis in collapsed_axes else copies) / h[axis]
         for side in (0, -1)[axis in mirror_axes:]:  # a mirror plane is no face
             cells = np.take(flat_index, side, axis=axis).ravel()
             face_cells.append(cells)
@@ -344,11 +374,13 @@ def _box_mesh(spec: DomainSpec, box_cells, h, mirror_axes) -> Mesh:
     return Mesh(
         spec=spec,
         cells_per_axis=cells_per_axis,
+        box_shape=tuple(box_cells),
         h=h,
         cell_centers=centers,
         face_cells=np.concatenate(face_cells),
         face_areas=np.concatenate(face_areas),
         mirror_axes=mirror_axes,
+        collapsed_axes=collapsed_axes,
     )
 
 

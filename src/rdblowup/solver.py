@@ -70,27 +70,39 @@ reached the threshold.  A run that reaches t_end stops there exactly.  So
 the Lawson pair takes the steps DP5's cap would hold, until one is
 rejected, and DP5's order pays below its cap.
 
-The fold: the solution is even along an axis whenever the data are, as N
-acts cell by cell and A, with one gamma per field on every face, commutes
-with the mirror.  So `simulate` folds each axis with an even cell count
-along which g1 and g2 both equal their mirror images to rounding: each
-cell within 4 eps of its field's sup-norm of its mirror cell, and
-negative iff that cell is (`_mirror_axes`).  The box's centres are
-antisymmetric bit for bit, so data even in a coordinate are even bit for
-bit; data built on a caller's own grid, off antisymmetric by an ulp of
-the half-extent, are even to a few eps, while one product with A breaks
-the evenness of bit-even data by hundreds of eps of |A y|.  The run steps
-only the cells at x_a > 0 on `Mesh.fold`, 1/2^k of the cells for k
-folded axes, from the upper half of the data, so it symmetrises them by
-at most the tolerance; `SolveTrace.mirror_axes` names the folded axes.
-On a state even in those axes every operation above is the same, cell for
-cell: the fold's low face is a mirror, whose ghost is the cell, as the
-box's neighbour across the plane is; the RMS norms and sup-norms over the
-fold equal those over the box; and the fold's quadrature weights carry
-the multiplicity 2^k, so the monitor rows are the box's.  Only rounding
-differs.  `clamp_count` counts each cell 2^k times, and `final_fields` is
-mirrored back to the box.  Other axes, and every axis of data not even to
-rounding or of an odd cell count, keep the box's cells and arithmetic.
+The fold and the collapse: the solution is even along an axis whenever the
+data are, as N acts cell by cell and A, with one gamma per field on every
+face, commutes with the mirror; and under Neumann walls (gamma1 = gamma2 =
+0) it is constant along an axis whenever the data are, as A then maps
+fields constant along it to such fields.  So `simulate` collapses, when
+both gammas are 0, each axis along which g1 and g2 are constant to
+rounding, at any cell count: each cell within 4 eps of its field's
+sup-norm of the cell of the axis's last slice in its row.  Of the other
+axes it folds each with an even cell count along which g1 and g2 both
+equal their mirror images to rounding: each cell within that tolerance of
+its mirror cell.  Each cell must be negative iff the cell it is compared
+with is (`_reduced_axes`).  The box's centres are antisymmetric bit for
+bit, so data even in a coordinate are even bit for bit; data built on a
+caller's own grid, off antisymmetric by an ulp of the half-extent, are even
+to a few eps, while one product with A breaks the evenness of bit-even data
+by hundreds of eps of |A y|.  The run steps, on `Mesh.fold`, the last cell
+of each collapsed axis and the cells at x_a > 0 of each folded one:
+1/(2^k prod n_a) of the cells for k folded axes, from those cells of the
+data, so it changes them by at most the tolerance; `SolveTrace.mirror_axes`
+and `SolveTrace.collapsed_axes` name the axes.  On a state even in the
+folded axes and constant along the collapsed ones every operation above is
+the same, cell for cell: the fold's low face is a mirror, whose ghost is
+the cell, as the box's neighbour across the plane is; a collapsed axis
+keeps the box's h and both Neumann walls, whose ghosts are the cell, as
+its neighbours along the axis are, so its eigenvalue is exactly 0 and
+DP5's cap is the box's; the RMS norms and sup-norms equal those over the
+box; and the quadrature weights carry the multiplicity of each cell, so
+the monitor rows are the box's.  Only rounding differs: on the box the
+gradient energy along a collapsed axis is rounding about 0, on the
+collapse exactly 0.  `clamp_count` counts each cell as often as it stands
+for a box cell, and `final_fields` is mirrored and broadcast back to the
+box.  Other axes keep the box's cells and arithmetic, and where nothing is
+folded or collapsed a run does the box mesh's arithmetic exactly.
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  It keeps
@@ -256,6 +268,7 @@ class SolveTrace:
     steps_by_pair: dict = field(default_factory=dict)
     final_fields: Optional[FieldPair] = None
     mirror_axes: tuple[int, ...] = ()  # the axes the run folded (module docstring)
+    collapsed_axes: tuple[int, ...] = ()  # the axes the run collapsed (module docstring)
 
     @property
     def n_steps(self) -> int:
@@ -474,38 +487,61 @@ def _diffusion_cap(mesh: Mesh) -> float:
     return _CAP_SAFETY * _DP5_REAL_STABILITY / (4.0 * sum(mesh.inverse_h2))
 
 
-def _mirror_axes(mesh: Mesh, *fields: np.ndarray) -> tuple[int, ...]:
-    """The axes of `mesh` with an even cell count along which each field
-    equals its mirror image to rounding: the axes `simulate` folds.  Along
-    such an axis each cell of the upper half is within `_MIRROR_EPS` eps of
-    the field's sup-norm of its mirror cell, and is negative iff its mirror
-    cell is, so the fold's `clamp_count` reads the box's.  The fold steps the upper half,
-    so it symmetrises the data by at most that tolerance."""
+def _reduced_axes(config: SolverConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axes `simulate` collapses and those it folds (module docstring).
+
+    It collapses, under Neumann walls alone, each axis along which both
+    fields are constant to rounding: each cell within `_MIRROR_EPS` eps of
+    the field's sup-norm of the cell of the axis's last slice in its row.
+    Of the other axes it folds each with an even cell count along which
+    both fields equal their mirror images to rounding: each cell of the
+    upper half within that tolerance of its mirror cell.  Each cell must be
+    negative iff the cell it is compared with is, so `clamp_count` reads
+    the box's.  The run steps the last slice and the upper halves, so it
+    changes the data by at most the tolerance."""
+    shape = config.mesh.shape
     grids = []
-    for f in fields:
+    for f in (config.g1, config.g2):
         low, high = f.min(), f.max()
         # the grid, its tolerance and whether it has a negative cell
-        grids.append((f.reshape(mesh.shape), _MIRROR_EPS * np.finfo(float).eps * max(high, -low),
+        grids.append((f.reshape(shape), _MIRROR_EPS * np.finfo(float).eps * max(high, -low),
                       low < 0))
 
-    def even(axis, half, g, tol, signed):
-        upper = g[(slice(None),) * axis + (slice(half, None),)]
-        mirror = np.flip(g[(slice(None),) * axis + (slice(None, half),)], axis)
+    def close(cells, ref, tol, signed):
         # only cells of one sign are subtracted, which cannot overflow
-        if signed and not np.array_equal(upper < 0, mirror < 0):
+        if signed and not np.all((cells < 0) == (ref < 0)):
             return False
-        diff = upper - mirror
+        diff = cells - ref
         return max(diff.max(), -diff.min()) <= tol
 
-    return tuple(axis for axis, na in enumerate(mesh.shape)
-                 if na % 2 == 0 and all(even(axis, na // 2, *grid) for grid in grids))
+    def part(g, axis, cells):  # the slice `cells` of the grid g along an axis
+        return g[(slice(None),) * axis + (cells,)]
+
+    collapsed = ()
+    if config.gamma1 == config.gamma2 == 0:
+        collapsed = tuple(axis for axis in range(len(shape))
+                          if all(close(g, part(g, axis, slice(-1, None)), tol, signed)
+                                 for g, tol, signed in grids))
+        for axis in collapsed:  # the fold reads the kept slice alone
+            grids = [(part(g, axis, slice(-1, None)), tol, signed) for g, tol, signed in grids]
+
+    def even(axis, half, g, tol, signed):
+        return close(part(g, axis, slice(half, None)),
+                     np.flip(part(g, axis, slice(None, half)), axis), tol, signed)
+
+    return collapsed, tuple(axis for axis, na in enumerate(shape)
+                            if na % 2 == 0 and axis not in collapsed
+                            and all(even(axis, na // 2, *grid) for grid in grids))
 
 
 def _unfold(values: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """A field on the fold `mesh`, mirrored back to every cell of the box."""
+    """A field on the reduced `mesh`, mirrored and broadcast back to every
+    cell of the box."""
     grid = values.reshape(mesh.shape)
     for axis in mesh.mirror_axes:
         grid = np.concatenate([np.flip(grid, axis), grid], axis=axis)
+    if mesh.collapsed_axes:  # a copy, as ravel copies a broadcast
+        grid = np.broadcast_to(grid, mesh.box_shape)
     return grid.ravel()
 
 
@@ -556,13 +592,10 @@ class _MonitorRows:
 
 def simulate(config: SolverConfig) -> SolveTrace:
     """Advance the system until t_end, blow-up threshold, or step underflow."""
-    nl, axes = config.nl, _mirror_axes(config.mesh, config.g1, config.g2)
-    mesh = config.mesh.fold(axes) if axes else config.mesh
+    nl, (collapsed, axes) = config.nl, _reduced_axes(config)
+    mesh = config.mesh.fold(axes, collapsed) if axes or collapsed else config.mesh
     n, copies = mesh.n_cells, config.mesh.n_cells // mesh.n_cells
-    # the fold's cells: the upper half of each folded axis
-    index = tuple(slice(na, None) if axis in axes else slice(None)
-                  for axis, na in enumerate(mesh.shape))
-    y = np.concatenate([g.reshape(config.mesh.shape)[index].ravel()
+    y = np.concatenate([g.reshape(config.mesh.shape)[mesh.box_index].ravel()
                         for g in (config.g1, config.g2)])
 
     op = mesh.robin_operator(config.gamma1, config.gamma2)
@@ -655,7 +688,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         v_crossed=estimate is not None and samples[-1].sup_v >= level,
         clamp_count=rows.negative * copies, steps_by_pair=steps_by_pair,
         final_fields=FieldPair(u=_unfold(y[:n], mesh), v=_unfold(y[n:], mesh), t=t),
-        mirror_axes=axes,
+        mirror_axes=axes, collapsed_axes=collapsed,
     )
 
 

@@ -198,14 +198,28 @@ class TestSimulate:
 
 
     def test_report_names_the_folded_axes(self, tmp_path):
-        # flat data fold each axis with an even cell count; 7 cells fold none
+        # flat data under Robin walls fold each axis with an even cell count;
+        # 7 cells fold none, and nothing collapses
         cfg = write_config(tmp_path, BLOWUP_BOX.replace("cells_per_axis = 8",
-                                                        "cells_per_axis = 8 7"))
+                                                        "cells_per_axis = 8 7")
+                           + "\n[robin]\ngamma1 = 1.0\ngamma2 = 1.0\n")
         for argv, axes in (([], [0]), (["--resolution", "8"], [0, 1]),
                            (["--resolution", "7"], [])):
             out = tmp_path / f"out{len(axes)}"
             assert main(["simulate", "--config", cfg, "--out-dir", str(out), *argv]) == EXIT_OK
-            assert load_report(out)["simulation"]["mirror_axes"] == axes
+            simulation = load_report(out)["simulation"]
+            assert simulation["mirror_axes"] == axes and simulation["collapsed_axes"] == []
+
+    def test_report_names_the_collapsed_axes(self, tmp_path):
+        # flat data under Neumann walls collapse every axis, at any cell
+        # count, and leave none to fold
+        cfg = write_config(tmp_path, BLOWUP_BOX.replace("cells_per_axis = 8",
+                                                        "cells_per_axis = 8 7"))
+        for argv in ([], ["--resolution", "7"]):
+            out = tmp_path / f"out{len(argv)}"
+            assert main(["simulate", "--config", cfg, "--out-dir", str(out), *argv]) == EXIT_OK
+            simulation = load_report(out)["simulation"]
+            assert simulation["collapsed_axes"] == [0, 1] and simulation["mirror_axes"] == []
 
 
 class TestRobinCoefficientPastFloatRange:

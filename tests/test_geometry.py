@@ -7,7 +7,7 @@ import pytest
 import rdblowup.geometry as geometry
 from conftest import brute_force_geometry, dense_robin_operator, zero_reaction
 from rdblowup.errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
-from rdblowup.functionals import FieldPair, discrete_gradient_energy
+from rdblowup.functionals import FieldPair, discrete_gradient_energy, energy_sample
 from rdblowup.geometry import (
     DomainSpec,
     RobinOperator,
@@ -16,6 +16,7 @@ from rdblowup.geometry import (
     geometry_constants,
     interior_integral,
 )
+from rdblowup.nonlinearity import make_power_product
 from rdblowup.solver import SolverConfig, _diffusion_cap, rhs, simulate
 
 
@@ -507,3 +508,129 @@ class TestFold:
         modes = half.to_modes(y_half, np.empty_like(y_half)) * eigenvalue_grid(half)
         assert np.max(np.abs(half.from_modes(modes, np.empty_like(y_half)) - expected)) \
             <= 1e-13 * scale
+
+
+COLLAPSE_BOX = DomainSpec("box", 3, half_extents=(1.0, 0.75, 0.5))
+# (axes folded, axes collapsed) of an 8x6x5 box mesh; axis 2 has an odd count
+COLLAPSES = [((), (1,)), ((), (1, 2)), ((), (0, 1, 2)), ((0,), (1, 2)), ((0, 1), (2,))]
+
+
+def box_restrict(reduced, y):
+    """The cells of the stacked state y on the box that `reduced` keeps: the
+    last n_a of each axis."""
+    index = tuple(slice(n - m, None) for n, m in zip(reduced.box_shape, reduced.shape))
+    return np.concatenate([f.reshape(reduced.box_shape)[index].ravel()
+                           for f in y.reshape(2, -1)])
+
+
+def constant_along(mesh, axes, *fields):
+    """Each field made constant along `axes` by taking its values at the last
+    cell of each, and the stacked state of them."""
+    grids = [f.reshape(mesh.shape) for f in fields]
+    for axis in axes:
+        index = (slice(None),) * axis + (slice(-1, None),)
+        grids = [np.broadcast_to(g[index], mesh.shape) for g in grids]
+    return np.concatenate([g.ravel() for g in grids])
+
+
+class TestCollapse:
+    def test_one_cell_wide_axes_of_the_box(self):
+        # one cell of the box's h on each collapsed axis, the box's last
+        # centre on it; both of its faces on that cell, carrying the other
+        # axes' multiplicity, and the collapsed count on every other face
+        mesh = build_mesh(COLLAPSE_BOX, (8, 6, 5))
+        reduced = mesh.fold((0,), (1, 2))
+        assert reduced.shape == (4, 1, 1) and reduced.box_shape == (8, 6, 5)
+        assert reduced.mirror_axes == (0,) and reduced.collapsed_axes == (1, 2)
+        assert reduced.h == mesh.h
+        assert reduced.n_cells * reduced.cell_volume == pytest.approx(
+            mesh.n_cells * mesh.cell_volume, rel=1e-15)
+        keep = ((mesh.cell_centers[:, 0] > 0.0)
+                & np.all(mesh.cell_centers[:, 1:] == mesh.cell_centers[-1, 1:], axis=1))
+        assert np.array_equal(reduced.cell_centers, mesh.cell_centers[keep])
+        # faces: the high side of axis 0, then both sides of axes 1 and 2
+        sides = np.split(reduced.face_cells, np.cumsum([1, 4, 4, 4]))
+        assert [len(side) for side in sides] == [1, 4, 4, 4, 4]
+        assert np.array_equal(sides[1], sides[2]) and np.array_equal(sides[3], sides[4])
+        volume = math.prod(mesh.h)
+        expected = ([2 * 6 * 5 * volume / mesh.h[0]] + [2 * 5 * volume / mesh.h[1]] * 8
+                    + [2 * 6 * volume / mesh.h[2]] * 8)
+        assert np.allclose(reduced.face_areas, expected, rtol=1e-15, atol=0)
+        assert np.isclose(np.sum(reduced.face_areas), np.sum(mesh.face_areas), rtol=1e-15)
+        assert mesh.fold((0,), (1, 2)) is reduced
+        for axes, collapsed in (((0,), (0,)), ((2,), ())):
+            with pytest.raises(ValueError, match="cannot fold"):
+                mesh.fold(axes, collapsed)
+        with pytest.raises(ValueError, match="cannot fold"):
+            mesh.fold(collapsed=(1,)).fold(collapsed=(2,))
+
+    @pytest.mark.parametrize("axes, collapsed", [c for c in COLLAPSES if not c[0]])
+    @pytest.mark.parametrize("gamma1, gamma2", [(0.0, 0.0), *GAMMA_PAIRS])
+    def test_matches_ghost_cell_reference(self, axes, collapsed, gamma1, gamma2):
+        # the operator of the box one cell wide along each collapsed axis,
+        # a wall on both of its faces: the Laplacian drops the one-cell axes'
+        # diagonals, whose strides may equal another axis's
+        reduced = build_mesh(COLLAPSE_BOX, (8, 6, 5)).fold(axes, collapsed)
+        lap = reduced.laplacian
+        assert len(lap.offsets) == len(set(lap.offsets)) == 2 * (3 - len(collapsed)) + 1
+        ref = dense_robin_operator(reduced, gamma1, gamma2)
+        got = reduced.robin_operator(gamma1, gamma2).matrix.toarray()
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("axes, collapsed", [c for c in COLLAPSES if not c[0]])
+    @pytest.mark.parametrize("gamma1, gamma2", [(0.0, 0.0), *GAMMA_PAIRS])
+    def test_eigenpairs_reproduce_the_reference(self, axes, collapsed, gamma1, gamma2):
+        # a one-cell axis's eigenvalue is its row, (g_lo + g_hi - 2)/h^2 with
+        # both walls' ghosts: exactly 0 for a Neumann field
+        reduced = build_mesh(COLLAPSE_BOX, (8, 6, 5)).fold(axes, collapsed)
+        op, n = reduced.robin_operator(gamma1, gamma2), reduced.n_cells
+        A = dense_robin_operator(reduced, gamma1, gamma2)
+        for field, gamma in enumerate((gamma1, gamma2)):
+            block = A[field * n:(field + 1) * n, field * n:(field + 1) * n]
+            Q, grid = kronecker_modes(op, field), eigenvalue_grid(op)[field * n:(field + 1) * n]
+            assert np.max(np.abs(Q @ np.diag(grid) @ Q.T - block)) <= 1e-12 * np.max(np.abs(block))
+            for axis in collapsed:
+                lam, q = op.eigenpairs[axis]
+                h = reduced.h[axis]
+                g = (2.0 - gamma * h) / (2.0 + gamma * h)
+                assert lam[field] == pytest.approx([(2 * g - 2) / h**2], rel=1e-15, abs=0)
+                assert q[field].tolist() == [[1.0]]
+                if gamma == 0:
+                    assert lam[field].tolist() == [0.0]
+
+    @pytest.mark.parametrize("axes, collapsed", COLLAPSES)
+    def test_operator_is_the_restricted_box_operator(self, axes, collapsed):
+        # on a state even in the folded axes and constant along the collapsed
+        # ones, the reduced Neumann A, by its DIA matrix and through its
+        # eigenbasis, gives the box's A y on its cells; to rounding against
+        # |A| |y|, as A y of constant data rounds about 0
+        mesh = build_mesh(COLLAPSE_BOX, (8, 6, 5))
+        reduced = mesh.fold(axes, collapsed)
+        x = mesh.cell_centers
+        y = constant_along(mesh, collapsed, np.cos(x[:, 0]) * np.exp(x[:, 1] ** 2) + x[:, 2],
+                           1.0 + x[:, 0] ** 2 * x[:, 1] ** 2 - x[:, 2] ** 3)
+        full, small = mesh.robin_operator(0.0, 0.0), reduced.robin_operator(0.0, 0.0)
+        expected = box_restrict(reduced, full.matrix @ y)
+        y_small = box_restrict(reduced, y)
+        scale = np.max(np.abs(full.matrix.data)) * np.max(np.abs(y))
+        assert np.max(np.abs(small.matrix @ y_small - expected)) <= 1e-14 * scale
+        modes = small.to_modes(y_small, np.empty_like(y_small)) * eigenvalue_grid(small)
+        back = small.from_modes(modes, np.empty_like(y_small))
+        assert np.max(np.abs(back - expected)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("axes, collapsed", COLLAPSES)
+    def test_quadrature_is_the_box_quadrature(self, axes, collapsed):
+        # E, int F, the gradient energies and both boundary integrals of a
+        # state even in the folded axes and constant along the collapsed
+        # ones equal the box's
+        mesh = build_mesh(COLLAPSE_BOX, (8, 6, 5))
+        reduced = mesh.fold(axes, collapsed)
+        x = mesh.cell_centers
+        y = constant_along(mesh, collapsed, 1.0 + np.cos(x[:, 0]) * x[:, 1] ** 2 + x[:, 2] ** 2,
+                           2.0 - x[:, 0] ** 2 * np.cos(x[:, 1]) * np.exp(x[:, 2]))
+        nl = make_power_product(1.0, 2.0, 2.0)
+        n, y_small = mesh.n_cells, box_restrict(reduced, y)
+        box = energy_sample(FieldPair(u=y[:n], v=y[n:], t=0.0), mesh, nl, 1.0, 0.5, 3.0, p=2.0)
+        small = energy_sample(FieldPair(u=y_small[:reduced.n_cells], v=y_small[reduced.n_cells:],
+                                        t=0.0), reduced, nl, 1.0, 0.5, 3.0, p=2.0)
+        assert small.row()[:-1] == pytest.approx(box.row()[:-1], rel=1e-13, abs=1e-13 * box.E)

@@ -506,8 +506,8 @@ class TestPairChoice:
 
 class TestMonitorRows:
     def test_flat_run_writes_its_rows_in_blocks(self, monkeypatch):
-        # criterion 1's run folds onto 8^3 cells, whose states fit many to
-        # a block: the row kernel runs at most once per 8 steps, and every
+        # criterion 1's run collapses onto one cell, whose states fit many
+        # to a block: the row kernel runs at most once per 8 steps, and every
         # accepted state still has its row, in order
         calls = row_kernel_calls(monkeypatch)
         trace, _ = flat_blowup_3d()
@@ -762,7 +762,8 @@ class TestLawsonPair:
 def on_the_box(config):
     """`config` with g1 larger in its first cell by 64 ulps of max|g1|,
     past the fold's tolerance of 4 eps of it: no axis of the data equals
-    its mirror image to rounding, so `simulate` keeps the full mesh."""
+    its mirror image, or is constant, to rounding, so `simulate` keeps the
+    full mesh."""
     g1 = config.g1.copy()
     g1[0] += 64 * np.spacing(np.max(np.abs(g1)))
     return dataclasses.replace(config, g1=g1)
@@ -792,8 +793,8 @@ def traced_peak(config):
 
 
 def fold_runs(spec, cells, nl, gammas, g1, g2, **options):
-    """`simulate` from (g1, g2), which it folds, and `on_the_box` of the
-    same config, which keeps the full mesh."""
+    """`simulate` from (g1, g2), which it folds or collapses, and
+    `on_the_box` of the same config, which keeps the full mesh."""
     config = SolverConfig(mesh=build_mesh(spec, cells), nl=nl, gamma1=gammas[0],
                           gamma2=gammas[1], g1=g1, g2=g2, **options)
     return simulate(config), simulate(on_the_box(config))
@@ -922,6 +923,108 @@ class TestFold:
         assert trace.mirror_axes == (0, 1, 2)
         assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 1, "rejected": 0},
                                        "dp5": {"accepted": 0, "rejected": 0}}
+
+
+class TestCollapse:
+    BOX = DomainSpec("box", 3, half_extents=(1.0, 0.75, 0.5))
+
+    @staticmethod
+    def x_only_data(mesh):
+        """Data that vary along x alone, even in it."""
+        x = mesh.cell_centers[:, 0]
+        return 0.5 + 0.25 * np.cos(np.pi * x / 2), 0.75 - 0.25 * x ** 2
+
+    def test_lawson_run_matches_the_full_mesh(self):
+        # data along x alone collapse y and z and fold x: 8x6x4 cells step
+        # as 4 cells, and the Lawson pair takes every step of the box, each
+        # row and the final fields, broadcast back to the box, to rounding
+        mesh = build_mesh(self.BOX, (8, 6, 4))
+        g1, g2 = self.x_only_data(mesh)
+        reduced, full = fold_runs(self.BOX, (8, 6, 4), make_power_product(1.0, 2.0, 2.0),
+                                  (0.0, 0.0), g1, g2, t_end=0.2, rel_tol=1e-4, p=2.0)
+        assert (reduced.collapsed_axes, reduced.mirror_axes) == ((1, 2), (0,))
+        assert (full.collapsed_axes, full.mirror_axes) == ((), ())
+        assert reduced.steps_by_pair == full.steps_by_pair == {
+            "lawson_bs3": {"accepted": 5, "rejected": 0}, "dp5": {"accepted": 0, "rejected": 0}}
+        assert reduced.outcome == full.outcome == "reached_t_end"
+        rows = np.array([s.row() for s in reduced.samples])
+        ref = np.array([s.row() for s in full.samples])
+        assert not np.any(np.isnan(ref)) and np.all(ref[:, 4:6] > 0)
+        assert np.all(np.abs(rows - ref) <= 1e-12 * np.abs(ref))
+        for got, want in ((reduced.final_fields.u, full.final_fields.u),
+                          (reduced.final_fields.v, full.final_fields.v)):
+            assert got.shape == want.shape == (mesh.n_cells,)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_flat_blowup_matches_the_full_mesh(self):
+        # criterion 1's run steps one cell: the box's steps, a rejected
+        # Lawson trial among them, t_est to 1e-12 and every row at DP5's cap
+        # to 1e-12.  Its gradient energies are exactly 0, where the box's
+        # are rounding about 0, so they are held to 1e-12 of E
+        trace, mesh = flat_blowup_3d()
+        g = np.full(mesh.n_cells, 1.0)
+        full = simulate(on_the_box(SolverConfig(
+            mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0), gamma1=0.0, gamma2=0.0,
+            g1=g, g2=g, t_end=1.0)))
+        assert (trace.collapsed_axes, trace.mirror_axes) == ((0, 1, 2), ())
+        assert trace.steps_by_pair == full.steps_by_pair
+        assert trace.steps_by_pair["lawson_bs3"] == {"accepted": 0, "rejected": 1}
+        assert trace.outcome == full.outcome == "blowup_detected"
+        t_est, t_full = trace.blowup_estimate.t, full.blowup_estimate.t
+        assert abs(t_est - t_full) <= 1e-12 * t_full
+        rows = np.array([s.row() for s in trace.samples])
+        ref = np.array([s.row() for s in full.samples])
+        at_cap = ref[:, -1] == _diffusion_cap(mesh)
+        assert at_cap.sum() > 50 and np.array_equal(rows[:, -1] == _diffusion_cap(mesh), at_cap)
+        assert np.all(rows[:, 4:6] == 0.0)
+        assert np.array_equal(np.isnan(rows), np.isnan(ref))  # scriptE, with no p
+        scale = np.abs(ref[at_cap])
+        scale[:, 4:6] = scale[:, [1]]
+        close = np.abs(rows[at_cap] - ref[at_cap]) <= 1e-12 * scale
+        assert np.all(close | np.isnan(ref[at_cap]))
+
+    @pytest.mark.parametrize("cells, data, gammas, collapsed, axes", [
+        ((8, 6, 4), "flat", (0.0, 0.0), (0, 1, 2), ()),
+        ((8, 6, 4), "x_only", (0.0, 0.0), (1, 2), (0,)),
+        ((7, 5, 5), "flat", (0.0, 0.0), (0, 1, 2), ()),
+        ((7, 5, 5), "x_only", (0.0, 0.0), (1, 2), ()),
+        ((8, 6, 4), "flat", (0.5, 0.0), (), (0, 1, 2)),
+        ((8, 6, 4), "flat", (0.0, 1e-300), (), (0, 1, 2)),
+        ((8, 6, 4), "flat_nudged_by_1_ulp", (0.0, 0.0), (0, 1, 2), ()),
+        ((8, 6, 4), "flat_nudged_by_64_ulps", (0.0, 0.0), (), ()),
+        ((8, 6, 4), "x_only_sign_flip", (0.0, 0.0), (), ()),
+    ])
+    def test_collapses_constant_axes_under_neumann_walls(self, cells, data, gammas,
+                                                         collapsed, axes):
+        # each axis along which both fields are constant to 4 eps of their
+        # sup-norm collapses, at any cell count, when both gammas are 0; the
+        # fold reads the other axes.  One cell 64 ulps off, as `on_the_box`
+        # makes it, keeps every axis, and so does a first x slice of 1e-20
+        # with one cell -1e-20, well within the tolerance, where the box's
+        # clamp_count would count one cell and a collapse's 24
+        mesh = build_mesh(self.BOX, cells)
+        if data.startswith("x_only"):
+            g1, g2 = self.x_only_data(mesh)
+            if data.endswith("sign_flip"):
+                g1[mesh.cell_centers[:, 0] == mesh.cell_centers[0, 0]] = 1e-20
+                g1[0] = -1e-20
+        else:
+            g1, g2 = np.full(mesh.n_cells, 0.5), np.full(mesh.n_cells, 0.75)
+        if data.startswith("flat_nudged"):
+            g1[0] += (1 if data.endswith("1_ulp") else 64) * np.spacing(0.5)
+        trace = simulate(SolverConfig(mesh=mesh, nl=linear_decay(), gamma1=gammas[0],
+                                      gamma2=gammas[1], g1=g1, g2=g2, t_end=1e-3))
+        assert (trace.collapsed_axes, trace.mirror_axes) == (collapsed, axes)
+        assert trace.final_fields.u.shape == trace.final_fields.v.shape == (mesh.n_cells,)
+
+    def test_clamp_count_counts_the_box_cells(self):
+        # negative constant data: each collapsed cell counts for the box's 192
+        mesh = build_mesh(self.BOX, (8, 6, 4))
+        g = np.full(mesh.n_cells, -0.5)
+        reduced, full = fold_runs(self.BOX, (8, 6, 4), linear_decay(), (0.0, 0.0), g, g,
+                                  t_end=1e-3, p=2.0)
+        assert reduced.collapsed_axes == (0, 1, 2) and full.collapsed_axes == ()
+        assert reduced.clamp_count == full.clamp_count > 0
 
 
 def centres_on(axis):
