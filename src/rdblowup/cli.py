@@ -297,7 +297,7 @@ def _simulate(exp: Experiment, out_dir: Path):
     if exp.solver is None:
         raise ConfigError("ball domains cannot be meshed; this command needs a box")
     try:
-        exp.mesh.inverse_h2  # the Laplacian's rule, which only a simulation needs
+        exp.mesh.inverse_h2  # the rule of the axes' tridiagonals, which only a simulation needs
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     trace = simulate(exp.solver)

@@ -23,8 +23,9 @@ state.
   walls, or across a u/v or state seam, and are not summed.  The squares of
   the kept pairs are summed per field in one pass and scaled by
   cell_volume / h_a^2.  This is the face-difference quadratic form of the
-  mesh's Neumann operator `Mesh.laplacian` (`Mesh.robin_operator` adds the
-  Robin diagonal to it): summation by parts gives
+  Neumann operator L_N, `Mesh.robin_operator(0, 0)`, whose one tridiagonal
+  per axis couples exactly these pairs (a Robin face adds to the end rows'
+  diagonal only): summation by parts gives
   grad energy = -cell_volume * u . (L_N u), so the discrete
   integration-by-parts identities hold up to boundary closure error.  It is
   summed as squares of differences, not as that product, so it is exactly

@@ -1,5 +1,5 @@
-"""Domains, uniform cell-centered meshes with their Neumann Laplacian and
-the Robin operator of the (u, v) state, geometric constants and quadrature.
+"""Domains, uniform cell-centered meshes, the Robin operator of the (u, v)
+state on them, geometric constants and quadrature.
 
 Boxes are meshed with a uniform cell-centered grid; balls exist only as
 analytic domains (geometric constants and volume) and cannot be meshed.
@@ -18,9 +18,11 @@ than a collapsed face's own; a folded axis lists its high face alone.
 So each quadrature of a state even in the folded axes and constant along
 the collapsed ones gives the value on the whole box.
 
-Importing this module loads numpy alone: the operator's DIA matrices import
-`scipy.sparse` when first built, and its eigenpairs need numpy only, so a
-run that never builds a DIA matrix never loads scipy.
+The operator is defined once, by one tridiagonal per axis and field: its
+DIA matrix and its eigenpairs are both built from those rows.  Importing
+this module loads numpy alone: a DIA matrix imports `scipy.sparse` when
+first built, and the eigenpairs need numpy only, so a run that never
+builds a DIA matrix never loads scipy.
 """
 
 from dataclasses import dataclass
@@ -152,16 +154,10 @@ class Mesh:
         last n_a of each axis, all of them on a box mesh."""
         return tuple(slice(n - m, None) for n, m in zip(self.box_shape, self.shape))
 
-    def face_ghosts(self, axis: int, gamma: float) -> tuple[float, float]:
-        """g of the ghost-cell closure ghost = g * cell at the low and high
-        face of an axis: 1 at a mirror plane, the Robin closure at a wall."""
-        g = _ghost_factor(gamma, self.h[axis])
-        return (1.0 if axis in self.mirror_axes else g), g
-
     @cached_property
     def inverse_h2(self) -> tuple[float, ...]:
-        """h_a^-2 of each axis, which the Laplacian, its Robin diagonal and its
-        modes read: ValueError unless each is a normal float and the bound
+        """h_a^-2 of each axis, which the Robin operator's matrix and modes
+        read: ValueError unless each is a normal float and the bound
         4 sum_a h_a^-2 on the spectrum is finite.  Quadrature needs neither."""
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             weights = 1.0 / np.square(self.h)
@@ -170,39 +166,6 @@ class Mesh:
             raise ValueError(f"cell widths {self.h} put the Laplacian's weights h^-2 "
                              f"outside the normal floats")
         return tuple(weights.tolist())
-
-    @cached_property
-    def laplacian(self) -> "scipy.sparse.dia_array":
-        """Neumann (2N+1)-point Laplacian of the cells, built on first use and kept.
-
-        Stored as DIA with offsets 0 and +-stride of each axis of more than
-        one cell (+-1, +-n_z, +-n_y*n_z in 3D); a one-cell axis has no
-        neighbour pairs, and its strides may equal another axis's.  A
-        boundary cell's ghost mirrors it, so the main diagonal counts only
-        existing neighbours and entries that would couple cells across a
-        face are zero.  `RobinOperator.matrix` tiles its data for the
-        stacked state and adds each field's Robin diagonal.
-        """
-        from scipy.sparse import dia_array
-
-        shape, n = self.shape, self.n_cells
-        N = len(shape)
-        axes = [axis for axis in range(N) if shape[axis] > 1]
-        data = np.zeros((2 * len(axes) + 1, n))
-        offsets = [0]
-        main = data[0].reshape(shape)
-        for k, axis in enumerate(axes):
-            na, wa = shape[axis], self.inverse_h2[axis]
-            stride = prod(shape[axis + 1:])
-            index = np.arange(na).reshape([na if b == axis else 1 for b in range(N)])
-            has_lo, has_hi = index >= 1, index <= na - 2
-            # DIA keys entries by column, data[k, j] = A[j - offsets[k], j]:
-            # A[i, i + stride] exists iff column j = i + stride has a low neighbour
-            data[2 * k + 1].reshape(shape)[...] = has_lo * wa
-            data[2 * k + 2].reshape(shape)[...] = has_hi * wa
-            offsets += [stride, -stride]
-            main -= (has_lo.astype(float) + has_hi) * wa
-        return dia_array((data, offsets), shape=(n, n))
 
     def robin_operator(self, gamma1: float, gamma2: float) -> "RobinOperator":
         """The Robin Laplacian of y = [u; v], u's walls with gamma1 and v's
@@ -214,14 +177,12 @@ class Mesh:
 
 @dataclass(frozen=True, eq=False)
 class RobinOperator:
-    """A = laplacian + diag(diagonal) on y = [u; v], from `Mesh.robin_operator`;
-    `matrix` holds it as one DIA matrix of the stacked state.
-
-    Each field's block is the Kronecker sum of one symmetric tridiagonal per
-    axis: off-diagonal 1/h_a^2, interior diagonal -2/h_a^2, end rows
-    (g - 2)/h_a^2 with the g of their face (`Mesh.face_ghosts`).  So
-    A = Q diag(Lambda) Q^T, each field's Q the Kronecker product of its
-    axes' eigenvectors and Lambda the sums of their eigenvalues (fast
+    """A on y = [u; v], from `Mesh.robin_operator`: each field's block is the
+    Kronecker sum of one symmetric tridiagonal per axis, off-diagonal 1/h_a^2
+    and main diagonal `_axis_diagonals`.  `matrix` holds A as one DIA matrix
+    of the stacked state; `eigenpairs` diagonalise the tridiagonals, so
+    A = Q diag(Lambda) Q^T, each field's Q the Kronecker product of its axes'
+    eigenvectors and Lambda the sums of their eigenvalues (fast
     diagonalisation, Lynch, Rice & Thomas 1964).  Each array is built on
     first use by its reader: a Lawson run builds the eigenpairs and one scratch state.
     """
@@ -229,56 +190,67 @@ class RobinOperator:
     mesh: Mesh
     gammas: tuple[float, float]
 
-    @cached_property
-    def diagonal(self) -> np.ndarray:
-        """The Robin diagonal, flat like y, that `matrix` adds to the Laplacian's:
-        the ghost-cell closure ghost = g * cell, second order at the face, adds
-        (g - 1)/h_a^2 to the Neumann mirror's (g = 1) on a boundary cell, per
-        face; 0 at a mirror plane."""
-        diagonal = np.zeros((2, *self.mesh.shape))
-        for axis, wa in enumerate(self.mesh.inverse_h2):
-            for field, gamma in enumerate(self.gammas):  # its cells on both faces of the axis
-                for side, g in zip((0, -1), self.mesh.face_ghosts(axis, gamma)):
-                    diagonal[field].swapaxes(0, axis)[side] += (g - 1.0) * wa
-        return diagonal.ravel()
+    def _axis_diagonals(self) -> list[np.ndarray]:
+        """Per axis, both fields' main diagonals (2, n_a) of its tridiagonal:
+        -2/h_a^2 on every cell, plus g/h_a^2 of each face on the cell beside
+        it, from the ghost-cell closure ghost = g * cell, second order at the
+        face; g = 1 at a mirror plane.  A one-cell axis's cell has both faces."""
+        rows = []
+        for axis, (na, ha) in enumerate(zip(self.mesh.shape, self.mesh.h)):
+            row = np.full((2, na), -2.0)
+            for field, gamma in enumerate(self.gammas):
+                g = _ghost_factor(gamma, ha)
+                row[field, 0] += 1.0 if axis in self.mesh.mirror_axes else g
+                row[field, -1] += g
+            rows.append(row * self.mesh.inverse_h2[axis])
+        return rows
 
     @cached_property
     def matrix(self) -> "scipy.sparse.dia_array":
-        """A as one (2n, 2n) DIA matrix, built on first use: the Laplacian's
-        data tiled for both fields, with the Robin diagonal on the main row,
-        under the Laplacian's offsets.  Its entries that would couple cells
-        across a face are zero, so the last u cell and the first v cell do
-        not couple either."""
+        """A as one (2n, 2n) DIA matrix, built on first use: the axes' main
+        diagonals summed on offset 0, and 1/h_a^2 at +-stride of each axis of
+        more than one cell (+-1, +-n_z, +-n_y*n_z in 3D; a one-cell axis's
+        strides may equal another axis's).  Its entries that would couple
+        cells across a face are zero, so the last u cell and the first v
+        cell do not couple either."""
         from scipy.sparse import dia_array
 
-        lap, n = self.mesh.laplacian, self.mesh.n_cells
-        data = np.tile(lap.data, 2)
-        data[0] += self.diagonal  # the Laplacian's first row holds offset 0
-        return dia_array((data, lap.offsets), shape=(2 * n, 2 * n))
+        shape, n = self.mesh.shape, 2 * self.mesh.n_cells
+        axes = [axis for axis, na in enumerate(shape) if na > 1]
+        data = np.empty((2 * len(axes) + 1, 2, *shape))
+        rows = [row.reshape(2, *(-1 if b == axis else 1 for b in range(len(shape))))
+                for axis, row in enumerate(self._axis_diagonals())]
+        np.add(sum(rows[:-1], 0.0), rows[-1], out=data[0])  # summed in axis order
+        offsets = [0]
+        for k, axis in enumerate(axes):
+            stride = prod(shape[axis + 1:])
+            # DIA keys entries by column, data[k, j] = A[j - offsets[k], j]:
+            # A[i, i + stride] exists iff column j = i + stride has a low
+            # neighbour, and A[i, i - stride] iff column j has a high one
+            up, down = data[2 * k + 1:2 * k + 3]
+            data[2 * k + 1:2 * k + 3] = self.mesh.inverse_h2[axis]
+            up.swapaxes(1, axis + 1)[:, 0] = down.swapaxes(1, axis + 1)[:, -1] = 0.0
+            offsets += [stride, -stride]
+        return dia_array((data.reshape(len(data), n), offsets), shape=(n, n))
 
     @cached_property
     def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per axis, the eigenvalues (2, n_a) and the orthonormal eigenvectors,
         as columns, (2, n_a, n_a) of both fields' tridiagonals, from one
-        batched `np.linalg.eigh` of the dense n_a x n_a tridiagonals.  A
-        one-cell axis's "tridiagonal" is its cell's row, (g_lo + g_hi - 2)/h_a^2
-        with both faces' ghosts: exactly 0 between two Neumann walls.  The
+        batched `np.linalg.eigh` of the dense n_a x n_a tridiagonals.  The
         tridiagonal depends on the axis through (n_a, h_a) and whether its
         low face is a mirror alone, so axes alike in all three share one pair
         of arrays: a cube makes one call."""
         mesh, by_axis = self.mesh, {}
         keys = [(na, ha, axis in mesh.mirror_axes)
                 for axis, (na, ha) in enumerate(zip(mesh.shape, mesh.h))]
-        for axis, (key, wa) in enumerate(zip(keys, mesh.inverse_h2)):
+        for key, row, wa in zip(keys, self._axis_diagonals(), mesh.inverse_h2):
             if key in by_axis:
                 continue
-            na = key[0]
-            ghosts = np.array([mesh.face_ghosts(axis, gamma) for gamma in self.gammas])
-            tri = np.tile(wa * (np.eye(na, k=1) + np.eye(na, k=-1) - 2.0 * np.eye(na)), (2, 1, 1))
-            if na == 1:
-                tri[:, 0, 0] = (ghosts.sum(axis=1) - 2.0) * wa
-            else:
-                tri[:, [0, -1], [0, -1]] = (ghosts - 2.0) * wa
+            i = np.arange(key[0])
+            tri = np.zeros((2, key[0], key[0]))
+            tri[:, i, i] = row
+            tri[:, i[1:], i[:-1]] = tri[:, i[:-1], i[1:]] = wa
             lam, q = np.linalg.eigh(tri)
             # the matrix is negative semidefinite; a zero mode may round above 0
             by_axis[key] = (np.minimum(lam, 0.0, out=lam), q)

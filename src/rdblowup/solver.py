@@ -1,23 +1,25 @@
 """Method-of-lines simulation of the reaction-diffusion system.
 
 Space: one operator A on the stacked state y = [u; v],
-`Mesh.robin_operator(gamma1, gamma2)`: the mesh's Neumann 5-point (2D) /
-7-point (3D) Laplacian `Mesh.laplacian`, a `scipy.sparse` DIA matrix, in each
-field's block, plus the Robin diagonal of both fields, which closes the Robin
-condition through ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h)
-(second order at the face, Neumann reflection at gamma = 0).  `rhs` and
-DP5's stages apply it as one product with `RobinOperator.matrix`, a
-(2n, 2n) DIA matrix of both fields, built on first use; a Lawson-only run
-builds neither it nor the Laplacian and Robin diagonal, so loads no scipy.
+`Mesh.robin_operator(gamma1, gamma2)`, defined by one symmetric tridiagonal
+per axis and field: off-diagonal 1/h_a^2, main diagonal -2/h_a^2 plus g/h_a^2
+of each face on the cell beside it, which closes the Robin condition through
+ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h) (second order
+at the face, Neumann reflection at gamma = 0).  Each field's block is the
+Kronecker sum of its axes' tridiagonals, the 5-point (2D) / 7-point (3D)
+stencil.  `rhs` and DP5's stages apply A as one product with
+`RobinOperator.matrix`, a (2n, 2n) `scipy.sparse` DIA matrix of both fields
+built from those rows on first use; a Lawson-only run never builds it, so
+loads no scipy.
 
-The eigenbasis: each field's block is the Kronecker sum of one symmetric
-tridiagonal per axis, so the operator diagonalises it, A = Q diag(Lambda) Q^T,
-with Q the Kronecker product of the axes' orthogonal eigenvectors and Lambda
-the sums of their eigenvalues (fast diagonalisation), summed anew in each
-e^{tau Lambda}; Q and Q^T cost a small matrix product per axis.  By
+The eigenbasis: the operator diagonalises the same tridiagonals,
+A = Q diag(Lambda) Q^T, with Q the Kronecker product of the axes' orthogonal
+eigenvectors and Lambda the sums of their eigenvalues (fast
+diagonalisation), summed anew in each e^{tau Lambda}; Q and Q^T cost a
+small matrix product per axis.  By
 Gershgorin, Lambda lies in [-4 sum_a h_a^-2, 0] for any gamma >= 0: each
 boundary face removes 2/h_a^2 from its row's absolute sum and the Robin
-diagonal adds back (1 - g)/h_a^2 <= 2/h_a^2, as g lies in [-1, 1].
+closure adds back (1 - g)/h_a^2 <= 2/h_a^2, as g lies in [-1, 1].
 
 Time: y' = A y + N(y), N = (f1, f2), is stepped by two embedded Runge-Kutta
 pairs with first-same-as-last stages, written as Butcher tableaux (`Pair`)

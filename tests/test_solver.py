@@ -690,8 +690,7 @@ class TestLawsonPair:
     def test_lawson_run_never_builds_the_stacked_matrix(self, monkeypatch):
         # a Robin heat run on 12^3 cells takes Lawson steps only, which apply
         # A through its modes; the (2n, 2n) matrix DP5 steps with stays
-        # unbuilt, and so do the Laplacian and the Robin diagonal it is
-        # built from.  The operator keeps its eigenpairs and the transforms'
+        # unbuilt.  The operator keeps its eigenpairs and the transforms'
         # scratch state, and no array of Lambda.  The data are nudged off
         # their mirror images, so the run keeps the full mesh
         ops = lawson_operators(monkeypatch)
@@ -701,7 +700,6 @@ class TestLawsonPair:
         assert len(ops) == 1
         assert "eigenpairs" in vars(ops[0]) and "matrix" not in vars(ops[0])
         assert set(vars(ops[0])) == {"mesh", "gammas", "eigenpairs", "_scratch"}
-        assert "laplacian" not in vars(ops[0].mesh)
 
     def test_folded_lawson_run_never_builds_the_stacked_matrix(self, monkeypatch):
         # the same run from even data steps on the fold of the mesh, whose
@@ -712,7 +710,6 @@ class TestLawsonPair:
         assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
         assert len(ops) == 1 and ops[0].mesh.mirror_axes == (0, 1, 2)
         assert set(vars(ops[0])) == {"mesh", "gammas", "eigenpairs", "_scratch"}
-        assert "laplacian" not in vars(mesh) and "laplacian" not in vars(ops[0].mesh)
 
     def test_one_lawson_step_peaks_within_13_5_states(self):
         # a Robin heat run on 24^3 cells with F = 0 takes one Lawson step.

@@ -94,6 +94,44 @@ def test_every_module_level_form_is_found(source, found):
     assert len(module_level_scipy_imports(ast.parse(source))) == found
 
 
+def sparse_import_sites(tree, scope=()):
+    """The qualified name of the class or function holding each import of
+    scipy.sparse in a parsed module, "" at module level."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += sparse_import_sites(node, (*scope, node.name))
+        elif isinstance(node, ast.Import):
+            found += [".".join(scope) for a in node.names
+                      if a.name.split(".")[:2] == ["scipy", "sparse"]]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[:2] == ["scipy", "sparse"] or (
+                    module == ["scipy"] and "sparse" in {a.name for a in node.names}):
+                found.append(".".join(scope))
+        else:
+            found += sparse_import_sites(node, scope)
+    return found
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("import scipy.sparse", [""]),
+    ("from scipy import sparse", [""]),
+    ("class C:\n    def f(self):\n        from scipy.sparse import dia_array", ["C.f"]),
+    ("def f():\n    if True:\n        import scipy.sparse.linalg", ["f"]),
+    ("import scipy.integrate\nfrom scipy import linalg", []),
+])
+def test_every_sparse_import_site_is_found(source, sites):
+    assert sparse_import_sites(ast.parse(source)) == sites
+
+
+def test_scipy_sparse_is_imported_at_one_site():
+    # the DIA format is known to the one method that builds the operator's matrix
+    sites = [(path.name, site) for path in sorted(SRC.glob("*.py"))
+             for site in sparse_import_sites(ast.parse(path.read_text()))]
+    assert sites == [("geometry.py", "RobinOperator.matrix")]
+
+
 def modules_after(code, tmp_path):
     """The modules loaded once `code` has run in a fresh interpreter with the
     package on its path."""
