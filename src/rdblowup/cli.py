@@ -48,7 +48,7 @@ from .errors import (
     ResolutionTooCoarse,
 )
 from .fields import make_field
-from .functionals import EnergySample, check_trace_monitors, require_growth_constants
+from .functionals import TRACE_COLUMNS, check_trace_monitors, require_growth_constants
 from .geometry import BOX, DomainSpec, build_mesh, require_gamma
 from .oracle import ode_reduce
 from .solver import OUTCOME_STEP_UNDERFLOW, SolverConfig, simulate
@@ -92,10 +92,10 @@ class Experiment:
 
     def __init__(self, path: str, resolution=None):
         parser = _RecordingParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError("cannot read the file")
         try:
+            # a malformed file is a configparser.Error, bytes not UTF-8 a ValueError
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError("cannot read the file")
             self._build(parser, resolution)
         except (KeyError, ValueError, configparser.Error, ResolutionTooCoarse,
                 BadExponent) as exc:
@@ -216,7 +216,7 @@ def _write_trace(trace, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(f.name for f in dataclasses.fields(EnergySample))
+        writer.writerow(TRACE_COLUMNS)
         writer.writerows(s.row() for s in trace.samples)
 
 

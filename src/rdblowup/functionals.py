@@ -41,6 +41,7 @@ overflows.
 
 import math
 from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -100,8 +101,12 @@ class EnergySample:
     dt: float = dataclass_field(default=float("nan"))
 
     def row(self):
-        values = (getattr(self, f.name) for f in dataclass_fields(self))
-        return [float("nan") if val is None else float(val) for val in values]
+        return [math.nan if val is None else float(val) for val in _row_values(self)]
+
+
+# the columns of the CSV trace, EnergySample's fields in order, read once
+TRACE_COLUMNS = tuple(f.name for f in dataclass_fields(EnergySample))
+_row_values = attrgetter(*TRACE_COLUMNS)
 
 
 def energy_E(fields: FieldPair, mesh: Mesh) -> float:

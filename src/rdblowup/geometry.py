@@ -19,10 +19,13 @@ So each quadrature of a state even in the folded axes and constant along
 the collapsed ones gives the value on the whole box.
 
 The operator is defined once, by one tridiagonal per axis and field: its
-DIA matrix and its eigenpairs are both built from those rows.  Importing
-this module loads numpy alone: a DIA matrix imports `scipy.sparse` when
-first built, and the eigenpairs need numpy only, so a run that never
-builds a DIA matrix never loads scipy.
+DIA matrix and its eigenpairs are both built from those rows, and so is
+`RobinOperator.is_zero`.  Importing this module loads numpy alone: a DIA
+matrix imports `scipy.sparse` when first built, and the eigenpairs need
+numpy only, so a run that never builds a DIA matrix never loads scipy.
+The solver builds one for a DP5 step or a right-hand side on a nonzero
+operator only: a Lawson-only run, and a run collapsed along every axis
+under Neumann walls, whose operator is zero, build none.
 """
 
 from dataclasses import dataclass
@@ -185,6 +188,7 @@ class RobinOperator:
     eigenvectors and Lambda the sums of their eigenvalues (fast
     diagonalisation, Lynch, Rice & Thomas 1964).  Each array is built on
     first use by its reader: a Lawson run builds the eigenpairs and one scratch state.
+    `is_zero` tells the solver that A y is 0, so it forms no product.
     """
 
     mesh: Mesh
@@ -204,6 +208,16 @@ class RobinOperator:
                 row[field, -1] += g
             rows.append(row * self.mesh.inverse_h2[axis])
         return rows
+
+    @cached_property
+    def is_zero(self) -> bool:
+        """Whether A is the zero operator: every axis one cell wide, so that
+        no cell has a neighbour, and every axis's row 0.  That is a mesh
+        collapsed along every axis under Neumann walls, each row
+        (-2 + 1 + 1)/h_a^2; a gamma whose ghost factor g is below 1 makes
+        its field's rows nonzero."""
+        return (all(na == 1 for na in self.mesh.shape)
+                and not any(row.any() for row in self._axis_diagonals()))
 
     @cached_property
     def matrix(self) -> "scipy.sparse.dia_array":

@@ -10,7 +10,9 @@ Kronecker sum of its axes' tridiagonals, the 5-point (2D) / 7-point (3D)
 stencil.  `rhs` and DP5's stages apply A as one product with
 `RobinOperator.matrix`, a (2n, 2n) `scipy.sparse` DIA matrix of both fields
 built from those rows on first use; a Lawson-only run never builds it, so
-loads no scipy.
+loads no scipy.  Where A is zero (`RobinOperator.is_zero`: every axis
+collapsed under Neumann walls, below) they form N(y) alone, with no
+product, so such a run builds no matrix and loads no `scipy.sparse` either.
 
 The eigenbasis: the operator diagonalises the same tridiagonals,
 A = Q diag(Lambda) Q^T, with Q the Kronecker product of the axes' orthogonal
@@ -50,7 +52,7 @@ d1 = 0, else min(100 h0, (0.01 / d1)^(1/4)), q = 3 the Lawson pair's order,
 with h0 = 0.01 d0 / d1, or 1e-6 if d0 or d1 is below 1e-5, and no less than
 1e-14.  N(g) is evaluated once and checked finite; it is the Lawson pair's
 first stage, and A g + N(g), checked finite too, DP5's.  A run that starts
-on the Lawson pair never forms A g.
+on the Lawson pair never forms A g, nor does a run whose A is zero.
 
 Each trial step goes through one sequence.  Its dt is clamped to 0.1 and,
 for DP5, to DP5's cap, and a step that would end within 1e-14 of t_end, or
@@ -97,9 +99,12 @@ the same, cell for cell: the fold's low face is a mirror, whose ghost is
 the cell, as the box's neighbour across the plane is; a collapsed axis
 keeps the box's h and both Neumann walls, whose ghosts are the cell, as
 its neighbours along the axis are, so its eigenvalue is exactly 0 and
-DP5's cap is the box's; the RMS norms and sup-norms equal those over the
-box; and the quadrature weights carry the multiplicity of each cell, so
-the monitor rows are the box's.  Only rounding differs: on the box the
+DP5's cap is the box's.  Collapsed along every axis, the run steps one cell
+of the ODE u' = f1, v' = f2: A is the zero 2 x 2 matrix, so the derivative
+is N(y) alone, with no product and no `scipy.sparse`, while DP5 keeps the
+box's cap.  The RMS norms and sup-norms equal those over the box; and the
+quadrature weights carry the multiplicity of each cell, so the monitor
+rows are the box's.  Only rounding differs: on the box the
 gradient energy along a collapsed axis is rounding about 0, on the
 collapse exactly 0.  `clamp_count` counts each cell as often as it stands
 for a box cell, and `final_fields` is mirrored and broadcast back to the
@@ -304,8 +309,11 @@ def _reaction_into(nl: Nonlinearity, y: np.ndarray, out: np.ndarray) -> np.ndarr
 
 def _derivative_into(op: RobinOperator, nl: Nonlinearity, y: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-    """A y + N(y), the time derivative of y = [u; v], into `out`: one product
-    with `op.matrix` for both fields; returns out."""
+    """A y + N(y), the time derivative of y = [u; v], into `out`: N(y) alone
+    where A is zero, else one product with `op.matrix` for both fields;
+    returns out."""
+    if op.is_zero:
+        return _reaction_into(nl, y, out)
     return np.add(op.matrix @ y, _reaction_into(nl, y, out), out=out)
 
 
@@ -402,17 +410,17 @@ def _explicit_stages(y, dt, rhs_vec, work, pair):
     error estimate dt * sum_i e_i k_i in `work.err`; None if y_new or
     f(y_new) is not finite.  As in `_lawson_stages`, overflow is silenced:
     a stage that overflows carries inf or NaN on to y_new or f(y_new)."""
-    s, a, y_new = pair.stages, pair.a, work.y_new
+    s, a_dt, y_new = pair.stages, pair.a * dt, work.y_new
     # the inner stages' arguments are built in y_new, which is written last
     for i in range(1, s - 1):
-        work.combine(a[i, :i] * dt, y_new)
+        work.combine(a_dt[i, :i], y_new)
         y_new += y
         rhs_vec(y_new, work.K[i])
-    work.combine(a[s - 1, :s - 1] * dt, y_new)
+    work.combine(a_dt[s - 1, :s - 1], y_new)
     y_new += y
-    if not np.all(np.isfinite(y_new)):
+    if not np.isfinite(y_new).all():
         return None
-    if not np.all(np.isfinite(rhs_vec(y_new, work.K[s - 1]))):
+    if not np.isfinite(rhs_vec(y_new, work.K[s - 1])).all():
         return None
     work.last = s - 1
     work.combine(pair.e * dt, work.err)
@@ -630,7 +638,9 @@ def simulate(config: SolverConfig) -> SolveTrace:
     pair = pair_for(dt)
     if pair.lawson:
         op.to_modes(reaction, work.K[0])
-    elif not np.all(np.isfinite(np.add(op.matrix @ y, reaction, out=work.K[0]))):
+    elif op.is_zero:
+        work.K[0] = reaction
+    elif not np.isfinite(np.add(op.matrix @ y, reaction, out=work.K[0])).all():
         raise NonFiniteField("initial right-hand side is not finite")
     steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
     t, err_prev = 0.0, 1.0

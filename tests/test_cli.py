@@ -521,6 +521,23 @@ class TestConfigErrors:
         assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
 
+    @pytest.mark.parametrize("data, message", [
+        (BLOWUP_BOX.encode() + b"\n[domain]\nkind = box\n", "section 'domain' already exists"),
+        (BLOWUP_BOX.replace("t_end = 1.0", "t_end = 1.0\nt_end = 2.0").encode(),
+         "option 't_end' in section 'solver' already exists"),
+        (b"t_end = 1.0\n" + BLOWUP_BOX.encode(), "File contains no section headers"),
+        (BLOWUP_BOX.replace("c = 1.0", "c = 1.0 # \xb5").encode("latin-1"),
+         "'utf-8' codec can't decode byte 0xb5"),
+    ], ids=["duplicate_section", "duplicate_key", "no_section_header", "not_utf8"])
+    def test_malformed_file_exits_two_without_traceback(self, tmp_path, capsys, data,
+                                                        message):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(data)
+        assert run("check", str(path), tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("half_extent", ["1e250", "1e-300"])
     @pytest.mark.parametrize("command", ["check", "bounds"])
     def test_laplacian_rule_binds_only_simulations(self, tmp_path, command, half_extent):

@@ -603,6 +603,19 @@ class TestCollapse:
                 if gamma == 0:
                     assert lam[field].tolist() == [0.0]
 
+    @pytest.mark.parametrize("axes, collapsed", [((), ()), ((0,), ()), ((0, 1), ()), *COLLAPSES])
+    @pytest.mark.parametrize("gamma1, gamma2", [(0.0, 0.0), *GAMMA_PAIRS])
+    def test_operator_is_zero_iff_collapsed_along_every_axis_under_neumann_walls(
+            self, axes, collapsed, gamma1, gamma2):
+        # the rule reads the axis rows alone and builds no matrix; the dense
+        # reference is zero in exactly the same cases
+        reduced = build_mesh(COLLAPSE_BOX, (8, 6, 5)).fold(axes, collapsed)
+        op = reduced.robin_operator(gamma1, gamma2)
+        zero = len(collapsed) == 3 and gamma1 == gamma2 == 0
+        assert op.is_zero is zero
+        assert "matrix" not in vars(op)
+        assert (not np.any(dense_robin_operator(reduced, gamma1, gamma2))) is zero
+
     @pytest.mark.parametrize("spec, cells", [*OPERATOR_MESHES, (SHARED_AXES_BOX, (6, 6, 9))])
     @pytest.mark.parametrize("gamma1, gamma2", GAMMA_PAIRS)
     def test_collapsed_matrix_diagonal_is_lambda(self, spec, cells, gamma1, gamma2):

@@ -101,6 +101,20 @@ class TestRhs:
         stage = mesh.robin_operator(0.5, 3.0).matrix @ y + reaction
         assert np.array_equal(got, stage)
 
+    def test_collapsed_neumann_mesh_gives_the_reaction_alone(self, monkeypatch):
+        # every axis collapsed under Neumann walls: A is zero, so rhs is N(g)
+        # with no product, the bits of the product with the zero matrix
+        ops = lawson_operators(monkeypatch)
+        mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0, 0.6, 1.3)),
+                          (5, 6, 7)).fold(collapsed=(0, 1, 2))
+        nl, u, v = make_power_product(1.0, 2.0, 3.0), np.array([0.7]), np.array([1.3])
+        ut, vt = rhs(FieldPair(u=u, v=v, t=0.0), mesh, nl, 0.0, 0.0)
+        reaction = np.concatenate([nl.f1(u, v), nl.f2(u, v)])
+        assert np.concatenate([ut, vt]).tobytes() == reaction.tobytes()
+        assert len(ops) == 1 and ops[0].is_zero and "matrix" not in vars(ops[0])
+        product = ops[0].matrix @ np.concatenate([u, v]) + reaction
+        assert product.tobytes() == reaction.tobytes()
+
 
 def decay(y, out):
     """rhs_vec of y' = -y."""
@@ -979,6 +993,16 @@ class TestCollapse:
         scale[:, 4:6] = scale[:, [1]]
         close = np.abs(rows[at_cap] - ref[at_cap]) <= 1e-12 * scale
         assert np.all(close | np.isnan(ref[at_cap]))
+
+    def test_flat_blowup_steps_the_ode_with_no_matrix(self, monkeypatch):
+        # criterion 1's run steps y' = N(y) on one cell, whose operator is
+        # zero: it builds no DIA matrix and keeps its steps and t_est
+        ops = lawson_operators(monkeypatch)
+        trace, _ = flat_blowup_3d()
+        assert len(ops) == 1 and ops[0].is_zero and "matrix" not in vars(ops[0])
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
+                                       "dp5": {"accepted": 354, "rejected": 0}}
+        assert trace.blowup_estimate.t == 0.2500000001883155
 
     @pytest.mark.parametrize("cells, data, gammas, collapsed, axes", [
         ((8, 6, 4), "flat", (0.0, 0.0), (0, 1, 2), ()),

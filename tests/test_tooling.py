@@ -15,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rdblowup"
 SANDWICH_CONFIG = SRC.parent.parent / "demos" / "configs" / "sandwich_box3d.ini"
+ROBIN_CONFIG = SANDWICH_CONFIG.with_name("robin_drain.ini")
 INTEGRATORS = {"solve_ivp", "odeint"}
 
 
@@ -186,13 +187,26 @@ def test_check_command_loads_no_scipy(tmp_path):
     assert scipy_modules_after(code, tmp_path) == []
 
 
-def test_dp5_blowup_run_loads_sparse_and_no_integrator(tmp_path):
-    # the flat blow-up steps on DP5, which applies the operator's DIA matrix
+def dp5_simulate_modules(config, tmp_path, *options):
+    """The scipy modules a CLI `simulate` of `config` loads, after checking
+    that it took DP5 steps."""
     code = (f"from rdblowup import cli\n"
-            f"assert cli.main(['simulate', '--config', {str(SANDWICH_CONFIG)!r}, "
-            f"'--resolution', '8', '--out-dir', 'out']) == 0")
+            f"assert cli.main(['simulate', '--config', {str(config)!r}, "
+            f"'--out-dir', 'out', *{list(options)!r}]) == 0")
     loaded = scipy_modules_after(code, tmp_path)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["simulation"]["steps_by_pair"]["dp5"]["accepted"] > 0
+    return loaded
+
+
+def test_flat_dp5_blowup_run_loads_no_scipy(tmp_path):
+    # the flat blow-up collapses onto one cell, where the operator is zero:
+    # its DP5 steps form N(y) alone and build no DIA matrix
+    assert dp5_simulate_modules(SANDWICH_CONFIG, tmp_path, "--resolution", "8") == []
+
+
+def test_robin_dp5_run_loads_sparse_and_no_integrator(tmp_path):
+    # Robin walls keep the operator nonzero, so DP5 applies its DIA matrix
+    loaded = dp5_simulate_modules(ROBIN_CONFIG, tmp_path)
     assert "scipy.sparse" in loaded
     assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]]
