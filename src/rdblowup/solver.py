@@ -57,7 +57,11 @@ on the Lawson pair never forms A g, nor does a run whose A is zero.
 Each trial step goes through one sequence.  Its dt is clamped to 0.1 and,
 for DP5, to DP5's cap, and a step that would end within 1e-14 of t_end, or
 past it, ends at t_end; it is accepted iff its error norm is <= 1
-(inf and NaN reject) and counted once, under its pair.  One place proposes
+(inf and NaN reject) and counted once, under its pair.  `step` rejects a
+trial with err = inf if a stage leaves N's domain (raises EvalAtZeroU) or
+if y_new or its last stage is not finite.  DP5's tableau has negative
+weights, so its stages can take u below 0 where no state of the run has
+it.  N(g) of the data raises instead.  One place proposes
 the next dt: a PI controller with exponents 0.7/q and 0.4/q for a pair of
 order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt after a finite
 rejection, dt/2 after a non-finite one.  One rule picks the pair of each
@@ -127,11 +131,12 @@ blow-up time extrapolated from a power-law fit of the rows' (t, sup) tail.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientSamples, NonFiniteField
+from .errors import EvalAtZeroU, InsufficientSamples, NonFiniteField
 from .functionals import EnergySample, FieldPair, energy_rows
 from .geometry import Mesh, RobinOperator, require_gamma
 from .nonlinearity import Nonlinearity
@@ -381,57 +386,61 @@ def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     it: the derivative f(y) for an explicit pair, the reaction N(y) for a
     Lawson pair.  Returns (y_new, err_norm, k_last), where y_new is
     `work.y_new` and k_last the FSAL row `work.K[work.last]`, so y must not
-    be `work.y_new`.  err_norm is inf on overflow, with k_last None, so the
-    caller shrinks dt.  The error scale is abs_tol + rel_tol * max(|y|, |y_new|);
-    a cell where it is 0 (abs_tol = 0, y = y_new = 0) counts as 0 in the norm.
+    be `work.y_new`.  The stages run with overflow silenced, and the trial
+    is rejected, returning (y, inf, None) with y untouched so that the
+    caller shrinks dt, if a stage raises EvalAtZeroU (it left N's domain)
+    or y_new or k_last is not finite.  The error scale is
+    abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     stages = _lawson_stages if pair.lawson else _explicit_stages
-    y_new = stages(y, dt, stage_fn, work, pair)
-    if y_new is None:
-        return y, float("inf"), None
-    # -max(|y|, |y_new|) = min(-max(|y|, y_new), y_new), built in one buffer
-    scale = np.abs(y, out=work.scale)
-    np.maximum(scale, y_new, out=scale)
-    np.negative(scale, out=scale)
-    np.minimum(scale, y_new, out=scale)
-    scale *= -rel_tol
-    scale += abs_tol
-    if abs_tol == 0:
-        scale[scale == 0] = math.inf  # a cell where y and y_new are 0 counts as 0
-    work.err /= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            y_new = stages(y, dt, stage_fn, work, pair)
+        except EvalAtZeroU:
+            return y, math.inf, None
+    if not (np.isfinite(y_new).all() and np.isfinite(work.K[work.last]).all()):
+        return y, math.inf, None
+    work.err /= _error_scale(y, y_new, rel_tol, abs_tol, work.scale)
     return y_new, _rms(work.err), work.K[work.last]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _error_scale(y, y_new, rel_tol, abs_tol, out):
+    """abs_tol + rel_tol * max(|y|, |y_new|) into `out`; a cell where it is 0
+    (abs_tol = 0, y = y_new = 0) is inf, so it counts as 0 in a norm of a
+    ratio.  At y_new = y it is abs_tol + rel_tol * |y|, bit for bit."""
+    # -max(|y|, |y_new|) = min(-max(|y|, y_new), y_new), built in one buffer
+    np.abs(y, out=out)
+    np.maximum(out, y_new, out=out)
+    np.negative(out, out=out)
+    np.minimum(out, y_new, out=out)
+    out *= -rel_tol
+    out += abs_tol
+    if abs_tol == 0:
+        out[out == 0] = math.inf
+    return out
+
+
 def _explicit_stages(y, dt, rhs_vec, work, pair):
-    """The stages of an explicit pair from y: y_new in `work.y_new` and its
-    error estimate dt * sum_i e_i k_i in `work.err`; None if y_new or
-    f(y_new) is not finite.  As in `_lawson_stages`, overflow is silenced:
-    a stage that overflows carries inf or NaN on to y_new or f(y_new)."""
+    """The stages of an explicit pair from y: y_new in `work.y_new`, its
+    FSAL row f(y_new) in `work.K[s - 1]` and its error estimate
+    dt * sum_i e_i k_i in `work.err`."""
     s, a_dt, y_new = pair.stages, pair.a * dt, work.y_new
-    # the inner stages' arguments are built in y_new, which is written last
-    for i in range(1, s - 1):
+    # each stage's argument is built in y_new, the last one y_new itself
+    for i in range(1, s):
         work.combine(a_dt[i, :i], y_new)
         y_new += y
         rhs_vec(y_new, work.K[i])
-    work.combine(a_dt[s - 1, :s - 1], y_new)
-    y_new += y
-    if not np.isfinite(y_new).all():
-        return None
-    if not np.isfinite(rhs_vec(y_new, work.K[s - 1])).all():
-        return None
     work.last = s - 1
     work.combine(pair.e * dt, work.err)
     return y_new
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _lawson_stages(y, dt, reaction, work, pair):
     """The stages of a Lawson pair from y (module docstring): y_new in
-    `work.y_new` and its error estimate in `work.err`; None if y_new or
-    N(y_new) is not finite.
+    `work.y_new`, its FSAL row N^(y_new) in `work.K[s + 1]` and its error
+    estimate in `work.err`.
 
     Rows: K[1] holds y^ and K[2 + j] stage j's N^_j (K[2] a copy of K[0]),
     each multiplied by e^{(c_i - c_{i-1}) dt Lambda} on the way to node c_i.
@@ -452,10 +461,7 @@ def _lawson_stages(y, dt, reaction, work, pair):
         K[1:i + 2] *= decay
         work.combine(np.concatenate(([1.0], a[i, :i] * dt)), buffer, first=1)
         op.from_modes(buffer, y_new)
-        reaction(y_new, buffer)
-        if i == s - 1 and not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(buffer))):
-            return None
-        op.to_modes(buffer, K[i + 2])
+        op.to_modes(reaction(y_new, buffer), K[i + 2])
     work.last = s + 1
     # the error estimate is built in `scale`, which `step` writes afterwards
     op.from_modes(work.combine(pair.e * dt, work.scale, first=2), work.err)
@@ -476,11 +482,7 @@ def _starting_dt(y, reaction, config: SolverConfig, scale: np.ndarray,
     """The first trial dt (module docstring), from the RMS norms d0 of y and
     d1 of N(y) in the units of sc = abs_tol + rel_tol |y|; builds sc in
     `scale` and each ratio in `ratio`."""
-    np.abs(y, out=scale)
-    scale *= config.rel_tol
-    scale += config.abs_tol
-    if config.abs_tol == 0:
-        scale[scale == 0] = math.inf  # a cell with no scale counts as 0 in both norms
+    _error_scale(y, y, config.rel_tol, config.abs_tol, scale)
     with np.errstate(over="ignore"):
         d0, d1 = (_rms(np.divide(x, scale, out=ratio)) for x in (y, reaction))
     if d1 == 0:
@@ -609,29 +611,20 @@ def simulate(config: SolverConfig) -> SolveTrace:
                         for g in (config.g1, config.g2)])
 
     op = mesh.robin_operator(config.gamma1, config.gamma2)
-
-    def derivative(yy, out):
-        return _derivative_into(op, nl, yy, out)
-
-    def reaction_vec(yy, out):
-        if not np.all(np.isfinite(yy)):
-            out.fill(np.nan)
-            return out
-        return _reaction_into(nl, yy, out)
-
-    stage_fns = {LAWSON_BS3: reaction_vec, DP5: derivative}
+    stage_fns = {LAWSON_BS3: partial(_reaction_into, nl), DP5: partial(_derivative_into, op, nl)}
     caps = {LAWSON_BS3: math.inf, DP5: _diffusion_cap(mesh)}
-    lawson_rejected = False
+    steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
 
     def pair_for(dt_trial):
         """The pair rule (module docstring)."""
-        return LAWSON_BS3 if dt_trial >= caps[DP5] and not lawson_rejected else DP5
+        return (LAWSON_BS3 if dt_trial >= caps[DP5]
+                and not steps_by_pair[LAWSON_BS3.name]["rejected"] else DP5)
 
     work = StepWork(y, op)
     # N(g) serves the starting-step rule and the first stage of either pair:
     # A g + N(g) for DP5, N(g) in the eigenbasis for the Lawson pair, whose
     # steps never form A g; each first stage is checked finite
-    reaction = reaction_vec(y, work.err)
+    reaction = _reaction_into(nl, y, work.err)
     if not np.all(np.isfinite(reaction)):
         raise NonFiniteField("initial right-hand side is not finite")
     dt = _starting_dt(y, reaction, config, work.scale, work.y_new)
@@ -642,7 +635,6 @@ def simulate(config: SolverConfig) -> SolveTrace:
         work.K[0] = reaction
     elif not np.isfinite(np.add(op.matrix @ y, reaction, out=work.K[0])).all():
         raise NonFiniteField("initial right-hand side is not finite")
-    steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
     t, err_prev = 0.0, 1.0
     rows = _MonitorRows(config, mesh, y.size)
     # the initial row carries the first trial dt, clamped but not to t_end
@@ -665,8 +657,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         steps_by_pair[pair.name]["accepted" if accepted else "rejected"] += 1
         dt_next = _proposed_dt(dt, err, err_prev, pair.order)
         if pair is LAWSON_BS3 and not accepted:
-            # DP5 retries the step at this dt and keeps the rest of the run
-            dt_next, lawson_rejected = dt, True
+            dt_next = dt  # DP5 retries the step at this dt and keeps the rest of the run
         if accepted:
             err_prev = max(err, 1e-12)
             t = config.t_end if last else t + dt

@@ -222,6 +222,45 @@ class TestSimulate:
             assert simulation["collapsed_axes"] == [0, 1] and simulation["mirror_axes"] == []
 
 
+# the paper's equality family F = c u^6 h(v/u) (alpha 2, c 1, h constant)
+# from a bump g1 = 1 + 2 e^{-|x|^2 / (2 * 0.35^2)}, g2 = 0.5
+HOMOGENEOUS_BUMP = """\
+[domain]
+kind = box
+dimension = 2
+half_extents = 1 1
+cells_per_axis = 8
+
+[nonlinearity]
+family = gradient_homogeneous
+alpha = 2
+h = constant
+
+[initial_data]
+kind = gaussian
+c1 = 1.0
+amplitude = 2
+width = 0.35
+c2 = 0.5
+
+[solver]
+t_end = 2
+"""
+
+
+class TestStageOutsideTheDomain:
+    # DP5 trial stages from the bump leave u > 0, N's domain; each such
+    # trial is rejected, and the fast blow-up's steps underflow: exit 3
+    # with the report written, not a numerical failure with none
+    @pytest.mark.parametrize("command", ["simulate", "sandwich"])
+    def test_ends_in_step_underflow_with_a_report(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, HOMOGENEOUS_BUMP), out) == EXIT_NUMERICAL
+        assert load_report(out)["simulation"]["outcome"] == "step_underflow"
+        assert (out / "trace.csv").exists()
+        assert "EvalAtZeroU" not in capsys.readouterr().err
+
+
 class TestRobinCoefficientPastFloatRange:
     # gamma * h_a overflows along the wide axis: the ghost factor takes its
     # limit -1, so the simulation runs, while H2's samples of gamma u^2 on

@@ -7,13 +7,16 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import dense_robin_operator, linear_decay, zero_reaction
 import rdblowup.solver
-from rdblowup.errors import InsufficientSamples, NonFiniteField
+from rdblowup.errors import EvalAtZeroU, InsufficientSamples, NonFiniteField
 from rdblowup.functionals import FieldPair, energy_E
 from rdblowup.geometry import DomainSpec, Mesh, RobinOperator, build_mesh, interior_integral
-from rdblowup.nonlinearity import Nonlinearity, make_power_product
+from rdblowup.nonlinearity import (Nonlinearity, make_gradient_homogeneous,
+                                   make_power_product, shape_constant)
 from rdblowup.solver import (
     DP5,
     LAWSON_BS3,
@@ -666,6 +669,68 @@ class TestStepEdgeCases:
         trace, _ = robin_heat(2, 8)
         assert trace.outcome == OUTCOME_REACHED_T_END
         assert trace.n_steps == 1 and trace.final_fields.t == 0.05
+
+
+def homogeneous_bump(cells, alpha, c, amplitude, t_end=2.0):
+    """F = c u^{2(1+alpha)} on a Neumann box [-1, 1]^2 (the paper's equality
+    family, h constant) from g1 = 1 + amplitude e^{-4|x|^2}, g2 = 0.5."""
+    mesh = build_mesh(DomainSpec("box", 2, half_extents=(1.0, 1.0)), cells)
+    g1 = 1.0 + amplitude * np.exp(-4.0 * np.sum(mesh.cell_centers ** 2, axis=1))
+    return SolverConfig(mesh=mesh, nl=make_gradient_homogeneous(c, alpha, shape_constant()),
+                        gamma1=0.0, gamma2=0.0, g1=g1, g2=np.full(mesh.n_cells, 0.5),
+                        t_end=t_end, alpha=alpha)
+
+
+def outside_the_domain(y, out):
+    """A stage function whose every argument has left N's domain."""
+    raise EvalAtZeroU("homogeneous family requires u > 0")
+
+
+class TestLeavingTheDomain:
+    # a trial stage outside N's domain rejects the step; N of the data, and
+    # the public rhs, still raise
+    def test_homogeneous_bump_rejects_the_trial_and_runs_on(self, monkeypatch):
+        # DP5's first trial from the bump has a stage with u < 0 (its tableau
+        # has negative weights): the trial is rejected with err inf, dt
+        # shrinks, and the run ends as the fast blow-up's step underflow
+        errs = []
+
+        def logged_step(*args):
+            result = step(*args)
+            errs.append(result[1])
+            return result
+
+        monkeypatch.setattr(rdblowup.solver, "step", logged_step)
+        trace = simulate(homogeneous_bump(8, alpha=2.0, c=1.0, amplitude=2.0))
+        assert errs[0] == math.inf
+        assert trace.outcome == OUTCOME_STEP_UNDERFLOW
+        assert trace.n_steps > 0 and np.all(trace.final_fields.u > 0)
+
+    @pytest.mark.parametrize("pair", [DP5, LAWSON_BS3], ids=["dp5", "lawson_bs3"])
+    def test_a_stage_outside_the_domain_rejects_the_step(self, pair):
+        y = np.array([1.0])
+        work = started(y, decay, NO_DIFFUSION, pair)
+        first = work.K[0].copy()
+        y_new, err, k = step(y, 0.1, outside_the_domain, 1e-8, 1e-10, work, pair)
+        assert y_new is y and err == math.inf and k is None
+        assert y[0] == 1.0 and np.array_equal(work.K[0], first)
+
+    def test_data_outside_the_domain_still_raise(self):
+        config = homogeneous_bump(8, alpha=2.0, c=1.0, amplitude=2.0)
+        g1 = config.g1.copy()
+        g1[0] = 0.0
+        with pytest.raises(EvalAtZeroU):
+            simulate(dataclasses.replace(config, g1=g1))
+        with pytest.raises(EvalAtZeroU):
+            rhs(FieldPair(u=g1, v=config.g2, t=0.0), config.mesh, config.nl, 0.0, 0.0)
+
+    @given(alpha=st.floats(0.5, 3.0), c=st.floats(0.01, 1.0), amplitude=st.floats(0.0, 4.0))
+    def test_no_run_ends_outside_the_domain(self, alpha, c, amplitude):
+        try:
+            trace = simulate(homogeneous_bump(6, alpha, c, amplitude))
+        except InsufficientSamples:
+            return
+        assert trace.outcome in (OUTCOME_REACHED_T_END, OUTCOME_BLOWUP, OUTCOME_STEP_UNDERFLOW)
 
 
 class TestStepAccounting:
