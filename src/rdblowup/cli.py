@@ -13,12 +13,13 @@ exits 2 on every command.  So does any key the build does not read, in any
 section; the message names each such key.  Every config error names its
 file.  The keys: [domain] kind (box, ball), dimension, a box's half_extents
 and cells_per_axis, a ball's radius; [nonlinearity] family and its keys
-(power_product: c, a_exp, b_exp; gradient_homogeneous: c, alpha, h, h_m,
-h_value; absorption: p, q, r, s, a, b); [initial_data] kind (constant,
-gaussian), c1, c2 and, for a gaussian on a box, amplitude and width (the
-width finite and > 0); [robin] gamma1, gamma2; [hypothesis] alpha, p, k1, k2
-(k1 and k2 together, and with p), mode; [solver] t_end, rel_tol, abs_tol,
-sup_threshold; [outputs] directory.
+(power_product: c, a_exp, b_exp; gradient_homogeneous: c, alpha, h, and
+h_m for h = power or h_value for h = constant; absorption: p, q, r, s, a,
+b); [initial_data] kind (constant, gaussian), c1, c2 and, for a gaussian on
+a box, amplitude and width (the amplitude finite, the width finite and > 0
+with 2 width^2 a positive float); [robin] gamma1, gamma2; [hypothesis]
+alpha, p, k1, k2 (k1 and k2 together, and with p), mode; [solver] t_end,
+rel_tol, abs_tol, sup_threshold; [outputs] directory.
 A ball domain takes constant initial data only and reads no `[solver]` key,
 as no command simulates on it: a ball config that sets one exits 2.
 
@@ -117,8 +118,9 @@ class Experiment:
             self.nl = nl_mod.make_power_product(
                 nls.getfloat("c", 1.0), float(nls["a_exp"]), float(nls["b_exp"]))
         elif family == "gradient_homogeneous":
+            # h_<name> is the key of the shape's parameter <name>
             shape = nl_mod.SHAPE_CATALOG[nls.get("h", "constant")](
-                {"m": nls.getfloat("h_m", 1.0), "value": nls.getfloat("h_value", 1.0)})
+                lambda name, default: nls.getfloat(f"h_{name}", default))
             self.nl = nl_mod.make_gradient_homogeneous(
                 nls.getfloat("c", 1.0), float(nls["alpha"]), shape)
         elif family == "absorption":

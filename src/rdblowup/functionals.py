@@ -209,7 +209,9 @@ def energy_rows(states: np.ndarray, ts, dts, mesh: Mesh, nl=None, alpha: float =
     grad = _gradient_energies(states.ravel(), mesh).reshape(k, 2)
     J = intF = None
     if nl is not None and nl.has_potential:
-        values = np.asarray(nl.F(fields[:, 0], fields[:, 1]), dtype=float).reshape(k, -1)
+        # a sample of F that overflows makes its integral, so its row, not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(nl.F(fields[:, 0], fields[:, 1]), dtype=float).reshape(k, -1)
         if values.shape[1] != mesh.n_cells:
             raise ValueError("one sample per cell required")
         with np.errstate(over="ignore", invalid="ignore"):

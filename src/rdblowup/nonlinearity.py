@@ -84,16 +84,23 @@ def shape_exp_decay() -> ShapeFunction:
     )
 
 
+# each shape's builder, reading its parameters, and no other, through
+# get(name, default)
 SHAPE_CATALOG = {
-    "constant": lambda params: shape_constant(float(params.get("value", 1.0))),
-    "power": lambda params: shape_power(float(params["m"])),
-    "exp_decay": lambda params: shape_exp_decay(),
+    "constant": lambda get: shape_constant(float(get("value", 1.0))),
+    "power": lambda get: shape_power(float(get("m", 1.0))),
+    "exp_decay": lambda get: shape_exp_decay(),
 }
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Reaction terms f1, f2 and, for gradient systems, their potential F."""
+    """Reaction terms f1, f2 and, for gradient systems, their potential F.
+
+    Each takes (u, v) as float arrays of one shape or as numpy float64
+    scalars, and returns a value of its arguments' shape, where a 0-d array
+    counts as a scalar: the solver hands a one-cell state's u and v as
+    scalars, as the ODE oracle does, and any other state's as arrays."""
 
     family: str
     params: dict

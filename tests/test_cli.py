@@ -469,6 +469,8 @@ class TestConfigErrors:
         ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = power\nh_m = inf")),
         ("check", ("cells_per_axis = 8", "cells_per_axis = 8\nradius = 1")),
         ("check", ("b_exp = 2", "b_exp = 2\nh_m = 2")),
+        ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = constant\nh_m = 2")),
+        ("check", (*GRADIENT_HOMOGENEOUS, "c = 1.0", "c = 1.0\nh = power\nh_value = 2")),
         ("check", ("kind = constant", "kind = gaussian\namplitud = 5")),
         ("bounds", ("t_end = 1.0", "t_end = 1.0\n\n[robin]\ngama1 = 1.0")),
         ("check", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2\nmod = A2A3")),
@@ -510,7 +512,8 @@ class TestConfigErrors:
             "k1_inf", "k1_negative", "gradient_homogeneous_c_nan",
             "gradient_homogeneous_c_inf", "gradient_homogeneous_c_negative", "h_value_nan",
             "h_value_inf", "h_m_nan", "h_m_inf", "unknown_key_radius_on_box",
-            "unknown_key_h_m_on_power_product", "unknown_key_amplitud", "unknown_key_gama1",
+            "unknown_key_h_m_on_power_product", "unknown_key_h_m_on_constant_shape",
+            "unknown_key_h_value_on_power_shape", "unknown_key_amplitud", "unknown_key_gama1",
             "unknown_key_mod", "unknown_key_outputs_dir", "misspelled_section_solver",
             "k1_without_k2", "k1_k2_without_p", "gaussian_width_zero", "gaussian_width_inf",
             "cosine_kind", "unknown_keys_amplitude_width_on_constant", "half_extents_inf",
@@ -602,12 +605,21 @@ class TestResolutionOverride:
         assert code == EXIT_CONFIG
 
 
-# valid and invalid draws of each value the property test sets; the invalid
+# valid and invalid draws of each value the property tests set; the invalid
 # ones take nan, +-inf, negatives and subnormals
 GAMMA = (st.floats(min_value=0.0, allow_infinity=False),
          st.one_of(st.floats(max_value=-math.ulp(0.0)), st.sampled_from([math.nan, math.inf])))
 POSITIVE = (st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
             st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])))
+FINITE = (st.floats(allow_nan=False, allow_infinity=False),
+          st.sampled_from([math.nan, math.inf, -math.inf]))
+GROWTH_EXPONENT = (st.floats(min_value=1.0, allow_infinity=False),
+                   st.one_of(st.floats(max_value=1.0, exclude_max=True),
+                             st.sampled_from([math.nan, math.inf])))
+# data within 2e3 of 0 stay below the default sup_threshold 1e8, which data
+# 1e9 from 0 exceed whatever the gaussian adds
+DATUM = (st.floats(-1e3, 1e3),
+         st.one_of(st.floats(min_value=1e9), st.floats(max_value=-1e9), st.just(math.nan)))
 VALUES = {
     "gamma1": GAMMA,
     "gamma2": GAMMA,
@@ -619,18 +631,38 @@ VALUES = {
               st.one_of(st.floats(max_value=0.0), st.just(math.nan))),
     "alpha": POSITIVE,
     "c": POSITIVE,
-    "a_exp": (st.floats(min_value=1.0, allow_infinity=False),
-              st.one_of(st.floats(max_value=1.0, exclude_max=True),
-                        st.sampled_from([math.nan, math.inf]))),
+    "a_exp": GROWTH_EXPONENT,
+    "c1": DATUM,
+    "c2": DATUM,
+    "amplitude": (DATUM[0], st.sampled_from([math.nan, math.inf, -math.inf])),
+    # the gaussian divides by 2 width^2, which must be a positive float:
+    # widths below about 1.5e-162 or above 9.4e153 are rejected
+    "width": (st.floats(1e-160, 1e150),
+              st.one_of(st.floats(max_value=1e-163), st.floats(min_value=1e155),
+                        st.just(math.nan))),
+    "p": GROWTH_EXPONENT,
+    "k1": POSITIVE,
+    "k2": POSITIVE,
 }
+# the gradient_homogeneous family's own values; `shape` is h's parameter
+HOMOGENEOUS_VALUES = {"alpha": POSITIVE, "c": POSITIVE, "shape": FINITE}
 
 
 @st.composite
-def at_most_one_bad_value(draw):
+def at_most_one_bad_value(draw, values=VALUES):
     """(name of the bad value or None, valid values with that one made bad)."""
-    bad = draw(st.sampled_from([None, *VALUES]))
-    values = {name: draw(VALUES[name][name == bad]) for name in VALUES}
-    return bad, values
+    bad = draw(st.sampled_from([None, *values]))
+    return bad, {name: draw(values[name][name == bad]) for name in values}
+
+
+def exits_two_exactly_when_invalid(tmp_path_factory, text, invalid):
+    """`check` of the config `text` exits 2 iff `invalid`, with no traceback."""
+    tmp = tmp_path_factory.mktemp("property")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("check", write_config(tmp, text), tmp / "out")
+    assert (code == EXIT_CONFIG) == invalid
+    assert "Traceback" not in err.getvalue()
 
 
 class TestInvalidValuesProperty:
@@ -638,28 +670,43 @@ class TestInvalidValuesProperty:
     @given(case=at_most_one_bad_value())
     def test_check_exits_two_exactly_on_invalid_values(self, tmp_path_factory, case):
         bad, values = case
-        gamma1, gamma2, cells, half_extent, t_end, alpha, c, a_exp = (
-            values[k] for k in ("gamma1", "gamma2", "cells", "half_extent", "t_end", "alpha",
-                                "c", "a_exp"))
+        (gamma1, gamma2, cells, half_extent, t_end, alpha, c, a_exp, c1, c2, amplitude, width,
+         p, k1, k2) = (values[k] for k in (
+             "gamma1", "gamma2", "cells", "half_extent", "t_end", "alpha", "c", "a_exp",
+             "c1", "c2", "amplitude", "width", "p", "k1", "k2"))
         text = (BLOWUP_BOX.replace("cells_per_axis = 8", f"cells_per_axis = {cells}")
                 .replace("half_extents = 1 1", f"half_extents = {half_extent!r} 1")
                 .replace("t_end = 1.0", f"t_end = {t_end!r}")
-                .replace("alpha = 1.0", f"alpha = {alpha!r}")
+                .replace("alpha = 1.0", f"alpha = {alpha!r}\np = {p!r}\nk1 = {k1!r}\n"
+                                        f"k2 = {k2!r}")
                 .replace("c = 1.0", f"c = {c!r}")
                 .replace("a_exp = 2", f"a_exp = {a_exp!r}")
+                .replace("kind = constant\nc1 = 1.0\nc2 = 1.0",
+                         f"kind = gaussian\nc1 = {c1!r}\nc2 = {c2!r}\n"
+                         f"amplitude = {amplitude!r}\nwidth = {width!r}")
                 + f"\n[robin]\ngamma1 = {gamma1!r}\ngamma2 = {gamma2!r}\n")
-        tmp = tmp_path_factory.mktemp("property")
-        cfg = write_config(tmp, text)
         invalid = (cells < 4 or not 0 < half_extent < math.inf or not t_end > 0
                    or not all(0 <= g < math.inf for g in (gamma1, gamma2))
-                   or not (0 < alpha < math.inf and 0 < c < math.inf)
-                   or not 1 <= a_exp < math.inf)
+                   or not all(0 < x < math.inf for x in (alpha, c, k1, k2))
+                   or not all(1 <= x < math.inf for x in (a_exp, p))
+                   or not all(abs(x) < 1e8 for x in (c1, c2))
+                   or not (math.isfinite(amplitude) and 1e-160 <= width <= 1e150))
         assert invalid == (bad is not None)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run("check", cfg, tmp / "out")
-        assert (code == EXIT_CONFIG) == invalid
-        assert "Traceback" not in err.getvalue()
+        exits_two_exactly_when_invalid(tmp_path_factory, text, invalid)
+
+    @pytest.mark.parametrize("shape, key", [("power", "h_m"), ("constant", "h_value")])
+    @given(data=st.data())
+    def test_gradient_homogeneous_check_exits_two_exactly_on_invalid_values(
+            self, tmp_path_factory, shape, key, data):
+        bad, values = data.draw(at_most_one_bad_value(HOMOGENEOUS_VALUES))
+        text = BLOWUP_BOX.replace(
+            "family = power_product\nc = 1.0\na_exp = 2\nb_exp = 2",
+            f"family = gradient_homogeneous\nc = {values['c']!r}\nalpha = {values['alpha']!r}"
+            f"\nh = {shape}\n{key} = {values['shape']!r}")
+        invalid = (not all(0 < values[k] < math.inf for k in ("alpha", "c"))
+                   or not math.isfinite(values["shape"]))
+        assert invalid == (bad is not None)
+        exits_two_exactly_when_invalid(tmp_path_factory, text, invalid)
 
 
 class TestOutputDirectory:

@@ -2,7 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ import rdblowup.solver
 from rdblowup.errors import EvalAtZeroU, InsufficientSamples, NonFiniteField
 from rdblowup.functionals import FieldPair, energy_E
 from rdblowup.geometry import DomainSpec, Mesh, RobinOperator, build_mesh, interior_integral
-from rdblowup.nonlinearity import (Nonlinearity, make_gradient_homogeneous,
-                                   make_power_product, shape_constant)
+from rdblowup.nonlinearity import (Nonlinearity, make_absorption, make_gradient_homogeneous,
+                                   make_power_product, shape_constant, shape_power)
 from rdblowup.solver import (
     DP5,
     LAWSON_BS3,
@@ -28,6 +28,7 @@ from rdblowup.solver import (
     SolveTrace,
     StepWork,
     _diffusion_cap,
+    _reaction_into,
     estimate_blowup_time,
     rhs,
     simulate,
@@ -117,6 +118,58 @@ class TestRhs:
         assert len(ops) == 1 and ops[0].is_zero and "matrix" not in vars(ops[0])
         product = ops[0].matrix @ np.concatenate([u, v]) + reaction
         assert product.tobytes() == reaction.tobytes()
+
+
+def spy_reaction(seen):
+    """f1 = u v, f2 = -v, appending the types of each call's (u, v) to `seen`."""
+    def spied(f):
+        def reaction(u, v):
+            seen.append((type(u), type(v)))
+            return f(u, v)
+        return reaction
+    return Nonlinearity(family="custom", params={}, f1=spied(lambda u, v: u * v),
+                        f2=spied(lambda u, v: -v))
+
+
+class TestOneCellReaction:
+    # a one-cell state is handed to f1 and f2 as numpy float64 scalars, any
+    # other as slices; the values agree with the sliced path to a few ulp
+    @pytest.mark.parametrize("cells, kind", [(1, np.float64), (3, np.ndarray)])
+    def test_f1_and_f2_take_scalars_on_one_cell_only(self, cells, kind):
+        seen = []
+        y = np.linspace(1.0, 2.0, 2 * cells)
+        out = _reaction_into(spy_reaction(seen), y, np.empty_like(y))
+        assert seen == [(kind, kind)] * 2
+        assert np.array_equal(out, np.concatenate([y[:cells] * y[cells:], -y[cells:]]))
+
+    @pytest.mark.parametrize("nl, box", [
+        (make_power_product(1.3, 3.0, 2.0), ((0.1, 3.0), (0.1, 3.0))),
+        # f1 and f2 are differences: cells where their terms nearly cancel
+        # would magnify an ulp of a term, so v^p and a u^r are kept apart
+        (make_absorption(2.0, 3.0, 1.5, 2.5, 0.7, 1.1), ((0.1, 1.0), (2.0, 3.0))),
+        (make_gradient_homogeneous(0.5, 2.0, shape_power(1.5)), ((0.1, 3.0), (0.1, 3.0))),
+    ], ids=["power_product", "absorption", "gradient_homogeneous"])
+    def test_one_cell_matches_the_sliced_path_to_a_few_ulp(self, nl, box):
+        # numpy's scalar and array pow differ by up to 1 ulp, and each f
+        # takes at most 3 of them
+        rng = np.random.default_rng(0)
+        cells = np.column_stack([rng.uniform(*box[0], 500), rng.uniform(*box[1], 500)])
+        one = np.array([_reaction_into(nl, y, np.empty(2)) for y in cells])
+        sliced = _reaction_into(nl, cells.T.ravel(), np.empty(cells.size)).reshape(2, -1).T
+        np.testing.assert_array_max_ulp(one, sliced, maxulp=4)
+
+    def test_a_zeros_like_reaction_steps_a_flat_run_unchanged(self, box3d):
+        # np.zeros_like of a scalar is a 0-d array, which a cell of `out` takes
+        mesh = build_mesh(box3d, 4)
+        zero = Nonlinearity(family="custom", params={}, f1=lambda u, v: np.zeros_like(u),
+                            f2=lambda u, v: np.zeros_like(v))
+        trace = simulate(SolverConfig(mesh=mesh, nl=zero, gamma1=0.0, gamma2=0.0,
+                                      g1=np.full(mesh.n_cells, 1.5),
+                                      g2=np.full(mesh.n_cells, 0.5), t_end=0.3))
+        assert trace.collapsed_axes == (0, 1, 2)
+        assert trace.outcome == OUTCOME_REACHED_T_END and trace.final_fields.t == 0.3
+        assert trace.n_steps > 0
+        assert np.all(trace.final_fields.u == 1.5) and np.all(trace.final_fields.v == 0.5)
 
 
 def decay(y, out):
@@ -723,6 +776,36 @@ class TestLeavingTheDomain:
             simulate(dataclasses.replace(config, g1=g1))
         with pytest.raises(EvalAtZeroU):
             rhs(FieldPair(u=g1, v=config.g2, t=0.0), config.mesh, config.nl, 0.0, 0.0)
+
+    def test_a_one_cell_stage_outside_the_domain_rejects_the_step(self):
+        # from u = 1 a DP5 trial of dt 0.1 on u' = 6 u^5 has a stage with
+        # u < 0, handed to f1 as a scalar: EvalAtZeroU rejects the trial,
+        # with nothing overflowing on the way
+        nl = make_gradient_homogeneous(1.0, 2.0, shape_constant())
+        outside = []
+
+        def f1(u, v):
+            try:
+                return nl.f1(u, v)
+            except EvalAtZeroU:
+                outside.append(u)
+                raise
+
+        stage_fn = partial(_reaction_into, dataclasses.replace(nl, f1=f1))
+        y = np.array([1.0, 0.5])
+        work = started(y, stage_fn)
+        with np.errstate(all="raise"):
+            y_new, err, k = step(y, 0.1, stage_fn, 1e-8, 1e-10, work, DP5)
+        assert y_new is y and err == math.inf and k is None
+        assert np.array_equal(y, [1.0, 0.5])
+        assert len(outside) == 1 and type(outside[0]) is np.float64 and outside[0] < 0
+
+    def test_one_cell_data_outside_the_domain_still_raise(self):
+        mesh = build_mesh(DomainSpec("box", 2, half_extents=(1.0, 1.0)), 4).fold(
+            collapsed=(0, 1))
+        nl = make_gradient_homogeneous(1.0, 2.0, shape_constant())
+        with pytest.raises(EvalAtZeroU):
+            rhs(FieldPair(u=np.array([0.0]), v=np.array([0.5]), t=0.0), mesh, nl, 0.0, 0.0)
 
     @given(alpha=st.floats(0.5, 3.0), c=st.floats(0.01, 1.0), amplitude=st.floats(0.0, 4.0))
     def test_no_run_ends_outside_the_domain(self, alpha, c, amplitude):

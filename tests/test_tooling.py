@@ -1,5 +1,6 @@
 """Source checks: the solver and the modules it builds on never call scipy's
-integrators, so the ODE oracle, which does, stays independent of them.
+integrators, so the ODE oracle, which does, stays independent of them; and
+the solver calls the reaction f1, f2 at one site each.
 
 Import budget: no module imports scipy at module level, so importing the
 package loads numpy alone, and each scipy submodule loads only on the code
@@ -131,6 +132,38 @@ def test_scipy_sparse_is_imported_at_one_site():
     sites = [(path.name, site) for path in sorted(SRC.glob("*.py"))
              for site in sparse_import_sites(ast.parse(path.read_text()))]
     assert sites == [("geometry.py", "RobinOperator.matrix")]
+
+
+def reaction_call_sites(tree, scope=()):
+    """(qualified name of the enclosing function, "f1" or "f2") of each call
+    of an attribute `.f1(` or `.f2(` in a parsed module, "" at module level."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += reaction_call_sites(node, (*scope, node.name))
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("f1", "f2")):
+            found.append((".".join(scope), node.func.attr))
+        found += reaction_call_sites(node, scope)
+    return found
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("nl.f1(u, v)", [("", "f1")]),
+    ("def f(nl):\n    return nl.f2(nl.f1(u, v), v)", [("f", "f2"), ("f", "f1")]),
+    ("class C:\n    def g(self):\n        out[0] = self.nl.f1(u, v)", [("C.g", "f1")]),
+    ("f1(u, v)\nnl.f1\nnl.F(u, v)", []),
+])
+def test_every_reaction_call_site_is_found(source, sites):
+    assert reaction_call_sites(ast.parse(source)) == sites
+
+
+def test_the_solver_calls_f1_and_f2_at_one_site_each():
+    # one call of each per stage, in `_reaction_into`: so a counted f1 is one
+    # right-hand-side evaluation, and no other path bypasses a wrapped f1 or f2
+    sites = reaction_call_sites(ast.parse((SRC / "solver.py").read_text()))
+    assert sites == [("_reaction_into", "f1"), ("_reaction_into", "f2")]
 
 
 def modules_after(code, tmp_path):
