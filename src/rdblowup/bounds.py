@@ -36,6 +36,8 @@ from .nonlinearity import (
 
 MODE_A2A3 = "A2A3"
 MODE_A2PRIME = "A2prime"
+# the absolute and relative tolerance of the lower bound's quadrature
+_QUAD_TOL = 1e-12
 
 SMOOTH_BOUNDARY_CAVEAT = (
     "constants rho, d applied to a box: the boundary is only piecewise "
@@ -142,8 +144,7 @@ def compute_K(p: float, k: float, geo: GeometryConstants, beta: float):
     return 3.0**0.75 * p * k * geo.rho**-1.5, K2
 
 
-def lower_bound_blowup(scriptE0: float, K1: float, K2: float,
-                       abs_tol: float = 1e-12):
+def lower_bound_blowup(scriptE0: float, K1: float, K2: float):
     """Integrate d(xi)/(K1*xi^(3/2) + K2*xi^3) from scriptE0 to infinity.
 
     The substitution w = xi^(-1/2) turns the improper integral into
@@ -160,7 +161,7 @@ def lower_bound_blowup(scriptE0: float, K1: float, K2: float,
         return 2.0 * w**3 / (K1 * w**3 + K2)
 
     upper = 1.0 / np.sqrt(scriptE0)
-    value, err = quad(integrand, 0.0, upper, epsabs=abs_tol, epsrel=abs_tol, limit=200)
+    value, err = quad(integrand, 0.0, upper, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
     return float(value), float(err)
 
 

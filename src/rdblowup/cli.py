@@ -144,8 +144,8 @@ class Experiment:
         self.mode = bounds_mod.require_mode(hyp.get("mode", bounds_mod.MODE_A2PRIME))
 
         init = cfg["initial_data"]
-        self.init_kind = init.get("kind", "constant")
-        self.c1, self.c2 = init.getfloat("c1", 1.0), init.getfloat("c2", 1.0)
+        init_kind = init.get("kind", "constant")
+        c1, c2 = init.getfloat("c1", 1.0), init.getfloat("c2", 1.0)
 
         dom = cfg["domain"]
         kind = dom.get("kind", BOX)
@@ -153,12 +153,11 @@ class Experiment:
         if kind != BOX:
             self.domain = DomainSpec(kind=kind, dimension=dimension,
                                      radius=dom.getfloat("radius"))
-            if self.init_kind != "constant" or not (math.isfinite(self.c1)
-                                                    and math.isfinite(self.c2)):
+            if init_kind != "constant" or not (math.isfinite(c1) and math.isfinite(c2)):
                 raise ConfigError(f"a ball takes finite constant initial data only, got "
-                                  f"kind {self.init_kind!r}, c1 {self.c1:g}, c2 {self.c2:g}")
+                                  f"kind {init_kind!r}, c1 {c1:g}, c2 {c2:g}")
             self.mesh = self.solver = None
-            self.g1, self.g2 = self.c1, self.c2
+            self.g1, self.g2 = c1, c2
             return
         spec = DomainSpec(kind=BOX, dimension=dimension,
                           half_extents=_numbers(dom["half_extents"], float))
@@ -166,12 +165,12 @@ class Experiment:
         cells = ((resolution,) if resolution is not None
                  else _numbers(dom["cells_per_axis"], int))
         self.mesh = self.domain = build_mesh(spec, cells[0] if len(cells) == 1 else cells)
-        params = {"c": self.c1}
-        if self.init_kind == "gaussian":
+        params = {"c": c1}
+        if init_kind == "gaussian":
             params.update(amplitude=init.getfloat("amplitude", 0.0),
                           width=init.getfloat("width", 1.0))
-        g1 = make_field(self.mesh, self.init_kind, params)
-        g2 = make_field(self.mesh, "constant", {"c": self.c2})
+        g1 = make_field(self.mesh, init_kind, params)
+        g2 = make_field(self.mesh, "constant", {"c": c2})
         sol = cfg["solver"]
         options = {key: float(sol[key]) for key in _SOLVER_KEYS if key in sol}
         options.setdefault("t_end", 1.0)
@@ -320,11 +319,12 @@ def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
     report = {"command": "sandwich", **block,
               "simulation": _simulation_block(exp, trace)}
 
-    # ODE oracle applies exactly when the problem is spatially homogeneous
+    # the ODE oracle applies exactly when the run collapsed along every axis:
+    # Neumann walls and data constant to rounding, whose kept cell is the last
     oracle_time = None  # (t, uncertainty) where the oracle finds blow-up
-    if exp.gamma1 == 0 and exp.gamma2 == 0 and exp.init_kind == "constant":
+    if len(trace.collapsed_axes) == exp.mesh.spec.dimension:
         try:
-            oracle = ode_reduce(exp.nl, exp.c1, exp.c2, t_max=exp.solver.t_end)
+            oracle = ode_reduce(exp.nl, exp.g1[-1], exp.g2[-1], t_max=exp.solver.t_end)
         except ValueError as exc:  # the oracle refuses negative data
             report["oracle"] = _error_block(exc)
         else:

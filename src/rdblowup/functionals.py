@@ -50,6 +50,9 @@ from .errors import NegativeField, NonFiniteField
 from .geometry import Mesh, _finite_total
 
 NONNEG_TOL = 1e-12
+# `check_trace_monitors`' relative tolerance, and the sup-norm from which it
+# checks no row
+_MONITOR_REL_TOL, _MONITOR_SUP_CAP = 1e-3, 1e3
 
 
 def require_growth_constants(p=None, **k):
@@ -250,15 +253,15 @@ class MonitorReport:
     worst_growth_residual: float
 
 
-def check_trace_monitors(samples, alpha: float, rel_tol: float = 1e-3,
-                         sup_cap: float = 1e3) -> MonitorReport:
+def check_trace_monitors(samples, alpha: float) -> MonitorReport:
     """Check J-monotonicity and (1+alpha)*E'/E <= J'/J along a sampled trace.
 
     Derivatives use centered differences on the sample times (first and last
     samples skipped); the growth inequality is only evaluated at samples
-    where J > 0 and both sup-norms are below sup_cap.  A row whose E or J is
-    not finite is counted in `nonfinite_rows`, and no sample whose
-    differences read it is checked.
+    where J > 0 and both sup-norms are below `_MONITOR_SUP_CAP`.  Both
+    checks allow `_MONITOR_REL_TOL`.  A row whose E or J is not finite is
+    counted in `nonfinite_rows`, and no sample whose differences read it
+    is checked.
     """
     rows = [s for s in samples if s.J is not None]
     finite = [math.isfinite(s.E) and math.isfinite(s.J) for s in rows]
@@ -269,13 +272,13 @@ def check_trace_monitors(samples, alpha: float, rel_tol: float = 1e-3,
     worst_res = 0.0
     for k in range(1, len(rows) - 1):
         prev, cur, nxt = rows[k - 1], rows[k], rows[k + 1]
-        if not all(finite[k - 1:k + 2]) or max(cur.sup_u, cur.sup_v) >= sup_cap:
+        if not all(finite[k - 1:k + 2]) or max(cur.sup_u, cur.sup_v) >= _MONITOR_SUP_CAP:
             continue
         n_checked += 1
         # J nondecreasing step-to-step (relative tolerance)
         dec = (cur.J - nxt.J) / (abs(cur.J) + 1e-300)
         worst_dec = max(worst_dec, dec)
-        if nxt.J < cur.J - rel_tol * abs(cur.J):
+        if nxt.J < cur.J - _MONITOR_REL_TOL * abs(cur.J):
             j_viol += 1
         if cur.J <= 0:
             continue
@@ -287,7 +290,7 @@ def check_trace_monitors(samples, alpha: float, rel_tol: float = 1e-3,
         scale = abs(lhs) + abs(rhs) + 1e-300
         res = (lhs - rhs) / scale
         worst_res = max(worst_res, res)
-        if res > rel_tol:
+        if res > _MONITOR_REL_TOL:
             growth_viol += 1
     return MonitorReport(
         n_checked=n_checked,

@@ -18,14 +18,42 @@ than a collapsed face's own; a folded axis lists its high face alone.
 So each quadrature of a state even in the folded axes and constant along
 the collapsed ones gives the value on the whole box.
 
+`Mesh.reduced` picks the fold and the collapse of a run's data.  The
+solution is even along an axis whenever the data are, as the reaction acts
+cell by cell and A, with one gamma per field on every face, commutes with
+the mirror; and under Neumann walls (gamma1 = gamma2 = 0) it is constant
+along an axis whenever the data are, as A then maps fields constant along
+it to such fields.  So, when both gammas are 0, it collapses each axis
+along which g1 and g2 are constant to rounding, at any cell count: each
+cell within `_MIRROR_EPS` (4) eps of its field's sup-norm of the cell of
+the axis's last slice in its row.  Of the other axes it folds each with an even cell count
+along which g1 and g2 both equal their mirror images to rounding: each
+cell within that tolerance of its mirror cell.  Each cell must be negative
+iff the cell it is compared with is.  The box's centres are antisymmetric
+bit for bit, so data even in a coordinate are even bit for bit; data built
+on a caller's own grid, off antisymmetric by an ulp of the half-extent,
+are even to a few eps, while one product with A breaks the evenness of
+bit-even data by hundreds of eps of |A y|.  `Mesh.restrict` takes the data
+to the reduced mesh's cells, the last of each collapsed axis and those at
+x_a > 0 of each folded one, so it changes them by at most the tolerance;
+`Mesh.unfold` mirrors and broadcasts a field on them back to the box.  On
+a state even in the folded axes and constant along the collapsed ones the
+reduced operator is the box's, cell for cell: the fold's low face is a
+mirror, whose ghost is the cell, as the box's neighbour across the plane
+is; a collapsed axis keeps the box's h and both walls, whose Neumann
+ghosts are the cell, as its neighbours along the axis are, so its
+eigenvalue is exactly 0.
+
 The operator is defined once, by one tridiagonal per axis and field: its
 DIA matrix and its eigenpairs are both built from those rows, and so is
-`RobinOperator.is_zero`.  Importing this module loads numpy alone: a DIA
-matrix imports `scipy.sparse` when first built, and the eigenpairs need
-numpy only, so a run that never builds a DIA matrix never loads scipy.
-The solver builds one for a DP5 step or a right-hand side on a nonzero
-operator only: a Lawson-only run, and a run collapsed along every axis
-under Neumann walls, whose operator is zero, build none.
+`RobinOperator.is_zero`.  `RobinOperator.add_product` adds A y with one
+product with the DIA matrix, or none where A is zero.  Importing this
+module loads numpy alone: a DIA matrix imports `scipy.sparse` when first
+built, and the eigenpairs need numpy only, so a run that never builds a
+DIA matrix never loads scipy.  The solver builds one for a DP5 step or a
+right-hand side on a nonzero operator only: a Lawson-only run, and a run
+collapsed along every axis under Neumann walls, whose operator is zero,
+build none.
 """
 
 from dataclasses import dataclass
@@ -38,6 +66,10 @@ from .errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
 
 BOX = "box"
 BALL = "ball"
+# how far a cell may be from the cell that `Mesh.reduced` compares it with,
+# in eps of its field's sup-norm: the rounding of data built on a grid other
+# than the mesh's
+_MIRROR_EPS = 4.0
 
 
 def require_gamma(gamma: float, name: str = "gamma") -> float:
@@ -151,11 +183,63 @@ class Mesh:
                                                       collapsed)
         return kept
 
-    @property
-    def box_index(self) -> tuple[slice, ...]:
-        """The box cells this mesh keeps, as an index of the box's grid: the
-        last n_a of each axis, all of them on a box mesh."""
-        return tuple(slice(n - m, None) for n, m in zip(self.box_shape, self.shape))
+    def reduced(self, g1: np.ndarray, g2: np.ndarray, gamma1: float, gamma2: float) -> "Mesh":
+        """The mesh a run of the flat data g1, g2 under gamma1, gamma2 steps:
+        this box mesh folded and collapsed by the module docstring's rule,
+        to `_MIRROR_EPS` eps of each field's sup-norm, or itself where
+        nothing reduces.  Cells are compared only with cells of their sign,
+        so a count of negative cells reads the box's."""
+        shape, grids = self.shape, []
+        for f in (g1, g2):
+            low, high = f.min(), f.max()
+            # the grid, its tolerance and whether it has a negative cell
+            grids.append((f.reshape(shape), _MIRROR_EPS * np.finfo(float).eps * max(high, -low),
+                          low < 0))
+
+        def close(cells, ref, tol, signed):
+            # only cells of one sign are subtracted, which cannot overflow
+            if signed and not np.all((cells < 0) == (ref < 0)):
+                return False
+            diff = cells - ref
+            return max(diff.max(), -diff.min()) <= tol
+
+        def part(g, axis, cells):  # the slice `cells` of the grid g along an axis
+            return g[(slice(None),) * axis + (cells,)]
+
+        collapsed = ()
+        if gamma1 == gamma2 == 0:
+            collapsed = tuple(axis for axis in range(len(shape))
+                              if all(close(g, part(g, axis, slice(-1, None)), tol, signed)
+                                     for g, tol, signed in grids))
+            for axis in collapsed:  # the fold reads the kept slice alone
+                grids = [(part(g, axis, slice(-1, None)), tol, signed) for g, tol, signed in grids]
+
+        def even(axis, half, g, tol, signed):
+            return close(part(g, axis, slice(half, None)),
+                         np.flip(part(g, axis, slice(None, half)), axis), tol, signed)
+
+        axes = tuple(axis for axis, na in enumerate(shape)
+                     if na % 2 == 0 and axis not in collapsed
+                     and all(even(axis, na // 2, *grid) for grid in grids))
+        return self.fold(axes, collapsed) if axes or collapsed else self
+
+    def restrict(self, box_values: np.ndarray) -> np.ndarray:
+        """A field on the box, one value per box cell, at the cells this mesh
+        keeps: the last n_a of each axis, all of them on a box mesh."""
+        index = tuple(slice(n - m, None) for n, m in zip(self.box_shape, self.shape))
+        return box_values.reshape(self.box_shape)[index].ravel()
+
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """A field on this mesh, mirrored on each folded axis and broadcast
+        along each collapsed one back to every cell of the box: the inverse
+        of `restrict` on fields even in the folded axes and constant along
+        the collapsed ones."""
+        grid = values.reshape(self.shape)
+        for axis in self.mirror_axes:
+            grid = np.concatenate([np.flip(grid, axis), grid], axis=axis)
+        if self.collapsed_axes:  # a copy, as ravel copies a broadcast
+            grid = np.broadcast_to(grid, self.box_shape)
+        return grid.ravel()
 
     @cached_property
     def inverse_h2(self) -> tuple[float, ...]:
@@ -188,7 +272,7 @@ class RobinOperator:
     eigenvectors and Lambda the sums of their eigenvalues (fast
     diagonalisation, Lynch, Rice & Thomas 1964).  Each array is built on
     first use by its reader: a Lawson run builds the eigenpairs and one scratch state.
-    `is_zero` tells the solver that A y is 0, so it forms no product.
+    `add_product` adds A y with no product where `is_zero` says A is zero.
     """
 
     mesh: Mesh
@@ -208,6 +292,13 @@ class RobinOperator:
                 row[field, -1] += g
             rows.append(row * self.mesh.inverse_h2[axis])
         return rows
+
+    def add_product(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out += A y, one product with `matrix` for both fields, or none
+        where A is zero (`is_zero`); returns out."""
+        if self.is_zero:
+            return out
+        return np.add(self.matrix @ y, out, out=out)
 
     @cached_property
     def is_zero(self) -> bool:

@@ -307,12 +307,11 @@ def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: flo
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_A2_A3(nl: Nonlinearity, k1: float, k2: float, p: float,
-                box=DEFAULT_BOX, samples_per_axis: int = DEFAULT_SAMPLES):
+def check_A2_A3(nl: Nonlinearity, k1: float, k2: float, p: float):
     """Sampled check of f1 <= k1*u**(p+1) and f2 <= k2*v**(p+1)."""
     require_growth_constants(p, k1=k1, k2=k2)
-    U, V = _log_grid(box, samples_per_axis)
-    desc = (f"p={p:g} on log-uniform box {box}, {samples_per_axis}^2 samples")
+    U, V = _log_grid(DEFAULT_BOX, DEFAULT_SAMPLES)
+    desc = (f"p={p:g} on log-uniform box {DEFAULT_BOX}, {DEFAULT_SAMPLES}^2 samples")
     reports = []
     for name, k, bound, f in (("A2", k1, U ** (p + 1.0), nl.f1),
                               ("A3", k2, V ** (p + 1.0), nl.f2)):
@@ -324,21 +323,20 @@ def check_A2_A3(nl: Nonlinearity, k1: float, k2: float, p: float,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_A2prime(nl: Nonlinearity, k1: float, k2: float, p: float,
-                  box=DEFAULT_BOX, samples_per_axis: int = DEFAULT_SAMPLES) -> HypothesisReport:
+def check_A2prime(nl: Nonlinearity, k1: float, k2: float, p: float) -> HypothesisReport:
     """Sampled check of u**(2p-1)*f1 + v**(2p-1)*f2 <= k1*u**(3p) + k2*v**(3p),
     with the diagonal u = v added to the sample set (worst line for the
     built-in polynomial families)."""
     require_growth_constants(p, k1=k1, k2=k2)
-    U, V = _log_grid(box, samples_per_axis)
-    diag = np.geomspace(box[0][0], box[0][1], samples_per_axis * 4)
+    U, V = _log_grid(DEFAULT_BOX, DEFAULT_SAMPLES)
+    diag = np.geomspace(*DEFAULT_BOX[0], DEFAULT_SAMPLES * 4)
     U = np.concatenate([U.ravel(), diag])
     V = np.concatenate([V.ravel(), diag])
     lhs = U ** (2.0 * p - 1.0) * nl.f1(U, V) + V ** (2.0 * p - 1.0) * nl.f2(U, V)
     rhs = k1 * U ** (3.0 * p) + k2 * V ** (3.0 * p)
     scale = np.abs(lhs) + np.abs(rhs)
-    desc = (f"k1={k1:g}, k2={k2:g}, p={p:g} on log-uniform box {box} "
-            f"({samples_per_axis}^2 samples plus diagonal)")
+    desc = (f"k1={k1:g}, k2={k2:g}, p={p:g} on log-uniform box {DEFAULT_BOX} "
+            f"({DEFAULT_SAMPLES}^2 samples plus diagonal)")
     return _report("A2prime", rhs - lhs, scale, (U, V), desc)
 
 

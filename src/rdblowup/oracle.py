@@ -26,6 +26,8 @@ import numpy as np
 # times is 1.1e-13 relative
 _RTOL, _ATOL = 1e-13, 1e-15
 _TIME_ERROR = 10 * _RTOL
+# the top level of max(u, v) is 1/_CUTOFF
+_CUTOFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,14 @@ def _aitken(t0, t1, t2):
     return t2 + d2 * r / (1.0 - r)
 
 
-def ode_reduce(nl, u0: float, v0: float, t_max: float,
-               cutoff: float = 1e-6) -> OdeTrace:
+def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
     """Integrate the spatially homogeneous reduction and extract the
     blow-up time by geometric extrapolation of level-crossing times.
 
     The state is z = (u, v, t), advanced in the Sundman time s (module
     docstring) by dz/ds = (f1, f2, 1) / R until t reaches t_max or max(u, v)
-    the top level 1/cutoff.  Crossing times of max(u, v) at geometric levels
-    up to 1/cutoff converge geometrically to the blow-up time; the last
+    the top level 1/_CUTOFF.  Crossing times of max(u, v) at geometric levels
+    up to 1/_CUTOFF converge geometrically to the blow-up time; the last
     three are extrapolated.  The uncertainty adds the shift from halving the
     cutoff (one level earlier), the distance to the last crossing and the
     integrator's error allowance `_TIME_ERROR` of the estimate.
@@ -78,7 +79,7 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float,
         return [du / r, dv / r, 1.0 / r]
 
     start = max(u0, v0, 1.0)
-    top = 1.0 / cutoff
+    top = 1.0 / _CUTOFF
     n_levels = max(4, int(np.ceil(np.log10(top / (10.0 * start)))) + 1)
     levels = np.geomspace(10.0 * start, top, n_levels)
 
@@ -106,7 +107,7 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float,
     return OdeTrace(
         ts=sol.y[2], us=sol.y[0], vs=sol.y[1], blowup_time=blowup_time,
         method=f"scipy DOP853 in Sundman time rtol={_RTOL:g}, "
-               f"level extrapolation cutoff={cutoff:g}",
+               f"level extrapolation cutoff={_CUTOFF:g}",
     )
 
 

@@ -7,12 +7,11 @@ of each face on the cell beside it, which closes the Robin condition through
 ghost cells, ghost = g * cell, g = (2 - gamma*h)/(2 + gamma*h) (second order
 at the face, Neumann reflection at gamma = 0).  Each field's block is the
 Kronecker sum of its axes' tridiagonals, the 5-point (2D) / 7-point (3D)
-stencil.  `rhs` and DP5's stages apply A as one product with
-`RobinOperator.matrix`, a (2n, 2n) `scipy.sparse` DIA matrix of both fields
-built from those rows on first use; a Lawson-only run never builds it, so
-loads no scipy.  Where A is zero (`RobinOperator.is_zero`: every axis
-collapsed under Neumann walls, below) they form N(y) alone, with no
-product, so such a run builds no matrix and loads no `scipy.sparse` either.
+stencil.  `rhs` and DP5's stages add A y by `RobinOperator.add_product`:
+one product with a (2n, 2n) `scipy.sparse` DIA matrix of both fields, built
+from those rows on first use, or none where A is zero (every axis collapsed
+under Neumann walls, below).  A Lawson-only run, and one whose A is zero,
+builds no matrix, so loads no `scipy.sparse`.
 
 The eigenbasis: the operator diagonalises the same tridiagonals,
 A = Q diag(Lambda) Q^T, with Q the Kronecker product of the axes' orthogonal
@@ -52,7 +51,7 @@ d1 = 0, else min(100 h0, (0.01 / d1)^(1/4)), q = 3 the Lawson pair's order,
 with h0 = 0.01 d0 / d1, or 1e-6 if d0 or d1 is below 1e-5, and no less than
 1e-14.  N(g) is evaluated once and checked finite; it is the Lawson pair's
 first stage, and A g + N(g), checked finite too, DP5's.  A run that starts
-on the Lawson pair never forms A g, nor does a run whose A is zero.
+on the Lawson pair never forms A g.
 
 Each trial step goes through one sequence.  Its dt is clamped to 0.1 and,
 for DP5, to DP5's cap, and a step that would end within 1e-14 of t_end, or
@@ -78,49 +77,27 @@ reached the threshold.  A run that reaches t_end stops there exactly.  So
 the Lawson pair takes the steps DP5's cap would hold, until one is
 rejected, and DP5's order pays below its cap.
 
-The fold and the collapse: the solution is even along an axis whenever the
-data are, as N acts cell by cell and A, with one gamma per field on every
-face, commutes with the mirror; and under Neumann walls (gamma1 = gamma2 =
-0) it is constant along an axis whenever the data are, as A then maps
-fields constant along it to such fields.  So `simulate` collapses, when
-both gammas are 0, each axis along which g1 and g2 are constant to
-rounding, at any cell count: each cell within 4 eps of its field's
-sup-norm of the cell of the axis's last slice in its row.  Of the other
-axes it folds each with an even cell count along which g1 and g2 both
-equal their mirror images to rounding: each cell within that tolerance of
-its mirror cell.  Each cell must be negative iff the cell it is compared
-with is (`_reduced_axes`).  The box's centres are antisymmetric bit for
-bit, so data even in a coordinate are even bit for bit; data built on a
-caller's own grid, off antisymmetric by an ulp of the half-extent, are even
-to a few eps, while one product with A breaks the evenness of bit-even data
-by hundreds of eps of |A y|.  The run steps, on `Mesh.fold`, the last cell
-of each collapsed axis and the cells at x_a > 0 of each folded one:
-1/(2^k prod n_a) of the cells for k folded axes, from those cells of the
-data, so it changes them by at most the tolerance; `SolveTrace.mirror_axes`
-and `SolveTrace.collapsed_axes` name the axes.  On a state even in the
-folded axes and constant along the collapsed ones every operation above is
-the same, cell for cell: the fold's low face is a mirror, whose ghost is
-the cell, as the box's neighbour across the plane is; a collapsed axis
-keeps the box's h and both Neumann walls, whose ghosts are the cell, as
-its neighbours along the axis are, so its eigenvalue is exactly 0 and
-DP5's cap is the box's.  Collapsed along every axis, the run steps one cell
-of the ODE u' = f1, v' = f2: A is the zero 2 x 2 matrix, so the derivative
-is N(y) alone, with no product and no `scipy.sparse`, while DP5 keeps the
-box's cap.  `_reaction_into` hands f1 and f2 that cell's u and v as numpy
-float64 scalars, whose ** differs from numpy's array ** by up to 1 ulp.
-Against the product path (N of 1-element arrays plus the product with the
-zero matrix, which is +0): the steps are equal; sandwich_box3d and
-criterion 1 keep every bit; absorption_threshold keeps its 355 DP5 steps
-and rejected Lawson trial, while its rows move from its 68th step on by at
-most 1.6e-10 relative (dt first, which the error estimate sets) and t_est
-by 1 ulp, 3e-17.  The RMS norms and sup-norms equal those over the box;
-and the quadrature weights carry the multiplicity of each cell, so the
-monitor rows are the box's.  Only rounding differs: on the box the
-gradient energy along a collapsed axis is rounding about 0, on the
-collapse exactly 0.  `clamp_count` counts each cell as often as it stands
-for a box cell, and `final_fields` is mirrored and broadcast back to the
-box.  Other axes keep the box's cells and arithmetic, and where nothing is
-folded or collapsed a run does the box mesh's arithmetic exactly.
+The fold and the collapse: `simulate` steps on
+`Mesh.reduced(g1, g2, gamma1, gamma2)`, the box folded on the axes along
+which the data are even and, under Neumann walls, collapsed along those
+along which they are constant, to rounding (geometry's module docstring),
+from `Mesh.restrict` of the data: 1/(2^k prod n_a) of the cells for k
+folded axes.  `SolveTrace.mirror_axes` and `SolveTrace.collapsed_axes` name
+the axes.  On a state even in the folded axes and constant along the
+collapsed ones every operation above is the box's, cell for cell, and a
+collapsed axis's eigenvalue is exactly 0, so DP5's cap is the box's.
+Collapsed along every axis, the run steps one cell of the ODE u' = f1,
+v' = f2: A is zero, so the derivative is N(y) alone, with no product.
+`_reaction_into` hands f1 and f2 that cell's u and v as numpy float64
+scalars, whose ** differs from numpy's array ** by up to 1 ulp.  The RMS
+norms and sup-norms equal those over the box; and the quadrature weights
+carry the multiplicity of each cell, so the monitor rows are the box's.
+Only rounding differs: on the box the gradient energy along a collapsed
+axis is rounding about 0, on the collapse exactly 0.  `clamp_count` counts
+each cell as often as it stands for a box cell, and `final_fields` is
+`Mesh.unfold` of the last state.  Other axes keep the box's cells and
+arithmetic, and where nothing is folded or collapsed a run does the box
+mesh's arithmetic exactly.
 
 Monitors: `simulate` writes one `EnergySample` row for the initial data and
 one per accepted step; the rows are its only per-step record.  It keeps
@@ -163,9 +140,6 @@ _CAP_SAFETY = 0.8
 _DT_MIN, _DT_MAX = 1e-14, 0.1
 # the bytes of the states a run keeps for one `energy_rows` call
 _ROW_BLOCK_BYTES = 1 << 17
-# how far a field may be from its mirror image on a folded axis, in eps of
-# its sup-norm: the rounding of data built on a grid other than the mesh's
-_MIRROR_EPS = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,12 +301,8 @@ def _reaction_into(nl: Nonlinearity, y: np.ndarray, out: np.ndarray) -> np.ndarr
 
 def _derivative_into(op: RobinOperator, nl: Nonlinearity, y: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-    """A y + N(y), the time derivative of y = [u; v], into `out`: N(y) alone
-    where A is zero, else one product with `op.matrix` for both fields;
-    returns out."""
-    if op.is_zero:
-        return _reaction_into(nl, y, out)
-    return np.add(op.matrix @ y, _reaction_into(nl, y, out), out=out)
+    """A y + N(y), the time derivative of y = [u; v], into `out`; returns out."""
+    return op.add_product(y, _reaction_into(nl, y, out))
 
 
 def rhs(fields: FieldPair, mesh: Mesh, nl: Nonlinearity,
@@ -423,12 +393,8 @@ def _error_scale(y, y_new, rel_tol, abs_tol, out):
     """abs_tol + rel_tol * max(|y|, |y_new|) into `out`; a cell where it is 0
     (abs_tol = 0, y = y_new = 0) is inf, so it counts as 0 in a norm of a
     ratio.  At y_new = y it is abs_tol + rel_tol * |y|, bit for bit."""
-    # -max(|y|, |y_new|) = min(-max(|y|, y_new), y_new), built in one buffer
-    np.abs(y, out=out)
-    np.maximum(out, y_new, out=out)
-    np.negative(out, out=out)
-    np.minimum(out, y_new, out=out)
-    out *= -rel_tol
+    np.maximum(np.abs(y, out=out), np.abs(y_new), out=out)
+    out *= rel_tol
     out += abs_tol
     if abs_tol == 0:
         out[out == 0] = math.inf
@@ -512,64 +478,6 @@ def _diffusion_cap(mesh: Mesh) -> float:
     return _CAP_SAFETY * _DP5_REAL_STABILITY / (4.0 * sum(mesh.inverse_h2))
 
 
-def _reduced_axes(config: SolverConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The axes `simulate` collapses and those it folds (module docstring).
-
-    It collapses, under Neumann walls alone, each axis along which both
-    fields are constant to rounding: each cell within `_MIRROR_EPS` eps of
-    the field's sup-norm of the cell of the axis's last slice in its row.
-    Of the other axes it folds each with an even cell count along which
-    both fields equal their mirror images to rounding: each cell of the
-    upper half within that tolerance of its mirror cell.  Each cell must be
-    negative iff the cell it is compared with is, so `clamp_count` reads
-    the box's.  The run steps the last slice and the upper halves, so it
-    changes the data by at most the tolerance."""
-    shape = config.mesh.shape
-    grids = []
-    for f in (config.g1, config.g2):
-        low, high = f.min(), f.max()
-        # the grid, its tolerance and whether it has a negative cell
-        grids.append((f.reshape(shape), _MIRROR_EPS * np.finfo(float).eps * max(high, -low),
-                      low < 0))
-
-    def close(cells, ref, tol, signed):
-        # only cells of one sign are subtracted, which cannot overflow
-        if signed and not np.all((cells < 0) == (ref < 0)):
-            return False
-        diff = cells - ref
-        return max(diff.max(), -diff.min()) <= tol
-
-    def part(g, axis, cells):  # the slice `cells` of the grid g along an axis
-        return g[(slice(None),) * axis + (cells,)]
-
-    collapsed = ()
-    if config.gamma1 == config.gamma2 == 0:
-        collapsed = tuple(axis for axis in range(len(shape))
-                          if all(close(g, part(g, axis, slice(-1, None)), tol, signed)
-                                 for g, tol, signed in grids))
-        for axis in collapsed:  # the fold reads the kept slice alone
-            grids = [(part(g, axis, slice(-1, None)), tol, signed) for g, tol, signed in grids]
-
-    def even(axis, half, g, tol, signed):
-        return close(part(g, axis, slice(half, None)),
-                     np.flip(part(g, axis, slice(None, half)), axis), tol, signed)
-
-    return collapsed, tuple(axis for axis, na in enumerate(shape)
-                            if na % 2 == 0 and axis not in collapsed
-                            and all(even(axis, na // 2, *grid) for grid in grids))
-
-
-def _unfold(values: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """A field on the reduced `mesh`, mirrored and broadcast back to every
-    cell of the box."""
-    grid = values.reshape(mesh.shape)
-    for axis in mesh.mirror_axes:
-        grid = np.concatenate([np.flip(grid, axis), grid], axis=axis)
-    if mesh.collapsed_axes:  # a copy, as ravel copies a broadcast
-        grid = np.broadcast_to(grid, mesh.box_shape)
-    return grid.ravel()
-
-
 class _MonitorRows:
     """The monitor rows of a run (module docstring): `record` keeps each
     state's (t, dt) and a copy of it in a block of `_ROW_BLOCK_BYTES`, and
@@ -617,11 +525,9 @@ class _MonitorRows:
 
 def simulate(config: SolverConfig) -> SolveTrace:
     """Advance the system until t_end, blow-up threshold, or step underflow."""
-    nl, (collapsed, axes) = config.nl, _reduced_axes(config)
-    mesh = config.mesh.fold(axes, collapsed) if axes or collapsed else config.mesh
+    nl, mesh = config.nl, config.mesh.reduced(config.g1, config.g2, config.gamma1, config.gamma2)
     n, copies = mesh.n_cells, config.mesh.n_cells // mesh.n_cells
-    y = np.concatenate([g.reshape(config.mesh.shape)[mesh.box_index].ravel()
-                        for g in (config.g1, config.g2)])
+    y = np.concatenate([mesh.restrict(g) for g in (config.g1, config.g2)])
 
     op = mesh.robin_operator(config.gamma1, config.gamma2)
     stage_fns = {LAWSON_BS3: partial(_reaction_into, nl), DP5: partial(_derivative_into, op, nl)}
@@ -644,10 +550,10 @@ def simulate(config: SolverConfig) -> SolveTrace:
     pair = pair_for(dt)
     if pair.lawson:
         op.to_modes(reaction, work.K[0])
-    elif op.is_zero:
+    else:
         work.K[0] = reaction
-    elif not np.isfinite(np.add(op.matrix @ y, reaction, out=work.K[0])).all():
-        raise NonFiniteField("initial right-hand side is not finite")
+        if not np.isfinite(op.add_product(y, work.K[0])).all():
+            raise NonFiniteField("initial right-hand side is not finite")
     t, err_prev = 0.0, 1.0
     rows = _MonitorRows(config, mesh, y.size)
     # the initial row carries the first trial dt, clamped but not to t_end
@@ -691,7 +597,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
     # blow-up nearer than float resolution, where the threshold may be out of reach
     if outcome == OUTCOME_BLOWUP or (outcome == OUTCOME_STEP_UNDERFLOW and sup >= fallback_level):
         try:
-            estimate = estimate_blowup_time(*_tail(samples), initial_sup=initial_sup)
+            estimate = estimate_blowup_time(*_tail(samples))
         except InsufficientSamples:
             if outcome == OUTCOME_BLOWUP:
                 raise
@@ -703,8 +609,8 @@ def simulate(config: SolverConfig) -> SolveTrace:
         u_crossed=estimate is not None and samples[-1].sup_u >= level,
         v_crossed=estimate is not None and samples[-1].sup_v >= level,
         clamp_count=rows.negative * copies, steps_by_pair=steps_by_pair,
-        final_fields=FieldPair(u=_unfold(y[:n], mesh), v=_unfold(y[n:], mesh), t=t),
-        mirror_axes=axes, collapsed_axes=collapsed,
+        final_fields=FieldPair(u=mesh.unfold(y[:n]), v=mesh.unfold(y[n:]), t=t),
+        mirror_axes=mesh.mirror_axes, collapsed_axes=mesh.collapsed_axes,
     )
 
 
@@ -727,8 +633,9 @@ def _fit_root(ts, ys):
     return float(-a / b), r2
 
 
-def estimate_blowup_time(ts, sups, initial_sup: Optional[float] = None) -> BlowupEstimate:
-    """Extrapolate the blow-up time from the tail of a (t, sup-norm) series.
+def estimate_blowup_time(ts, sups) -> BlowupEstimate:
+    """Extrapolate the blow-up time from the tail of a (t, sup-norm) series
+    whose first sample is the initial data's.
 
     For each rate candidate theta, sup ~ C*(t*-t)^(-theta) linearizes as
     sup^(-1/theta) against t; the best-fitting candidate's root gives the
@@ -739,11 +646,9 @@ def estimate_blowup_time(ts, sups, initial_sup: Optional[float] = None) -> Blowu
     """
     ts = np.asarray(ts, dtype=float)
     sups = np.asarray(sups, dtype=float)
-    if initial_sup is None:
-        initial_sup = sups[0]
     # keep the steep tail: well above the initial level and within the
     # last three decades of growth
-    mask = (sups > 10.0 * initial_sup) & (sups >= 1e-3 * sups.max())
+    mask = (sups > 10.0 * sups[0]) & (sups >= 1e-3 * sups.max())
     if int(np.sum(mask)) < 8:
         raise InsufficientSamples("need >= 8 samples with sup-norm above 10x initial")
     ts, sups = ts[mask][-60:], sups[mask][-60:]

@@ -126,7 +126,24 @@ b = 1.0
         assert "absorption_classification" in report
 
 
+# F = u^4 e^{-v/u} (alpha 1, h = exp_decay): f1 = u^3 e^{-w} (4 + w) <= 4 u^3,
+# w = v/u, and f2 = -u^3 e^{-w} <= 0, so A2 and A3 hold at p = 2, k = 4
+EXP_DECAY_BALL = BALL_LOWER.replace(
+    "family = power_product\nc = 1.0\na_exp = 2\nb_exp = 2",
+    "family = gradient_homogeneous\nalpha = 1\nh = exp_decay").replace(
+    "k1 = 2\nk2 = 2\nmode = A2prime", "k1 = 4\nk2 = 4\nmode = A2A3")
+
+
 class TestBounds:
+    @pytest.mark.parametrize("command", ["check", "bounds"])
+    def test_a2a3_mode_checks_a2_and_a3(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, EXP_DECAY_BALL), out) == EXIT_OK
+        report = load_report(out)
+        reports = (report["hypotheses"].values() if command == "check"
+                   else report["lower_bound"]["hypothesis_reports"])
+        assert [(r["hypothesis"], r["holds"]) for r in reports] == [("A2", True), ("A3", True)]
+
     def test_upper_bound_report(self, tmp_path):
         cfg = write_config(tmp_path, BLOWUP_BOX)
         out = tmp_path / "out"
@@ -341,6 +358,37 @@ class TestSandwich:
         t, unc = report["oracle"]["blowup_time"]
         assert t == pytest.approx(1 / 24, rel=2e-13)
         assert abs(t - 1 / 24) <= unc
+
+    @pytest.mark.parametrize("t_est, violated", [(2.0, "upper_violated"),
+                                                 (-1.0, "lower_violated")])
+    def test_estimate_outside_a_bound_fails(self, tmp_path, monkeypatch, t_est, violated):
+        # t_upper is 1/4 and t_lower below it: an estimate far past one
+        # bound violates it alone, and the oracle's 1/4 too
+        def moved(config):
+            trace = simulate(config)
+            return dataclasses.replace(trace, blowup_estimate=dataclasses.replace(
+                trace.blowup_estimate, t=t_est, uncertainty=0.0))
+
+        monkeypatch.setattr(rdblowup.cli, "simulate", moved)
+        text = BLOWUP_BOX.replace("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text.replace(*BOX_3D[:2]).replace(*BOX_3D[2:]))
+        assert run("sandwich", cfg, out) == EXIT_FAILED
+        assert load_report(out)["sandwich"] == {"partial": False, violated: True,
+                                                "oracle_violated": True}
+
+    @pytest.mark.parametrize("amplitude, collapsed", [(0.0, True), (0.5, False)])
+    def test_oracle_runs_exactly_when_the_run_collapsed(self, tmp_path, amplitude, collapsed):
+        # a gaussian of amplitude 0 is c1 in every cell, so the run collapses
+        # and the ODE from its kept cell is the PDE; a bump does not collapse
+        text = BLOWUP_BOX.replace("kind = constant", f"kind = gaussian\namplitude = {amplitude}")
+        out = tmp_path / "out"
+        assert run("sandwich", write_config(tmp_path, text), out) == EXIT_OK
+        report = load_report(out)
+        assert (report["simulation"]["collapsed_axes"] == [0, 1]) is collapsed
+        assert ("oracle" in report) is collapsed
+        if collapsed:
+            assert report["oracle"]["blowup_time"][0] == pytest.approx(0.25, abs=1e-9)
 
     def test_partial_sandwich_without_lower_params(self, tmp_path):
         cfg = write_config(tmp_path, BLOWUP_BOX)

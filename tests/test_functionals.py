@@ -3,7 +3,9 @@ import pytest
 
 from rdblowup.errors import NegativeField, NonFiniteField, NonFiniteSample, NotGradientSystem
 from rdblowup.functionals import (
+    EnergySample,
     FieldPair,
+    check_trace_monitors,
     discrete_gradient_energy,
     energy_E,
     energy_rows,
@@ -291,3 +293,20 @@ class TestStackedRowKernels:
         pair = FieldPair(u=final.u.copy(), v=final.v.copy(), t=final.t)
         assert trace.n_steps > 1
         assert energy_sample(pair, mesh, nl, 1.2, 0.5, 3.0, p=1.5, dt=last.dt) == last
+
+
+def monitor_rows(Js):
+    """Rows one time unit apart with E = 1, the given J and sup-norms 1."""
+    return [EnergySample(t=float(t), E=1.0, J=J, scriptE=None, grad_u_energy=0.0,
+                         grad_v_energy=0.0, bdry_u=0.0, bdry_v=0.0, intF=None,
+                         sup_u=1.0, sup_v=1.0) for t, J in enumerate(Js)]
+
+
+class TestTraceMonitors:
+    @pytest.mark.parametrize("dip, counted", [(0.99, 1), (0.9995, 0)])
+    def test_counts_a_j_decrease_past_the_tolerance(self, dip, counted):
+        # J falls once, by 1e-2 or by 5e-4 against the relative tolerance 1e-3
+        mon = check_trace_monitors(monitor_rows([1.0, 1.0, dip, dip]), alpha=1.0)
+        assert mon.n_checked == 2 and mon.nonfinite_rows == 0
+        assert mon.j_monotone_violations == counted
+        assert mon.worst_j_decrease == pytest.approx(1.0 - dip, rel=1e-12)

@@ -661,3 +661,50 @@ class TestCollapse:
         small = energy_sample(FieldPair(u=y_small[:reduced.n_cells], v=y_small[reduced.n_cells:],
                                         t=0.0), reduced, nl, 1.0, 0.5, 3.0, p=2.0)
         assert small.row()[:-1] == pytest.approx(box.row()[:-1], rel=1e-13, abs=1e-13 * box.E)
+
+
+# every fold and collapse of the 8x6x5 box: folds of the even axes 0 and 1,
+# collapses of any other axes
+EVERY_REDUCTION = [(axes, collapsed) for axes in ((), (0,), (1,), (0, 1))
+                   for collapsed in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+                   if not set(axes) & set(collapsed)]
+
+
+def reduction_data(mesh, axes, collapsed):
+    """Two positive fields that are even bit for bit along `axes`, constant
+    along `collapsed` and neither along any other axis, so that the rule
+    reduces exactly those axes under Neumann walls."""
+    x = mesh.cell_centers
+    terms = [1.0 + x[:, a] ** 2 if a in axes else np.exp(x[:, a])
+             for a in range(x.shape[1]) if a not in collapsed]
+    g1 = reduce(np.multiply, terms, np.ones(mesh.n_cells))
+    return g1, 1.0 + g1 * g1
+
+
+class TestReduced:
+    @pytest.mark.parametrize("axes, collapsed", EVERY_REDUCTION)
+    def test_round_trip(self, axes, collapsed):
+        # the rule picks the data's fold and collapse; `restrict` keeps the
+        # reduced mesh's own cells, and `unfold` gives the data back bit for bit
+        mesh = build_mesh(COLLAPSE_BOX, (8, 6, 5))
+        g1, g2 = reduction_data(mesh, axes, collapsed)
+        reduced = mesh.reduced(g1, g2, 0.0, 0.0)
+        if axes or collapsed:
+            assert reduced is mesh.fold(axes, collapsed)
+        else:
+            assert reduced is mesh
+        for d in range(3):
+            assert np.array_equal(reduced.restrict(mesh.cell_centers[:, d]),
+                                  reduced.cell_centers[:, d])
+        for g in (g1, g2):
+            assert np.array_equal(reduced.unfold(reduced.restrict(g)), g)
+
+    @pytest.mark.parametrize("gamma1, gamma2", [(0.5, 0.0), (0.0, 0.5), (5.0, 5.0)])
+    def test_no_collapse_under_robin_walls(self, gamma1, gamma2):
+        # flat data are constant along every axis, but a Robin wall pulls
+        # the cells beside it: only the even axes fold
+        mesh = build_mesh(COLLAPSE_BOX, (8, 6, 5))
+        flat = np.full(mesh.n_cells, 2.0)
+        reduced = mesh.reduced(flat, flat, gamma1, gamma2)
+        assert (reduced.mirror_axes, reduced.collapsed_axes) == ((0, 1), ())
+        assert mesh.reduced(flat, flat, 0.0, 0.0).collapsed_axes == (0, 1, 2)

@@ -1479,6 +1479,15 @@ class TestEstimateBlowupTime:
         with pytest.raises(InsufficientSamples, match="exponentially"):
             estimate_blowup_time(ts, np.exp(50.0 * ts))
 
+    def test_falling_tail_has_no_decreasing_fit(self):
+        # every sample after the first is above 10x it, but the sup-norms
+        # fall, so no candidate's line of sup^(-1/theta) falls to a root
+        ts = np.linspace(0.0, 1.0, 20)
+        sups = 100.0 - 10.0 * ts
+        sups[0] = 1.0
+        with pytest.raises(InsufficientSamples, match="no decreasing power-law fit"):
+            estimate_blowup_time(ts, sups)
+
     def test_insufficient_samples(self):
         ts = np.linspace(0.0, 1.0, 5)
         sups = np.full(5, 2.0)
@@ -1490,8 +1499,9 @@ class TestEstimateBlowupTime:
         rng = np.random.default_rng(12)
         ts = np.linspace(0.0, 1.0, 200)
         sups = 100.0 * (1.0 + 0.01 * rng.normal(size=200)) + ts
+        sups[0] = 1.0
         try:
-            est = estimate_blowup_time(ts, sups, initial_sup=1.0)
+            est = estimate_blowup_time(ts, sups)
         except InsufficientSamples:
             return
         assert est.t >= ts[-1]

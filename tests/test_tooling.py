@@ -1,6 +1,7 @@
 """Source checks: the solver and the modules it builds on never call scipy's
-integrators, so the ODE oracle, which does, stays independent of them; and
-the solver calls the reaction f1, f2 at one site each.
+integrators, so the ODE oracle, which does, stays independent of them; the
+solver calls the reaction f1, f2 at one site each; and it leaves the
+operator's product and the mesh's fold and collapse to geometry.py.
 
 Import budget: no module imports scipy at module level, so importing the
 package loads numpy alone, and each scipy submodule loads only on the code
@@ -164,6 +165,39 @@ def test_the_solver_calls_f1_and_f2_at_one_site_each():
     # right-hand-side evaluation, and no other path bypasses a wrapped f1 or f2
     sites = reaction_call_sites(ast.parse((SRC / "solver.py").read_text()))
     assert sites == [("_reaction_into", "f1"), ("_reaction_into", "f2")]
+
+
+# what only geometry.py may know: the operator's matrix and whether it is
+# zero, the cells a reduced mesh keeps and the mirror of a folded axis
+GEOMETRY_ONLY = {"matrix", "is_zero", "box_index", "flip"}
+
+
+def geometry_reads(tree):
+    """(line, name) of each attribute in GEOMETRY_ONLY read, and each bare
+    `flip` named, in a parsed module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in GEOMETRY_ONLY:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id == "flip":
+            found.append((node.lineno, node.id))
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("op.matrix @ y", 1),
+    ("if op.is_zero:\n    pass", 1),
+    ("g[mesh.box_index]", 1),
+    ("np.flip(g, 0)", 1),
+    ("from numpy import flip\nflip(g, 0)", 1),
+    ("op.add_product(y, out)\nmesh.restrict(g)\nmesh.unfold(y)", 0),
+])
+def test_every_geometry_read_is_found(source, found):
+    assert len(geometry_reads(ast.parse(source))) == found
+
+
+def test_the_solver_leaves_the_operator_and_the_reduction_to_geometry():
+    assert geometry_reads(ast.parse((SRC / "solver.py").read_text())) == []
 
 
 def modules_after(code, tmp_path):
