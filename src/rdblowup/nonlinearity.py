@@ -171,24 +171,24 @@ def make_gradient_homogeneous(c: float, alpha: float, h: ShapeFunction) -> Nonli
     _require_coefficient(c)
     m = 2.0 * (1.0 + alpha)
 
-    def _check_u(u):
-        if np.any(np.asarray(u) <= 0):
+    def _positive_u(u):
+        """u as floats, checked > 0."""
+        u = np.asarray(u, dtype=float)
+        if np.any(u <= 0):
             raise EvalAtZeroU("homogeneous family requires u > 0")
+        return u
 
     def F(u, v):
-        _check_u(u)
-        u = np.asarray(u, dtype=float)
+        u = _positive_u(u)
         return c * u**m * h.value(v / u)
 
     def f1(u, v):
-        _check_u(u)
-        u = np.asarray(u, dtype=float)
+        u = _positive_u(u)
         w = v / u
         return c * u ** (m - 1.0) * (m * h.value(w) - w * h.derivative(w))
 
     def f2(u, v):
-        _check_u(u)
-        u = np.asarray(u, dtype=float)
+        u = _positive_u(u)
         return c * u ** (m - 1.0) * h.derivative(v / u)
 
     return Nonlinearity(

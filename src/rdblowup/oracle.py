@@ -15,7 +15,7 @@ importing this module loads numpy alone.
 """
 
 from dataclasses import dataclass
-from math import atan, hypot, inf, pi, sqrt
+from math import atan, hypot, inf, isfinite, pi, sqrt
 from typing import Optional
 
 import numpy as np
@@ -64,6 +64,8 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial values must be nonnegative")
+    if not (isfinite(u0) and isfinite(v0)):  # the level count needs a finite start
+        raise ValueError(f"initial values must be finite, got u0 = {u0:g}, v0 = {v0:g}")
     if not 0 < t_max < inf:  # the terminal event needs t to reach t_max
         raise ValueError(f"t_max must be finite and positive, got {t_max:g}")
     from scipy.integrate import solve_ivp

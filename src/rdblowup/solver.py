@@ -70,12 +70,9 @@ run starts on it at min(0.1, t_end), and a run whose reaction sets a first
 dt below the cap starts on DP5.  A rejected `lawson_bs3` step is retried by
 DP5 at the same dt, which DP5's clamp holds at its cap, and DP5 keeps the
 rest of the run.  Where the pair changes, the PI history restarts and the
-new pair's first stage is evaluated at the current state.  An accepted step
-writes its monitor row; then the run ends as a step underflow if the
-proposal is below 1e-14 before t_end, else as blow-up if the sup-norm
-reached the threshold.  A run that reaches t_end stops there exactly.  So
-the Lawson pair takes the steps DP5's cap would hold, until one is
-rejected, and DP5's order pays below its cap.
+new pair's first stage is evaluated at the current state.  A run that
+reaches t_end stops there exactly.  So the Lawson pair takes the steps DP5's
+cap would hold, until one is rejected, and DP5's order pays below its cap.
 
 The fold and the collapse: `simulate` steps on
 `Mesh.reduced(g1, g2, gamma1, gamma2)`, the box folded on the axes along
@@ -108,9 +105,17 @@ call; the step loop takes the sup-norm, max(y) and -min(y), from the state
 itself.  A state too large for a block of two is written on its own, with
 no copy.  The kernel reduces each state alone, so the rows are the ones
 `energy_sample` gives each state, bit for bit; a row whose integral is not
-finite raises NonFiniteSample when its block is written.  Blow-up is
-detected by a sup-norm threshold, or by the step-underflow fallback, and the
-blow-up time extrapolated from a power-law fit of the rows' (t, sup) tail.
+finite raises NonFiniteSample when its block is written.
+
+How a run ends.  Trials go on while t < t_end, the last row's sup-norm is
+below `sup_threshold` and the last trial proposed a dt >= 1e-14 (the first
+trial's dt, t_end where N(g) = 0, may be less); stopped by that proposal
+before t_end, the run underflowed.  The blow-up time is fitted to the rows'
+(t, sup) tail (`estimate_blowup_time`) if the sup-norm reached the fallback
+level max(1e3 sup(g), 1e3) after an underflow (dt collapsing after such
+growth is blow-up nearer than float resolution), or the threshold otherwise.
+The outcome is blow-up iff there is an estimate, else step underflow or
+t_end reached; a refused fit raises unless the run underflowed.
 """
 
 import math
@@ -554,13 +559,13 @@ def simulate(config: SolverConfig) -> SolveTrace:
         work.K[0] = reaction
         if not np.isfinite(op.add_product(y, work.K[0])).all():
             raise NonFiniteField("initial right-hand side is not finite")
-    t, err_prev = 0.0, 1.0
+    t, err_prev, dt_underflow = 0.0, 1.0, False
     rows = _MonitorRows(config, mesh, y.size)
     # the initial row carries the first trial dt, clamped but not to t_end
     sup = initial_sup = rows.record(y, t, min(dt, _DT_MAX))
-    outcome = OUTCOME_REACHED_T_END
 
-    while t < config.t_end:
+    # how a run ends (module docstring); the starting dt may be below _DT_MIN
+    while t < config.t_end and sup < config.sup_threshold and not dt_underflow:
         # a new pair restarts the PI history
         next_pair = pair_for(dt)
         if next_pair is not pair:
@@ -583,26 +588,20 @@ def simulate(config: SolverConfig) -> SolveTrace:
             y = work.accept(y)
             sup = rows.record(y, t, dt)
         dt = dt_next
-        if dt < _DT_MIN and t < config.t_end:
-            outcome = OUTCOME_STEP_UNDERFLOW
-            break
-        if sup >= config.sup_threshold:
-            outcome = OUTCOME_BLOWUP
-            break
+        dt_underflow = dt < _DT_MIN
 
     samples = rows.flush()
+    underflow = dt_underflow and t < config.t_end
     fallback_level = max(1e3 * initial_sup, 1e3)
     estimate = None
-    # dt collapsing after the sup-norm grew by orders of magnitude is caused by
-    # blow-up nearer than float resolution, where the threshold may be out of reach
-    if outcome == OUTCOME_BLOWUP or (outcome == OUTCOME_STEP_UNDERFLOW and sup >= fallback_level):
+    if sup >= (fallback_level if underflow else config.sup_threshold):
         try:
             estimate = estimate_blowup_time(*_tail(samples))
         except InsufficientSamples:
-            if outcome == OUTCOME_BLOWUP:
+            if not underflow:
                 raise
-        else:
-            outcome = OUTCOME_BLOWUP
+    outcome = (OUTCOME_BLOWUP if estimate is not None
+               else OUTCOME_STEP_UNDERFLOW if underflow else OUTCOME_REACHED_T_END)
     level = config.sup_threshold if sup >= config.sup_threshold else fallback_level
     return SolveTrace(
         samples=samples, outcome=outcome, blowup_estimate=estimate,

@@ -14,7 +14,8 @@ from rdblowup.functionals import (
     functional_J,
 )
 from rdblowup.geometry import DomainSpec, build_mesh
-from rdblowup.nonlinearity import check_H2_H3, make_absorption, make_power_product
+from rdblowup.nonlinearity import (Nonlinearity, check_H2_H3, make_absorption,
+                                   make_power_product)
 from rdblowup.solver import SolverConfig, simulate
 
 
@@ -276,6 +277,15 @@ class TestStackedRowKernels:
         states[2, 3] = np.nan
         with pytest.raises(NonFiniteSample, match="boundary"):
             energy_rows(states, [0.0] * 3, [0.1] * 3, mesh)
+
+    def test_a_potential_of_one_value_is_rejected(self):
+        # F must give one sample per cell, not one for the whole state
+        spec, cells = ROW_MESHES[0]
+        mesh = build_mesh(spec, cells)
+        nl = Nonlinearity(family="custom", params={}, f1=lambda u, v: u, f2=lambda u, v: v,
+                          F=lambda u, v: 1.0)
+        with pytest.raises(ValueError, match="one sample per cell"):
+            energy_rows(np.ones((1, 2 * mesh.n_cells)), [0.0], [0.1], mesh, nl)
 
     def test_the_solver_row_is_the_field_pair_row(self):
         # simulate writes its rows from blocks of kept states; the last

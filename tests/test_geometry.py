@@ -50,6 +50,15 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec("ball", 3, radius=size)
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown domain kind 'disc'"):
+            DomainSpec("disc", 2, half_extents=(1.0, 1.0))
+
+    @pytest.mark.parametrize("half_extents", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0)])
+    def test_box_needs_one_half_extent_per_axis(self, half_extents):
+        with pytest.raises(ValueError, match="one half-extent per axis"):
+            DomainSpec("box", 3, half_extents=half_extents)
+
     def test_ball_requires_3d(self):
         with pytest.raises(ValueError):
             DomainSpec("ball", 2, radius=1.0)
@@ -80,6 +89,11 @@ class TestBuildMesh:
     def test_ball_unsupported(self):
         with pytest.raises(BallMeshUnsupported):
             build_mesh(DomainSpec("ball", 3, radius=1.0), 8)
+
+    @pytest.mark.parametrize("cells", [(8,), (8, 8, 8)])
+    def test_needs_one_cell_count_per_axis(self, box2d, cells):
+        with pytest.raises(ValueError, match="one cell count per axis"):
+            build_mesh(box2d, cells)
 
     def test_too_coarse(self, box2d):
         with pytest.raises(ResolutionTooCoarse):
@@ -158,6 +172,15 @@ class TestQuadrature:
     def test_constant_boundary_3d(self, mesh3d):
         ones = np.ones(mesh3d.face_cells.size)
         assert boundary_integral(mesh3d, ones) == pytest.approx(24.0)
+
+    @pytest.mark.parametrize("integral, count, message", [
+        (interior_integral, lambda mesh: mesh.n_cells, "one sample per cell"),
+        (boundary_integral, lambda mesh: mesh.face_cells.size, "one sample per boundary face"),
+    ], ids=["interior", "boundary"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_sample_count_rejected(self, mesh2d, integral, count, message, extra):
+        with pytest.raises(ValueError, match=message):
+            integral(mesh2d, np.ones(count(mesh2d) + extra))
 
     def test_nonfinite_rejected(self, mesh2d):
         bad = np.ones(mesh2d.n_cells)

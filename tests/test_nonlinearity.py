@@ -349,5 +349,10 @@ class TestClassifyAbsorption:
     def test_all_global_bounded(self):
         assert classify_absorption(1, 1, 2, 2, 0.5, 0.5) == ALL_GLOBAL_BOUNDED
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -0.5)])
+    def test_rejects_a_nonpositive_coefficient(self, a, b):
+        with pytest.raises(ValueError, match="a, b must be positive"):
+            classify_absorption(2, 2, 1, 1, a, b)
+
     def test_threshold_global_when_low_absorption_exponent(self):
         assert classify_absorption(1, 1, 1, 1, 0.5, 0.5) == THRESHOLD_GLOBAL

@@ -91,6 +91,15 @@ class TestOdeReduce:
         with pytest.raises(ValueError):
             ode_reduce(nl, -1.0, 1.0, t_max=1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("at", ["u0", "v0"])
+    def test_rejects_non_finite_data(self, bad, at):
+        # inf or NaN would otherwise reach the level count, which cannot
+        # convert it to an integer
+        data = {"u0": 1.0, "v0": 1.0, at: bad}
+        with pytest.raises(ValueError, match=f"must be finite, got .*{at} = {bad:g}"):
+            ode_reduce(make_power_product(1.0, 2.0, 2.0), t_max=1.0, **data)
+
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf])
     def test_rejects_a_t_max_it_cannot_stop_at(self, t_max):
         with pytest.raises(ValueError, match="t_max"):

@@ -1,7 +1,9 @@
 """Source checks: the solver and the modules it builds on never call scipy's
 integrators, so the ODE oracle, which does, stays independent of them; the
-solver calls the reaction f1, f2 at one site each; and it leaves the
-operator's product and the mesh's fold and collapse to geometry.py.
+solver calls the reaction f1, f2 at one site each; it leaves the
+operator's product and the mesh's fold and collapse to geometry.py; and
+`simulate` writes how a run ends once: one loop condition, no `break`, one
+assignment of the outcome.
 
 Import budget: no module imports scipy at module level, so importing the
 package loads numpy alone, and each scipy submodule loads only on the code
@@ -198,6 +200,63 @@ def test_every_geometry_read_is_found(source, found):
 
 def test_the_solver_leaves_the_operator_and_the_reduction_to_geometry():
     assert geometry_reads(ast.parse((SRC / "solver.py").read_text())) == []
+
+
+def assigned_names(target):
+    """The names an assignment target binds."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Starred):
+        return assigned_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in assigned_names(elt)]
+    return []
+
+
+def run_end_sites(tree, function="simulate"):
+    """(line of each `break`, line of each assignment to `outcome`, text of
+    each `while` condition) in the module-level function `function` of a
+    parsed module."""
+    [func] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    breaks, outcomes, loops = [], [], []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Break):
+            breaks.append(node.lineno)
+        elif isinstance(node, ast.While):
+            loops.append(ast.unparse(node.test))
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign,
+                                                      ast.NamedExpr, ast.For)) else [])
+        if any("outcome" in assigned_names(target) for target in targets):
+            outcomes.append(node.lineno)
+    return sorted(breaks), sorted(outcomes), loops
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("def simulate():\n    outcome = 1", ([], [2], [])),
+    ("def simulate():\n    while t < 1:\n        break", ([3], [], ["t < 1"])),
+    ("def simulate():\n    a, *outcome = f()\n    outcome += 1\n    outcome: str = ''",
+     ([], [2, 3, 4], [])),
+    ("def simulate():\n    if (outcome := f()):\n        pass\n    for outcome in g():\n"
+     "        pass", ([], [2, 4], [])),
+    ("def simulate():\n    def inner():\n        for x in y:\n            break\n"
+     "    return f(outcome=1)", ([4], [], [])),
+    ("def other():\n    outcome = 1\n    while 1:\n        break\ndef simulate():\n    pass",
+     ([], [], [])),
+])
+def test_every_run_end_site_is_found(source, sites):
+    assert run_end_sites(ast.parse(source)) == sites
+
+
+def test_simulate_decides_how_a_run_ends_in_one_place():
+    # the stop rule is the step loop's condition, with no `break` beside it,
+    # and the outcome is one expression (solver.py's module docstring): a
+    # new exit goes into both rules, not into another branch of the loop
+    breaks, outcomes, loops = run_end_sites(ast.parse((SRC / "solver.py").read_text()))
+    assert breaks == []
+    assert len(outcomes) == 1
+    assert loops == ["t < config.t_end and sup < config.sup_threshold and (not dt_underflow)"]
 
 
 def modules_after(code, tmp_path):
