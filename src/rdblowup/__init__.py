@@ -14,11 +14,7 @@ from .functionals import (
     EnergySample,
     FieldPair,
     check_trace_monitors,
-    discrete_gradient_energy,
-    energy_E,
     energy_sample,
-    energy_scriptE,
-    functional_J,
 )
 from .geometry import (
     DomainSpec,

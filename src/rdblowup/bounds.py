@@ -22,7 +22,7 @@ from .errors import (
     NonpositiveE0,
     NonpositiveJ0,
 )
-from .functionals import FieldPair, energy_E, energy_scriptE, require_growth_constants
+from .functionals import FieldPair, energy_sample, require_growth_constants
 from .geometry import BALL, DomainSpec, GeometryConstants, Mesh, geometry_constants
 from .nonlinearity import (
     HypothesisReport,
@@ -91,7 +91,7 @@ def upper_bound_blowup(nl: Nonlinearity, g1, g2, mesh: Mesh,
     data rule must admit the data before the row evaluates F), H1's errors,
     the Robin and data rules, the first of H1-H3 to fail, then J0 <= 0.
     """
-    if energy_E(FieldPair(u=g1, v=g2, t=0.0), mesh) <= 0:
+    if energy_sample(FieldPair(u=g1, v=g2, t=0.0), mesh).E <= 0:
         raise NonpositiveE0("initial energy vanishes")
     rep1 = check_H1(nl, alpha)
     row, (rep2, rep3) = _initial_data_row(nl, g1, g2, mesh, gamma1, gamma2, alpha)
@@ -197,8 +197,7 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
     geo = geometry_constants(spec)
     require_nonnegative_data(g1, g2)
     if isinstance(domain, Mesh):
-        fields = FieldPair(u=g1, v=g2, t=0.0, nonneg=True)
-        scriptE0 = energy_scriptE(fields, domain, p)
+        scriptE0 = energy_sample(FieldPair(u=g1, v=g2, t=0.0), domain, p=p).scriptE
         caveat = SMOOTH_BOUNDARY_CAVEAT
     else:
         if spec.kind != BALL:

@@ -2,19 +2,16 @@
 
 E(t) is the squared L2 energy of the pair, J(t) the potential-dominated
 functional whose sign drives the upper bound, and scriptE(t) the 2p-power
-energy used by the lower bound.  `energy_rows` is the one place where J,
+energy used by the lower bound.  `energy_rows` is the one place where E, J,
 scriptE and the boundary and gradient terms are computed, for k states at
-once: `energy_sample` is that kernel on one state, and `functional_J`
-returns its monitor row, which holds J together with the pieces it is built
-from.
+once, as monitor rows; `energy_sample` is that kernel on one state.  Every
+layer reads a functional off such a row, so each formula is written once.
 
 Each term is a kernel on a block of stacked states, one y = [u; v] per row,
 that takes a few passes over the whole block and loops over no state or
-field; `energy_E`, `energy_scriptE` and `discrete_gradient_energy` call the
-row's kernels, so each formula is written once.  Each state's figures are
-those of the kernel on that state alone, bit for bit: every reduction runs
-over one state or field at a time, the dot products as one BLAS dot per
-state.
+field.  Each state's figures are those of the kernel on that state alone,
+bit for bit: every reduction runs over one state or field at a time, the
+dot products as one BLAS dot per state.
 
 - Gradient energy: for each axis a of stride s, the differences
   y[s:] - y[:-s] of the flattened block in one buffer.  Read as rows of
@@ -32,7 +29,9 @@ state.
   zero on constants and never cancels at large u.
 - Boundary terms: one take of `Mesh.face_cells` from every field, each
   face's value that of its cell, squared, times the face areas.
-- E, scriptE and the sup-norms: one reduction each per state.
+- E, scriptE and the sup-norms: one reduction each per state.  scriptE
+  clamps each field at 0; the rules of its p and of nonnegative data are
+  those of its callers (`require_growth_constants`, the bounds' data rule).
 
 The integrals keep the rule of `interior_integral` and
 `boundary_integral`: NonFiniteSample iff a sample is not finite or the sum
@@ -112,29 +111,6 @@ TRACE_COLUMNS = tuple(f.name for f in dataclass_fields(EnergySample))
 _row_values = attrgetter(*TRACE_COLUMNS)
 
 
-def energy_E(fields: FieldPair, mesh: Mesh) -> float:
-    """int (u^2 + v^2) dx."""
-    return _finite_total(_squared_integrals(_stacked(fields)[None], mesh)[0], "interior")
-
-
-def energy_scriptE(fields: FieldPair, mesh: Mesh, p: float) -> float:
-    """int (u^{2p} + v^{2p}) dx; requires the nonnegativity flag."""
-    if not fields.nonneg:
-        raise NegativeField("scriptE requires fields flagged nonnegative")
-    require_growth_constants(p)
-    return _finite_total(_power_integrals(_stacked(fields)[None], mesh, p)[0], "interior")
-
-
-def discrete_gradient_energy(field_values, mesh: Mesh) -> float:
-    """int |grad u|^2 dx via two-point differences on interior faces."""
-    return _gradient_energies(np.asarray(field_values, dtype=float).ravel(), mesh).item()
-
-
-def _stacked(fields: FieldPair) -> np.ndarray:
-    """y = [u; v]."""
-    return np.concatenate([fields.u, fields.v])
-
-
 def _row_dots(x: np.ndarray) -> np.ndarray:
     """The dot product of each row of the (k, m) block x with itself, each
     the BLAS dot of that row alone."""
@@ -182,20 +158,12 @@ def _boundary_energies(states: np.ndarray, mesh: Mesh) -> np.ndarray:
     return values @ mesh.face_areas
 
 
-def functional_J(fields: FieldPair, mesh: Mesh, nl, alpha: float,
-                 gamma1: float, gamma2: float) -> EnergySample:
-    """The functional J(t) = -2(1+alpha) * (boundary and gradient terms)
-    + 4(1+alpha) * int F, as the monitor row that also holds its pieces."""
-    nl.require_potential("functional_J")
-    return energy_sample(fields, mesh, nl, alpha, gamma1, gamma2)
-
-
 def energy_sample(fields: FieldPair, mesh: Mesh, nl=None, alpha: float = 1.0,
                   gamma1: float = 0.0, gamma2: float = 0.0,
                   p: Optional[float] = None, dt: float = float("nan")) -> EnergySample:
     """Assemble the full monitor row for one state: `energy_rows` on it."""
-    return energy_rows(_stacked(fields)[None], [fields.t], [dt], mesh, nl, alpha,
-                       gamma1, gamma2, p)[0]
+    y = np.concatenate([fields.u, fields.v])
+    return energy_rows(y[None], [fields.t], [dt], mesh, nl, alpha, gamma1, gamma2, p)[0]
 
 
 def energy_rows(states: np.ndarray, ts, dts, mesh: Mesh, nl=None, alpha: float = 1.0,

@@ -126,9 +126,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import EvalAtZeroU, InsufficientSamples, NonFiniteField
-from .functionals import EnergySample, FieldPair, energy_rows
+from .functionals import EnergySample, FieldPair, energy_rows, require_growth_constants
 from .geometry import Mesh, RobinOperator, require_gamma
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, require_alpha
 
 OUTCOME_REACHED_T_END = "reached_t_end"
 OUTCOME_BLOWUP = "blowup_detected"
@@ -224,8 +224,10 @@ class SolverConfig:
     p: Optional[float] = None
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end:g}")
+        require_alpha(self.alpha)
+        require_growth_constants(self.p)
         if (not all(0 <= tol < math.inf for tol in (self.rel_tol, self.abs_tol))
                 or self.rel_tol == self.abs_tol == 0):
             raise ValueError(f"rel_tol and abs_tol must be finite and >= 0, not both 0; "

@@ -456,6 +456,7 @@ class TestConfigErrors:
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nsample_stride = 0")),
         ("simulate", ("t_end = 1.0", "t_end = 1.0\nsup_treshold = 1e4")),
         ("simulate", ("t_end = 1.0", "t_end = 0.0")),
+        ("simulate", ("t_end = 1.0", "t_end = inf")),
         ("check", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2\nmode = bogus")),
         ("bounds", ("alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 2\nk2 = 2\nmode = bogus")),
         ("check", ("alpha = 1.0", "alpha = 1.0\nsamples_per_axis = 0")),
@@ -542,7 +543,7 @@ class TestConfigErrors:
                     "radius = 1", "radius = inf")),
     ], ids=["unknown_initial_kind", "power_product_without_a_exp",
             "power_product_without_b_exp", "unknown_key_sample_stride",
-            "simulate_solver_key_typo", "t_end_zero",
+            "simulate_solver_key_typo", "t_end_zero", "t_end_inf",
             "check_unknown_mode", "bounds_unknown_mode", "unknown_key_samples_per_axis",
             "unknown_key_box_min", "simulate_gamma1_minus_16", "check_gamma1_minus_1",
             "bounds_gamma1_nan", "simulate_gamma1_nan", "check_gamma2_inf",
@@ -675,8 +676,7 @@ VALUES = {
     # valid half-extents give 4-6 cells a float width and volume, which
     # build_mesh requires (tests/test_geometry.py)
     "half_extent": (st.floats(min_value=1e-300, max_value=1e300), POSITIVE[1]),
-    "t_end": (st.floats(min_value=0.0, exclude_min=True),
-              st.one_of(st.floats(max_value=0.0), st.just(math.nan))),
+    "t_end": POSITIVE,
     "alpha": POSITIVE,
     "c": POSITIVE,
     "a_exp": GROWTH_EXPONENT,

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from rdblowup.errors import NegativeField, NonFiniteField, NonFiniteSample, NotGradientSystem
+import rdblowup.bounds
+from rdblowup.bounds import lower_bound_pipeline, upper_bound_blowup
+from rdblowup.errors import (NegativeField, NegativeInitialData, NonFiniteField, NonFiniteSample,
+                             NotGradientSystem)
 from rdblowup.functionals import (
     EnergySample,
     FieldPair,
     check_trace_monitors,
-    discrete_gradient_energy,
-    energy_E,
     energy_rows,
     energy_sample,
-    energy_scriptE,
-    functional_J,
 )
 from rdblowup.geometry import DomainSpec, build_mesh
 from rdblowup.nonlinearity import (Nonlinearity, check_H2_H3, make_absorption,
@@ -40,10 +39,10 @@ class TestFieldPair:
 
 class TestEnergyE:
     def test_constants_2d(self, mesh2d):
-        assert energy_E(constant_pair(mesh2d, 1, 1), mesh2d) == pytest.approx(8.0)
+        assert energy_sample(constant_pair(mesh2d, 1, 1), mesh2d).E == pytest.approx(8.0)
 
     def test_constants_3d(self, mesh3d):
-        assert energy_E(constant_pair(mesh3d, 1, 0), mesh3d) == pytest.approx(8.0)
+        assert energy_sample(constant_pair(mesh3d, 1, 0), mesh3d).E == pytest.approx(8.0)
 
     def test_linear_profile_converges(self, box2d):
         # int x1^2 over [-1,1]^2 = 4/3
@@ -52,7 +51,7 @@ class TestEnergyE:
             mesh = build_mesh(box2d, n)
             pair = FieldPair(u=mesh.cell_centers[:, 0],
                              v=np.zeros(mesh.n_cells), t=0.0)
-            errs.append(abs(energy_E(pair, mesh) - 4.0 / 3.0))
+            errs.append(abs(energy_sample(pair, mesh).E - 4.0 / 3.0))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 1.9)
 
@@ -62,28 +61,42 @@ class TestEnergyE:
         v = rng.uniform(-1, 1, mesh2d.n_cells)
         small = FieldPair(u=u, v=v, t=0.0)
         big = FieldPair(u=2 * u, v=2 * v, t=0.0)
-        assert energy_E(small, mesh2d) <= energy_E(big, mesh2d)
+        assert energy_sample(small, mesh2d).E <= energy_sample(big, mesh2d).E
 
 
 class TestScriptE:
     def test_constants(self, mesh3d):
         pair = constant_pair(mesh3d, 1, 1, nonneg=True)
-        assert energy_scriptE(pair, mesh3d, 2.0) == pytest.approx(16.0)
+        assert energy_sample(pair, mesh3d, p=2.0).scriptE == pytest.approx(16.0)
 
     def test_p_one(self, mesh2d):
         pair = constant_pair(mesh2d, 2, 0, nonneg=True)
-        assert energy_scriptE(pair, mesh2d, 1.0) == pytest.approx(16.0)
+        assert energy_sample(pair, mesh2d, p=1.0).scriptE == pytest.approx(16.0)
 
-    def test_requires_nonneg_flag(self, mesh2d):
-        pair = constant_pair(mesh2d, 1, 1, nonneg=False)
-        with pytest.raises(NegativeField):
-            energy_scriptE(pair, mesh2d, 2.0)
+    def test_the_lower_bound_refuses_negative_data_before_scriptE(self, mesh3d, monkeypatch):
+        # the row clamps each field at 0, so the bound, the one reader of
+        # scriptE(0), refuses data that go negative before it reads a row
+        def no_row(*args, **kwargs):
+            raise AssertionError("scriptE(0) evaluated on negative data")
+
+        monkeypatch.setattr(rdblowup.bounds, "energy_sample", no_row)
+        g1, g2 = np.ones(mesh3d.n_cells), np.ones(mesh3d.n_cells)
+        g1[0] = -1e-3
+        nl = make_power_product(1.0, 2.0, 2.0)
+        with pytest.raises(NegativeInitialData):
+            lower_bound_pipeline(nl, g1, g2, mesh3d, 2.0, 2.0, 2.0)
 
     @pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
-    def test_p_must_be_finite_and_at_least_one(self, mesh2d, p):
-        pair = constant_pair(mesh2d, 1, 1, nonneg=True)
+    def test_p_must_be_finite_and_at_least_one(self, mesh3d, p):
+        # the rule holds at both callers that hand p to the rows: the run's
+        # monitor and the lower bound
+        ones = np.ones(mesh3d.n_cells)
         with pytest.raises(ValueError, match="p must be finite and >= 1"):
-            energy_scriptE(pair, mesh2d, p)
+            SolverConfig(mesh=mesh3d, nl=make_power_product(1.0, 2.0, 2.0), gamma1=0.0,
+                         gamma2=0.0, g1=ones, g2=ones, t_end=1.0, p=p)
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            lower_bound_pipeline(make_power_product(1.0, 2.0, 2.0), ones, ones, mesh3d, p,
+                                 2.0, 2.0)
 
     def test_quartic_profile_converges(self, box2d):
         # int (1+x1^2)^4 dx over [-1,1]^2 = 2 * int_{-1}^{1} (1+x^2)^4 dx
@@ -94,7 +107,7 @@ class TestScriptE:
             mesh = build_mesh(box2d, n)
             pair = FieldPair(u=1.0 + mesh.cell_centers[:, 0] ** 2,
                              v=np.zeros(mesh.n_cells), t=0.0, nonneg=True)
-            vals.append(energy_scriptE(pair, mesh, 2.0))
+            vals.append(energy_sample(pair, mesh, p=2.0).scriptE)
         errs = np.abs(np.array(vals) - exact)
         orders = np.log2(errs[:-1] / errs[1:])
         assert np.all(orders > 1.9)
@@ -102,15 +115,16 @@ class TestScriptE:
 
 class TestGradientEnergy:
     def test_constant_is_zero(self, mesh2d):
-        assert discrete_gradient_energy(np.ones(mesh2d.n_cells), mesh2d) == 0.0
+        row = energy_sample(constant_pair(mesh2d, 1, 1), mesh2d)
+        assert row.grad_u_energy == row.grad_v_energy == 0.0
 
     def test_linear_profile(self, box2d):
         # |grad x1|^2 integrates to the domain area 4
-        vals = [
-            discrete_gradient_energy(build_mesh(box2d, n).cell_centers[:, 0],
-                                     build_mesh(box2d, n))
-            for n in (16, 32, 64)
-        ]
+        vals = []
+        for n in (16, 32, 64):
+            mesh = build_mesh(box2d, n)
+            pair = FieldPair(u=mesh.cell_centers[:, 0], v=np.zeros(mesh.n_cells), t=0.0)
+            vals.append(energy_sample(pair, mesh).grad_u_energy)
         errs = np.abs(np.array(vals) - 4.0)
         assert errs[1] < errs[0] and errs[2] < errs[1]
         assert errs[-1] < 0.1
@@ -118,25 +132,25 @@ class TestGradientEnergy:
     def test_quadratic_homogeneity(self, mesh2d):
         rng = np.random.default_rng(6)
         u = rng.normal(size=mesh2d.n_cells)
-        e1 = discrete_gradient_energy(u, mesh2d)
-        e2 = discrete_gradient_energy(2 * u, mesh2d)
+        e1 = energy_sample(FieldPair(u=u, v=u, t=0.0), mesh2d).grad_u_energy
+        e2 = energy_sample(FieldPair(u=2 * u, v=u, t=0.0), mesh2d).grad_u_energy
         assert e2 == pytest.approx(4 * e1, rel=1e-12)
 
 
 class TestFunctionalJ:
     def test_neumann_constants(self, mesh3d):
         nl = make_power_product(1.0, 2.0, 2.0)
-        dec = functional_J(constant_pair(mesh3d, 1, 1), mesh3d, nl, 1.0, 0.0, 0.0)
+        dec = energy_sample(constant_pair(mesh3d, 1, 1), mesh3d, nl, 1.0, 0.0, 0.0)
         assert dec.J == pytest.approx(64.0)  # 4(1+1) * intF = 8 * 8
 
     def test_robin_constants_negative(self, mesh2d):
         nl = make_power_product(1.0, 2.0, 3.0)
-        dec = functional_J(constant_pair(mesh2d, 1, 1), mesh2d, nl, 1.5, 1.0, 1.0)
+        dec = energy_sample(constant_pair(mesh2d, 1, 1), mesh2d, nl, 1.5, 1.0, 1.0)
         assert dec.J == pytest.approx(-40.0)  # -5*8 - 5*8 + 10*4
 
     def test_zero_fields(self, mesh2d):
         nl = make_power_product(1.0, 2.0, 3.0)
-        dec = functional_J(constant_pair(mesh2d, 0, 0), mesh2d, nl, 1.0, 1.0, 1.0)
+        dec = energy_sample(constant_pair(mesh2d, 0, 0), mesh2d, nl, 1.0, 1.0, 1.0)
         assert dec.J == 0.0
 
     def test_decomposition_identity(self, mesh2d):
@@ -145,7 +159,7 @@ class TestFunctionalJ:
         pair = FieldPair(u=rng.uniform(0.1, 2.0, mesh2d.n_cells),
                          v=rng.uniform(0.1, 2.0, mesh2d.n_cells), t=0.0)
         alpha, gamma1, gamma2 = 1.2, 0.5, 0.25
-        dec = functional_J(pair, mesh2d, nl, alpha, gamma1, gamma2)
+        dec = energy_sample(pair, mesh2d, nl, alpha, gamma1, gamma2)
         # J = -2(1+alpha) [gamma1 bdry_u + grad_u + gamma2 bdry_v + grad_v]
         #     + 4(1+alpha) intF, the formula stated in the README
         recombined = (
@@ -161,19 +175,22 @@ class TestFunctionalJ:
         # J = 4(1+alpha) * F(c1,c2) * |Omega| exactly for constants
         nl = make_power_product(2.0, 3.0, 2.0)
         c1, c2, alpha = 1.5, 0.75, 0.8
-        dec = functional_J(constant_pair(mesh3d, c1, c2), mesh3d, nl, alpha, 0.0, 0.0)
+        dec = energy_sample(constant_pair(mesh3d, c1, c2), mesh3d, nl, alpha, 0.0, 0.0)
         expected = 4.0 * (1.0 + alpha) * nl.F(c1, c2) * 8.0
         assert dec.J == pytest.approx(expected, rel=1e-12)
 
     def test_absorption_has_no_J(self, mesh2d):
-        # energy_sample leaves J = None without a potential; functional_J and
-        # check_H2_H3 must refuse instead of passing that None on
+        # the row leaves J and int F None without a potential; check_H2_H3 and
+        # the upper bound, which read J(0) off it, must refuse instead of
+        # passing that None on
         nl = make_absorption(2.0, 2.0, 1.0, 1.0, 1.0, 1.0)
         ones = np.ones(mesh2d.n_cells)
-        with pytest.raises(NotGradientSystem):
-            functional_J(constant_pair(mesh2d, 1, 1), mesh2d, nl, 1.0, 0.0, 0.0)
+        row = energy_sample(constant_pair(mesh2d, 1, 1), mesh2d, nl, 1.0, 0.0, 0.0)
+        assert row.J is None and row.intF is None
         with pytest.raises(NotGradientSystem):
             check_H2_H3(nl, ones, ones, mesh2d, 0.0, 0.0)
+        with pytest.raises(NotGradientSystem):
+            upper_bound_blowup(nl, ones, ones, mesh2d, 0.0, 0.0, 1.0)
 
 
 class TestEnergySample:
@@ -188,12 +205,13 @@ class TestEnergySample:
         assert row[9] == 1.0 and row[10] == 1.0  # sup norms
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_scriptE_matches_energy_scriptE(self, mesh3d, p):
+    def test_scriptE_matches_its_definition(self, mesh3d, p):
         rng = np.random.default_rng(8)
         pair = FieldPair(u=rng.uniform(0.0, 2.0, mesh3d.n_cells),
                          v=rng.uniform(0.0, 2.0, mesh3d.n_cells), t=0.0, nonneg=True)
         s = energy_sample(pair, mesh3d, p=p)
-        assert s.scriptE == energy_scriptE(pair, mesh3d, p)
+        expected = np.sum(pair.u ** (2 * p) + pair.v ** (2 * p)) * mesh3d.cell_volume
+        assert s.scriptE == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 # non-cubic meshes with unequal half-extents, where a wrong stride, a pair
@@ -240,11 +258,6 @@ class TestStackedRowKernels:
         for name, value in ref.items():
             assert getattr(row, name) == pytest.approx(value, rel=1e-13, abs=0), name
         assert (row.t, row.dt) == (0.3, 0.01)
-        assert discrete_gradient_energy(u, mesh) == pytest.approx(ref["grad_u_energy"],
-                                                                  rel=1e-13, abs=0)
-        assert energy_E(pair, mesh) == row.E
-        if pair.nonneg:
-            assert energy_scriptE(pair, mesh, 1.5) == row.scriptE
 
     @pytest.mark.parametrize("spec, cells", ROW_MESHES, ids=["2d", "3d"])
     def test_constants_have_exactly_zero_gradient_energy(self, spec, cells):
@@ -252,7 +265,8 @@ class TestStackedRowKernels:
         row = energy_sample(constant_pair(mesh, 2.75, 1e-3), mesh)
         assert row.grad_u_energy == row.grad_v_energy == 0.0
         # differences of equal values are 0 however large the values
-        assert discrete_gradient_energy(np.full(mesh.n_cells, 1e150), mesh) == 0.0
+        row = energy_sample(constant_pair(mesh, 1e150, 1e150), mesh)
+        assert row.grad_u_energy == row.grad_v_energy == 0.0
 
     @pytest.mark.parametrize("spec, cells", ROW_MESHES, ids=["2d", "3d"])
     def test_a_block_of_states_gives_each_state_s_row(self, spec, cells):

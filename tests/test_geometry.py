@@ -7,7 +7,7 @@ import pytest
 import rdblowup.geometry as geometry
 from conftest import brute_force_geometry, dense_robin_operator, zero_reaction
 from rdblowup.errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
-from rdblowup.functionals import FieldPair, discrete_gradient_energy, energy_sample
+from rdblowup.functionals import FieldPair, energy_sample
 from rdblowup.geometry import (
     DomainSpec,
     RobinOperator,
@@ -302,7 +302,8 @@ class TestLaplacianOperator:
         u = np.exp(0.5 * x[:, 0]) * np.cos(x[:, 1]) + 0.3 * x[:, -1] ** 2
         n, A = mesh.n_cells, mesh.robin_operator(0.0, 0.0).matrix
         lhs = -mesh.cell_volume * float(u @ (A @ np.concatenate([u, u]))[:n])
-        assert lhs == pytest.approx(discrete_gradient_energy(u, mesh), rel=1e-12)
+        row = energy_sample(FieldPair(u=u, v=u, t=0.0), mesh)
+        assert lhs == pytest.approx(row.grad_u_energy, rel=1e-12)
 
     def test_built_once_per_operator(self, box3d, monkeypatch):
         # the operator matrix of the stacked state, (2n, 2n), is the one DIA

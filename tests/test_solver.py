@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import dense_robin_operator, linear_decay, zero_reaction
 import rdblowup.solver
 from rdblowup.errors import EvalAtZeroU, InsufficientSamples, NonFiniteField
-from rdblowup.functionals import FieldPair, energy_E
+from rdblowup.functionals import FieldPair
 from rdblowup.geometry import DomainSpec, Mesh, RobinOperator, build_mesh, interior_integral
 from rdblowup.nonlinearity import (Nonlinearity, make_absorption, make_gradient_homogeneous,
                                    make_power_product, shape_constant, shape_power)
@@ -1449,12 +1449,29 @@ class TestSolverConfigValidation:
             SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
                          t_end=1.0, **data)
 
-    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    # an infinite t_end never ends a run that does not blow up
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
     def test_t_end_must_be_positive(self, mesh2d, t_end):
         g = np.ones(mesh2d.n_cells)
-        with pytest.raises(ValueError, match="t_end"):
+        with pytest.raises(ValueError, match="t_end must be finite and > 0"):
             SolverConfig(mesh=mesh2d, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
                          g1=g, g2=g, t_end=t_end)
+
+    # the monitor's constants follow the rules of the bounds that define J
+    # and scriptE: else a run writes NaN or sign-flipped J rows, a scriptE no
+    # bound defines, or ends in a numerical failure instead of an input error
+    @pytest.mark.parametrize("options, match", [
+        ({"alpha": math.nan}, "alpha must be finite and > 0"),
+        ({"alpha": -3.0}, "alpha must be finite and > 0"),
+        ({"p": 0.5}, "p must be finite and >= 1"),
+        ({"p": -1.0}, "p must be finite and >= 1"),
+        ({"p": math.nan}, "p must be finite and >= 1"),
+    ], ids=["alpha_nan", "alpha_negative", "p_half", "p_negative", "p_nan"])
+    def test_monitor_alpha_and_p_must_be_admissible(self, mesh3d, options, match):
+        g = np.ones(mesh3d.n_cells)
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(mesh=mesh3d, nl=make_power_product(1.0, 2.0, 2.0), gamma1=0.0,
+                         gamma2=0.0, g1=g, g2=g, t_end=1.0, **options)
 
     @pytest.mark.parametrize("options, match", [
         ({"rel_tol": math.nan}, "rel_tol"), ({"rel_tol": -1.0}, "rel_tol"),

@@ -1,9 +1,11 @@
 """Source checks: the solver and the modules it builds on never call scipy's
 integrators, so the ODE oracle, which does, stays independent of them; the
 solver calls the reaction f1, f2 at one site each; it leaves the
-operator's product and the mesh's fold and collapse to geometry.py; and
+operator's product and the mesh's fold and collapse to geometry.py;
 `simulate` writes how a run ends once: one loop condition, no `break`, one
-assignment of the outcome.
+assignment of the outcome; and E, J, scriptE and their terms are evaluated in
+`energy_rows` alone, which every other module reaches through
+`energy_sample` or `energy_rows`.
 
 Import budget: no module imports scipy at module level, so importing the
 package loads numpy alone, and each scipy submodule loads only on the code
@@ -257,6 +259,111 @@ def test_simulate_decides_how_a_run_ends_in_one_place():
     assert breaks == []
     assert len(outcomes) == 1
     assert loops == ["t < config.t_end and sup < config.sup_threshold and (not dt_underflow)"]
+
+
+# the kernels of the monitor row's terms, and the two functions that read a
+# functional for another module
+ROW_KERNELS = {"_squared_integrals", "_power_integrals", "_gradient_energies",
+               "_boundary_energies"}
+ROW_READERS = {"energy_rows", "energy_sample"}
+
+
+def call_sites(tree, names, scope=()):
+    """(qualified name of the enclosing function, called name) of each call of
+    a name in `names`, bare or as an attribute, in a parsed module, "" at
+    module level."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += call_sites(node, names, (*scope, node.name))
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.append((".".join(scope), name))
+        found += call_sites(node, names, scope)
+    return found
+
+
+def functional_readers(tree):
+    """The module-level functions of a parsed module that call a row kernel,
+    or such a function, by name."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    calls = {name: {called for _, called in call_sites(node, ROW_KERNELS | set(functions))}
+             for name, node in functions.items()}
+    readers = set()
+    while True:
+        grown = {name for name, called in calls.items() if called & (ROW_KERNELS | readers)}
+        if grown == readers:
+            return readers
+        readers = grown
+
+
+def functionals_names(tree):
+    """The names a parsed module imports from functionals.py, or reads as an
+    attribute of a module named `functionals`."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "functionals"):
+            found |= {a.name for a in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "functionals"):
+            found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("def energy_rows(s):\n    return _squared_integrals(s, m)",
+     [("energy_rows", "_squared_integrals")]),
+    ("class C:\n    def f(self):\n        functionals._power_integrals(s, m, 2)",
+     [("C.f", "_power_integrals")]),
+    ("x = _boundary_energies(s, m)\n_gradient_energies\nf(_squared_integrals)",
+     [("", "_boundary_energies")]),
+])
+def test_every_kernel_call_site_is_found(source, sites):
+    assert call_sites(ast.parse(source), ROW_KERNELS) == sites
+
+
+@pytest.mark.parametrize("source, readers", [
+    ("def energy_rows():\n    _squared_integrals()\ndef energy_sample():\n    energy_rows()",
+     {"energy_rows", "energy_sample"}),
+    ("def a():\n    b()\ndef b():\n    c()\ndef c():\n    _boundary_energies()\n"
+     "def d():\n    pass", {"a", "b", "c"}),
+    ("def energy_E(f, m):\n    return energy_sample(f, m).E\n"
+     "def energy_sample():\n    _power_integrals()", {"energy_E", "energy_sample"}),
+])
+def test_every_functional_reader_is_found(source, readers):
+    assert functional_readers(ast.parse(source)) == readers
+
+
+@pytest.mark.parametrize("source, names", [
+    ("from .functionals import FieldPair, energy_sample", {"FieldPair", "energy_sample"}),
+    ("from rdblowup.functionals import energy_rows as rows", {"energy_rows"}),
+    ("from . import functionals\nfunctionals.energy_E(f, m)", {"energy_E"}),
+    ("from .geometry import Mesh\nrow.E", set()),
+])
+def test_every_name_read_from_functionals_is_found(source, names):
+    assert functionals_names(ast.parse(source)) == names
+
+
+def test_the_row_kernels_are_called_from_energy_rows_alone():
+    # each term of the monitor row has one formula, evaluated in one place
+    sites = sorted((path.name, *site) for path in sorted(SRC.glob("*.py"))
+                   for site in call_sites(ast.parse(path.read_text()), ROW_KERNELS))
+    assert sites == sorted(("functionals.py", "energy_rows", kernel) for kernel in ROW_KERNELS)
+
+
+def test_every_module_reads_a_functional_off_the_monitor_row():
+    # no per-call wrapper of a functional: of the names the other modules
+    # (the package's exports among them) take from functionals.py, those that
+    # evaluate a term of the row are the row and its one-state form
+    readers = functional_readers(ast.parse((SRC / "functionals.py").read_text()))
+    read = {name for path in sorted(SRC.glob("*.py")) if path.name != "functionals.py"
+            for name in functionals_names(ast.parse(path.read_text())) & readers}
+    assert read == ROW_READERS
 
 
 def modules_after(code, tmp_path):
