@@ -29,7 +29,6 @@ Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import json
 import math
@@ -214,11 +213,12 @@ def _write_report(report, out_dir: Path):
 
 
 def _write_trace(trace, out_dir: Path):
+    """trace.csv in one write: the column names, then each row's floats as
+    `repr`, comma-separated, every line ending in CR LF; these are the bytes
+    `csv.writer` writes, nan standing for a missing column."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(s.row() for s in trace.samples)
+    lines = [",".join(TRACE_COLUMNS), *(",".join(map(repr, s.row())) for s in trace.samples), ""]
+    (out_dir / "trace.csv").write_text("\r\n".join(lines), newline="")
 
 
 # --- commands -----------------------------------------------------------

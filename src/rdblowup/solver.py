@@ -86,7 +86,14 @@ collapsed axis's eigenvalue is exactly 0, so DP5's cap is the box's.
 Collapsed along every axis, the run steps one cell of the ODE u' = f1,
 v' = f2: A is zero, so the derivative is N(y) alone, with no product.
 `_reaction_into` hands f1 and f2 that cell's u and v as numpy float64
-scalars, whose ** differs from numpy's array ** by up to 1 ulp.  The RMS
+scalars, whose ** differs from numpy's array ** by up to 1 ulp.  `step`
+takes DP5 on that cell through `_one_cell_step`: each stage is still
+stage_fn(arg, row) on arrays, but the stage arguments, the error estimate,
+the finite checks, the error scale and the RMS norm are taken on Python
+floats, summed in order where `StepWork.combine`'s numpy product may
+round otherwise.  So a step at DP5's cap, whose dt no error sets, keeps
+every bit, while an error-controlled dt can move by rounding, and with it
+the rest of the run (README, *The collapse*).  The RMS
 norms and sup-norms equal those over the box; and the quadrature weights
 carry the multiplicity of each cell, so the monitor rows are the box's.
 Only rounding differs: on the box the gradient energy along a collapsed
@@ -120,7 +127,7 @@ t_end reached; a refused fit raises unless the run underflowed.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -179,6 +186,13 @@ class Pair:
         """Rows of `StepWork.K` a step uses: the stages, and for a Lawson pair
         also the state, a copy of the first stage and an exponential."""
         return self.stages + 3 if self.lawson else self.stages
+
+    @cached_property
+    def float_tableau(self) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+        """(a, e) as Python floats, for `_one_cell_step`: row i of `a` as its
+        i entries below the diagonal, and `e`."""
+        a = tuple(tuple(row[:i].tolist()) for i, row in enumerate(self.a))
+        return a, tuple(self.e.tolist())
 
 
 def _stage_matrix(rows):
@@ -380,10 +394,14 @@ def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     is rejected, returning (y, inf, None) with y untouched so that the
     caller shrinks dt, if a stage raises EvalAtZeroU (it left N's domain)
     or y_new or k_last is not finite.  The error scale is
-    abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).
+    abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).  An explicit
+    pair on a one-cell state, y = [u, v], takes `_one_cell_step`, the same
+    step with its stages combined on Python floats.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if y.size == 2 and not pair.lawson:
+        return _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair)
     stages = _lawson_stages if pair.lawson else _explicit_stages
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -394,6 +412,54 @@ def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
         return y, math.inf, None
     work.err /= _error_scale(y, y_new, rel_tol, abs_tol, work.scale)
     return y_new, _rms(work.err), work.K[work.last]
+
+
+def _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair):
+    """`step` of an explicit pair on the one-cell state y = [u, v] (module
+    docstring).  Each stage is still stage_fn(arg, work.K[i]) on the array
+    `work.y_new`, under one errstate; the stage arguments, y_new among them,
+    the error estimate dt * sum_i e_i k_i, the finite checks, `_error_scale`'s
+    scale and the RMS norm are taken on Python floats, as numpy's per-call
+    cost on 2-float rows would be most of the step.  `work.err` and
+    `work.scale` are left as they were."""
+    a, e = pair.float_tableau
+    (u, v), y_new, K = y.tolist(), work.y_new, work.K
+    ks = [K[0].tolist()]  # each stage's [k_u, k_v]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i in range(1, pair.stages):
+                du, dv = _combination(a[i], dt, ks)
+                y_new[0], y_new[1] = du + u, dv + v
+                ks.append(stage_fn(y_new, K[i]).tolist())
+        except EvalAtZeroU:
+            return y, math.inf, None
+    work.last = pair.stages - 1
+    (u_new, v_new), (ku, kv) = y_new.tolist(), ks[-1]
+    if not all(map(math.isfinite, (u_new, v_new, ku, kv))):
+        return y, math.inf, None
+    eu, ev = _combination(e, dt, ks)
+    ru = _scaled_error(eu, u, u_new, rel_tol, abs_tol)
+    rv = _scaled_error(ev, v, v_new, rel_tol, abs_tol)
+    return y_new, math.sqrt((ru * ru + rv * rv) / 2), K[work.last]
+
+
+def _combination(weights, dt, ks):
+    """sum_i (weights[i] * dt) * ks[i] of the (u, v) float pairs ks, as a
+    pair, summed in the order of i: the weights are scaled by dt first, as
+    the rows `_explicit_stages` combines are."""
+    su = sv = 0.0
+    for w, (ku, kv) in zip(weights, ks):
+        w *= dt
+        su += w * ku
+        sv += w * kv
+    return su, sv
+
+
+def _scaled_error(err, old, new, rel_tol, abs_tol):
+    """err over `_error_scale`'s scale of one cell's floats, or 0 where that
+    scale is 0."""
+    scale = abs_tol + rel_tol * max(abs(old), abs(new))
+    return err / scale if scale else 0.0
 
 
 def _error_scale(y, y_new, rel_tol, abs_tol, out):

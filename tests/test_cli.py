@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,10 @@ from rdblowup.cli import (
 )
 import rdblowup.cli
 from rdblowup.errors import ConfigError
+from rdblowup.functionals import TRACE_COLUMNS
 from rdblowup.solver import simulate
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 BLOWUP_BOX = """\
 [domain]
@@ -203,6 +208,29 @@ class TestSimulate:
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0].startswith("t,E,J,")
         assert len(lines) > 10
+
+    @pytest.mark.parametrize("config", ["absorption_threshold", "sandwich_box3d"])
+    def test_trace_csv_is_the_csv_writer_rendering(self, tmp_path, monkeypatch, config):
+        # trace.csv is built as one string; its bytes are those csv.writer
+        # writes for the run's rows: a column with no value (J and int F of
+        # the absorption family) as nan, \r\n after every line
+        traces = []
+
+        def kept(solver_config):
+            traces.append(simulate(solver_config))
+            return traces[-1]
+
+        monkeypatch.setattr(rdblowup.cli, "simulate", kept)
+        out = tmp_path / "out"
+        assert run("simulate", str(DEMO_CONFIGS / f"{config}.ini"), out) == EXIT_OK
+        samples = traces[0].samples
+        if config == "absorption_threshold":
+            assert all(s.J is None and s.intF is None for s in samples)
+        reference = io.StringIO()
+        writer = csv.writer(reference)
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows(s.row() for s in samples)
+        assert (out / "trace.csv").read_bytes() == reference.getvalue().encode()
 
     def test_reports_are_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, BLOWUP_BOX)

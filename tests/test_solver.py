@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
 from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_robin_operator, linear_decay, zero_reaction
 import rdblowup.solver
+from rdblowup.cli import main
 from rdblowup.errors import EvalAtZeroU, InsufficientSamples, NonFiniteField
 from rdblowup.functionals import FieldPair
 from rdblowup.geometry import DomainSpec, Mesh, RobinOperator, build_mesh, interior_integral
@@ -34,6 +37,8 @@ from rdblowup.solver import (
     simulate,
     step,
 )
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def constant_fields(mesh, cu, cv, t=0.0):
@@ -363,6 +368,77 @@ class TestStepWorkspace:
         y = work.accept(y)
         assert y is y_new
         assert np.array_equal(work.K[0], f_new)
+
+
+def constant_push(y, out):
+    """A stage function whose every stage is 1e307 in every cell."""
+    out.fill(1e307)
+    return out
+
+
+ONE_CELL_CASES = {
+    # name: (stage function, (u, v), dt, rel_tol, abs_tol, outcome)
+    "accepted_dt_1e-3": (make_power_product(1.0, 2.0, 2.0), (1.0, 1.0), 1e-3, 1e-8, 1e-10,
+                         "accepted"),
+    "accepted_dt_1e-2": (make_power_product(1.0, 2.0, 2.0), (1.0, 1.0), 1e-2, 1e-6, 1e-8,
+                         "accepted"),
+    "rejected_dt_0.1": (make_power_product(1.0, 2.0, 2.0), (1.0, 1.0), 0.1, 1e-8, 1e-10,
+                        "rejected"),
+    "zero_field_abs_tol_0": (linear_decay(), (0.0, 1.0), 0.05, 1e-6, 0.0, "accepted"),
+    "stage_leaves_the_domain": (make_gradient_homogeneous(1.0, 2.0, shape_constant()),
+                                (1.0, 0.5), 0.1, 1e-8, 1e-10, "non_finite"),
+    "stage_overflows": (make_power_product(1.0, 2.0, 2.0), (1e60, 1e60), 1e-14, 1e-8, 1e-10,
+                        "non_finite"),
+    "y_new_overflows": (constant_push, (1.79e308, 1.0), 1.0, 1e-8, 1e-10, "non_finite"),
+}
+
+
+class TestOneCellStep:
+    # DP5 on a one-cell state [u, v] combines its stages on floats; the array
+    # path steps the same cell duplicated, [u, u, v, v], whose RMS norm is
+    # the cell's.  The two agree: y_new and the FSAL row to 1e-14 relative,
+    # err to 1e-12 of max(err, 1), and the same accept/reject decision
+    @pytest.mark.parametrize("case", list(ONE_CELL_CASES))
+    def test_matches_the_array_path_on_the_duplicated_cell(self, case):
+        reaction, cell, dt, rel_tol, abs_tol, outcome = ONE_CELL_CASES[case]
+        stage_fn = (reaction if callable(reaction)
+                    else partial(_reaction_into, reaction))
+        results = []
+        for y in (np.array(cell), np.repeat(cell, 2)):
+            with np.errstate(all="raise"):
+                work = started(y, stage_fn)
+                results.append((y, work, step(y, dt, stage_fn, rel_tol, abs_tol, work)))
+        (y, work, (y_new, err, k)), (_, work4, (y_new4, err4, k4)) = results
+        if outcome == "non_finite":
+            assert err == err4 == math.inf and k is None and k4 is None
+            assert y_new is y and np.array_equal(y, cell)
+            return
+        assert (err <= 1.0) == (err4 <= 1.0) == (outcome == "accepted")
+        assert math.isfinite(err) and abs(err - err4) <= 1e-12 * max(err4, 1.0)
+        assert y_new is work.y_new and work.last == work4.last == DP5.stages - 1
+        assert np.shares_memory(k, work.K[work.last])
+        for one, four in ((y_new, y_new4), (k, k4)):
+            assert np.array_equal(four[::2], four[1::2])
+            assert np.all(np.abs(one - four[::2]) <= 1e-14 * np.abs(four[::2]))
+
+    def test_one_cell_dp5_steps_take_the_float_path(self, monkeypatch, tmp_path):
+        # criterion 1's run takes every DP5 trial on floats and its Lawson
+        # trial on arrays; robin_drain (16^2 cells, folded to 8^2) takes none
+        sizes = []
+        float_step = rdblowup.solver._one_cell_step
+
+        def counted(y, *args):
+            sizes.append(y.size)
+            return float_step(y, *args)
+
+        monkeypatch.setattr(rdblowup.solver, "_one_cell_step", counted)
+        trace, _ = flat_blowup_3d()
+        assert sizes == [2] * sum(trace.steps_by_pair["dp5"].values()) == [2] * 354
+        sizes.clear()
+        config = DEMO_CONFIGS / "robin_drain.ini"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        dp5 = json.loads((tmp_path / "report.json").read_text())["simulation"]["steps_by_pair"]
+        assert sum(dp5["dp5"].values()) > 0 and sizes == []
 
 
 class NoDiffusion(RobinOperator):
@@ -1163,7 +1239,7 @@ class TestCollapse:
         assert len(ops) == 1 and ops[0].is_zero and "matrix" not in vars(ops[0])
         assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
                                        "dp5": {"accepted": 354, "rejected": 0}}
-        assert trace.blowup_estimate.t == 0.2500000001883155
+        assert trace.blowup_estimate.t == 0.25000000018831553
 
     @pytest.mark.parametrize("cells, data, gammas, collapsed, axes", [
         ((8, 6, 4), "flat", (0.0, 0.0), (0, 1, 2), ()),
