@@ -29,6 +29,7 @@ Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
 
 import argparse
 import configparser
+import csv
 import dataclasses
 import json
 import math
@@ -213,12 +214,14 @@ def _write_report(report, out_dir: Path):
 
 
 def _write_trace(trace, out_dir: Path):
-    """trace.csv in one write: the column names, then each row's floats as
-    `repr`, comma-separated, every line ending in CR LF; these are the bytes
-    `csv.writer` writes, nan standing for a missing column."""
+    """trace.csv in one write, in the bytes `csv.writer` writes in its
+    default dialect, `csv.excel`: the column names, then each row's floats
+    as `repr` (nan for a missing column), comma-separated, every line
+    ending in CR LF."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(TRACE_COLUMNS), *(",".join(map(repr, s.row())) for s in trace.samples), ""]
-    (out_dir / "trace.csv").write_text("\r\n".join(lines), newline="")
+    sep, end = csv.excel.delimiter, csv.excel.lineterminator
+    lines = [sep.join(TRACE_COLUMNS), *(sep.join(map(repr, s.row())) for s in trace.samples), ""]
+    (out_dir / "trace.csv").write_text(end.join(lines), newline="")
 
 
 # --- commands -----------------------------------------------------------

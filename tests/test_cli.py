@@ -761,7 +761,7 @@ class TestInvalidValuesProperty:
                          f"kind = gaussian\nc1 = {c1!r}\nc2 = {c2!r}\n"
                          f"amplitude = {amplitude!r}\nwidth = {width!r}")
                 + f"\n[robin]\ngamma1 = {gamma1!r}\ngamma2 = {gamma2!r}\n")
-        invalid = (cells < 4 or not 0 < half_extent < math.inf or not t_end > 0
+        invalid = (cells < 4 or not 0 < half_extent < math.inf or not 0 < t_end < math.inf
                    or not all(0 <= g < math.inf for g in (gamma1, gamma2))
                    or not all(0 < x < math.inf for x in (alpha, c, k1, k2))
                    or not all(1 <= x < math.inf for x in (a_exp, p))
