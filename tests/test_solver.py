@@ -376,19 +376,18 @@ def constant_push(y, out):
     return out
 
 
+PRODUCT = partial(_reaction_into, make_power_product(1.0, 2.0, 2.0))
 ONE_CELL_CASES = {
     # name: (stage function, (u, v), dt, rel_tol, abs_tol, outcome)
-    "accepted_dt_1e-3": (make_power_product(1.0, 2.0, 2.0), (1.0, 1.0), 1e-3, 1e-8, 1e-10,
-                         "accepted"),
-    "accepted_dt_1e-2": (make_power_product(1.0, 2.0, 2.0), (1.0, 1.0), 1e-2, 1e-6, 1e-8,
-                         "accepted"),
-    "rejected_dt_0.1": (make_power_product(1.0, 2.0, 2.0), (1.0, 1.0), 0.1, 1e-8, 1e-10,
-                        "rejected"),
-    "zero_field_abs_tol_0": (linear_decay(), (0.0, 1.0), 0.05, 1e-6, 0.0, "accepted"),
-    "stage_leaves_the_domain": (make_gradient_homogeneous(1.0, 2.0, shape_constant()),
-                                (1.0, 0.5), 0.1, 1e-8, 1e-10, "non_finite"),
-    "stage_overflows": (make_power_product(1.0, 2.0, 2.0), (1e60, 1e60), 1e-14, 1e-8, 1e-10,
-                        "non_finite"),
+    "accepted_dt_1e-3": (PRODUCT, (1.0, 1.0), 1e-3, 1e-8, 1e-10, "accepted"),
+    "accepted_dt_1e-2": (PRODUCT, (1.0, 1.0), 1e-2, 1e-6, 1e-8, "accepted"),
+    "rejected_dt_0.1": (PRODUCT, (1.0, 1.0), 0.1, 1e-8, 1e-10, "rejected"),
+    "zero_field_abs_tol_0": (partial(_reaction_into, linear_decay()), (0.0, 1.0), 0.05, 1e-6,
+                             0.0, "accepted"),
+    "stage_leaves_the_domain": (
+        partial(_reaction_into, make_gradient_homogeneous(1.0, 2.0, shape_constant())),
+        (1.0, 0.5), 0.1, 1e-8, 1e-10, "non_finite"),
+    "stage_overflows": (PRODUCT, (1e60, 1e60), 1e-14, 1e-8, 1e-10, "non_finite"),
     "y_new_overflows": (constant_push, (1.79e308, 1.0), 1.0, 1e-8, 1e-10, "non_finite"),
 }
 
@@ -400,9 +399,7 @@ class TestOneCellStep:
     # err to 1e-12 of max(err, 1), and the same accept/reject decision
     @pytest.mark.parametrize("case", list(ONE_CELL_CASES))
     def test_matches_the_array_path_on_the_duplicated_cell(self, case):
-        reaction, cell, dt, rel_tol, abs_tol, outcome = ONE_CELL_CASES[case]
-        stage_fn = (reaction if callable(reaction)
-                    else partial(_reaction_into, reaction))
+        stage_fn, cell, dt, rel_tol, abs_tol, outcome = ONE_CELL_CASES[case]
         results = []
         for y in (np.array(cell), np.repeat(cell, 2)):
             with np.errstate(all="raise"):
@@ -437,8 +434,8 @@ class TestOneCellStep:
         sizes.clear()
         config = DEMO_CONFIGS / "robin_drain.ini"
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
-        dp5 = json.loads((tmp_path / "report.json").read_text())["simulation"]["steps_by_pair"]
-        assert sum(dp5["dp5"].values()) > 0 and sizes == []
+        by_pair = json.loads((tmp_path / "report.json").read_text())["simulation"]["steps_by_pair"]
+        assert sum(by_pair["dp5"].values()) > 0 and sizes == []
 
 
 class NoDiffusion(RobinOperator):
