@@ -9,13 +9,16 @@ integrated in the Sundman time s, dt/ds = 1/R with R = 1 + |f| / (1 + |y|)
 y grows exponentially in s and dt/ds decays exponentially, and the steps
 in s stay large where steps in t would shrink to nothing.  The quadrature
 oracle is a deliberately dumb composite trapezoid rule.  Nothing here
-shares stepping or quadrature code with the main modules.  `ode_reduce`
-imports its integrator, `scipy.integrate.solve_ivp`, when it runs, so
-importing this module loads numpy alone.
+shares stepping or quadrature code with the main modules, or imports from
+them.  `ode_reduce` takes scipy's DOP853 (Hairer, Norsett & Wanner, Solving
+ODEs I, II.5-II.6) on Python floats: the tableau of `scipy.integrate.DOP853`
+and the step rule of scipy's Runge-Kutta solvers, with crossings found by
+`scipy.optimize.brentq`.  It imports both when it runs, so importing this
+module loads numpy alone.
 """
 
 from dataclasses import dataclass
-from math import atan, hypot, inf, isfinite, pi, sqrt
+from math import atan, hypot, inf, isfinite, nextafter, pi, sqrt
 from typing import Optional
 
 import numpy as np
@@ -28,6 +31,8 @@ _RTOL, _ATOL = 1e-13, 1e-15
 _TIME_ERROR = 10 * _RTOL
 # the top level of max(u, v) is 1/_CUTOFF
 _CUTOFF = 1e-6
+# brentq's tolerances on a crossing, those `solve_ivp` gives its events
+_ROOT_TOL = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -50,17 +55,147 @@ def _aitken(t0, t1, t2):
     return t2 + d2 * r / (1.0 - r)
 
 
+def _combine(K, w):
+    """sum_j w_j K_j of the 3-float rows K, in order of j, over the first
+    min(len(K), len(w)) rows."""
+    a = b = c = 0.0
+    for (x, y, z), wj in zip(K, w):
+        a += wj * x
+        b += wj * y
+        c += wj * z
+    return a, b, c
+
+
+def _rms(a, b, c):
+    return sqrt(a * a + b * b + c * c) / sqrt(3.0)
+
+
+class _FloatDop853:
+    """scipy's DOP853 on the 3-float state z = (u, v, t) of an autonomous
+    dz/ds = rhs(u, v), rule for rule as `RungeKutta._step_impl` with no step
+    bound: the initial step of `select_initial_step`, the step factors,
+    DOP853's error norm and its 7th-order dense output, all on Python floats.
+    The tableau is read once from the public attributes of
+    `scipy.integrate.DOP853`; the stage nodes C are not needed, as rhs does
+    not depend on s."""
+
+    # scipy's step factor rule: a safety factor, and bounds on the factor
+    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+    def __init__(self, rhs, method):
+        self.rhs = rhs
+        self.exponent = -1 / (method.error_estimator_order + 1)
+        self.A = [row[:i].tolist() for i, row in enumerate(method.A)][1:]
+        self.B, self.E3, self.E5 = method.B.tolist(), method.E3.tolist(), method.E5.tolist()
+        self.A_EXTRA, self.D = method.A_EXTRA.tolist(), method.D.tolist()
+
+    def initial_step(self, z, f):
+        """`select_initial_step` (Hairer, Norsett & Wanner, II.4) from z with
+        dz/ds = f."""
+        scale = [_ATOL + abs(c) * _RTOL for c in z]
+        d0 = _rms(*(c / w for c, w in zip(z, scale)))
+        d1 = _rms(*(g / w for g, w in zip(f, scale)))
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        f_1 = self.rhs(z[0] + h0 * f[0], z[1] + h0 * f[1])
+        d2 = _rms(*((g1 - g0) / w for g1, g0, w in zip(f_1, f, scale))) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** -self.exponent
+        return min(100 * h0, h1)
+
+    def step(self, s, z, f, h_abs):
+        """One accepted step from z at s, where dz/ds = f, trying h_abs
+        first: (s_new, z_new, K, the next step's h_abs), K the 13 stage rows
+        with dz/ds at z_new last; or None once the step falls below 10 ulp
+        of s."""
+        min_step = 10 * (nextafter(s, inf) - s)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:  # also false for a NaN step
+            s_new = s + h_abs
+            h = s_new - s
+            z_new, K = self._stages(z, f, h)
+            err = self._error_norm(K, h, z, z_new)
+            if err < 1:
+                factor = (self.MAX_FACTOR if err == 0
+                          else min(self.MAX_FACTOR, self.SAFETY * err**self.exponent))
+                if rejected:  # no growth right after a rejection
+                    factor = min(1.0, factor)
+                return s_new, z_new, K, h * factor
+            h_abs = h * max(self.MIN_FACTOR, self.SAFETY * err**self.exponent)
+            rejected = True
+        return None
+
+    def _stages(self, z, f, h):
+        u, v, t = z
+        K = [f]
+        for a in self.A:
+            du, dv, _ = _combine(K, a)
+            K.append(self.rhs(u + du * h, v + dv * h))
+        du, dv, dt = _combine(K, self.B)
+        z_new = (u + h * du, v + h * dv, t + h * dt)
+        K.append(self.rhs(z_new[0], z_new[1]))
+        return z_new, K
+
+    def _error_norm(self, K, h, z, z_new):
+        e5 = e3 = 0.0
+        for x5, x3, c, c_new in zip(_combine(K, self.E5), _combine(K, self.E3), z, z_new):
+            scale = _ATOL + max(abs(c), abs(c_new)) * _RTOL
+            x5, x3 = x5 / scale, x3 / scale
+            e5 += x5 * x5
+            e3 += x3 * x3
+        if e5 == 0:
+            return 0.0
+        return h * e5 / sqrt((e5 + 0.01 * e3) * 3)
+
+    def dense_output(self, s, h, z, z_new, K):
+        """The interpolant z(x) on [s, s + h] of a step's rows K, which it
+        extends by 3 stages."""
+        u, v, _ = z
+        for a in self.A_EXTRA:
+            du, dv, _ = _combine(K, a)
+            K.append(self.rhs(u + du * h, v + dv * h))
+        # per component, the coefficients F of scipy's Dop853DenseOutput,
+        # highest first
+        coefficients = []
+        for c, c_new, f_old, f_new, *hd in zip(z, z_new, K[0], K[12],
+                                              *(_combine(K, d) for d in self.D)):
+            dc = c_new - c
+            coefficients.append(([h * x for x in reversed(hd)]
+                                 + [2 * dc - h * (f_new + f_old), h * f_old - dc, dc]))
+
+        def at(s_at):
+            x = (s_at - s) / h
+            weights = (x, 1 - x) * 3 + (x,)
+            out = []
+            for c, F in zip(z, coefficients):
+                y = 0.0
+                for fi, w in zip(F, weights):
+                    y = (y + fi) * w
+                out.append(y + c)
+            return out
+
+        return at
+
+
 def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
     """Integrate the spatially homogeneous reduction and extract the
     blow-up time by geometric extrapolation of level-crossing times.
 
     The state is z = (u, v, t), advanced in the Sundman time s (module
     docstring) by dz/ds = (f1, f2, 1) / R until t reaches t_max or max(u, v)
-    the top level 1/_CUTOFF.  Crossing times of max(u, v) at geometric levels
-    up to 1/_CUTOFF converge geometrically to the blow-up time; the last
-    three are extrapolated.  The uncertainty adds the shift from halving the
-    cutoff (one level earlier), the distance to the last crossing and the
-    integrator's error allowance `_TIME_ERROR` of the estimate.
+    the top level 1/_CUTOFF, with scipy's DOP853 steps taken on floats
+    (`_FloatDop853`).  Only a step in which max(u, v) reaches the next level
+    or t reaches t_max builds the dense output, whose roots, by
+    `scipy.optimize.brentq` as `solve_ivp` finds its events, give the
+    crossing times and the final knot.  Crossing times of max(u, v) at
+    geometric levels up to 1/_CUTOFF converge geometrically to the blow-up
+    time; the last three are extrapolated.  The uncertainty adds the shift
+    from halving the cutoff (one level earlier), the distance to the last
+    crossing and the integrator's error allowance `_TIME_ERROR` of the
+    estimate.  A step that falls below 10 ulp of s ends the run, as scipy's
+    does, with no blow-up time.
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial values must be nonnegative")
@@ -68,47 +203,62 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
         raise ValueError(f"initial values must be finite, got u0 = {u0:g}, v0 = {v0:g}")
     if not 0 < t_max < inf:  # the terminal event needs t to reach t_max
         raise ValueError(f"t_max must be finite and positive, got {t_max:g}")
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import DOP853
+    from scipy.optimize import brentq
 
-    f1, f2 = nl.f1, nl.f2
+    f1, f2, f64 = nl.f1, nl.f2, np.float64
 
-    def fun(s, z):
+    def rhs(u, v):
         # numpy scalars in the reaction, so that a zero division or a
         # negative base gives inf or NaN, not an exception
-        u, v = z[0], z[1]
+        u, v = f64(u), f64(v)
         du, dv = float(f1(u, v)), float(f2(u, v))
         r = 1.0 + hypot(du, dv) / (1.0 + hypot(u, v))
-        return [du / r, dv / r, 1.0 / r]
+        return du / r, dv / r, 1.0 / r
 
     start = max(u0, v0, 1.0)
     top = 1.0 / _CUTOFF
     n_levels = max(4, int(np.ceil(np.log10(top / (10.0 * start)))) + 1)
-    levels = np.geomspace(10.0 * start, top, n_levels)
+    levels = np.geomspace(10.0 * start, top, n_levels).tolist()
 
-    events = []
-    for lev in levels:
-        def ev(s, z, lev=lev):
-            return max(z[0], z[1]) - lev
-        ev.terminal = lev == levels[-1]
-        ev.direction = 1.0
-        events.append(ev)
+    stepper = _FloatDop853(rhs, DOP853)
+    s, z = 0.0, (float(u0), float(v0), 0.0)
+    f = rhs(z[0], z[1])
+    h_abs = stepper.initial_step(z, f)
+    knots = [z]
+    crossing = []  # t at the first crossing of each level, in level order
+    end = None  # s at the terminal event: the top level or t = t_max
+    while end is None and (taken := stepper.step(s, z, f, h_abs)) is not None:
+        s_new, z_new, K, h_abs = taken
+        reached = len(crossing)
+        while reached < n_levels and max(z_new[0], z_new[1]) >= levels[reached]:
+            reached += 1
+        if reached > len(crossing) or z_new[2] >= t_max:
+            at = stepper.dense_output(s, s_new - s, z, z_new, K)
+            roots = [brentq(lambda x, lev=lev: max(at(x)[:2]) - lev, s, s_new,
+                            xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                     for lev in levels[len(crossing):reached]]
+            terminal = roots[-1:] if reached == n_levels else []
+            if z_new[2] >= t_max:
+                terminal.append(brentq(lambda x: at(x)[2] - t_max, s, s_new,
+                                       xtol=_ROOT_TOL, rtol=_ROOT_TOL))
+            if terminal:  # the run stops at the earliest, dropping later crossings
+                end = min(terminal)
+                roots = [x for x in roots if x <= end]
+                z_new = at(end)
+            crossing += [at(x)[2] for x in roots]
+        knots.append(z_new)
+        s, z, f = s_new, z_new, K[12]
 
-    def reached_t_max(s, z):
-        return z[2] - t_max
-    reached_t_max.terminal = True
-    events.append(reached_t_max)
-
-    sol = solve_ivp(fun, (0.0, inf), [u0, v0, 0.0], method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, events=events)
-    crossing = [float(z[0, 2]) for z in sol.y_events[:-1] if z.shape[0] > 0]
     blowup_time = None  # no blow-up reached by t_max
-    if len(crossing) == len(levels):
+    if len(crossing) == n_levels:
         est = _aitken(*crossing[-3:])
         alt = _aitken(*crossing[-4:-1])
         blowup_time = (est, abs(est - alt) + abs(est - crossing[-1]) + _TIME_ERROR * est)
+    us, vs, ts = np.array(knots).T
     return OdeTrace(
-        ts=sol.y[2], us=sol.y[0], vs=sol.y[1], blowup_time=blowup_time,
-        method=f"scipy DOP853 in Sundman time rtol={_RTOL:g}, "
+        ts=ts, us=us, vs=vs, blowup_time=blowup_time,
+        method=f"DOP853 (scipy tableau) on floats in Sundman time rtol={_RTOL:g}, "
                f"level extrapolation cutoff={_CUTOFF:g}",
     )
 

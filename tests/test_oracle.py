@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import linear_decay
 from rdblowup.geometry import build_mesh
-from rdblowup.nonlinearity import make_power_product
+from rdblowup.nonlinearity import Nonlinearity, make_power_product
 from rdblowup.oracle import (
     brute_force_integral,
     ode_reduce,
@@ -66,6 +67,51 @@ class TestOdeReduce:
         assert trace.blowup_time is not None
         assert len(trace.ts) - 1 <= 150
         assert max(trace.us[-1], trace.vs[-1]) == pytest.approx(1e6, rel=1e-9)
+
+    def test_pins_the_knots_and_reaction_calls_from_1_1(self):
+        # 106 steps, and one f1 per stage: 2 to choose the first step, 12 per
+        # step tried, 3 more per step whose dense output finds a crossing.
+        # perfbench counts these calls as oracle.ode_rhs_evals
+        nl = make_power_product(1.0, 2.0, 2.0)
+        calls = []
+
+        def f1(u, v):
+            calls.append(u)
+            return nl.f1(u, v)
+
+        trace = ode_reduce(dataclasses.replace(nl, f1=f1), 1.0, 1.0, t_max=1.0)
+        assert len(trace.ts) == 107
+        assert len(calls) == 1328
+
+    def test_a_reaction_that_turns_nan_ends_the_run(self):
+        # every step past u = 5 is rejected until the step falls below 10 ulp
+        # of s, which ends the run; NaN on floats raises no RuntimeWarning,
+        # which the test configuration makes an error
+        nl = Nonlinearity(family="custom", params={},
+                          f1=lambda u, v: math.nan if u > 5 else 2.0 * float(u) * float(v) ** 2,
+                          f2=lambda u, v: 2.0 * float(u) ** 2 * float(v))
+        trace = ode_reduce(nl, 1.0, 1.0, t_max=1.0)
+        assert trace.blowup_time is None
+        assert max(trace.us[-1], trace.vs[-1]) < 5
+
+    def test_a_reaction_nan_at_the_data_ends_the_run_at_once(self):
+        # the first step is NaN, which is below no step floor, so the loop's
+        # test must fail on NaN too
+        nl = Nonlinearity(family="custom", params={}, f1=lambda u, v: math.nan,
+                          f2=lambda u, v: 0.0)
+        trace = ode_reduce(nl, 1.0, 1.0, t_max=1.0)
+        assert trace.blowup_time is None
+        assert len(trace.ts) == 1
+
+    def test_stops_at_a_t_max_among_the_last_levels(self):
+        # t_max falls between the crossings of 1e3 and 1e4: the t_max root
+        # ends the run in a step that crosses no level, with levels left
+        nl = make_power_product(1.0, 2.0, 2.0)
+        t_max = 0.25 - 1e-7
+        trace = ode_reduce(nl, 1.0, 1.0, t_max=t_max)
+        assert trace.blowup_time is None
+        assert trace.ts[-1] == pytest.approx(t_max, rel=1e-14)
+        assert trace.us[-1] == pytest.approx(4e-7 ** -0.5, rel=1e-8)
 
     def test_stops_at_t_max_before_blowup(self):
         nl = make_power_product(1.0, 2.0, 2.0)

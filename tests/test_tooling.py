@@ -1,5 +1,6 @@
 """Source checks: the solver and the modules it builds on never call scipy's
-integrators, so the ODE oracle, which does, stays independent of them; the
+integrators or drive its steppers, and the ODE oracle, which takes DOP853's
+tableau, imports nothing from the package, so the two stay independent; the
 solver calls the reaction f1, f2 at one site each; it leaves the
 operator's product and the mesh's fold and collapse to geometry.py;
 `simulate` writes how a run ends once: one loop condition, no `break`, one
@@ -22,7 +23,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "rdblowup"
 SANDWICH_CONFIG = SRC.parent.parent / "demos" / "configs" / "sandwich_box3d.ini"
 ROBIN_CONFIG = SANDWICH_CONFIG.with_name("robin_drain.ini")
-INTEGRATORS = {"solve_ivp", "odeint"}
+# scipy's integrators, and its stepper classes, which a loop can drive by hand
+INTEGRATORS = {"solve_ivp", "odeint", "DOP853", "RK45", "RK23", "Radau", "BDF", "LSODA",
+               "ode"}
 
 
 def integrator_uses(tree):
@@ -58,14 +61,47 @@ def test_module_calls_no_scipy_integrator(module):
     "from scipy import integrate",
     "odeint(f, y0, t)",
     "scipy.integrate.solve_ivp(f, (0, 1), y0)",
+    "DOP853(f, 0.0, y0, 1.0).step()",
 ])
 def test_every_form_is_found(source):
     assert len(integrator_uses(ast.parse(source))) == 1
 
 
 def test_the_oracle_is_found():
-    # the oracle's own use of solve_ivp, the import and the call
-    assert len(integrator_uses(ast.parse((SRC / "oracle.py").read_text()))) == 2
+    # the oracle imports DOP853 for its tableau and steps it on floats itself:
+    # the import, and no integrator call
+    assert len(integrator_uses(ast.parse((SRC / "oracle.py").read_text()))) == 1
+
+
+def package_imports(tree):
+    """(line, module) of each import of the package's own modules in a parsed
+    module: a relative import, or one of `rdblowup`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] == "rdblowup"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "rdblowup"):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .solver import step", 1),
+    ("from . import geometry", 1),
+    ("def f():\n    from rdblowup.solver import simulate", 1),
+    ("import rdblowup.geometry as g", 1),
+    ("import numpy as np\nfrom math import inf\nfrom scipy.optimize import brentq", 0),
+])
+def test_every_package_import_is_found(source, found):
+    assert len(package_imports(ast.parse(source))) == found
+
+
+def test_the_oracle_imports_nothing_from_the_package():
+    # the oracle checks the solver, so it shares no code with it or with the
+    # modules the solver builds on
+    assert package_imports(ast.parse((SRC / "oracle.py").read_text())) == []
 
 
 def module_level_scipy_imports(tree):
