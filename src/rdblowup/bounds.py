@@ -12,18 +12,27 @@ when it runs, so the upper bound alone never loads scipy.
 
 from dataclasses import dataclass
 from decimal import Context, Decimal
+from math import inf
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    ConstantOutOfRange,
     DimensionNot3,
     HypothesisFailed,
     NonpositiveE0,
     NonpositiveJ0,
 )
 from .functionals import FieldPair, energy_sample, require_growth_constants
-from .geometry import BALL, DomainSpec, GeometryConstants, Mesh, geometry_constants
+from .geometry import (
+    BALL,
+    DomainSpec,
+    GeometryConstants,
+    Mesh,
+    _finite_total,
+    geometry_constants,
+)
 from .nonlinearity import (
     HypothesisReport,
     Nonlinearity,
@@ -87,14 +96,14 @@ def upper_bound_blowup(nl: Nonlinearity, g1, g2, mesh: Mesh,
                        gamma1: float, gamma2: float, alpha: float) -> UpperBoundResult:
     """Verify H1-H3 on the given data and compute t_upper = E0/(alpha*J0).
 
-    Refusals come in a fixed order: E0 <= 0 (decided on the raw data, as the
-    data rule must admit the data before the row evaluates F), H1's errors,
-    the Robin and data rules, the first of H1-H3 to fail, then J0 <= 0.
+    Refusals come in a fixed order: H1's errors, the Robin and data rules,
+    E0 <= 0 (decided on the initial data's monitor row, which the data rule
+    admits), the first of H1-H3 to fail, then J0 <= 0.
     """
-    if energy_sample(FieldPair(u=g1, v=g2, t=0.0), mesh).E <= 0:
-        raise NonpositiveE0("initial energy vanishes")
     rep1 = check_H1(nl, alpha)
     row, (rep2, rep3) = _initial_data_row(nl, g1, g2, mesh, gamma1, gamma2, alpha)
+    if row.E <= 0:
+        raise NonpositiveE0("initial energy vanishes")
     reports = _require_hold((rep1, rep2, rep3))
     E0, J0 = row.E, row.J
     if J0 <= 0:
@@ -111,11 +120,20 @@ def upper_bound_blowup(nl: Nonlinearity, g1, g2, mesh: Mesh,
     )
 
 
+def _power(x: float, y: float) -> float:
+    """x**y of a nonnegative float x, or inf where it overflows, where
+    Python's float power raises OverflowError."""
+    try:
+        return x**y
+    except OverflowError:
+        return inf
+
+
 def _domain_factor(geo: GeometryConstants) -> float:
     """(d/rho + 1)^(3/2), the domain's factor in beta's admissibility and in K2."""
     if geo.rho <= 0:
         raise ValueError(f"need rho > 0, got {geo.rho:g}")
-    return (geo.d / geo.rho + 1.0) ** 1.5
+    return _power(geo.d / geo.rho + 1.0, 1.5)
 
 
 def select_betas(p: float, k1: float, k2: float, geo: GeometryConstants):
@@ -140,8 +158,17 @@ def compute_K(p: float, k: float, geo: GeometryConstants, beta: float):
     if beta <= 0:
         raise ValueError(f"need beta > 0, got {beta:g}")
     # K2 first: its factor checks rho > 0, which K1's rho^(-3/2) needs
-    K2 = (p * k / (2.0**0.5 * 3.0**0.75)) * _domain_factor(geo) * beta**-3.0
-    return 3.0**0.75 * p * k * geo.rho**-1.5, K2
+    K2 = (p * k / (2.0**0.5 * 3.0**0.75)) * _domain_factor(geo) * _power(beta, -3.0)
+    return 3.0**0.75 * p * k * _power(geo.rho, -1.5), K2
+
+
+def _require_in_range(**constants):
+    """The rule of the lower bound's constants: each a positive finite float,
+    which a beta that underflows or a K that overflows is not."""
+    for name, value in constants.items():
+        if not 0 < value < inf:
+            raise ConstantOutOfRange(f"{name} = {value:g} is not a positive finite float: "
+                                     "the lower bound's constants leave the float range")
 
 
 def lower_bound_blowup(scriptE0: float, K1: float, K2: float):
@@ -186,7 +213,8 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
     scriptE(0) and the bound integral into a LowerBoundResult.
 
     `domain` is either a Mesh (box; g1, g2 per-cell) or a ball DomainSpec
-    (g1, g2 must then be spatially constant values).
+    (g1, g2 must then be spatially constant values).  A beta, K1 or K2 that
+    leaves the positive floats raises ConstantOutOfRange.
     """
     spec = domain.spec if isinstance(domain, Mesh) else domain
     if spec.dimension != 3:
@@ -203,13 +231,17 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
         if spec.kind != BALL:
             raise ValueError("an unmeshed domain must be a ball")
         c1, c2 = float(g1), float(g2)
-        scriptE0 = (c1 ** (2.0 * p) + c2 ** (2.0 * p)) * spec.volume
+        # NonFiniteSample where it overflows, as the mesh's row raises it
+        scriptE0 = _finite_total((_power(c1, 2.0 * p) + _power(c2, 2.0 * p)) * spec.volume,
+                                 "interior")
         caveat = None
 
     beta1, beta2 = select_betas(p, k1, k2, geo)
     k = max(k1, k2)
     beta = min(beta1, beta2)
+    _require_in_range(beta=beta)
     K1, K2 = compute_K(p, k, geo, beta)
+    _require_in_range(K1=K1, K2=K2)
     t_lower, err = lower_bound_blowup(scriptE0, K1, K2)
     return LowerBoundResult(
         p=p, k1=k1, k2=k2, k=k, rho=geo.rho, d=geo.d,

@@ -64,6 +64,10 @@ class NonpositiveE0(BoundRefused):
     """Initial energy must be positive."""
 
 
+class ConstantOutOfRange(BoundRefused):
+    """A lower-bound constant beta, K1 or K2 is not a positive finite float."""
+
+
 class DimensionNot3(BoundRefused):
     """The lower bound is only available in three dimensions."""
 

@@ -173,8 +173,12 @@ def energy_rows(states: np.ndarray, ts, dts, mesh: Mesh, nl=None, alpha: float =
     each y = [u; v], at the times `ts` and with the steps `dts`.
 
     NonFiniteSample, as `energy_sample` raises it, for the first state with
-    a non-finite integral."""
+    a non-finite integral.  ValueError unless each state holds both fields'
+    values in every cell of the mesh."""
     k = len(states)
+    if states.shape[1] != 2 * mesh.n_cells:
+        raise ValueError(f"a state needs one value of u and one of v per cell "
+                         f"({mesh.n_cells}), got {states.shape[1]} values")
     fields = states.reshape(k, 2, -1)
     bdry = _boundary_energies(states, mesh)
     grad = _gradient_energies(states.ravel(), mesh).reshape(k, 2)

@@ -18,6 +18,7 @@ which the upper bound reads too.
 """
 
 from dataclasses import dataclass
+from math import log
 from typing import Callable, Optional
 
 import numpy as np
@@ -355,6 +356,12 @@ def classify_absorption(p: float, q: float, r: float, s: float,
     # threshold pq == max(r,1)*max(s,1)
     if r <= 1 or s <= 1:
         return THRESHOLD_GLOBAL
-    if a**q * b**r >= 1:
+    # a^q b^r >= 1: as the product, which decides a near tie more often
+    # right than logarithms do, unless a power overflows; then in logarithms
+    try:
+        bounded = a**q * b**r >= 1
+    except OverflowError:
+        bounded = q * log(a) >= -r * log(b)
+    if bounded:
         return THRESHOLD_GLOBAL_BOUNDED
     return THRESHOLD_BLOWUP_SMALL_AB

@@ -108,12 +108,13 @@ class _FloatDop853:
         """One accepted step from z at s, where dz/ds = f, trying h_abs
         first: (s_new, z_new, K, the next step's h_abs), K the 13 stage rows
         with dz/ds at z_new last; or None once the step falls below 10 ulp
-        of s."""
+        of s or s + h overflows."""
         min_step = 10 * (nextafter(s, inf) - s)
         h_abs = max(h_abs, min_step)
         rejected = False
-        while h_abs >= min_step:  # also false for a NaN step
-            s_new = s + h_abs
+        # false for a NaN step, and for one whose s_new overflows: a reaction
+        # that overflows |f| but not f makes dz/ds = 0, and every step's error 0
+        while min_step <= h_abs and (s_new := s + h_abs) < inf:
             h = s_new - s
             z_new, K = self._stages(z, f, h)
             err = self._error_norm(K, h, z, z_new)
@@ -195,7 +196,7 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
     from halving the cutoff (one level earlier), the distance to the last
     crossing and the integrator's error allowance `_TIME_ERROR` of the
     estimate.  A step that falls below 10 ulp of s ends the run, as scipy's
-    does, with no blow-up time.
+    does, with no blow-up time; so does a step past the float range of s.
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial values must be nonnegative")

@@ -11,15 +11,25 @@ from rdblowup.bounds import (
     select_betas,
     upper_bound_blowup,
 )
+import rdblowup.bounds
+import rdblowup.nonlinearity
 from rdblowup.errors import (
+    ConstantOutOfRange,
     DimensionNot3,
     HypothesisFailed,
     NegativeInitialData,
+    NonFiniteSample,
     NonpositiveE0,
     NonpositiveJ0,
 )
+from rdblowup.functionals import FieldPair, energy_sample
 from rdblowup.geometry import DomainSpec, GeometryConstants, build_mesh, geometry_constants
-from rdblowup.nonlinearity import check_A2prime, make_absorption, make_power_product
+from rdblowup.nonlinearity import (
+    check_A2prime,
+    check_H2_H3,
+    make_absorption,
+    make_power_product,
+)
 from rdblowup.oracle import brute_force_integral
 
 
@@ -66,6 +76,14 @@ class TestUpperBound:
     def test_zero_data_raises(self, mesh2d):
         nl = make_power_product(1.0, 2.0, 2.0)
         g1, g2 = constant_data(mesh2d, 0.0, 0.0)
+        with pytest.raises(NegativeInitialData, match="must not completely vanish"):
+            upper_bound_blowup(nl, g1, g2, mesh2d, 0.0, 0.0, 1.0)
+
+    def test_underflowing_energy_raises(self, mesh2d):
+        # the squares of 1e-200 underflow: the row's E(0) is 0, though the
+        # data rule admits the data
+        nl = make_power_product(1.0, 2.0, 2.0)
+        g1, g2 = constant_data(mesh2d, 1e-200, 1e-200)
         with pytest.raises(NonpositiveE0):
             upper_bound_blowup(nl, g1, g2, mesh2d, 0.0, 0.0, 1.0)
 
@@ -289,9 +307,94 @@ class TestLowerBoundPipeline:
         with pytest.raises(NegativeInitialData):
             lower_bound_pipeline(nl, *args, p=2.0, k1=2.0, k2=2.0)
 
+    def test_ball_scriptE0_past_float_range_is_a_nonfinite_sample(self):
+        # (1e200)^4 overflows, as it makes the mesh's row not finite
+        nl = make_power_product(1.0, 2.0, 2.0)
+        ball = DomainSpec("ball", 3, radius=1.0)
+        with pytest.raises(NonFiniteSample, match="interior"):
+            lower_bound_pipeline(nl, 1e200, 1e200, ball, p=2.0, k1=2.0, k2=2.0)
+
     def test_unknown_mode_rejected(self):
         nl = make_power_product(1.0, 2.0, 2.0)
         ball = DomainSpec("ball", 3, radius=1.0)
         with pytest.raises(ValueError):
             lower_bound_pipeline(nl, 1.0, 1.0, ball, p=2.0, k1=2.0, k2=2.0,
                                  mode="bogus")
+
+
+class TestOneMonitorRow:
+    # each bound reads the initial data's functionals off one monitor row
+    @pytest.mark.parametrize("bound", ["upper", "lower"])
+    def test_each_bound_builds_one_row(self, mesh3d, monkeypatch, bound):
+        rows = []
+
+        def counted(*args, **kwargs):
+            rows.append(args[0])
+            return energy_sample(*args, **kwargs)
+
+        for module in (rdblowup.bounds, rdblowup.nonlinearity):
+            monkeypatch.setattr(module, "energy_sample", counted)
+        nl = make_power_product(1.0, 2.0, 2.0)
+        g1, g2 = constant_data(mesh3d, 1.0, 1.0)
+        if bound == "upper":
+            res = upper_bound_blowup(nl, g1, g2, mesh3d, 0.0, 0.0, 1.0)
+            assert (res.E0, res.J0) == (16.0, 64.0)
+        else:
+            res = lower_bound_pipeline(nl, g1, g2, mesh3d, p=2.0, k1=2.0, k2=2.0)
+            assert res.scriptE0 == 16.0
+        assert len(rows) == 1
+
+
+class TestDataOfTheWrongSize:
+    # one value of each field per cell, or a ValueError naming the cell count
+    @pytest.mark.parametrize("call", [
+        lambda nl, mesh: energy_sample(FieldPair(u=1.0, v=1.0, t=0.0), mesh, nl),
+        lambda nl, mesh: upper_bound_blowup(nl, 1.0, 1.0, mesh, 0.0, 0.0, 1.0),
+        lambda nl, mesh: lower_bound_pipeline(nl, 1.0, 1.0, mesh, p=2.0, k1=2.0, k2=2.0),
+        lambda nl, mesh: check_H2_H3(nl, np.ones(5), np.ones(5), mesh, 0.0, 0.0),
+    ], ids=["energy_sample", "upper_bound", "lower_bound", "check_H2_H3"])
+    def test_refused_with_the_cell_count(self, mesh3d, call):
+        with pytest.raises(ValueError, match=r"per cell \(512\)"):
+            call(make_power_product(1.0, 2.0, 2.0), mesh3d)
+
+
+class TestConstantsPastFloatRange:
+    # a beta that underflows to 0, or a K1 or K2 that overflows, refuses the
+    # lower bound in place of a ValueError or an OverflowError
+    @pytest.mark.parametrize("p, k, half_extents, name", [
+        (1e160, 3.0, (1.0, 1.0, 1.0), "beta"),
+        (2.0, 1e308, (1.0, 1.0, 1.0), "beta"),
+        (2.0, 1e300, (1.0, 1.0, 1.0), "K2"),
+        (2.0, 3.0, (1e-300, 1.0, 1.0), "beta"),
+        (2.0, 3.0, (1e150, 1.0, 1.0), "K2"),
+    ], ids=["p1e160", "k1e308", "k1e300", "rho1e-300", "d1e150"])
+    def test_refused(self, p, k, half_extents, name):
+        mesh = build_mesh(DomainSpec("box", 3, half_extents=half_extents), 4)
+        g1, g2 = constant_data(mesh, 1.0, 1.0)
+        with pytest.raises(ConstantOutOfRange, match=f"^{name} = "):
+            lower_bound_pipeline(make_power_product(1.0, 2.0, 2.0), g1, g2, mesh,
+                                 p=p, k1=k, k2=k)
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("call", [
+        lambda geo: select_betas(2.0, 1.0, 1.0, geo),
+        lambda geo: compute_K(2.0, 1.0, geo, 0.5),
+    ], ids=["select_betas", "compute_K"])
+    def test_rho_must_be_positive(self, call):
+        with pytest.raises(ValueError, match="need rho > 0"):
+            call(GeometryConstants(rho=0.0, d=1.0))
+
+    def test_compute_K_needs_a_positive_beta(self):
+        with pytest.raises(ValueError, match="need beta > 0"):
+            compute_K(2.0, 1.0, GeometryConstants(rho=1.0, d=1.0), 0.0)
+
+    @pytest.mark.parametrize("K1, K2", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)])
+    def test_integral_needs_K1_positive_and_K2_nonnegative(self, K1, K2):
+        with pytest.raises(ValueError, match="need K1 > 0 and K2 >= 0"):
+            lower_bound_blowup(1.0, K1, K2)
+
+    def test_unmeshed_domain_must_be_a_ball(self, box3d):
+        with pytest.raises(ValueError, match="an unmeshed domain must be a ball"):
+            lower_bound_pipeline(make_power_product(1.0, 2.0, 2.0), 1.0, 1.0, box3d,
+                                 p=2.0, k1=2.0, k2=2.0)

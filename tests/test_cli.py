@@ -4,8 +4,12 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +28,7 @@ from rdblowup.functionals import TRACE_COLUMNS
 from rdblowup.solver import simulate
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+SRC = DEMO_CONFIGS.parent.parent / "src"
 
 BLOWUP_BOX = """\
 [domain]
@@ -459,6 +464,83 @@ class TestInadmissibleData:
         if command == "sandwich":
             assert report["sandwich"]["partial"] is True
             assert report["simulation"]["outcome"] == "blowup_detected"
+
+
+# the flat 8^3 box under F = u^2 v^2, with both bounds' parameters
+FLAT_CUBE = BLOWUP_BOX.replace(*BOX_3D[:2]).replace(*BOX_3D[2:]).replace(
+    "alpha = 1.0", "alpha = 1.0\np = 2\nk1 = 3\nk2 = 3")
+# (old, new) edits of FLAT_CUBE whose beta underflows to 0 or whose K1 or K2
+# overflows, each with `sandwich`'s exit code
+PAST_FLOAT_RANGE = [
+    (("\np = 2\n", "\np = 1e160\n"), EXIT_NUMERICAL),
+    (("k1 = 3\nk2 = 3", "k1 = 1e308\nk2 = 1e308"), EXIT_OK),
+    (("k1 = 3\nk2 = 3", "k1 = 1e300\nk2 = 1e300"), EXIT_OK),
+    (("half_extents = 1 1 1", "half_extents = 1e-300 1 1"), EXIT_CONFIG),
+    (("half_extents = 1 1 1", "half_extents = 1e150 1 1"), EXIT_OK),
+]
+PAST_FLOAT_RANGE_IDS = ["p1e160", "k1e308", "k1e300", "rho1e-300", "d1e150"]
+
+
+class TestValuesPastFloatRange:
+    # values the config rules accept, whose arithmetic leaves the float
+    # range: a refusal or an exit code, never a traceback
+    @pytest.mark.parametrize("edit", [edit for edit, _ in PAST_FLOAT_RANGE],
+                             ids=PAST_FLOAT_RANGE_IDS)
+    def test_bounds_refuses_the_lower_bound(self, tmp_path, capsys, edit):
+        assert FLAT_CUBE.count(edit[0]) == 1
+        out = tmp_path / "out"
+        assert run("bounds", write_config(tmp_path, FLAT_CUBE.replace(*edit)), out) == EXIT_FAILED
+        report = load_report(out)
+        assert report["lower_bound"]["error"]["type"] == "ConstantOutOfRange"
+        assert report["upper_bound"]["t_upper"] == pytest.approx(0.25, abs=1e-9)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, expected", PAST_FLOAT_RANGE, ids=PAST_FLOAT_RANGE_IDS)
+    def test_sandwich_exits_with_a_code(self, tmp_path, capsys, edit, expected):
+        # p = 1e160 makes the monitored scriptE overflow (a numerical
+        # failure), and a 1e-300 wide axis is too thin to simulate (a config
+        # error); otherwise the sandwich is partial
+        out = tmp_path / "out"
+        code = run("sandwich", write_config(tmp_path, FLAT_CUBE.replace(*edit)), out)
+        assert code == expected
+        if code == EXIT_OK:
+            report = load_report(out)
+            assert report["lower_bound"]["error"]["type"] == "ConstantOutOfRange"
+            assert report["sandwich"]["partial"] is True
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_check_classifies_absorption_with_a_huge_coefficient(self, tmp_path, capsys):
+        # a^3 = 1e900 overflows; a^3 b^3 >= 1 holds
+        text = (DEMO_CONFIGS / "absorption_threshold.ini").read_text()
+        assert text.count("a = 0.01") == 1
+        out = tmp_path / "out"
+        assert run("check", write_config(tmp_path, text.replace("a = 0.01", "a = 1e300")),
+                   out) == EXIT_OK
+        assert load_report(out)["absorption_classification"] == "threshold_global_bounded"
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sandwich_on_a_reaction_whose_norm_overflows_ends(self, tmp_path):
+        # c = 1e300: the oracle's |f| overflows near u = v = 400 and the run
+        # ends with no blow-up time, where it would step forever.  In a
+        # subprocess, for its timeout; numpy's overflow warnings from the
+        # oracle's reaction are printed there, as in any run of the CLI
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        cfg = write_config(tmp_path, FLAT_CUBE.replace("c = 1.0", "c = 1e300"))
+        done = subprocess.run([sys.executable, "-m", "rdblowup.cli", "sandwich", "--config", cfg,
+                               "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_NUMERICAL, done.stderr
+        assert "Traceback" not in done.stderr
+        report = load_report(out)
+        assert report["oracle"]["blowup_time"] is None
+        assert report["sandwich"]["partial"] is True
+
+    def test_non_finite_floats_are_written_as_null(self):
+        assert rdblowup.cli._as_jsonable(
+            {"x": [math.inf, -math.inf, math.nan, np.float64("nan"), 1.5]}
+        ) == {"x": [None, None, None, None, 1.5]}
 
 
 class TestConfigErrors:

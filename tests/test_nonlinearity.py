@@ -354,5 +354,11 @@ class TestClassifyAbsorption:
         with pytest.raises(ValueError, match="a, b must be positive"):
             classify_absorption(2, 2, 1, 1, a, b)
 
+    @pytest.mark.parametrize("a, b, expected", [
+        (1e300, 0.01, THRESHOLD_GLOBAL_BOUNDED), (1e-300, 1e200, THRESHOLD_BLOWUP_SMALL_AB)])
+    def test_threshold_decided_where_a_power_overflows(self, a, b, expected):
+        # 1e900 * 1e-6 and 1e-900 * 1e600: a^3 or b^3 leaves the float range
+        assert classify_absorption(3, 3, 3, 3, a, b) == expected
+
     def test_threshold_global_when_low_absorption_exponent(self):
         assert classify_absorption(1, 1, 1, 1, 0.5, 0.5) == THRESHOLD_GLOBAL

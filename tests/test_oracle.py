@@ -103,6 +103,18 @@ class TestOdeReduce:
         assert trace.blowup_time is None
         assert len(trace.ts) == 1
 
+    def test_a_reaction_whose_norm_overflows_ends_the_run(self):
+        # F = 1e300 u^2 v^2 on floats: near u = v = 400, f is finite but |f|
+        # overflows, so dz/ds = 0 and every step's error is 0; the step grows
+        # tenfold until s + h overflows, which ends the run
+        nl = Nonlinearity(family="custom", params={},
+                          f1=lambda u, v: 2e300 * float(u) * float(v) * float(v),
+                          f2=lambda u, v: 2e300 * float(u) * float(u) * float(v))
+        trace = ode_reduce(nl, 1.0, 1.0, t_max=1.0)
+        assert trace.blowup_time is None
+        assert 300 < trace.us[-1] == trace.vs[-1] < 500
+        assert np.all(np.isfinite(trace.ts))
+
     def test_stops_at_a_t_max_among_the_last_levels(self):
         # t_max falls between the crossings of 1e3 and 1e4: the t_max root
         # ends the run in a step that crosses no level, with levels left
