@@ -4,18 +4,15 @@ The upper bound reads E(0) and J(0) off the monitor row of the initial data:
 with J(0) > 0, blow-up occurs no later than t_upper = E(0)/(alpha*J(0)), and
 M = J(0)/E(0)^(1+alpha) is reported beside it.  The lower bound integrates
 d(xi)/(K1*xi^(3/2) + K2*xi^3) from scriptE(0) to infinity, with K1, K2 built
-from the geometric constants rho, d and the admissible beta constants.  A
-bound that does not apply to its input raises a `BoundRefused` error.
-The quadrature, `scipy.integrate.quad`, is imported by `lower_bound_blowup`
-when it runs, so the upper bound alone never loads scipy.
+from the geometric constants rho, d and the admissible beta constants, in
+closed form (`lower_bound_blowup`).  A bound that does not apply to its
+input raises a `BoundRefused` error.  Neither bound loads scipy.
 """
 
 from dataclasses import dataclass
 from decimal import Context, Decimal
-from math import inf
+from math import atan2, cbrt, inf, log1p, sqrt
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     ConstantOutOfRange,
@@ -45,8 +42,12 @@ from .nonlinearity import (
 
 MODE_A2A3 = "A2A3"
 MODE_A2PRIME = "A2prime"
-# the absolute and relative tolerance of the lower bound's quadrature
-_QUAD_TOL = 1e-12
+# the relative rounding bound of the lower bound's closed form: 4.5 times the
+# largest error seen against mpmath, 2.2e-15 (tests/test_bounds.py)
+_CLOSED_FORM_RTOL = 1e-14
+# x below which H(x) is summed as its series, whose ratio is -x^3
+_SERIES_TOP = 0.75
+_SQRT3 = sqrt(3.0)
 
 SMOOTH_BOUNDARY_CAVEAT = (
     "constants rho, d applied to a box: the boundary is only piecewise "
@@ -171,25 +172,52 @@ def _require_in_range(**constants):
                                      "the lower bound's constants leave the float range")
 
 
+def _series(y: float) -> float:
+    """sum_j (-y)^j / (3j + 4) for 0 <= y < 1, to rounding: H(x) / x^4 at
+    y = x^3."""
+    total, power, j = 0.0, 1.0, 0
+    while abs(power) >= 2.0**-56:  # the sum is at least 1/7
+        total += power / (3 * j + 4)
+        power *= -y
+        j += 1
+    return total
+
+
+def _G(x: float) -> float:
+    """int_0^x ds/(1 + s^3) for x >= 0, +inf included: one log and one atan,
+    (1/6) log((1 + x)^2/(x^2 - x + 1)) + atan2(sqrt(3) x, 2 - x)/sqrt(3),
+    both written so that no term overflows."""
+    if x >= 1.0:
+        return log1p(3.0 / (x - 1.0 + 1.0 / x)) / 6.0 + atan2(_SQRT3, 2.0 / x - 1.0) / _SQRT3
+    return log1p(3.0 * x / (x * x - x + 1.0)) / 6.0 + atan2(_SQRT3 * x, 2.0 - x) / _SQRT3
+
+
 def lower_bound_blowup(scriptE0: float, K1: float, K2: float):
-    """Integrate d(xi)/(K1*xi^(3/2) + K2*xi^3) from scriptE0 to infinity.
+    """Integrate d(xi)/(K1*xi^(3/2) + K2*xi^3) from scriptE0 to infinity:
+    (value, its rounding bound).
 
     The substitution w = xi^(-1/2) turns the improper integral into
-    int_0^{1/sqrt(scriptE0)} 2*w^3/(K1*w^3 + K2) dw, which has a bounded
-    integrand; adaptive quadrature then gives value and error estimate.
+    int_0^W 2*w^3/(K1*w^3 + K2) dw, W = 1/sqrt(scriptE0), and w = a*s with
+    a = (K2/K1)^(1/3) into (2a/K1) H(W/a), H(x) = int_0^x s^3/(1 + s^3) ds,
+    evaluated in closed form: below x = _SERIES_TOP as 2 W (W/K2^(1/3))^3
+    times the alternating series of H(x)/x^4, and above as
+    2 (W - a G(x))/K1, H = x - G, which stays finite where x overflows.
+    The bound is _CLOSED_FORM_RTOL of the value.
     """
     if scriptE0 <= 0:
         raise NonpositiveE0("scriptE(0) must be positive")
     if K1 <= 0 or K2 < 0:
         raise ValueError("need K1 > 0 and K2 >= 0")
-    from scipy.integrate import quad
-
-    def integrand(w):
-        return 2.0 * w**3 / (K1 * w**3 + K2)
-
-    upper = 1.0 / np.sqrt(scriptE0)
-    value, err = quad(integrand, 0.0, upper, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return float(value), float(err)
+    W = 1.0 / sqrt(scriptE0)
+    c = cbrt(K2)
+    a = c / cbrt(K1)
+    x = W / a if a else inf
+    if x < _SERIES_TOP:
+        r = W / c
+        value = 2.0 * W * (r * r * r) * _series(x * x * x)
+    else:
+        value = 2.0 * (W - a * _G(x)) / K1
+    return value, _CLOSED_FORM_RTOL * value
 
 
 def require_mode(mode: str) -> str:

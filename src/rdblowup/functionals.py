@@ -161,7 +161,12 @@ def _boundary_energies(states: np.ndarray, mesh: Mesh) -> np.ndarray:
 def energy_sample(fields: FieldPair, mesh: Mesh, nl=None, alpha: float = 1.0,
                   gamma1: float = 0.0, gamma2: float = 0.0,
                   p: Optional[float] = None, dt: float = float("nan")) -> EnergySample:
-    """Assemble the full monitor row for one state: `energy_rows` on it."""
+    """Assemble the full monitor row for one state: `energy_rows` on it.
+    ValueError unless each field holds one value per cell of the mesh."""
+    sizes = np.size(fields.u), np.size(fields.v)
+    if sizes != (mesh.n_cells, mesh.n_cells):
+        raise ValueError(f"a state needs one value of u and one of v per cell "
+                         f"({mesh.n_cells}), got {sizes[0]} of u and {sizes[1]} of v")
     y = np.concatenate([fields.u, fields.v])
     return energy_rows(y[None], [fields.t], [dt], mesh, nl, alpha, gamma1, gamma2, p)[0]
 

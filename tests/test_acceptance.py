@@ -134,7 +134,7 @@ def test_criterion_4_lower_bound_pipeline():
           and 0.0 < res.t_lower <= 0.25
           and trap_err < 1e-8)
     record(4, ok,
-           f"t_lower {res.t_lower:.6e} in (0, 0.25], quad err "
+           f"t_lower {res.t_lower:.6e} in (0, 0.25], rounding bound "
            f"{res.integral_abs_error:.1e}, trapezoid diff {trap_err:.1e}")
 
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -237,6 +240,77 @@ class TestLowerBoundIntegral:
     def test_rejects_nonpositive_scriptE0(self):
         with pytest.raises(NonpositiveE0):
             lower_bound_blowup(0.0, 1.0, 1.0)
+
+
+def mp_lower_bound(mp, scriptE0, K1, K2):
+    """The bound integral at mpmath's precision: (2a/K1) H(W/a), a = (K2/K1)^(1/3),
+    W = scriptE0^(-1/2), with H(x) = (x^4/4) 2F1(1, 4/3; 7/3; -x^3)."""
+    E0, K1, K2 = mp.mpf(scriptE0), mp.mpf(K1), mp.mpf(K2)
+    a = mp.cbrt(K2 / K1)
+    x = 1 / (mp.sqrt(E0) * a)
+    return 2 * a / K1 * x**4 / 4 * mp.hyp2f1(1, mp.mpf(4) / 3, mp.mpf(7) / 3, -x**3)
+
+
+def mp_quad_lower_bound(mp, scriptE0, K1, K2):
+    """The bound integral by mpmath quadrature in xi, split at the knee
+    K1 xi^(3/2) = K2 xi^3."""
+    E0, K1, K2 = mp.mpf(scriptE0), mp.mpf(K1), mp.mpf(K2)
+    knee = (K1 / K2) ** (mp.mpf(2) / 3)
+    points = [E0] + ([knee] if knee > E0 else []) + [mp.inf]
+    return mp.quad(lambda xi: 1 / (K1 * xi**1.5 + K2 * xi**3), points)
+
+
+# (scriptE0, K1, K2) log-random over [1e-12, 1e12] x [1e-8, 1e8]^2
+LOG_GRID = [tuple(map(float, 10.0 ** row)) for row in
+            np.random.default_rng(36).uniform((-12, -8, -8), (12, 8, 8), (300, 3))]
+# adaptive quadrature, at 1e-12 tolerances, missed the knee at w = 4.6e-5
+# here by 3.6e-5 relative, while it estimated its error as 1.6e-13
+KNEE_MISSED = (0.4246, 2.405e6, 2.378e-7)
+
+
+class TestLowerBoundClosedForm:
+    def test_the_reference_is_the_quadrature(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for point in [KNEE_MISSED, (1.0, 1.0, 8.0), *LOG_GRID[:3]]:
+                ref = mp_lower_bound(mpmath, *point)
+                assert abs(mp_quad_lower_bound(mpmath, *point) / ref - 1) < 1e-20
+
+    def test_agrees_with_mpmath_to_1e_14_over_a_log_grid(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            errors = [abs(lower_bound_blowup(*point)[0] / mp_lower_bound(mpmath, *point) - 1)
+                      for point in [KNEE_MISSED, *LOG_GRID]]
+        assert max(errors) <= 1e-14
+
+    def test_agrees_with_mpmath_on_both_sides_of_the_series_branch(self):
+        # scriptE0 = K1 = 1 and K2 = x^-3 put x = W/a at x, where the
+        # subtraction x - G(x) loses the most digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for x in np.linspace(0.05, 3.0, 120):
+                point = (1.0, 1.0, float(x) ** -3)
+                value, bound = lower_bound_blowup(*point)
+                error = abs(value - mp_lower_bound(mpmath, *point))
+                assert error <= bound, x
+
+    @pytest.mark.parametrize("scriptE0, K1", [(4.0, 3.0), (1e-300, 1e-300), (1e300, 1e300),
+                                              (0.37, 1e-7)])
+    def test_K2_zero_is_exactly_2W_over_K1(self, scriptE0, K1):
+        assert lower_bound_blowup(scriptE0, K1, 0.0)[0] == 2.0 * (1.0 / math.sqrt(scriptE0)) / K1
+
+    @pytest.mark.parametrize("point", list(itertools.product((1e-300, 1e300), repeat=3)))
+    def test_float_range_corners(self, point):
+        # x = W/a over- or underflows at most corners; the value is finite
+        # and accurate wherever the integral is a normal float
+        mpmath = pytest.importorskip("mpmath")
+        value, bound = lower_bound_blowup(*point)
+        with mpmath.workdps(40):
+            ref = mp_lower_bound(mpmath, *point)
+        if 2.2250738585072014e-308 <= ref <= 1.7976931348623157e308:
+            assert math.isfinite(value)
+            assert abs(value / ref - 1) <= 1e-14
+            assert bound == pytest.approx(1e-14 * value)
 
 
 class TestLowerBoundPipeline:

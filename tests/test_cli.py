@@ -481,6 +481,31 @@ PAST_FLOAT_RANGE = [
 PAST_FLOAT_RANGE_IDS = ["p1e160", "k1e308", "k1e300", "rho1e-300", "d1e150"]
 
 
+# edits of FLAT_CUBE on which the ODE oracle's steps creep
+CREEPING_ORACLE = [
+    [("a_exp = 2\nb_exp = 2", "a_exp = 1e160\nb_exp = 1e160")],
+    [("family = power_product", "family = gradient_homogeneous"),
+     ("a_exp = 2\nb_exp = 2", "alpha = 1e300"), ("c2 = 1.0", "c2 = 0.5")],
+    [("family = power_product\nc = 1.0\na_exp = 2\nb_exp = 2",
+      "family = absorption\np = 3\nq = 3\nr = 3\ns = 3\na = 1e300\nb = 0.01"),
+     ("c1 = 1.0\nc2 = 1.0", "c1 = 2.0\nc2 = 2.0")],
+]
+CREEPING_ORACLE_IDS = ["power_product_1e160", "gradient_homogeneous_1e300", "absorption_1e300"]
+
+
+def sandwich_in_subprocess(tmp_path, text):
+    """A CLI `sandwich` of the config `text` in a fresh interpreter with
+    RuntimeWarning an error: (the finished process, its output directory)."""
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "rdblowup.cli",
+                           "sandwich", "--config", write_config(tmp_path, text),
+                           "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done, out
+
+
 class TestValuesPastFloatRange:
     # values the config rules accept, whose arithmetic leaves the float
     # range: a refusal or an exit code, never a traceback
@@ -522,20 +547,29 @@ class TestValuesPastFloatRange:
     def test_sandwich_on_a_reaction_whose_norm_overflows_ends(self, tmp_path):
         # c = 1e300: the oracle's |f| overflows near u = v = 400 and the run
         # ends with no blow-up time, where it would step forever.  In a
-        # subprocess, for its timeout; numpy's overflow warnings from the
-        # oracle's reaction are printed there, as in any run of the CLI
-        out = tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-        cfg = write_config(tmp_path, FLAT_CUBE.replace("c = 1.0", "c = 1e300"))
-        done = subprocess.run([sys.executable, "-m", "rdblowup.cli", "sandwich", "--config", cfg,
-                               "--out-dir", str(out)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        # subprocess, for its timeout, with numpy's warnings made errors: the
+        # oracle integrates under one errstate, so its reaction warns of none
+        done, out = sandwich_in_subprocess(tmp_path, FLAT_CUBE.replace("c = 1.0", "c = 1e300"))
         assert done.returncode == EXIT_NUMERICAL, done.stderr
         assert "Traceback" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
         report = load_report(out)
         assert report["oracle"]["blowup_time"] is None
         assert report["sandwich"]["partial"] is True
+
+    @pytest.mark.parametrize("edits", CREEPING_ORACLE, ids=CREEPING_ORACLE_IDS)
+    def test_sandwich_on_a_reaction_whose_oracle_steps_creep_ends(self, tmp_path, edits):
+        # the oracle's steps shrink to 1e-17 to 1e-15 in s; its step count
+        # ends the run with no blow-up time, in about 1 s
+        text = FLAT_CUBE
+        for edit in edits:
+            assert text.count(edit[0]) == 1
+            text = text.replace(*edit)
+        done, out = sandwich_in_subprocess(tmp_path, text)
+        assert done.returncode in (EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_NUMERICAL), done.stderr
+        assert "Traceback" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert load_report(out)["oracle"]["blowup_time"] is None
 
     def test_non_finite_floats_are_written_as_null(self):
         assert rdblowup.cli._as_jsonable(

@@ -301,6 +301,14 @@ class TestStackedRowKernels:
         with pytest.raises(ValueError, match="one sample per cell"):
             energy_rows(np.ones((1, 2 * mesh.n_cells)), [0.0], [0.1], mesh, nl)
 
+    def test_fields_of_other_sizes_are_rejected(self):
+        # 600 + 424 values are 2n in all on an 8^3 mesh (n = 512), but u and v
+        # would be split at cell 512, not at their seam
+        mesh = build_mesh(ROW_MESHES[1][0], 8)
+        pair = FieldPair(u=np.ones(600), v=np.ones(424), t=0.0)
+        with pytest.raises(ValueError, match=r"per cell \(512\), got 600 of u and 424 of v"):
+            energy_sample(pair, mesh)
+
     def test_the_solver_row_is_the_field_pair_row(self):
         # simulate writes its rows from blocks of kept states; the last
         # state handed over as a FieldPair of copies gives the same row, bit

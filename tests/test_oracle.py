@@ -6,8 +6,11 @@ import pytest
 
 from conftest import linear_decay
 from rdblowup.geometry import build_mesh
-from rdblowup.nonlinearity import Nonlinearity, make_power_product
+import rdblowup.oracle
+from rdblowup.nonlinearity import Nonlinearity, make_absorption, make_power_product
 from rdblowup.oracle import (
+    _brentq,
+    _FloatDop853,
     brute_force_integral,
     ode_reduce,
     power_product_equal_data_blowup,
@@ -67,6 +70,24 @@ class TestOdeReduce:
         assert trace.blowup_time is not None
         assert len(trace.ts) - 1 <= 150
         assert max(trace.us[-1], trace.vs[-1]) == pytest.approx(1e6, rel=1e-9)
+
+    @pytest.mark.parametrize("nl, data", [
+        (make_power_product(1.0, 1e160, 1e160), (1.0, 1.0)),
+        (make_absorption(3.0, 3.0, 3.0, 3.0, 1e300, 0.01), (2.0, 2.0)),
+    ], ids=["power_product_1e160", "absorption_1e300"])
+    def test_a_run_whose_steps_creep_ends_at_the_step_count(self, nl, data):
+        # steps of 1e-17 to 1e-15 in s, which would take hours to the top level
+        trace = ode_reduce(nl, *data, t_max=1.0)
+        assert trace.blowup_time is None
+        assert len(trace.ts) - 1 == rdblowup.oracle._MAX_STEPS
+
+    def test_the_step_count_is_20_times_the_longest_reference(self):
+        # in knots, the data's among them
+        longest = max(len(ode_reduce(make_power_product(1.0, float(a), float(b)), u0, v0,
+                                     t_max=1.0).ts)
+                      for a, b, u0, v0, _ in POWER_PRODUCT_CASES)
+        assert longest == 124
+        assert rdblowup.oracle._MAX_STEPS >= 20 * longest
 
     def test_pins_the_knots_and_reaction_calls_from_1_1(self):
         # 106 steps, and one f1 per stage: 2 to choose the first step, 12 per
@@ -224,6 +245,69 @@ class TestPowerProductBlowup:
             for a, b, u0, v0, t_star in POWER_PRODUCT_CASES:
                 ref = float(quadrature_blowup_time(mpmath, a, b, u0, v0))
                 assert ref == pytest.approx(t_star, rel=4e-16, abs=0)
+
+
+class TestScipyPorts:
+    # the oracle carries DOP853's tableau and Brent's method, so that it runs
+    # on numpy alone; both are scipy's to the bit
+    def test_the_tableau_is_scipy_s(self):
+        from scipy.integrate import DOP853
+        A = DOP853.A
+        assert _FloatDop853.A == [A[i, :i].tolist() for i in range(1, len(A))]
+        assert not np.triu(A).any()  # explicit: A holds the rows below the diagonal
+        for name in ("B", "E3", "E5", "A_EXTRA", "D"):
+            assert getattr(_FloatDop853, name) == getattr(DOP853, name).tolist(), name
+        assert _FloatDop853.ERROR_ORDER == DOP853.error_estimator_order
+
+    def test_every_crossing_of_the_references_is_scipy_s_root(self, monkeypatch):
+        from scipy.optimize import brentq
+        tol = rdblowup.oracle._ROOT_TOL
+        roots = []
+
+        def both(f, a, b):
+            x = _brentq(f, a, b)
+            roots.append((x, brentq(f, a, b, xtol=tol, rtol=tol)))
+            return x
+
+        monkeypatch.setattr(rdblowup.oracle, "_brentq", both)
+        for a, b, u0, v0, _ in POWER_PRODUCT_CASES:
+            ode_reduce(make_power_product(1.0, float(a), float(b)), u0, v0, t_max=1.0)
+        ode_reduce(make_power_product(1.0, 2.0, 2.0), 1.0, 1.0, t_max=0.2)
+        assert len(roots) > 32 * 4
+        assert all(float(x).hex() == float(ref).hex() for x, ref in roots)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x - 1.0, 1.0, 3.0),  # a root at an end
+        (lambda x: x - 3.0, 1.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.exp(x) - 1e6, 0.0, 100.0),
+        (lambda x: (x - 0.3) ** 3 + 1e-6 * (x - 0.3), 0.0, 1.0),  # flat: bisections
+        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+        (lambda x: math.copysign(1.0, x - 0.7), 0.0, 1.0),  # a jump
+        (lambda x: 1e-300 * (x - 0.5), 0.0, 1.0),
+    ], ids=["end-a", "end-b", "cos", "cubic", "exp", "flat", "tanh", "jump", "tiny"])
+    def test_synthetic_roots_are_scipy_s(self, f, a, b):
+        from scipy.optimize import brentq
+        tol = rdblowup.oracle._ROOT_TOL
+        assert _brentq(f, a, b).hex() == float(brentq(f, a, b, xtol=tol, rtol=tol)).hex()
+
+    def test_ends_of_one_sign_raise(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_a_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+
+    def test_no_convergence_raises(self):
+        # a triple root takes scipy's brentq past its 100 iterations too
+        from scipy.optimize import brentq
+        tol = rdblowup.oracle._ROOT_TOL
+        with pytest.raises(RuntimeError):
+            brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0, xtol=tol, rtol=tol)
+        with pytest.raises(RuntimeError, match="after 100 iterations"):
+            _brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
 
 
 class TestBruteForceIntegral:

@@ -1,6 +1,7 @@
-"""Source checks: the solver and the modules it builds on never call scipy's
-integrators or drive its steppers, and the ODE oracle, which takes DOP853's
-tableau, imports nothing from the package, so the two stay independent; the
+"""Source checks: no module of the package calls scipy's integrators or
+drives its steppers, and the ODE oracle, which carries DOP853's tableau and
+Brent's method, imports nothing from the package, so the solver and the
+oracle stay independent; the
 solver calls the reaction f1, f2 at one site each; it leaves the
 operator's product and the mesh's fold and collapse to geometry.py;
 `simulate` writes how a run ends once: one loop condition, no `break`, one
@@ -9,8 +10,9 @@ assignment of the outcome; and E, J, scriptE and their terms are evaluated in
 `energy_sample` or `energy_rows`.
 
 Import budget: no module imports scipy at module level, so importing the
-package loads numpy alone, and each scipy submodule loads only on the code
-path that uses it, checked in fresh interpreters."""
+package loads numpy alone, and `scipy.sparse`, the one scipy import, loads
+only on the code path that builds a DIA matrix, checked in fresh
+interpreters: `bounds` and a flat `sandwich` load no scipy module."""
 
 import ast
 import json
@@ -23,6 +25,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "rdblowup"
 SANDWICH_CONFIG = SRC.parent.parent / "demos" / "configs" / "sandwich_box3d.ini"
 ROBIN_CONFIG = SANDWICH_CONFIG.with_name("robin_drain.ini")
+ABSORPTION_CONFIG = SANDWICH_CONFIG.with_name("absorption_threshold.ini")
 # scipy's integrators, and its stepper classes, which a loop can drive by hand
 INTEGRATORS = {"solve_ivp", "odeint", "DOP853", "RK45", "RK23", "Radau", "BDF", "LSODA",
                "ode"}
@@ -50,7 +53,7 @@ def integrator_uses(tree):
     return found
 
 
-@pytest.mark.parametrize("module", ["solver.py", "geometry.py", "functionals.py"])
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_calls_no_scipy_integrator(module):
     assert integrator_uses(ast.parse((SRC / module).read_text())) == []
 
@@ -68,9 +71,9 @@ def test_every_form_is_found(source):
 
 
 def test_the_oracle_is_found():
-    # the oracle imports DOP853 for its tableau and steps it on floats itself:
-    # the import, and no integrator call
-    assert len(integrator_uses(ast.parse((SRC / "oracle.py").read_text()))) == 1
+    # the oracle carries DOP853's tableau and steps it on floats itself: no
+    # import of scipy.integrate, and no integrator call
+    assert len(integrator_uses(ast.parse((SRC / "oracle.py").read_text()))) == 0
 
 
 def package_imports(tree):
@@ -454,6 +457,33 @@ def test_check_command_loads_no_scipy(tmp_path):
             f"assert cli.main(['check', '--config', {str(SANDWICH_CONFIG)!r}, "
             f"'--out-dir', 'out']) == 0")
     assert scipy_modules_after(code, tmp_path) == []
+
+
+def cli_modules(tmp_path, command, config, *options, exit_code=0):
+    """The scipy modules a CLI run of `command` on `config` loads, after
+    checking its exit code."""
+    code = (f"from rdblowup import cli\n"
+            f"assert cli.main([{command!r}, '--config', {str(config)!r}, "
+            f"'--out-dir', 'out', *{list(options)!r}]) == {exit_code}")
+    return scipy_modules_after(code, tmp_path)
+
+
+@pytest.mark.parametrize("config", [SANDWICH_CONFIG, ABSORPTION_CONFIG],
+                         ids=["sandwich_box3d", "absorption_threshold"])
+def test_flat_sandwich_loads_no_scipy(tmp_path, config):
+    # the lower bound is evaluated in closed form and the oracle carries its
+    # tableau and root finder; the flat simulation builds no DIA matrix
+    assert cli_modules(tmp_path, "sandwich", config, "--resolution", "8") == []
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["oracle"]["blowup_time"] is not None
+    assert report["lower_bound"]["t_lower"] > 0
+
+
+@pytest.mark.parametrize("config, exit_code", [(SANDWICH_CONFIG, 0), (ABSORPTION_CONFIG, 0),
+                                               (ROBIN_CONFIG, 1)],
+                         ids=["sandwich_box3d", "absorption_threshold", "robin_drain"])
+def test_bounds_command_loads_no_scipy(tmp_path, config, exit_code):
+    assert cli_modules(tmp_path, "bounds", config, exit_code=exit_code) == []
 
 
 def dp5_simulate_modules(config, tmp_path, *options):
