@@ -3,9 +3,8 @@
 For F = u^2 v^2 the growth condition u^3 f1 + v^3 f2 <= 2(u^6 + v^6)
 follows from (u^3 - v^3)^2 >= 0, so the lower-bound pipeline applies with
 p = 2 and k1 = k2 = 2.  On the unit ball the geometric constants are
-rho = d = 1 and the bound integral has a tractable closed structure; the
-adaptive quadrature value is compared against a deliberately dumb
-trapezoid rule.
+rho = d = 1.  The bound integral, which the library evaluates in closed
+form, is compared against a deliberately dumb trapezoid rule.
 """
 
 import numpy as np
@@ -28,7 +27,7 @@ def main():
     print(f"K1 = {res.K1:.9f}, K2 = {res.K2:.9f}")
     print(f"scriptE(0) = {res.scriptE0:.9f}")
     print(f"t_lower = {res.t_lower:.9e} "
-          f"(quadrature abs error {res.integral_abs_error:.1e})")
+          f"(rounding bound {res.integral_abs_error:.1e})")
 
     w_top = 1.0 / np.sqrt(res.scriptE0)
     trap = brute_force_integral(

@@ -11,7 +11,7 @@ input raises a `BoundRefused` error.  Neither bound loads scipy.
 
 from dataclasses import dataclass
 from decimal import Context, Decimal
-from math import atan2, cbrt, inf, log1p, sqrt
+from math import atan2, cbrt, frexp, inf, ldexp, log1p, sqrt
 from typing import Optional
 
 from .errors import (
@@ -172,11 +172,21 @@ def _require_in_range(**constants):
                                      "the lower bound's constants leave the float range")
 
 
+def _ldexp(x: float, exponent: int) -> float:
+    """x 2^exponent, inf where it overflows."""
+    try:
+        return ldexp(x, exponent)
+    except OverflowError:
+        return inf
+
+
 def _series(y: float) -> float:
     """sum_j (-y)^j / (3j + 4) for 0 <= y < 1, to rounding: H(x) / x^4 at
     y = x^3."""
     total, power, j = 0.0, 1.0, 0
-    while abs(power) >= 2.0**-56:  # the sum is at least 1/7
+    # the sum is at least 1/4 - y/7, 0.19 at y = _SERIES_TOP^3, so a term
+    # below 2^-56 is below half an ulp of it
+    while abs(power) >= 2.0**-56:
         total += power / (3 * j + 4)
         power *= -y
         j += 1
@@ -199,8 +209,8 @@ def lower_bound_blowup(scriptE0: float, K1: float, K2: float):
     The substitution w = xi^(-1/2) turns the improper integral into
     int_0^W 2*w^3/(K1*w^3 + K2) dw, W = 1/sqrt(scriptE0), and w = a*s with
     a = (K2/K1)^(1/3) into (2a/K1) H(W/a), H(x) = int_0^x s^3/(1 + s^3) ds,
-    evaluated in closed form: below x = _SERIES_TOP as 2 W (W/K2^(1/3))^3
-    times the alternating series of H(x)/x^4, and above as
+    evaluated in closed form: below x = _SERIES_TOP as 2 W^4/K2 times the
+    alternating series of H(x)/x^4, and above as
     2 (W - a G(x))/K1, H = x - G, which stays finite where x overflows.
     The bound is _CLOSED_FORM_RTOL of the value.
     """
@@ -209,12 +219,13 @@ def lower_bound_blowup(scriptE0: float, K1: float, K2: float):
     if K1 <= 0 or K2 < 0:
         raise ValueError("need K1 > 0 and K2 >= 0")
     W = 1.0 / sqrt(scriptE0)
-    c = cbrt(K2)
-    a = c / cbrt(K1)
+    a = cbrt(K2) / cbrt(K1)
     x = W / a if a else inf
     if x < _SERIES_TOP:
-        r = W / c
-        value = 2.0 * W * (r * r * r) * _series(x * x * x)
+        # 2 W^4/K2 = 2/(scriptE0^2 K2) on the mantissas, whose products stay
+        # in range, and then the exponents
+        (m, e), (k, f) = frexp(scriptE0), frexp(K2)
+        value = _ldexp(2.0 / (m * m * k) * _series(x * x * x), -2 * e - f)
     else:
         value = 2.0 * (W - a * _G(x)) / K1
     return value, _CLOSED_FORM_RTOL * value
