@@ -11,7 +11,7 @@ input raises a `BoundRefused` error.  Neither bound loads scipy.
 
 from dataclasses import dataclass
 from decimal import Context, Decimal
-from math import atan2, cbrt, frexp, inf, ldexp, log1p, sqrt
+from math import atan2, frexp, inf, ldexp, log1p, sqrt
 from typing import Optional
 
 from .errors import (
@@ -180,6 +180,16 @@ def _ldexp(x: float, exponent: int) -> float:
         return inf
 
 
+def _cbrt(x: float) -> float:
+    """The cube root of a finite x >= 0 to within an ulp: x**(1/3), whose
+    exponent is 1/3 rounded, corrected by one Newton step (math.cbrt, which
+    Python 3.10 lacks, is up to 3 ulp off on glibc)."""
+    if x == 0:
+        return 0.0
+    r = x ** (1.0 / 3.0)
+    return r - (r - x / (r * r)) / 3.0
+
+
 def _series(y: float) -> float:
     """sum_j (-y)^j / (3j + 4) for 0 <= y < 1, to rounding: H(x) / x^4 at
     y = x^3."""
@@ -219,7 +229,7 @@ def lower_bound_blowup(scriptE0: float, K1: float, K2: float):
     if K1 <= 0 or K2 < 0:
         raise ValueError("need K1 > 0 and K2 >= 0")
     W = 1.0 / sqrt(scriptE0)
-    a = cbrt(K2) / cbrt(K1)
+    a = _cbrt(K2) / _cbrt(K1)
     x = W / a if a else inf
     if x < _SERIES_TOP:
         # 2 W^4/K2 = 2/(scriptE0^2 K2) on the mantissas, whose products stay

@@ -312,7 +312,8 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
     crossing and the integrator's error allowance `_TIME_ERROR` of the
     estimate.  A step that falls below 10 ulp of s ends the run, as scipy's
     does, with no blow-up time; so does a step past the float range of s,
-    and so does the step count _MAX_STEPS.  The reaction's float overflows
+    and so does the step count _MAX_STEPS, which the method string then
+    names.  The reaction's float overflows
     and invalid values are not warned of: they end the run in these ways.
     """
     if u0 < 0 or v0 < 0:
@@ -365,6 +366,8 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
             knots.append(z_new)
             s, z, f = s_new, z_new, K[12]
 
+    # a run the step count ended says so in its method
+    capped = f"; stopped at the step count {_MAX_STEPS}" if end is None and len(knots) > _MAX_STEPS else ""
     blowup_time = None  # no blow-up reached by t_max
     if len(crossing) == n_levels:
         est = _aitken(*crossing[-3:])
@@ -374,7 +377,7 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
     return OdeTrace(
         ts=ts, us=us, vs=vs, blowup_time=blowup_time,
         method=f"DOP853 (scipy tableau) on floats in Sundman time rtol={_RTOL:g}, "
-               f"level extrapolation cutoff={_CUTOFF:g}",
+               f"level extrapolation cutoff={_CUTOFF:g}{capped}",
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from rdblowup.bounds import (
     MODE_A2A3,
     MODE_A2PRIME,
+    _cbrt,
     beta_admissibility_residual,
     compute_K,
     lower_bound_blowup,
@@ -269,6 +270,14 @@ KNEE_MISSED = (0.4246, 2.405e6, 2.378e-7)
 
 
 class TestLowerBoundClosedForm:
+    @pytest.mark.parametrize("x", [5e-324, 2.2250738585072014e-308, 1e-300, 0.001, 2.0, 27.0,
+                                   3.7e11, 1e300, 1.7976931348623157e308])
+    def test_the_cube_root_is_within_an_ulp(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            assert abs(_cbrt(x) - mpmath.cbrt(x)) <= math.ulp(_cbrt(x))
+        assert _cbrt(0.0) == 0.0
+
     def test_the_reference_is_the_quadrature(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):

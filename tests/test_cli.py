@@ -25,6 +25,7 @@ from rdblowup.cli import (
 import rdblowup.cli
 from rdblowup.errors import ConfigError
 from rdblowup.functionals import TRACE_COLUMNS
+from rdblowup.oracle import _MAX_STEPS
 from rdblowup.solver import simulate
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -560,7 +561,8 @@ class TestValuesPastFloatRange:
     @pytest.mark.parametrize("edits", CREEPING_ORACLE, ids=CREEPING_ORACLE_IDS)
     def test_sandwich_on_a_reaction_whose_oracle_steps_creep_ends(self, tmp_path, edits):
         # the oracle's steps shrink to 1e-17 to 1e-15 in s; its step count
-        # ends the run with no blow-up time, in about 1 s
+        # ends the run with no blow-up time, in about 1 s, and the report's
+        # oracle method says so
         text = FLAT_CUBE
         for edit in edits:
             assert text.count(edit[0]) == 1
@@ -569,7 +571,9 @@ class TestValuesPastFloatRange:
         assert done.returncode in (EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_NUMERICAL), done.stderr
         assert "Traceback" not in done.stderr
         assert "RuntimeWarning" not in done.stderr
-        assert load_report(out)["oracle"]["blowup_time"] is None
+        oracle = load_report(out)["oracle"]
+        assert oracle["blowup_time"] is None
+        assert oracle["method"].endswith(f"; stopped at the step count {_MAX_STEPS}")
 
     def test_non_finite_floats_are_written_as_null(self):
         assert rdblowup.cli._as_jsonable(

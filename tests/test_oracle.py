@@ -80,14 +80,17 @@ class TestOdeReduce:
         trace = ode_reduce(nl, *data, t_max=1.0)
         assert trace.blowup_time is None
         assert len(trace.ts) - 1 == rdblowup.oracle._MAX_STEPS
+        assert trace.method.endswith(f"; stopped at the step count {rdblowup.oracle._MAX_STEPS}")
 
-    def test_the_step_count_is_20_times_the_longest_reference(self):
-        # in knots, the data's among them
-        longest = max(len(ode_reduce(make_power_product(1.0, float(a), float(b)), u0, v0,
-                                     t_max=1.0).ts)
-                      for a, b, u0, v0, _ in POWER_PRODUCT_CASES)
-        assert longest == 124
-        assert rdblowup.oracle._MAX_STEPS >= 20 * longest
+    def test_a_blowup_from_data_far_from_1_ends_well_under_the_step_count(self):
+        # F = u^2 v^2 from u = v = 1e-2 blows up at 1/(4 * 1e-4) = 2500,
+        # after a long slow phase
+        trace = ode_reduce(make_power_product(1.0, 2.0, 2.0), 1e-2, 1e-2, t_max=1e4)
+        assert trace.blowup_time is not None
+        t_star = power_product_equal_data_blowup(1.0, 1e-2)
+        assert trace.blowup_time[0] == pytest.approx(t_star, rel=2e-13)
+        assert 5 * len(trace.ts) <= rdblowup.oracle._MAX_STEPS
+        assert "step count" not in trace.method
 
     def test_pins_the_knots_and_reaction_calls_from_1_1(self):
         # 106 steps, and one f1 per stage: 2 to choose the first step, 12 per
@@ -238,6 +241,10 @@ class TestPowerProductBlowup:
         error = abs(t - t_star)
         assert error <= 2e-13 * t_star
         assert error <= unc
+        # the step count is at least 20 times the longest of these runs
+        assert 20 * len(trace.ts) <= rdblowup.oracle._MAX_STEPS
+        if (a, b, u0) == (5, 5, 0.8):
+            assert len(trace.ts) == 124  # the longest, in knots
 
     def test_references_are_the_quadrature(self):
         mpmath = pytest.importorskip("mpmath")

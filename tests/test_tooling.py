@@ -452,13 +452,6 @@ assert trace.steps_by_pair["dp5"] == {"accepted": 0, "rejected": 0}
     assert scipy_modules_after(code, tmp_path) == []
 
 
-def test_check_command_loads_no_scipy(tmp_path):
-    code = (f"from rdblowup import cli\n"
-            f"assert cli.main(['check', '--config', {str(SANDWICH_CONFIG)!r}, "
-            f"'--out-dir', 'out']) == 0")
-    assert scipy_modules_after(code, tmp_path) == []
-
-
 def cli_modules(tmp_path, command, config, *options, exit_code=0):
     """The scipy modules a CLI run of `command` on `config` loads, after
     checking its exit code."""
@@ -466,6 +459,10 @@ def cli_modules(tmp_path, command, config, *options, exit_code=0):
             f"assert cli.main([{command!r}, '--config', {str(config)!r}, "
             f"'--out-dir', 'out', *{list(options)!r}]) == {exit_code}")
     return scipy_modules_after(code, tmp_path)
+
+
+def test_check_command_loads_no_scipy(tmp_path):
+    assert cli_modules(tmp_path, "check", SANDWICH_CONFIG) == []
 
 
 @pytest.mark.parametrize("config", [SANDWICH_CONFIG, ABSORPTION_CONFIG],
