@@ -24,7 +24,9 @@ A ball domain takes constant initial data only and reads no `[solver]` key,
 as no command simulates on it: a ball config that sets one exits 2.
 
 Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
-2 config error, 3 numerical failure (a step underflow included).
+2 config error, 3 numerical failure (a step underflow included).  A run
+that fails with a numerical error still writes report.json, its
+`simulation` block the error.
 """
 
 import argparse
@@ -297,20 +299,27 @@ def _simulation_block(exp: Experiment, trace):
     return block
 
 
-def _simulate(exp: Experiment, out_dir: Path):
+def _simulate(exp: Experiment, out_dir: Path, report: dict):
+    """The run's trace, written to trace.csv.  Where the run fails with a
+    numerical error, `report`, the blocks computed before it, is written
+    with the error as its simulation block, and the error raised on."""
     if exp.solver is None:
         raise ConfigError("ball domains cannot be meshed; this command needs a box")
     try:
         exp.mesh.inverse_h2  # the rule of the axes' tridiagonals, which only a simulation needs
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    trace = simulate(exp.solver)
+    try:
+        trace = simulate(exp.solver)
+    except RdBlowupError as exc:
+        _write_report({**report, "simulation": _error_block(exc)}, out_dir)
+        raise
     _write_trace(trace, out_dir)
     return trace
 
 
 def cmd_simulate(exp: Experiment, out_dir: Path) -> int:
-    trace = _simulate(exp, out_dir)
+    trace = _simulate(exp, out_dir, {"command": "simulate"})
     report = {"command": "simulate", "simulation": _simulation_block(exp, trace)}
     _write_report(report, out_dir)
     return EXIT_NUMERICAL if trace.outcome == OUTCOME_STEP_UNDERFLOW else EXIT_OK
@@ -318,7 +327,7 @@ def cmd_simulate(exp: Experiment, out_dir: Path) -> int:
 
 def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
     block, _ = _compute_bounds(exp)
-    trace = _simulate(exp, out_dir)
+    trace = _simulate(exp, out_dir, {"command": "sandwich", **block})
     report = {"command": "sandwich", **block,
               "simulation": _simulation_block(exp, trace)}
 

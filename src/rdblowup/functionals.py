@@ -39,9 +39,8 @@ overflows.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
-from operator import attrgetter
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,10 +83,9 @@ class FieldPair:
             raise NegativeField("nonnegativity flag set but fields go negative")
 
 
-@dataclass(frozen=True)
-class EnergySample:
+class EnergySample(NamedTuple):
     """One monitor row along a trajectory; its fields, in order, are the
-    columns of the CSV trace."""
+    columns of the CSV trace.  A named tuple: a run builds one per step."""
 
     t: float
     E: float
@@ -100,15 +98,14 @@ class EnergySample:
     intF: Optional[float]
     sup_u: float
     sup_v: float
-    dt: float = dataclass_field(default=float("nan"))
+    dt: float = math.nan
 
     def row(self):
-        return [math.nan if val is None else float(val) for val in _row_values(self)]
+        return [math.nan if val is None else float(val) for val in self]
 
 
-# the columns of the CSV trace, EnergySample's fields in order, read once
-TRACE_COLUMNS = tuple(f.name for f in dataclass_fields(EnergySample))
-_row_values = attrgetter(*TRACE_COLUMNS)
+# the columns of the CSV trace, EnergySample's fields in order
+TRACE_COLUMNS = EnergySample._fields
 
 
 def _row_dots(x: np.ndarray) -> np.ndarray:

@@ -305,18 +305,26 @@ def _tail(samples):
             np.array([max(s.sup_u, s.sup_v) for s in samples]))
 
 
-def _reaction_into(nl: Nonlinearity, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _reaction_into(nl: Nonlinearity, y, out: Optional[np.ndarray] = None):
     """N(y) = (f1, f2) of the stacked state y = [u; v] into `out`; returns out.
 
     A one-cell state is read and written as numpy float64 scalars: on a
     2-float state numpy's dispatch, not the arithmetic, is the cost, and a
     ufunc on a scalar costs a fraction of one on a 1-element slice.  Every
-    other state is read as the slices y[:n], y[n:]."""
-    n = y.size // 2
-    u_at, v_at = (0, 1) if n == 1 else (slice(None, n), slice(n, None))
-    u, v = y[u_at], y[v_at]
-    out[u_at] = nl.f1(u, v)
-    out[v_at] = nl.f2(u, v)
+    other state is read as the slices y[:n], y[n:].  With no `out`, y is a
+    one-cell state as the float pair (u, v), handed to f1 and f2 as numpy
+    float64 scalars too, and N(y) is returned as a float pair: the float
+    form `_one_cell_step` takes."""
+    if out is None:
+        u, v = np.float64(y[0]), np.float64(y[1])
+    else:
+        n = y.size // 2
+        u_at, v_at = (0, 1) if n == 1 else (slice(None, n), slice(n, None))
+        u, v = y[u_at], y[v_at]
+    fu, fv = nl.f1(u, v), nl.f2(u, v)
+    if out is None:
+        return float(fu), float(fv)
+    out[u_at], out[v_at] = fu, fv
     return out
 
 
@@ -347,9 +355,14 @@ class StepWork:
     its FSAL row N^(y_new) lands in `K[s + 1]`.  `accept` copies the FSAL
     row into `K[0]` and swaps the caller's state with `y_new`.  `op` is the
     `RobinOperator` whose eigenbasis a Lawson pair steps in.
+
+    An explicit pair steps a one-cell state held as the float pair (u, v)
+    (`hold`) on floats, with no row: `k1` holds its first stage as a float
+    pair and `taken` the (y_new, FSAL stage) of the last such step, which
+    `accept` makes the state and the next `k1`.
     """
 
-    __slots__ = ("K", "last", "y_new", "err", "scale", "op")
+    __slots__ = ("K", "last", "y_new", "err", "scale", "op", "k1", "taken")
 
     def __init__(self, y: np.ndarray, op=None):
         """Allocate for states like `y`."""
@@ -357,22 +370,39 @@ class StepWork:
         self.last = 0  # the row of the last step's FSAL stage
         self.y_new, self.err, self.scale = (np.empty(y.size) for _ in range(3))
         self.op = op
+        self.k1 = self.taken = None
 
-    def restart(self, y: np.ndarray, stage_fn, pair: Pair) -> None:
+    def restart(self, y, stage_fn, pair: Pair):
         """K[0] = the first stage of `pair` at y: stage_fn(y) for an explicit
-        pair, its transform to the eigenbasis for a Lawson pair."""
+        pair, its transform to the eigenbasis for a Lawson pair.  Returns y
+        as `pair` steps it (`hold`); y may be held as floats."""
+        y = np.asarray(y)
         if pair.lawson:
             self.op.to_modes(stage_fn(y, self.err), self.K[0])
         else:
             stage_fn(y, self.K[0])
+        return self.hold(y, pair)
+
+    def hold(self, y: np.ndarray, pair: Pair):
+        """The state y, whose first stage of `pair` is in K[0], as `pair`
+        steps it: for an explicit pair, a one-cell state [u, v] as the float
+        pair (u, v), with its first stage in `k1`; any other as y itself."""
+        if y.size == 2 and not pair.lawson:
+            self.k1 = tuple(self.K[0].tolist())
+            return tuple(y.tolist())
+        return y
 
     def combine(self, weights: np.ndarray, out: np.ndarray, first: int = 0) -> np.ndarray:
         """out = sum_i weights[i] * K[first + i]."""
         return np.dot(weights, self.K[first:first + len(weights)], out=out)
 
-    def accept(self, y: np.ndarray) -> np.ndarray:
+    def accept(self, y):
         """Take the step just made from `y`: move its FSAL row to `K[0]`,
-        return its y_new and keep `y` as the buffer of the next y_new."""
+        return its y_new and keep `y` as the buffer of the next y_new.  A
+        step on floats keeps its FSAL stage in `k1` and returns its y_new."""
+        if type(y) is tuple:
+            y_new, self.k1 = self.taken
+            return y_new
         self.K[0] = self.K[self.last]
         y_new, self.y_new = self.y_new, y
         return y_new
@@ -382,7 +412,7 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.dot(x, x) / x.size))
 
 
-def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
+def step(y, dt: float, stage_fn, rel_tol: float, abs_tol: float,
          work: StepWork, pair: Pair = DP5):
     """One step of `pair` from y, whose first stage `work.K[0]` holds.
 
@@ -394,13 +424,14 @@ def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     is rejected, returning (y, inf, None) with y untouched so that the
     caller shrinks dt, if a stage raises EvalAtZeroU (it left N's domain)
     or y_new or k_last is not finite.  The error scale is
-    abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).  An explicit
-    pair on a one-cell state, y = [u, v], takes `_one_cell_step`, the same
-    step with its stages combined on Python floats.
+    abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).  A one-cell
+    state held as the float pair (u, v) (`StepWork.hold`) takes
+    `_one_cell_step`, the same step on floats, whose first stage is
+    `work.k1` and whose y_new and k_last are float pairs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if y.size == 2 and not pair.lawson:
+    if type(y) is tuple:
         return _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair)
     stages = _lawson_stages if pair.lawson else _explicit_stages
     with np.errstate(over="ignore", invalid="ignore"):
@@ -414,33 +445,35 @@ def step(y: np.ndarray, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     return y_new, _rms(work.err), work.K[work.last]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair):
-    """`step` of an explicit pair on the one-cell state y = [u, v] (module
-    docstring).  Each stage is still stage_fn(arg, work.K[i]) on the array
-    `work.y_new`, under one errstate; the stage arguments, y_new among them,
-    the error estimate dt * sum_i e_i k_i, the finite checks, `_error_scale`'s
-    scale and the RMS norm are taken on Python floats, as numpy's per-call
-    cost on 2-float rows would be most of the step.  `work.err` and
-    `work.scale` are left as they were."""
+    """`step` of an explicit pair on the one-cell state held as the float
+    pair y = (u, v) (module docstring), from the first stage `work.k1`.
+    Each stage is stage_fn's float form, stage_fn((u, v)), a float pair;
+    the stage arguments, y_new among them, the error estimate
+    dt * sum_i e_i k_i, the finite checks, `_error_scale`'s scale and the
+    RMS norm are taken on Python floats too, as numpy's per-call cost on
+    2-float rows would be most of the step.  Keeps (y_new, FSAL stage) in
+    `work.taken` for `StepWork.accept`; the rows of `work` are left as
+    they were."""
     a, e = pair.float_tableau
-    (u, v), y_new, K = y.tolist(), work.y_new, work.K
-    ks = [K[0].tolist()]  # each stage's [k_u, k_v]
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for i in range(1, pair.stages):
-                du, dv = _combination(a[i], dt, ks)
-                y_new[0], y_new[1] = du + u, dv + v
-                ks.append(stage_fn(y_new, K[i]).tolist())
-        except EvalAtZeroU:
-            return y, math.inf, None
-    work.last = pair.stages - 1
-    (u_new, v_new), (ku, kv) = y_new.tolist(), ks[-1]
-    if not all(map(math.isfinite, (u_new, v_new, ku, kv))):
+    u, v = y
+    ks = [work.k1]  # each stage's (k_u, k_v)
+    try:
+        for row in a[1:]:
+            du, dv = _combination(row, dt, ks)
+            y_new = (du + u, dv + v)
+            ks.append(stage_fn(y_new))
+    except EvalAtZeroU:
+        return y, math.inf, None
+    (u_new, v_new), k_new = y_new, ks[-1]
+    if not all(map(math.isfinite, (u_new, v_new, *k_new))):
         return y, math.inf, None
     eu, ev = _combination(e, dt, ks)
     ru = _scaled_error(eu, u, u_new, rel_tol, abs_tol)
     rv = _scaled_error(ev, v, v_new, rel_tol, abs_tol)
-    return y_new, math.sqrt((ru * ru + rv * rv) / 2), K[work.last]
+    work.taken = y_new, k_new
+    return y_new, math.sqrt((ru * ru + rv * rv) / 2), k_new
 
 
 def _combination(weights, dt, ks):
@@ -553,23 +586,32 @@ def _diffusion_cap(mesh: Mesh) -> float:
 
 class _MonitorRows:
     """The monitor rows of a run (module docstring): `record` keeps each
-    state's (t, dt) and a copy of it in a block of `_ROW_BLOCK_BYTES`, and
-    `flush` writes the block's rows with one `energy_rows` call.  A state
-    too large for a block of two is written on its own, from the state."""
+    state's (t, dt) and a copy of it, and `flush` writes the kept states'
+    rows with one `energy_rows` call.  A one-cell state is kept as its
+    float pair, any other in a block of `_ROW_BLOCK_BYTES`; a state too
+    large for a block of two is written on its own, from the state."""
 
     def __init__(self, config: SolverConfig, mesh: Mesh, size: int):
-        capacity = _ROW_BLOCK_BYTES // (8 * size)
-        self.block = np.empty((capacity, size)) if capacity >= 2 else None
+        self.capacity = _ROW_BLOCK_BYTES // (8 * size)
+        self.cells = [] if size == 2 else None  # the kept one-cell states (u, v)
+        self.block = (np.empty((self.capacity, size))
+                      if self.cells is None and self.capacity >= 2 else None)
         self.kept, self.times, self.dts = 0, [], []
         self.config, self.mesh = config, mesh
         self.samples: list[EnergySample] = []
         self.negative = 0  # cells < 0 over the rows, when scriptE is monitored
 
-    def record(self, y: np.ndarray, t: float, dt: float) -> float:
+    def record(self, y, t: float, dt: float) -> float:
         """Keep the row of the state y at t, reached by a step dt; return its
-        sup-norm."""
+        sup-norm.  A one-cell y may be the float pair (u, v)."""
         self.times.append(t)
         self.dts.append(dt)
+        if self.cells is not None:
+            u, v = y if type(y) is tuple else y.tolist()
+            self.cells.append((u, v))
+            if len(self.cells) == self.capacity:
+                self.flush()
+            return max(abs(u), abs(v))
         if self.block is None:
             self._write(y[None])
             return max(self.samples[-1].sup_u, self.samples[-1].sup_v)
@@ -581,7 +623,10 @@ class _MonitorRows:
 
     def flush(self) -> list[EnergySample]:
         """Write the kept states' rows; return every row so far."""
-        if self.kept:
+        if self.cells:
+            self._write(np.array(self.cells))
+            self.cells = []
+        elif self.kept:
             self._write(self.block[:self.kept])
             self.kept = 0
         return self.samples
@@ -603,7 +648,11 @@ def simulate(config: SolverConfig) -> SolveTrace:
     y = np.concatenate([mesh.restrict(g) for g in (config.g1, config.g2)])
 
     op = mesh.robin_operator(config.gamma1, config.gamma2)
-    stage_fns = {LAWSON_BS3: partial(_reaction_into, nl), DP5: partial(_derivative_into, op, nl)}
+    # one cell is the box collapsed along every axis under Neumann walls,
+    # where A is zero: DP5's stage is the reaction alone (module docstring)
+    reaction_fn = partial(_reaction_into, nl)
+    stage_fns = {LAWSON_BS3: reaction_fn,
+                 DP5: reaction_fn if n == 1 else partial(_derivative_into, op, nl)}
     caps = {LAWSON_BS3: math.inf, DP5: _diffusion_cap(mesh)}
     steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
 
@@ -627,8 +676,9 @@ def simulate(config: SolverConfig) -> SolveTrace:
         work.K[0] = reaction
         if not np.isfinite(op.add_product(y, work.K[0])).all():
             raise NonFiniteField("initial right-hand side is not finite")
+    y = work.hold(y, pair)
     t, err_prev, dt_underflow = 0.0, 1.0, False
-    rows = _MonitorRows(config, mesh, y.size)
+    rows = _MonitorRows(config, mesh, 2 * n)
     # the initial row carries the first trial dt, clamped but not to t_end
     sup = initial_sup = rows.record(y, t, min(dt, _DT_MAX))
 
@@ -638,7 +688,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         next_pair = pair_for(dt)
         if next_pair is not pair:
             pair, err_prev = next_pair, 1.0
-            work.restart(y, stage_fns[pair], pair)
+            y = work.restart(y, stage_fns[pair], pair)
         dt = min(dt, caps[pair], _DT_MAX)
         # a step that would leave less than _DT_MIN before t_end ends there
         last = dt >= config.t_end - t - _DT_MIN
@@ -659,6 +709,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         dt_underflow = dt < _DT_MIN
 
     samples = rows.flush()
+    y = np.asarray(y)  # a one-cell state held as floats
     underflow = dt_underflow and t < config.t_end
     fallback_level = max(1e3 * initial_sup, 1e3)
     estimate = None

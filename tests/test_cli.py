@@ -535,6 +535,27 @@ class TestValuesPastFloatRange:
             assert report["sandwich"]["partial"] is True
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["sandwich", "simulate"])
+    def test_a_failed_run_still_writes_the_report(self, tmp_path, capsys, command):
+        # p = 1e160: the monitored scriptE of the initial row overflows, so
+        # the run raises NonFiniteSample; the report keeps the blocks
+        # computed before the run, with the error as its simulation block
+        out = tmp_path / "out"
+        text = FLAT_CUBE.replace(*PAST_FLOAT_RANGE[0][0])
+        assert run(command, write_config(tmp_path, text), out) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NonFiniteSample: ") and "Traceback" not in err
+        report = load_report(out)
+        assert report["simulation"]["error"]["type"] == "NonFiniteSample"
+        assert not (out / "trace.csv").exists()
+        if command == "sandwich":
+            assert set(report) == {"command", "upper_bound", "lower_bound", "simulation"}
+            assert report["upper_bound"]["t_upper"] == pytest.approx(0.25, abs=1e-9)
+            assert report["lower_bound"]["error"]["type"] == "ConstantOutOfRange"
+        else:
+            assert set(report) == {"command", "simulation"}
+
     def test_check_classifies_absorption_with_a_huge_coefficient(self, tmp_path, capsys):
         # a^3 = 1e900 overflows; a^3 b^3 >= 1 holds
         text = (DEMO_CONFIGS / "absorption_threshold.ini").read_text()

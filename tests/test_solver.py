@@ -370,8 +370,11 @@ class TestStepWorkspace:
         assert np.array_equal(work.K[0], f_new)
 
 
-def constant_push(y, out):
-    """A stage function whose every stage is 1e307 in every cell."""
+def constant_push(y, out=None):
+    """A stage function whose every stage is 1e307 in every cell; with no
+    `out`, the float form of a one-cell state, a float pair."""
+    if out is None:
+        return 1e307, 1e307
     out.fill(1e307)
     return out
 
@@ -393,49 +396,80 @@ ONE_CELL_CASES = {
 
 
 class TestOneCellStep:
-    # DP5 on a one-cell state [u, v] combines its stages on floats; the array
-    # path steps the same cell duplicated, [u, u, v, v], whose RMS norm is
-    # the cell's.  The two agree: y_new and the FSAL row to 1e-14 relative,
-    # err to 1e-12 of max(err, 1), and the same accept/reject decision
+    # DP5 on a one-cell state held as the float pair (u, v) steps on floats,
+    # each stage the stage function's float form; the array path steps the
+    # same cell duplicated, [u, u, v, v], whose RMS norm is the cell's.  The
+    # two agree: y_new and the FSAL stage to 1e-14 relative, err to 1e-12
+    # of max(err, 1), and the same accept/reject decision
     @pytest.mark.parametrize("case", list(ONE_CELL_CASES))
     def test_matches_the_array_path_on_the_duplicated_cell(self, case):
         stage_fn, cell, dt, rel_tol, abs_tol, outcome = ONE_CELL_CASES[case]
         results = []
         for y in (np.array(cell), np.repeat(cell, 2)):
             with np.errstate(all="raise"):
-                work = started(y, stage_fn)
+                work = StepWork(y)
+                y = work.restart(y, stage_fn, DP5)
                 results.append((y, work, step(y, dt, stage_fn, rel_tol, abs_tol, work)))
         (y, work, (y_new, err, k)), (_, work4, (y_new4, err4, k4)) = results
+        assert y == cell and work.k1 == tuple(work4.K[0][::2])
         if outcome == "non_finite":
             assert err == err4 == math.inf and k is None and k4 is None
-            assert y_new is y and np.array_equal(y, cell)
+            assert y_new is y
             return
         assert (err <= 1.0) == (err4 <= 1.0) == (outcome == "accepted")
         assert math.isfinite(err) and abs(err - err4) <= 1e-12 * max(err4, 1.0)
-        assert y_new is work.y_new and work.last == work4.last == DP5.stages - 1
-        assert np.shares_memory(k, work.K[work.last])
+        assert work.taken == (y_new, k) and work4.last == DP5.stages - 1
         for one, four in ((y_new, y_new4), (k, k4)):
+            assert type(one) is tuple and all(type(x) is float for x in one)
             assert np.array_equal(four[::2], four[1::2])
-            assert np.all(np.abs(one - four[::2]) <= 1e-14 * np.abs(four[::2]))
+            assert np.all(np.abs(np.subtract(one, four[::2])) <= 1e-14 * np.abs(four[::2]))
+        assert work.accept(y) is y_new and work.k1 is k
 
     def test_one_cell_dp5_steps_take_the_float_path(self, monkeypatch, tmp_path):
         # criterion 1's run takes every DP5 trial on floats and its Lawson
         # trial on arrays; robin_drain (16^2 cells, folded to 8^2) takes none
-        sizes = []
+        states = []
         float_step = rdblowup.solver._one_cell_step
 
         def counted(y, *args):
-            sizes.append(y.size)
+            states.append(type(y))
             return float_step(y, *args)
 
         monkeypatch.setattr(rdblowup.solver, "_one_cell_step", counted)
         trace, _ = flat_blowup_3d()
-        assert sizes == [2] * sum(trace.steps_by_pair["dp5"].values()) == [2] * 354
-        sizes.clear()
+        assert states == [tuple] * sum(trace.steps_by_pair["dp5"].values()) == [tuple] * 354
+        states.clear()
         config = DEMO_CONFIGS / "robin_drain.ini"
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
         by_pair = json.loads((tmp_path / "report.json").read_text())["simulation"]["steps_by_pair"]
-        assert sum(by_pair["dp5"].values()) > 0 and sizes == []
+        assert sum(by_pair["dp5"].values()) > 0 and states == []
+
+    def test_a_flat_run_takes_the_float_form_after_dp5_restarts(self, monkeypatch):
+        # criterion 1's run takes the array form of the reaction for N(g),
+        # for its Lawson trial after the first DP5 step (the restart and 3
+        # new stages, rejected) and for DP5's restart after it, and the
+        # float form for the 6 stages of each of its 354 DP5 steps; f1 and
+        # f2 take numpy float64 scalars in both
+        forms, seen = [], set()
+        reaction_into = rdblowup.solver._reaction_into
+
+        def logged(nl, y, out=None):
+            forms.append("array" if out is not None else "float")
+            return reaction_into(nl, y, out)
+
+        def typed(f):
+            def reaction(u, v):
+                seen.add((type(u), type(v)))
+                return f(u, v)
+            return reaction
+
+        monkeypatch.setattr(rdblowup.solver, "_reaction_into", logged)
+        nl = make_power_product(1.0, 2.0, 2.0)
+        trace, _ = flat_blowup_3d(dataclasses.replace(nl, f1=typed(nl.f1), f2=typed(nl.f2)))
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
+                                       "dp5": {"accepted": 354, "rejected": 0}}
+        assert forms == ["array", *["float"] * 6, *["array"] * 5, *["float"] * 6 * 353]
+        assert seen == {(np.float64, np.float64)}
 
 
 class NoDiffusion(RobinOperator):
@@ -556,12 +590,13 @@ def robin_heat(dim, cells, **kwargs):
     return simulate(config), config.mesh
 
 
-def flat_blowup_3d():
+def flat_blowup_3d(nl=make_power_product(1.0, 2.0, 2.0)):
     """Criterion 1's run: F = u^2 v^2 from unit data under Neumann walls on
-    16^3 cells of [-1, 1]^3, blowing up at t = 1/4."""
+    16^3 cells of [-1, 1]^3, blowing up at t = 1/4; `nl` may be F's
+    reaction, wrapped."""
     mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0,) * 3), 16)
     g = np.full(mesh.n_cells, 1.0)
-    return simulate(SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
+    return simulate(SolverConfig(mesh=mesh, nl=nl,
                                  gamma1=0.0, gamma2=0.0, g1=g, g2=g, t_end=1.0)), mesh
 
 
@@ -878,12 +913,12 @@ class TestLeavingTheDomain:
                 raise
 
         stage_fn = partial(_reaction_into, dataclasses.replace(nl, f1=f1))
-        y = np.array([1.0, 0.5])
-        work = started(y, stage_fn)
+        work = StepWork(np.empty(2))
+        y = work.restart(np.array([1.0, 0.5]), stage_fn, DP5)  # held as floats
         with np.errstate(all="raise"):
             y_new, err, k = step(y, 0.1, stage_fn, 1e-8, 1e-10, work, DP5)
         assert y_new is y and err == math.inf and k is None
-        assert np.array_equal(y, [1.0, 0.5])
+        assert y == (1.0, 0.5)
         assert len(outside) == 1 and type(outside[0]) is np.float64 and outside[0] < 0
 
     def test_one_cell_data_outside_the_domain_still_raise(self):

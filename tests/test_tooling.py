@@ -178,36 +178,50 @@ def test_scipy_sparse_is_imported_at_one_site():
     assert sites == [("geometry.py", "RobinOperator.matrix")]
 
 
-def reaction_call_sites(tree, scope=()):
-    """(qualified name of the enclosing function, "f1" or "f2") of each call
-    of an attribute `.f1(` or `.f2(` in a parsed module, "" at module level."""
+def reaction_reads(tree):
+    """(qualified name of the enclosing function, "f1" or "f2", whether it
+    is called) of each read of an attribute `.f1` or `.f2`, and of each
+    string "f1" or "f2" (as `getattr` takes it), in a parsed module; "" at
+    module level.  Only an attribute called where it is read is called."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     found = []
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found += reaction_call_sites(node, (*scope, node.name))
-            continue
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("f1", "f2")):
-            found.append((".".join(scope), node.func.attr))
-        found += reaction_call_sites(node, scope)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("f1", "f2"):
+                found.append((".".join(scope), child.attr, id(child) in called))
+            elif isinstance(child, ast.Constant) and child.value in ("f1", "f2"):
+                found.append((".".join(scope), child.value, False))
+            visit(child, scope)
+
+    visit(tree, ())
     return found
 
 
-@pytest.mark.parametrize("source, sites", [
-    ("nl.f1(u, v)", [("", "f1")]),
-    ("def f(nl):\n    return nl.f2(nl.f1(u, v), v)", [("f", "f2"), ("f", "f1")]),
-    ("class C:\n    def g(self):\n        out[0] = self.nl.f1(u, v)", [("C.g", "f1")]),
-    ("f1(u, v)\nnl.f1\nnl.F(u, v)", []),
-])
-def test_every_reaction_call_site_is_found(source, sites):
-    assert reaction_call_sites(ast.parse(source)) == sites
+@pytest.mark.parametrize("source, reads", [
+    ("nl.f1(u, v)", [("", "f1", True)]),
+    ("def f(nl):\n    return nl.f2(nl.f1(u, v), v)", [("f", "f2", True), ("f", "f1", True)]),
+    ("class C:\n    def g(self):\n        out[0] = self.nl.f1(u, v)", [("C.g", "f1", True)]),
+    ("def f(nl):\n    g = nl.f1\n    return g(u, v)", [("f", "f1", False)]),
+    ("list(map(nl.f2, us, vs))", [("", "f2", False)]),
+    ("partial(nl.f1, u)(v)", [("", "f1", False)]),
+    ("getattr(nl, 'f2')(u, v)", [("", "f2", False)]),
+    ("f1(u, v)\nnl.F(u, v)\nnl.f12(u, v)", []),
+], ids=["call", "nested_calls", "method", "bound_to_a_name", "mapped", "partial", "getattr",
+        "no_read"])
+def test_every_reaction_call_site_is_found(source, reads):
+    assert reaction_reads(ast.parse(source)) == reads
 
 
 def test_the_solver_calls_f1_and_f2_at_one_site_each():
-    # one call of each per stage, in `_reaction_into`: so a counted f1 is one
-    # right-hand-side evaluation, and no other path bypasses a wrapped f1 or f2
-    sites = reaction_call_sites(ast.parse((SRC / "solver.py").read_text()))
-    assert sites == [("_reaction_into", "f1"), ("_reaction_into", "f2")]
+    # one call of each per stage, in `_reaction_into`, and no other read:
+    # so a counted f1 is one right-hand-side evaluation, and no other path,
+    # such as a local name bound to nl.f1, bypasses a wrapped f1 or f2
+    reads = reaction_reads(ast.parse((SRC / "solver.py").read_text()))
+    assert reads == [("_reaction_into", "f1", True), ("_reaction_into", "f2", True)]
 
 
 # what only geometry.py may know: the operator's matrix and whether it is
