@@ -84,16 +84,23 @@ the axes.  On a state even in the folded axes and constant along the
 collapsed ones every operation above is the box's, cell for cell, and a
 collapsed axis's eigenvalue is exactly 0, so DP5's cap is the box's.
 Collapsed along every axis, the run steps one cell of the ODE u' = f1,
-v' = f2: A is zero, so the derivative is N(y) alone, with no product.
-`_reaction_into` hands f1 and f2 that cell's u and v as numpy float64
-scalars, whose ** differs from numpy's array ** by up to 1 ulp.  `step`
-takes DP5 on that cell through `_one_cell_step`: each stage is still
-stage_fn(arg, row) on arrays, but the stage arguments, the error estimate,
-the finite checks, the error scale and the RMS norm are taken on Python
-floats, summed in order where `StepWork.combine`'s numpy product may
-round otherwise.  So a step at DP5's cap, whose dt no error sets, keeps
-every bit, while an error-controlled dt can move by rounding, and with it
-the rest of the run (README, *The collapse*).  The RMS
+v' = f2: A is zero, so the derivative is N(y) alone, with no product, and
+DP5's stage is the reaction.  One cell arises from that collapse alone:
+`build_mesh` takes at least 4 cells an axis, a fold halves them, and
+`Mesh.reduced` collapses only under Neumann walls.  `_reaction_into` hands
+f1 and f2 that cell's u and v as numpy float64 scalars, whose ** differs
+from numpy's array ** by up to 1 ulp.  Between DP5 steps the cell is held
+as Python floats (`StepWork.hold`): the state as the pair (u, v) and its
+first-same-as-last stage as a pair, which `StepWork.accept` keeps for the
+next step.  `step` takes DP5 on that state through `_one_cell_step`, whose
+stages are the reaction's float form, a float pair from f1 and f2 on
+float64 scalars, and whose stage arguments, error estimate, finite
+checks, error scale and RMS norm are Python floats, summed in order where
+`StepWork.combine`'s numpy product may round otherwise.  N(g), the Lawson
+pair and DP5's first stage after it (`StepWork.restart`) take the arrays.
+So a step at DP5's cap, whose dt no error sets, keeps every bit of the
+array path's, while an error-controlled dt can move by rounding, and with
+it the rest of the run (README, *The collapse*).  The RMS
 norms and sup-norms equal those over the box; and the quadrature weights
 carry the multiplicity of each cell, so the monitor rows are the box's.
 Only rounding differs: on the box the gradient energy along a collapsed
@@ -109,10 +116,13 @@ each such state's (t, dt) and a copy of it in a block of `_ROW_BLOCK_BYTES`
 and writes the block's rows with one `energy_rows` call when the block
 fills and when the run ends, so a row costs a copy and a share of that
 call; the step loop takes the sup-norm, max(y) and -min(y), from the state
-itself.  A state too large for a block of two is written on its own, with
-no copy.  The kernel reduces each state alone, so the rows are the ones
-`energy_sample` gives each state, bit for bit; a row whose integral is not
-finite raises NonFiniteSample when its block is written.
+itself.  A one-cell state is kept as its float pair (u, v), whose
+sup-norm is max(|u|, |v|), and its block is a list of such pairs, written
+with the same one call.  A state too large for a block of two is written
+on its own, with no copy.  The kernel reduces each state alone, so the
+rows are the ones `energy_sample` gives each state, bit for bit; a row
+whose integral is not finite raises NonFiniteSample when its block is
+written.
 
 How a run ends.  Trials go on while t < t_end, the last row's sup-norm is
 below `sup_threshold` and the last trial proposed a dt >= 1e-14 (the first
