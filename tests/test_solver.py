@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -470,6 +471,37 @@ class TestOneCellStep:
                                        "dp5": {"accepted": 354, "rejected": 0}}
         assert forms == ["array", *["float"] * 6, *["array"] * 5, *["float"] * 6 * 353]
         assert seen == {(np.float64, np.float64)}
+
+
+    def test_a_flat_run_holds_its_state_as_its_pair_steps_it(self, monkeypatch):
+        # u' = -100 (u - 1), v' = -50 (v - 1/2) from (2, 1) under Neumann
+        # walls, collapsed to one cell: DP5 steps the float pair until the
+        # relaxing cell lets dt reach the cap, the Lawson pair then steps
+        # the array (10 accepted, 1 rejected) and DP5 the float pair again;
+        # every row is the exact solution to 1e-7
+        forms = []
+
+        def logged_step(y, dt, *args):
+            forms.append((args[-1].name, type(y)))
+            return step(y, dt, *args)
+
+        monkeypatch.setattr(rdblowup.solver, "step", logged_step)
+        mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0, 0.75, 0.5)), (8, 6, 4))
+        relax = Nonlinearity(family="custom", params={}, f1=lambda u, v: -100.0 * (u - 1.0),
+                             f2=lambda u, v: -50.0 * (v - 0.5))
+        trace = simulate(SolverConfig(mesh=mesh, nl=relax, gamma1=0.0, gamma2=0.0,
+                                      g1=np.full(mesh.n_cells, 2.0),
+                                      g2=np.full(mesh.n_cells, 1.0), t_end=2.0))
+        assert trace.collapsed_axes == (0, 1, 2) and trace.outcome == OUTCOME_REACHED_T_END
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 10, "rejected": 1},
+                                       "dp5": {"accepted": 182, "rejected": 0}}
+        runs = [(key, len(list(group))) for key, group in itertools.groupby(forms)]
+        assert runs == [(("dp5", tuple), 82), (("lawson_bs3", np.ndarray), 11),
+                        (("dp5", tuple), 100)]
+        t = np.array([s.t for s in trace.samples])
+        for sups, exact in (([s.sup_u for s in trace.samples], 1.0 + np.exp(-100.0 * t)),
+                            ([s.sup_v for s in trace.samples], 0.5 + 0.5 * np.exp(-50.0 * t))):
+            assert np.all(np.abs(np.array(sups) - exact) <= 1e-7 * exact)
 
 
 class NoDiffusion(RobinOperator):
