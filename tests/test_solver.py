@@ -472,7 +472,6 @@ class TestOneCellStep:
         assert forms == ["array", *["float"] * 6, *["array"] * 5, *["float"] * 6 * 353]
         assert seen == {(np.float64, np.float64)}
 
-
     def test_a_flat_run_holds_its_state_as_its_pair_steps_it(self, monkeypatch):
         # u' = -100 (u - 1), v' = -50 (v - 1/2) from (2, 1) under Neumann
         # walls, collapsed to one cell: DP5 steps the float pair until the
