@@ -114,13 +114,11 @@ def _row_dots(x: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], x[:, :, None]).ravel()
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _squared_integrals(states: np.ndarray, mesh: Mesh) -> np.ndarray:
     """int of the sum of each state's fields squared, unchecked."""
     return _row_dots(states) * mesh.cell_volume
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _power_integrals(states: np.ndarray, mesh: Mesh, p: float) -> np.ndarray:
     """int of the sum of each state's fields to the power 2p, each clamped at
     0, as the squares of the p-th powers: a single power, the square for
@@ -130,7 +128,6 @@ def _power_integrals(states: np.ndarray, mesh: Mesh, p: float) -> np.ndarray:
     return _row_dots(powers) * mesh.cell_volume
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _gradient_energies(y: np.ndarray, mesh: Mesh) -> np.ndarray:
     """int |grad|^2 dx of each field of y, one or more fields of n cells
     stacked (module docstring)."""
@@ -147,7 +144,6 @@ def _gradient_energies(y: np.ndarray, mesh: Mesh) -> np.ndarray:
     return energies
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _boundary_energies(states: np.ndarray, mesh: Mesh) -> np.ndarray:
     """(k, 2): int_bdry u^2 ds and int_bdry v^2 ds of each state, unchecked."""
     values = np.take(states.reshape(len(states), 2, -1), mesh.face_cells, axis=2)
@@ -168,15 +164,17 @@ def energy_sample(fields: FieldPair, mesh: Mesh, nl=None, alpha: float = 1.0,
     return energy_rows(y[None], [fields.t], [dt], mesh, nl, alpha, gamma1, gamma2, p)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def energy_rows(states: np.ndarray, ts, dts, mesh: Mesh, nl=None, alpha: float = 1.0,
                 gamma1: float = 0.0, gamma2: float = 0.0,
                 p: Optional[float] = None) -> list[EnergySample]:
     """The monitor rows of k states, the rows of the (k, 2n) block `states`,
     each y = [u; v], at the times `ts` and with the steps `dts`.
 
-    NonFiniteSample, as `energy_sample` raises it, for the first state with
-    a non-finite integral.  ValueError unless each state holds both fields'
-    values in every cell of the mesh."""
+    The terms are computed in one numpy error state, with overflow and
+    invalid silenced; NonFiniteSample, as `energy_sample` raises it, for
+    the first state with a non-finite integral.  ValueError unless each
+    state holds both fields' values in every cell of the mesh."""
     k = len(states)
     if states.shape[1] != 2 * mesh.n_cells:
         raise ValueError(f"a state needs one value of u and one of v per cell "
@@ -187,15 +185,13 @@ def energy_rows(states: np.ndarray, ts, dts, mesh: Mesh, nl=None, alpha: float =
     J = intF = None
     if nl is not None and nl.has_potential:
         # a sample of F that overflows makes its integral, so its row, not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(nl.F(fields[:, 0], fields[:, 1]), dtype=float).reshape(k, -1)
+        values = np.asarray(nl.F(fields[:, 0], fields[:, 1]), dtype=float).reshape(k, -1)
         if values.shape[1] != mesh.n_cells:
             raise ValueError("one sample per cell required")
-        with np.errstate(over="ignore", invalid="ignore"):
-            intF = values.sum(axis=1) * mesh.cell_volume
-            c = 2.0 * (1.0 + alpha)
-            J = (-c * (gamma1 * bdry[:, 0] + grad[:, 0]) - c * (gamma2 * bdry[:, 1] + grad[:, 1])
-                 + 2.0 * c * intF)
+        intF = values.sum(axis=1) * mesh.cell_volume
+        c = 2.0 * (1.0 + alpha)
+        J = (-c * (gamma1 * bdry[:, 0] + grad[:, 0]) - c * (gamma2 * bdry[:, 1] + grad[:, 1])
+             + 2.0 * c * intF)
     E = _squared_integrals(states, mesh)
     scriptE = None if p is None else _power_integrals(states, mesh, p)
     # the checks of `boundary_integral` and `interior_integral`, in the row's order

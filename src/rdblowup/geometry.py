@@ -150,7 +150,7 @@ class Mesh:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.cells_per_axis))
+        return prod(self.cells_per_axis)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -85,19 +85,20 @@ collapsed ones every operation above is the box's, cell for cell, and a
 collapsed axis's eigenvalue is exactly 0, so DP5's cap is the box's.
 Collapsed along every axis, the run steps one cell of the ODE u' = f1,
 v' = f2: A is zero, so the derivative is N(y) alone, with no product, and
-DP5's stage is the reaction.  One cell arises from that collapse alone:
+with every eigenvalue 0 and Q = 1 the Lawson pair's step is BS3's explicit
+step on the reaction.  One cell arises from that collapse alone:
 `build_mesh` takes at least 4 cells an axis, a fold halves them, and
-`Mesh.reduced` collapses only under Neumann walls.  `_reaction_into` hands
-f1 and f2 that cell's u and v as numpy float64 scalars, whose ** differs
-from numpy's array ** by up to 1 ulp.  Between DP5 steps the cell is held
-as Python floats (`StepWork.hold`): the state as the pair (u, v) and its
-first-same-as-last stage as a pair, which `StepWork.accept` keeps for the
-next step.  `step` takes DP5 on that state through `_one_cell_step`, whose
-stages are the reaction's float form, a float pair from f1 and f2 on
-float64 scalars, and whose stage arguments, error estimate, finite
-checks, error scale and RMS norm are Python floats, summed in order where
-`StepWork.combine`'s numpy product may round otherwise.  N(g), the Lawson
-pair and DP5's first stage after it (`StepWork.restart`) take the arrays.
+`Mesh.reduced` collapses only under Neumann walls.  A one-cell state is
+floats from N(g) on, under both pairs: `StepWork.hold` takes the data as
+the pair (u, v) and N(g), either pair's first stage, as a float pair from
+the reaction's float form, which hands f1 and f2 numpy float64 scalars
+(whose ** differs from numpy's array ** by up to 1 ulp); `restart` takes a
+new pair's first stage so, and `accept` keeps each FSAL stage as a pair.
+`step` takes either pair on that state through `_one_cell_step`, by the
+pair's `float_tableau`: stage arguments, error estimate, finite checks,
+error scale and RMS norm are Python floats, summed in order where
+`StepWork.combine`'s numpy product may round otherwise, and no eigenpair
+or transform is formed.
 So a step at DP5's cap, whose dt no error sets, keeps every bit of the
 array path's, while an error-controlled dt can move by rounding, and with
 it the rest of the run (README, *The collapse*).  The RMS
@@ -316,25 +317,20 @@ def _tail(samples):
 
 
 def _reaction_into(nl: Nonlinearity, y, out: Optional[np.ndarray] = None):
-    """N(y) = (f1, f2) of the stacked state y = [u; v] into `out`; returns out.
-
-    A one-cell state is read and written as numpy float64 scalars: on a
-    2-float state numpy's dispatch, not the arithmetic, is the cost, and a
-    ufunc on a scalar costs a fraction of one on a 1-element slice.  Every
-    other state is read as the slices y[:n], y[n:].  With no `out`, y is a
-    one-cell state as the float pair (u, v), handed to f1 and f2 as numpy
-    float64 scalars too, and N(y) is returned as a float pair: the float
-    form `_one_cell_step` takes."""
+    """N(y) = (f1, f2) of the stacked state y = [u; v], read as the slices
+    y[:n], y[n:], into `out`; returns out.  With no `out`, y is a one-cell
+    state held as the float pair (u, v) (module docstring), handed to f1 and
+    f2 as numpy float64 scalars, and N(y) is returned as a float pair: the
+    float form `_one_cell_step` takes."""
     if out is None:
         u, v = np.float64(y[0]), np.float64(y[1])
     else:
         n = y.size // 2
-        u_at, v_at = (0, 1) if n == 1 else (slice(None, n), slice(n, None))
-        u, v = y[u_at], y[v_at]
+        u, v = y[:n], y[n:]
     fu, fv = nl.f1(u, v), nl.f2(u, v)
     if out is None:
         return float(fu), float(fv)
-    out[u_at], out[v_at] = fu, fv
+    out[:n], out[n:] = fu, fv
     return out
 
 
@@ -366,10 +362,10 @@ class StepWork:
     row into `K[0]` and swaps the caller's state with `y_new`.  `op` is the
     `RobinOperator` whose eigenbasis a Lawson pair steps in.
 
-    An explicit pair steps a one-cell state held as the float pair (u, v)
-    (`hold`) on floats, with no row: `k1` holds its first stage as a float
-    pair and `taken` the (y_new, FSAL stage) of the last such step, which
-    `accept` makes the state and the next `k1`.
+    A one-cell state is held as the float pair (u, v) from N(g) on, under
+    either pair (`hold`), and stepped on floats with no row: `k1` holds its
+    first stage, N(y) as a float pair, and `taken` the (y_new, FSAL stage)
+    of the last such step, which `accept` makes the state and the next `k1`.
     """
 
     __slots__ = ("K", "last", "y_new", "err", "scale", "op", "k1", "taken")
@@ -383,24 +379,26 @@ class StepWork:
         self.k1 = self.taken = None
 
     def restart(self, y, stage_fn, pair: Pair):
-        """K[0] = the first stage of `pair` at y: stage_fn(y) for an explicit
-        pair, its transform to the eigenbasis for a Lawson pair.  Returns y
-        as `pair` steps it (`hold`); y may be held as floats."""
-        y = np.asarray(y)
-        if pair.lawson:
+        """The first stage of `pair` at y: stage_fn(y) into K[0] for an
+        explicit pair, its transform to the eigenbasis for a Lawson pair;
+        for a state held as floats, stage_fn's float form into `k1`."""
+        if type(y) is tuple:
+            self.k1 = stage_fn(y)
+        elif pair.lawson:
             self.op.to_modes(stage_fn(y, self.err), self.K[0])
         else:
             stage_fn(y, self.K[0])
-        return self.hold(y, pair)
 
-    def hold(self, y: np.ndarray, pair: Pair):
-        """The state y, whose first stage of `pair` is in K[0], as `pair`
-        steps it: for an explicit pair, a one-cell state [u, v] as the float
-        pair (u, v), with its first stage in `k1`; any other as y itself."""
-        if y.size == 2 and not pair.lawson:
-            self.k1 = tuple(self.K[0].tolist())
-            return tuple(y.tolist())
-        return y
+    def hold(self, y: np.ndarray, reaction_fn):
+        """(y as `step` takes it, N(y)), where N(y) = reaction_fn(y) gives
+        the first stage of either pair: a one-cell state [u, v] as the float
+        pair (u, v), with N(y) the float form's pair, kept in `k1`; any
+        other as y itself, with N(y) in `err`."""
+        if y.size == 2:
+            y = tuple(y.tolist())
+            self.k1 = reaction_fn(y)
+            return y, self.k1
+        return y, reaction_fn(y, self.err)
 
     def combine(self, weights: np.ndarray, out: np.ndarray, first: int = 0) -> np.ndarray:
         """out = sum_i weights[i] * K[first + i]."""
@@ -435,8 +433,8 @@ def step(y, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     caller shrinks dt, if a stage raises EvalAtZeroU (it left N's domain)
     or y_new or k_last is not finite.  The error scale is
     abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).  A one-cell
-    state held as the float pair (u, v) (`StepWork.hold`) takes
-    `_one_cell_step`, the same step on floats, whose first stage is
+    state held as the float pair (u, v) (`StepWork.hold`) takes either pair
+    through `_one_cell_step`, the same step on floats, whose first stage is
     `work.k1` and whose y_new and k_last are float pairs.
     """
     if dt <= 0:
@@ -457,15 +455,16 @@ def step(y, dt: float, stage_fn, rel_tol: float, abs_tol: float,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair):
-    """`step` of an explicit pair on the one-cell state held as the float
-    pair y = (u, v) (module docstring), from the first stage `work.k1`.
-    Each stage is stage_fn's float form, stage_fn((u, v)), a float pair;
-    the stage arguments, y_new among them, the error estimate
-    dt * sum_i e_i k_i, the finite checks, `_error_scale`'s scale and the
-    RMS norm are taken on Python floats too, as numpy's per-call cost on
-    2-float rows would be most of the step.  Keeps (y_new, FSAL stage) in
-    `work.taken` for `StepWork.accept`; the rows of `work` are left as
-    they were."""
+    """`step` on the one-cell state held as the float pair y = (u, v)
+    (module docstring), from the first stage `work.k1`, by the pair's
+    `float_tableau`: A is zero, so a Lawson pair's step is its tableau's
+    explicit step on the reaction.  Each stage is stage_fn's float form,
+    stage_fn((u, v)), a float pair; the stage arguments, y_new among them,
+    the error estimate dt * sum_i e_i k_i, the finite checks, the
+    `_error_scale` scale and the RMS norm are Python floats too, as numpy's
+    per-call cost on 2-float rows would be most of the step.  Keeps
+    (y_new, FSAL stage) in `work.taken` for `StepWork.accept`; the rows of
+    `work` are left as they were."""
     a, e = pair.float_tableau
     u, v = y
     ks = [work.k1]  # each stage's (k_u, k_v)
@@ -576,7 +575,7 @@ def _starting_dt(y, reaction, config: SolverConfig, scale: np.ndarray,
                  ratio: np.ndarray) -> float:
     """The first trial dt (module docstring), from the RMS norms d0 of y and
     d1 of N(y) in the units of sc = abs_tol + rel_tol |y|; builds sc in
-    `scale` and each ratio in `ratio`."""
+    `scale` and each ratio in `ratio`.  y and N(y) may be float pairs."""
     _error_scale(y, y, config.rel_tol, config.abs_tol, scale)
     with np.errstate(over="ignore"):
         d0, d1 = (_rms(np.divide(x, scale, out=ratio)) for x in (y, reaction))
@@ -613,12 +612,12 @@ class _MonitorRows:
 
     def record(self, y, t: float, dt: float) -> float:
         """Keep the row of the state y at t, reached by a step dt; return its
-        sup-norm.  A one-cell y may be the float pair (u, v)."""
+        sup-norm.  A one-cell y is the float pair (u, v)."""
         self.times.append(t)
         self.dts.append(dt)
         if self.cells is not None:
-            u, v = y if type(y) is tuple else y.tolist()
-            self.cells.append((u, v))
+            u, v = y
+            self.cells.append(y)
             if len(self.cells) == self.capacity:
                 self.flush()
             return max(abs(u), abs(v))
@@ -674,19 +673,19 @@ def simulate(config: SolverConfig) -> SolveTrace:
     work = StepWork(y, op)
     # N(g) serves the starting-step rule and the first stage of either pair:
     # A g + N(g) for DP5, N(g) in the eigenbasis for the Lawson pair, whose
-    # steps never form A g; each first stage is checked finite
-    reaction = _reaction_into(nl, y, work.err)
+    # steps never form A g, and N(g) itself on one cell; each is checked finite
+    y, reaction = work.hold(y, reaction_fn)
     if not np.all(np.isfinite(reaction)):
         raise NonFiniteField("initial right-hand side is not finite")
     dt = _starting_dt(y, reaction, config, work.scale, work.y_new)
     pair = pair_for(dt)
-    if pair.lawson:
-        op.to_modes(reaction, work.K[0])
-    else:
-        work.K[0] = reaction
-        if not np.isfinite(op.add_product(y, work.K[0])).all():
-            raise NonFiniteField("initial right-hand side is not finite")
-    y = work.hold(y, pair)
+    if n > 1:
+        if pair.lawson:
+            op.to_modes(reaction, work.K[0])
+        else:
+            work.K[0] = reaction
+            if not np.isfinite(op.add_product(y, work.K[0])).all():
+                raise NonFiniteField("initial right-hand side is not finite")
     t, err_prev, dt_underflow = 0.0, 1.0, False
     rows = _MonitorRows(config, mesh, 2 * n)
     # the initial row carries the first trial dt, clamped but not to t_end
@@ -698,7 +697,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         next_pair = pair_for(dt)
         if next_pair is not pair:
             pair, err_prev = next_pair, 1.0
-            y = work.restart(y, stage_fns[pair], pair)
+            work.restart(y, stage_fns[pair], pair)
         dt = min(dt, caps[pair], _DT_MAX)
         # a step that would leave less than _DT_MIN before t_end ends there
         last = dt >= config.t_end - t - _DT_MIN

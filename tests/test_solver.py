@@ -138,13 +138,20 @@ def spy_reaction(seen):
 
 
 class TestOneCellReaction:
-    # a one-cell state is handed to f1 and f2 as numpy float64 scalars, any
-    # other as slices; the values agree with the sliced path to a few ulp
-    @pytest.mark.parametrize("cells, kind", [(1, np.float64), (3, np.ndarray)])
+    # a one-cell state held as the float pair (u, v) is handed to f1 and f2
+    # as numpy float64 scalars and gives a float pair; an array state, of
+    # one cell too, is handed over as slices; the float form agrees with the
+    # sliced path to a few ulp
+    @pytest.mark.parametrize("cells, kind", [(1, np.float64), (3, np.ndarray),
+                                             (1, np.ndarray)])
     def test_f1_and_f2_take_scalars_on_one_cell_only(self, cells, kind):
         seen = []
         y = np.linspace(1.0, 2.0, 2 * cells)
-        out = _reaction_into(spy_reaction(seen), y, np.empty_like(y))
+        if kind is np.float64:
+            out = _reaction_into(spy_reaction(seen), tuple(y.tolist()))
+            assert type(out) is tuple and all(type(x) is float for x in out)
+        else:
+            out = _reaction_into(spy_reaction(seen), y, np.empty_like(y))
         assert seen == [(kind, kind)] * 2
         assert np.array_equal(out, np.concatenate([y[:cells] * y[cells:], -y[cells:]]))
 
@@ -160,7 +167,7 @@ class TestOneCellReaction:
         # takes at most 3 of them
         rng = np.random.default_rng(0)
         cells = np.column_stack([rng.uniform(*box[0], 500), rng.uniform(*box[1], 500)])
-        one = np.array([_reaction_into(nl, y, np.empty(2)) for y in cells])
+        one = np.array([_reaction_into(nl, cell) for cell in cells.tolist()])
         sliced = _reaction_into(nl, cells.T.ravel(), np.empty(cells.size)).reshape(2, -1).T
         np.testing.assert_array_max_ulp(one, sliced, maxulp=4)
 
@@ -397,7 +404,8 @@ ONE_CELL_CASES = {
 
 
 class TestOneCellStep:
-    # DP5 on a one-cell state held as the float pair (u, v) steps on floats,
+    # DP5 on a one-cell state held as the float pair (u, v) (`hold`, whose
+    # N(y) is DP5's first stage there) steps on floats,
     # each stage the stage function's float form; the array path steps the
     # same cell duplicated, [u, u, v, v], whose RMS norm is the cell's.  The
     # two agree: y_new and the FSAL stage to 1e-14 relative, err to 1e-12
@@ -409,7 +417,8 @@ class TestOneCellStep:
         for y in (np.array(cell), np.repeat(cell, 2)):
             with np.errstate(all="raise"):
                 work = StepWork(y)
-                y = work.restart(y, stage_fn, DP5)
+                y, _ = work.hold(y, stage_fn)
+                work.restart(y, stage_fn, DP5)
                 results.append((y, work, step(y, dt, stage_fn, rel_tol, abs_tol, work)))
         (y, work, (y_new, err, k)), (_, work4, (y_new4, err4, k4)) = results
         assert y == cell and work.k1 == tuple(work4.K[0][::2])
@@ -427,18 +436,19 @@ class TestOneCellStep:
         assert work.accept(y) is y_new and work.k1 is k
 
     def test_one_cell_dp5_steps_take_the_float_path(self, monkeypatch, tmp_path):
-        # criterion 1's run takes every DP5 trial on floats and its Lawson
-        # trial on arrays; robin_drain (16^2 cells, folded to 8^2) takes none
+        # criterion 1's run takes every trial on floats, its DP5 trials and
+        # its Lawson trial; robin_drain (16^2 cells, folded to 8^2) takes none
         states = []
         float_step = rdblowup.solver._one_cell_step
 
         def counted(y, *args):
-            states.append(type(y))
+            states.append((args[-1].name, type(y)))
             return float_step(y, *args)
 
         monkeypatch.setattr(rdblowup.solver, "_one_cell_step", counted)
         trace, _ = flat_blowup_3d()
-        assert states == [tuple] * sum(trace.steps_by_pair["dp5"].values()) == [tuple] * 354
+        assert sum(trace.steps_by_pair["dp5"].values()) == 354
+        assert states == [("dp5", tuple), ("lawson_bs3", tuple)] + [("dp5", tuple)] * 353
         states.clear()
         config = DEMO_CONFIGS / "robin_drain.ini"
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
@@ -446,11 +456,11 @@ class TestOneCellStep:
         assert sum(by_pair["dp5"].values()) > 0 and states == []
 
     def test_a_flat_run_takes_the_float_form_after_dp5_restarts(self, monkeypatch):
-        # criterion 1's run takes the array form of the reaction for N(g),
-        # for its Lawson trial after the first DP5 step (the restart and 3
-        # new stages, rejected) and for DP5's restart after it, and the
-        # float form for the 6 stages of each of its 354 DP5 steps; f1 and
-        # f2 take numpy float64 scalars in both
+        # criterion 1's run takes the float form of the reaction throughout:
+        # for N(g), the 6 stages of its first DP5 step, its Lawson trial
+        # after it (the restart and 3 new stages, rejected), DP5's restart
+        # and the 6 stages of each of its 353 other DP5 steps; f1 and f2
+        # take numpy float64 scalars
         forms, seen = [], set()
         reaction_into = rdblowup.solver._reaction_into
 
@@ -469,15 +479,15 @@ class TestOneCellStep:
         trace, _ = flat_blowup_3d(dataclasses.replace(nl, f1=typed(nl.f1), f2=typed(nl.f2)))
         assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
                                        "dp5": {"accepted": 354, "rejected": 0}}
-        assert forms == ["array", *["float"] * 6, *["array"] * 5, *["float"] * 6 * 353]
+        assert forms == ["float"] * (1 + 6 + 1 + 3 + 1 + 6 * 353)
         assert seen == {(np.float64, np.float64)}
 
     def test_a_flat_run_holds_its_state_as_its_pair_steps_it(self, monkeypatch):
         # u' = -100 (u - 1), v' = -50 (v - 1/2) from (2, 1) under Neumann
         # walls, collapsed to one cell: DP5 steps the float pair until the
         # relaxing cell lets dt reach the cap, the Lawson pair then steps
-        # the array (10 accepted, 1 rejected) and DP5 the float pair again;
-        # every row is the exact solution to 1e-7
+        # the float pair too (10 accepted, 1 rejected), and DP5 again; every
+        # row is the exact solution to 1e-7
         forms = []
 
         def logged_step(y, dt, *args):
@@ -495,12 +505,51 @@ class TestOneCellStep:
         assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 10, "rejected": 1},
                                        "dp5": {"accepted": 182, "rejected": 0}}
         runs = [(key, len(list(group))) for key, group in itertools.groupby(forms)]
-        assert runs == [(("dp5", tuple), 82), (("lawson_bs3", np.ndarray), 11),
+        assert runs == [(("dp5", tuple), 82), (("lawson_bs3", tuple), 11),
                         (("dp5", tuple), 100)]
         t = np.array([s.t for s in trace.samples])
         for sups, exact in (([s.sup_u for s in trace.samples], 1.0 + np.exp(-100.0 * t)),
                             ([s.sup_v for s in trace.samples], 0.5 + 0.5 * np.exp(-50.0 * t))):
             assert np.all(np.abs(np.array(sups) - exact) <= 1e-7 * exact)
+
+    @pytest.mark.parametrize("u0, by_pair", [
+        (1.0, {"lawson_bs3": {"accepted": 0, "rejected": 1},
+               "dp5": {"accepted": 354, "rejected": 0}}),
+        (0.0, {"lawson_bs3": {"accepted": 10, "rejected": 0},
+               "dp5": {"accepted": 0, "rejected": 0}}),
+    ], ids=["criterion_1", "u0_0"])
+    def test_a_one_cell_run_holds_floats_under_both_pairs(self, monkeypatch, u0, by_pair):
+        # F = u^2 v^2 from (u0, 1) on a 16^3 Neumann box, collapsed to one
+        # cell: criterion 1's run, and u0 = 0, where N = 0 and the Lawson
+        # pair takes the run in 10 steps of 0.1.  Every trial, Lawson trials
+        # included, takes the float pair, and the zero operator builds no
+        # eigenpairs and makes no transform
+        ops, states, transforms = lawson_operators(monkeypatch), [], []
+
+        def logged_step(y, *args):
+            states.append(type(y))
+            return step(y, *args)
+
+        def spied(name, method):
+            def logged(op, *args):
+                transforms.append(name)
+                return method(op, *args)
+            return logged
+
+        monkeypatch.setattr(rdblowup.solver, "step", logged_step)
+        for name in ("to_modes", "from_modes"):
+            monkeypatch.setattr(RobinOperator, name, spied(name, getattr(RobinOperator, name)))
+        mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0,) * 3), 16)
+        trace = simulate(SolverConfig(mesh=mesh, nl=make_power_product(1.0, 2.0, 2.0),
+                                      gamma1=0.0, gamma2=0.0, g1=np.full(mesh.n_cells, u0),
+                                      g2=np.full(mesh.n_cells, 1.0), t_end=1.0))
+        assert trace.collapsed_axes == (0, 1, 2) and trace.steps_by_pair == by_pair
+        assert states == [tuple] * sum(sum(c.values()) for c in by_pair.values())
+        assert len(ops) == 1 and "eigenpairs" not in vars(ops[0]) and transforms == []
+        if u0 == 0.0:
+            assert trace.final_fields.t == 1.0
+            assert [s.dt for s in trace.samples] == pytest.approx([0.1] * 11, rel=1e-14, abs=0)
+            assert np.all(trace.final_fields.u == 0.0) and np.all(trace.final_fields.v == 1.0)
 
 
 class NoDiffusion(RobinOperator):
@@ -945,7 +994,7 @@ class TestLeavingTheDomain:
 
         stage_fn = partial(_reaction_into, dataclasses.replace(nl, f1=f1))
         work = StepWork(np.empty(2))
-        y = work.restart(np.array([1.0, 0.5]), stage_fn, DP5)  # held as floats
+        y, _ = work.hold(np.array([1.0, 0.5]), stage_fn)  # held as floats
         with np.errstate(all="raise"):
             y_new, err, k = step(y, 0.1, stage_fn, 1e-8, 1e-10, work, DP5)
         assert y_new is y and err == math.inf and k is None

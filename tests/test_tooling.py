@@ -2,7 +2,8 @@
 drives its steppers, and the ODE oracle, which carries DOP853's tableau and
 Brent's method, imports nothing from the package, so the solver and the
 oracle stay independent; the
-solver calls the reaction f1, f2 at one site each; it leaves the
+solver calls the reaction f1, f2 at one site each and reaches the stage
+kernels of a trial from `step` alone; it leaves the
 operator's product and the mesh's fold and collapse to geometry.py;
 `simulate` writes how a run ends once: one loop condition, no `break`, one
 assignment of the outcome; and E, J, scriptE and their terms are evaluated in
@@ -223,6 +224,53 @@ def test_the_solver_calls_f1_and_f2_at_one_site_each():
     reads = reaction_reads(ast.parse((SRC / "solver.py").read_text()))
     assert reads == [("_reaction_into", "f1", True), ("_reaction_into", "f2", True)]
 
+
+# the stage kernels of one trial, which the solver reaches from `step` alone
+STEP_KERNELS = {"_one_cell_step", "_explicit_stages", "_lawson_stages"}
+
+
+def name_reads(tree, names, scope=()):
+    """(qualified name of the enclosing function, name) of each read of a
+    name in `names` in a parsed module, "" at module level: bare or as an
+    attribute, called or not, or as a string (as `getattr` takes it)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += name_reads(node, names, (*scope, node.name))
+            continue
+        loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+        name = (node.id if isinstance(node, ast.Name) and loaded
+                else node.attr if isinstance(node, ast.Attribute) and loaded
+                else node.value if isinstance(node, ast.Constant) else None)
+        if isinstance(name, str) and name in names:
+            found.append((".".join(scope), name))
+        found += name_reads(node, names, scope)
+    return found
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("def step(y, pair):\n    if type(y) is tuple:\n        return _one_cell_step(y)\n"
+     "    stages = _lawson_stages if pair.lawson else _explicit_stages\n    return stages(y)",
+     [("step", "_one_cell_step"), ("step", "_lawson_stages"), ("step", "_explicit_stages")]),
+    ("def simulate(y):\n    return _explicit_stages(y, dt)", [("simulate", "_explicit_stages")]),
+    ("class StepWork:\n    def restart(self, y):\n        solver._lawson_stages(y)",
+     [("StepWork.restart", "_lawson_stages")]),
+    ("def f(y):\n    return partial(_one_cell_step, y)", [("f", "_one_cell_step")]),
+    ("def f(m):\n    return getattr(m, '_one_cell_step')(y)", [("f", "_one_cell_step")]),
+    ("kernel = _lawson_stages", [("", "_lawson_stages")]),
+    ("def _one_cell_step(y):\n    _explicit_stages = 1\n    return y._lawson", []),
+], ids=["step", "call_from_another_function", "method", "partial", "getattr", "module_level",
+        "no_read"])
+def test_every_step_kernel_read_is_found(source, reads):
+    assert name_reads(ast.parse(source), STEP_KERNELS) == reads
+
+
+def test_the_solver_reaches_its_stage_kernels_from_step_alone():
+    # every trial goes through `step`, whose spies count it, and one state
+    # test there picks the float step or a pair's array stages
+    sites = sorted((path.name, *site) for path in sorted(SRC.glob("*.py"))
+                   for site in name_reads(ast.parse(path.read_text()), STEP_KERNELS))
+    assert sites == sorted(("solver.py", "step", kernel) for kernel in STEP_KERNELS)
 
 # what only geometry.py may know: the operator's matrix and whether it is
 # zero, the cells a reduced mesh keeps and the mirror of a folded axis
