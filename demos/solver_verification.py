@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from rdblowup.geometry import DomainSpec, build_mesh, interior_integral
+from rdblowup.functionals import interior_integral
+from rdblowup.geometry import DomainSpec, build_mesh
 from rdblowup.nonlinearity import Nonlinearity
 from rdblowup.solver import SolverConfig, simulate
 

@@ -13,17 +13,17 @@ from .bounds import (
 from .functionals import (
     EnergySample,
     FieldPair,
+    boundary_integral,
     check_trace_monitors,
     energy_sample,
+    interior_integral,
 )
 from .geometry import (
     DomainSpec,
     GeometryConstants,
     Mesh,
-    boundary_integral,
     build_mesh,
     geometry_constants,
-    interior_integral,
 )
 from .nonlinearity import (
     HypothesisReport,

@@ -21,15 +21,8 @@ from .errors import (
     NonpositiveE0,
     NonpositiveJ0,
 )
-from .functionals import FieldPair, energy_sample, require_growth_constants
-from .geometry import (
-    BALL,
-    DomainSpec,
-    GeometryConstants,
-    Mesh,
-    _finite_total,
-    geometry_constants,
-)
+from .functionals import FieldPair, _finite_total, energy_sample, require_growth_constants
+from .geometry import BALL, DomainSpec, GeometryConstants, Mesh, geometry_constants
 from .nonlinearity import (
     HypothesisReport,
     Nonlinearity,

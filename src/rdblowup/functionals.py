@@ -1,4 +1,4 @@
-"""Energy functionals of a discrete field pair.
+"""Quadrature on a mesh and the energy functionals of a discrete field pair.
 
 E(t) is the squared L2 energy of the pair, J(t) the potential-dominated
 functional whose sign drives the upper bound, and scriptE(t) the 2p-power
@@ -33,9 +33,12 @@ dot products as one BLAS dot per state.
   clamps each field at 0; the rules of its p and of nonnegative data are
   those of its callers (`require_growth_constants`, the bounds' data rule).
 
-The integrals keep the rule of `interior_integral` and
-`boundary_integral`: NonFiniteSample iff a sample is not finite or the sum
-overflows.
+Quadrature: `interior_integral` is the midpoint rule over the cells, each
+weighted by `Mesh.cell_volume`, and `boundary_integral` the face-midpoint
+rule over the faces, each weighted by its `Mesh.face_areas` entry; both are
+exact for per-cell constants.  An integral raises NonFiniteSample iff a
+sample is not finite or the sum overflows (`_finite_total`), and the
+monitor rows' integrals keep that rule.
 """
 
 import math
@@ -44,8 +47,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NegativeField, NonFiniteField
-from .geometry import Mesh, _finite_total
+from .errors import NegativeField, NonFiniteField, NonFiniteSample
+from .geometry import Mesh
 
 NONNEG_TOL = 1e-12
 # `check_trace_monitors`' relative tolerance, and the sup-norm from which it
@@ -61,6 +64,32 @@ def require_growth_constants(p=None, **k):
     for name, value in k.items():
         if value is not None and not 0 < value < np.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value:g}")
+
+
+def _finite_total(total, what: str) -> float:
+    """A quadrature's `total` as a float; NonFiniteSample if it is not finite,
+    which is the case iff a sample is inf or NaN or the sum overflows."""
+    if not np.isfinite(total):
+        raise NonFiniteSample(f"{what} integral has a non-finite sample or overflows")
+    return float(total)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def interior_integral(mesh: Mesh, samples) -> float:
+    """Midpoint-rule integral over the domain; exact for per-cell constants."""
+    samples = np.asarray(samples, dtype=float).ravel()
+    if samples.size != mesh.n_cells:
+        raise ValueError("one sample per cell required")
+    return _finite_total(np.sum(samples) * mesh.cell_volume, "interior")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def boundary_integral(mesh: Mesh, boundary_samples) -> float:
+    """Face-midpoint integral over the boundary of the box."""
+    samples = np.asarray(boundary_samples, dtype=float).ravel()
+    if samples.size != mesh.face_cells.size:
+        raise ValueError("one sample per boundary face required")
+    return _finite_total(np.sum(samples * mesh.face_areas), "boundary")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Domains, uniform cell-centered meshes, the Robin operator of the (u, v)
-state on them, geometric constants and quadrature.
+"""Domains, uniform cell-centered meshes, their reduction, the Robin operator
+of the (u, v) state on them and geometric constants.  Quadrature over a mesh
+is functionals.py's.
 
 Boxes are meshed with a uniform cell-centered grid; balls exist only as
 analytic domains (geometric constants and volume) and cannot be meshed.
@@ -45,15 +46,14 @@ ghosts are the cell, as its neighbours along the axis are, so its
 eigenvalue is exactly 0.
 
 The operator is defined once, by one tridiagonal per axis and field: its
-DIA matrix and its eigenpairs are both built from those rows, and so is
-`RobinOperator.is_zero`.  `RobinOperator.add_product` adds A y with one
-product with the DIA matrix, or none where A is zero.  Importing this
-module loads numpy alone: a DIA matrix imports `scipy.sparse` when first
-built, and the eigenpairs need numpy only, so a run that never builds a
-DIA matrix never loads scipy.  The solver builds one for a DP5 step or a
-right-hand side on a nonzero operator only: a Lawson-only run, and a run
-collapsed along every axis under Neumann walls, whose operator is zero,
-build none.
+DIA matrix and its eigenpairs are both built from those rows.
+`RobinOperator.add_product` adds A y with one product with the DIA matrix.
+Importing this module loads numpy alone: a DIA matrix imports
+`scipy.sparse` when first built, and the eigenpairs need numpy only, so a
+run that never builds a DIA matrix never loads scipy.  The solver builds
+one for `rhs` and for a DP5 step on more than one cell: a Lawson-only run,
+and a run collapsed onto one cell, which steps the reaction alone, build
+none.
 """
 
 from dataclasses import dataclass
@@ -62,7 +62,7 @@ from math import inf, pi, prod, sqrt
 
 import numpy as np
 
-from .errors import BallMeshUnsupported, NonFiniteSample, ResolutionTooCoarse
+from .errors import BallMeshUnsupported, ResolutionTooCoarse
 
 BOX = "box"
 BALL = "ball"
@@ -272,7 +272,6 @@ class RobinOperator:
     eigenvectors and Lambda the sums of their eigenvalues (fast
     diagonalisation, Lynch, Rice & Thomas 1964).  Each array is built on
     first use by its reader: a Lawson run builds the eigenpairs and one scratch state.
-    `add_product` adds A y with no product where `is_zero` says A is zero.
     """
 
     mesh: Mesh
@@ -294,21 +293,8 @@ class RobinOperator:
         return rows
 
     def add_product(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out += A y, one product with `matrix` for both fields, or none
-        where A is zero (`is_zero`); returns out."""
-        if self.is_zero:
-            return out
+        """out += A y, one product with `matrix` for both fields; returns out."""
         return np.add(self.matrix @ y, out, out=out)
-
-    @cached_property
-    def is_zero(self) -> bool:
-        """Whether A is the zero operator: every axis one cell wide, so that
-        no cell has a neighbour, and every axis's row 0.  That is a mesh
-        collapsed along every axis under Neumann walls, each row
-        (-2 + 1 + 1)/h_a^2; a gamma whose ghost factor g is below 1 makes
-        its field's rows nonzero."""
-        return (all(na == 1 for na in self.mesh.shape)
-                and not any(row.any() for row in self._axis_diagonals()))
 
     @cached_property
     def matrix(self) -> "scipy.sparse.dia_array":
@@ -478,29 +464,3 @@ def geometry_constants(spec: DomainSpec) -> GeometryConstants:
     rho = min(spec.half_extents)
     d = sqrt(sum(L * L for L in spec.half_extents))
     return GeometryConstants(rho=rho, d=d)
-
-
-def _finite_total(total, what: str) -> float:
-    """A quadrature's `total` as a float; NonFiniteSample if it is not finite,
-    which is the case iff a sample is inf or NaN or the sum overflows."""
-    if not np.isfinite(total):
-        raise NonFiniteSample(f"{what} integral has a non-finite sample or overflows")
-    return float(total)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def interior_integral(mesh: Mesh, samples) -> float:
-    """Midpoint-rule integral over the domain; exact for per-cell constants."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size != mesh.n_cells:
-        raise ValueError("one sample per cell required")
-    return _finite_total(np.sum(samples) * mesh.cell_volume, "interior")
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def boundary_integral(mesh: Mesh, boundary_samples) -> float:
-    """Face-midpoint integral over the boundary of the box."""
-    samples = np.asarray(boundary_samples, dtype=float).ravel()
-    if samples.size != mesh.face_cells.size:
-        raise ValueError("one sample per boundary face required")
-    return _finite_total(np.sum(samples * mesh.face_areas), "boundary")

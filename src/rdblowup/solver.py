@@ -9,9 +9,9 @@ at the face, Neumann reflection at gamma = 0).  Each field's block is the
 Kronecker sum of its axes' tridiagonals, the 5-point (2D) / 7-point (3D)
 stencil.  `rhs` and DP5's stages add A y by `RobinOperator.add_product`:
 one product with a (2n, 2n) `scipy.sparse` DIA matrix of both fields, built
-from those rows on first use, or none where A is zero (every axis collapsed
-under Neumann walls, below).  A Lawson-only run, and one whose A is zero,
-builds no matrix, so loads no `scipy.sparse`.
+from those rows on first use.  A run of one cell (every axis collapsed under
+Neumann walls, below) steps the reaction alone.  So a Lawson-only run, and
+a run of one cell, builds no matrix and loads no `scipy.sparse`.
 
 The eigenbasis: the operator diagonalises the same tridiagonals,
 A = Q diag(Lambda) Q^T, with Q the Kronecker product of the axes' orthogonal
@@ -117,11 +117,10 @@ each such state's (t, dt) and a copy of it in a block of `_ROW_BLOCK_BYTES`
 and writes the block's rows with one `energy_rows` call when the block
 fills and when the run ends, so a row costs a copy and a share of that
 call; the step loop takes the sup-norm, max(y) and -min(y), from the state
-itself.  A one-cell state is kept as its float pair (u, v), whose
-sup-norm is max(|u|, |v|), and its block is a list of such pairs, written
-with the same one call.  A state too large for a block of two is written
-on its own, with no copy.  The kernel reduces each state alone, so the
-rows are the ones `energy_sample` gives each state, bit for bit; a row
+itself, and max(|u|, |v|) from a one-cell state's float pair (u, v), which
+the block keeps as a row of two.  A state too large for a block of two is
+written on its own, with no copy.  The kernel reduces each state alone, so
+the rows are the ones `energy_sample` gives each state, bit for bit; a row
 whose integral is not finite raises NonFiniteSample when its block is
 written.
 
@@ -596,15 +595,13 @@ def _diffusion_cap(mesh: Mesh) -> float:
 class _MonitorRows:
     """The monitor rows of a run (module docstring): `record` keeps each
     state's (t, dt) and a copy of it, and `flush` writes the kept states'
-    rows with one `energy_rows` call.  A one-cell state is kept as its
-    float pair, any other in a block of `_ROW_BLOCK_BYTES`; a state too
-    large for a block of two is written on its own, from the state."""
+    rows with one `energy_rows` call.  States are kept in a block of
+    `_ROW_BLOCK_BYTES`; a state too large for a block of two is written on
+    its own, from the state."""
 
     def __init__(self, config: SolverConfig, mesh: Mesh, size: int):
-        self.capacity = _ROW_BLOCK_BYTES // (8 * size)
-        self.cells = [] if size == 2 else None  # the kept one-cell states (u, v)
-        self.block = (np.empty((self.capacity, size))
-                      if self.cells is None and self.capacity >= 2 else None)
+        capacity = _ROW_BLOCK_BYTES // (8 * size)
+        self.block = np.empty((capacity, size)) if capacity >= 2 else None
         self.kept, self.times, self.dts = 0, [], []
         self.config, self.mesh = config, mesh
         self.samples: list[EnergySample] = []
@@ -615,12 +612,6 @@ class _MonitorRows:
         sup-norm.  A one-cell y is the float pair (u, v)."""
         self.times.append(t)
         self.dts.append(dt)
-        if self.cells is not None:
-            u, v = y
-            self.cells.append(y)
-            if len(self.cells) == self.capacity:
-                self.flush()
-            return max(abs(u), abs(v))
         if self.block is None:
             self._write(y[None])
             return max(self.samples[-1].sup_u, self.samples[-1].sup_v)
@@ -628,14 +619,14 @@ class _MonitorRows:
         self.kept += 1
         if self.kept == len(self.block):
             self.flush()
+        if type(y) is tuple:
+            u, v = y
+            return max(abs(u), abs(v))
         return float(max(y.max(), -y.min()))
 
     def flush(self) -> list[EnergySample]:
         """Write the kept states' rows; return every row so far."""
-        if self.cells:
-            self._write(np.array(self.cells))
-            self.cells = []
-        elif self.kept:
+        if self.kept:
             self._write(self.block[:self.kept])
             self.kept = 0
         return self.samples

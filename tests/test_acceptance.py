@@ -200,7 +200,7 @@ def test_criterion_7_solver_verification():
 
     # Neumann mass conservation
     mesh = build_mesh(spec, 16)
-    from rdblowup.geometry import interior_integral
+    from rdblowup.functionals import interior_integral
     g = 1.0 + 0.5 * np.cos(np.pi * mesh.cell_centers[:, 0])
     cfg = SolverConfig(mesh=mesh, nl=zero_reaction(), gamma1=0.0, gamma2=0.0,
                        g1=g, g2=g, t_end=0.1)

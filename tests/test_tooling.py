@@ -4,7 +4,8 @@ Brent's method, imports nothing from the package, so the solver and the
 oracle stay independent; the
 solver calls the reaction f1, f2 at one site each and reaches the stage
 kernels of a trial from `step` alone; it leaves the
-operator's product and the mesh's fold and collapse to geometry.py;
+operator's product and the mesh's fold and collapse to geometry.py, whose
+private names no other module imports or reads;
 `simulate` writes how a run ends once: one loop condition, no `break`, one
 assignment of the outcome; and E, J, scriptE and their terms are evaluated in
 `energy_rows` alone, which every other module reaches through
@@ -303,6 +304,50 @@ def test_every_geometry_read_is_found(source, found):
 
 def test_the_solver_leaves_the_operator_and_the_reduction_to_geometry():
     assert geometry_reads(ast.parse((SRC / "solver.py").read_text())) == []
+
+
+def private_geometry_reads(tree):
+    """(line, name) of each `_`-prefixed name of geometry.py a parsed module
+    imports from it, or reads as an attribute of it: of a name bound to the
+    module, or of an attribute `geometry` (as in `rdblowup.geometry._x`)."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names
+                        if a.asname and a.name.split(".")[-1] == "geometry"}
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "geometry":
+                found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+            else:
+                modules |= {a.asname or a.name for a in node.names if a.name == "geometry"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            value = node.value
+            if ((isinstance(value, ast.Name) and value.id in modules)
+                    or (isinstance(value, ast.Attribute) and value.attr == "geometry")):
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .geometry import _x", [(1, "_x")]),
+    ("from rdblowup.geometry import Mesh, _x as y", [(1, "_x")]),
+    ("import rdblowup.geometry as g\ng._x", [(2, "_x")]),
+    ("from . import geometry\ngeometry._x(1)", [(2, "_x")]),
+    ("import rdblowup.geometry\nrdblowup.geometry._x", [(2, "_x")]),
+    ("from .geometry import Mesh\nmesh._x\nfunctionals._y", []),
+], ids=["relative", "absolute_renamed", "module_alias", "module_from_package",
+        "dotted", "public"])
+def test_every_private_geometry_read_is_found(source, found):
+    assert private_geometry_reads(ast.parse(source)) == found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "geometry.py"))
+def test_no_module_reads_a_private_name_of_geometry(module):
+    # geometry.py's private names are its own: a rule another module needs
+    # belongs to that module or is public
+    assert private_geometry_reads(ast.parse((SRC / module).read_text())) == []
 
 
 def assigned_names(target):
