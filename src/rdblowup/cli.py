@@ -406,11 +406,17 @@ def main(argv=None) -> int:
                         help="parallel processes for multiple configs")
     args = parser.parse_args(argv)
 
-    jobs = []
+    jobs, stems = [], {}
     for cfg_path in args.config:
         out = args.out_dir
         if out is not None and len(args.config) > 1:
-            out = str(Path(out) / Path(cfg_path).stem)
+            stem = Path(cfg_path).stem
+            if stem in stems:
+                print(f"config error: {stems[stem]} and {cfg_path} share the file stem "
+                      f"{stem!r}, so both would write {Path(out) / stem}", file=sys.stderr)
+                return EXIT_CONFIG
+            stems[stem] = cfg_path
+            out = str(Path(out) / stem)
         jobs.append((args.command, cfg_path, out, args.resolution))
 
     if len(jobs) == 1 or args.jobs <= 1:

@@ -139,7 +139,7 @@ class Mesh:
     """
 
     spec: DomainSpec
-    cells_per_axis: tuple[int, ...]
+    shape: tuple[int, ...]  # the cell counts of each axis
     box_shape: tuple[int, ...]  # the box's cell counts, which `fold` reduces
     h: tuple[float, ...]
     cell_centers: np.ndarray  # (n_cells, N)
@@ -150,11 +150,7 @@ class Mesh:
 
     @property
     def n_cells(self) -> int:
-        return prod(self.cells_per_axis)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.cells_per_axis
+        return prod(self.shape)
 
     @property
     def cell_volume(self) -> float:
@@ -415,15 +411,15 @@ def _box_mesh(spec: DomainSpec, box_cells, h, mirror_axes, collapsed_axes) -> Me
     """The mesh of a box of `box_cells` cells of widths h, folded on
     `mirror_axes` and collapsed along `collapsed_axes` (`Mesh.fold`): the
     box's centres at x_a > 0 on a folded axis, its last on a collapsed one."""
-    cells_per_axis = tuple(n // 2 if a in mirror_axes else 1 if a in collapsed_axes else n
-                           for a, n in enumerate(box_cells))
+    shape = tuple(n // 2 if a in mirror_axes else 1 if a in collapsed_axes else n
+                  for a, n in enumerate(box_cells))
     axes = [_axis_centres(L, ha, n)[n - m:]
-            for L, ha, n, m in zip(spec.half_extents, h, box_cells, cells_per_axis)]
+            for L, ha, n, m in zip(spec.half_extents, h, box_cells, shape)]
     grids = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=-1)
 
-    flat_index = np.arange(prod(cells_per_axis)).reshape(cells_per_axis)
-    copies = prod(box_cells) // prod(cells_per_axis)  # `Mesh.cell_volume`'s multiplicity
+    flat_index = np.arange(prod(shape)).reshape(shape)
+    copies = prod(box_cells) // prod(shape)  # `Mesh.cell_volume`'s multiplicity
     face_cells, face_areas = [], []
     for axis in range(len(h)):
         # a collapsed axis's faces lie on its one cell, of whose n_a copies in
@@ -436,7 +432,7 @@ def _box_mesh(spec: DomainSpec, box_cells, h, mirror_axes, collapsed_axes) -> Me
 
     return Mesh(
         spec=spec,
-        cells_per_axis=cells_per_axis,
+        shape=shape,
         box_shape=tuple(box_cells),
         h=h,
         cell_centers=centers,

@@ -297,7 +297,7 @@ def _initial_data_row(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float,
                                     ("H3", gamma2, row.bdry_v, row.grad_v_energy)):
         rhs = gamma * bdry + grad
         desc = (f"2*intF={lhs:.12g} vs gamma*bdry+grad={rhs:.12g} "
-                f"(gamma={gamma:g}) on {mesh.cells_per_axis} mesh")
+                f"(gamma={gamma:g}) on {mesh.shape} mesh")
         reports.append(_report(name, lhs - rhs, abs(lhs) + abs(rhs), (lhs, rhs), desc))
     return row, tuple(reports)
 

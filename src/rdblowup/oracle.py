@@ -30,7 +30,7 @@ import numpy as np
 # times is 1.1e-13 relative
 _RTOL, _ATOL = 1e-13, 1e-15
 _TIME_ERROR = 10 * _RTOL
-# the top level of max(u, v) is 1/_CUTOFF
+# the top level of max(u, v) is 1/_CUTOFF, or 1e4 max(u0, v0) if higher
 _CUTOFF = 1e-6
 # brentq's tolerances on a crossing, those `solve_ivp` gives its events
 _ROOT_TOL = 4 * float(np.finfo(float).eps)
@@ -301,20 +301,20 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
 
     The state is z = (u, v, t), advanced in the Sundman time s (module
     docstring) by dz/ds = (f1, f2, 1) / R until t reaches t_max or max(u, v)
-    the top level 1/_CUTOFF, with scipy's DOP853 steps taken on floats
-    (`_FloatDop853`).  Only a step in which max(u, v) reaches the next level
-    or t reaches t_max builds the dense output, whose roots, by Brent's
-    method (`_brentq`) as `solve_ivp` finds its events, give the
-    crossing times and the final knot.  Crossing times of max(u, v) at
-    geometric levels up to 1/_CUTOFF converge geometrically to the blow-up
-    time; the last three are extrapolated.  The uncertainty adds the shift
-    from halving the cutoff (one level earlier), the distance to the last
-    crossing and the integrator's error allowance `_TIME_ERROR` of the
-    estimate.  A step that falls below 10 ulp of s ends the run, as scipy's
-    does, with no blow-up time; so does a step past the float range of s,
-    and so does the step count _MAX_STEPS, which the method string then
-    names.  The reaction's float overflows
-    and invalid values are not warned of: they end the run in these ways.
+    the top level, 1/_CUTOFF or 1e4 max(u0, v0) if higher, with scipy's DOP853
+    steps taken on floats (`_FloatDop853`).  Only a step in which max(u, v)
+    reaches the next level or t reaches t_max builds the dense output, whose
+    roots, by Brent's method (`_brentq`) as `solve_ivp` finds its events, give
+    the crossing times and the final knot.  The crossing times of geometric
+    levels from 10 max(u0, v0, 1) to the top level converge geometrically to
+    the blow-up time; the last three are extrapolated.  The uncertainty adds
+    the shift from halving the cutoff, 1 over the top level (one level
+    earlier), the distance to the last crossing and the integrator's error
+    allowance `_TIME_ERROR` of the estimate.  A step below 10 ulp of s ends
+    the run, as scipy's does, with no blow-up time; so does a step past the
+    float range of s, and so does the step count _MAX_STEPS, which the method
+    string then names after the cutoff.  The reaction's float overflows and
+    invalid values are not warned of: they end the run in these ways.
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial values must be nonnegative")
@@ -333,7 +333,7 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
         return du / r, dv / r, 1.0 / r
 
     start = max(u0, v0, 1.0)
-    top = 1.0 / _CUTOFF
+    top = max(1.0 / _CUTOFF, 1e4 * start)
     n_levels = max(4, int(np.ceil(np.log10(top / (10.0 * start)))) + 1)
     levels = np.geomspace(10.0 * start, top, n_levels).tolist()
 
@@ -377,7 +377,7 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
     return OdeTrace(
         ts=ts, us=us, vs=vs, blowup_time=blowup_time,
         method=f"DOP853 (scipy tableau) on floats in Sundman time rtol={_RTOL:g}, "
-               f"level extrapolation cutoff={_CUTOFF:g}{capped}",
+               f"level extrapolation cutoff={1.0 / top:g}{capped}",
     )
 
 

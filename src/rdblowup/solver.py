@@ -70,9 +70,10 @@ run starts on it at min(0.1, t_end), and a run whose reaction sets a first
 dt below the cap starts on DP5.  A rejected `lawson_bs3` step is retried by
 DP5 at the same dt, which DP5's clamp holds at its cap, and DP5 keeps the
 rest of the run.  Where the pair changes, the PI history restarts and the
-new pair's first stage is evaluated at the current state.  A run that
-reaches t_end stops there exactly.  So the Lawson pair takes the steps DP5's
-cap would hold, until one is rejected, and DP5's order pays below its cap.
+new pair's first stage is evaluated at the current state (on one cell it
+is N(y) already, below).  A run that reaches t_end stops there exactly.  So
+the Lawson pair takes the steps DP5's cap would hold, until one is
+rejected, and DP5's order pays below its cap.
 
 The fold and the collapse: `simulate` steps on
 `Mesh.reduced(g1, g2, gamma1, gamma2)`, the box folded on the axes along
@@ -89,11 +90,13 @@ with every eigenvalue 0 and Q = 1 the Lawson pair's step is BS3's explicit
 step on the reaction.  One cell arises from that collapse alone:
 `build_mesh` takes at least 4 cells an axis, a fold halves them, and
 `Mesh.reduced` collapses only under Neumann walls.  A one-cell state is
-floats from N(g) on, under both pairs: `StepWork.hold` takes the data as
-the pair (u, v) and N(g), either pair's first stage, as a float pair from
-the reaction's float form, which hands f1 and f2 numpy float64 scalars
-(whose ** differs from numpy's array ** by up to 1 ulp); `restart` takes a
-new pair's first stage so, and `accept` keeps each FSAL stage as a pair.
+floats from N(g) on, under both pairs: `simulate`'s one-cell rule takes the
+data as the pair (u, v) and N(g), either pair's first stage, as a float
+pair in `StepWork.k1` from the reaction's float form, which hands f1 and
+f2 numpy float64 scalars (whose ** differs from numpy's array ** by up to
+1 ulp), and `accept` keeps each FSAL stage as a pair.  Both pairs are
+first-same-as-last, and a rejected trial leaves y and `k1` as they were,
+so `k1` is N(y) at every pair change and no change evaluates the reaction.
 `step` takes either pair on that state through `_one_cell_step`, by the
 pair's `float_tableau`: stage arguments, error estimate, finite checks,
 error scale and RMS norm are Python floats, summed in order where
@@ -361,10 +364,10 @@ class StepWork:
     row into `K[0]` and swaps the caller's state with `y_new`.  `op` is the
     `RobinOperator` whose eigenbasis a Lawson pair steps in.
 
-    A one-cell state is held as the float pair (u, v) from N(g) on, under
-    either pair (`hold`), and stepped on floats with no row: `k1` holds its
-    first stage, N(y) as a float pair, and `taken` the (y_new, FSAL stage)
-    of the last such step, which `accept` makes the state and the next `k1`.
+    A one-cell state, held as the float pair (u, v) (module docstring), is
+    stepped on floats with no row: `k1` holds its first stage, N(y) as a
+    float pair, and `taken` the (y_new, FSAL stage) of the last such step,
+    which `accept` makes the state and the next `k1`.
     """
 
     __slots__ = ("K", "last", "y_new", "err", "scale", "op", "k1", "taken")
@@ -377,27 +380,14 @@ class StepWork:
         self.op = op
         self.k1 = self.taken = None
 
-    def restart(self, y, stage_fn, pair: Pair):
-        """The first stage of `pair` at y: stage_fn(y) into K[0] for an
-        explicit pair, its transform to the eigenbasis for a Lawson pair;
-        for a state held as floats, stage_fn's float form into `k1`."""
-        if type(y) is tuple:
-            self.k1 = stage_fn(y)
-        elif pair.lawson:
+    def restart(self, y: np.ndarray, stage_fn, pair: Pair):
+        """The first stage of `pair` at the array state y: stage_fn(y) into
+        K[0] for an explicit pair, its transform to the eigenbasis for a
+        Lawson pair."""
+        if pair.lawson:
             self.op.to_modes(stage_fn(y, self.err), self.K[0])
         else:
             stage_fn(y, self.K[0])
-
-    def hold(self, y: np.ndarray, reaction_fn):
-        """(y as `step` takes it, N(y)), where N(y) = reaction_fn(y) gives
-        the first stage of either pair: a one-cell state [u, v] as the float
-        pair (u, v), with N(y) the float form's pair, kept in `k1`; any
-        other as y itself, with N(y) in `err`."""
-        if y.size == 2:
-            y = tuple(y.tolist())
-            self.k1 = reaction_fn(y)
-            return y, self.k1
-        return y, reaction_fn(y, self.err)
 
     def combine(self, weights: np.ndarray, out: np.ndarray, first: int = 0) -> np.ndarray:
         """out = sum_i weights[i] * K[first + i]."""
@@ -432,7 +422,7 @@ def step(y, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     caller shrinks dt, if a stage raises EvalAtZeroU (it left N's domain)
     or y_new or k_last is not finite.  The error scale is
     abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).  A one-cell
-    state held as the float pair (u, v) (`StepWork.hold`) takes either pair
+    state held as the float pair (u, v) (module docstring) takes either pair
     through `_one_cell_step`, the same step on floats, whose first stage is
     `work.k1` and whose y_new and k_last are float pairs.
     """
@@ -664,8 +654,13 @@ def simulate(config: SolverConfig) -> SolveTrace:
     work = StepWork(y, op)
     # N(g) serves the starting-step rule and the first stage of either pair:
     # A g + N(g) for DP5, N(g) in the eigenbasis for the Lawson pair, whose
-    # steps never form A g, and N(g) itself on one cell; each is checked finite
-    y, reaction = work.hold(y, reaction_fn)
+    # steps never form A g, and N(g) itself in `k1` for a one-cell state held
+    # as the float pair (u, v), where FSAL keeps N(y); each is checked finite
+    if n == 1:
+        y = tuple(y.tolist())
+        reaction = work.k1 = reaction_fn(y)
+    else:
+        reaction = reaction_fn(y, work.err)
     if not np.all(np.isfinite(reaction)):
         raise NonFiniteField("initial right-hand side is not finite")
     dt = _starting_dt(y, reaction, config, work.scale, work.y_new)
@@ -684,11 +679,13 @@ def simulate(config: SolverConfig) -> SolveTrace:
 
     # how a run ends (module docstring); the starting dt may be below _DT_MIN
     while t < config.t_end and sup < config.sup_threshold and not dt_underflow:
-        # a new pair restarts the PI history
+        # a new pair restarts the PI history, and on more than one cell its
+        # first stage (on one cell `k1` is N(y) already)
         next_pair = pair_for(dt)
         if next_pair is not pair:
             pair, err_prev = next_pair, 1.0
-            work.restart(y, stage_fns[pair], pair)
+            if n > 1:
+                work.restart(y, stage_fns[pair], pair)
         dt = min(dt, caps[pair], _DT_MAX)
         # a step that would leave less than _DT_MIN before t_end ends there
         last = dt >= config.t_end - t - _DT_MIN

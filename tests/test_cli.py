@@ -982,3 +982,18 @@ class TestMultiConfig:
         assert code == EXIT_OK
         assert (out / "a" / "report.json").exists()
         assert (out / "b" / "report.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_configs_with_one_file_stem_are_refused(self, tmp_path, capsys, jobs):
+        # a/run.ini and b/run.ini would both write out/run: the run is
+        # refused before either config runs
+        paths = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            paths.append(write_config(tmp_path / name, BLOWUP_BOX, "run.ini"))
+        out = tmp_path / "out"
+        code = main(["bounds", "--config", *paths, "--out-dir", str(out), "--jobs", jobs])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "'run'" in err and paths[0] in err and paths[1] in err

@@ -92,6 +92,17 @@ class TestOdeReduce:
         assert 5 * len(trace.ts) <= rdblowup.oracle._MAX_STEPS
         assert "step count" not in trace.method
 
+    @pytest.mark.parametrize("u0", [2e5, 1e6])
+    def test_a_blowup_from_data_above_1e5_rises_to_its_top_level(self, u0):
+        # 10 u0 passes the default top level 1e6, so the levels climb to
+        # 1e4 u0 instead; F = 1e-13 u^2 v^2 blows up at 1/(4e-13 u0^2)
+        t_star = power_product_equal_data_blowup(1e-13, u0)
+        trace = ode_reduce(make_power_product(1e-13, 2.0, 2.0), u0, u0, t_max=1e3)
+        estimate, uncertainty = trace.blowup_time
+        assert abs(estimate - t_star) <= uncertainty
+        assert max(trace.us[-1], trace.vs[-1]) == pytest.approx(1e4 * u0, rel=1e-9)
+        assert trace.method.endswith(f"cutoff={1e-4 / u0:g}")
+
     def test_pins_the_knots_and_reaction_calls_from_1_1(self):
         # 106 steps, and one f1 per stage: 2 to choose the first step, 12 per
         # step tried, 3 more per step whose dense output finds a crossing.

@@ -404,8 +404,8 @@ ONE_CELL_CASES = {
 
 
 class TestOneCellStep:
-    # DP5 on a one-cell state held as the float pair (u, v) (`hold`, whose
-    # N(y) is DP5's first stage there) steps on floats,
+    # DP5 on a one-cell state held as the float pair (u, v), whose first
+    # stage `k1` is the stage function's float form at it, steps on floats,
     # each stage the stage function's float form; the array path steps the
     # same cell duplicated, [u, u, v, v], whose RMS norm is the cell's.  The
     # two agree: y_new and the FSAL stage to 1e-14 relative, err to 1e-12
@@ -413,15 +413,14 @@ class TestOneCellStep:
     @pytest.mark.parametrize("case", list(ONE_CELL_CASES))
     def test_matches_the_array_path_on_the_duplicated_cell(self, case):
         stage_fn, cell, dt, rel_tol, abs_tol, outcome = ONE_CELL_CASES[case]
-        results = []
-        for y in (np.array(cell), np.repeat(cell, 2)):
-            with np.errstate(all="raise"):
-                work = StepWork(y)
-                y, _ = work.hold(y, stage_fn)
-                work.restart(y, stage_fn, DP5)
-                results.append((y, work, step(y, dt, stage_fn, rel_tol, abs_tol, work)))
-        (y, work, (y_new, err, k)), (_, work4, (y_new4, err4, k4)) = results
-        assert y == cell and work.k1 == tuple(work4.K[0][::2])
+        y, y4 = cell, np.repeat(cell, 2)
+        work, work4 = StepWork(np.empty(2)), StepWork(y4)
+        with np.errstate(all="raise"):
+            work.k1 = stage_fn(y)
+            work4.restart(y4, stage_fn, DP5)
+            y_new, err, k = step(y, dt, stage_fn, rel_tol, abs_tol, work)
+            y_new4, err4, k4 = step(y4, dt, stage_fn, rel_tol, abs_tol, work4)
+        assert work.k1 == tuple(work4.K[0][::2])
         if outcome == "non_finite":
             assert err == err4 == math.inf and k is None and k4 is None
             assert y_new is y
@@ -457,10 +456,9 @@ class TestOneCellStep:
 
     def test_a_flat_run_takes_the_float_form_after_dp5_restarts(self, monkeypatch):
         # criterion 1's run takes the float form of the reaction throughout:
-        # for N(g), the 6 stages of its first DP5 step, its Lawson trial
-        # after it (the restart and 3 new stages, rejected), DP5's restart
-        # and the 6 stages of each of its 353 other DP5 steps; f1 and f2
-        # take numpy float64 scalars
+        # for N(g), the 6 stages of its first DP5 step, the 3 new stages of
+        # its Lawson trial after it (rejected) and the 6 stages of each of
+        # its 353 other DP5 steps; f1 and f2 take numpy float64 scalars
         forms, seen = [], set()
         reaction_into = rdblowup.solver._reaction_into
 
@@ -479,8 +477,35 @@ class TestOneCellStep:
         trace, _ = flat_blowup_3d(dataclasses.replace(nl, f1=typed(nl.f1), f2=typed(nl.f2)))
         assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
                                        "dp5": {"accepted": 354, "rejected": 0}}
-        assert forms == ["float"] * (1 + 6 + 1 + 3 + 1 + 6 * 353)
+        assert forms == ["float"] * (1 + 6 + 3 + 6 * 353)
         assert seen == {(np.float64, np.float64)}
+
+    def test_a_one_cell_pair_change_evaluates_no_reaction(self, monkeypatch):
+        # criterion 1's run changes pair twice, DP5 to the Lawson pair and
+        # back after its rejected trial; on one cell N(y) is already the
+        # first stage of both pairs, so every reaction but N(g) is a stage
+        # of a step
+        outside, in_step = [], []
+        reaction_into = rdblowup.solver._reaction_into
+
+        def logged(nl, y, out=None):
+            if not in_step:
+                outside.append(y)
+            return reaction_into(nl, y, out)
+
+        def stepping(*args):
+            in_step.append(True)
+            try:
+                return step(*args)
+            finally:
+                in_step.pop()
+
+        monkeypatch.setattr(rdblowup.solver, "_reaction_into", logged)
+        monkeypatch.setattr(rdblowup.solver, "step", stepping)
+        trace, _ = flat_blowup_3d()
+        assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
+                                       "dp5": {"accepted": 354, "rejected": 0}}
+        assert outside == [(1.0, 1.0)]
 
     def test_a_flat_run_holds_its_state_as_its_pair_steps_it(self, monkeypatch):
         # u' = -100 (u - 1), v' = -50 (v - 1/2) from (2, 1) under Neumann
@@ -1002,8 +1027,8 @@ class TestLeavingTheDomain:
                 raise
 
         stage_fn = partial(_reaction_into, dataclasses.replace(nl, f1=f1))
-        work = StepWork(np.empty(2))
-        y, _ = work.hold(np.array([1.0, 0.5]), stage_fn)  # held as floats
+        work, y = StepWork(np.empty(2)), (1.0, 0.5)  # held as floats
+        work.k1 = stage_fn(y)
         with np.errstate(all="raise"):
             y_new, err, k = step(y, 0.1, stage_fn, 1e-8, 1e-10, work, DP5)
         assert y_new is y and err == math.inf and k is None
