@@ -22,11 +22,15 @@ alpha, p, k1, k2 (k1 and k2 together, and with p), mode; [solver] t_end,
 rel_tol, abs_tol, sup_threshold; [outputs] directory.
 A ball domain takes constant initial data only and reads no `[solver]` key,
 as no command simulates on it: a ball config that sets one exits 2.
+`--resolution n` is a box's `cells_per_axis = n`, written into the parsed
+config before it is built, so a ball config given it exits 2 as well.
+Several configs run only if no two of them write one directory
+(`--out-dir/<stem>`, or each config's `[outputs] directory`).
 
 Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
-2 config error, 3 numerical failure (a step underflow included).  A run
-that fails with a numerical error still writes report.json, its
-`simulation` block the error.
+2 config error (an output path that cannot be made or written included),
+3 numerical failure (a step underflow included).  A run that fails with a
+numerical error still writes report.json, its `simulation` block the error.
 """
 
 import argparse
@@ -72,6 +76,11 @@ _OPTIONAL_SECTIONS = ("initial_data", "robin", "hypothesis", "solver", "outputs"
 _SOLVER_KEYS = ("t_end", "rel_tol", "abs_tol", "sup_threshold")
 
 
+def _outputs_directory(cfg):
+    """The directory a config's runs write, where no --out-dir is given."""
+    return cfg.get("outputs", "directory", fallback="out")
+
+
 class _RecordingParser(configparser.ConfigParser):
     """A ConfigParser that records each (section, key) looked up through it."""
 
@@ -99,7 +108,9 @@ class Experiment:
             # a malformed file is a configparser.Error, bytes not UTF-8 a ValueError
             if not parser.read(path, encoding="utf-8"):
                 raise ConfigError("cannot read the file")
-            self._build(parser, resolution)
+            if resolution is not None:  # --resolution is the box's cells_per_axis
+                parser["domain"]["cells_per_axis"] = str(resolution)
+            self._build(parser)
         except (KeyError, ValueError, configparser.Error, ResolutionTooCoarse,
                 BadExponent) as exc:
             raise ConfigError(str(exc)) from exc
@@ -108,11 +119,11 @@ class Experiment:
         if unread:
             raise ConfigError(f"no command reads {', '.join(unread)}")
 
-    def _build(self, cfg, resolution):
+    def _build(self, cfg):
         for name in _OPTIONAL_SECTIONS:
             if not cfg.has_section(name):
                 cfg.add_section(name)
-        self.out_dir = cfg["outputs"].get("directory", "out")
+        self.out_dir = _outputs_directory(cfg)
 
         nls = cfg["nonlinearity"]
         family = nls["family"]
@@ -163,9 +174,7 @@ class Experiment:
             return
         spec = DomainSpec(kind=BOX, dimension=dimension,
                           half_extents=_numbers(dom["half_extents"], float))
-        dom.get("cells_per_axis")  # counted as read where --resolution overrides it
-        cells = ((resolution,) if resolution is not None
-                 else _numbers(dom["cells_per_axis"], int))
+        cells = _numbers(dom["cells_per_axis"], int)
         self.mesh = self.domain = build_mesh(spec, cells[0] if len(cells) == 1 else cells)
         params = {"c": c1}
         if init_kind == "gaussian":
@@ -300,9 +309,11 @@ def _simulation_block(exp: Experiment, trace):
 
 
 def _simulate(exp: Experiment, out_dir: Path, report: dict):
-    """The run's trace, written to trace.csv.  Where the run fails with a
-    numerical error, `report`, the blocks computed before it, is written
-    with the error as its simulation block, and the error raised on."""
+    """The run's trace, written to trace.csv, and the command's exit code:
+    EXIT_NUMERICAL where the steps underflowed, which leaves no estimate,
+    EXIT_OK otherwise.  Where the run fails with a numerical error,
+    `report`, the blocks computed before it, is written with the error as
+    its simulation block, and the error raised on."""
     if exp.solver is None:
         raise ConfigError("ball domains cannot be meshed; this command needs a box")
     try:
@@ -315,55 +326,50 @@ def _simulate(exp: Experiment, out_dir: Path, report: dict):
         _write_report({**report, "simulation": _error_block(exc)}, out_dir)
         raise
     _write_trace(trace, out_dir)
-    return trace
+    return trace, EXIT_NUMERICAL if trace.outcome == OUTCOME_STEP_UNDERFLOW else EXIT_OK
 
 
 def cmd_simulate(exp: Experiment, out_dir: Path) -> int:
-    trace = _simulate(exp, out_dir, {"command": "simulate"})
+    trace, code = _simulate(exp, out_dir, {"command": "simulate"})
     report = {"command": "simulate", "simulation": _simulation_block(exp, trace)}
     _write_report(report, out_dir)
-    return EXIT_NUMERICAL if trace.outcome == OUTCOME_STEP_UNDERFLOW else EXIT_OK
+    return code
 
 
 def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
     block, _ = _compute_bounds(exp)
-    trace = _simulate(exp, out_dir, {"command": "sandwich", **block})
+    trace, code = _simulate(exp, out_dir, {"command": "sandwich", **block})
     report = {"command": "sandwich", **block,
               "simulation": _simulation_block(exp, trace)}
 
+    # each end is an interval (low, high) the estimate must lie in, within
+    # tol, keyed by the name of the flag it sets when it does not
+    ends = {}
+    if hasattr(block.get("upper_bound"), "t_upper"):
+        ends["upper"] = (-math.inf, block["upper_bound"].t_upper)
+    if hasattr(block.get("lower_bound"), "t_lower"):
+        ends["lower"] = (block["lower_bound"].t_lower, math.inf)
     # the ODE oracle applies exactly when the run collapsed along every axis:
     # Neumann walls and data constant to rounding, whose kept cell is the last
-    oracle_time = None  # (t, uncertainty) where the oracle finds blow-up
     if len(trace.collapsed_axes) == exp.mesh.spec.dimension:
         try:
             oracle = ode_reduce(exp.nl, exp.g1[-1], exp.g2[-1], t_max=exp.solver.t_end)
         except ValueError as exc:  # the oracle refuses negative data
             report["oracle"] = _error_block(exc)
         else:
-            oracle_time = oracle.blowup_time
-            report["oracle"] = {"method": oracle.method, "blowup_time": oracle_time}
+            report["oracle"] = {"method": oracle.method, "blowup_time": oracle.blowup_time}
+            if oracle.blowup_time is not None:
+                t, unc = oracle.blowup_time
+                ends["oracle"] = (t - unc, t + unc)
 
-    upper = block.get("upper_bound")
-    lower = block.get("lower_bound")
-    t_upper = upper.t_upper if hasattr(upper, "t_upper") else None
-    t_lower = lower.t_lower if hasattr(lower, "t_lower") else None
     est = trace.blowup_estimate
-
-    verdict = {"partial": t_upper is None or t_lower is None or est is None}
-    # a step underflow has no estimate to compare: a numerical failure, as
-    # for `simulate`, with the report still written
-    code = EXIT_NUMERICAL if trace.outcome == OUTCOME_STEP_UNDERFLOW else EXIT_OK
+    verdict = {"partial": est is None or not {"upper", "lower"} <= ends.keys()}
     if est is not None:
         tol = max(1e-3, 2.0 * est.uncertainty)
-        if t_upper is not None and est.t > t_upper + tol:
-            verdict["upper_violated"] = True
-            code = EXIT_FAILED
-        if t_lower is not None and est.t < t_lower - tol:
-            verdict["lower_violated"] = True
-            code = EXIT_FAILED
-        if oracle_time is not None and abs(est.t - oracle_time[0]) > tol + oracle_time[1]:
-            verdict["oracle_violated"] = True
-            code = EXIT_FAILED
+        for name, (low, high) in ends.items():
+            if not low - tol <= est.t <= high + tol:
+                verdict[f"{name}_violated"] = True
+                code = EXIT_FAILED
     report["sandwich"] = verdict
     _write_report(report, out_dir)
     return code
@@ -381,12 +387,26 @@ def _run_one(command, config_path, out_dir=None, resolution=None):
     try:
         exp = Experiment(config_path, resolution=resolution)
         return COMMANDS[command](exp, Path(out_dir if out_dir is not None else exp.out_dir))
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: the output path cannot be made
         print(f"config error: {config_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RdBlowupError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+
+
+def _target(config_path, out_dir):
+    """The resolved directory a run of the config writes, out_dir where
+    given; None where the file cannot be read, which its run reports."""
+    if out_dir is None:
+        cfg = configparser.ConfigParser()
+        try:
+            if not cfg.read(config_path, encoding="utf-8"):
+                return None
+        except (configparser.Error, ValueError):
+            return None
+        out_dir = _outputs_directory(cfg)
+    return Path(out_dir).resolve()
 
 
 def main(argv=None) -> int:
@@ -401,22 +421,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default=None,
                         help="output directory (default from config)")
     parser.add_argument("--resolution", type=int, default=None,
-                        help="override cells per axis")
+                        help="a box's cells per axis, in place of its cells_per_axis")
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel processes for multiple configs")
     args = parser.parse_args(argv)
 
-    jobs, stems = [], {}
+    jobs, writers = [], {}
     for cfg_path in args.config:
         out = args.out_dir
-        if out is not None and len(args.config) > 1:
-            stem = Path(cfg_path).stem
-            if stem in stems:
-                print(f"config error: {stems[stem]} and {cfg_path} share the file stem "
-                      f"{stem!r}, so both would write {Path(out) / stem}", file=sys.stderr)
+        if len(args.config) > 1:  # no two configs may write one directory
+            if out is not None:
+                out = str(Path(out) / Path(cfg_path).stem)
+            target = _target(cfg_path, out)
+            if target in writers:
+                print(f"config error: {writers[target]} and {cfg_path} would both write "
+                      f"{target.name!r} in {target.parent}", file=sys.stderr)
                 return EXIT_CONFIG
-            stems[stem] = cfg_path
-            out = str(Path(out) / stem)
+            if target is not None:
+                writers[target] = cfg_path
         jobs.append((args.command, cfg_path, out, args.resolution))
 
     if len(jobs) == 1 or args.jobs <= 1:

@@ -822,6 +822,15 @@ class TestResolutionOverride:
                      "--resolution", resolution])
         assert code == EXIT_CONFIG
 
+    def test_a_ball_refuses_the_resolution(self, tmp_path, capsys):
+        # --resolution is a box's cells_per_axis, which no ball reads
+        out = tmp_path / "out"
+        code = main(["bounds", "--config", write_config(tmp_path, BALL_LOWER),
+                     "--out-dir", str(out), "--resolution", "8"])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "[domain] cells_per_axis" in capsys.readouterr().err
+
 
 # valid and invalid draws of each value the property tests set; the invalid
 # ones take nan, +-inf, negatives and subnormals
@@ -944,6 +953,21 @@ class TestOutputDirectory:
         assert (out / "report.json").exists()
         assert len(builds) == 1
 
+    def test_an_output_path_that_cannot_be_made_exits_two(self, tmp_path):
+        # the output directory is an existing file: a config error naming
+        # the config, not a traceback
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        cfg = write_config(tmp_path, BALL_LOWER)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "rdblowup.cli", "bounds", "--config", cfg,
+                               "--out-dir", str(afile)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_CONFIG
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"config error: {cfg}: ")
+
 
 class TestMultiConfig:
     def test_jobs_capped_at_number_of_configs(self, tmp_path, monkeypatch):
@@ -997,3 +1021,20 @@ class TestMultiConfig:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "'run'" in err and paths[0] in err and paths[1] in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("names", [("a.ini", "b.ini"), ("a/run.ini", "b/run.ini")])
+    def test_configs_writing_one_directory_are_refused(self, tmp_path, monkeypatch, capsys,
+                                                       names, jobs):
+        # neither config sets [outputs], so both would write ./out, whatever
+        # their stems: refused before either runs
+        monkeypatch.chdir(tmp_path)
+        paths = []
+        for name, c in zip(names, ("1.0", "2.0")):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            paths.append(str((tmp_path / name).relative_to(tmp_path)))
+            (tmp_path / name).write_text(BALL_LOWER.replace("c = 1.0", f"c = {c}"))
+        assert main(["bounds", "--config", *paths, "--jobs", jobs]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert paths[0] in err and paths[1] in err

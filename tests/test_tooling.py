@@ -7,9 +7,11 @@ kernels of a trial from `step` alone; it leaves the
 operator's product and the mesh's fold and collapse to geometry.py, whose
 private names no other module imports or reads;
 `simulate` writes how a run ends once: one loop condition, no `break`, one
-assignment of the outcome; and E, J, scriptE and their terms are evaluated in
+assignment of the outcome; E, J, scriptE and their terms are evaluated in
 `energy_rows` alone, which every other module reaches through
-`energy_sample` or `energy_rows`.
+`energy_sample` or `energy_rows`; and cli.py's `sandwich` judges its
+estimate in one place: one comparison of `est.t`, one write of a
+`*_violated` key, one read of the step-underflow outcome.
 
 Import budget: no module imports scipy at module level, so importing the
 package loads numpy alone, and `scipy.sparse`, the one scipy import, loads
@@ -405,6 +407,62 @@ def test_simulate_decides_how_a_run_ends_in_one_place():
     assert breaks == []
     assert len(outcomes) == 1
     assert loops == ["t < config.t_end and sup < config.sup_threshold and (not dt_underflow)"]
+
+
+def violated_key(key):
+    """Whether a dict key is spelled `*_violated`: a string, or an f-string
+    whose text ends so."""
+    if isinstance(key, ast.JoinedStr) and key.values:
+        key = key.values[-1]
+    return (isinstance(key, ast.Constant) and isinstance(key.value, str)
+            and key.value.endswith("_violated"))
+
+
+def verdict_sites(tree):
+    """(line of each comparison that reads `est.t`, line of each write of a
+    `*_violated` key, line of each read of OUTCOME_STEP_UNDERFLOW) in a
+    parsed module."""
+    compares, violated, underflows = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "t"
+                and isinstance(sub.value, ast.Name) and sub.value.id == "est"
+                for sub in ast.walk(node)):
+            compares.add(node.lineno)
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        if (any(isinstance(t, ast.Subscript) and violated_key(t.slice) for t in targets)
+                or isinstance(node, ast.Dict) and any(map(violated_key, node.keys))):
+            violated.add(node.lineno)
+        if (isinstance(node, ast.Name) and node.id == "OUTCOME_STEP_UNDERFLOW"
+                and isinstance(node.ctx, ast.Load)):
+            underflows.add(node.lineno)
+    return sorted(compares), sorted(violated), sorted(underflows)
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("if est.t > a + tol:\n    v['upper_violated'] = True\n"
+     "if abs(est.t - b) > tol:\n    v['oracle_violated'] = True", ([1, 3], [2, 4], [])),
+    ("for name, (lo, hi) in ends.items():\n    if not lo <= est.t <= hi:\n"
+     "        verdict[f'{name}_violated'] = True", ([2], [3], [])),
+    ("v = {'partial': est is None, 'lower_violated': x}\nt = est.t\nw = {'upper': 1}\n"
+     "w['partial'] = est.t\nw[key] = 1", ([], [1], [])),
+    ("from .solver import OUTCOME_STEP_UNDERFLOW\nc = 3 if o == OUTCOME_STEP_UNDERFLOW else 0\n"
+     "OUTCOME_STEP_UNDERFLOW = 1\nif x.t < 1 and s.OUTCOME_STEP_UNDERFLOW:\n    pass",
+     ([], [], [2])),
+])
+def test_every_verdict_site_is_found(source, sites):
+    assert verdict_sites(ast.parse(source)) == sites
+
+
+def test_sandwich_judges_its_estimate_in_one_place():
+    # every end of the bracket is an interval in one loop of cmd_sandwich,
+    # and `_simulate` alone turns a step underflow into its exit code: a new
+    # end is one more interval, not another branch
+    compares, violated, underflows = verdict_sites(ast.parse((SRC / "cli.py").read_text()))
+    assert len(compares) == 1
+    assert len(violated) == 1
+    assert len(underflows) == 1
 
 
 # the kernels of the monitor row's terms, and the two functions that read a
