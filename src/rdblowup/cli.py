@@ -23,7 +23,8 @@ rel_tol, abs_tol, sup_threshold; [outputs] directory.
 A ball domain takes constant initial data only and reads no `[solver]` key,
 as no command simulates on it: a ball config that sets one exits 2.
 `--resolution n` is a box's `cells_per_axis = n`, written into the parsed
-config before it is built, so a ball config given it exits 2 as well.
+config before it is built, so a ball config given it exits 2 as well,
+naming `--resolution`.
 Several configs run only if no two of them write one directory
 (`--out-dir/<stem>`, or each config's `[outputs] directory`).
 
@@ -114,8 +115,10 @@ class Experiment:
         except (KeyError, ValueError, configparser.Error, ResolutionTooCoarse,
                 BadExponent) as exc:
             raise ConfigError(str(exc)) from exc
-        unread = [f"[{name}] {key}" for name in parser.sections() for key in parser[name]
-                  if (name, key) not in parser.looked_up]
+        # a key the flag wrote is named by the flag
+        flags = {("domain", "cells_per_axis"): "--resolution"} if resolution is not None else {}
+        unread = [flags.get((name, key), f"[{name}] {key}") for name in parser.sections()
+                  for key in parser[name] if (name, key) not in parser.looked_up]
         if unread:
             raise ConfigError(f"no command reads {', '.join(unread)}")
 

@@ -98,10 +98,15 @@ SHAPE_CATALOG = {
 class Nonlinearity:
     """Reaction terms f1, f2 and, for gradient systems, their potential F.
 
-    Each takes (u, v) as float arrays of one shape or as numpy float64
-    scalars, and returns a value of its arguments' shape, where a 0-d array
-    counts as a scalar: the solver hands a one-cell state's u and v as
-    scalars, as the ODE oracle does, and any other state's as arrays."""
+    Each takes (u, v) as float arrays of one shape, as Python floats or as
+    numpy float64 scalars, and returns a value of its arguments' shape,
+    where a 0-d array counts as a scalar: the solver hands a one-cell
+    state's u and v as Python floats, as the ODE oracle does, and any other
+    state's as arrays.  On Python floats a call may raise where numpy gives
+    inf or NaN: an ArithmeticError (an overflow in **, a zero division), or
+    a complex power of a negative base, which float() refuses with a
+    TypeError.  The caller then makes the call again on numpy float64
+    scalars, so the value is numpy's either way."""
 
     family: str
     params: dict

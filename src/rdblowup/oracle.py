@@ -15,7 +15,11 @@ ODEs I, II.5-II.6) on Python floats: the tableau of `scipy.integrate.DOP853`
 and the step rule of scipy's Runge-Kutta solvers, with crossings found by a
 port of `scipy.optimize.brentq` (Brent, Algorithms for Minimization without
 Derivatives, 1973).  This module carries both, which the tests check against
-scipy bit for bit, so it loads numpy alone.
+scipy bit for bit, so it loads numpy alone.  The reaction is called on
+Python floats too, and again on numpy float64 scalars where Python raises
+(an overflow in **, a zero division, or float() of a negative base's
+complex power), so that it gives numpy's inf or NaN there; Python's float
+** and numpy's scalar ** are both C's pow, so the values are numpy's.
 """
 
 from dataclasses import dataclass
@@ -322,13 +326,20 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
         raise ValueError(f"initial values must be finite, got u0 = {u0:g}, v0 = {v0:g}")
     if not 0 < t_max < inf:  # the terminal event needs t to reach t_max
         raise ValueError(f"t_max must be finite and positive, got {t_max:g}")
-    f1, f2, f64 = nl.f1, nl.f2, np.float64
 
     def rhs(u, v):
-        # numpy scalars in the reaction, so that a zero division or a
-        # negative base gives inf or NaN, not an exception
-        u, v = f64(u), f64(v)
-        du, dv = float(f1(u, v)), float(f2(u, v))
+        # Python floats in the reaction; where Python raises, numpy float64
+        # scalars, so that an overflow, a zero division or a negative base
+        # gives inf or NaN, not an exception
+        while True:
+            try:
+                du, dv = float(nl.f1(u, v)), float(nl.f2(u, v))
+                break
+            except (ArithmeticError, TypeError):
+                # arrays, and the retry on numpy scalars, raise as numpy does
+                if type(u) is not float:
+                    raise
+                u, v = np.float64(u), np.float64(v)
         r = 1.0 + hypot(du, dv) / (1.0 + hypot(u, v))
         return du / r, dv / r, 1.0 / r
 

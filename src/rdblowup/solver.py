@@ -93,8 +93,10 @@ step on the reaction.  One cell arises from that collapse alone:
 floats from N(g) on, under both pairs: `simulate`'s one-cell rule takes the
 data as the pair (u, v) and N(g), either pair's first stage, as a float
 pair in `StepWork.k1` from the reaction's float form, which hands f1 and
-f2 numpy float64 scalars (whose ** differs from numpy's array ** by up to
-1 ulp), and `accept` keeps each FSAL stage as a pair.  Both pairs are
+f2 Python floats (whose **, as numpy's scalar **, is C's pow, and differs
+from numpy's array ** by up to 1 ulp), and numpy float64 scalars where
+Python raises and numpy gives inf or NaN (`_reaction_into`), and `accept`
+keeps each FSAL stage as a pair.  Both pairs are
 first-same-as-last, and a rejected trial leaves y and `k1` as they were,
 so `k1` is N(y) at every pair change and no change evaluates the reaction.
 `step` takes either pair on that state through `_one_cell_step`, by the
@@ -322,16 +324,27 @@ def _reaction_into(nl: Nonlinearity, y, out: Optional[np.ndarray] = None):
     """N(y) = (f1, f2) of the stacked state y = [u; v], read as the slices
     y[:n], y[n:], into `out`; returns out.  With no `out`, y is a one-cell
     state held as the float pair (u, v) (module docstring), handed to f1 and
-    f2 as numpy float64 scalars, and N(y) is returned as a float pair: the
-    float form `_one_cell_step` takes."""
+    f2 as Python floats, and N(y) is returned as a float pair: the float
+    form `_one_cell_step` takes.  Where Python raises and numpy gives inf or
+    NaN, an ArithmeticError (an overflow in **, a zero division) or the
+    TypeError of float() on a negative base's complex power, the call is
+    made again on numpy float64 scalars, whose value it returns."""
     if out is None:
-        u, v = np.float64(y[0]), np.float64(y[1])
+        u, v = y
     else:
         n = y.size // 2
         u, v = y[:n], y[n:]
-    fu, fv = nl.f1(u, v), nl.f2(u, v)
-    if out is None:
-        return float(fu), float(fv)
+    while True:
+        try:
+            fu, fv = nl.f1(u, v), nl.f2(u, v)
+            if out is None:
+                return float(fu), float(fv)
+            break
+        except (ArithmeticError, TypeError):
+            # arrays, and the retry on numpy scalars, raise as numpy does
+            if type(u) is not float:
+                raise
+            u, v = np.float64(u), np.float64(v)
     out[:n], out[n:] = fu, fv
     return out
 

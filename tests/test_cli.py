@@ -829,7 +829,8 @@ class TestResolutionOverride:
                      "--out-dir", str(out), "--resolution", "8"])
         assert code == EXIT_CONFIG
         assert not out.exists()
-        assert "[domain] cells_per_axis" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no command reads --resolution" in err and "cells_per_axis" not in err
 
 
 # valid and invalid draws of each value the property tests set; the invalid

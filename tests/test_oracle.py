@@ -265,6 +265,54 @@ class TestPowerProductBlowup:
                 assert ref == pytest.approx(t_star, rel=4e-16, abs=0)
 
 
+def numpy_scalar_args(nl):
+    """`nl` whose f1 and f2 take their arguments as numpy float64 scalars."""
+    def cast(f):
+        return lambda u, v: f(np.float64(u), np.float64(v))
+    return dataclasses.replace(nl, f1=cast(nl.f1), f2=cast(nl.f2))
+
+
+def assert_same_run(trace, reference):
+    """The knots and blow-up times of two `ode_reduce` runs are equal, bit for
+    bit."""
+    for name in ("ts", "us", "vs"):
+        assert getattr(trace, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert trace.blowup_time == reference.blowup_time
+    assert trace.method == reference.method
+
+
+class TestReactionOnFloats:
+    # the reaction is called on Python floats, and made again on numpy
+    # float64 scalars where Python raises; either way the run is the one
+    # on numpy scalars, knot for knot
+    @pytest.mark.parametrize("a, b, u0, v0, t_star", POWER_PRODUCT_CASES, ids=CASE_IDS)
+    def test_the_references_run_as_on_numpy_scalars(self, a, b, u0, v0, t_star):
+        nl = make_power_product(1.0, float(a), float(b))
+        assert_same_run(ode_reduce(nl, u0, v0, t_max=1.0),
+                        ode_reduce(numpy_scalar_args(nl), u0, v0, t_max=1.0))
+
+    # f1 raises on Python floats past u = 34.8 (an overflow in **), once a
+    # stage takes u below 0 (a complex power, which float() refuses), and at
+    # u = 0 (a zero division)
+    @pytest.mark.parametrize("f1, u0, v0, knots", [
+        (lambda u, v: u**200.0, 1.0, 1.0, 96),
+        (lambda u, v: u**2.5 - v, 1.0, 1.5, 60),
+        (lambda u, v: 1.0 / u, 0.0, 1.0, 1),
+    ], ids=["overflow", "negative_base", "zero_division"])
+    def test_a_raising_float_call_is_made_again_on_numpy_scalars(self, f1, u0, v0, knots):
+        nl = Nonlinearity(family="custom", params={}, f1=f1, f2=lambda u, v: 0.0 * v)
+        types = set()
+
+        def typed(u, v):
+            types.add(type(u))
+            return f1(u, v)
+
+        trace = ode_reduce(dataclasses.replace(nl, f1=typed), u0, v0, t_max=10.0)
+        assert types == {float, np.float64}
+        assert len(trace.ts) == knots and trace.blowup_time is None
+        assert_same_run(trace, ode_reduce(numpy_scalar_args(nl), u0, v0, t_max=10.0))
+
+
 class TestScipyPorts:
     # the oracle carries DOP853's tableau and Brent's method, so that it runs
     # on numpy alone; both are scipy's to the bit

@@ -126,28 +126,49 @@ class TestRhs:
         assert product.tobytes() == reaction.tobytes()
 
 
-def spy_reaction(seen):
-    """f1 = u v, f2 = -v, appending the types of each call's (u, v) to `seen`."""
-    def spied(f):
+def typed_reaction(nl, seen):
+    """`nl` whose f1 and f2 append the types of each call's (u, v) to `seen`."""
+    def typed(f):
         def reaction(u, v):
             seen.append((type(u), type(v)))
             return f(u, v)
         return reaction
-    return Nonlinearity(family="custom", params={}, f1=spied(lambda u, v: u * v),
-                        f2=spied(lambda u, v: -v))
+    return dataclasses.replace(nl, f1=typed(nl.f1), f2=typed(nl.f2))
+
+
+def spy_reaction(seen):
+    """f1 = u v, f2 = -v, appending the types of each call's (u, v) to `seen`."""
+    return typed_reaction(Nonlinearity(family="custom", params={}, f1=lambda u, v: u * v,
+                                       f2=lambda u, v: -v), seen)
+
+
+# each family on a box of (u, v), for the float form of one cell
+ONE_CELL_SAMPLES = pytest.mark.parametrize("nl, box", [
+    (make_power_product(1.3, 3.0, 2.0), ((0.1, 3.0), (0.1, 3.0))),
+    # f1 and f2 are differences: cells where their terms nearly cancel
+    # would magnify an ulp of a term, so v^p and a u^r are kept apart
+    (make_absorption(2.0, 3.0, 1.5, 2.5, 0.7, 1.1), ((0.1, 1.0), (2.0, 3.0))),
+    (make_gradient_homogeneous(0.5, 2.0, shape_power(1.5)), ((0.1, 3.0), (0.1, 3.0))),
+], ids=["power_product", "absorption", "gradient_homogeneous"])
+
+
+def numpy_scalar_reaction(nl, u, v):
+    """(f1, f2) at numpy float64 scalars of (u, v), as floats."""
+    u, v = np.float64(u), np.float64(v)
+    return float(nl.f1(u, v)), float(nl.f2(u, v))
 
 
 class TestOneCellReaction:
     # a one-cell state held as the float pair (u, v) is handed to f1 and f2
-    # as numpy float64 scalars and gives a float pair; an array state, of
-    # one cell too, is handed over as slices; the float form agrees with the
-    # sliced path to a few ulp
-    @pytest.mark.parametrize("cells, kind", [(1, np.float64), (3, np.ndarray),
+    # as Python floats and gives a float pair; an array state, of one cell
+    # too, is handed over as slices; the float form agrees with the sliced
+    # path to a few ulp
+    @pytest.mark.parametrize("cells, kind", [(1, float), (3, np.ndarray),
                                              (1, np.ndarray)])
     def test_f1_and_f2_take_scalars_on_one_cell_only(self, cells, kind):
         seen = []
         y = np.linspace(1.0, 2.0, 2 * cells)
-        if kind is np.float64:
+        if kind is float:
             out = _reaction_into(spy_reaction(seen), tuple(y.tolist()))
             assert type(out) is tuple and all(type(x) is float for x in out)
         else:
@@ -155,21 +176,45 @@ class TestOneCellReaction:
         assert seen == [(kind, kind)] * 2
         assert np.array_equal(out, np.concatenate([y[:cells] * y[cells:], -y[cells:]]))
 
-    @pytest.mark.parametrize("nl, box", [
-        (make_power_product(1.3, 3.0, 2.0), ((0.1, 3.0), (0.1, 3.0))),
-        # f1 and f2 are differences: cells where their terms nearly cancel
-        # would magnify an ulp of a term, so v^p and a u^r are kept apart
-        (make_absorption(2.0, 3.0, 1.5, 2.5, 0.7, 1.1), ((0.1, 1.0), (2.0, 3.0))),
-        (make_gradient_homogeneous(0.5, 2.0, shape_power(1.5)), ((0.1, 3.0), (0.1, 3.0))),
-    ], ids=["power_product", "absorption", "gradient_homogeneous"])
+    @ONE_CELL_SAMPLES
     def test_one_cell_matches_the_sliced_path_to_a_few_ulp(self, nl, box):
-        # numpy's scalar and array pow differ by up to 1 ulp, and each f
+        # C's pow and numpy's array pow differ by up to 1 ulp, and each f
         # takes at most 3 of them
         rng = np.random.default_rng(0)
         cells = np.column_stack([rng.uniform(*box[0], 500), rng.uniform(*box[1], 500)])
         one = np.array([_reaction_into(nl, cell) for cell in cells.tolist()])
         sliced = _reaction_into(nl, cells.T.ravel(), np.empty(cells.size)).reshape(2, -1).T
         np.testing.assert_array_max_ulp(one, sliced, maxulp=4)
+
+    @ONE_CELL_SAMPLES
+    def test_one_cell_is_the_numpy_scalar_reaction_bit_for_bit(self, nl, box):
+        # Python's float ** and numpy's scalar ** are both C's pow, and *, +
+        # and - are IEEE on both
+        rng = np.random.default_rng(1)
+        for cell in np.column_stack([rng.uniform(*box[0], 2000),
+                                     rng.uniform(*box[1], 2000)]).tolist():
+            one = _reaction_into(nl, tuple(cell))
+            assert [x.hex() for x in one] == [x.hex() for x in numpy_scalar_reaction(nl, *cell)]
+
+    # where f1 on Python floats raises and numpy's scalars give inf or NaN:
+    # an overflow in **, a negative base's complex power, which float()
+    # refuses, and a zero division
+    @pytest.mark.parametrize("nl, u, v", [
+        (make_power_product(1.0, 3.0, 2.0), 1e200, 1.0),
+        (make_power_product(1.0, 2.5, 2.0), -0.5, 1.0),
+        (Nonlinearity(family="custom", params={}, f1=lambda u, v: 1.0 / u,
+                      f2=lambda u, v: 0.0 * v), 0.0, 1.0),
+    ], ids=["overflow", "negative_base", "zero_division"])
+    def test_a_raising_float_call_is_made_again_on_numpy_scalars(self, nl, u, v):
+        seen = []
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore",
+                                                    divide="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)
+            one = _reaction_into(typed_reaction(nl, seen), (u, v))
+            reference = numpy_scalar_reaction(nl, u, v)
+        assert seen[0] == (float, float) and seen[-2:] == [(np.float64, np.float64)] * 2
+        assert [x.hex() for x in one] == [x.hex() for x in reference]
+        assert not math.isfinite(one[0])
 
     def test_a_zeros_like_reaction_steps_a_flat_run_unchanged(self, box3d):
         # np.zeros_like of a scalar is a 0-d array, which a cell of `out` takes
@@ -458,27 +503,21 @@ class TestOneCellStep:
         # criterion 1's run takes the float form of the reaction throughout:
         # for N(g), the 6 stages of its first DP5 step, the 3 new stages of
         # its Lawson trial after it (rejected) and the 6 stages of each of
-        # its 353 other DP5 steps; f1 and f2 take numpy float64 scalars
-        forms, seen = [], set()
+        # its 353 other DP5 steps; f1 and f2 take Python floats, 2,128 calls
+        # each, none made again on numpy scalars
+        forms, seen = [], []
         reaction_into = rdblowup.solver._reaction_into
 
         def logged(nl, y, out=None):
             forms.append("array" if out is not None else "float")
             return reaction_into(nl, y, out)
 
-        def typed(f):
-            def reaction(u, v):
-                seen.add((type(u), type(v)))
-                return f(u, v)
-            return reaction
-
         monkeypatch.setattr(rdblowup.solver, "_reaction_into", logged)
-        nl = make_power_product(1.0, 2.0, 2.0)
-        trace, _ = flat_blowup_3d(dataclasses.replace(nl, f1=typed(nl.f1), f2=typed(nl.f2)))
+        trace, _ = flat_blowup_3d(typed_reaction(make_power_product(1.0, 2.0, 2.0), seen))
         assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
                                        "dp5": {"accepted": 354, "rejected": 0}}
         assert forms == ["float"] * (1 + 6 + 3 + 6 * 353)
-        assert seen == {(np.float64, np.float64)}
+        assert seen == [(float, float)] * 2 * 2128
 
     def test_a_one_cell_pair_change_evaluates_no_reaction(self, monkeypatch):
         # criterion 1's run changes pair twice, DP5 to the Lawson pair and
@@ -1014,8 +1053,9 @@ class TestLeavingTheDomain:
 
     def test_a_one_cell_stage_outside_the_domain_rejects_the_step(self):
         # from u = 1 a DP5 trial of dt 0.1 on u' = 6 u^5 has a stage with
-        # u < 0, handed to f1 as a scalar: EvalAtZeroU rejects the trial,
-        # with nothing overflowing on the way
+        # u < 0, handed to f1 as a Python float: EvalAtZeroU, which is no
+        # ArithmeticError, rejects the trial with no retry on numpy scalars,
+        # and nothing overflows on the way
         nl = make_gradient_homogeneous(1.0, 2.0, shape_constant())
         outside = []
 
@@ -1033,7 +1073,7 @@ class TestLeavingTheDomain:
             y_new, err, k = step(y, 0.1, stage_fn, 1e-8, 1e-10, work, DP5)
         assert y_new is y and err == math.inf and k is None
         assert y == (1.0, 0.5)
-        assert len(outside) == 1 and type(outside[0]) is np.float64 and outside[0] < 0
+        assert len(outside) == 1 and type(outside[0]) is float and outside[0] < 0
 
     def test_one_cell_data_outside_the_domain_still_raise(self):
         mesh = build_mesh(DomainSpec("box", 2, half_extents=(1.0, 1.0)), 4).fold(

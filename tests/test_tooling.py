@@ -221,11 +221,20 @@ def test_every_reaction_call_site_is_found(source, reads):
 
 
 def test_the_solver_calls_f1_and_f2_at_one_site_each():
-    # one call of each per stage, in `_reaction_into`, and no other read:
-    # so a counted f1 is one right-hand-side evaluation, and no other path,
-    # such as a local name bound to nl.f1, bypasses a wrapped f1 or f2
+    # one call of each per stage, in `_reaction_into`, whose retry on numpy
+    # scalars makes the same call again, and no other read: so a counted f1
+    # is one right-hand-side evaluation unless Python raised, and no other
+    # path, such as a local name bound to nl.f1, bypasses a wrapped f1 or f2
     reads = reaction_reads(ast.parse((SRC / "solver.py").read_text()))
     assert reads == [("_reaction_into", "f1", True), ("_reaction_into", "f2", True)]
+
+
+def test_the_oracle_calls_f1_and_f2_at_one_site_each():
+    # one call of each per evaluation of dz/ds, in `ode_reduce`'s `rhs`,
+    # whose retry on numpy scalars makes the same call again: so the retry
+    # is no second way to evaluate the reaction
+    reads = reaction_reads(ast.parse((SRC / "oracle.py").read_text()))
+    assert reads == [("ode_reduce.rhs", "f1", True), ("ode_reduce.rhs", "f2", True)]
 
 
 # the stage kernels of one trial, which the solver reaches from `step` alone
