@@ -21,15 +21,15 @@ from .errors import (
     NonpositiveE0,
     NonpositiveJ0,
 )
-from .functionals import FieldPair, _finite_total, energy_sample, require_growth_constants
+from .functionals import FieldPair, energy_sample, finite_total, require_growth_constants
 from .geometry import BALL, DomainSpec, GeometryConstants, Mesh, geometry_constants
 from .nonlinearity import (
     HypothesisReport,
     Nonlinearity,
-    _initial_data_row,
     check_A2_A3,
     check_A2prime,
     check_H1,
+    initial_data_row,
     require_nonnegative_data,
 )
 
@@ -95,7 +95,7 @@ def upper_bound_blowup(nl: Nonlinearity, g1, g2, mesh: Mesh,
     admits), the first of H1-H3 to fail, then J0 <= 0.
     """
     rep1 = check_H1(nl, alpha)
-    row, (rep2, rep3) = _initial_data_row(nl, g1, g2, mesh, gamma1, gamma2, alpha)
+    row, (rep2, rep3) = initial_data_row(nl, g1, g2, mesh, gamma1, gamma2, alpha)
     if row.E <= 0:
         raise NonpositiveE0("initial energy vanishes")
     reports = _require_hold((rep1, rep2, rep3))
@@ -242,7 +242,7 @@ def require_mode(mode: str) -> str:
     return mode
 
 
-def _lower_bound_checks(nl: Nonlinearity, k1: float, k2: float, p: float, mode: str):
+def lower_bound_checks(nl: Nonlinearity, k1: float, k2: float, p: float, mode: str):
     """The sampled growth hypotheses of one mode: (A2prime,) or (A2, A3)."""
     if require_mode(mode) == MODE_A2PRIME:
         return (check_A2prime(nl, k1, k2, p),)
@@ -262,7 +262,7 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
     if spec.dimension != 3:
         raise DimensionNot3("the lower bound is stated for 3D domains only")
 
-    reports = _require_hold(_lower_bound_checks(nl, k1, k2, p, mode))
+    reports = _require_hold(lower_bound_checks(nl, k1, k2, p, mode))
 
     geo = geometry_constants(spec)
     require_nonnegative_data(g1, g2)
@@ -274,7 +274,7 @@ def lower_bound_pipeline(nl: Nonlinearity, g1, g2, domain, p: float,
             raise ValueError("an unmeshed domain must be a ball")
         c1, c2 = float(g1), float(g2)
         # NonFiniteSample where it overflows, as the mesh's row raises it
-        scriptE0 = _finite_total((_power(c1, 2.0 * p) + _power(c2, 2.0 * p)) * spec.volume,
+        scriptE0 = finite_total((_power(c1, 2.0 * p) + _power(c2, 2.0 * p)) * spec.volume,
                                  "interior")
         caveat = None
 

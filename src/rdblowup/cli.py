@@ -251,7 +251,7 @@ def cmd_check(exp: Experiment, out_dir: Path) -> int:
             except NegativeInitialData as exc:
                 errors["H2_H3"] = _error_block(exc)
     if exp.wants_lower():
-        reports.extend(bounds_mod._lower_bound_checks(exp.nl, exp.k1, exp.k2, exp.p, exp.mode))
+        reports.extend(bounds_mod.lower_bound_checks(exp.nl, exp.k1, exp.k2, exp.p, exp.mode))
 
     report = {"command": "check",
               "hypotheses": {r.hypothesis: r for r in reports}, **errors}

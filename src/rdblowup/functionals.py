@@ -37,7 +37,7 @@ Quadrature: `interior_integral` is the midpoint rule over the cells, each
 weighted by `Mesh.cell_volume`, and `boundary_integral` the face-midpoint
 rule over the faces, each weighted by its `Mesh.face_areas` entry; both are
 exact for per-cell constants.  An integral raises NonFiniteSample iff a
-sample is not finite or the sum overflows (`_finite_total`), and the
+sample is not finite or the sum overflows (`finite_total`), and the
 monitor rows' integrals keep that rule.
 """
 
@@ -66,7 +66,7 @@ def require_growth_constants(p=None, **k):
             raise ValueError(f"{name} must be finite and > 0, got {value:g}")
 
 
-def _finite_total(total, what: str) -> float:
+def finite_total(total, what: str) -> float:
     """A quadrature's `total` as a float; NonFiniteSample if it is not finite,
     which is the case iff a sample is inf or NaN or the sum overflows."""
     if not np.isfinite(total):
@@ -80,7 +80,7 @@ def interior_integral(mesh: Mesh, samples) -> float:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size != mesh.n_cells:
         raise ValueError("one sample per cell required")
-    return _finite_total(np.sum(samples) * mesh.cell_volume, "interior")
+    return finite_total(np.sum(samples) * mesh.cell_volume, "interior")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -89,7 +89,7 @@ def boundary_integral(mesh: Mesh, boundary_samples) -> float:
     samples = np.asarray(boundary_samples, dtype=float).ravel()
     if samples.size != mesh.face_cells.size:
         raise ValueError("one sample per boundary face required")
-    return _finite_total(np.sum(samples * mesh.face_areas), "boundary")
+    return finite_total(np.sum(samples * mesh.face_areas), "boundary")
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def energy_rows(states: np.ndarray, ts, dts, mesh: Mesh, nl=None, alpha: float =
     if not finite.all():
         bad = int(np.argmin(finite))
         for what, totals in checked:
-            _finite_total(totals[bad], what)
+            finite_total(totals[bad], what)
     sups = np.maximum(fields.max(axis=2), -fields.min(axis=2))
     columns = [ts, E, J, scriptE, grad[:, 0], grad[:, 1], bdry[:, 0], bdry[:, 1], intF,
                sups[:, 0], sups[:, 1], dts]

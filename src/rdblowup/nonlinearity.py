@@ -100,19 +100,35 @@ class Nonlinearity:
 
     Each takes (u, v) as float arrays of one shape, as Python floats or as
     numpy float64 scalars, and returns a value of its arguments' shape,
-    where a 0-d array counts as a scalar: the solver hands a one-cell
-    state's u and v as Python floats, as the ODE oracle does, and any other
-    state's as arrays.  On Python floats a call may raise where numpy gives
-    inf or NaN: an ArithmeticError (an overflow in **, a zero division), or
-    a complex power of a negative base, which float() refuses with a
-    TypeError.  The caller then makes the call again on numpy float64
-    scalars, so the value is numpy's either way."""
+    where a 0-d array counts as a scalar.  On Python floats a call may
+    raise where numpy gives inf or NaN; `reaction` is the one caller that
+    handles this, and the solver and the ODE oracle evaluate f1 and f2
+    through it alone."""
 
     family: str
     params: dict
     f1: Callable
     f2: Callable
     F: Optional[Callable] = None
+
+    def reaction(self, y):
+        """N(y) = (f1, f2) at y = (u, v): arrays for arrays, and a float pair
+        for Python floats, which f1 and f2 take as they are.  Where Python
+        raises and numpy gives inf or NaN, an ArithmeticError (an overflow in
+        **, a zero division) or the TypeError of float() on a negative base's
+        complex power, both are called again on numpy float64 scalars, whose
+        values these are: Python's float ** and numpy's scalar ** are both
+        C's pow, so the pair is numpy's either way."""
+        u, v = y
+        try:
+            fu, fv = self.f1(u, v), self.f2(u, v)
+            return (float(fu), float(fv)) if type(u) is float else (fu, fv)
+        except (ArithmeticError, TypeError):
+            if type(u) is not float:  # arrays raise as numpy does
+                raise
+        u, v = np.float64(u), np.float64(v)
+        fu, fv = self.f1(u, v), self.f2(u, v)
+        return float(fu), float(fv)
 
     @property
     def has_potential(self) -> bool:
@@ -287,7 +303,7 @@ def require_nonnegative_data(g1, g2):
     return g1, g2
 
 
-def _initial_data_row(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float,
+def initial_data_row(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float,
                      gamma2: float, alpha: float = 1.0):
     """The initial data's monitor row, built once its rules hold, and H2, H3
     judged off it: 2*int F(g1, g2) against gamma_i*int_bdry g_i^2 + int |grad g_i|^2."""
@@ -309,7 +325,7 @@ def _initial_data_row(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float,
 
 def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: float):
     """Check the initial-data energy conditions H2 and H3 with mesh quadrature."""
-    return _initial_data_row(nl, g1, g2, mesh, gamma1, gamma2)[1]
+    return initial_data_row(nl, g1, g2, mesh, gamma1, gamma2)[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -15,11 +15,9 @@ ODEs I, II.5-II.6) on Python floats: the tableau of `scipy.integrate.DOP853`
 and the step rule of scipy's Runge-Kutta solvers, with crossings found by a
 port of `scipy.optimize.brentq` (Brent, Algorithms for Minimization without
 Derivatives, 1973).  This module carries both, which the tests check against
-scipy bit for bit, so it loads numpy alone.  The reaction is called on
-Python floats too, and again on numpy float64 scalars where Python raises
-(an overflow in **, a zero division, or float() of a negative base's
-complex power), so that it gives numpy's inf or NaN there; Python's float
-** and numpy's scalar ** are both C's pow, so the values are numpy's.
+scipy bit for bit, so it loads numpy alone.  The reaction is evaluated on
+Python floats too, by the one rule of the `nl` it is given,
+`nl.reaction((u, v))`, which gives numpy's inf or NaN where Python raises.
 """
 
 from dataclasses import dataclass
@@ -316,9 +314,10 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
     earlier), the distance to the last crossing and the integrator's error
     allowance `_TIME_ERROR` of the estimate.  A step below 10 ulp of s ends
     the run, as scipy's does, with no blow-up time; so does a step past the
-    float range of s, and so does the step count _MAX_STEPS, which the method
-    string then names after the cutoff.  The reaction's float overflows and
-    invalid values are not warned of: they end the run in these ways.
+    float range of s, and so does the step count _MAX_STEPS.  The method
+    string names either stop after the cutoff.  The reaction's float
+    overflows and invalid values are not warned of: they end the run in
+    these ways.
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial values must be nonnegative")
@@ -328,18 +327,7 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
         raise ValueError(f"t_max must be finite and positive, got {t_max:g}")
 
     def rhs(u, v):
-        # Python floats in the reaction; where Python raises, numpy float64
-        # scalars, so that an overflow, a zero division or a negative base
-        # gives inf or NaN, not an exception
-        while True:
-            try:
-                du, dv = float(nl.f1(u, v)), float(nl.f2(u, v))
-                break
-            except (ArithmeticError, TypeError):
-                # arrays, and the retry on numpy scalars, raise as numpy does
-                if type(u) is not float:
-                    raise
-                u, v = np.float64(u), np.float64(v)
+        du, dv = nl.reaction((u, v))
         r = 1.0 + hypot(du, dv) / (1.0 + hypot(u, v))
         return du / r, dv / r, 1.0 / r
 
@@ -377,8 +365,10 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
             knots.append(z_new)
             s, z, f = s_new, z_new, K[12]
 
-    # a run the step count ended says so in its method
-    capped = f"; stopped at the step count {_MAX_STEPS}" if end is None and len(knots) > _MAX_STEPS else ""
+    # a run that no terminal event ended names its stop in its method
+    stop = ("" if end is not None
+            else f"; stopped at the step count {_MAX_STEPS}" if len(knots) > _MAX_STEPS
+            else "; stopped at a step below 10 ulp of s or past its float range")
     blowup_time = None  # no blow-up reached by t_max
     if len(crossing) == n_levels:
         est = _aitken(*crossing[-3:])
@@ -388,7 +378,7 @@ def ode_reduce(nl, u0: float, v0: float, t_max: float) -> OdeTrace:
     return OdeTrace(
         ts=ts, us=us, vs=vs, blowup_time=blowup_time,
         method=f"DOP853 (scipy tableau) on floats in Sundman time rtol={_RTOL:g}, "
-               f"level extrapolation cutoff={1.0 / top:g}{capped}",
+               f"level extrapolation cutoff={1.0 / top:g}{stop}",
     )
 
 

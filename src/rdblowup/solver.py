@@ -50,8 +50,10 @@ d1 of N(g) / sc (a cell with sc = 0 counts as 0 in both), it is t_end if
 d1 = 0, else min(100 h0, (0.01 / d1)^(1/4)), q = 3 the Lawson pair's order,
 with h0 = 0.01 d0 / d1, or 1e-6 if d0 or d1 is below 1e-5, and no less than
 1e-14.  N(g) is evaluated once and checked finite; it is the Lawson pair's
-first stage, and A g + N(g), checked finite too, DP5's.  A run that starts
-on the Lawson pair never forms A g.
+first stage, and A g + N(g), checked finite too, DP5's.  Both are formed
+with overflow silenced, as a step's stages are, so a start that overflows
+raises NonFiniteField and warns of nothing.  A run that starts on the
+Lawson pair never forms A g.
 
 Each trial step goes through one sequence.  Its dt is clamped to 0.1 and,
 for DP5, to DP5's cap, and a step that would end within 1e-14 of t_end, or
@@ -91,12 +93,11 @@ step on the reaction.  One cell arises from that collapse alone:
 `build_mesh` takes at least 4 cells an axis, a fold halves them, and
 `Mesh.reduced` collapses only under Neumann walls.  A one-cell state is
 floats from N(g) on, under both pairs: `simulate`'s one-cell rule takes the
-data as the pair (u, v) and N(g), either pair's first stage, as a float
-pair in `StepWork.k1` from the reaction's float form, which hands f1 and
-f2 Python floats (whose **, as numpy's scalar **, is C's pow, and differs
-from numpy's array ** by up to 1 ulp), and numpy float64 scalars where
-Python raises and numpy gives inf or NaN (`_reaction_into`), and `accept`
-keeps each FSAL stage as a pair.  Both pairs are
+data as the pair (u, v), steps either pair on `Nonlinearity.reaction`
+itself, which hands f1 and f2 Python floats (whose **, as numpy's scalar
+**, is C's pow, and differs from numpy's array ** by up to 1 ulp) and
+returns a float pair, and keeps N(g), either pair's first stage, in
+`StepWork.k1`; `accept` keeps each FSAL stage as a pair.  Both pairs are
 first-same-as-last, and a rejected trial leaves y and `k1` as they were,
 so `k1` is N(y) at every pair change and no change evaluates the reaction.
 `step` takes either pair on that state through `_one_cell_step`, by the
@@ -320,32 +321,11 @@ def _tail(samples):
             np.array([max(s.sup_u, s.sup_v) for s in samples]))
 
 
-def _reaction_into(nl: Nonlinearity, y, out: Optional[np.ndarray] = None):
+def _reaction_into(nl: Nonlinearity, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """N(y) = (f1, f2) of the stacked state y = [u; v], read as the slices
-    y[:n], y[n:], into `out`; returns out.  With no `out`, y is a one-cell
-    state held as the float pair (u, v) (module docstring), handed to f1 and
-    f2 as Python floats, and N(y) is returned as a float pair: the float
-    form `_one_cell_step` takes.  Where Python raises and numpy gives inf or
-    NaN, an ArithmeticError (an overflow in **, a zero division) or the
-    TypeError of float() on a negative base's complex power, the call is
-    made again on numpy float64 scalars, whose value it returns."""
-    if out is None:
-        u, v = y
-    else:
-        n = y.size // 2
-        u, v = y[:n], y[n:]
-    while True:
-        try:
-            fu, fv = nl.f1(u, v), nl.f2(u, v)
-            if out is None:
-                return float(fu), float(fv)
-            break
-        except (ArithmeticError, TypeError):
-            # arrays, and the retry on numpy scalars, raise as numpy does
-            if type(u) is not float:
-                raise
-            u, v = np.float64(u), np.float64(v)
-    out[:n], out[n:] = fu, fv
+    y[:n], y[n:], into `out`; returns out."""
+    n = y.size // 2
+    out[:n], out[n:] = nl.reaction((y[:n], y[n:]))
     return out
 
 
@@ -460,9 +440,9 @@ def _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair):
     """`step` on the one-cell state held as the float pair y = (u, v)
     (module docstring), from the first stage `work.k1`, by the pair's
     `float_tableau`: A is zero, so a Lawson pair's step is its tableau's
-    explicit step on the reaction.  Each stage is stage_fn's float form,
-    stage_fn((u, v)), a float pair; the stage arguments, y_new among them,
-    the error estimate dt * sum_i e_i k_i, the finite checks, the
+    explicit step on the reaction.  Each stage is stage_fn((u, v)), a float
+    pair (`Nonlinearity.reaction` in a run); the stage arguments, y_new
+    among them, the error estimate dt * sum_i e_i k_i, the finite checks, the
     `_error_scale` scale and the RMS norm are Python floats too, as numpy's
     per-call cost on 2-float rows would be most of the step.  Keeps
     (y_new, FSAL stage) in `work.taken` for `StepWork.accept`; the rows of
@@ -577,10 +557,10 @@ def _starting_dt(y, reaction, config: SolverConfig, scale: np.ndarray,
                  ratio: np.ndarray) -> float:
     """The first trial dt (module docstring), from the RMS norms d0 of y and
     d1 of N(y) in the units of sc = abs_tol + rel_tol |y|; builds sc in
-    `scale` and each ratio in `ratio`.  y and N(y) may be float pairs."""
+    `scale` and each ratio in `ratio`.  y and N(y) may be float pairs.
+    `simulate` calls it with overflow silenced."""
     _error_scale(y, y, config.rel_tol, config.abs_tol, scale)
-    with np.errstate(over="ignore"):
-        d0, d1 = (_rms(np.divide(x, scale, out=ratio)) for x in (y, reaction))
+    d0, d1 = (_rms(np.divide(x, scale, out=ratio)) for x in (y, reaction))
     if d1 == 0:
         return config.t_end
     h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6
@@ -652,10 +632,10 @@ def simulate(config: SolverConfig) -> SolveTrace:
 
     op = mesh.robin_operator(config.gamma1, config.gamma2)
     # one cell is the box collapsed along every axis under Neumann walls,
-    # where A is zero: DP5's stage is the reaction alone (module docstring)
-    reaction_fn = partial(_reaction_into, nl)
-    stage_fns = {LAWSON_BS3: reaction_fn,
-                 DP5: reaction_fn if n == 1 else partial(_derivative_into, op, nl)}
+    # where A is zero: either pair's stage is the reaction alone, on the
+    # float pair (u, v) (module docstring)
+    stage_fns = (dict.fromkeys(PAIRS, nl.reaction) if n == 1 else
+                 {LAWSON_BS3: partial(_reaction_into, nl), DP5: partial(_derivative_into, op, nl)})
     caps = {LAWSON_BS3: math.inf, DP5: _diffusion_cap(mesh)}
     steps_by_pair = {p.name: {"accepted": 0, "rejected": 0} for p in PAIRS}
 
@@ -668,23 +648,25 @@ def simulate(config: SolverConfig) -> SolveTrace:
     # N(g) serves the starting-step rule and the first stage of either pair:
     # A g + N(g) for DP5, N(g) in the eigenbasis for the Lawson pair, whose
     # steps never form A g, and N(g) itself in `k1` for a one-cell state held
-    # as the float pair (u, v), where FSAL keeps N(y); each is checked finite
-    if n == 1:
-        y = tuple(y.tolist())
-        reaction = work.k1 = reaction_fn(y)
-    else:
-        reaction = reaction_fn(y, work.err)
-    if not np.all(np.isfinite(reaction)):
-        raise NonFiniteField("initial right-hand side is not finite")
-    dt = _starting_dt(y, reaction, config, work.scale, work.y_new)
-    pair = pair_for(dt)
-    if n > 1:
-        if pair.lawson:
-            op.to_modes(reaction, work.K[0])
+    # as the float pair (u, v), where FSAL keeps N(y); each is checked finite,
+    # with overflow silenced as in `step`
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 1:
+            y = tuple(y.tolist())
+            reaction = work.k1 = nl.reaction(y)
         else:
-            work.K[0] = reaction
-            if not np.isfinite(op.add_product(y, work.K[0])).all():
-                raise NonFiniteField("initial right-hand side is not finite")
+            reaction = _reaction_into(nl, y, work.err)
+        if not np.all(np.isfinite(reaction)):
+            raise NonFiniteField("initial right-hand side is not finite")
+        dt = _starting_dt(y, reaction, config, work.scale, work.y_new)
+        pair = pair_for(dt)
+        if n > 1:
+            if pair.lawson:
+                op.to_modes(reaction, work.K[0])
+            else:
+                work.K[0] = reaction
+                if not np.isfinite(op.add_product(y, work.K[0])).all():
+                    raise NonFiniteField("initial right-hand side is not finite")
     t, err_prev, dt_underflow = 0.0, 1.0, False
     rows = _MonitorRows(config, mesh, 2 * n)
     # the initial row carries the first trial dt, clamped but not to t_end

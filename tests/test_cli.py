@@ -494,14 +494,14 @@ CREEPING_ORACLE = [
 CREEPING_ORACLE_IDS = ["power_product_1e160", "gradient_homogeneous_1e300", "absorption_1e300"]
 
 
-def sandwich_in_subprocess(tmp_path, text):
-    """A CLI `sandwich` of the config `text` in a fresh interpreter with
+def cli_in_subprocess(tmp_path, text, command="sandwich"):
+    """A CLI `command` of the config `text` in a fresh interpreter with
     RuntimeWarning an error: (the finished process, its output directory)."""
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "rdblowup.cli",
-                           "sandwich", "--config", write_config(tmp_path, text),
+                           command, "--config", write_config(tmp_path, text),
                            "--out-dir", str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     return done, out
@@ -571,13 +571,34 @@ class TestValuesPastFloatRange:
         # ends with no blow-up time, where it would step forever.  In a
         # subprocess, for its timeout, with numpy's warnings made errors: the
         # oracle integrates under one errstate, so its reaction warns of none
-        done, out = sandwich_in_subprocess(tmp_path, FLAT_CUBE.replace("c = 1.0", "c = 1e300"))
+        done, out = cli_in_subprocess(tmp_path, FLAT_CUBE.replace("c = 1.0", "c = 1e300"))
         assert done.returncode == EXIT_NUMERICAL, done.stderr
         assert "Traceback" not in done.stderr
         assert "RuntimeWarning" not in done.stderr
         report = load_report(out)
         assert report["oracle"]["blowup_time"] is None
         assert report["sandwich"]["partial"] is True
+
+    @pytest.mark.parametrize("edits", [
+        [("kind = constant\nc1 = 1.0\nc2 = 1.0",
+          "kind = gaussian\nc1 = 1e3\namplitude = 1\nwidth = 0.5\nc2 = 1e3"),
+         ("c = 1.0", "c = 1e300")],
+        [("c1 = 1.0\nc2 = 1.0", "c1 = 1e3\nc2 = 1e3"),
+         ("a_exp = 2\nb_exp = 2", "a_exp = 200\nb_exp = 1")],
+    ], ids=["bump_1e300", "flat_u200"])
+    def test_simulate_whose_start_overflows_exits_three_with_no_warning(self, tmp_path, edits):
+        # N(g) overflows: on the 8^3 bump, in numpy's array *; on flat
+        # data, collapsed to one cell, in the retry of u^199 on numpy scalars.
+        # The start runs with overflow silenced, as each step does, so the
+        # run ends as NonFiniteField with its report and warns of nothing
+        text = FLAT_CUBE
+        for edit in edits:
+            assert text.count(edit[0]) == 1
+            text = text.replace(*edit)
+        done, out = cli_in_subprocess(tmp_path, text, "simulate")
+        assert done.returncode == EXIT_NUMERICAL, done.stderr
+        assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+        assert load_report(out)["simulation"]["error"]["type"] == "NonFiniteField"
 
     @pytest.mark.parametrize("edits", CREEPING_ORACLE, ids=CREEPING_ORACLE_IDS)
     def test_sandwich_on_a_reaction_whose_oracle_steps_creep_ends(self, tmp_path, edits):
@@ -588,7 +609,7 @@ class TestValuesPastFloatRange:
         for edit in edits:
             assert text.count(edit[0]) == 1
             text = text.replace(*edit)
-        done, out = sandwich_in_subprocess(tmp_path, text)
+        done, out = cli_in_subprocess(tmp_path, text)
         assert done.returncode in (EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_NUMERICAL), done.stderr
         assert "Traceback" not in done.stderr
         assert "RuntimeWarning" not in done.stderr

@@ -150,6 +150,19 @@ class TestOdeReduce:
         assert 300 < trace.us[-1] == trace.vs[-1] < 500
         assert np.all(np.isfinite(trace.ts))
 
+    @pytest.mark.parametrize("a, u0, knots", [(60.0, 1.0, 402), (5.0, 1e-2, 373)],
+                             ids=["u60v60_past_the_float_range", "u5v5_below_10_ulp"])
+    def test_a_run_the_step_rule_ends_names_its_stop(self, a, u0, knots):
+        # F = u^60 v^60 from (1, 1): |f| overflows near u = v = 375, so the
+        # step grows until s + h overflows; F = u^5 v^5 from 1e-2 (t* about
+        # 2.5e14): at t = 2.5e14 the step falls below 10 ulp of s.  Neither
+        # reaches the top level or t_max, and the method says why
+        trace = ode_reduce(make_power_product(1.0, a, a), u0, u0, t_max=1e15)
+        assert trace.blowup_time is None and len(trace.ts) == knots
+        assert max(trace.us[-1], trace.vs[-1]) < 1e3 and trace.ts[-1] < 1e15
+        assert trace.method.endswith(
+            "; stopped at a step below 10 ulp of s or past its float range")
+
     def test_stops_at_a_t_max_among_the_last_levels(self):
         # t_max falls between the crossings of 1e3 and 1e4: the t_max root
         # ends the run in a step that crosses no level, with levels left

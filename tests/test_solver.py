@@ -159,17 +159,17 @@ def numpy_scalar_reaction(nl, u, v):
 
 
 class TestOneCellReaction:
-    # a one-cell state held as the float pair (u, v) is handed to f1 and f2
-    # as Python floats and gives a float pair; an array state, of one cell
-    # too, is handed over as slices; the float form agrees with the sliced
-    # path to a few ulp
+    # `Nonlinearity.reaction` hands a one-cell state held as the float pair
+    # (u, v) to f1 and f2 as Python floats and gives a float pair; the
+    # solver's `_reaction_into` hands an array state, of one cell too, over
+    # as slices; the float form agrees with the sliced path to a few ulp
     @pytest.mark.parametrize("cells, kind", [(1, float), (3, np.ndarray),
                                              (1, np.ndarray)])
     def test_f1_and_f2_take_scalars_on_one_cell_only(self, cells, kind):
         seen = []
         y = np.linspace(1.0, 2.0, 2 * cells)
         if kind is float:
-            out = _reaction_into(spy_reaction(seen), tuple(y.tolist()))
+            out = spy_reaction(seen).reaction(tuple(y.tolist()))
             assert type(out) is tuple and all(type(x) is float for x in out)
         else:
             out = _reaction_into(spy_reaction(seen), y, np.empty_like(y))
@@ -182,7 +182,7 @@ class TestOneCellReaction:
         # takes at most 3 of them
         rng = np.random.default_rng(0)
         cells = np.column_stack([rng.uniform(*box[0], 500), rng.uniform(*box[1], 500)])
-        one = np.array([_reaction_into(nl, cell) for cell in cells.tolist()])
+        one = np.array([nl.reaction(cell) for cell in cells.tolist()])
         sliced = _reaction_into(nl, cells.T.ravel(), np.empty(cells.size)).reshape(2, -1).T
         np.testing.assert_array_max_ulp(one, sliced, maxulp=4)
 
@@ -193,7 +193,7 @@ class TestOneCellReaction:
         rng = np.random.default_rng(1)
         for cell in np.column_stack([rng.uniform(*box[0], 2000),
                                      rng.uniform(*box[1], 2000)]).tolist():
-            one = _reaction_into(nl, tuple(cell))
+            one = nl.reaction(tuple(cell))
             assert [x.hex() for x in one] == [x.hex() for x in numpy_scalar_reaction(nl, *cell)]
 
     # where f1 on Python floats raises and numpy's scalars give inf or NaN:
@@ -210,7 +210,7 @@ class TestOneCellReaction:
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore",
                                                     divide="ignore"):
             warnings.simplefilter("error", RuntimeWarning)
-            one = _reaction_into(typed_reaction(nl, seen), (u, v))
+            one = typed_reaction(nl, seen).reaction((u, v))
             reference = numpy_scalar_reaction(nl, u, v)
         assert seen[0] == (float, float) and seen[-2:] == [(np.float64, np.float64)] * 2
         assert [x.hex() for x in one] == [x.hex() for x in reference]
@@ -423,48 +423,41 @@ class TestStepWorkspace:
         assert np.array_equal(work.K[0], f_new)
 
 
-def constant_push(y, out=None):
-    """A stage function whose every stage is 1e307 in every cell; with no
-    `out`, the float form of a one-cell state, a float pair."""
-    if out is None:
-        return 1e307, 1e307
-    out.fill(1e307)
-    return out
-
-
-PRODUCT = partial(_reaction_into, make_power_product(1.0, 2.0, 2.0))
+# a reaction whose every stage is 1e307 in every cell
+CONSTANT_PUSH = Nonlinearity(family="custom", params={}, f1=lambda u, v: 1e307,
+                             f2=lambda u, v: 1e307)
+PRODUCT = make_power_product(1.0, 2.0, 2.0)
 ONE_CELL_CASES = {
-    # name: (stage function, (u, v), dt, rel_tol, abs_tol, outcome)
+    # name: (reaction, (u, v), dt, rel_tol, abs_tol, outcome)
     "accepted_dt_1e-3": (PRODUCT, (1.0, 1.0), 1e-3, 1e-8, 1e-10, "accepted"),
     "accepted_dt_1e-2": (PRODUCT, (1.0, 1.0), 1e-2, 1e-6, 1e-8, "accepted"),
     "rejected_dt_0.1": (PRODUCT, (1.0, 1.0), 0.1, 1e-8, 1e-10, "rejected"),
-    "zero_field_abs_tol_0": (partial(_reaction_into, linear_decay()), (0.0, 1.0), 0.05, 1e-6,
-                             0.0, "accepted"),
-    "stage_leaves_the_domain": (
-        partial(_reaction_into, make_gradient_homogeneous(1.0, 2.0, shape_constant())),
-        (1.0, 0.5), 0.1, 1e-8, 1e-10, "non_finite"),
+    "zero_field_abs_tol_0": (linear_decay(), (0.0, 1.0), 0.05, 1e-6, 0.0, "accepted"),
+    "stage_leaves_the_domain": (make_gradient_homogeneous(1.0, 2.0, shape_constant()),
+                                (1.0, 0.5), 0.1, 1e-8, 1e-10, "non_finite"),
     "stage_overflows": (PRODUCT, (1e60, 1e60), 1e-14, 1e-8, 1e-10, "non_finite"),
-    "y_new_overflows": (constant_push, (1.79e308, 1.0), 1.0, 1e-8, 1e-10, "non_finite"),
+    "y_new_overflows": (CONSTANT_PUSH, (1.79e308, 1.0), 1.0, 1e-8, 1e-10, "non_finite"),
 }
 
 
 class TestOneCellStep:
     # DP5 on a one-cell state held as the float pair (u, v), whose first
-    # stage `k1` is the stage function's float form at it, steps on floats,
-    # each stage the stage function's float form; the array path steps the
-    # same cell duplicated, [u, u, v, v], whose RMS norm is the cell's.  The
+    # stage `k1` is `Nonlinearity.reaction` at it, steps on floats, each
+    # stage that reaction; the array path steps the same cell duplicated,
+    # [u, u, v, v], by `_reaction_into`, whose RMS norm is the cell's.  The
     # two agree: y_new and the FSAL stage to 1e-14 relative, err to 1e-12
     # of max(err, 1), and the same accept/reject decision
     @pytest.mark.parametrize("case", list(ONE_CELL_CASES))
     def test_matches_the_array_path_on_the_duplicated_cell(self, case):
-        stage_fn, cell, dt, rel_tol, abs_tol, outcome = ONE_CELL_CASES[case]
+        nl, cell, dt, rel_tol, abs_tol, outcome = ONE_CELL_CASES[case]
+        stage_fn, stage_into = nl.reaction, partial(_reaction_into, nl)
         y, y4 = cell, np.repeat(cell, 2)
         work, work4 = StepWork(np.empty(2)), StepWork(y4)
         with np.errstate(all="raise"):
             work.k1 = stage_fn(y)
-            work4.restart(y4, stage_fn, DP5)
+            work4.restart(y4, stage_into, DP5)
             y_new, err, k = step(y, dt, stage_fn, rel_tol, abs_tol, work)
-            y_new4, err4, k4 = step(y4, dt, stage_fn, rel_tol, abs_tol, work4)
+            y_new4, err4, k4 = step(y4, dt, stage_into, rel_tol, abs_tol, work4)
         assert work.k1 == tuple(work4.K[0][::2])
         if outcome == "non_finite":
             assert err == err4 == math.inf and k is None and k4 is None
@@ -499,21 +492,16 @@ class TestOneCellStep:
         by_pair = json.loads((tmp_path / "report.json").read_text())["simulation"]["steps_by_pair"]
         assert sum(by_pair["dp5"].values()) > 0 and states == []
 
-    def test_a_flat_run_takes_the_float_form_after_dp5_restarts(self, monkeypatch):
+    def test_a_flat_run_takes_the_float_form_after_dp5_restarts(self):
         # criterion 1's run takes the float form of the reaction throughout:
         # for N(g), the 6 stages of its first DP5 step, the 3 new stages of
         # its Lawson trial after it (rejected) and the 6 stages of each of
         # its 353 other DP5 steps; f1 and f2 take Python floats, 2,128 calls
-        # each, none made again on numpy scalars
-        forms, seen = [], []
-        reaction_into = rdblowup.solver._reaction_into
-
-        def logged(nl, y, out=None):
-            forms.append("array" if out is not None else "float")
-            return reaction_into(nl, y, out)
-
-        monkeypatch.setattr(rdblowup.solver, "_reaction_into", logged)
+        # each, none made again on numpy scalars.  The form of each
+        # evaluation is the type f1 takes in it
+        seen = []
         trace, _ = flat_blowup_3d(typed_reaction(make_power_product(1.0, 2.0, 2.0), seen))
+        forms = ["float" if types == (float, float) else "array" for types in seen[::2]]
         assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
                                        "dp5": {"accepted": 354, "rejected": 0}}
         assert forms == ["float"] * (1 + 6 + 3 + 6 * 353)
@@ -523,14 +511,14 @@ class TestOneCellStep:
         # criterion 1's run changes pair twice, DP5 to the Lawson pair and
         # back after its rejected trial; on one cell N(y) is already the
         # first stage of both pairs, so every reaction but N(g) is a stage
-        # of a step
+        # of a step, as f1's arguments outside `step` show
         outside, in_step = [], []
-        reaction_into = rdblowup.solver._reaction_into
+        nl = make_power_product(1.0, 2.0, 2.0)
 
-        def logged(nl, y, out=None):
+        def f1(u, v):
             if not in_step:
-                outside.append(y)
-            return reaction_into(nl, y, out)
+                outside.append((u, v))
+            return nl.f1(u, v)
 
         def stepping(*args):
             in_step.append(True)
@@ -539,9 +527,8 @@ class TestOneCellStep:
             finally:
                 in_step.pop()
 
-        monkeypatch.setattr(rdblowup.solver, "_reaction_into", logged)
         monkeypatch.setattr(rdblowup.solver, "step", stepping)
-        trace, _ = flat_blowup_3d()
+        trace, _ = flat_blowup_3d(dataclasses.replace(nl, f1=f1))
         assert trace.steps_by_pair == {"lawson_bs3": {"accepted": 0, "rejected": 1},
                                        "dp5": {"accepted": 354, "rejected": 0}}
         assert outside == [(1.0, 1.0)]
@@ -1066,7 +1053,7 @@ class TestLeavingTheDomain:
                 outside.append(u)
                 raise
 
-        stage_fn = partial(_reaction_into, dataclasses.replace(nl, f1=f1))
+        stage_fn = dataclasses.replace(nl, f1=f1).reaction
         work, y = StepWork(np.empty(2)), (1.0, 0.5)  # held as floats
         work.k1 = stage_fn(y)
         with np.errstate(all="raise"):

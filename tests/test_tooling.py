@@ -1,11 +1,12 @@
 """Source checks: no module of the package calls scipy's integrators or
 drives its steppers, and the ODE oracle, which carries DOP853's tableau and
 Brent's method, imports nothing from the package, so the solver and the
-oracle stay independent; the
-solver calls the reaction f1, f2 at one site each and reaches the stage
+oracle stay independent; both
+evaluate the reaction f1, f2 through `Nonlinearity.reaction` alone, which
+holds its one float rule; the solver reaches the stage
 kernels of a trial from `step` alone; it leaves the
-operator's product and the mesh's fold and collapse to geometry.py, whose
-private names no other module imports or reads;
+operator's product and the mesh's fold and collapse to geometry.py; no
+module imports or reads a private name of another;
 `simulate` writes how a run ends once: one loop condition, no `break`, one
 assignment of the outcome; E, J, scriptE and their terms are evaluated in
 `energy_rows` alone, which every other module reaches through
@@ -220,21 +221,30 @@ def test_every_reaction_call_site_is_found(source, reads):
     assert reaction_reads(ast.parse(source)) == reads
 
 
-def test_the_solver_calls_f1_and_f2_at_one_site_each():
-    # one call of each per stage, in `_reaction_into`, whose retry on numpy
-    # scalars makes the same call again, and no other read: so a counted f1
-    # is one right-hand-side evaluation unless Python raised, and no other
-    # path, such as a local name bound to nl.f1, bypasses a wrapped f1 or f2
-    reads = reaction_reads(ast.parse((SRC / "solver.py").read_text()))
-    assert reads == [("_reaction_into", "f1", True), ("_reaction_into", "f2", True)]
+# what the reaction's float rule reads: the errors it catches on Python
+# floats and the numpy scalars it calls again on
+FLOAT_RULE = {"ArithmeticError", "TypeError", "float64"}
 
 
-def test_the_oracle_calls_f1_and_f2_at_one_site_each():
-    # one call of each per evaluation of dz/ds, in `ode_reduce`'s `rhs`,
-    # whose retry on numpy scalars makes the same call again: so the retry
-    # is no second way to evaluate the reaction
-    reads = reaction_reads(ast.parse((SRC / "oracle.py").read_text()))
-    assert reads == [("ode_reduce.rhs", "f1", True), ("ode_reduce.rhs", "f2", True)]
+@pytest.mark.parametrize("module", ["solver.py", "oracle.py"])
+def test_the_module_calls_no_f1_or_f2_and_holds_no_retry(module):
+    # the solver and the ODE oracle evaluate the reaction through
+    # `Nonlinearity.reaction` alone, so no copy of its float rule can drift
+    tree = ast.parse((SRC / module).read_text())
+    assert reaction_reads(tree) == [] and name_reads(tree, FLOAT_RULE) == []
+
+
+def test_nonlinearity_reaction_holds_the_one_float_rule():
+    # one call of f1 and of f2 on the arguments, and one more of each on
+    # numpy scalars where Python raised: so a counted f1 is one evaluation
+    # of N unless Python raised, and the rule is written nowhere else
+    tree = ast.parse((SRC / "nonlinearity.py").read_text())
+    reads = [read for read in reaction_reads(tree) if read[0].startswith("Nonlinearity")]
+    assert reads == [("Nonlinearity.reaction", f, True) for f in ("f1", "f2")] * 2
+    sites = sorted((path.name, *site) for path in sorted(SRC.glob("*.py"))
+                   for site in name_reads(ast.parse(path.read_text()), FLOAT_RULE))
+    assert sites == [("nonlinearity.py", "Nonlinearity.reaction", name)
+                     for name in ("ArithmeticError", "TypeError", "float64", "float64")]
 
 
 # the stage kernels of one trial, which the solver reaches from `step` alone
@@ -317,48 +327,61 @@ def test_the_solver_leaves_the_operator_and_the_reduction_to_geometry():
     assert geometry_reads(ast.parse((SRC / "solver.py").read_text())) == []
 
 
-def private_geometry_reads(tree):
-    """(line, name) of each `_`-prefixed name of geometry.py a parsed module
-    imports from it, or reads as an attribute of it: of a name bound to the
-    module, or of an attribute `geometry` (as in `rdblowup.geometry._x`)."""
-    found, modules = [], set()
+# the package's modules, whose `_`-prefixed names are their own
+PACKAGE_MODULES = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+
+
+def private_reads(tree, modules):
+    """(line, module, name) of each `_`-prefixed name of a module in
+    `modules` that a parsed module imports from it, or reads as an attribute
+    of it: of a name bound to the module, or of an attribute named after it
+    (as in `rdblowup.geometry._x`)."""
+    found, bound = [], {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules |= {a.asname for a in node.names
-                        if a.asname and a.name.split(".")[-1] == "geometry"}
+            bound |= {a.asname: a.name.split(".")[-1] for a in node.names
+                      if a.asname and a.name.split(".")[-1] in modules}
         elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[-1] == "geometry":
-                found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+            module = (node.module or "").split(".")[-1]
+            if module in modules:
+                found += [(node.lineno, module, a.name) for a in node.names
+                          if a.name.startswith("_")]
             else:
-                modules |= {a.asname or a.name for a in node.names if a.name == "geometry"}
+                bound |= {a.asname or a.name: a.name for a in node.names if a.name in modules}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
             value = node.value
-            if ((isinstance(value, ast.Name) and value.id in modules)
-                    or (isinstance(value, ast.Attribute) and value.attr == "geometry")):
-                found.append((node.lineno, node.attr))
+            module = (bound.get(value.id) if isinstance(value, ast.Name)
+                      else value.attr if isinstance(value, ast.Attribute) else None)
+            if module in modules:
+                found.append((node.lineno, module, node.attr))
     return sorted(found)
 
 
 @pytest.mark.parametrize("source, found", [
-    ("from .geometry import _x", [(1, "_x")]),
-    ("from rdblowup.geometry import Mesh, _x as y", [(1, "_x")]),
-    ("import rdblowup.geometry as g\ng._x", [(2, "_x")]),
-    ("from . import geometry\ngeometry._x(1)", [(2, "_x")]),
-    ("import rdblowup.geometry\nrdblowup.geometry._x", [(2, "_x")]),
-    ("from .geometry import Mesh\nmesh._x\nfunctionals._y", []),
-], ids=["relative", "absolute_renamed", "module_alias", "module_from_package",
-        "dotted", "public"])
-def test_every_private_geometry_read_is_found(source, found):
-    assert private_geometry_reads(ast.parse(source)) == found
+    ("from .geometry import _x", [(1, "geometry", "_x")]),
+    ("from rdblowup.geometry import Mesh, _x as y", [(1, "geometry", "_x")]),
+    ("import rdblowup.geometry as g\ng._x", [(2, "geometry", "_x")]),
+    ("from . import geometry\ngeometry._x(1)", [(2, "geometry", "_x")]),
+    ("import rdblowup.geometry\nrdblowup.geometry._x", [(2, "geometry", "_x")]),
+    ("from .functionals import FieldPair, _y", [(1, "functionals", "_y")]),
+    ("from . import bounds as bounds_mod\nbounds_mod._checks(nl)", [(2, "bounds", "_checks")]),
+    ("import rdblowup.solver\nrdblowup.solver._one_cell_step", [(2, "solver", "_one_cell_step")]),
+    ("from .geometry import Mesh\nmesh._x\nnp._y\nself.nl._z", []),
+    ("import numpy as geometry_np\ngeometry_np._x\nfrom numpy import _y", []),
+], ids=["relative", "absolute_renamed", "module_alias", "module_from_package", "dotted",
+        "another_module", "another_module_alias", "another_module_dotted", "public",
+        "not_a_package_module"])
+def test_every_private_read_is_found(source, found):
+    assert private_reads(ast.parse(source), PACKAGE_MODULES) == found
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
-                                          if p.name != "geometry.py"))
-def test_no_module_reads_a_private_name_of_geometry(module):
-    # geometry.py's private names are its own: a rule another module needs
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_reads_a_private_name_of_another(module):
+    # each module's private names are its own: a rule another module needs
     # belongs to that module or is public
-    assert private_geometry_reads(ast.parse((SRC / module).read_text())) == []
+    tree = ast.parse((SRC / module).read_text())
+    assert private_reads(tree, PACKAGE_MODULES - {module[:-3]}) == []
 
 
 def assigned_names(target):
