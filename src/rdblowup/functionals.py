@@ -74,7 +74,7 @@ def finite_total(total, what: str) -> float:
     return float(total)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def interior_integral(mesh: Mesh, samples) -> float:
     """Midpoint-rule integral over the domain; exact for per-cell constants."""
     samples = np.asarray(samples, dtype=float).ravel()
@@ -83,7 +83,7 @@ def interior_integral(mesh: Mesh, samples) -> float:
     return finite_total(np.sum(samples) * mesh.cell_volume, "interior")
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def boundary_integral(mesh: Mesh, boundary_samples) -> float:
     """Face-midpoint integral over the boundary of the box."""
     samples = np.asarray(boundary_samples, dtype=float).ravel()
@@ -193,15 +193,15 @@ def energy_sample(fields: FieldPair, mesh: Mesh, nl=None, alpha: float = 1.0,
     return energy_rows(y[None], [fields.t], [dt], mesh, nl, alpha, gamma1, gamma2, p)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def energy_rows(states: np.ndarray, ts, dts, mesh: Mesh, nl=None, alpha: float = 1.0,
                 gamma1: float = 0.0, gamma2: float = 0.0,
                 p: Optional[float] = None) -> list[EnergySample]:
     """The monitor rows of k states, the rows of the (k, 2n) block `states`,
     each y = [u; v], at the times `ts` and with the steps `dts`.
 
-    The terms are computed in one numpy error state, with overflow and
-    invalid silenced; NonFiniteSample, as `energy_sample` raises it, for
+    The terms are computed in one numpy error state, with overflow, invalid
+    values and zero division silenced; NonFiniteSample, as `energy_sample` raises it, for
     the first state with a non-finite integral.  ValueError unless each
     state holds both fields' values in every cell of the mesh."""
     k = len(states)

@@ -276,7 +276,7 @@ def _report(name, slack, scale, witnesses, description) -> HypothesisReport:
                             witness=witness, description=description)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def check_H1(nl: Nonlinearity, alpha: float, box=DEFAULT_BOX,
              samples_per_axis: int = DEFAULT_SAMPLES) -> HypothesisReport:
     """Sampled check of u*f1 + v*f2 >= 2(1+alpha)*F on the declared box."""
@@ -328,7 +328,7 @@ def check_H2_H3(nl: Nonlinearity, g1, g2, mesh: Mesh, gamma1: float, gamma2: flo
     return initial_data_row(nl, g1, g2, mesh, gamma1, gamma2)[1]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def check_A2_A3(nl: Nonlinearity, k1: float, k2: float, p: float):
     """Sampled check of f1 <= k1*u**(p+1) and f2 <= k2*v**(p+1)."""
     require_growth_constants(p, k1=k1, k2=k2)
@@ -344,7 +344,7 @@ def check_A2_A3(nl: Nonlinearity, k1: float, k2: float, p: float):
     return tuple(reports)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def check_A2prime(nl: Nonlinearity, k1: float, k2: float, p: float) -> HypothesisReport:
     """Sampled check of u**(2p-1)*f1 + v**(2p-1)*f2 <= k1*u**(3p) + k2*v**(3p),
     with the diagonal u = v added to the sample set (worst line for the

@@ -21,6 +21,7 @@ Python floats too, by the one rule of the `nl` it is given,
 """
 
 from dataclasses import dataclass
+from functools import cache
 from math import atan, hypot, inf, isfinite, nextafter, pi, sqrt
 from typing import Optional
 
@@ -83,9 +84,11 @@ class _FloatDop853:
     bound: the initial step of `select_initial_step`, the step factors,
     DOP853's error norm and its 7th-order dense output, all on Python floats.
     The tableau is that of `scipy.integrate.DOP853`, each coefficient written
-    as the repr of scipy's float64 and every zero kept, so that `_combine`
-    sums the same terms in the same order; A holds the rows below the
-    diagonal.  The stage nodes C are not needed, as rhs does not depend on s."""
+    as the repr of scipy's float64, zeros included; A holds the rows below
+    the diagonal.  The stage nodes C are not needed, as rhs does not depend
+    on s.  A step's stages and error sums run in `kernel`, the tableau
+    written out as straight-line code (`_source`); dense output, on the
+    steps that cross a level, sums whole rows by `_combine`."""
 
     # scipy's step factor rule: a safety factor, and bounds on the factor
     SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
@@ -152,6 +155,50 @@ class _FloatDop853:
         self.rhs = rhs
         self.exponent = -1 / (self.ERROR_ORDER + 1)
 
+    @classmethod
+    def _source(cls):
+        """The source of `kernel`: kernel(u, v, t, k0, h, rhs) returns
+        (z_new, K, e5, e3) of a step h from z = (u, v, t) whose first stage
+        is k0, K its 13 stage rows with rhs at z_new last, and e5 and e3 the
+        3-float sums of E5 and E3 over K.  Every sum starts at 0.0 and runs
+        in the order of the rows.  A stage argument sums the nonzero weights
+        of its row of A, in u and v alone, and z_new those of B; the error
+        sums keep every weight, zeros included.  Skipping a zero weight
+        changes no bit of a step that is accepted: a step whose error norm is
+        finite has finite stages, so each skipped term is an exact +-0, and a
+        sum from 0.0 never holds -0.0, so adding +-0 leaves it as it is.  A
+        step with a stage that is not finite has an error sum of inf or NaN,
+        through its zero weights too, so its error norm is NaN, as with every
+        term summed, and the step is rejected at the same factor."""
+        lines = ["def kernel(u, v, t, k0, h, rhs):", "    ku0, kv0, kt0 = k0"]
+
+        def sums(weights, columns, zeros=False):
+            return ["(" + " + ".join(["0.0", *(f"{w!r} * k{x}{j}" for j, w in enumerate(weights)
+                                               if w or zeros)]) + ")"
+                    for x in columns]
+
+        for i, row in enumerate(cls.A, start=1):
+            du, dv = sums(row, "uv")
+            lines += [f"    k{i} = rhs(u + {du} * h, v + {dv} * h)",
+                      f"    ku{i}, kv{i}, kt{i} = k{i}"]
+        du, dv, dt = sums(cls.B, "uvt")
+        last = len(cls.A) + 1
+        lines += [f"    z_new = (u + h * {du}, v + h * {dv}, t + h * {dt})",
+                  f"    ku{last}, kv{last}, kt{last} = k{last} = rhs(z_new[0], z_new[1])",
+                  "    K = [" + ", ".join(f"k{j}" for j in range(last + 1)) + "]",
+                  "    e5 = " + ", ".join(sums(cls.E5, "uvt", zeros=True)),
+                  "    e3 = " + ", ".join(sums(cls.E3, "uvt", zeros=True)),
+                  "    return z_new, K, e5, e3"]
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    @cache
+    def kernel():
+        """The step's function of `_source`, compiled on first use."""
+        namespace = {}
+        exec(compile(_FloatDop853._source(), "<DOP853 float kernel>", "exec"), namespace)
+        return namespace["kernel"]
+
     def initial_step(self, z, f):
         """`select_initial_step` (Hairer, Norsett & Wanner, II.4) from z with
         dz/ds = f."""
@@ -174,13 +221,13 @@ class _FloatDop853:
         of s or s + h overflows."""
         min_step = 10 * (nextafter(s, inf) - s)
         h_abs = max(h_abs, min_step)
-        rejected = False
+        rejected, kernel = False, self.kernel()
         # false for a NaN step, and for one whose s_new overflows: a reaction
         # that overflows |f| but not f makes dz/ds = 0, and every step's error 0
         while min_step <= h_abs and (s_new := s + h_abs) < inf:
             h = s_new - s
-            z_new, K = self._stages(z, f, h)
-            err = self._error_norm(K, h, z, z_new)
+            z_new, K, e5, e3 = kernel(*z, f, h, self.rhs)
+            err = self._error_norm(e5, e3, h, z, z_new)
             if err < 1:
                 factor = (self.MAX_FACTOR if err == 0
                           else min(self.MAX_FACTOR, self.SAFETY * err**self.exponent))
@@ -191,20 +238,10 @@ class _FloatDop853:
             rejected = True
         return None
 
-    def _stages(self, z, f, h):
-        u, v, t = z
-        K = [f]
-        for a in self.A:
-            du, dv, _ = _combine(K, a)
-            K.append(self.rhs(u + du * h, v + dv * h))
-        du, dv, dt = _combine(K, self.B)
-        z_new = (u + h * du, v + h * dv, t + h * dt)
-        K.append(self.rhs(z_new[0], z_new[1]))
-        return z_new, K
-
-    def _error_norm(self, K, h, z, z_new):
+    @staticmethod
+    def _error_norm(e5_sums, e3_sums, h, z, z_new):
         e5 = e3 = 0.0
-        for x5, x3, c, c_new in zip(_combine(K, self.E5), _combine(K, self.E3), z, z_new):
+        for x5, x3, c, c_new in zip(e5_sums, e3_sums, z, z_new):
             scale = _ATOL + max(abs(c), abs(c_new)) * _RTOL
             x5, x3 = x5 / scale, x3 / scale
             e5 += x5 * x5

@@ -51,8 +51,9 @@ d1 = 0, else min(100 h0, (0.01 / d1)^(1/4)), q = 3 the Lawson pair's order,
 with h0 = 0.01 d0 / d1, or 1e-6 if d0 or d1 is below 1e-5, and no less than
 1e-14.  N(g) is evaluated once and checked finite; it is the Lawson pair's
 first stage, and A g + N(g), checked finite too, DP5's.  Both are formed
-with overflow silenced, as a step's stages are, so a start that overflows
-raises NonFiniteField and warns of nothing.  A run that starts on the
+with overflow, invalid values and zero division silenced, as a step's
+stages are, so a start that overflows or divides by zero raises
+NonFiniteField and warns of nothing.  A run that starts on the
 Lawson pair never forms A g.
 
 Each trial step goes through one sequence.  Its dt is clamped to 0.1 and,
@@ -101,10 +102,10 @@ returns a float pair, and keeps N(g), either pair's first stage, in
 first-same-as-last, and a rejected trial leaves y and `k1` as they were,
 so `k1` is N(y) at every pair change and no change evaluates the reaction.
 `step` takes either pair on that state through `_one_cell_step`, by the
-pair's `float_tableau`: stage arguments, error estimate, finite checks,
-error scale and RMS norm are Python floats, summed in order where
-`StepWork.combine`'s numpy product may round otherwise, and no eigenpair
-or transform is formed.
+pair's `one_cell_kernel`, its tableau written out as straight-line code:
+stage arguments, error estimate, finite checks, error scale and RMS norm
+are Python floats, summed in order where `StepWork.combine`'s numpy product
+may round otherwise, and no eigenpair or transform is formed.
 So a step at DP5's cap, whose dt no error sets, keeps every bit of the
 array path's, while an error-controlled dt can move by rounding, and with
 it the rest of the run (README, *The collapse*).  The RMS
@@ -205,10 +206,46 @@ class Pair:
 
     @cached_property
     def float_tableau(self) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
-        """(a, e) as Python floats, for `_one_cell_step`: row i of `a` as its
-        i entries below the diagonal, and `e`."""
+        """(a, e) as Python floats, whose reprs `one_cell_kernel` writes into
+        its source: row i of `a` as its i entries below the diagonal, and `e`."""
         a = tuple(tuple(row[:i].tolist()) for i, row in enumerate(self.a))
         return a, tuple(self.e.tolist())
+
+    @cached_property
+    def one_cell_kernel(self):
+        """The float arithmetic of `_one_cell_step`, written out from
+        `float_tableau` as one straight-line function (`_one_cell_source`),
+        compiled on first use: kernel(u, v, k0, dt, stage_fn) returns
+        (y_new, its stage, e_u, e_v)."""
+        namespace = {}
+        exec(compile(_one_cell_source(*self.float_tableau), f"<{self.name} one-cell kernel>",
+                     "exec"), namespace)
+        return namespace["kernel"]
+
+
+def _one_cell_source(a, e) -> str:
+    """The source of a one-cell step of the float tableau (a, e) from
+    y = (u, v), whose first stage is k0: stage i is stage_fn(y_i),
+    y_i = (sum_j (a_ij dt) k_j + u, sum_j (a_ij dt) k_j + v), and the error
+    estimate is sum_i (e_i dt) k_i of either field.  Every sum starts at 0.0
+    and keeps every term, zeros included, in the order of j, each weight
+    scaled by dt first, as `_explicit_stages` scales its rows: so a kernel
+    gives the bits of the plain loop over the tableau, inf and NaN
+    included.  The last stage is at y_new."""
+    lines = ["def kernel(u, v, k0, dt, stage_fn):", "    ku0, kv0 = k0"]
+
+    def sums(weights, row):
+        lines.extend(f"    w{row}_{j} = {w!r} * dt" for j, w in enumerate(weights))
+        return [" + ".join(["0.0", *(f"w{row}_{j} * k{x}{j}" for j in range(len(weights)))])
+                for x in "uv"]
+
+    for i, row in enumerate(a[1:], start=1):
+        su, sv = sums(row, i)
+        lines += [f"    y{i} = ({su} + u, {sv} + v)",
+                  f"    ku{i}, kv{i} = k{i} = stage_fn(y{i})"]
+    last = len(a) - 1
+    lines.append(f"    return (y{last}, k{last}, " + ", ".join(sums(e, "e")) + ")")
+    return "\n".join(lines) + "\n"
 
 
 def _stage_matrix(rows):
@@ -410,21 +447,21 @@ def step(y, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     it: the derivative f(y) for an explicit pair, the reaction N(y) for a
     Lawson pair.  Returns (y_new, err_norm, k_last), where y_new is
     `work.y_new` and k_last the FSAL row `work.K[work.last]`, so y must not
-    be `work.y_new`.  The stages run with overflow silenced, and the trial
-    is rejected, returning (y, inf, None) with y untouched so that the
-    caller shrinks dt, if a stage raises EvalAtZeroU (it left N's domain)
-    or y_new or k_last is not finite.  The error scale is
-    abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).  A one-cell
-    state held as the float pair (u, v) (module docstring) takes either pair
-    through `_one_cell_step`, the same step on floats, whose first stage is
-    `work.k1` and whose y_new and k_last are float pairs.
+    be `work.y_new`.  The stages run with overflow, invalid values and zero
+    division silenced, and the trial is rejected, returning (y, inf, None)
+    with y untouched so that the caller shrinks dt, if a stage raises
+    EvalAtZeroU (it left N's domain) or y_new or k_last is not finite.  The
+    error scale is abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).
+    A one-cell state held as the float pair (u, v) (module docstring) takes
+    either pair through `_one_cell_step`, the same step on floats, whose
+    first stage is `work.k1` and whose y_new and k_last are float pairs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if type(y) is tuple:
         return _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair)
     stages = _lawson_stages if pair.lawson else _explicit_stages
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             y_new = stages(y, dt, stage_fn, work, pair)
         except EvalAtZeroU:
@@ -435,48 +472,30 @@ def step(y, dt: float, stage_fn, rel_tol: float, abs_tol: float,
     return y_new, _rms(work.err), work.K[work.last]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair):
     """`step` on the one-cell state held as the float pair y = (u, v)
     (module docstring), from the first stage `work.k1`, by the pair's
-    `float_tableau`: A is zero, so a Lawson pair's step is its tableau's
+    `one_cell_kernel`: A is zero, so a Lawson pair's step is its tableau's
     explicit step on the reaction.  Each stage is stage_fn((u, v)), a float
-    pair (`Nonlinearity.reaction` in a run); the stage arguments, y_new
-    among them, the error estimate dt * sum_i e_i k_i, the finite checks, the
-    `_error_scale` scale and the RMS norm are Python floats too, as numpy's
-    per-call cost on 2-float rows would be most of the step.  Keeps
-    (y_new, FSAL stage) in `work.taken` for `StepWork.accept`; the rows of
-    `work` are left as they were."""
-    a, e = pair.float_tableau
+    pair (`Nonlinearity.reaction` in a run); the kernel's stage arguments,
+    y_new among them, and error estimate dt * sum_i e_i k_i, the finite
+    checks, the `_error_scale` scale and the RMS norm are Python floats too,
+    as numpy's per-call cost on 2-float rows would be most of the step.
+    Keeps (y_new, FSAL stage) in `work.taken` for `StepWork.accept`; the
+    rows of `work` are left as they were."""
     u, v = y
-    ks = [work.k1]  # each stage's (k_u, k_v)
     try:
-        for row in a[1:]:
-            du, dv = _combination(row, dt, ks)
-            y_new = (du + u, dv + v)
-            ks.append(stage_fn(y_new))
+        y_new, k_new, eu, ev = pair.one_cell_kernel(u, v, work.k1, dt, stage_fn)
     except EvalAtZeroU:
         return y, math.inf, None
-    (u_new, v_new), k_new = y_new, ks[-1]
+    u_new, v_new = y_new
     if not all(map(math.isfinite, (u_new, v_new, *k_new))):
         return y, math.inf, None
-    eu, ev = _combination(e, dt, ks)
     ru = _scaled_error(eu, u, u_new, rel_tol, abs_tol)
     rv = _scaled_error(ev, v, v_new, rel_tol, abs_tol)
     work.taken = y_new, k_new
     return y_new, math.sqrt((ru * ru + rv * rv) / 2), k_new
-
-
-def _combination(weights, dt, ks):
-    """sum_i (weights[i] * dt) * ks[i] of the (u, v) float pairs ks, as a
-    pair, summed in the order of i: the weights are scaled by dt first, as
-    the rows `_explicit_stages` combines are."""
-    su = sv = 0.0
-    for w, (ku, kv) in zip(weights, ks):
-        w *= dt
-        su += w * ku
-        sv += w * kv
-    return su, sv
 
 
 def _scaled_error(err, old, new, rel_tol, abs_tol):
@@ -558,7 +577,8 @@ def _starting_dt(y, reaction, config: SolverConfig, scale: np.ndarray,
     """The first trial dt (module docstring), from the RMS norms d0 of y and
     d1 of N(y) in the units of sc = abs_tol + rel_tol |y|; builds sc in
     `scale` and each ratio in `ratio`.  y and N(y) may be float pairs.
-    `simulate` calls it with overflow silenced."""
+    `simulate` calls it with overflow, invalid values and zero division
+    silenced."""
     _error_scale(y, y, config.rel_tol, config.abs_tol, scale)
     d0, d1 = (_rms(np.divide(x, scale, out=ratio)) for x in (y, reaction))
     if d1 == 0:
@@ -649,8 +669,8 @@ def simulate(config: SolverConfig) -> SolveTrace:
     # A g + N(g) for DP5, N(g) in the eigenbasis for the Lawson pair, whose
     # steps never form A g, and N(g) itself in `k1` for a one-cell state held
     # as the float pair (u, v), where FSAL keeps N(y); each is checked finite,
-    # with overflow silenced as in `step`
-    with np.errstate(over="ignore", invalid="ignore"):
+    # with overflow, invalid values and zero division silenced as in `step`
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if n == 1:
             y = tuple(y.tolist())
             reaction = work.k1 = nl.reaction(y)

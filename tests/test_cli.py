@@ -623,6 +623,36 @@ class TestValuesPastFloatRange:
         ) == {"x": [None, None, None, None, 1.5]}
 
 
+# FLAT_CUBE under F = u^4 h(v/u), h(w) = 1/w, from data (1, 0): F, f1 and f2
+# take 0.0 ** -1, on floats, on numpy scalars and on arrays
+ZERO_DIVISION = FLAT_CUBE.replace(
+    "family = power_product", "family = gradient_homogeneous").replace(
+    "a_exp = 2\nb_exp = 2", "alpha = 1\nh = power\nh_m = -1").replace("c2 = 1.0", "c2 = 0.0")
+GAUSSIAN_U = ("kind = constant\nc1 = 1.0", "kind = gaussian\nc1 = 1.0\namplitude = 1\nwidth = 0.5")
+
+
+class TestZeroDivision:
+    # each evaluation of a reaction or of F runs with zero division silenced,
+    # as overflow is, so a command ends as one numerical failure: N(g) on one
+    # cell (simulate), F of the initial row (check, bounds and sandwich,
+    # which bound before they simulate) and N(g) on the array path (a bump)
+    @pytest.mark.parametrize("command, bump, error", [
+        ("simulate", False, "NonFiniteField"),
+        ("sandwich", False, "NonFiniteSample"),
+        ("check", False, "NonFiniteSample"),
+        ("bounds", False, "NonFiniteSample"),
+        ("simulate", True, "NonFiniteField"),
+    ], ids=["simulate", "sandwich", "check", "bounds", "simulate_bump"])
+    def test_exits_three_on_one_line(self, tmp_path, command, bump, error):
+        assert ZERO_DIVISION.count(GAUSSIAN_U[0]) == 1
+        text = ZERO_DIVISION.replace(*GAUSSIAN_U) if bump else ZERO_DIVISION
+        done, _ = cli_in_subprocess(tmp_path, text, command)
+        assert done.returncode == EXIT_NUMERICAL, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"numerical failure: {error}: ")
+        assert done.stderr.count("\n") == 1
+
+
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
         out = tmp_path / "out"

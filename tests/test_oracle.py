@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 
@@ -324,6 +325,114 @@ class TestReactionOnFloats:
         assert types == {float, np.float64}
         assert len(trace.ts) == knots and trace.blowup_time is None
         assert_same_run(trace, ode_reduce(numpy_scalar_args(nl), u0, v0, t_max=10.0))
+
+
+def combine(K, w):
+    """sum_j w_j K_j of the 3-float rows K, from 0.0 in the order of j, every
+    weight kept: the sums `_FloatDop853.kernel` writes out."""
+    a = b = c = 0.0
+    for (x, y, z), wj in zip(K, w):
+        a += wj * x
+        b += wj * y
+        c += wj * z
+    return a, b, c
+
+
+def dense_kernel(u, v, t, k0, h, rhs):
+    """`_FloatDop853.kernel` as loops over the tableau, zeros included."""
+    K = [k0]
+    for a in _FloatDop853.A:
+        du, dv, _ = combine(K, a)
+        K.append(rhs(u + du * h, v + dv * h))
+    du, dv, dt = combine(K, _FloatDop853.B)
+    z_new = (u + h * du, v + h * dv, t + h * dt)
+    K.append(rhs(z_new[0], z_new[1]))
+    return z_new, K, combine(K, _FloatDop853.E5), combine(K, _FloatDop853.E3)
+
+
+def sums_from_zero(expression):
+    """The terms (weight, stage name) of each sum in a parsed expression that
+    starts at 0.0 and adds products of a constant and a name, in order."""
+    def term(node):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and isinstance(node.right, ast.Name)
+                and isinstance(getattr(node.left, "operand", node.left), ast.Constant)):
+            return ast.literal_eval(node.left), node.right.id
+        return None
+
+    sums = {}  # keyed by the sum's leading 0.0, as walk meets its partial sums too
+    for node in ast.walk(expression):
+        terms = []
+        while isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and term(node.right):
+            terms.insert(0, term(node.right))
+            node = node.left
+        if terms and isinstance(node, ast.Constant) and node.value == 0.0:
+            sums[id(node)] = max(sums.get(id(node), []), terms, key=len)
+    return list(sums.values())
+
+
+# the retry cases of TestReactionOnFloats, and a reaction that turns NaN past u = 5
+RETRIES = [(lambda u, v: u**200.0, 1.0, 1.0), (lambda u, v: u**2.5 - v, 1.0, 1.5),
+           (lambda u, v: 1.0 / u, 0.0, 1.0)]
+NAN_PAST_5 = Nonlinearity(family="custom", params={},
+                          f1=lambda u, v: math.nan if u > 5 else 2.0 * float(u) * float(v) ** 2,
+                          f2=lambda u, v: 2.0 * float(u) ** 2 * float(v))
+KERNEL_RUNS = (
+    [(make_power_product(1.0, float(a), float(b)), u0, v0, 1.0)
+     for a, b, u0, v0, _ in POWER_PRODUCT_CASES]
+    + [(make_power_product(1.0, 60.0, 60.0), 1.0, 1.0, 1e15), (NAN_PAST_5, 1.0, 1.0, 1.0)]
+    + [(Nonlinearity(family="custom", params={}, f1=f1, f2=lambda u, v: 0.0 * v), u0, v0, 10.0)
+       for f1, u0, v0 in RETRIES])
+KERNEL_RUN_IDS = CASE_IDS + ["u60v60", "nan_past_5", "overflow", "negative_base", "zero_division"]
+
+
+class TestKernel:
+    # the kernel sums the nonzero weights of A and B alone, and every weight
+    # of E5 and E3: a run is the one of the dense sums, knot for knot
+    @pytest.mark.parametrize("nl, u0, v0, t_max", KERNEL_RUNS, ids=KERNEL_RUN_IDS)
+    def test_a_run_is_the_dense_sums_run(self, monkeypatch, nl, u0, v0, t_max):
+        trace = ode_reduce(nl, u0, v0, t_max=t_max)
+        monkeypatch.setattr(_FloatDop853, "kernel", staticmethod(lambda: dense_kernel))
+        assert_same_run(trace, ode_reduce(nl, u0, v0, t_max=t_max))
+
+    def test_the_source_names_the_right_weights(self):
+        # each of stage i's u and v arguments sums from 0.0 the nonzero
+        # weights of A's row i; z_new's u, v and t those of B; e5 and e3 all
+        # 13 of E5 and E3
+        def terms(weights, column, zeros=False):
+            return [[(w, f"k{column}{j}") for j, w in enumerate(weights) if w or zeros]]
+
+        body = ast.parse(_FloatDop853._source()).body[0].body
+        assigned = {ast.unparse(node.targets[0]): node.value for node in body
+                    if isinstance(node, ast.Assign)}
+        for i, row in enumerate(_FloatDop853.A, start=1):
+            stage = assigned[f"k{i}"]
+            assert ast.unparse(stage.func) == "rhs"
+            assert [sums_from_zero(arg) for arg in stage.args] == [terms(row, x) for x in "uv"]
+        assert ([sums_from_zero(x) for x in assigned["z_new"].elts]
+                == [terms(_FloatDop853.B, x) for x in "uvt"])
+        for name in ("E5", "E3"):
+            weights = getattr(_FloatDop853, name)
+            assert len(weights) == 13
+            assert ([sums_from_zero(x) for x in assigned[name.lower()].elts]
+                    == [terms(weights, x, zeros=True) for x in "uvt"])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("stage", range(13))
+    def test_a_stage_that_is_not_finite_makes_every_error_sum_nan_or_inf(self, stage, bad):
+        # the rule that lets the stage sums skip zero weights: any stage row
+        # that is not finite, K[12] at z_new included, reaches every column
+        # of both error sums, so the step's error norm is NaN
+        rows = iter(range(1, 13))
+
+        def rhs(u, v):
+            return (bad,) * 3 if next(rows) == stage else (0.5, -0.25, 0.75)
+
+        k0 = (bad,) * 3 if stage == 0 else (0.5, -0.25, 0.75)
+        z_new, K, e5, e3 = _FloatDop853.kernel()(1.0, 2.0, 0.0, k0, 1e-3, rhs)
+        assert len(K) == 13 and not any(map(math.isfinite, e5 + e3))
+        error_norm = _FloatDop853._error_norm(e5, e3, 1e-3, (1.0, 2.0, 0.0), z_new)
+        assert math.isnan(error_norm)
 
 
 class TestScipyPorts:

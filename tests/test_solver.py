@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import json
@@ -601,6 +602,81 @@ class TestOneCellStep:
             assert trace.final_fields.t == 1.0
             assert [s.dt for s in trace.samples] == pytest.approx([0.1] * 11, rel=1e-14, abs=0)
             assert np.all(trace.final_fields.u == 0.0) and np.all(trace.final_fields.v == 1.0)
+
+
+def combination(weights, dt, ks):
+    """sum_i (weights[i] * dt) * ks[i] of the float pairs ks, from 0.0 in the
+    order of i: the loop that `Pair.one_cell_kernel` writes out."""
+    su = sv = 0.0
+    for w, (ku, kv) in zip(weights, ks):
+        w *= dt
+        su += w * ku
+        sv += w * kv
+    return su, sv
+
+
+def loop_kernel(pair, u, v, k0, dt, stage_fn):
+    """`pair.one_cell_kernel` as a loop over the pair's `float_tableau`."""
+    a, e = pair.float_tableau
+    ks = [k0]
+    for row in a[1:]:
+        du, dv = combination(row, dt, ks)
+        y_new = (du + u, dv + v)
+        ks.append(stage_fn(y_new))
+    return (y_new, ks[-1], *combination(e, dt, ks))
+
+
+def random_floats(rng, count, special):
+    """Floats of random sign and size, 1e-300 to 1e300, each replaced with
+    probability 0.1 by one of `special`."""
+    return [float(rng.choice(special)) if special and rng.random() < 0.1
+            else float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.integers(-300, 300))
+            for _ in range(count)]
+
+
+class TestOneCellKernel:
+    # each pair's kernel is the loop over its float tableau, bit for bit:
+    # every stage argument, the last stage and the error estimate, on finite
+    # stages, where sums overflow too, and on stages with inf or NaN
+    @pytest.mark.parametrize("pair", [LAWSON_BS3, DP5], ids=["lawson_bs3", "dp5"])
+    @pytest.mark.parametrize("special", [(), (math.inf, -math.inf, math.nan, 0.0, -0.0)],
+                             ids=["finite", "inf_nan_zeros"])
+    def test_is_the_loop_over_the_tableau_bit_for_bit(self, pair, special):
+        # the first case is all -0.0, which only a sum from 0.0 turns to +0.0
+        rng = np.random.default_rng(45)
+        count = 2 + 2 * pair.stages
+        cases = [[-0.0] * count] + [random_floats(rng, count, special) for _ in range(300)]
+        for u, v, *flat in cases:
+            stages = list(zip(flat[::2], flat[1::2]))
+            dt = float(10.0 ** rng.uniform(-12.0, 0.0))
+
+            def bits(kernel):
+                seen = []
+
+                def stage_fn(y):
+                    seen.append(y)
+                    return stages[len(seen)]
+
+                y_new, k_new, eu, ev = kernel(u, v, stages[0], dt, stage_fn)
+                assert k_new is stages[-1] and y_new is seen[-1]
+                return [x.hex() for x in (*y_new, eu, ev, *itertools.chain(*seen))]
+
+            assert bits(pair.one_cell_kernel) == bits(partial(loop_kernel, pair))
+
+    @pytest.mark.parametrize("pair", [LAWSON_BS3, DP5], ids=["lawson_bs3", "dp5"])
+    def test_the_source_keeps_every_weight_of_the_tableau(self, pair):
+        # row i's scaled weights w{i}_j are a[i, :i] times dt, zeros kept, and
+        # the error estimate's are e
+        a, e = pair.float_tableau
+        tree = ast.parse(rdblowup.solver._one_cell_source(a, e))
+        weights = {}
+        for node in ast.walk(tree):
+            target = node.targets[0] if isinstance(node, ast.Assign) else None
+            if isinstance(target, ast.Name) and target.id.startswith("w"):
+                row, _ = target.id[1:].split("_")
+                assert ast.unparse(node.value.right) == "dt"
+                weights.setdefault(row, []).append(ast.literal_eval(node.value.left))
+        assert weights == {**{str(i): list(row) for i, row in enumerate(a) if i}, "e": list(e)}
 
 
 class NoDiffusion(RobinOperator):

@@ -384,6 +384,63 @@ def test_no_module_reads_a_private_name_of_another(module):
     assert private_reads(tree, PACKAGE_MODULES - {module[:-3]}) == []
 
 
+# what turns text into code
+CODE_FROM_TEXT = {"exec", "eval", "compile"}
+
+
+def test_code_is_compiled_from_text_in_the_two_kernel_builders_alone():
+    # each float tableau's step is generated source, compiled from the
+    # module's own constants in one builder; no other code is made from text
+    sites = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope, _ in name_reads(ast.parse(path.read_text()), CODE_FROM_TEXT)}
+    assert sites == {("oracle.py", "_FloatDop853.kernel"), ("solver.py", "Pair.one_cell_kernel")}
+
+
+def bound_names(tree, local=True):
+    """The names a parsed module binds: functions, classes, attributes
+    stored and, at module level and in class bodies, assignment targets;
+    with `local`, also imports, parameters and every other name stored."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif local and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif local and isinstance(node, ast.arg):
+            found.add(node.arg)
+        elif local and isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for statement in (s for body in bodies for s in body):
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+        found |= {name for target in targets for name in assigned_names(target)}
+    return found
+
+
+@pytest.mark.parametrize("source, defined, local", [
+    ("X = 1\nclass P:\n    a: int\n    def k(self):\n        self.b = y = 2",
+     {"X", "P", "a", "k", "b"}, {"self", "y"}),
+    ("def f(u, *rest):\n    for i in rest:\n        z = i\n    return z", {"f"},
+     {"u", "rest", "i", "z"}),
+    ("import numpy as np\nfrom math import inf\nimport os.path", set(), {"np", "inf", "os"}),
+], ids=["definitions", "locals", "imports"])
+def test_every_bound_name_is_found(source, defined, local):
+    assert bound_names(ast.parse(source), local=False) == defined
+    assert bound_names(ast.parse(source)) == defined | local
+
+
+def test_the_oracle_reads_no_name_of_the_solver():
+    # the oracle checks the solver, so its kernel is its own: it reads no
+    # name the solver defines, unless it binds that name itself (both have
+    # an `rhs`, a `step` and an `_rms`), and not the module's name
+    oracle = ast.parse((SRC / "oracle.py").read_text())
+    solver = bound_names(ast.parse((SRC / "solver.py").read_text()), local=False) | {"solver"}
+    assert name_reads(oracle, solver - bound_names(oracle)) == []
+
+
 def assigned_names(target):
     """The names an assignment target binds."""
     if isinstance(target, ast.Name):
