@@ -30,8 +30,8 @@ Several configs run only if no two of them write one directory
 
 Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
 2 config error (an output path that cannot be made or written included),
-3 numerical failure (a step underflow included).  A run that fails with a
-numerical error still writes report.json, its `simulation` block the error.
+3 numerical failure (a step underflow included); it still writes report.json,
+the blocks computed before it and the error as the block it was computing.
 """
 
 import argparse
@@ -242,16 +242,20 @@ def _write_trace(trace, out_dir: Path):
 
 def cmd_check(exp: Experiment, out_dir: Path) -> int:
     reports, errors = [], {}
-    if exp.nl.has_potential and exp.alpha is not None:
-        reports.append(nl_mod.check_H1(exp.nl, exp.alpha))
-        if exp.mesh is not None:
-            try:
-                reports.extend(nl_mod.check_H2_H3(exp.nl, exp.g1, exp.g2, exp.mesh,
-                                                  exp.gamma1, exp.gamma2))
-            except NegativeInitialData as exc:
-                errors["H2_H3"] = _error_block(exc)
-    if exp.wants_lower():
-        reports.extend(bounds_mod.lower_bound_checks(exp.nl, exp.k1, exp.k2, exp.p, exp.mode))
+    try:
+        if exp.nl.has_potential and exp.alpha is not None:
+            reports.append(nl_mod.check_H1(exp.nl, exp.alpha))
+            if exp.mesh is not None:
+                try:
+                    reports.extend(nl_mod.check_H2_H3(exp.nl, exp.g1, exp.g2, exp.mesh,
+                                                      exp.gamma1, exp.gamma2))
+                except NegativeInitialData as exc:
+                    errors["H2_H3"] = _error_block(exc)
+        if exp.wants_lower():
+            reports.extend(bounds_mod.lower_bound_checks(exp.nl, exp.k1, exp.k2, exp.p, exp.mode))
+    except RdBlowupError as exc:  # a numerical failure: the error is the report's hypotheses
+        _write_report({"command": "check", "hypotheses": _error_block(exc)}, out_dir)
+        raise
 
     report = {"command": "check",
               "hypotheses": {r.hypothesis: r for r in reports}, **errors}
@@ -263,7 +267,7 @@ def cmd_check(exp: Experiment, out_dir: Path) -> int:
     return EXIT_OK if all(r.holds for r in reports) and not errors else EXIT_FAILED
 
 
-def _compute_bounds(exp: Experiment):
+def _compute_bounds(exp: Experiment, command: str, out_dir: Path):
     """Each requested bound, or the error block of its refusal; ok is False after one."""
     calls = {}
     if exp.wants_upper():
@@ -277,13 +281,15 @@ def _compute_bounds(exp: Experiment):
         try:
             block[key] = call()
         except BoundRefused as exc:
-            block[key] = _error_block(exc)
-            ok = False
+            block[key], ok = _error_block(exc), False
+        except RdBlowupError as exc:  # the command's report is the bounds so far and the error
+            _write_report({"command": command, **block, key: _error_block(exc)}, out_dir)
+            raise
     return block, ok
 
 
 def cmd_bounds(exp: Experiment, out_dir: Path) -> int:
-    block, ok = _compute_bounds(exp)
+    block, ok = _compute_bounds(exp, "bounds", out_dir)
     if not block:
         raise ConfigError("config requests no bound (needs alpha and/or p, k1, k2)")
     report = {"command": "bounds", **block}
@@ -340,7 +346,7 @@ def cmd_simulate(exp: Experiment, out_dir: Path) -> int:
 
 
 def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
-    block, _ = _compute_bounds(exp)
+    block, _ = _compute_bounds(exp, "sandwich", out_dir)
     trace, code = _simulate(exp, out_dir, {"command": "sandwich", **block})
     report = {"command": "sandwich", **block,
               "simulation": _simulation_block(exp, trace)}

@@ -116,7 +116,8 @@ class DomainSpec:
     def volume(self) -> float:
         if self.kind == BOX:
             return prod(2.0 * L for L in self.half_extents)
-        return 4.0 / 3.0 * pi * self.radius**3
+        # r**3 raises OverflowError past r = 5.6e102; 4/3 pi r^3 is inf past 3.5e102
+        return 4.0 / 3.0 * pi * (self.radius**3 if self.radius < 5e102 else inf)
 
 
 @dataclass(frozen=True)

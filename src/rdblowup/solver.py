@@ -59,14 +59,17 @@ Lawson pair never forms A g.
 Each trial step goes through one sequence.  Its dt is clamped to 0.1 and,
 for DP5, to DP5's cap, and a step that would end within 1e-14 of t_end, or
 past it, ends at t_end; it is accepted iff its error norm is <= 1
-(inf and NaN reject) and counted once, under its pair.  `step` rejects a
-trial with err = inf if a stage leaves N's domain (raises EvalAtZeroU) or
-if y_new or its last stage is not finite.  DP5's tableau has negative
-weights, so its stages can take u below 0 where no state of the run has
-it.  N(g) of the data raises instead.  One place proposes
-the next dt: a PI controller with exponents 0.7/q and 0.4/q for a pair of
-order q after an acceptance, max(0.1, 0.9 err^(-1/q)) dt after a finite
-rejection, dt/2 after a non-finite one.  One rule picks the pair of each
+(inf and NaN reject) and counted once, under its pair.  `step` owns the
+trial: one error state covers it from its first stage to its error norm,
+and its return, (y_new, err, k_new), is all that `StepWork.accept` takes.
+It rejects a trial with err = inf if a stage leaves N's domain (raises
+EvalAtZeroU) or if y_new or its last stage is not finite; a norm that
+overflows is inf.  DP5's tableau has negative weights, so its stages can
+take u below 0 where no state of the run has it.  N(g) of the data raises
+instead.  One place proposes the next dt: a PI controller with exponents
+0.7/q and 0.4/q for a pair of order q after an acceptance,
+max(0.1, 0.9 err^(-1/q)) dt after a finite rejection, dt/2 after a
+non-finite one.  One rule picks the pair of each
 trial, the first included: `lawson_bs3` iff the trial dt reaches DP5's cap
 and no `lawson_bs3` step of the run has been rejected.  So where N(g) = 0 a
 run starts on it at min(0.1, t_end), and a run whose reaction sets a first
@@ -396,19 +399,16 @@ class StepWork:
 
     A one-cell state, held as the float pair (u, v) (module docstring), is
     stepped on floats with no row: `k1` holds its first stage, N(y) as a
-    float pair, and `taken` the (y_new, FSAL stage) of the last such step,
-    which `accept` makes the state and the next `k1`.
+    float pair.  `step` returns a trial's whole result; `StepWork` keeps none.
     """
 
-    __slots__ = ("K", "last", "y_new", "err", "scale", "op", "k1", "taken")
+    __slots__ = ("K", "y_new", "err", "scale", "op", "k1")
 
     def __init__(self, y: np.ndarray, op=None):
         """Allocate for states like `y`."""
         self.K = np.empty((max(p.rows for p in PAIRS), y.size))
-        self.last = 0  # the row of the last step's FSAL stage
         self.y_new, self.err, self.scale = (np.empty(y.size) for _ in range(3))
-        self.op = op
-        self.k1 = self.taken = None
+        self.op, self.k1 = op, None
 
     def restart(self, y: np.ndarray, stage_fn, pair: Pair):
         """The first stage of `pair` at the array state y: stage_fn(y) into
@@ -423,15 +423,14 @@ class StepWork:
         """out = sum_i weights[i] * K[first + i]."""
         return np.dot(weights, self.K[first:first + len(weights)], out=out)
 
-    def accept(self, y):
-        """Take the step just made from `y`: move its FSAL row to `K[0]`,
-        return its y_new and keep `y` as the buffer of the next y_new.  A
-        step on floats keeps its FSAL stage in `k1` and returns its y_new."""
+    def accept(self, y, y_new, k_new):
+        """Take the trial `step` made from `y`, its (y_new, _, k_new): copy
+        the FSAL row k_new to `K[0]`, keep `y` as the buffer of the next
+        y_new and return y_new.  On floats k_new becomes `k1`."""
         if type(y) is tuple:
-            y_new, self.k1 = self.taken
+            self.k1 = k_new
             return y_new
-        self.K[0] = self.K[self.last]
-        y_new, self.y_new = self.y_new, y
+        self.K[0], self.y_new = k_new, y
         return y_new
 
 
@@ -439,51 +438,46 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.dot(x, x) / x.size))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def step(y, dt: float, stage_fn, rel_tol: float, abs_tol: float,
          work: StepWork, pair: Pair = DP5):
-    """One step of `pair` from y, whose first stage `work.K[0]` holds.
+    """One trial step of `pair` from y, whose first stage `work.K[0]` holds.
 
     stage_fn(y, out) writes the stage function at y into `out` and returns
     it: the derivative f(y) for an explicit pair, the reaction N(y) for a
-    Lawson pair.  Returns (y_new, err_norm, k_last), where y_new is
-    `work.y_new` and k_last the FSAL row `work.K[work.last]`, so y must not
-    be `work.y_new`.  The stages run with overflow, invalid values and zero
-    division silenced, and the trial is rejected, returning (y, inf, None)
-    with y untouched so that the caller shrinks dt, if a stage raises
-    EvalAtZeroU (it left N's domain) or y_new or k_last is not finite.  The
-    error scale is abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).
-    A one-cell state held as the float pair (u, v) (module docstring) takes
+    Lawson pair.  Returns the trial's whole result, (y_new, err_norm, k_new)
+    for `StepWork.accept`: y_new is `work.y_new`, which y must not be, and
+    k_new the FSAL row in `work.K`.  Overflow, invalid values and zero
+    division are silenced from the first stage to the error norm, and the
+    trial is rejected, returning (y, inf, None) with y untouched so that the
+    caller shrinks dt, if a stage raises EvalAtZeroU (it left N's domain) or
+    y_new or k_new is not finite; a norm that overflows is inf.  The error
+    scale is abs_tol + rel_tol * max(|y|, |y_new|) (`_error_scale`).  A
+    one-cell state held as the float pair (u, v) (module docstring) takes
     either pair through `_one_cell_step`, the same step on floats, whose
-    first stage is `work.k1` and whose y_new and k_last are float pairs.
+    first stage is `work.k1` and whose y_new and k_new are float pairs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if type(y) is tuple:
         return _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair)
     stages = _lawson_stages if pair.lawson else _explicit_stages
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            y_new = stages(y, dt, stage_fn, work, pair)
-        except EvalAtZeroU:
-            return y, math.inf, None
-    if not (np.isfinite(y_new).all() and np.isfinite(work.K[work.last]).all()):
+    try:
+        y_new, k_new = stages(y, dt, stage_fn, work, pair)
+    except EvalAtZeroU:
+        return y, math.inf, None
+    if not (np.isfinite(y_new).all() and np.isfinite(k_new).all()):
         return y, math.inf, None
     work.err /= _error_scale(y, y_new, rel_tol, abs_tol, work.scale)
-    return y_new, _rms(work.err), work.K[work.last]
+    return y_new, _rms(work.err), k_new
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair):
-    """`step` on the one-cell state held as the float pair y = (u, v)
-    (module docstring), from the first stage `work.k1`, by the pair's
-    `one_cell_kernel`: A is zero, so a Lawson pair's step is its tableau's
-    explicit step on the reaction.  Each stage is stage_fn((u, v)), a float
-    pair (`Nonlinearity.reaction` in a run); the kernel's stage arguments,
-    y_new among them, and error estimate dt * sum_i e_i k_i, the finite
-    checks, the `_error_scale` scale and the RMS norm are Python floats too,
-    as numpy's per-call cost on 2-float rows would be most of the step.
-    Keeps (y_new, FSAL stage) in `work.taken` for `StepWork.accept`; the
-    rows of `work` are left as they were."""
+    """`step` on the one-cell state held as the float pair y = (u, v), from
+    the first stage `work.k1`, by the pair's `one_cell_kernel` (module
+    docstring): each stage is stage_fn((u, v)), a float pair, and the checks,
+    error scale and RMS norm are Python floats too, as numpy's per-call cost
+    on 2-float rows would be most of the step.  `work`'s rows are untouched."""
     u, v = y
     try:
         y_new, k_new, eu, ev = pair.one_cell_kernel(u, v, work.k1, dt, stage_fn)
@@ -494,7 +488,6 @@ def _one_cell_step(y, dt, stage_fn, rel_tol, abs_tol, work, pair):
         return y, math.inf, None
     ru = _scaled_error(eu, u, u_new, rel_tol, abs_tol)
     rv = _scaled_error(ev, v, v_new, rel_tol, abs_tol)
-    work.taken = y_new, k_new
     return y_new, math.sqrt((ru * ru + rv * rv) / 2), k_new
 
 
@@ -518,24 +511,23 @@ def _error_scale(y, y_new, rel_tol, abs_tol, out):
 
 
 def _explicit_stages(y, dt, rhs_vec, work, pair):
-    """The stages of an explicit pair from y: y_new in `work.y_new`, its
-    FSAL row f(y_new) in `work.K[s - 1]` and its error estimate
-    dt * sum_i e_i k_i in `work.err`."""
+    """The stages of an explicit pair from y: returns (y_new, its FSAL row
+    f(y_new)), `work.y_new` and `work.K[s - 1]`, and leaves the error
+    estimate dt * sum_i e_i k_i in `work.err`."""
     s, a_dt, y_new = pair.stages, pair.a * dt, work.y_new
     # each stage's argument is built in y_new, the last one y_new itself
     for i in range(1, s):
         work.combine(a_dt[i, :i], y_new)
         y_new += y
         rhs_vec(y_new, work.K[i])
-    work.last = s - 1
     work.combine(pair.e * dt, work.err)
-    return y_new
+    return y_new, work.K[s - 1]
 
 
 def _lawson_stages(y, dt, reaction, work, pair):
-    """The stages of a Lawson pair from y (module docstring): y_new in
-    `work.y_new`, its FSAL row N^(y_new) in `work.K[s + 1]` and its error
-    estimate in `work.err`.
+    """The stages of a Lawson pair from y (module docstring): returns (y_new,
+    its FSAL row N^(y_new)), `work.y_new` and `work.K[s + 1]`, and leaves
+    the error estimate in `work.err`.
 
     Rows: K[1] holds y^ and K[2 + j] stage j's N^_j (K[2] a copy of K[0]),
     each multiplied by e^{(c_i - c_{i-1}) dt Lambda} on the way to node c_i.
@@ -557,10 +549,9 @@ def _lawson_stages(y, dt, reaction, work, pair):
         work.combine(np.concatenate(([1.0], a[i, :i] * dt)), buffer, first=1)
         op.from_modes(buffer, y_new)
         op.to_modes(reaction(y_new, buffer), K[i + 2])
-    work.last = s + 1
     # the error estimate is built in `scale`, which `step` writes afterwards
     op.from_modes(work.combine(pair.e * dt, work.scale, first=2), work.err)
-    return y_new
+    return y_new, K[s + 1]
 
 
 def _proposed_dt(dt: float, err: float, err_prev: float, order: int) -> float:
@@ -706,7 +697,8 @@ def simulate(config: SolverConfig) -> SolveTrace:
         last = dt >= config.t_end - t - _DT_MIN
         if last:
             dt = config.t_end - t
-        _, err, _ = step(y, dt, stage_fns[pair], config.rel_tol, config.abs_tol, work, pair)
+        y_new, err, k_new = step(y, dt, stage_fns[pair], config.rel_tol, config.abs_tol, work,
+                                 pair)
         accepted = err <= 1.0  # inf and NaN reject
         steps_by_pair[pair.name]["accepted" if accepted else "rejected"] += 1
         dt_next = _proposed_dt(dt, err, err_prev, pair.order)
@@ -715,7 +707,7 @@ def simulate(config: SolverConfig) -> SolveTrace:
         if accepted:
             err_prev = max(err, 1e-12)
             t = config.t_end if last else t + dt
-            y = work.accept(y)
+            y = work.accept(y, y_new, k_new)
             sup = rows.record(y, t, dt)
         dt = dt_next
         dt_underflow = dt < _DT_MIN

@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdblowup.cli import (
@@ -310,6 +311,26 @@ class TestStageOutsideTheDomain:
         assert load_report(out)["simulation"]["outcome"] == "step_underflow"
         assert (out / "trace.csv").exists()
         assert "EvalAtZeroU" not in capsys.readouterr().err
+
+
+# BLOWUP_BOX from a bump u, with an error scale of abs_tol = 1e-300 alone:
+# each trial's error norm overflows
+OVERFLOWING_NORM = BLOWUP_BOX.replace(
+    "kind = constant\nc1 = 1.0", "kind = gaussian\nc1 = 1.0\namplitude = 1\nwidth = 0.3").replace(
+    "t_end = 1.0", "t_end = 0.01\nrel_tol = 0\nabs_tol = 1e-300")
+
+
+class TestErrorNormPastFloatRange:
+    # every trial's error norm overflows, so each is rejected with err = inf
+    # and the steps underflow: exit 3 with a report, and no warning leaves
+    # the norm, in a fresh interpreter with RuntimeWarning an error
+    @pytest.mark.parametrize("command", ["simulate", "sandwich"])
+    def test_ends_in_step_underflow_with_a_report(self, tmp_path, command):
+        assert OVERFLOWING_NORM.count("amplitude") == OVERFLOWING_NORM.count("abs_tol") == 1
+        done, out = cli_in_subprocess(tmp_path, OVERFLOWING_NORM, command)
+        assert done.returncode == EXIT_NUMERICAL, done.stderr
+        assert "Traceback" not in done.stderr
+        assert load_report(out)["simulation"]["outcome"] == "step_underflow"
 
 
 class TestRobinCoefficientPastFloatRange:
@@ -635,22 +656,25 @@ class TestZeroDivision:
     # each evaluation of a reaction or of F runs with zero division silenced,
     # as overflow is, so a command ends as one numerical failure: N(g) on one
     # cell (simulate), F of the initial row (check, bounds and sandwich,
-    # which bound before they simulate) and N(g) on the array path (a bump)
-    @pytest.mark.parametrize("command, bump, error", [
-        ("simulate", False, "NonFiniteField"),
-        ("sandwich", False, "NonFiniteSample"),
-        ("check", False, "NonFiniteSample"),
-        ("bounds", False, "NonFiniteSample"),
-        ("simulate", True, "NonFiniteField"),
+    # which bound before they simulate) and N(g) on the array path (a bump);
+    # its report holds the error as the block it was computing
+    @pytest.mark.parametrize("command, bump, error, block", [
+        ("simulate", False, "NonFiniteField", "simulation"),
+        ("sandwich", False, "NonFiniteSample", "upper_bound"),
+        ("check", False, "NonFiniteSample", "hypotheses"),
+        ("bounds", False, "NonFiniteSample", "upper_bound"),
+        ("simulate", True, "NonFiniteField", "simulation"),
     ], ids=["simulate", "sandwich", "check", "bounds", "simulate_bump"])
-    def test_exits_three_on_one_line(self, tmp_path, command, bump, error):
+    def test_exits_three_on_one_line(self, tmp_path, command, bump, error, block):
         assert ZERO_DIVISION.count(GAUSSIAN_U[0]) == 1
         text = ZERO_DIVISION.replace(*GAUSSIAN_U) if bump else ZERO_DIVISION
-        done, _ = cli_in_subprocess(tmp_path, text, command)
+        done, out = cli_in_subprocess(tmp_path, text, command)
         assert done.returncode == EXIT_NUMERICAL, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith(f"numerical failure: {error}: ")
         assert done.stderr.count("\n") == 1
+        message = done.stderr.split(": ", 2)[2].rstrip("\n")
+        assert load_report(out)[block] == {"error": {"type": error, "message": message}}
 
 
 class TestConfigErrors:
@@ -985,6 +1009,73 @@ class TestInvalidValuesProperty:
                    or not math.isfinite(values["shape"]))
         assert invalid == (bad is not None)
         exits_two_exactly_when_invalid(tmp_path_factory, text, invalid)
+
+
+# log-uniform from 1e-3 up to 1e300
+WIDE = st.floats(-3.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+EXPONENT = st.floats(1.0, 10.0)
+
+
+@st.composite
+def valid_configs(draw):
+    """(check or bounds, the text of a config of valid values): a 2D or 3D
+    box of 4-16 cells an axis or a ball, any of the three families, and
+    sizes, gamma, alpha and data drawn from WIDE."""
+    kind = draw(st.sampled_from(["box", "box", "ball"]))
+    if kind == "ball":
+        domain = f"dimension = 3\nradius = {draw(WIDE)!r}"
+        data = f"kind = constant\nc1 = {draw(WIDE)!r}"
+    else:
+        dim = draw(st.sampled_from([2, 3]))
+        domain = (f"dimension = {dim}\n"
+                  f"half_extents = {' '.join(repr(draw(WIDE)) for _ in range(dim))}\n"
+                  f"cells_per_axis = {' '.join(str(draw(st.integers(4, 16))) for _ in range(dim))}")
+        data = (f"kind = gaussian\nc1 = {draw(WIDE)!r}\namplitude = {draw(WIDE)!r}\n"
+                f"width = {draw(WIDE)!r}" if draw(st.booleans())
+                else f"kind = constant\nc1 = {draw(WIDE)!r}")
+    family = draw(st.sampled_from(["power_product", "gradient_homogeneous", "absorption"]))
+    if family == "power_product":
+        params = f"c = {draw(WIDE)!r}\na_exp = {draw(EXPONENT)!r}\nb_exp = {draw(EXPONENT)!r}"
+    elif family == "gradient_homogeneous":
+        shape = draw(st.sampled_from(["power", "constant", "exp_decay"]))
+        params = f"c = {draw(WIDE)!r}\nalpha = {draw(WIDE)!r}\nh = {shape}"
+        if shape != "exp_decay":
+            key = "h_m" if shape == "power" else "h_value"
+            params += f"\n{key} = {draw(st.floats(-4.0, 4.0))!r}"
+    else:
+        params = "\n".join([*(f"{key} = {draw(EXPONENT)!r}" for key in "pqrs"),
+                            f"a = {draw(WIDE)!r}", f"b = {draw(WIDE)!r}"])
+    hypothesis = []
+    if draw(st.booleans()):
+        hypothesis.append(f"alpha = {draw(WIDE)!r}")
+    if draw(st.booleans()):
+        hypothesis += [f"p = {draw(EXPONENT)!r}", f"k1 = {draw(WIDE)!r}", f"k2 = {draw(WIDE)!r}",
+                       f"mode = {draw(st.sampled_from(['A2prime', 'A2A3']))}"]
+    text = (f"[domain]\nkind = {kind}\n{domain}\n\n"
+            f"[nonlinearity]\nfamily = {family}\n{params}\n\n"
+            f"[initial_data]\n{data}\nc2 = {draw(WIDE)!r}\n\n"
+            f"[robin]\ngamma1 = {draw(WIDE)!r}\ngamma2 = {draw(WIDE)!r}\n")
+    if hypothesis:
+        text += "\n[hypothesis]\n" + "\n".join(hypothesis) + "\n"
+    return draw(st.sampled_from(["check", "bounds"])), text
+
+
+class TestValidConfigsProperty:
+    # how a valid config ends: an exit code, never an exception or a
+    # warning, and a report unless the config is refused (exit 2), whose
+    # values, valid one by one, may still be refused together; 200 examples
+    # reach numerical failures of both commands, which the first 40 miss
+    @settings(max_examples=200)
+    @given(case=valid_configs())
+    def test_check_and_bounds_end_with_a_code_and_a_report(self, tmp_path_factory, case):
+        command, text = case
+        tmp = tmp_path_factory.mktemp("valid")
+        out = tmp / "out"
+        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(command, write_config(tmp, text), out)
+        assert code in (EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert (out / "report.json").exists() == (code != EXIT_CONFIG)
 
 
 class TestOutputDirectory:

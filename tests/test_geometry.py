@@ -61,6 +61,12 @@ class TestDomainSpec:
         ball = DomainSpec("ball", 3, radius=2.0)
         assert ball.volume == pytest.approx(4.0 / 3.0 * math.pi * 8.0)
 
+    @pytest.mark.parametrize("spec", [DomainSpec("box", 3, half_extents=(1e103,) * 3),
+                                      DomainSpec("ball", 3, radius=1e103)], ids=["box", "ball"])
+    def test_a_volume_past_float_range_is_inf(self, spec):
+        # r^3 overflows where the ball's Python float power would raise
+        assert spec.volume == math.inf
+
 
 class TestBuildMesh:
     @pytest.mark.parametrize("L", [1.7e308, 5e-324], ids=["overflow", "underflow"])

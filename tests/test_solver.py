@@ -251,9 +251,9 @@ class TestStep:
         t, dt = 0.0, 1e-3
         while t < 1.0:
             dt = min(dt, 1.0 - t)
-            _, err, _ = step(y, dt, decay, 1e-10, 1e-12, work)
+            y_new, err, k_new = step(y, dt, decay, 1e-10, 1e-12, work)
             assert err <= 1.0
-            y = work.accept(y)
+            y = work.accept(y, y_new, k_new)
             t += dt
         assert y[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
@@ -270,6 +270,24 @@ class TestStep:
             y_new, err, k = step(y, 1.0, rhs_vec, 1e-8, 1e-10, started(y, rhs_vec))
         assert err == float("inf") and k is None
         assert y_new[0] == 1e30  # untouched
+
+    def test_an_error_norm_that_overflows_is_inf_and_warns_of_nothing(self):
+        # rel_tol = 0 and abs_tol = 1e-300 scale each cell's error estimate
+        # to about 1e295, whose square overflows in the RMS norm: the norm is
+        # formed under the trial's one error state, so err is inf, rejecting,
+        # though y_new and its stage are finite
+        rates = 1.0 + np.arange(8)
+
+        def stage_fn(y, out):
+            return np.multiply(y, rates, out=out)
+
+        y = np.ones(8)
+        work = started(y, stage_fn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y_new, err, k_new = step(y, 0.1, stage_fn, 0.0, 1e-300, work)
+        assert err == math.inf
+        assert np.isfinite(y_new).all() and np.isfinite(k_new).all()
 
     def test_large_step_reports_large_error(self):
         # a huge step on y' = -y must produce err > 1 so the driver rejects
@@ -378,8 +396,8 @@ class TestStepWorkspace:
                 # an accepted step of either pair copies its FSAL row into
                 # K[0] and leaves its own stages in the other rows
                 work.restart(y, fns[before], PAIR[before])
-                step(y, 1e-3, fns[before], 1.0, 1.0, work, PAIR[before])
-                work.accept(y.copy())
+                y_new, _, k_new = step(y, 1e-3, fns[before], 1.0, 1.0, work, PAIR[before])
+                work.accept(y.copy(), y_new, k_new)
             work.restart(y, fns[name], PAIR[name])
             fn = fns[name]
             if name == "dp5":
@@ -413,13 +431,12 @@ class TestStepWorkspace:
         work = started(y, fn, op, PAIR[name])
         y_new, err, k_last = step(y, 2e-3, fn, 1e-4, 1e-6, work, PAIR[name])
         assert err <= 1.0
-        assert work.last == row
         assert np.shares_memory(k_last, work.K[row])
         f_new = fn(y_new.copy(), np.empty_like(y))
         if PAIR[name].lawson:
             f_new = op.to_modes(f_new, np.empty_like(y))
         assert np.array_equal(work.K[row], f_new)
-        y = work.accept(y)
+        y = work.accept(y, y_new, k_last)
         assert y is y_new
         assert np.array_equal(work.K[0], f_new)
 
@@ -466,12 +483,12 @@ class TestOneCellStep:
             return
         assert (err <= 1.0) == (err4 <= 1.0) == (outcome == "accepted")
         assert math.isfinite(err) and abs(err - err4) <= 1e-12 * max(err4, 1.0)
-        assert work.taken == (y_new, k) and work4.last == DP5.stages - 1
+        assert np.shares_memory(k4, work4.K[DP5.stages - 1])
         for one, four in ((y_new, y_new4), (k, k4)):
             assert type(one) is tuple and all(type(x) is float for x in one)
             assert np.array_equal(four[::2], four[1::2])
             assert np.all(np.abs(np.subtract(one, four[::2])) <= 1e-14 * np.abs(four[::2]))
-        assert work.accept(y) is y_new and work.k1 is k
+        assert work.accept(y, y_new, k) is y_new and work.k1 is k
 
     def test_one_cell_dp5_steps_take_the_float_path(self, monkeypatch, tmp_path):
         # criterion 1's run takes every trial on floats, its DP5 trials and
@@ -694,8 +711,8 @@ def integrate(pair, stage_fn, y0, t_end, n_steps, op=NO_DIFFUSION):
     y = np.array(y0, dtype=float, ndmin=1)
     work = started(y, stage_fn, op, pair)
     for _ in range(n_steps):
-        step(y, t_end / n_steps, stage_fn, 1e6, 1e6, work, pair)
-        y = work.accept(y)
+        y_new, _, k_new = step(y, t_end / n_steps, stage_fn, 1e6, 1e6, work, pair)
+        y = work.accept(y, y_new, k_new)
     return y
 
 

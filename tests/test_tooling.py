@@ -4,7 +4,8 @@ Brent's method, imports nothing from the package, so the solver and the
 oracle stay independent; both
 evaluate the reaction f1, f2 through `Nonlinearity.reaction` alone, which
 holds its one float rule; the solver reaches the stage
-kernels of a trial from `step` alone; it leaves the
+kernels of a trial from `step` alone, and silences float errors on `step`,
+one error state a trial, and in `simulate` alone; it leaves the
 operator's product and the mesh's fold and collapse to geometry.py; no
 module imports or reads a private name of another;
 `simulate` writes how a run ends once: one loop condition, no `break`, one
@@ -293,6 +294,46 @@ def test_the_solver_reaches_its_stage_kernels_from_step_alone():
     sites = sorted((path.name, *site) for path in sorted(SRC.glob("*.py"))
                    for site in name_reads(ast.parse(path.read_text()), STEP_KERNELS))
     assert sites == sorted(("solver.py", "step", kernel) for kernel in STEP_KERNELS)
+
+
+def errstate_sites(tree, scope=()):
+    """(qualified name of the enclosing function, "decorator" or "body") of
+    each read of `errstate` in a parsed module, "" at module level."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = (*scope, node.name)
+            found += [(".".join(inner), "decorator")
+                      for _ in name_reads(ast.Module(node.decorator_list, []), {"errstate"})]
+            found += errstate_sites(ast.Module(node.body, []), inner)
+        else:
+            found += [(site, "body")
+                      for site, _ in name_reads(ast.Module([node], []), {"errstate"}, scope)]
+    return found
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("@np.errstate(over='ignore')\ndef step(y):\n    return y", [("step", "decorator")]),
+    ("def step(y):\n    with np.errstate(over='ignore'):\n        return y", [("step", "body")]),
+    ("from numpy import errstate\nclass W:\n    @errstate(all='ignore')\n    def f(self):\n"
+     "        pass", [("W.f", "decorator")]),
+    ("@np.errstate(all='ignore')\ndef step(y):\n    with errstate(over='raise'):\n"
+     "        return y", [("step", "decorator"), ("step", "body")]),
+    ("state = np.errstate(divide='ignore')", [("", "body")]),
+    ("def f(y):\n    return np.seterr(all='ignore')", []),
+], ids=["decorator", "body", "method", "decorator_and_body", "module_level", "no_read"])
+def test_every_errstate_site_is_found(source, sites):
+    assert errstate_sites(ast.parse(source)) == sites
+
+
+def test_the_solver_silences_float_errors_on_step_and_in_simulate_alone():
+    # one error state a trial, on `step`, spans it from the first stage to
+    # the error norm, and `simulate` holds the one around its start: no
+    # helper of a trial keeps an error state of its own
+    sites = errstate_sites(ast.parse((SRC / "solver.py").read_text()))
+    assert ("step", "decorator") in sites
+    assert set(sites) <= {("step", "decorator"), ("simulate", "body")}
+
 
 # what only geometry.py may know: the operator's matrix and whether it is
 # zero, the cells a reduced mesh keeps and the mirror of a folded axis
