@@ -28,10 +28,14 @@ naming `--resolution`.
 Several configs run only if no two of them write one directory
 (`--out-dir/<stem>`, or each config's `[outputs] directory`).
 
-Exit codes: 0 success (or partial sandwich), 1 assertion/hypothesis failure,
-2 config error (an output path that cannot be made or written included),
-3 numerical failure (a step underflow included); it still writes report.json,
-the blocks computed before it and the error as the block it was computing.
+A command computes: it adds its blocks to a report and returns its exit code
+and trace, and `_run_one` alone writes a run's files, trace.csv then
+report.json.  Exit codes: 0 success (or partial sandwich), 1 assertion or
+hypothesis failure, 2 config error (an output path that cannot be made or
+written included), 3 numerical failure, or a simulation that stopped short:
+its steps underflowed or it reached the solver's trial limit.  After a
+numerical failure report.json holds the blocks computed before it and the
+error as the block being computed.
 """
 
 import argparse
@@ -59,7 +63,7 @@ from .fields import make_field
 from .functionals import TRACE_COLUMNS, check_trace_monitors, require_growth_constants
 from .geometry import BOX, DomainSpec, build_mesh, require_gamma
 from .oracle import ode_reduce
-from .solver import OUTCOME_STEP_UNDERFLOW, SolverConfig, simulate
+from .solver import OUTCOME_STEP_UNDERFLOW, OUTCOME_TRIAL_LIMIT, SolverConfig, simulate
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -224,7 +228,6 @@ def _write_report(report, out_dir: Path):
     text = json.dumps(_as_jsonable(report), indent=2, sort_keys=True,
                       allow_nan=False)
     (out_dir / "report.json").write_text(text + "\n")
-    return text
 
 
 def _write_trace(trace, out_dir: Path):
@@ -238,9 +241,9 @@ def _write_trace(trace, out_dir: Path):
     (out_dir / "trace.csv").write_text(end.join(lines), newline="")
 
 
-# --- commands -----------------------------------------------------------
+# --- commands: each takes (exp, report) and returns (exit code, trace or None)
 
-def cmd_check(exp: Experiment, out_dir: Path) -> int:
+def cmd_check(exp: Experiment, report: dict):
     reports, errors = [], {}
     try:
         if exp.nl.has_potential and exp.alpha is not None:
@@ -253,22 +256,20 @@ def cmd_check(exp: Experiment, out_dir: Path) -> int:
                     errors["H2_H3"] = _error_block(exc)
         if exp.wants_lower():
             reports.extend(bounds_mod.lower_bound_checks(exp.nl, exp.k1, exp.k2, exp.p, exp.mode))
-    except RdBlowupError as exc:  # a numerical failure: the error is the report's hypotheses
-        _write_report({"command": "check", "hypotheses": _error_block(exc)}, out_dir)
+    except RdBlowupError as exc:
+        report["hypotheses"] = _error_block(exc)
         raise
 
-    report = {"command": "check",
-              "hypotheses": {r.hypothesis: r for r in reports}, **errors}
+    report.update(hypotheses={r.hypothesis: r for r in reports}, **errors)
     if exp.nl.family == "absorption":
         prm = exp.nl.params
         report["absorption_classification"] = nl_mod.classify_absorption(
             prm["p"], prm["q"], prm["r"], prm["s"], prm["a"], prm["b"])
-    _write_report(report, out_dir)
-    return EXIT_OK if all(r.holds for r in reports) and not errors else EXIT_FAILED
+    return EXIT_OK if all(r.holds for r in reports) and not errors else EXIT_FAILED, None
 
 
-def _compute_bounds(exp: Experiment, command: str, out_dir: Path):
-    """Each requested bound, or the error block of its refusal; ok is False after one."""
+def _compute_bounds(exp: Experiment, report: dict):
+    """Each requested bound into `report`, or its refusal's error block; False after one."""
     calls = {}
     if exp.wants_upper():
         calls["upper_bound"] = lambda: bounds_mod.upper_bound_blowup(
@@ -276,25 +277,21 @@ def _compute_bounds(exp: Experiment, command: str, out_dir: Path):
     if exp.wants_lower():
         calls["lower_bound"] = lambda: bounds_mod.lower_bound_pipeline(
             exp.nl, exp.g1, exp.g2, exp.domain, exp.p, exp.k1, exp.k2, mode=exp.mode)
-    block, ok = {}, True
+    ok = True
     for key, call in calls.items():
         try:
-            block[key] = call()
-        except BoundRefused as exc:
-            block[key], ok = _error_block(exc), False
-        except RdBlowupError as exc:  # the command's report is the bounds so far and the error
-            _write_report({"command": command, **block, key: _error_block(exc)}, out_dir)
-            raise
-    return block, ok
+            report[key] = call()
+        except RdBlowupError as exc:
+            report[key], ok = _error_block(exc), False
+            if not isinstance(exc, BoundRefused):
+                raise
+    return ok
 
 
-def cmd_bounds(exp: Experiment, out_dir: Path) -> int:
-    block, ok = _compute_bounds(exp, "bounds", out_dir)
-    if not block:
+def cmd_bounds(exp: Experiment, report: dict):
+    if not (exp.wants_upper() or exp.wants_lower()):
         raise ConfigError("config requests no bound (needs alpha and/or p, k1, k2)")
-    report = {"command": "bounds", **block}
-    _write_report(report, out_dir)
-    return EXIT_OK if ok else EXIT_FAILED
+    return EXIT_OK if _compute_bounds(exp, report) else EXIT_FAILED, None
 
 
 def _simulation_block(exp: Experiment, trace):
@@ -312,17 +309,14 @@ def _simulation_block(exp: Experiment, trace):
     if trace.blowup_estimate is not None:
         block["blowup_estimate"] = trace.blowup_estimate
     if exp.nl.has_potential and exp.alpha is not None:
-        mon = check_trace_monitors(trace.samples, exp.alpha)
-        block["monitors"] = mon
+        block["monitors"] = check_trace_monitors(trace.samples, exp.alpha)
     return block
 
 
-def _simulate(exp: Experiment, out_dir: Path, report: dict):
-    """The run's trace, written to trace.csv, and the command's exit code:
-    EXIT_NUMERICAL where the steps underflowed, which leaves no estimate,
-    EXIT_OK otherwise.  Where the run fails with a numerical error,
-    `report`, the blocks computed before it, is written with the error as
-    its simulation block, and the error raised on."""
+def cmd_simulate(exp: Experiment, report: dict):
+    """The run's simulation block, and EXIT_NUMERICAL where it stopped
+    short, which leaves no estimate: its steps underflowed or it reached
+    the trial limit."""
     if exp.solver is None:
         raise ConfigError("ball domains cannot be meshed; this command needs a box")
     try:
@@ -332,32 +326,24 @@ def _simulate(exp: Experiment, out_dir: Path, report: dict):
     try:
         trace = simulate(exp.solver)
     except RdBlowupError as exc:
-        _write_report({**report, "simulation": _error_block(exc)}, out_dir)
+        report["simulation"] = _error_block(exc)
         raise
-    _write_trace(trace, out_dir)
-    return trace, EXIT_NUMERICAL if trace.outcome == OUTCOME_STEP_UNDERFLOW else EXIT_OK
+    report["simulation"] = _simulation_block(exp, trace)
+    stopped = trace.outcome in (OUTCOME_STEP_UNDERFLOW, OUTCOME_TRIAL_LIMIT)
+    return EXIT_NUMERICAL if stopped else EXIT_OK, trace
 
 
-def cmd_simulate(exp: Experiment, out_dir: Path) -> int:
-    trace, code = _simulate(exp, out_dir, {"command": "simulate"})
-    report = {"command": "simulate", "simulation": _simulation_block(exp, trace)}
-    _write_report(report, out_dir)
-    return code
-
-
-def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
-    block, _ = _compute_bounds(exp, "sandwich", out_dir)
-    trace, code = _simulate(exp, out_dir, {"command": "sandwich", **block})
-    report = {"command": "sandwich", **block,
-              "simulation": _simulation_block(exp, trace)}
+def cmd_sandwich(exp: Experiment, report: dict):
+    _compute_bounds(exp, report)
+    code, trace = cmd_simulate(exp, report)
 
     # each end is an interval (low, high) the estimate must lie in, within
     # tol, keyed by the name of the flag it sets when it does not
     ends = {}
-    if hasattr(block.get("upper_bound"), "t_upper"):
-        ends["upper"] = (-math.inf, block["upper_bound"].t_upper)
-    if hasattr(block.get("lower_bound"), "t_lower"):
-        ends["lower"] = (block["lower_bound"].t_lower, math.inf)
+    if hasattr(report.get("upper_bound"), "t_upper"):
+        ends["upper"] = (-math.inf, report["upper_bound"].t_upper)
+    if hasattr(report.get("lower_bound"), "t_lower"):
+        ends["lower"] = (report["lower_bound"].t_lower, math.inf)
     # the ODE oracle applies exactly when the run collapsed along every axis:
     # Neumann walls and data constant to rounding, whose kept cell is the last
     if len(trace.collapsed_axes) == exp.mesh.spec.dimension:
@@ -380,8 +366,7 @@ def cmd_sandwich(exp: Experiment, out_dir: Path) -> int:
                 verdict[f"{name}_violated"] = True
                 code = EXIT_FAILED
     report["sandwich"] = verdict
-    _write_report(report, out_dir)
-    return code
+    return code, trace
 
 
 COMMANDS = {
@@ -393,15 +378,28 @@ COMMANDS = {
 
 
 def _run_one(command, config_path, out_dir=None, resolution=None):
+    """Run a command on a config and write its files: trace.csv, where it
+    simulated, then report.json, which after a numerical failure holds the
+    blocks computed before it and the error as the block being computed."""
+    report, trace, failure = {"command": command}, None, None
     try:
         exp = Experiment(config_path, resolution=resolution)
-        return COMMANDS[command](exp, Path(out_dir if out_dir is not None else exp.out_dir))
+        try:
+            code, trace = COMMANDS[command](exp, report)
+        except ConfigError:
+            raise
+        except RdBlowupError as exc:
+            code, failure = EXIT_NUMERICAL, exc
+        out = Path(out_dir if out_dir is not None else exp.out_dir)
+        if trace is not None:
+            _write_trace(trace, out)
+        _write_report(report, out)
     except (ConfigError, OSError) as exc:  # OSError: the output path cannot be made
         print(f"config error: {config_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RdBlowupError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if failure is not None:
+        print(f"numerical failure: {type(failure).__name__}: {failure}", file=sys.stderr)
+    return code
 
 
 def _target(config_path, out_dir):

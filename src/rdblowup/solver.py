@@ -135,14 +135,17 @@ whose integral is not finite raises NonFiniteSample when its block is
 written.
 
 How a run ends.  Trials go on while t < t_end, the last row's sup-norm is
-below `sup_threshold` and the last trial proposed a dt >= 1e-14 (the first
-trial's dt, t_end where N(g) = 0, may be less); stopped by that proposal
-before t_end, the run underflowed.  The blow-up time is fitted to the rows'
+below `sup_threshold`, the last trial proposed a dt >= 1e-14 (the first
+trial's dt, t_end where N(g) = 0, may be less) and fewer than `_MAX_TRIALS`
+trials ran; stopped by that proposal before t_end, the run underflowed, and
+stopped by the count, it reached the trial limit, which bounds the work of
+any run.  The blow-up time is fitted to the rows'
 (t, sup) tail (`estimate_blowup_time`) if the sup-norm reached the fallback
 level max(1e3 sup(g), 1e3) after an underflow (dt collapsing after such
 growth is blow-up nearer than float resolution), or the threshold otherwise.
-The outcome is blow-up iff there is an estimate, else step underflow or
-t_end reached; a refused fit raises unless the run underflowed.
+The outcome is blow-up iff there is an estimate, else step underflow,
+the trial limit or t_end reached; a refused fit raises unless the run
+underflowed.
 """
 
 import math
@@ -160,6 +163,7 @@ from .nonlinearity import Nonlinearity, require_alpha
 OUTCOME_REACHED_T_END = "reached_t_end"
 OUTCOME_BLOWUP = "blowup_detected"
 OUTCOME_STEP_UNDERFLOW = "step_underflow"
+OUTCOME_TRIAL_LIMIT = "trial_limit_reached"
 
 THETA_CANDIDATES = (0.5, 1.0, 1.5, 2.0)
 
@@ -170,6 +174,11 @@ _PI_KI = 0.7
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
 _CAP_SAFETY = 0.8
 _DT_MIN, _DT_MAX = 1e-14, 0.1
+# the trials a run may take: the longest measured run takes 2,344 (the
+# gamma = 5 bump at 32^3), and DP5's cap, which falls as h^2, puts one at
+# 128^3 near 37,500; at about 5,000 trials a second on small meshes a run
+# stopped by the count ends in about 20 s
+_MAX_TRIALS = 100_000
 # the bytes of the states a run keeps for one `energy_rows` call
 _ROW_BLOCK_BYTES = 1 << 17
 
@@ -678,13 +687,15 @@ def simulate(config: SolverConfig) -> SolveTrace:
                 work.K[0] = reaction
                 if not np.isfinite(op.add_product(y, work.K[0])).all():
                     raise NonFiniteField("initial right-hand side is not finite")
-    t, err_prev, dt_underflow = 0.0, 1.0, False
+    t, err_prev, dt_underflow, trials = 0.0, 1.0, False, 0
     rows = _MonitorRows(config, mesh, 2 * n)
     # the initial row carries the first trial dt, clamped but not to t_end
     sup = initial_sup = rows.record(y, t, min(dt, _DT_MAX))
 
     # how a run ends (module docstring); the starting dt may be below _DT_MIN
-    while t < config.t_end and sup < config.sup_threshold and not dt_underflow:
+    while (t < config.t_end and sup < config.sup_threshold and not dt_underflow
+           and trials < _MAX_TRIALS):
+        trials += 1
         # a new pair restarts the PI history, and on more than one cell its
         # first stage (on one cell `k1` is N(y) already)
         next_pair = pair_for(dt)
@@ -723,8 +734,9 @@ def simulate(config: SolverConfig) -> SolveTrace:
         except InsufficientSamples:
             if not underflow:
                 raise
-    outcome = (OUTCOME_BLOWUP if estimate is not None
-               else OUTCOME_STEP_UNDERFLOW if underflow else OUTCOME_REACHED_T_END)
+    # short of t_end with neither, the run stopped at the trial limit
+    outcome = (OUTCOME_BLOWUP if estimate is not None else OUTCOME_STEP_UNDERFLOW if underflow
+               else OUTCOME_TRIAL_LIMIT if t < config.t_end else OUTCOME_REACHED_T_END)
     level = config.sup_threshold if sup >= config.sup_threshold else fallback_level
     return SolveTrace(
         samples=samples, outcome=outcome, blowup_estimate=estimate,

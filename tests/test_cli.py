@@ -24,6 +24,7 @@ from rdblowup.cli import (
     main,
 )
 import rdblowup.cli
+import rdblowup.solver
 from rdblowup.errors import ConfigError
 from rdblowup.functionals import TRACE_COLUMNS
 from rdblowup.oracle import _MAX_STEPS
@@ -313,6 +314,54 @@ class TestStageOutsideTheDomain:
         assert "EvalAtZeroU" not in capsys.readouterr().err
 
 
+# a bump on an 8^3 box of half extent 1e-3 under absorption: DP5's cap,
+# 1.38e-8, holds every step, so t_end = 1 would take 7.3e7 trials
+TRIAL_LIMIT_BOX = """\
+[domain]
+kind = box
+dimension = 3
+half_extents = 1e-3 1e-3 1e-3
+cells_per_axis = 8
+
+[nonlinearity]
+family = absorption
+p = 2
+q = 2
+r = 1
+s = 1
+a = 1e3
+b = 1e3
+
+[initial_data]
+kind = gaussian
+c1 = 1
+amplitude = 0.5
+width = 3e-4
+c2 = 1
+
+[solver]
+t_end = 1
+"""
+
+
+class TestTrialLimit:
+    # a run that reaches the solver's trial count stops there: exit 3, its
+    # outcome in the report, and its trace up to the stop
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ends_at_the_trial_limit_with_a_report_and_a_trace(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.setattr(rdblowup.solver, "_MAX_TRIALS", 300)
+        out = tmp_path / "out"
+        assert run("simulate", write_config(tmp_path, TRIAL_LIMIT_BOX), out) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ""
+        sim = load_report(out)["simulation"]
+        assert sim["outcome"] == "trial_limit_reached"
+        assert "blowup_estimate" not in sim
+        assert sim["n_steps"] + sim["n_rejected"] == 300
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert len(rows) == 1 + 1 + sim["n_steps"]  # the header, the initial row, one a step
+
+
 # BLOWUP_BOX from a bump u, with an error scale of abs_tol = 1e-300 alone:
 # each trial's error norm overflows
 OVERFLOWING_NORM = BLOWUP_BOX.replace(
@@ -576,6 +625,31 @@ class TestValuesPastFloatRange:
             assert report["lower_bound"]["error"]["type"] == "ConstantOutOfRange"
         else:
             assert set(report) == {"command", "simulation"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["bounds", "sandwich"])
+    def test_a_failed_lower_bound_keeps_the_upper_bound(self, tmp_path, capsys, command):
+        # flat data 1e80 under F = 1e-100 u^2 v^2: E(0), J(0) and the upper
+        # bound are finite, while scriptE(0), the integral of u^4 + v^4,
+        # overflows; the report holds the upper bound and the error as the
+        # lower bound, and nothing after it
+        text = FLAT_CUBE
+        for edit in (("c = 1.0", "c = 1e-100"), ("c1 = 1.0\nc2 = 1.0", "c1 = 1e80\nc2 = 1e80"),
+                     ("k1 = 3\nk2 = 3", "k1 = 1\nk2 = 1"),
+                     ("t_end = 1.0", "t_end = 1.0\nsup_threshold = 1e300")):
+            assert text.count(edit[0]) == 1
+            text = text.replace(*edit)
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, text), out) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NonFiniteSample: ") and err.count("\n") == 1
+        report = load_report(out)
+        assert set(report) == {"command", "upper_bound", "lower_bound"}
+        assert report["command"] == command
+        assert math.isfinite(report["upper_bound"]["t_upper"])
+        message = err.split(": ", 2)[2].rstrip("\n")
+        assert report["lower_bound"] == {"error": {"type": "NonFiniteSample", "message": message}}
+        assert not (out / "trace.csv").exists()
 
     def test_check_classifies_absorption_with_a_huge_coefficient(self, tmp_path, capsys):
         # a^3 = 1e900 overflows; a^3 b^3 >= 1 holds

@@ -11,9 +11,11 @@ module imports or reads a private name of another;
 `simulate` writes how a run ends once: one loop condition, no `break`, one
 assignment of the outcome; E, J, scriptE and their terms are evaluated in
 `energy_rows` alone, which every other module reaches through
-`energy_sample` or `energy_rows`; and cli.py's `sandwich` judges its
+`energy_sample` or `energy_rows`; cli.py's `sandwich` judges its
 estimate in one place: one comparison of `est.t`, one write of a
-`*_violated` key, one read of the step-underflow outcome.
+`*_violated` key, one read of the step-underflow outcome; and each cli.py
+command takes (exp, report) and writes no file: `_run_one` alone calls
+`_write_report` and `_write_trace`, once each.
 
 Import budget: no module imports scipy at module level, so importing the
 package loads numpy alone, and `scipy.sparse`, the one scipy import, loads
@@ -536,7 +538,8 @@ def test_simulate_decides_how_a_run_ends_in_one_place():
     breaks, outcomes, loops = run_end_sites(ast.parse((SRC / "solver.py").read_text()))
     assert breaks == []
     assert len(outcomes) == 1
-    assert loops == ["t < config.t_end and sup < config.sup_threshold and (not dt_underflow)"]
+    assert loops == ["t < config.t_end and sup < config.sup_threshold and (not dt_underflow) "
+                     "and (trials < _MAX_TRIALS)"]
 
 
 def violated_key(key):
@@ -587,12 +590,56 @@ def test_every_verdict_site_is_found(source, sites):
 
 def test_sandwich_judges_its_estimate_in_one_place():
     # every end of the bracket is an interval in one loop of cmd_sandwich,
-    # and `_simulate` alone turns a step underflow into its exit code: a new
-    # end is one more interval, not another branch
+    # and `cmd_simulate` alone turns a step underflow into its exit code: a
+    # new end is one more interval, not another branch
     compares, violated, underflows = verdict_sites(ast.parse((SRC / "cli.py").read_text()))
     assert len(compares) == 1
     assert len(violated) == 1
     assert len(underflows) == 1
+
+
+WRITERS = {"_write_report", "_write_trace"}
+
+
+def command_parameters(tree):
+    """{command: parameter names of its function} for each entry of the
+    module-level dict `COMMANDS` of a parsed module that names a function."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [ast.unparse(t) for t in node.targets] == ["COMMANDS"]]
+    return {key.value: [a.arg for a in ast.walk(functions[value.id].args)
+                        if isinstance(a, ast.arg)]
+            for key, value in zip(table.keys, table.values)
+            if isinstance(value, ast.Name) and value.id in functions}
+
+
+@pytest.mark.parametrize("source, writes, commands", [
+    ("def _run_one():\n    _write_report(r, o)\n    if t:\n        _write_trace(t, o)\n"
+     "COMMANDS = {}",
+     [("_run_one", "_write_report"), ("_run_one", "_write_trace")], {}),
+    ("class A:\n    def f(self):\n        cli._write_trace(t, o)\n"
+     "def g():\n    h = lambda: _write_report(r, o)\n_write_report(r, o)\nCOMMANDS = {}",
+     [("", "_write_report"), ("A.f", "_write_trace"), ("g", "_write_report")], {}),
+    ("def cmd_a(exp, report):\n    pass\ndef cmd_b(exp, out_dir, *a, report=None, **k):\n"
+     "    pass\nCOMMANDS = {'a': cmd_a, 'b': cmd_b}",
+     [], {"a": ["exp", "report"], "b": ["exp", "out_dir", "a", "report", "k"]}),
+])
+def test_every_writer_call_and_command_parameter_is_found(source, writes, commands):
+    tree = ast.parse(source)
+    assert sorted(call_sites(tree, WRITERS)) == writes
+    assert command_parameters(tree) == commands
+
+
+def test_run_one_alone_writes_a_runs_files():
+    # a command computes its blocks into the report it is given, so a caller
+    # can run it for its blocks alone; `_run_one` writes trace.csv and
+    # report.json, at one site each
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert sorted(call_sites(tree, WRITERS)) == [("_run_one", "_write_report"),
+                                                 ("_run_one", "_write_trace")]
+    commands = command_parameters(tree)
+    assert sorted(commands) == ["bounds", "check", "sandwich", "simulate"]
+    assert all(params == ["exp", "report"] for params in commands.values())
 
 
 # the kernels of the monitor row's terms, and the two functions that read a
