@@ -349,7 +349,8 @@ def cmd_sandwich(exp: Experiment, report: dict):
     if len(trace.collapsed_axes) == exp.mesh.spec.dimension:
         try:
             oracle = ode_reduce(exp.nl, exp.g1[-1], exp.g2[-1], t_max=exp.solver.t_end)
-        except ValueError as exc:  # the oracle refuses negative data
+        # the oracle refuses negative data; its root finder may not converge
+        except (ValueError, RuntimeError) as exc:
             report["oracle"] = _error_block(exc)
         else:
             report["oracle"] = {"method": oracle.method, "blowup_time": oracle.blowup_time}

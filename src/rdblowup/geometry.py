@@ -24,21 +24,22 @@ solution is even along an axis whenever the data are, as the reaction acts
 cell by cell and A, with one gamma per field on every face, commutes with
 the mirror; and under Neumann walls (gamma1 = gamma2 = 0) it is constant
 along an axis whenever the data are, as A then maps fields constant along
-it to such fields.  So, when both gammas are 0, it collapses each axis
-along which g1 and g2 are constant to rounding, at any cell count: each
-cell within `_MIRROR_EPS` (4) eps of its field's sup-norm of the cell of
-the axis's last slice in its row.  Of the other axes it folds each with an even cell count
-along which g1 and g2 both equal their mirror images to rounding: each
-cell within that tolerance of its mirror cell.  Each cell must be negative
-iff the cell it is compared with is.  The box's centres are antisymmetric
-bit for bit, so data even in a coordinate are even bit for bit; data built
-on a caller's own grid, off antisymmetric by an ulp of the half-extent,
-are even to a few eps, while one product with A breaks the evenness of
-bit-even data by hundreds of eps of |A y|.  `Mesh.restrict` takes the data
-to the reduced mesh's cells, the last of each collapsed axis and those at
-x_a > 0 of each folded one, so it changes them by at most the tolerance;
-`Mesh.unfold` mirrors and broadcasts a field on them back to the box.  On
-a state even in the folded axes and constant along the collapsed ones the
+it to such fields.  So it walks the axes in order, judging each on the
+cells of g1 and g2 that the axes before it keep, to `_MIRROR_EPS` (4) eps
+of each field's sup-norm: when both gammas are 0 it collapses the axis, at
+any cell count, if each kept cell is that close to the cell of the axis's
+last slice in its row; else it folds it, at an even cell count, if each
+kept cell at x_a > 0 is that close to its mirror cell; the next axis reads
+only the cells kept, a collapsed axis's last slice or a folded one's half
+at x_a > 0.  Each cell must be negative iff the cell it is compared with
+is.  The box's centres are antisymmetric bit for bit, so data even in a
+coordinate are even bit for bit; data built on a caller's own grid, off
+antisymmetric by an ulp of the half-extent, are even to a few eps, while
+one product with A breaks the evenness of bit-even data by hundreds of eps
+of |A y|.  `Mesh.restrict` takes the data to the reduced mesh's cells and
+`Mesh.unfold` mirrors and broadcasts a field on them back to the box, a
+round trip that moves the data by at most the tolerance per reduced axis.
+On a state even in the folded axes and constant along the collapsed ones the
 reduced operator is the box's, cell for cell: the fold's low face is a
 mirror, whose ghost is the cell, as the box's neighbour across the plane
 is; a collapsed axis keeps the box's h and both walls, whose Neumann
@@ -182,15 +183,16 @@ class Mesh:
 
     def reduced(self, g1: np.ndarray, g2: np.ndarray, gamma1: float, gamma2: float) -> "Mesh":
         """The mesh a run of the flat data g1, g2 under gamma1, gamma2 steps:
-        this box mesh folded and collapsed by the module docstring's rule,
-        to `_MIRROR_EPS` eps of each field's sup-norm, or itself where
-        nothing reduces.  Cells are compared only with cells of their sign,
-        so a count of negative cells reads the box's."""
-        shape, grids = self.shape, []
-        for f in (g1, g2):
+        this box mesh reduced by a walk over its axes, each judged on the
+        cells the axes before it keep: collapsed if both gammas are 0 and the
+        data are constant along it, else folded if they are even in it, to
+        `_MIRROR_EPS` eps of each field's sup-norm (module docstring).  Cells
+        are compared only with cells of their sign, so a count of negative
+        cells reads the box's."""
+        grids, axes, collapsed = [], [], []
+        for f in (g1, g2):  # the grid, its tolerance and whether it has a negative cell
             low, high = f.min(), f.max()
-            # the grid, its tolerance and whether it has a negative cell
-            grids.append((f.reshape(shape), _MIRROR_EPS * np.finfo(float).eps * max(high, -low),
+            grids.append((f.reshape(self.shape), _MIRROR_EPS * np.finfo(float).eps * max(high, -low),
                           low < 0))
 
         def close(cells, ref, tol, signed):
@@ -203,22 +205,19 @@ class Mesh:
         def part(g, axis, cells):  # the slice `cells` of the grid g along an axis
             return g[(slice(None),) * axis + (cells,)]
 
-        collapsed = ()
-        if gamma1 == gamma2 == 0:
-            collapsed = tuple(axis for axis in range(len(shape))
-                              if all(close(g, part(g, axis, slice(-1, None)), tol, signed)
-                                     for g, tol, signed in grids))
-            for axis in collapsed:  # the fold reads the kept slice alone
-                grids = [(part(g, axis, slice(-1, None)), tol, signed) for g, tol, signed in grids]
-
-        def even(axis, half, g, tol, signed):
-            return close(part(g, axis, slice(half, None)),
-                         np.flip(part(g, axis, slice(None, half)), axis), tol, signed)
-
-        axes = tuple(axis for axis, na in enumerate(shape)
-                     if na % 2 == 0 and axis not in collapsed
-                     and all(even(axis, na // 2, *grid) for grid in grids))
-        return self.fold(axes, collapsed) if axes or collapsed else self
+        for axis, na in enumerate(self.shape):
+            last, upper, lower = slice(-1, None), slice(na // 2, None), slice(None, na // 2)
+            if gamma1 == gamma2 == 0 and all(close(g, part(g, axis, last), tol, signed)
+                                             for g, tol, signed in grids):
+                keep, reduction = last, collapsed
+            elif na % 2 == 0 and all(close(part(g, axis, upper), np.flip(part(g, axis, lower), axis),
+                                           tol, signed) for g, tol, signed in grids):
+                keep, reduction = upper, axes
+            else:
+                continue
+            reduction.append(axis)  # and the next axis reads the cells it keeps
+            grids = [(part(g, axis, keep), tol, signed) for g, tol, signed in grids]
+        return self.fold(tuple(axes), tuple(collapsed)) if axes or collapsed else self
 
     def restrict(self, box_values: np.ndarray) -> np.ndarray:
         """A field on the box, one value per box cell, at the cells this mesh

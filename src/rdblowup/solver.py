@@ -76,17 +76,19 @@ run starts on it at min(0.1, t_end), and a run whose reaction sets a first
 dt below the cap starts on DP5.  A rejected `lawson_bs3` step is retried by
 DP5 at the same dt, which DP5's clamp holds at its cap, and DP5 keeps the
 rest of the run.  Where the pair changes, the PI history restarts and the
-new pair's first stage is evaluated at the current state (on one cell it
-is N(y) already, below).  A run that reaches t_end stops there exactly.  So
+new pair's first stage is evaluated at the current state under a trial's
+error state, so a non-finite one rejects the next trial (on one cell it is
+N(y) already, below).  A run that reaches t_end stops there exactly.  So
 the Lawson pair takes the steps DP5's cap would hold, until one is
 rejected, and DP5's order pays below its cap.
 
 The fold and the collapse: `simulate` steps on
-`Mesh.reduced(g1, g2, gamma1, gamma2)`, the box folded on the axes along
-which the data are even and, under Neumann walls, collapsed along those
-along which they are constant, to rounding (geometry's module docstring),
-from `Mesh.restrict` of the data: 1/(2^k prod n_a) of the cells for k
-folded axes.  `SolveTrace.mirror_axes` and `SolveTrace.collapsed_axes` name
+`Mesh.reduced(g1, g2, gamma1, gamma2)`, the box reduced by one walk over
+its axes in order, each judged on the cells the axes before it keep:
+collapsed, under Neumann walls, where the data are constant along it, else
+folded where they are even in it, to rounding (geometry's module
+docstring), from `Mesh.restrict` of the data: 1/(2^k prod n_a) of the
+cells for k folded axes.  `SolveTrace.mirror_axes` and `SolveTrace.collapsed_axes` name
 the axes.  On a state even in the folded axes and constant along the
 collapsed ones every operation above is the box's, cell for cell, and a
 collapsed axis's eigenvalue is exactly 0, so DP5's cap is the box's.
@@ -176,9 +178,9 @@ _CAP_SAFETY = 0.8
 _DT_MIN, _DT_MAX = 1e-14, 0.1
 # the trials a run may take: the longest measured run takes 2,344 (the
 # gamma = 5 bump at 32^3), and DP5's cap, which falls as h^2, puts one at
-# 128^3 near 37,500; at about 5,000 trials a second on small meshes a run
-# stopped by the count ends in about 20 s
-_MAX_TRIALS = 100_000
+# 128^3 near 37,500; at 2,000-5,000 trials a second on meshes of a few
+# hundred cells a run stopped by the count ends in 10-25 s
+_MAX_TRIALS = 50_000
 # the bytes of the states a run keeps for one `energy_rows` call
 _ROW_BLOCK_BYTES = 1 << 17
 
@@ -697,12 +699,14 @@ def simulate(config: SolverConfig) -> SolveTrace:
            and trials < _MAX_TRIALS):
         trials += 1
         # a new pair restarts the PI history, and on more than one cell its
-        # first stage (on one cell `k1` is N(y) already)
+        # first stage (on one cell `k1` is N(y) already), under a trial's
+        # error state: a non-finite stage rejects the next trial
         next_pair = pair_for(dt)
         if next_pair is not pair:
             pair, err_prev = next_pair, 1.0
             if n > 1:
-                work.restart(y, stage_fns[pair], pair)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    work.restart(y, stage_fns[pair], pair)
         dt = min(dt, caps[pair], _DT_MAX)
         # a step that would leave less than _DT_MIN before t_end ends there
         last = dt >= config.t_end - t - _DT_MIN

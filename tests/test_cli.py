@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import csv
 import dataclasses
@@ -493,6 +494,26 @@ class TestSandwich:
         assert ("oracle" in report) is collapsed
         if collapsed:
             assert report["oracle"]["blowup_time"][0] == pytest.approx(0.25, abs=1e-9)
+
+    def test_an_oracle_that_fails_to_converge_is_its_block(self, tmp_path, monkeypatch):
+        # the oracle's root finder raises RuntimeError after 100 iterations:
+        # that error is the oracle block, as its refusal of negative data is,
+        # and the bracket's other ends, the exit code and trace.csv stay
+        config = str(DEMO_CONFIGS / "sandwich_box3d.ini")
+        assert run("sandwich", config, tmp_path / "kept") == EXIT_OK
+        message = "failed to converge after 100 iterations, value is 0.25"
+
+        def fails(*args, **kwargs):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(rdblowup.cli, "ode_reduce", fails)
+        out = tmp_path / "out"
+        assert run("sandwich", config, out) == EXIT_OK
+        kept, report = load_report(tmp_path / "kept"), load_report(out)
+        assert report.pop("oracle") == {"error": {"type": "RuntimeError", "message": message}}
+        kept.pop("oracle")
+        assert report == kept
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "kept" / "trace.csv").read_bytes()
 
     def test_partial_sandwich_without_lower_params(self, tmp_path):
         cfg = write_config(tmp_path, BLOWUP_BOX)
@@ -1087,51 +1108,83 @@ class TestInvalidValuesProperty:
 
 # log-uniform from 1e-3 up to 1e300
 WIDE = st.floats(-3.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+# log-uniform from 1e-3 up to 1e3
+MODERATE = st.floats(-3.0, 3.0).map(lambda exponent: 10.0 ** exponent)
+# log-uniform from 0.1 up to 2, where most runs step to their end
+STEPPING = st.floats(-1.0, 0.3).map(lambda exponent: 10.0 ** exponent)
 EXPONENT = st.floats(1.0, 10.0)
 
 
 @st.composite
-def valid_configs(draw):
+def valid_configs(draw, size=WIDE, cells=st.integers(4, 16), kinds=("box", "box", "ball")):
     """(check or bounds, the text of a config of valid values): a 2D or 3D
-    box of 4-16 cells an axis or a ball, any of the three families, and
-    sizes, gamma, alpha and data drawn from WIDE."""
-    kind = draw(st.sampled_from(["box", "box", "ball"]))
+    box of `cells` an axis or a ball, drawn from `kinds`, any of the three
+    families, and sizes, gamma, alpha and data drawn from `size`."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "ball":
-        domain = f"dimension = 3\nradius = {draw(WIDE)!r}"
-        data = f"kind = constant\nc1 = {draw(WIDE)!r}"
+        domain = f"dimension = 3\nradius = {draw(size)!r}"
+        data = f"kind = constant\nc1 = {draw(size)!r}"
     else:
         dim = draw(st.sampled_from([2, 3]))
         domain = (f"dimension = {dim}\n"
-                  f"half_extents = {' '.join(repr(draw(WIDE)) for _ in range(dim))}\n"
-                  f"cells_per_axis = {' '.join(str(draw(st.integers(4, 16))) for _ in range(dim))}")
-        data = (f"kind = gaussian\nc1 = {draw(WIDE)!r}\namplitude = {draw(WIDE)!r}\n"
-                f"width = {draw(WIDE)!r}" if draw(st.booleans())
-                else f"kind = constant\nc1 = {draw(WIDE)!r}")
+                  f"half_extents = {' '.join(repr(draw(size)) for _ in range(dim))}\n"
+                  f"cells_per_axis = {' '.join(str(draw(cells)) for _ in range(dim))}")
+        data = (f"kind = gaussian\nc1 = {draw(size)!r}\namplitude = {draw(size)!r}\n"
+                f"width = {draw(size)!r}" if draw(st.booleans())
+                else f"kind = constant\nc1 = {draw(size)!r}")
     family = draw(st.sampled_from(["power_product", "gradient_homogeneous", "absorption"]))
     if family == "power_product":
-        params = f"c = {draw(WIDE)!r}\na_exp = {draw(EXPONENT)!r}\nb_exp = {draw(EXPONENT)!r}"
+        params = f"c = {draw(size)!r}\na_exp = {draw(EXPONENT)!r}\nb_exp = {draw(EXPONENT)!r}"
     elif family == "gradient_homogeneous":
         shape = draw(st.sampled_from(["power", "constant", "exp_decay"]))
-        params = f"c = {draw(WIDE)!r}\nalpha = {draw(WIDE)!r}\nh = {shape}"
+        params = f"c = {draw(size)!r}\nalpha = {draw(size)!r}\nh = {shape}"
         if shape != "exp_decay":
             key = "h_m" if shape == "power" else "h_value"
             params += f"\n{key} = {draw(st.floats(-4.0, 4.0))!r}"
     else:
         params = "\n".join([*(f"{key} = {draw(EXPONENT)!r}" for key in "pqrs"),
-                            f"a = {draw(WIDE)!r}", f"b = {draw(WIDE)!r}"])
+                            f"a = {draw(size)!r}", f"b = {draw(size)!r}"])
     hypothesis = []
     if draw(st.booleans()):
-        hypothesis.append(f"alpha = {draw(WIDE)!r}")
+        hypothesis.append(f"alpha = {draw(size)!r}")
     if draw(st.booleans()):
-        hypothesis += [f"p = {draw(EXPONENT)!r}", f"k1 = {draw(WIDE)!r}", f"k2 = {draw(WIDE)!r}",
+        hypothesis += [f"p = {draw(EXPONENT)!r}", f"k1 = {draw(size)!r}", f"k2 = {draw(size)!r}",
                        f"mode = {draw(st.sampled_from(['A2prime', 'A2A3']))}"]
     text = (f"[domain]\nkind = {kind}\n{domain}\n\n"
             f"[nonlinearity]\nfamily = {family}\n{params}\n\n"
-            f"[initial_data]\n{data}\nc2 = {draw(WIDE)!r}\n\n"
-            f"[robin]\ngamma1 = {draw(WIDE)!r}\ngamma2 = {draw(WIDE)!r}\n")
+            f"[initial_data]\n{data}\nc2 = {draw(size)!r}\n\n"
+            f"[robin]\ngamma1 = {draw(size)!r}\ngamma2 = {draw(size)!r}\n")
     if hypothesis:
         text += "\n[hypothesis]\n" + "\n".join(hypothesis) + "\n"
     return draw(st.sampled_from(["check", "bounds"])), text
+
+
+@st.composite
+def simulated_configs(draw):
+    """(simulate or sandwich, the text of a config of valid values): one of
+    `valid_configs`, one in six a ball, with sizes and t_end from STEPPING
+    on 4-8 cells an axis (half of them), from MODERATE or from WIDE, some
+    under Neumann walls, and a valid [solver] section on a box: t_end,
+    rel_tol, abs_tol and a sup_threshold above the data's sup-norm."""
+    stepping = (STEPPING, st.integers(4, 8), st.floats(-3.0, 0.0).map(lambda e: 10.0 ** e))
+    size, cells, t_end = draw(st.sampled_from([
+        stepping, stepping, (MODERATE, st.integers(4, 16), MODERATE),
+        (WIDE, st.integers(4, 16), WIDE)]))
+    _, text = draw(valid_configs(size, cells, ("box",) * 5 + ("ball",)))
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    if draw(st.booleans()):
+        text = text.replace(f"gamma1 = {cfg['robin']['gamma1']}\ngamma2 = {cfg['robin']['gamma2']}",
+                            "gamma1 = 0.0\ngamma2 = 0.0")
+    if cfg["domain"]["kind"] == "box":
+        data = cfg["initial_data"]
+        sup = max(float(data["c1"]) + float(data.get("amplitude", "0")), float(data["c2"]))
+        tolerance = st.floats(-12.0, -2.0).map(lambda exponent: 10.0 ** exponent)
+        threshold = min(sup * draw(st.floats(1.0, 8.0).map(lambda e: 10.0 ** e)), 1e308)
+        text += (f"\n[solver]\nt_end = {draw(t_end)!r}\nrel_tol = {draw(tolerance)!r}\n"
+                 f"abs_tol = {draw(st.just(0.0) | tolerance)!r}\n"
+                 f"sup_threshold = {threshold!r}\n")
+    return draw(st.sampled_from(["simulate", "sandwich"])), text
 
 
 class TestValidConfigsProperty:
@@ -1150,6 +1203,25 @@ class TestValidConfigsProperty:
             code = run(command, write_config(tmp, text), out)
         assert code in (EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_NUMERICAL)
         assert (out / "report.json").exists() == (code != EXIT_CONFIG)
+
+    # the same of the two commands that simulate, at a trial limit of 200;
+    # trace.csv is written exactly where the simulation block holds no error
+    @settings(max_examples=120, deadline=None)
+    @given(case=simulated_configs())
+    def test_simulate_and_sandwich_end_with_a_code_and_their_files(self, tmp_path_factory,
+                                                                  case):
+        command, text = case
+        tmp = tmp_path_factory.mktemp("simulated")
+        out = tmp / "out"
+        with (pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(),
+              contextlib.redirect_stderr(io.StringIO())):
+            patch.setattr(rdblowup.solver, "_MAX_TRIALS", 200)
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(command, write_config(tmp, text), out)
+        assert code in (EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert (out / "report.json").exists() == (code != EXIT_CONFIG)
+        block = load_report(out).get("simulation") if code != EXIT_CONFIG else None
+        assert (out / "trace.csv").exists() == (block is not None and "error" not in block)
 
 
 class TestOutputDirectory:

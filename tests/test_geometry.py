@@ -728,3 +728,37 @@ class TestReduced:
         reduced = mesh.reduced(flat, flat, gamma1, gamma2)
         assert (reduced.mirror_axes, reduced.collapsed_axes) == ((0, 1), ())
         assert mesh.reduced(flat, flat, 0.0, 0.0).collapsed_axes == (0, 1, 2)
+
+    def test_each_axis_is_judged_on_the_cells_the_axes_before_it_keep(self):
+        # data even in x0 to 0.9 tol and, at x0 > 0, even in x1 bit for bit,
+        # whose x0 < 0 half is 1.8 tol off even in x1 (tol: `_MIRROR_EPS` eps
+        # of the sup-norm): over the whole box axis 1 is not even, but the
+        # fold of axis 0 keeps the half at x0 > 0 alone, where it is.  The
+        # round trip moves the data by at most tol per folded axis
+        mesh = build_mesh(COLLAPSE_BOX, (8, 6, 5))
+        g1, g2 = reduction_data(mesh, (0, 1), ())
+        x = mesh.cell_centers
+        tol = geometry._MIRROR_EPS * np.finfo(float).eps * np.max(np.abs(g1))
+        g = g1 + np.where(x[:, 0] < 0, np.where(x[:, 1] < 0, 0.9, -0.9) * tol, 0.0)
+        grid = g.reshape(mesh.shape)
+        assert np.max(np.abs(grid - np.flip(grid, 1))) > tol
+        reduced = mesh.reduced(g, g2, 0.5, 0.5)
+        assert (reduced.mirror_axes, reduced.collapsed_axes) == ((0, 1), ())
+        assert np.max(np.abs(reduced.unfold(reduced.restrict(g)) - g)) <= 2 * tol
+        assert np.array_equal(reduced.unfold(reduced.restrict(g2)), g2)
+
+    @pytest.mark.parametrize("gammas, collapsed", [((0.5, 0.5), ()), ((0.0, 0.0), (2,))])
+    def test_a_kept_cell_past_the_tolerance_keeps_the_box(self, gammas, collapsed):
+        # one cell that every reduction keeps, the one at x0, x1 > 0 nearest
+        # the centre on the last slice of axis 2, moved by 1.1 tol: it breaks
+        # its mirror pairs on axes 0 and 1 and, under Neumann walls, its row
+        # along axis 2, so nothing reduces
+        mesh = build_mesh(COLLAPSE_BOX, (8, 6, 5))
+        g1, g2 = reduction_data(mesh, (0, 1), collapsed)
+        assert mesh.reduced(g1, g2, *gammas) is mesh.fold((0, 1), collapsed)
+        tol = geometry._MIRROR_EPS * np.finfo(float).eps * np.max(np.abs(g1))
+        cell = np.ravel_multi_index((4, 3, 4), mesh.shape)
+        g = g1.copy()
+        g[cell] -= 1.1 * tol
+        assert tol < g1[cell] - g[cell] <= 1.2 * tol
+        assert mesh.reduced(g, g2, *gammas) is mesh

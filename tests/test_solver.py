@@ -1254,6 +1254,31 @@ class TestLawsonPair:
                                        "dp5": {"accepted": 0, "rejected": 0}}
         assert peak <= 24.5 * 2 * (config.mesh.n_cells // 8) * 8
 
+    def test_every_reaction_call_sees_float_errors_silenced(self):
+        # the gamma = 5 bump starts on DP5, switches to the Lawson pair, whose
+        # one trial is rejected, and back: each pair change evaluates the new
+        # pair's first stage under a trial's error state, so no array call of
+        # f1 or f2 warns
+        mesh = build_mesh(DomainSpec("box", 3, half_extents=(1.0,) * 3), 8)
+        nl, states = make_power_product(1.0, 2.0, 2.0), []
+
+        def noting(f):
+            def wrapped(u, v):
+                if isinstance(u, np.ndarray):
+                    states.append({k: np.geterr()[k] for k in ("over", "invalid", "divide")})
+                return f(u, v)
+            return wrapped
+
+        g1, g2 = gaussian_bump(mesh, 3.0)
+        trace = simulate(SolverConfig(
+            mesh=mesh, nl=dataclasses.replace(nl, f1=noting(nl.f1), f2=noting(nl.f2)),
+            gamma1=5.0, gamma2=5.0, g1=g1, g2=g2, t_end=2.0))
+        assert trace.steps_by_pair["lawson_bs3"] == {"accepted": 0, "rejected": 1}
+        assert trace.steps_by_pair["dp5"]["accepted"] > 0
+        assert len(states) > 1000
+        assert all(state == dict.fromkeys(("over", "invalid", "divide"), "ignore")
+                   for state in states)
+
     @pytest.mark.parametrize("spec, cells", ANISOTROPIC, ids=["2d", "3d"])
     def test_zero_reaction_run_matches_the_matrix_exponential(self, spec, cells):
         # with N = 0 the Lawson steps apply e^{dt A} exactly, and the run
